@@ -6,6 +6,9 @@
 //!   pre-whitened `simdlite` kernel scan with the norm-gap prescreen;
 //! * batched classification — per-delta `classify` calls vs one row-outer
 //!   `classify_batch` pass over the same burst;
+//! * the threshold-bounded scan on the probes Algorithm 1 sends on a
+//!   recorded Chase session (changes, peel residuals, split sums) vs the
+//!   unbounded scan followed by the `C_th` test;
 //! * delta extraction — the AoS streaming stage, the PR 5-era row-major
 //!   batch pass (retained verbatim), and the current regime-adaptive
 //!   extractor, on a dense synthetic trace *and* on a paper-regime
@@ -21,18 +24,23 @@
 //! asserted bit-equal right here).
 
 use adreno_sim::counters::{CounterSet, ALL_TRACKED, NUM_TRACKED};
-use adreno_sim::time::SimInstant;
+use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::SimConfig;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gpu_sc_attack::online::{infer_stream, OnlineConfig};
 use gpu_sc_attack::registry::Registry;
 use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
 use gpu_sc_attack::stage::Stage;
 use gpu_sc_attack::trace::{
-    extract_deltas_with_resets, extract_deltas_with_resets_scratch, Delta, DeltaStage,
-    ExtractScratch, Sample, Trace,
+    extract_deltas, extract_deltas_with_resets, extract_deltas_with_resets_scratch, Delta,
+    DeltaStage, ExtractScratch, Sample, Trace,
 };
-use gpu_sc_attack::{BatchScratch, ClassifierModel};
+use gpu_sc_attack::{BatchScratch, Classification, ClassifierModel};
+use input_bot::script::Typist;
+use input_bot::timing::VOLUNTEERS;
 use kgsl::abi::{IoctlRequest, KgslPerfcounterReadGroup, IOCTL_KGSL_PERFCOUNTER_READ};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn trained_model() -> ClassifierModel {
     let cfg = SimConfig::paper_default(0);
@@ -143,7 +151,7 @@ impl Pr5Classifier {
         };
         spansight::record(
             "core.classify.latency_ns",
-            gpu_sc_attack::classify::CLASSIFY_LATENCY_EDGES,
+            gpu_sc_attack::online::CLASSIFY_LATENCY_EDGES,
             started.elapsed().as_nanos() as u64,
         );
         spansight::count(
@@ -198,6 +206,130 @@ fn bench_classify_batch_vs_per_delta(c: &mut Criterion) {
             out.clear();
             model.classify_batch(black_box(&probes), &mut scratch, &mut out);
             black_box(out.len())
+        })
+    });
+}
+
+/// The counter changes of a recorded Chase login (Fig 17's case): a
+/// volunteer types a 12-character password on the paper-default
+/// configuration, sampled every 8 ms.
+fn recorded_chase_session() -> Vec<Delta> {
+    let mut sim = android_ui::UiSimulation::new(SimConfig::paper_default(11));
+    let mut rng = StdRng::seed_from_u64(11);
+    let plan = Typist::new(VOLUNTEERS[1]).type_text(
+        "hunter2Pass!",
+        SimInstant::from_millis(900),
+        &mut rng,
+    );
+    let end = plan.end + SimDuration::from_millis(800);
+    sim.queue_all(plan.events);
+    let mut sampler = Sampler::open(sim.device(), SamplerConfig::default_8ms()).unwrap();
+    extract_deltas(&sampler.sample_until(&mut sim, end).unwrap())
+}
+
+/// The classifier probes greedy Algorithm 1 (`core::online`) sends on
+/// `deltas`, in order: every change; when a change is rejected outside the
+/// duplication window, every ambient-signature residual of it; then the
+/// recombined split with the previous unconsumed change, and that sum's
+/// residuals. Mirrors the engine's control flow; the bench checks the
+/// engine's own probe tally against it.
+fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterSet>, u64) {
+    let config = OnlineConfig::default();
+    let mut probes = Vec::new();
+    let mut accepted = 0u64;
+    let mut probe = |v: CounterSet| {
+        probes.push(v);
+        let hit = model.classify(&v).key().is_some();
+        accepted += u64::from(hit);
+        hit
+    };
+    // Every fitting residual is probed (the engine keeps the best hit).
+    let peel = |v: &CounterSet, probe: &mut dyn FnMut(CounterSet) -> bool| {
+        let mut hit = false;
+        for r in model.ambient_signatures().iter().filter_map(|s| v.checked_sub(s)) {
+            hit |= probe(r);
+        }
+        hit
+    };
+    let mut last_key: Option<SimInstant> = None;
+    let mut prev: Option<Delta> = None;
+    for d in deltas {
+        let hit = probe(d.values);
+        if last_key.is_some_and(|t| d.at.saturating_since(t) < config.t_l) {
+            if hit {
+                prev = None; // a duplicate; it displaces the pending change
+            }
+            continue;
+        }
+        if hit || peel(&d.values, &mut probe) {
+            last_key = Some(d.at);
+            prev = None;
+            continue;
+        }
+        if let Some(p) = prev.take() {
+            if d.at.saturating_since(p.at) <= config.max_split_gap {
+                let sum = p.values + d.values;
+                if probe(sum) || peel(&sum, &mut probe) {
+                    last_key = Some(p.at);
+                    continue;
+                }
+            }
+        }
+        prev = Some(*d);
+    }
+    (probes, accepted)
+}
+
+/// The classifier before the threshold bound, retained as the same-run
+/// baseline: the unbounded nearest-centroid search (`nearest`, the same
+/// ordered scan with a `+∞` cutoff), then the `C_th` test and the
+/// magnitude gate on the nearest centroid.
+fn unbounded_classify_reference(model: &ClassifierModel, v: &CounterSet) -> Option<(char, f64)> {
+    let (ch, distance) = model.nearest(v);
+    if distance > model.threshold() {
+        return None;
+    }
+    let centroid = model.centroids().iter().find(|c| c.ch == ch).map_or(0, |c| c.values.total());
+    let (centroid, total) = (centroid as f64, v.total() as f64);
+    (centroid > 0.0 && (total - centroid).abs() <= centroid * ClassifierModel::MAGNITUDE_TOLERANCE)
+        .then_some((ch, distance))
+}
+
+fn bench_algorithm1_probe_mix(c: &mut Criterion) {
+    let model = trained_model();
+    let deltas = recorded_chase_session();
+    let (probes, accepted) = algorithm1_probes(&model, &deltas);
+    // The mirror sends exactly the probes the engine counts...
+    let tally = || {
+        let snap = spansight::snapshot();
+        (snap.counter("core.classify.accepted"), snap.counter("core.classify.rejected"))
+    };
+    let (acc0, rej0) = tally();
+    let _ = infer_stream(&model, &deltas, OnlineConfig::default());
+    let (acc1, rej1) = tally();
+    assert_eq!((acc1 - acc0, rej1 - rej0), (accepted, probes.len() as u64 - accepted));
+    assert!(accepted > 0 && probes.len() as u64 > 10 * accepted, "a session-shaped mix");
+    // ...and both scans reach identical decisions on every one of them.
+    for v in &probes {
+        let bounded = match model.classify(v) {
+            Classification::Key { ch, distance } => Some((ch, distance.to_bits())),
+            Classification::Rejected => None,
+        };
+        let reference = unbounded_classify_reference(&model, v).map(|(ch, d)| (ch, d.to_bits()));
+        assert_eq!(bounded, reference, "bounded and unbounded scans disagree");
+    }
+    c.bench_function("classify/algorithm1_probe_mix_unbounded_reference", |b| {
+        b.iter(|| {
+            for v in &probes {
+                black_box(unbounded_classify_reference(&model, black_box(v)));
+            }
+        })
+    });
+    c.bench_function("classify/algorithm1_probe_mix_bounded", |b| {
+        b.iter(|| {
+            for v in &probes {
+                black_box(model.classify(black_box(v)));
+            }
         })
     });
 }
@@ -333,6 +465,7 @@ criterion_group!(
     benches,
     bench_classify_naive_vs_pruned,
     bench_classify_batch_vs_per_delta,
+    bench_algorithm1_probe_mix,
     bench_extraction_aos_vs_soa,
     bench_extraction_paper_regime,
     bench_read_loop_alloc_vs_scratch

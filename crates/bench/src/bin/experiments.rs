@@ -5,6 +5,9 @@
 //! cargo run --release -p bench --bin experiments -- fig17 fig18
 //! cargo run --release -p bench --bin experiments -- --scale 4 fig17   # closer to paper scale
 //! cargo run --release -p bench --bin experiments -- --jobs 4 all      # 4 workers
+//! # regenerate the committed baseline record
+//! cargo run --release -p bench --bin experiments -- \
+//!     --scale 1 --jobs 1 --bench-out BENCH_experiments.json all
 //! ```
 //!
 //! `--jobs N` sets the worker count for both trial fan-out inside an
@@ -12,8 +15,10 @@
 //! (default: available parallelism; `--jobs 1` runs everything inline).
 //! Output is byte-identical at every worker count: trial inputs are
 //! pre-drawn in sequential order and each experiment's report is captured
-//! and printed in selection order. Per-experiment wall-clock timings and
-//! pipeline telemetry aggregates land in `BENCH_experiments.json`.
+//! and printed in selection order. `--bench-out PATH` writes the
+//! per-experiment wall-clock timings and pipeline telemetry aggregates to
+//! `PATH`; without it no record is written, so an ordinary run cannot
+//! overwrite the committed `BENCH_experiments.json` baseline.
 //!
 //! Observability: every run collects `spansight` spans/counters/histograms
 //! across the whole signal path (kgsl ioctls, adreno-sim renders, the
@@ -28,63 +33,9 @@
 
 use std::io::Write as _;
 
-use bench::experiments::{self, Ctx};
+use bench::experiments::{Ctx, Runner, CATALOGUE};
 use bench::report;
 use minipool::Pool;
-
-type Runner = fn(&Ctx);
-
-const EXPERIMENTS: &[(&str, &str, Runner)] = &[
-    ("fig3", "three counter changes per key press", experiments::signals::fig3),
-    ("fig5", "per-key PC variations + dup/split", experiments::signals::fig5),
-    ("fig6", "per-key delta scatter", experiments::signals::fig6),
-    ("fig11", "dup/split/noise census", experiments::accuracy::fig11),
-    ("fig13", "app-switch bursts", experiments::signals::fig13),
-    ("fig14", "echo ±2 length tracking", experiments::signals::fig14),
-    ("fig16", "volunteer typing timing", experiments::signals::fig16),
-    ("fig17", "accuracy vs credential length", experiments::accuracy::fig17),
-    ("fig18", "per-key accuracy", experiments::accuracy::fig18),
-    ("table2", "coarse-counter baseline", experiments::table2::table2),
-    ("fig19", "accuracy per target app", experiments::accuracy::fig19),
-    ("fig20", "accuracy per keyboard", experiments::accuracy::fig20),
-    ("fig21", "impact of typing speed", experiments::robustness::fig21),
-    ("fig22", "impact of CPU/GPU load", experiments::robustness::fig22),
-    ("fig23", "impact of sampling interval", experiments::robustness::fig23),
-    ("fig24", "adaptability matrix", experiments::adapt::fig24),
-    ("fig25", "inference latency histogram", experiments::overhead::fig25),
-    ("fig26", "battery overhead", experiments::overhead::fig26),
-    ("fig27", "practical session event traces", experiments::practical::fig27),
-    ("fig28", "practical accuracy", experiments::practical::fig28),
-    ("fig29", "PNC animation obfuscation", experiments::mitigation::fig29),
-    ("mitigation", "§9 mitigation matrix", experiments::mitigation::mitigation),
-    ("modelsize", "§7.6 model sizes", experiments::adapt::modelsize),
-    ("guessing", "recovery within G guesses (§7.1 extension)", experiments::extensions::guessing),
-    (
-        "defense-tuning",
-        "cheapest sufficient §9.3 decoy rate",
-        experiments::extensions::defense_tuning,
-    ),
-    ("ablate-greedy", "greedy vs full-trace Algorithm 1", experiments::ablate::ablate_greedy),
-    (
-        "ablate-corroboration",
-        "echo-corroboration insertion filter",
-        experiments::extensions::ablate_corroboration,
-    ),
-    ("ablate-counters", "counter-subset ablation", experiments::ablate::ablate_counters),
-    ("ablate-threshold", "C_th sweep", experiments::ablate::ablate_threshold),
-    ("faults", "fault intensity × retry budget sweep", experiments::faults::faults),
-    ("latency", "press-to-inference latency, greedy vs lookahead", experiments::latency::latency),
-    ("exfil", "split sampler/classifier over a lossy wire", experiments::exfil::exfil),
-    ("fleet", "fleet-scale session orchestration matrix", experiments::fleet::fleet),
-    (
-        "registry",
-        "content-addressed model registry: quantization, byte budget, lineage",
-        experiments::registry::registry,
-    ),
-];
-
-/// Where per-experiment wall-clock timings are recorded.
-const BENCH_OUT: &str = "BENCH_experiments.json";
 
 /// Trace-event buffer capacity when `--trace-out` is given. At the default
 /// scale the full suite emits a few million kgsl ioctl spans; the buffer
@@ -93,10 +44,11 @@ const TRACE_CAPACITY: usize = 500_000;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--scale N] [--jobs N] [--trace-out FILE] <name>... | all | list"
+        "usage: experiments [--scale N] [--jobs N] [--trace-out FILE] [--bench-out FILE] \
+         <name>... | all | list"
     );
     eprintln!("experiments:");
-    for (name, what, _) in EXPERIMENTS {
+    for (name, what, _) in CATALOGUE {
         eprintln!("  {name:<18} {what}");
     }
     std::process::exit(2)
@@ -114,10 +66,12 @@ fn take_flag<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option
     Some(value)
 }
 
-/// Writes the timing + telemetry record. JSON is assembled by hand — the
-/// only strings involved are experiment names from the static table and
-/// telemetry identifiers (`kgsl.ioctl.calls`, …), which need no escaping.
+/// Writes the timing + telemetry record to `path`. JSON is assembled by
+/// hand — the only strings involved are experiment names from the static
+/// table and telemetry identifiers (`kgsl.ioctl.calls`, …), which need no
+/// escaping.
 fn write_bench_json(
+    path: &str,
     jobs: usize,
     scale: f64,
     total_s: f64,
@@ -137,7 +91,7 @@ fn write_bench_json(
     out.push_str("  ],\n");
     push_telemetry_json(&mut out, rows, snap);
     out.push_str("}\n");
-    std::fs::File::create(BENCH_OUT)?.write_all(out.as_bytes())
+    std::fs::File::create(path)?.write_all(out.as_bytes())
 }
 
 /// Appends the `"telemetry"` object: suite-wide span/counter/histogram
@@ -227,6 +181,7 @@ fn main() {
     let jobs =
         take_flag::<usize>(&mut args, "--jobs").unwrap_or_else(Pool::available_parallelism).max(1);
     let trace_out = take_flag::<String>(&mut args, "--trace-out");
+    let bench_out = take_flag::<String>(&mut args, "--bench-out");
     if trace_out.is_some() {
         spansight::enable_tracing(TRACE_CAPACITY);
     }
@@ -234,18 +189,18 @@ fn main() {
         usage();
     }
     if args[0] == "list" {
-        for (name, what, _) in EXPERIMENTS {
+        for (name, what, _) in CATALOGUE {
             println!("{name:<18} {what}");
         }
         return;
     }
 
     let selected: Vec<&(&str, &str, Runner)> = if args.iter().any(|a| a == "all") {
-        EXPERIMENTS.iter().collect()
+        CATALOGUE.iter().collect()
     } else {
         args.iter()
             .map(|a| {
-                EXPERIMENTS.iter().find(|(n, _, _)| n == a).unwrap_or_else(|| {
+                CATALOGUE.iter().find(|(n, _, _)| n == a).unwrap_or_else(|| {
                     eprintln!("unknown experiment: {a}");
                     usage()
                 })
@@ -312,8 +267,10 @@ fn main() {
         eprintln!("[suite telemetry]");
         eprint!("{totals_table}");
     }
-    if let Err(e) = write_bench_json(jobs, scale, total_s, &timings, &snap) {
-        eprintln!("warning: could not write {BENCH_OUT}: {e}");
+    if let Some(path) = bench_out {
+        if let Err(e) = write_bench_json(&path, jobs, scale, total_s, &timings, &snap) {
+            eprintln!("warning: could not write {path}: {e}");
+        }
     }
     if let Some(path) = trace_out {
         let (events, dropped) = spansight::take_events();

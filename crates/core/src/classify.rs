@@ -70,28 +70,21 @@ impl fmt::Display for ModelMeta {
     }
 }
 
-/// Bucket edges of the per-call classification-latency histogram
-/// (`core.classify.latency_ns`): 1 µs, 10 µs, 0.1 ms (the paper's Fig 25
-/// bound), 1 ms, overflow.
-pub const CLASSIFY_LATENCY_EDGES: &[u64] = &[1_000, 10_000, 100_000, 1_000_000];
-
 /// Result of classifying one counter delta.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Classification {
-    /// Accepted as the key press of `ch` (weighted distance below `C_th`).
+    /// Accepted as the key press of `ch` (weighted distance within `C_th`).
     Key {
         /// The inferred key.
         ch: char,
         /// Weighted distance to that key's centroid.
         distance: f64,
     },
-    /// Rejected: not close enough to any centroid.
-    Rejected {
-        /// The closest centroid's key.
-        nearest: char,
-        /// Weighted distance to that nearest centroid (≥ `C_th`).
-        distance: f64,
-    },
+    /// Rejected: no centroid within `C_th`, or the nearest one failed the
+    /// magnitude gate. The scan stops once no centroid can be within
+    /// `C_th`, so a rejection names no nearest centroid;
+    /// [`ClassifierModel::nearest`] finds it when it is wanted.
+    Rejected,
 }
 
 impl Classification {
@@ -99,7 +92,7 @@ impl Classification {
     pub fn key(&self) -> Option<char> {
         match self {
             Classification::Key { ch, .. } => Some(*ch),
-            Classification::Rejected { .. } => None,
+            Classification::Rejected => None,
         }
     }
 }
@@ -159,9 +152,11 @@ const NORM_REL_ERR: f64 = 1.0 / (1u64 << 45) as f64;
 /// Whether the norm gap between probe and candidate *provably* excludes the
 /// candidate: returns `true` only when the candidate's computed squared
 /// distance is guaranteed to come out `>= best_acc`. The ordered scan
-/// passes its tie-guarded cutoff (`best · TIE_GUARD`) as `best_acc`, so an
-/// excluded candidate cannot even tie the incumbent in rounded `sqrt`
-/// space, and skipping it cannot change which centroid is selected.
+/// passes its cutoff as `best_acc`: the tie-guarded `best · TIE_GUARD`
+/// once a candidate has completed, so an excluded candidate cannot even tie
+/// the incumbent in rounded `sqrt` space and skipping it cannot change
+/// which centroid is selected; before that, the scan's bound, which an
+/// excluded candidate's distance would fail (see [`accept_bound`]).
 ///
 /// Soundness: with `g` the computed norm gap and `t = (an + bn)·2⁻⁴⁵` an
 /// upper bound on its absolute error (the true gap lies in `g ± t`), the
@@ -198,6 +193,31 @@ fn norm_gap_excludes(an: f64, bn: f64, best_acc: f64) -> bool {
 ///   it could not have won anyway.
 const TIE_GUARD: f64 = 1.0 + 1.0 / (1u64 << 50) as f64;
 
+/// The acceptance bound of `threshold`: the smallest `f64` whose rounded
+/// square root exceeds it.
+///
+/// `fl(sqrt(·))` is monotone, so a squared sum below the bound has a
+/// distance `<= threshold` and a sum at or above it a distance
+/// `> threshold`. Seeding the scan's cutoff with the bound therefore prunes
+/// exactly the candidates the threshold test would reject. `threshold²`
+/// lands within a few ulps of the bound, so the walks below take a few
+/// steps.
+///
+/// # Panics
+///
+/// Panics if `threshold` is not positive and finite.
+fn accept_bound(threshold: f64) -> f64 {
+    assert!(threshold > 0.0 && threshold.is_finite(), "C_th must be positive and finite");
+    let mut bound = threshold * threshold;
+    while bound.sqrt() > threshold {
+        bound = bound.next_down();
+    }
+    while bound.sqrt() <= threshold {
+        bound = bound.next_up();
+    }
+    bound
+}
+
 /// Maps a counter vector into the whitened `f64` space the classifier
 /// measures distances in: `out[i] = (v[i] as f64) * w[i]`.
 ///
@@ -217,15 +237,20 @@ fn whiten(v: &CounterSet, w: &[f64; NUM_TRACKED]) -> [f64; NUM_TRACKED] {
     out
 }
 
-/// Per-probe state of one batched nearest-centroid search.
+/// One probe in the scan's domain.
 #[derive(Debug, Clone, Copy)]
 struct ProbeState {
-    /// The probe whitened into the kernel's `f64` domain, once per burst.
+    /// The probe whitened into the kernel's `f64` domain.
     av: [f64; NUM_TRACKED],
     /// `‖av‖`, the outward scan's starting point and prescreen operand.
     an: f64,
-    best_idx: usize,
-    best_d: f64,
+}
+
+impl ProbeState {
+    fn new(v: &CounterSet, weights: &[f64; NUM_TRACKED]) -> Self {
+        let av = whiten(v, weights);
+        ProbeState { av, an: simdlite::sq_norm_fixed(&av).sqrt() }
+    }
 }
 
 /// Reusable per-burst search state for [`ClassifierModel::classify_batch`].
@@ -247,6 +272,10 @@ pub struct ClassifierModel {
     weights: [f64; NUM_TRACKED],
     /// Acceptance threshold in whitened distance.
     threshold: f64,
+    /// [`accept_bound`] of `threshold`, derived wherever it is set: the
+    /// squared-sum cutoff [`ClassifierModel::classify`] starts its scan
+    /// from.
+    accept_sq: f64,
     /// Base keyboard redraw delta (a popup-hide frame): the configuration's
     /// fingerprint, used for device recognition (§3.2).
     kb_signature: CounterSet,
@@ -273,7 +302,8 @@ impl ClassifierModel {
     ///
     /// # Panics
     ///
-    /// Panics if `centroids` is empty or `threshold` is not positive.
+    /// Panics if `centroids` is empty or `threshold` is not positive and
+    /// finite.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         meta: ModelMeta,
@@ -287,7 +317,7 @@ impl ClassifierModel {
         switch_threshold: u64,
     ) -> Self {
         assert!(!centroids.is_empty(), "a model needs at least one key centroid");
-        assert!(threshold > 0.0, "C_th must be positive");
+        let accept_sq = accept_bound(threshold);
         let prepared = PreparedCentroids::build(&centroids, &weights);
         ClassifierModel {
             meta,
@@ -295,6 +325,7 @@ impl ClassifierModel {
             prepared,
             weights,
             threshold,
+            accept_sq,
             kb_signature,
             app_signature,
             field_signatures,
@@ -357,10 +388,9 @@ impl ClassifierModel {
     ///
     /// # Panics
     ///
-    /// Panics if `threshold` is not positive.
+    /// Panics if `threshold` is not positive and finite.
     pub fn with_threshold(&self, threshold: f64) -> ClassifierModel {
-        assert!(threshold > 0.0, "C_th must be positive");
-        ClassifierModel { threshold, ..self.clone() }
+        ClassifierModel { threshold, accept_sq: accept_bound(threshold), ..self.clone() }
     }
 
     /// Returns a copy of the model with replacement key centroids, rebuilding
@@ -418,21 +448,22 @@ impl ClassifierModel {
         top.into_iter().map(|(d, idx)| (self.centroids[idx].ch, d)).collect()
     }
 
-    /// The nearest centroid to `v` and its whitened distance.
+    /// The nearest centroid to `v` and its whitened distance: the unbounded
+    /// search (offline `C_th` calibration needs the true nearest distance,
+    /// however far).
     pub fn nearest(&self, v: &CounterSet) -> (char, f64) {
-        let (idx, d) = self.nearest_pruned(v);
+        let p = ProbeState::new(v, &self.weights);
+        // The unbounded scan completes every finite sum, so it finds nothing
+        // only when every distance overflows — where the in-order naive scan
+        // also ends on the first centroid at +∞.
+        let (idx, d) = self.nearest_ordered(&p, f64::INFINITY).unwrap_or((0, f64::INFINITY));
         (self.centroids[idx].ch, d)
     }
 
-    /// Nearest-centroid search, best-first by norm.
-    fn nearest_pruned(&self, v: &CounterSet) -> (usize, f64) {
-        let av = whiten(v, &self.weights);
-        let an = simdlite::sq_norm_fixed(&av).sqrt();
-        self.nearest_ordered(&av, an)
-    }
-
-    /// The shared nearest-centroid kernel scan (per-delta and batched paths
-    /// both land here). Three pruning layers compound:
+    /// The shared nearest-centroid kernel scan, bounded by the squared sum
+    /// `bound`: [`ClassifierModel::nearest`] passes `+∞`, the classifying
+    /// paths the acceptance bound. Returns `None` when no centroid's squared
+    /// sum falls below `bound`. Three pruning layers compound:
     ///
     /// * **Best-first order.** Candidates are visited outward from the
     ///   probe's own whitened norm (binary search into `sorted_norms`, then
@@ -446,7 +477,9 @@ impl ClassifierModel {
     ///   monotone in the gap (it fires only once `g` clears `(1+√3)t`, past
     ///   which it increases with `g`), the *first* excluded candidate on a
     ///   side retires that whole direction. An accept probe typically costs
-    ///   one kernel call plus two gap tests.
+    ///   one kernel call plus two gap tests; a probe whose norm is more
+    ///   than `C_th` away from every centroid's, one or two gap tests and
+    ///   no kernel call.
     /// * **Chunked partial-distance exit.** [`simdlite::sq_dist_pruned_fixed`]
     ///   aborts a surviving candidate at the first 4-lane chunk boundary
     ///   where its running sum reaches the cutoff.
@@ -459,13 +492,16 @@ impl ClassifierModel {
     /// candidate that could still *tie* in `sqrt`-space is never pruned.
     /// Completed sums come from the same kernel in the same lane order, so
     /// the selected centroid and reported distance stay bit-identical to
-    /// [`ClassifierModel::nearest_naive`].
-    fn nearest_ordered(&self, av: &[f64; NUM_TRACKED], an: f64) -> (usize, f64) {
+    /// [`ClassifierModel::nearest_naive`] whenever that centroid's squared
+    /// sum lies below `bound`: the nearest centroid is never pruned by a
+    /// cutoff above its own sum.
+    fn nearest_ordered(&self, probe: &ProbeState, bound: f64) -> Option<(usize, f64)> {
         let p = &self.prepared;
+        let (av, an) = (&probe.av, probe.an);
         let n = p.order.len();
         let mut best_idx = 0usize;
         let mut best_d = f64::INFINITY;
-        let mut cutoff = f64::INFINITY;
+        let mut cutoff = bound;
         // Rows below `an` live at [0, lo), rows at/above it at [hi, n);
         // retiring a direction empties its interval.
         let mut hi = p.sorted_norms.partition_point(|&x| x < an);
@@ -504,7 +540,10 @@ impl ClassifierModel {
                 }
             }
         }
-        (best_idx, best_d)
+        // A completed sum lies below a cutoff ≤ `bound` or below a finite
+        // incumbent's guard, so its distance is finite: `best_d` stays +∞
+        // exactly when nothing completed.
+        (best_d < f64::INFINITY).then_some((best_idx, best_d))
     }
 
     /// Reference nearest-centroid scan without pruning: computes the full
@@ -543,57 +582,44 @@ impl ClassifierModel {
     /// Classifies a delta: nearest centroid, accepted iff within `C_th`
     /// (the `SearchMinDist` + threshold test of Algorithm 1) *and* of
     /// key-frame-sized total magnitude.
+    ///
+    /// Algorithm 1 needs only that yes/no, so the scan starts from the
+    /// acceptance bound instead of `+∞`: a probe with no centroid within
+    /// `C_th` is rejected without its nearest centroid ever being found,
+    /// while an accepted probe finds the same centroid at a bit-identical
+    /// distance. No clock is read and no telemetry is recorded here; the
+    /// caller counts its probes (see [`crate::online`]).
     pub fn classify(&self, v: &CounterSet) -> Classification {
-        let started = std::time::Instant::now();
-        let out = self.classify_inner(v);
-        // Fig 25's headline claim is <0.1 ms per inference; the 100 µs edge
-        // of this histogram checks it on every call of every experiment.
-        spansight::record(
-            "core.classify.latency_ns",
-            CLASSIFY_LATENCY_EDGES,
-            started.elapsed().as_nanos() as u64,
-        );
-        match out {
-            Classification::Key { .. } => spansight::count("core.classify.accepted", 1),
-            Classification::Rejected { .. } => spansight::count("core.classify.rejected", 1),
-        }
-        out
+        let probe = ProbeState::new(v, &self.weights);
+        self.gate(self.nearest_ordered(&probe, self.accept_sq), v)
     }
 
-    fn classify_inner(&self, v: &CounterSet) -> Classification {
-        let (idx, distance) = self.nearest_pruned(v);
-        self.gate(idx, distance, v)
-    }
-
-    /// The acceptance decision after the nearest-centroid search: within
-    /// `C_th` *and* of key-frame-sized total magnitude. Shared by the
+    /// The magnitude gate after the bounded search, which has already
+    /// applied the `C_th` test: the centroid it found (if any) is accepted
+    /// iff the probe is of key-frame-sized total magnitude. Shared by the
     /// per-delta and batched paths so both gate identically.
-    fn gate(&self, idx: usize, distance: f64, v: &CounterSet) -> Classification {
-        let ch = self.centroids[idx].ch;
-        if distance <= self.threshold {
-            let centroid_total = self.prepared.gate_totals[idx];
-            let total = v.total() as f64;
-            if centroid_total > 0.0
-                && (total - centroid_total).abs() <= centroid_total * Self::MAGNITUDE_TOLERANCE
-            {
-                return Classification::Key { ch, distance };
-            }
-            return Classification::Rejected { nearest: ch, distance };
+    fn gate(&self, found: Option<(usize, f64)>, v: &CounterSet) -> Classification {
+        let Some((idx, distance)) = found else { return Classification::Rejected };
+        debug_assert!(distance <= self.threshold, "the acceptance bound admits only C_th hits");
+        let centroid_total = self.prepared.gate_totals[idx];
+        let total = v.total() as f64;
+        if centroid_total > 0.0
+            && (total - centroid_total).abs() <= centroid_total * Self::MAGNITUDE_TOLERANCE
+        {
+            return Classification::Key { ch: self.centroids[idx].ch, distance };
         }
-        Classification::Rejected { nearest: ch, distance }
+        Classification::Rejected
     }
 
     /// Classifies a burst of deltas in one pass, appending one
     /// [`Classification`] per probe (in order) to `out`.
     ///
     /// Equivalent to calling [`ClassifierModel::classify`] on each probe —
-    /// every probe runs the same `nearest_ordered` scan,
-    /// so every result (including reported distances) is bit-identical; a
-    /// proptest pins that. The win is structural: probe conversion
-    /// (whiten + norm) happens in one data-parallel pass over the burst,
-    /// the scans then run back-to-back against cache-warm prepared rows,
-    /// and the per-call overhead (telemetry, timestamping, dispatch) is
-    /// paid once per burst instead of once per delta.
+    /// every probe runs the same bounded `nearest_ordered` scan, so every
+    /// result (including accepted distances) is bit-identical; a proptest
+    /// pins that. Probe conversion (whiten + norm) happens in one
+    /// data-parallel pass over the burst, and the scans then run
+    /// back-to-back against cache-warm prepared rows.
     ///
     /// `scratch` carries the per-probe search state between calls so the
     /// steady-state streaming path does not allocate.
@@ -603,44 +629,17 @@ impl ClassifierModel {
         scratch: &mut BatchScratch,
         out: &mut Vec<Classification>,
     ) {
-        if probes.is_empty() {
-            return;
-        }
-        let started = std::time::Instant::now();
         scratch.states.clear();
-        scratch.states.extend(probes.iter().map(|p| {
-            let av = whiten(p, &self.weights);
-            ProbeState {
-                av,
-                an: simdlite::sq_norm_fixed(&av).sqrt(),
-                best_idx: 0,
-                best_d: f64::INFINITY,
-            }
-        }));
-        for st in scratch.states.iter_mut() {
-            let (idx, d) = self.nearest_ordered(&st.av, st.an);
-            st.best_idx = idx;
-            st.best_d = d;
-        }
-        // One histogram entry per probe at the amortised per-inference cost,
-        // so the latency histogram's population matches the per-delta path
-        // (Fig 25's claim is per inference, and the batch is one inference
-        // pass over `probes.len()` deltas).
-        let per_probe_ns = started.elapsed().as_nanos() as u64 / probes.len() as u64;
+        scratch.states.extend(probes.iter().map(|p| ProbeState::new(p, &self.weights)));
         for (st, probe) in scratch.states.iter().zip(probes) {
-            let c = self.gate(st.best_idx, st.best_d, probe);
-            spansight::record("core.classify.latency_ns", CLASSIFY_LATENCY_EDGES, per_probe_ns);
-            match c {
-                Classification::Key { .. } => spansight::count("core.classify.accepted", 1),
-                Classification::Rejected { .. } => spansight::count("core.classify.rejected", 1),
-            }
-            out.push(c);
+            out.push(self.gate(self.nearest_ordered(st, self.accept_sq), probe));
         }
     }
 
     /// Reference classification built on [`ClassifierModel::nearest_naive`]
-    /// and the original by-key magnitude-gate scan, with no telemetry.
-    /// The equivalence proptest pins [`ClassifierModel::classify`] to this.
+    /// (an unbounded, unpruned scan), the plain `distance <= C_th` test and
+    /// the original by-key magnitude-gate scan. The equivalence proptests
+    /// pin [`ClassifierModel::classify`] to this.
     pub fn classify_naive(&self, v: &CounterSet) -> Classification {
         let (ch, distance) = self.nearest_naive(v);
         if distance <= self.threshold {
@@ -653,9 +652,8 @@ impl ClassifierModel {
             {
                 return Classification::Key { ch, distance };
             }
-            return Classification::Rejected { nearest: ch, distance };
         }
-        Classification::Rejected { nearest: ch, distance }
+        Classification::Rejected
     }
 
     /// Serialises the model to the compact on-device wire format (the paper
@@ -770,7 +768,7 @@ impl ClassifierModel {
             let values = read_set(&mut data);
             centroids.push(KeyCentroid { ch, values });
         }
-        if centroids.is_empty() || threshold <= 0.0 || threshold.is_nan() {
+        if centroids.is_empty() || threshold <= 0.0 || !threshold.is_finite() {
             return Err(BadField("body"));
         }
         // Route through `new` so the prepared hot-path data is rebuilt; the
@@ -962,13 +960,10 @@ mod tests {
     #[test]
     fn far_vectors_are_rejected_with_nearest_reported() {
         let m = model();
-        match m.classify(&set(5000, 40)) {
-            Classification::Rejected { nearest, distance } => {
-                assert_eq!(nearest, 'b');
-                assert!(distance > 25.0);
-            }
-            other => panic!("expected rejection, got {other:?}"),
-        }
+        assert_eq!(m.classify(&set(5000, 40)), Classification::Rejected);
+        let (nearest, distance) = m.nearest(&set(5000, 40));
+        assert_eq!(nearest, 'b');
+        assert!(distance > 25.0);
     }
 
     #[test]

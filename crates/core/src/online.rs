@@ -17,11 +17,19 @@
 //! [`infer_full_trace`] is the offline variant with one-step lookahead that
 //! the paper says requires the whole trace.
 
+use std::time::Instant;
+
+use adreno_sim::counters::CounterSet;
 use adreno_sim::time::{SimDuration, SimInstant};
 
-use crate::classify::{Classification, ClassifierModel};
+use crate::classify::{BatchScratch, Classification, ClassifierModel};
 use crate::stage::Stage;
 use crate::trace::Delta;
+
+/// Bucket edges of the classification-latency histogram
+/// (`core.classify.latency_ns`, one entry per primary classification):
+/// 1 µs, 10 µs, 0.1 ms (the paper's Fig 25 bound), 1 ms, overflow.
+pub const CLASSIFY_LATENCY_EDGES: &[u64] = &[1_000, 10_000, 100_000, 1_000_000];
 
 /// Tuning of the online algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,6 +90,91 @@ pub struct InferenceStats {
 /// guessing post-processor.
 pub const CANDIDATES_PER_KEY: usize = 8;
 
+/// The classifier probes one engine sent. A probe is one
+/// [`ClassifierModel::classify`] call: a change (the *primary*
+/// classification), a residual peeled off it, a recombined split, or a
+/// lookahead pairing. Tallied here and published once, when the engine is
+/// dropped, so no probe pays for a telemetry map update. Only primaries
+/// are timed — once per burst, not per probe.
+#[derive(Debug, Default)]
+struct ProbeTally {
+    accepted: u64,
+    rejected: u64,
+    /// `core.classify.latency_ns` bucket counts, one entry per primary
+    /// classification at its burst's amortised cost.
+    latency: [u64; CLASSIFY_LATENCY_EDGES.len() + 1],
+}
+
+impl ProbeTally {
+    fn count(&mut self, c: &Classification) {
+        match c {
+            Classification::Key { .. } => self.accepted += 1,
+            Classification::Rejected => self.rejected += 1,
+        }
+    }
+
+    /// A counted, untimed probe (peel, split and lookahead probes).
+    fn classify(&mut self, model: &ClassifierModel, v: &CounterSet) -> Classification {
+        let c = model.classify(v);
+        self.count(&c);
+        c
+    }
+
+    /// The primary classifications of a burst of changes, appended to
+    /// `out`: one [`ClassifierModel::classify_batch`] pass, timed as a whole.
+    fn classify_primaries(
+        &mut self,
+        model: &ClassifierModel,
+        values: &[CounterSet],
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Classification>,
+    ) {
+        if values.is_empty() {
+            return;
+        }
+        let first = out.len();
+        let started = Instant::now();
+        model.classify_batch(values, scratch, out);
+        self.time_primaries(values.len(), started);
+        for c in &out[first..] {
+            self.count(c);
+        }
+    }
+
+    /// The primary classification of a single change: a burst of one.
+    fn classify_primary(&mut self, model: &ClassifierModel, v: &CounterSet) -> Classification {
+        let started = Instant::now();
+        let c = model.classify(v);
+        self.time_primaries(1, started);
+        self.count(&c);
+        c
+    }
+
+    /// One latency entry per primary of a burst of `n` started at
+    /// `started`, at the amortised per-change cost (Fig 25's claim is per
+    /// inference).
+    fn time_primaries(&mut self, n: usize, started: Instant) {
+        let per_change_ns = started.elapsed().as_nanos() as u64 / n as u64;
+        self.latency[spansight::Hist::bucket_of(CLASSIFY_LATENCY_EDGES, per_change_ns)] += n as u64;
+    }
+}
+
+impl Drop for ProbeTally {
+    fn drop(&mut self) {
+        if self.accepted > 0 {
+            spansight::count("core.classify.accepted", self.accepted);
+        }
+        if self.rejected > 0 {
+            spansight::count("core.classify.rejected", self.rejected);
+        }
+        spansight::record_bucketed(
+            "core.classify.latency_ns",
+            CLASSIFY_LATENCY_EDGES,
+            &self.latency,
+        );
+    }
+}
+
 /// Streaming implementation of Algorithm 1.
 #[derive(Debug)]
 pub struct OnlineInference<'m> {
@@ -97,6 +190,7 @@ pub struct OnlineInference<'m> {
     candidates: Vec<Vec<char>>,
     rejected: Vec<Delta>,
     stats: InferenceStats,
+    probes: ProbeTally,
 }
 
 impl<'m> OnlineInference<'m> {
@@ -112,6 +206,7 @@ impl<'m> OnlineInference<'m> {
             candidates: Vec::new(),
             rejected: Vec::new(),
             stats: InferenceStats::default(),
+            probes: ProbeTally::default(),
         }
     }
 
@@ -130,7 +225,7 @@ impl<'m> OnlineInference<'m> {
         // classification, and exactly one of them runs — so it can be
         // computed up front, which is what lets [`InferStage::push_burst`]
         // substitute a batched result without changing behaviour.
-        let primary = self.model.classify(&delta.values);
+        let primary = self.probes.classify_primary(self.model, &delta.values);
         self.process_classified(delta, decided_at, primary);
     }
 
@@ -186,7 +281,9 @@ impl<'m> OnlineInference<'m> {
         let mut best: Option<(f64, InferredKey, Delta, adreno_sim::counters::CounterSet)> = None;
         for sig in &self.ambient {
             let Some(residual) = delta.values.checked_sub(sig) else { continue };
-            if let Classification::Key { ch, distance } = self.model.classify(&residual) {
+            if let Classification::Key { ch, distance } =
+                self.probes.classify(self.model, &residual)
+            {
                 if best.as_ref().is_none_or(|(d, _, _, _)| distance < *d) {
                     // Report the consumed field redraw as a synthetic echo
                     // so the downstream correction detector keeps its length
@@ -211,7 +308,8 @@ impl<'m> OnlineInference<'m> {
         if let Some(prev) = self.prev {
             if delta.at.saturating_since(prev.at) <= self.config.max_split_gap {
                 let combined = prev.values + delta.values;
-                if let Classification::Key { ch, .. } = self.model.classify(&combined) {
+                if let Classification::Key { ch, .. } = self.probes.classify(self.model, &combined)
+                {
                     // Both fragments are consumed by the recombination.
                     self.prev = None;
                     self.accept(
@@ -234,7 +332,9 @@ impl<'m> OnlineInference<'m> {
                 )> = None;
                 for sig in &self.ambient {
                     let Some(residual) = combined.checked_sub(sig) else { continue };
-                    if let Classification::Key { ch, distance } = self.model.classify(&residual) {
+                    if let Classification::Key { ch, distance } =
+                        self.probes.classify(self.model, &residual)
+                    {
                         if best.as_ref().is_none_or(|(d, _, _, _)| distance < *d) {
                             best = Some((distance, ch, *sig, residual));
                         }
@@ -408,7 +508,7 @@ pub struct InferStage<'m> {
     keys_drained: usize,
     rejected_drained: usize,
     /// Reusable state for [`ClassifierModel::classify_batch`].
-    batch: crate::classify::BatchScratch,
+    batch: BatchScratch,
     /// Probe values of the burst being classified, reused across bursts.
     burst_vals: Vec<adreno_sim::counters::CounterSet>,
     /// Classifications of the burst, aligned with `burst_vals`.
@@ -424,7 +524,7 @@ impl<'m> InferStage<'m> {
             lookahead: false,
             keys_drained: 0,
             rejected_drained: 0,
-            batch: crate::classify::BatchScratch::default(),
+            batch: BatchScratch::default(),
             burst_vals: Vec::new(),
             burst_cls: Vec::new(),
         }
@@ -465,11 +565,15 @@ impl<'m> InferStage<'m> {
     /// — same order, same events, bit-identical results (a proptest pins
     /// the equivalence).
     pub fn push_burst(&mut self, inputs: &[Delta], out: &mut Vec<InferEvent>) {
-        let model = self.engine.model;
         self.burst_vals.clear();
         self.burst_vals.extend(inputs.iter().map(|d| d.values));
         self.burst_cls.clear();
-        model.classify_batch(&self.burst_vals, &mut self.batch, &mut self.burst_cls);
+        self.engine.probes.classify_primaries(
+            self.engine.model,
+            &self.burst_vals,
+            &mut self.batch,
+            &mut self.burst_cls,
+        );
         let classes = std::mem::take(&mut self.burst_cls);
         for (d, cls) in inputs.iter().zip(classes.iter()) {
             self.push_classified(*d, *cls, out);
@@ -511,11 +615,11 @@ impl<'m> InferStage<'m> {
             return;
         }
         let model = self.engine.model;
-        let with_prev = model.classify(&(prev.values + current.values));
-        let with_next = model.classify(&(current.values + next.values));
+        let with_prev = self.engine.probes.classify(model, &(prev.values + current.values));
+        let with_next = self.engine.probes.classify(model, &(current.values + next.values));
         let dist = |c: &Classification| match c {
             Classification::Key { distance, .. } => Some(*distance),
-            Classification::Rejected { .. } => None,
+            Classification::Rejected => None,
         };
         if let (Some(dp), Some(dn)) = (dist(&with_prev), dist(&with_next)) {
             if dn < dp {
@@ -532,7 +636,7 @@ impl Stage for InferStage<'_> {
     type Out = InferEvent;
 
     fn push(&mut self, input: Delta, out: &mut Vec<InferEvent>) {
-        let primary = self.engine.model.classify(&input.values);
+        let primary = self.engine.probes.classify_primary(self.engine.model, &input.values);
         self.push_classified(input, primary, out);
     }
 
@@ -681,6 +785,32 @@ mod tests {
             infer_full_trace(&m, &[noise_frag, split_a, split_b], OnlineConfig::default());
         assert_eq!(keys_greedy.first().map(|k| k.ch), Some('n'));
         assert_eq!(keys_full.first().map(|k| k.ch), Some('w'));
+    }
+
+    #[test]
+    fn probes_are_tallied_and_published_once_when_the_engine_drops() {
+        let m = model();
+        let track = spansight::register_track("online-probe-tally");
+        let _track = spansight::enter_track(track);
+        let published = || {
+            let snap = spansight::snapshot().for_track(track);
+            let latency = snap.hists.iter().map(|h| h.hist.total()).sum::<u64>();
+            (
+                snap.counter("core.classify.accepted"),
+                snap.counter("core.classify.rejected"),
+                latency,
+            )
+        };
+        let mut eng = OnlineInference::new(&m, OnlineConfig::default());
+        // A rejected fragment (1 primary + 2 peel residuals), then the rest
+        // of the split (1 primary + 2 residuals + the accepted recombined
+        // sum): 7 probes, 1 accepted, 2 of them timed primaries.
+        eng.process(d(100, 600, 96));
+        eng.process(d(108, 400, 64));
+        assert_eq!(eng.inferred().len(), 1);
+        assert_eq!(published(), (0, 0, 0), "nothing is published per probe");
+        let _ = eng.finish();
+        assert_eq!(published(), (1, 6, 2));
     }
 
     #[test]

@@ -62,6 +62,43 @@ fn arb_model() -> impl Strategy<Value = ClassifierModel> {
         })
 }
 
+/// A classification as comparable bits: accept/reject, the accepted char
+/// and the exact bits of the accepted distance.
+fn decision_bits(c: &Classification) -> Option<(char, u64)> {
+    match c {
+        Classification::Key { ch, distance } => Some((*ch, distance.to_bits())),
+        Classification::Rejected => None,
+    }
+}
+
+/// Probes shaped like Algorithm 1's peel residuals: each centroid plus one
+/// ambient signature minus another. The same signature twice gives back the
+/// centroid itself, an exact hit; a wrong pair leaves a near miss.
+fn residual_probes(model: &ClassifierModel) -> Vec<CounterSet> {
+    let sigs = model.ambient_signatures();
+    let mut out = Vec::new();
+    for c in model.centroids() {
+        for plus in sigs {
+            for minus in sigs {
+                out.push((c.values + *plus).saturating_sub(minus));
+            }
+        }
+    }
+    out
+}
+
+/// The model re-thresholded at both sides of a probe whose nearest
+/// distance is `d`: `C_th = d` must accept it on distance and
+/// `C_th = d.next_down()` must reject it. Empty when `d` is too small for
+/// the lower side to be a valid threshold (an exact centroid hit).
+fn boundary_models(model: &ClassifierModel, d: f64) -> Vec<ClassifierModel> {
+    if d.next_down() > 0.0 {
+        vec![model.with_threshold(d), model.with_threshold(d.next_down())]
+    } else {
+        Vec::new()
+    }
+}
+
 fn arb_deltas() -> impl Strategy<Value = Vec<Delta>> {
     prop::collection::vec((0u64..20_000u64, arb_set(500_000)), 0..40).prop_map(|mut v| {
         v.sort_by_key(|(ms, _)| *ms);
@@ -319,19 +356,29 @@ proptest! {
         model in arb_model(),
         probes in prop::collection::vec(arb_set(2_500_000), 1..40),
     ) {
-        // The hot-path invariant of the prepared-centroid rewrite: the
-        // pruned nearest-centroid search (early exit on the running squared
-        // sum) must return the exact same Classification as the naive
-        // full-distance scan — same accept/reject, same `nearest` char and
-        // bit-identical `distance`, including on rejects.
+        // The hot-path invariant of the prepared-centroid scan: the
+        // unbounded pruned search must find the naive scan's nearest
+        // centroid at a bit-identical distance, and the scan bounded at
+        // `C_th` must decide exactly as the naive full-distance scan does —
+        // same accept/reject, same char, bit-identical accepted distance.
+        // Besides random probes: peel residuals, and every probe at both
+        // sides of its own acceptance boundary.
+        let probes: Vec<CounterSet> =
+            probes.into_iter().chain(residual_probes(&model)).collect();
         for v in &probes {
-            let naive = model.classify_naive(v);
-            let pruned = model.classify(v);
-            prop_assert_eq!(pruned, naive);
             let (nn_ch, nn_d) = model.nearest_naive(v);
             let (pr_ch, pr_d) = model.nearest(v);
             prop_assert_eq!(pr_ch, nn_ch);
             prop_assert_eq!(pr_d.to_bits(), nn_d.to_bits(), "distance must be bit-identical");
+            let boundary = boundary_models(&model, nn_d);
+            for (i, m) in std::iter::once(&model).chain(&boundary).enumerate() {
+                let naive = m.classify_naive(v);
+                let pruned = m.classify(v);
+                prop_assert_eq!(decision_bits(&pruned), decision_bits(&naive), "model {}", i);
+            }
+            if let [_, below_d] = &boundary[..] {
+                prop_assert_eq!(below_d.classify(v), Classification::Rejected);
+            }
         }
     }
 
@@ -379,20 +426,27 @@ proptest! {
     ) {
         // The batched entry point must be a pure amortisation: one
         // row-outer traversal per burst, but per probe the same candidate
-        // order, the same pruning cutoff, and therefore the same
-        // Classification — bit-identical distances included.
-        let dist_bits = |c: &Classification| match c {
-            Classification::Key { distance, .. } => distance.to_bits(),
-            Classification::Rejected { distance, .. } => distance.to_bits(),
-        };
+        // order, the same bounded cutoff, and therefore the same decision as
+        // the per-delta and naive paths — bit-identical accepted distances
+        // included. Besides random probes: peel residuals, and every probe
+        // at both sides of its own acceptance boundary.
+        let probes: Vec<CounterSet> =
+            probes.into_iter().chain(residual_probes(&model)).collect();
         let mut scratch = BatchScratch::default();
         let mut batched = Vec::new();
         model.classify_batch(&probes, &mut scratch, &mut batched);
         prop_assert_eq!(batched.len(), probes.len());
         for (v, got) in probes.iter().zip(&batched) {
             let single = model.classify(v);
-            prop_assert_eq!(dist_bits(got), dist_bits(&single), "distance must be bit-identical");
-            prop_assert_eq!(*got, single);
+            prop_assert_eq!(decision_bits(got), decision_bits(&single), "batch vs per-delta");
+            prop_assert_eq!(decision_bits(got), decision_bits(&model.classify_naive(v)));
+            let (_, d) = model.nearest_naive(v);
+            for m in boundary_models(&model, d) {
+                let mut at_boundary = Vec::new();
+                m.classify_batch(std::slice::from_ref(v), &mut scratch, &mut at_boundary);
+                prop_assert_eq!(at_boundary.len(), 1);
+                prop_assert_eq!(decision_bits(&at_boundary[0]), decision_bits(&m.classify_naive(v)));
+            }
         }
         // Scratch reuse across bursts must not leak state between calls.
         let mut again = Vec::new();
