@@ -26,15 +26,24 @@ fn end_to_end_run_records_spans_from_every_layer() {
     let snap = spansight::snapshot();
     let mine = snap.for_track(track);
     let span_keys: Vec<(&str, &str)> = mine.spans.iter().map(|s| (s.cat, s.name)).collect();
+    // Block reads are counted, not timed per call; every sampler open
+    // still times its counter reservations.
     for expect in [
-        ("kgsl", "ioctl.perfcounter_read"),
+        ("kgsl", "ioctl.perfcounter_get"),
         ("core", "sampler.sample_until"),
         ("core", "service.eavesdrop"),
     ] {
         assert!(span_keys.contains(&expect), "missing span {expect:?} in {span_keys:?}");
     }
-    assert!(mine.counter("kgsl.ioctl.calls") > 0);
     assert!(mine.counter("core.sampler.acquired") > 0);
+    // Every attempted read slot issues at least one block read, and the
+    // devices publish their call counts when they drop, inside the run.
+    assert!(
+        mine.counter("kgsl.ioctl.calls") >= mine.counter("core.sampler.attempted"),
+        "kgsl.ioctl.calls {} < core.sampler.attempted {}",
+        mine.counter("kgsl.ioctl.calls"),
+        mine.counter("core.sampler.attempted")
+    );
     // The streaming pipeline interleaves its stages per sample instead of
     // running spanned whole-trace passes; stage activity surfaces as
     // counters.

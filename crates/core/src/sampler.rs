@@ -460,7 +460,6 @@ impl Sampler {
         stream: &mut SampleStream,
         sim: &mut UiSimulation,
     ) -> Option<Sample> {
-        let device = Arc::clone(&stream.device);
         while stream.next <= stream.until {
             let at = stream.next + self.jitter();
             let at = if at > stream.until { stream.until } else { at };
@@ -471,7 +470,12 @@ impl Sampler {
                 let retries_before = self.report.retries_spent;
                 // Backoff may advance the clock, so the sample is stamped
                 // with the time the read actually completed.
-                match self.read_resilient(sim, &device, stream.until, &mut stream.backoff_buckets) {
+                match self.read_resilient(
+                    sim,
+                    &stream.device,
+                    stream.until,
+                    &mut stream.backoff_buckets,
+                ) {
                     Ok(values) => {
                         self.report.acquired += 1;
                         produced = Some(Sample { at: sim.now(), values });

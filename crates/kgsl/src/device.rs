@@ -8,7 +8,6 @@
 //! configured [`AccessPolicy`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use adreno_sim::counters::{CounterGroup, CounterId, CounterSet, TrackedCounter};
@@ -99,27 +98,73 @@ impl ResvTable {
     }
 }
 
-/// The telemetry span name for one ioctl request kind.
-fn ioctl_span_name(req: &IoctlRequest<'_>) -> &'static str {
+/// The telemetry span of one ioctl request kind. Reservations are timed per
+/// call; block reads — millions of them per suite — are only counted, since
+/// a span would cost more than the read it times.
+fn ioctl_span_name(req: &IoctlRequest<'_>) -> Option<&'static str> {
     match req {
-        IoctlRequest::PerfcounterGet(_) => "ioctl.perfcounter_get",
-        IoctlRequest::PerfcounterPut(_) => "ioctl.perfcounter_put",
-        IoctlRequest::PerfcounterRead(_) => "ioctl.perfcounter_read",
+        IoctlRequest::PerfcounterGet(_) => Some("ioctl.perfcounter_get"),
+        IoctlRequest::PerfcounterPut(_) => Some("ioctl.perfcounter_put"),
+        IoctlRequest::PerfcounterRead(_) => None,
     }
 }
 
-/// Counts a failed device call under its errno.
-fn count_errno(errno: Errno) {
-    let name = match errno {
-        Errno::Eperm => "kgsl.errno.eperm",
-        Errno::Einval => "kgsl.errno.einval",
-        Errno::Ebadf => "kgsl.errno.ebadf",
-        Errno::Eacces => "kgsl.errno.eacces",
-        Errno::Enodev => "kgsl.errno.enodev",
-        Errno::Ebusy => "kgsl.errno.ebusy",
-        Errno::Eintr => "kgsl.errno.eintr",
-    };
-    spansight::count(name, 1);
+/// Every errno a device call can fail with, and the counter its failures
+/// are published under.
+const ERRNO_COUNTERS: [(Errno, &str); 7] = [
+    (Errno::Eperm, "kgsl.errno.eperm"),
+    (Errno::Einval, "kgsl.errno.einval"),
+    (Errno::Ebadf, "kgsl.errno.ebadf"),
+    (Errno::Eacces, "kgsl.errno.eacces"),
+    (Errno::Enodev, "kgsl.errno.enodev"),
+    (Errno::Ebusy, "kgsl.errno.ebusy"),
+    (Errno::Eintr, "kgsl.errno.eintr"),
+];
+
+/// The device's call counts, kept as plain integers under the state lock
+/// and published once, when the device drops, so no call pays for a
+/// telemetry update.
+#[derive(Debug, Default)]
+struct CallTally {
+    /// `kgsl.open`: `open` calls, failed ones included.
+    opens: u64,
+    /// `kgsl.close`: `close` calls, failed ones included.
+    closes: u64,
+    /// `kgsl.ioctl.calls`: `ioctl` calls of every kind.
+    ioctls: u64,
+    /// Failed `open`/`ioctl` calls, per [`ERRNO_COUNTERS`] entry.
+    errnos: [u64; ERRNO_COUNTERS.len()],
+    /// `kgsl.fault.transient`: injected `EBUSY`/`EINTR` failures.
+    transients: u64,
+    /// `kgsl.fault.truncated_read`: injected truncated block-reads.
+    truncated_reads: u64,
+}
+
+impl CallTally {
+    fn fail(&mut self, errno: Errno) {
+        let slot = ERRNO_COUNTERS
+            .iter()
+            .position(|&(e, _)| e == errno)
+            .expect("every errno has a counter");
+        self.errnos[slot] += 1;
+    }
+
+    /// Adds every non-zero count to the current track's counters.
+    fn publish(&self) {
+        let calls = [
+            ("kgsl.open", self.opens),
+            ("kgsl.close", self.closes),
+            ("kgsl.ioctl.calls", self.ioctls),
+            ("kgsl.fault.transient", self.transients),
+            ("kgsl.fault.truncated_read", self.truncated_reads),
+        ];
+        let errnos = ERRNO_COUNTERS.iter().zip(self.errnos).map(|(&(_, name), n)| (name, n));
+        for (name, n) in calls.into_iter().chain(errnos) {
+            if n > 0 {
+                spansight::count(name, n);
+            }
+        }
+    }
 }
 
 /// An open handle to the device file (a simulated file descriptor).
@@ -136,21 +181,43 @@ struct HandleState {
     reservations: ResvTable,
 }
 
-#[derive(Debug, Default)]
+/// Everything the device mutates, behind its one `state` lock.
+#[derive(Debug)]
 struct DeviceState {
     handles: HashMap<u32, HandleState>,
+    /// The number the next `open` hands out.
+    next_fd: u32,
     /// Device-wide reservation refcounts — the sum of every handle's counts,
     /// used for capacity (`EBUSY`) and read validation.
     reservations: ResvTable,
-}
-
-impl Default for ResvTable {
-    fn default() -> Self {
-        ResvTable::EMPTY
-    }
+    policy: AccessPolicy,
+    /// Installed fault injector, if any (see [`crate::fault`]).
+    fault: Option<FaultInjector>,
+    /// Counter values at the last GPU slumber. Hardware registers reset to
+    /// zero across a power collapse, so reads report cumulative values
+    /// *since* this baseline — which is what makes post-slumber reads jump
+    /// backwards from the attacker's point of view.
+    counter_baseline: CounterSet,
+    tally: CallTally,
 }
 
 impl DeviceState {
+    fn new() -> Self {
+        DeviceState {
+            handles: HashMap::new(),
+            next_fd: 3, // 0..2 are stdio, as a nod to realism
+            reservations: ResvTable::EMPTY,
+            policy: AccessPolicy::default(),
+            fault: None,
+            counter_baseline: CounterSet::ZERO,
+            tally: CallTally::default(),
+        }
+    }
+
+    fn domain_of(&self, fd: KgslFd) -> DeviceResult<SelinuxDomain> {
+        self.handles.get(&fd.0).map(|h| h.domain).ok_or(Errno::Ebadf)
+    }
+
     /// Forgets every reservation, device-wide and per-handle (GPU slumber).
     fn clear_reservations(&mut self) {
         self.reservations.clear();
@@ -161,6 +228,22 @@ impl DeviceState {
 }
 
 /// The device file.
+///
+/// # Locking
+///
+/// The device owns one lock, `state`, and shares the GPU's lock with the
+/// compositor. Every call takes `state` once, for its whole duration; a
+/// block read and a slumber also take the GPU lock inside it. The order is
+/// always `state` → `gpu`: nothing may take `state` while holding `gpu`.
+///
+/// # Telemetry
+///
+/// `ioctl.perfcounter_get`/`_put` calls are timed as spans. Every call is
+/// counted (`kgsl.open`, `kgsl.close`, `kgsl.ioctl.calls`, `kgsl.errno.*`,
+/// `kgsl.fault.transient`, `kgsl.fault.truncated_read`), but the counts are
+/// published only when the device drops, to the track current at that
+/// point. Slumber, revocation and policy-change events are recorded as
+/// they happen.
 ///
 /// # Examples
 ///
@@ -191,55 +274,37 @@ impl DeviceState {
 pub struct KgslDevice {
     gpu: Arc<Mutex<Gpu>>,
     clock: SharedClock,
-    policy: Mutex<AccessPolicy>,
     state: Mutex<DeviceState>,
-    next_fd: AtomicU32,
-    /// Installed fault injector, if any (see [`crate::fault`]).
-    fault: Mutex<Option<FaultInjector>>,
-    /// Counter values at the last GPU slumber. Hardware registers reset to
-    /// zero across a power collapse, so reads report cumulative values
-    /// *since* this baseline — which is what makes post-slumber reads jump
-    /// backwards from the attacker's point of view.
-    counter_baseline: Mutex<CounterSet>,
 }
 
 impl KgslDevice {
     /// Creates the device over a GPU and a clock.
     pub fn new(gpu: Arc<Mutex<Gpu>>, clock: SharedClock) -> Self {
-        KgslDevice {
-            gpu,
-            clock,
-            policy: Mutex::new(AccessPolicy::default()),
-            state: Mutex::new(DeviceState::default()),
-            next_fd: AtomicU32::new(3), // 0..2 are stdio, as a nod to realism
-            fault: Mutex::new(None),
-            counter_baseline: Mutex::new(CounterSet::ZERO),
-        }
+        KgslDevice { gpu, clock, state: Mutex::new(DeviceState::new()) }
     }
 
     /// Installs a fault-injection plan. Subsequent `open`/`ioctl` calls
     /// consult the plan's schedule and transient rates; see [`crate::fault`].
     /// Replaces any previously installed plan (and its log).
     pub fn install_fault_plan(&self, plan: &FaultPlan) {
-        *self.fault.lock() = Some(FaultInjector::new(plan));
+        self.state.lock().fault = Some(FaultInjector::new(plan));
     }
 
     /// Removes the fault injector; the device returns to ideal behaviour.
     pub fn clear_fault_plan(&self) {
-        *self.fault.lock() = None;
+        self.state.lock().fault = None;
     }
 
     /// Counts of faults delivered so far, if a plan is installed.
     pub fn fault_log(&self) -> Option<FaultLog> {
-        self.fault.lock().as_ref().map(|inj| inj.log())
+        self.state.lock().fault.as_ref().map(FaultInjector::log)
     }
 
     /// Delivers due scheduled fault events, then makes this call's transient
-    /// draw. Called at every `open`/`ioctl` entry; `Some(errno)` means the
-    /// call fails with that transient error.
-    fn service_faults(&self) -> Option<Errno> {
-        let mut guard = self.fault.lock();
-        let injector = guard.as_mut()?;
+    /// draw. Called at every `open`/`ioctl` entry with the state locked;
+    /// `Some(errno)` means the call fails with that transient error.
+    fn service_faults(&self, st: &mut DeviceState) -> Option<Errno> {
+        let injector = st.fault.as_mut()?;
         let now = self.clock.now();
         for event in injector.due_events(now) {
             match event {
@@ -247,24 +312,23 @@ impl KgslDevice {
                     spansight::instant("kgsl", "kgsl.fault.slumber");
                     // The hardware forgets: registers restart from zero and
                     // reservations are gone.
-                    *self.counter_baseline.lock() = self.gpu.lock().counters_at(now);
-                    self.state.lock().clear_reservations();
+                    st.counter_baseline = self.gpu.lock().counters_at(now);
+                    st.clear_reservations();
                 }
                 FaultEvent::RevokeFds => {
                     spansight::instant("kgsl", "kgsl.fault.revoke_fds");
-                    let mut st = self.state.lock();
                     st.handles.clear();
                     st.reservations.clear();
                 }
                 FaultEvent::PolicyChange(policy) => {
                     spansight::instant("kgsl", "kgsl.fault.policy_change");
-                    *self.policy.lock() = policy;
+                    st.policy = policy;
                 }
             }
         }
-        let transient = injector.draw_transient();
+        let transient = st.fault.as_mut().and_then(FaultInjector::draw_transient);
         if transient.is_some() {
-            spansight::count("kgsl.fault.transient", 1);
+            st.tally.transients += 1;
         }
         transient
     }
@@ -282,12 +346,12 @@ impl KgslDevice {
     /// Installs a new access-control policy (the "OS security update" hook
     /// used by the §9.2 mitigation experiments).
     pub fn set_policy(&self, policy: AccessPolicy) {
-        *self.policy.lock() = policy;
+        self.state.lock().policy = policy;
     }
 
     /// The currently installed policy.
     pub fn policy(&self) -> AccessPolicy {
-        self.policy.lock().clone()
+        self.state.lock().policy.clone()
     }
 
     /// Opens the device file from a process.
@@ -298,16 +362,15 @@ impl KgslDevice {
     /// the call may still fail transiently (`EBUSY`/`EINTR`), like any
     /// interrupted syscall.
     pub fn open(&self, pid: u32, domain: SelinuxDomain) -> DeviceResult<KgslFd> {
-        spansight::count("kgsl.open", 1);
-        if let Some(errno) = self.service_faults() {
-            count_errno(errno);
+        let mut st = self.state.lock();
+        st.tally.opens += 1;
+        if let Some(errno) = self.service_faults(&mut st) {
+            st.tally.fail(errno);
             return Err(errno);
         }
-        let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.state
-            .lock()
-            .handles
-            .insert(fd, HandleState { pid, domain, reservations: ResvTable::EMPTY });
+        let fd = st.next_fd;
+        st.next_fd += 1;
+        st.handles.insert(fd, HandleState { pid, domain, reservations: ResvTable::EMPTY });
         Ok(KgslFd(fd))
     }
 
@@ -315,8 +378,8 @@ impl KgslDevice {
     /// driver's per-context cleanup). Closing an unknown handle returns
     /// `EBADF`.
     pub fn close(&self, fd: KgslFd) -> DeviceResult<()> {
-        spansight::count("kgsl.close", 1);
         let mut st = self.state.lock();
+        st.tally.closes += 1;
         match st.handles.remove(&fd.0) {
             Some(handle) => {
                 for group in 0..NUM_GROUPS {
@@ -330,10 +393,6 @@ impl KgslDevice {
             }
             None => Err(Errno::Ebadf),
         }
-    }
-
-    fn domain_of(&self, fd: KgslFd) -> DeviceResult<SelinuxDomain> {
-        self.state.lock().handles.get(&fd.0).map(|h| h.domain).ok_or(Errno::Ebadf)
     }
 
     /// The pid that opened `fd` (as `lsof` would report).
@@ -354,31 +413,41 @@ impl KgslDevice {
     /// * `EINTR` — an injected transient fault (simulated signal delivery).
     /// * `EACCES`/`EPERM` — blocked by the installed [`AccessPolicy`].
     pub fn ioctl(&self, fd: KgslFd, code: u32, req: IoctlRequest<'_>) -> DeviceResult<()> {
-        let _span = spansight::span("kgsl", ioctl_span_name(&req));
-        spansight::count("kgsl.ioctl.calls", 1);
-        let result = self.ioctl_inner(fd, code, req);
+        let _span = ioctl_span_name(&req).map(|name| spansight::span("kgsl", name));
+        let mut st = self.state.lock();
+        st.tally.ioctls += 1;
+        let result = self.ioctl_locked(&mut st, fd, code, req);
         if let Err(errno) = result {
-            count_errno(errno);
+            st.tally.fail(errno);
         }
         result
     }
 
-    fn ioctl_inner(&self, fd: KgslFd, code: u32, mut req: IoctlRequest<'_>) -> DeviceResult<()> {
-        if let Some(errno) = self.service_faults() {
+    /// One ioctl under the state lock. The checks run in a fixed order —
+    /// fault servicing, `EBADF`, the request code, then the request's own
+    /// checks. Which calls reach a fault draw depends on that order, so
+    /// reordering the checks changes the outcome of every fault plan.
+    fn ioctl_locked(
+        &self,
+        st: &mut DeviceState,
+        fd: KgslFd,
+        code: u32,
+        mut req: IoctlRequest<'_>,
+    ) -> DeviceResult<()> {
+        if let Some(errno) = self.service_faults(st) {
             return Err(errno);
         }
-        let domain = self.domain_of(fd)?;
+        let domain = st.domain_of(fd)?;
         if code != req.expected_code() {
             return Err(Errno::Einval);
         }
         match &mut req {
             IoctlRequest::PerfcounterGet(get) => {
                 let group = self.validate_target(get.groupid, get.countable)?;
-                if self.policy.lock().visibility(domain) == CounterVisibility::Denied {
+                if st.policy.visibility(domain) == CounterVisibility::Denied {
                     return Err(Errno::Eacces);
                 }
                 let countable = get.countable as usize;
-                let mut st = self.state.lock();
                 if st.reservations.count(group, countable) == 0
                     && st.reservations.live(group) >= COUNTERS_PER_GROUP
                 {
@@ -398,7 +467,6 @@ impl KgslDevice {
             IoctlRequest::PerfcounterPut(put) => {
                 let group = self.validate_target(put.groupid, put.countable)?;
                 let countable = put.countable as usize;
-                let mut st = self.state.lock();
                 let handle = st.handles.get_mut(&fd.0).expect("checked by domain_of");
                 if handle.reservations.count(group, countable) == 0 {
                     // This handle holds no such reservation (it may never
@@ -409,7 +477,7 @@ impl KgslDevice {
                 st.reservations.release(group, countable);
                 Ok(())
             }
-            IoctlRequest::PerfcounterRead(reads) => self.perfcounter_read(domain, reads),
+            IoctlRequest::PerfcounterRead(reads) => self.perfcounter_read(st, domain, reads),
         }
     }
 
@@ -425,10 +493,11 @@ impl KgslDevice {
 
     fn perfcounter_read(
         &self,
+        st: &mut DeviceState,
         domain: SelinuxDomain,
         reads: &mut [KgslPerfcounterReadGroup],
     ) -> DeviceResult<()> {
-        let visibility = self.policy.lock().visibility(domain);
+        let visibility = st.policy.visibility(domain);
         if visibility == CounterVisibility::Denied {
             return Err(Errno::Eacces);
         }
@@ -448,18 +517,15 @@ impl KgslDevice {
             heap.resize(reads.len(), None);
             &mut heap
         };
-        {
-            let st = self.state.lock();
-            for (r, slot) in reads.iter().zip(resolved.iter_mut()) {
-                let group = self.validate_target(r.groupid, r.countable)?;
-                if st.reservations.count(group, r.countable as usize) == 0 {
-                    return Err(Errno::Einval);
-                }
-                let group = CounterGroup::from_kgsl_id(r.groupid).expect("validated above");
-                // `None` is a valid hardware counter our simulation does
-                // not model: it reads as a quiescent counter.
-                *slot = TrackedCounter::from_id(CounterId::new(group, r.countable));
+        for (r, slot) in reads.iter().zip(resolved.iter_mut()) {
+            let group = self.validate_target(r.groupid, r.countable)?;
+            if st.reservations.count(group, r.countable as usize) == 0 {
+                return Err(Errno::Einval);
             }
+            let group = CounterGroup::from_kgsl_id(r.groupid).expect("validated above");
+            // `None` is a valid hardware counter our simulation does
+            // not model: it reads as a quiescent counter.
+            *slot = TrackedCounter::from_id(CounterId::new(group, r.countable));
         }
         if visibility == CounterVisibility::LocalOnly {
             // The caller sees only its own GPU activity. The attacking
@@ -473,12 +539,11 @@ impl KgslDevice {
         // A truncated read fills a strict prefix of the request and fails
         // `EINTR` — the ioctl analogue of a short `read(2)`. Callers must
         // discard the buffer, like the wire decoder discards short frames.
-        let truncate_at =
-            self.fault.lock().as_mut().and_then(|inj| inj.draw_truncation(reads.len()));
+        let truncate_at = st.fault.as_mut().and_then(|inj| inj.draw_truncation(reads.len()));
         let snapshot = self.gpu.lock().counters_at(self.clock.now());
         // Registers physically reset across a GPU slumber, so a read reports
         // the cumulative count since the most recent slumber baseline.
-        let baseline = *self.counter_baseline.lock();
+        let baseline = &st.counter_baseline;
         let fill = |r: &mut KgslPerfcounterReadGroup, tracked: Option<TrackedCounter>| {
             r.value = match tracked {
                 Some(tracked) => snapshot[tracked].saturating_sub(baseline[tracked]),
@@ -486,10 +551,10 @@ impl KgslDevice {
             };
         };
         if let Some(k) = truncate_at {
-            spansight::count("kgsl.fault.truncated_read", 1);
             for (r, &tracked) in reads[..k].iter_mut().zip(resolved.iter()) {
                 fill(r, tracked);
             }
+            st.tally.truncated_reads += 1;
             return Err(Errno::Eintr);
         }
         for (r, &tracked) in reads.iter_mut().zip(resolved.iter()) {
@@ -504,6 +569,12 @@ impl KgslDevice {
         let now = self.clock.now();
         let frac = self.gpu.lock().busy_fraction(now, SimDuration::from_millis(100));
         (frac * 100.0).round() as u32
+    }
+}
+
+impl Drop for KgslDevice {
+    fn drop(&mut self) {
+        self.state.get_mut().tally.publish();
     }
 }
 
@@ -868,6 +939,131 @@ mod tests {
         }
         assert!(truncated > 50, "truncation rate 0.5 barely fired: {truncated}");
         assert_eq!(dev.fault_log().unwrap().truncated_reads, truncated as u64);
+    }
+
+    /// What a caller observed of its own device calls, tallied outside the
+    /// device.
+    #[derive(Default)]
+    struct Observed {
+        opens: u64,
+        closes: u64,
+        ioctls: u64,
+        errnos: std::collections::BTreeMap<String, u64>,
+    }
+
+    impl Observed {
+        fn note<T>(&mut self, result: DeviceResult<T>) -> DeviceResult<T> {
+            if let Err(errno) = &result {
+                let name = format!("kgsl.errno.{}", errno.name().to_lowercase());
+                *self.errnos.entry(name).or_default() += 1;
+            }
+            result
+        }
+
+        fn open(&mut self, dev: &KgslDevice) -> DeviceResult<KgslFd> {
+            self.opens += 1;
+            self.note(dev.open(1, SelinuxDomain::UntrustedApp))
+        }
+
+        fn ioctl(
+            &mut self,
+            dev: &KgslDevice,
+            fd: KgslFd,
+            code: u32,
+            req: IoctlRequest<'_>,
+        ) -> DeviceResult<()> {
+            self.ioctls += 1;
+            self.note(dev.ioctl(fd, code, req))
+        }
+
+        fn get(&mut self, dev: &KgslDevice, fd: KgslFd, countable: u32) -> DeviceResult<()> {
+            let mut get = KgslPerfcounterGet {
+                groupid: KGSL_PERFCOUNTER_GROUP_LRZ,
+                countable,
+                ..Default::default()
+            };
+            self.ioctl(dev, fd, IOCTL_KGSL_PERFCOUNTER_GET, IoctlRequest::PerfcounterGet(&mut get))
+        }
+
+        fn read(&mut self, dev: &KgslDevice, fd: KgslFd, groupid: u32) -> DeviceResult<()> {
+            let mut reads = [
+                KgslPerfcounterReadGroup::new(groupid, 13),
+                KgslPerfcounterReadGroup::new(groupid, 14),
+            ];
+            self.ioctl(
+                dev,
+                fd,
+                IOCTL_KGSL_PERFCOUNTER_READ,
+                IoctlRequest::PerfcounterRead(&mut reads),
+            )
+        }
+    }
+
+    #[test]
+    fn calls_are_tallied_and_published_once_when_the_device_drops() {
+        let track = spansight::register_track("kgsl-device-call-tally");
+        let _track = spansight::enter_track(track);
+        let kgsl_counters = || -> Vec<(String, u64)> {
+            let snap = spansight::snapshot().for_track(track);
+            snap.counters
+                .iter()
+                .filter(|c| c.name.starts_with("kgsl."))
+                .map(|c| (c.name.to_string(), c.value))
+                .collect()
+        };
+
+        let dev = device();
+        dev.install_fault_plan(
+            &FaultPlan::new(5).with_transient_rates(0.2, 0.1).with_truncated_reads(0.3),
+        );
+        let mut seen = Observed::default();
+        let fd = loop {
+            if let Ok(fd) = seen.open(&dev) {
+                break fd;
+            }
+        };
+        for countable in [13, 14] {
+            while seen.get(&dev, fd, countable).is_err() {}
+        }
+        render_a_frame(&dev, SimInstant::ZERO);
+        for _ in 0..200 {
+            let _ = seen.read(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ);
+        }
+        // Failures on purpose: an unknown group, a mismatched request code
+        // and a descriptor that was never opened. A transient draw may
+        // pre-empt any of them, so each is tried a few times.
+        let mut get = KgslPerfcounterGet::default();
+        for _ in 0..4 {
+            let _ = seen.read(&dev, fd, 0x42);
+            let _ = seen.ioctl(
+                &dev,
+                fd,
+                IOCTL_KGSL_PERFCOUNTER_READ,
+                IoctlRequest::PerfcounterGet(&mut get),
+            );
+            let _ = seen.get(&dev, KgslFd(9_999), 13);
+        }
+        seen.closes += 1;
+        dev.close(fd).unwrap();
+
+        assert_eq!(kgsl_counters(), vec![], "nothing is published while the device lives");
+        let log = dev.fault_log().unwrap();
+        drop(dev);
+
+        let mut expected: Vec<(String, u64)> = vec![
+            ("kgsl.close".into(), seen.closes),
+            ("kgsl.fault.transient".into(), log.transient_busy + log.transient_intr),
+            ("kgsl.fault.truncated_read".into(), log.truncated_reads),
+            ("kgsl.ioctl.calls".into(), seen.ioctls),
+            ("kgsl.open".into(), seen.opens),
+        ];
+        expected.extend(seen.errnos.clone());
+        expected.sort();
+        assert_eq!(kgsl_counters(), expected);
+        for errno in ["ebusy", "eintr", "einval", "ebadf"] {
+            assert!(seen.errnos[&format!("kgsl.errno.{errno}")] > 0, "no {errno} was produced");
+        }
+        assert!(log.truncated_reads > 0 && seen.opens > 1, "the plan must fire: {log:?}");
     }
 
     #[test]

@@ -7,10 +7,11 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
 use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
 use gpu_eaves::attack::service::{AttackService, ServiceConfig, SessionResult};
+use gpu_eaves::attack::{Sampler, SamplerConfig};
 use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::kgsl::fault::FaultEvent;
-use gpu_eaves::kgsl::FaultPlan;
+use gpu_eaves::kgsl::{AccessPolicy, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,4 +135,53 @@ fn a_storm_of_faults_never_panics() {
             assert!(matches!(err, ServiceError::Device(_) | ServiceError::UnrecognisedDevice));
         }
     }
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// The raw fault path, pinned to a constant rather than compared with a
+/// second run: a heavy fault plan (transients, truncated reads, slumbers,
+/// revocations) plus a scheduled deny-all policy flip and its reversal,
+/// sampled by the resilient sampler over a ~3 s Chase victim. The digest
+/// covers every sample (timestamp and all eleven values), the
+/// `SamplerReport` and the `FaultLog`, so a change in the device's
+/// fault-draw order, its check order or its slumber baseline shows up here
+/// even when it is self-consistent run to run.
+#[test]
+fn fault_path_replays_the_pinned_sample_digest() {
+    // Computed by this same test body on the device as it was before its
+    // per-ioctl locks were folded into one (311 samples; 4 slumbers, 1
+    // revocation, 21 truncated reads, 62 denied slots). A change here is a
+    // behaviour change of the fault path and must be explained, not
+    // re-pinned silently.
+    const PINNED: u64 = 0x63E6_E7C5_2659_AAC0;
+
+    let (mut sim, _) = victim(8);
+    let end = SimInstant::from_millis(3_000);
+    let horizon = end.saturating_since(SimInstant::ZERO);
+    let plan = FaultPlan::with_intensity(21, 0.9, horizon)
+        .at(SimInstant::from_millis(1_200), FaultEvent::PolicyChange(AccessPolicy::DenyAll))
+        .at(SimInstant::from_millis(1_700), FaultEvent::PolicyChange(AccessPolicy::Unrestricted));
+    sim.device().install_fault_plan(&plan);
+    let mut sampler =
+        Sampler::open(sim.device(), SamplerConfig::default()).expect("open within the budget");
+    let trace = sampler.sample_until(&mut sim, end).expect("some reads succeed");
+    let report = sampler.report();
+    let log = sim.device().fault_log().expect("a plan is installed");
+    assert!(report.denied_reads > 0, "the deny-all window must be sampled: {report:?}");
+    assert!(log.slumbers > 0 && log.revocations > 0 && log.truncated_reads > 0, "{log:?}");
+
+    let mut digest = 0xCBF2_9CE4_8422_2325;
+    for sample in trace.iter() {
+        digest = fnv1a(digest, &sample.at.as_nanos().to_le_bytes());
+        for value in sample.values.as_array() {
+            digest = fnv1a(digest, &value.to_le_bytes());
+        }
+    }
+    digest = fnv1a(digest, format!("{report:?}").as_bytes());
+    digest = fnv1a(digest, format!("{log:?}").as_bytes());
+    assert_eq!(digest, PINNED, "{} samples, {report:?}, {log:?}", trace.len());
 }
