@@ -120,7 +120,7 @@ impl Gpu {
     /// [`crate::pipeline::render_uncached`].
     pub fn submit(&mut self, draw_list: &DrawList, now: SimInstant) -> FrameStats {
         let out = self.renderers.render(draw_list, &self.params);
-        self.enqueue(now, out.totals, out.total_cycles, out.checkpoints.clone())
+        self.enqueue(now, out.totals, out.total_cycles, &out.checkpoints)
     }
 
     /// Reuse counters of this GPU's incremental frame renderers.
@@ -144,8 +144,8 @@ impl Gpu {
             }
             a
         });
-        let cps = vec![(cycles / 2, half), (cycles, totals)];
-        self.enqueue(now, totals, cycles, cps)
+        let cps = [(cycles / 2, half), (cycles, totals)];
+        self.enqueue(now, totals, cycles, &cps)
     }
 
     fn enqueue(
@@ -153,14 +153,14 @@ impl Gpu {
         now: SimInstant,
         totals: CounterSet,
         cycles: u64,
-        checkpoints: Vec<(u64, CounterSet)>,
+        checkpoints: &[(u64, CounterSet)],
     ) -> FrameStats {
         let start = if self.busy_until > now { self.busy_until } else { now };
         let duration = self.cycles_to_duration(cycles);
         let end = start + duration;
         let abs_cps: Vec<(SimInstant, CounterSet)> = checkpoints
-            .into_iter()
-            .map(|(cyc, set)| (start + self.cycles_to_duration(cyc), set))
+            .iter()
+            .map(|&(cyc, set)| (start + self.cycles_to_duration(cyc), set))
             .collect();
         self.jobs.push_back(Job { start, end, totals, checkpoints: abs_cps });
         self.busy_until = end;

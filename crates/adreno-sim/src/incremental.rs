@@ -8,9 +8,11 @@
 //! whole-list memo misses; a [`FrameRenderer`] instead diffs the new
 //! [`DrawList`] against the previous frame and recomputes only what changed:
 //!
-//! * **Layer fingerprints** — every layer gets a 128-bit content fingerprint
-//!   (the `memo::Mixer` idiom) plus an *occlusion-above*
-//!   fingerprint over the opaque quads of all higher layers.
+//! * **Layer fingerprints** — every [`crate::scene::Layer`] carries its
+//!   128-bit content fingerprint and an opaque-quad fingerprint, kept as it
+//!   was built. The renderer folds those into the whole-list key and, top
+//!   down, into each layer's *occlusion-above* fingerprint: O(layers) per
+//!   frame, never a walk over the primitives.
 //! * **Mask reuse** — a layer whose occlusion-above fingerprint is unchanged
 //!   keeps its previous occlusion-mask `Arc` untouched; only layers at or
 //!   below the topmost changed occluder are re-masked, top-down, exactly as
@@ -106,18 +108,6 @@ impl IncrementalStats {
     }
 }
 
-/// Per-layer fingerprints of the frame being rendered.
-#[derive(Debug)]
-struct LayerFp {
-    /// Fingerprint of the layer's primitive stream.
-    content: Fingerprint,
-    /// Fingerprint of the opaque quads of every layer above, top-down.
-    occ_above: Fingerprint,
-    /// Union of the layer's primitive bounds in screen space.
-    bounds: Rect,
-    has_opaque: bool,
-}
-
 /// One retained layer of the previous frame.
 #[derive(Debug)]
 struct Slot {
@@ -176,7 +166,7 @@ pub struct FrameRenderer {
     stats: IncrementalStats,
     /// Reusable per-frame scratch, high-water-marked so steady-state frames
     /// do not allocate for fingerprinting or mask bookkeeping.
-    fp_scratch: Vec<LayerFp>,
+    occ_scratch: Vec<Fingerprint>,
     mask_scratch: Vec<Arc<OcclusionGrid>>,
     slots_spare: Vec<Slot>,
 }
@@ -207,61 +197,11 @@ impl FrameRenderer {
         memo::write_params(&mut pm, params);
         let params_fp = pm.finish();
 
-        // Fingerprint pass: per-layer content fingerprints and bounds, plus
-        // the whole-list fingerprint (identical to `memo::fingerprint`, so
-        // the global whole-list cache can be probed without re-hashing).
-        let base_fp = Mixer::new().finish();
-        self.fp_scratch.clear();
-        let mut whole = Mixer::new();
-        whole.write_i32(w);
-        whole.write_i32(h);
-        for layer in layers {
-            whole.write(0xA5A5_A5A5);
-            let mut cm = Mixer::new();
-            let mut bounds = Rect::EMPTY;
-            let mut has_opaque = false;
-            for prim in &layer.prims {
-                memo::write_prim(&mut whole, prim);
-                memo::write_prim(&mut cm, prim);
-                bounds = bounds.union(&prim.bounds());
-                if let Primitive::Quad { rect, opaque: true } = prim {
-                    if !rect.is_empty() {
-                        has_opaque = true;
-                    }
-                }
-            }
-            self.fp_scratch.push(LayerFp {
-                content: cm.finish(),
-                occ_above: base_fp,
-                bounds,
-                has_opaque,
-            });
-        }
-        memo::write_params(&mut whole, params);
-        let whole_fp = whole.finish();
+        // Fingerprint pass: one fold per layer over the summaries the
+        // layers carry — the key of the global whole-list cache, so it can
+        // be probed without re-hashing the list.
+        let whole_fp = memo::fold_layers(draw_list, params_fp);
         debug_assert_eq!(whole_fp, memo::fingerprint(draw_list, params));
-
-        // Occlusion-above fingerprints, top-down: layer i's value hashes the
-        // opaque quads of layers i+1.. in submission order. Layer boundaries
-        // are irrelevant here — masks depend only on the rect stream.
-        {
-            let mut om = Mixer::new();
-            for i in (0..self.fp_scratch.len()).rev() {
-                self.fp_scratch[i].occ_above = om.finish();
-                if self.fp_scratch[i].has_opaque {
-                    for prim in &layers[i].prims {
-                        if let Primitive::Quad { rect, opaque: true } = prim {
-                            if !rect.is_empty() {
-                                om.write_i32(rect.x0);
-                                om.write_i32(rect.y0);
-                                om.write_i32(rect.x1);
-                                om.write_i32(rect.y1);
-                            }
-                        }
-                    }
-                }
-            }
-        }
 
         // Identical to the previous frame: nothing to do at all.
         if let Some(prev) = &self.prev {
@@ -280,13 +220,31 @@ impl FrameRenderer {
             return hit;
         }
 
+        // Occlusion-above fingerprints, top-down: layer i's value folds the
+        // opaque-quad fingerprints of the occluding layers i+1.. in
+        // submission order. Equal values mean equal opaque-rect streams
+        // above, hence equal masks; layers adding no occlusion are skipped.
+        let n = layers.len();
+        self.occ_scratch.clear();
+        self.occ_scratch.resize(n, Mixer::new().finish());
+        {
+            let mut om = Mixer::new();
+            for i in (0..n).rev() {
+                self.occ_scratch[i] = om.finish();
+                if layers[i].has_opaque() {
+                    let o = layers[i].opaque_fp();
+                    om.write(o.lo);
+                    om.write(o.hi);
+                }
+            }
+        }
+
         let sequential = self
             .prev
             .as_ref()
             .is_some_and(|p| p.width == w && p.height == h && p.params_fp == params_fp);
-        let n = layers.len();
-        let Self { prev, fp_scratch, mask_scratch, slots_spare, stats } = self;
-        let fps = &fp_scratch[..];
+        let Self { prev, occ_scratch, mask_scratch, slots_spare, stats } = self;
+        let occ_above = &occ_scratch[..];
         let prev_slots: &mut [Slot] = match (sequential, prev.as_mut()) {
             (true, Some(p)) => &mut p.slots,
             _ => &mut [],
@@ -303,16 +261,15 @@ impl FrameRenderer {
         {
             let mut cur: Option<Arc<OcclusionGrid>> = None;
             for i in (0..n).rev() {
-                let reusable =
-                    prev_slots.get(i).is_some_and(|s| s.occ_above_fp == fps[i].occ_above);
+                let reusable = prev_slots.get(i).is_some_and(|s| s.occ_above_fp == occ_above[i]);
                 let mask_i = if reusable {
                     stats.mask_reuse += 1;
                     spansight::count("adreno.incremental.mask_reuse", 1);
                     Arc::clone(&prev_slots[i].mask)
                 } else if let Some(above) = &cur {
-                    if fps[i + 1].has_opaque {
+                    if layers[i + 1].has_opaque() {
                         let mut g = (**above).clone();
-                        for prim in &layers[i + 1].prims {
+                        for prim in layers[i + 1].prims() {
                             if let Primitive::Quad { rect, opaque: true } = prim {
                                 if !rect.is_empty() {
                                     g.add_opaque_rect(rect);
@@ -339,17 +296,18 @@ impl FrameRenderer {
         let pass2 = spansight::span("adreno", "render.prim_pass");
         let mut new_slots = std::mem::take(slots_spare);
         let mut recomputed = 0u64;
-        for (i, fp) in fps.iter().enumerate() {
+        for (i, layer) in layers.iter().enumerate() {
+            let (content_fp, bounds) = (layer.content_fp(), layer.bounds());
             let mask_i = &mask_scratch[i];
             let mut reused: Option<(Arc<Vec<PrimStats>>, Option<Fingerprint>)> = None;
             let mut fresh_region: Option<Fingerprint> = None;
             if let Some(ps) = prev_slots.get_mut(i) {
-                if ps.content_fp == fp.content {
+                if ps.content_fp == content_fp {
                     if Arc::ptr_eq(&ps.mask, mask_i) {
                         // Same mask snapshot → same region bits, trivially.
                         reused = Some((Arc::clone(&ps.stats), ps.region_fp));
                     } else {
-                        let new_fp = memo::glyph_occlusion_fingerprint(&fp.bounds, mask_i);
+                        let new_fp = memo::glyph_occlusion_fingerprint(&bounds, mask_i);
                         fresh_region = Some(new_fp);
                         let prev_fp = *ps.region_fp.get_or_insert_with(|| {
                             memo::glyph_occlusion_fingerprint(&ps.bounds, &ps.mask)
@@ -365,9 +323,9 @@ impl FrameRenderer {
                     stats.layers_reused += 1;
                     spansight::count("adreno.incremental.layers_reused", 1);
                     Slot {
-                        content_fp: fp.content,
-                        occ_above_fp: fp.occ_above,
-                        bounds: fp.bounds,
+                        content_fp,
+                        occ_above_fp: occ_above[i],
+                        bounds,
                         mask: Arc::clone(mask_i),
                         region_fp,
                         stats: stats_arc,
@@ -377,10 +335,10 @@ impl FrameRenderer {
                     stats.layers_dirty += 1;
                     spansight::count("adreno.incremental.layers_dirty", 1);
                     let region = fresh_region
-                        .unwrap_or_else(|| memo::glyph_occlusion_fingerprint(&fp.bounds, mask_i));
+                        .unwrap_or_else(|| memo::glyph_occlusion_fingerprint(&bounds, mask_i));
                     let mut km = Mixer::new();
-                    km.write(fp.content.lo);
-                    km.write(fp.content.hi);
+                    km.write(content_fp.lo);
+                    km.write(content_fp.hi);
                     km.write(region.lo);
                     km.write(region.hi);
                     km.write(params_fp.lo);
@@ -388,14 +346,14 @@ impl FrameRenderer {
                     km.write_i32(w);
                     km.write_i32(h);
                     let stats_arc = layer_cache().get_or_insert_with(km.finish(), || {
-                        let s = pipeline::layer_stats(&layers[i], mask_i, params);
+                        let s = pipeline::layer_stats(layer, mask_i, params);
                         recomputed += s.len() as u64;
                         s
                     });
                     Slot {
-                        content_fp: fp.content,
-                        occ_above_fp: fp.occ_above,
-                        bounds: fp.bounds,
+                        content_fp,
+                        occ_above_fp: occ_above[i],
+                        bounds,
                         mask: Arc::clone(mask_i),
                         region_fp: Some(region),
                         stats: stats_arc,

@@ -121,17 +121,30 @@ pub(crate) fn write_prim(m: &mut Mixer, prim: &Primitive) {
 /// Fingerprints everything `render` consumes: the viewport, every
 /// primitive of every layer in order, and the GPU parameters. Layer tags
 /// are debug metadata the pipeline never reads, so they are excluded.
+///
+/// Each layer contributes its own content fingerprint, kept by the layer as
+/// it was built, so this costs O(layers) however many primitives the frame
+/// holds. Folding one fingerprint per layer also keeps layer boundaries in
+/// the key: the same primitives split differently occlude differently.
 pub fn fingerprint(draw_list: &DrawList, params: &GpuParams) -> Fingerprint {
+    let mut pm = Mixer::new();
+    write_params(&mut pm, params);
+    fold_layers(draw_list, pm.finish())
+}
+
+/// [`fingerprint`] with the GPU parameters already fingerprinted by
+/// [`write_params`] into a fresh [`Mixer`].
+pub(crate) fn fold_layers(draw_list: &DrawList, params_fp: Fingerprint) -> Fingerprint {
     let mut m = Mixer::new();
     m.write_i32(draw_list.width());
     m.write_i32(draw_list.height());
     for layer in draw_list.layers() {
-        m.write(0xA5A5_A5A5); // layer boundary marker
-        for prim in &layer.prims {
-            write_prim(&mut m, prim);
-        }
+        let c = layer.content_fp();
+        m.write(c.lo);
+        m.write(c.hi);
     }
-    write_params(&mut m, params);
+    m.write(params_fp.lo);
+    m.write(params_fp.hi);
     m.finish()
 }
 
@@ -394,17 +407,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_hits_and_misses() {
-        reset_render_caches();
+    fn shared_layers_fingerprint_like_fresh_ones() {
         let params = GpuModel::Adreno650.params();
-        let dl = sample_list('q');
-        let before = render_cache_stats();
-        let _ = render_cached(&dl, &params);
-        let _ = render_cached(&dl, &params);
-        let after = render_cache_stats();
-        assert_eq!(after.misses - before.misses, 1);
-        assert!(after.hits > before.hits);
-        assert!(after.hit_rate() > 0.0);
+        let mut bg = crate::scene::Layer::new("bg");
+        bg.quad(Rect::from_xywh(0, 0, 512, 512), true);
+        let bg = Arc::new(bg);
+        // Two lists topping one shared backdrop with different popups, each
+        // against the same list built fresh layer by layer.
+        for glyph in ['a', 'w'] {
+            let mut shared = DrawList::new(512, 512);
+            shared.push_layer(Arc::clone(&bg));
+            shared.layer("popup").glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
+            let fresh = sample_list(glyph);
+            assert_eq!(shared, fresh);
+            assert_eq!(fingerprint(&shared, &params), fingerprint(&fresh, &params));
+        }
+        assert_eq!(Arc::strong_count(&bg), 1, "the lists dropped their shares");
     }
 
     #[test]

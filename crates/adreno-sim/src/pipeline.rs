@@ -434,8 +434,8 @@ pub(crate) fn layer_stats(
     mask: &OcclusionGrid,
     params: &GpuParams,
 ) -> Vec<PrimStats> {
-    let mut out: Vec<PrimStats> = Vec::with_capacity(layer.prims.len() * 2);
-    for prim in &layer.prims {
+    let mut out: Vec<PrimStats> = Vec::with_capacity(layer.prims().len() * 2);
+    for prim in layer.prims() {
         match prim {
             Primitive::Quad { rect, opaque } => {
                 out.push(process_quad(rect, *opaque, mask, params));
@@ -570,7 +570,7 @@ fn render_impl(draw_list: &DrawList, params: &GpuParams, use_glyph_cache: bool) 
             }
             let grid = acc.as_mut().expect("acc alive above bottom");
             let mut changed = false;
-            for prim in &layer.prims {
+            for prim in layer.prims() {
                 if let Primitive::Quad { rect, opaque: true } = prim {
                     if !rect.is_empty() {
                         grid.add_opaque_rect(rect);
@@ -591,7 +591,7 @@ fn render_impl(draw_list: &DrawList, params: &GpuParams, use_glyph_cache: bool) 
     let pass2 = spansight::span("adreno", "render.prim_pass");
     let mut per_prim: Vec<PrimStats> = Vec::with_capacity(draw_list.prim_count() * 2);
     for (layer, mask) in layers.iter().zip(masks.iter()) {
-        for prim in &layer.prims {
+        for prim in layer.prims() {
             match prim {
                 Primitive::Quad { rect, opaque } => {
                     per_prim.push(process_quad(rect, *opaque, mask, params));

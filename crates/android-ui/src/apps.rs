@@ -6,10 +6,20 @@
 //! and evaluates per application (Fig 19). The PNC app additionally runs a
 //! decorative animation on its login screen, which the paper measures as an
 //! accidental obfuscation defence (Fig 29, §9.3).
+//!
+//! A login screen's backdrop and chrome never change while the victim
+//! types, so they are built once per process for each app and device
+//! configuration and shared as immutable layers (see
+//! [`crate::compositor`]). A full redraw assembles those two `Arc`s with a
+//! text-field layer built for the frame and, for PNC, the animation layer of
+//! the frame's phase.
 
+use std::sync::Arc;
+
+use crate::compositor::{shared_layer, StaticLayer};
 use crate::screen::DeviceConfig;
 use adreno_sim::geom::{Rect, Segment};
-use adreno_sim::scene::DrawList;
+use adreno_sim::scene::{DrawList, Layer};
 use std::fmt;
 
 /// Applications (and web pages) the attack is evaluated against.
@@ -137,6 +147,10 @@ pub struct LoginScreen {
     height: i32,
     card: Rect,
     field: Rect,
+    /// The shared full-screen background layer.
+    backdrop: Arc<Layer>,
+    /// The shared chrome layer: login card, decorative quads and logo.
+    chrome: Arc<Layer>,
 }
 
 impl LoginScreen {
@@ -152,7 +166,31 @@ impl LoginScreen {
             card.x1 - 24,
             card.y0 + card.height() / 2 + 96,
         );
-        LoginScreen { app, width: w, height: h, card, field }
+        let backdrop = shared_layer(StaticLayer::LoginBackdrop(app, *config), || {
+            let mut bg = Layer::new("app-bg");
+            bg.quad(Rect::new(0, 0, w, h), true);
+            bg
+        });
+        let chrome = shared_layer(StaticLayer::LoginChrome(app, *config), || {
+            let mut chrome = Layer::new("app-chrome");
+            chrome.quad(card, true);
+            // Decorative chrome: deterministic pseudo-layout derived from
+            // the app identity so every app has a unique base cost.
+            for i in 0..app.chrome_quads() {
+                let y = card.y1 + 40 + i * 90;
+                let inset = 30 + (i * 37) % 120;
+                chrome.quad(Rect::new(card.x0 + inset, y, card.x1 - inset, y + 56), true);
+            }
+            // Logo text.
+            let glyph_w = 54;
+            let mut x = card.x0 + 32;
+            for ch in app.logo().chars() {
+                chrome.glyph(ch, Rect::new(x, card.y0 + 28, x + glyph_w, card.y0 + 28 + 72), 6);
+                x += glyph_w + 6;
+            }
+            chrome
+        });
+        LoginScreen { app, width: w, height: h, card, field, backdrop, chrome }
     }
 
     /// The app this screen belongs to.
@@ -177,12 +215,7 @@ impl LoginScreen {
         dl
     }
 
-    fn draw_field_content(
-        &self,
-        field_layer: &mut adreno_sim::scene::Layer,
-        text_len: usize,
-        cursor_visible: bool,
-    ) {
+    fn draw_field_content(&self, field_layer: &mut Layer, text_len: usize, cursor_visible: bool) {
         field_layer.quad(self.field, true);
         // Committed characters: one cell quad each (masked input dots). The
         // 40 px cell pitch is a multiple of the 8 px LRZ tile, so every cell
@@ -216,32 +249,8 @@ impl LoginScreen {
     ///   used when [`TargetApp::animated_login`] is true.
     pub fn draw(&self, text_len: usize, cursor_visible: bool, anim_phase: f64) -> DrawList {
         let mut dl = DrawList::new(self.width, self.height);
-
-        let bg = dl.layer("app-bg");
-        bg.quad(Rect::new(0, 0, self.width, self.height), true);
-
-        let chrome = dl.layer("app-chrome");
-        chrome.quad(self.card, true);
-        // Decorative chrome: deterministic pseudo-layout derived from the
-        // app identity so every app has a unique base cost.
-        let n = self.app.chrome_quads();
-        for i in 0..n {
-            let y = self.card.y1 + 40 + i * 90;
-            let inset = 30 + (i * 37) % 120;
-            chrome.quad(Rect::new(self.card.x0 + inset, y, self.card.x1 - inset, y + 56), true);
-        }
-        // Logo text.
-        let logo = self.app.logo();
-        let glyph_w = 54;
-        let mut x = self.card.x0 + 32;
-        for ch in logo.chars() {
-            chrome.glyph(
-                ch,
-                Rect::new(x, self.card.y0 + 28, x + glyph_w, self.card.y0 + 28 + 72),
-                6,
-            );
-            x += glyph_w + 6;
-        }
+        dl.push_layer(Arc::clone(&self.backdrop));
+        dl.push_layer(Arc::clone(&self.chrome));
 
         let field_layer = dl.layer("text-field");
         self.draw_field_content(field_layer, text_len, cursor_visible);
@@ -282,6 +291,102 @@ mod tests {
     fn cost(app: TargetApp, text_len: usize, cursor: bool, phase: f64) -> u64 {
         let screen = LoginScreen::new(app, &cfg());
         render(&screen.draw(text_len, cursor, phase), &GpuModel::Adreno650.params()).totals.total()
+    }
+
+    /// The login frame built from scratch, layer by layer, as the screen
+    /// drew it before its backdrop and chrome were shared: the reference the
+    /// shared assembly must equal.
+    fn reference_draw(
+        screen: &LoginScreen,
+        text_len: usize,
+        cursor_visible: bool,
+        anim_phase: f64,
+    ) -> DrawList {
+        let mut dl = DrawList::new(screen.width, screen.height);
+
+        let bg = dl.layer("app-bg");
+        bg.quad(Rect::new(0, 0, screen.width, screen.height), true);
+
+        let chrome = dl.layer("app-chrome");
+        chrome.quad(screen.card, true);
+        let n = screen.app.chrome_quads();
+        for i in 0..n {
+            let y = screen.card.y1 + 40 + i * 90;
+            let inset = 30 + (i * 37) % 120;
+            chrome.quad(Rect::new(screen.card.x0 + inset, y, screen.card.x1 - inset, y + 56), true);
+        }
+        let logo = screen.app.logo();
+        let glyph_w = 54;
+        let mut x = screen.card.x0 + 32;
+        for ch in logo.chars() {
+            chrome.glyph(
+                ch,
+                Rect::new(x, screen.card.y0 + 28, x + glyph_w, screen.card.y0 + 28 + 72),
+                6,
+            );
+            x += glyph_w + 6;
+        }
+
+        let field_layer = dl.layer("text-field");
+        screen.draw_field_content(field_layer, text_len, cursor_visible);
+
+        if screen.app.animated_login() {
+            let anim = dl.layer("login-animation");
+            let band_w = screen.card.width() / 4;
+            let sweep = (anim_phase * (screen.card.width() - band_w) as f64) as i32;
+            let origin = Rect::new(
+                screen.card.x0 + sweep,
+                screen.card.y0,
+                screen.card.x0 + sweep + band_w,
+                screen.card.y1,
+            );
+            anim.quad(origin, false);
+            for k in 0..6 {
+                let fx = k as f32 * 1.3;
+                anim.stroke(Segment::new(0.5 + fx * 0.3, 1.0, 1.5 + fx * 0.5, 7.0), origin, 4);
+            }
+        }
+        dl
+    }
+
+    #[test]
+    fn shared_login_frames_equal_fresh_ones() {
+        use crate::screen::{PhoneModel, Resolution};
+        use adreno_sim::memo::fingerprint;
+
+        let apps = [
+            TargetApp::Chase,
+            TargetApp::Amex,
+            TargetApp::Fidelity,
+            TargetApp::Schwab,
+            TargetApp::MyFico,
+            TargetApp::Experian,
+            TargetApp::ChromeChase,
+            TargetApp::ChromeSchwab,
+            TargetApp::ChromeExperian,
+            TargetApp::Pnc,
+            TargetApp::Gedit,
+            TargetApp::GmailWeb,
+            TargetApp::DropboxClient,
+        ];
+        let qhd = DeviceConfig {
+            resolution: Resolution::Qhd,
+            ..DeviceConfig::for_phone(PhoneModel::LgV30Plus)
+        };
+        for device in [cfg(), qhd] {
+            let params = device.gpu().params();
+            for app in apps {
+                let screen = LoginScreen::new(app, &device);
+                for (text_len, cursor) in [(0, true), (0, false), (5, true), (40, false)] {
+                    for phase in [0.0, 0.13, 0.5, 0.99] {
+                        let shared = screen.draw(text_len, cursor, phase);
+                        let fresh = reference_draw(&screen, text_len, cursor, phase);
+                        assert_eq!(shared, fresh, "{app} on {device}, phase {phase}");
+                        assert_eq!(fingerprint(&shared, &params), fingerprint(&fresh, &params));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,18 +12,66 @@
 //! far, the first change is position-independent and uniquely characterises
 //! the key — the property the classifier is trained on.
 //!
+//! A window's frame is a stack of layers, and most of them never change.
+//! The keyboard's backdrop and each page's key grid, and a login screen's
+//! backdrop and chrome, are built once per process per configuration and
+//! shared as immutable `Arc<Layer>`s (`shared_layer`). Their key is the
+//! keyboard or app, the full [`DeviceConfig`] and, for key grids, the page:
+//! everything their geometry is derived from. They are shared across
+//! sessions, not held per session, because a fleet keeps thousands of
+//! victims resident and per-session copies would multiply that memory. The
+//! table holds pure values — insert once, never evict, no counters — so
+//! sharing cannot change any result. A key popup is a layer of its own,
+//! built when it shows and dropped when it hides, so a keyboard frame is
+//! assembled from `Arc`s and costs only its change. The field update,
+//! status bar, toast, app-switch and other-app frames are built whole per
+//! frame.
+//!
 //! Consecutive damaged frames of one window differ by a layer or two (popup
 //! shown/hidden, one more echo glyph), so the GPU renders these draw lists
 //! through its incremental frame-delta engine
 //! ([`adreno_sim::incremental`]): each surface's viewport keeps a persistent
 //! renderer that diffs against the previous frame and recomputes only the
-//! changed layers, with output bit-identical to a full render.
+//! changed layers, with output bit-identical to a full render. Every layer
+//! carries its own fingerprints, so a frame of shared layers is keyed in
+//! O(layers).
 
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+
+use crate::apps::TargetApp;
 use crate::keyboard::{Key, KeyboardKind, KeyboardLayout, Page};
 use crate::screen::DeviceConfig;
 use adreno_sim::geom::Rect;
-use adreno_sim::scene::DrawList;
+use adreno_sim::scene::{DrawList, Layer};
+use parking_lot::Mutex;
 use rand::Rng;
+
+/// Names one static window layer: which layer, of which keyboard or app, on
+/// which device configuration (and, for a key grid, which page).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum StaticLayer {
+    KeyboardBackdrop(KeyboardKind, DeviceConfig),
+    KeyGrid(KeyboardKind, DeviceConfig, Page),
+    LoginBackdrop(TargetApp, DeviceConfig),
+    LoginChrome(TargetApp, DeviceConfig),
+}
+
+/// The process-wide layer for `key`, built by `build` on first use.
+///
+/// Insert-once: a layer is a pure function of its key, so whichever thread
+/// builds it first, every caller gets an equal value.
+pub(crate) fn shared_layer(key: StaticLayer, build: impl FnOnce() -> Layer) -> Arc<Layer> {
+    static TABLE: OnceLock<Mutex<HashMap<StaticLayer, Arc<Layer>>>> = OnceLock::new();
+    let table = TABLE.get_or_init(Default::default);
+    if let Some(layer) = table.lock().get(&key) {
+        return Arc::clone(layer);
+    }
+    // Build outside the lock; a concurrent first use builds the same value
+    // and the first insert wins.
+    let layer = Arc::new(build());
+    Arc::clone(table.lock().entry(key).or_insert(layer))
+}
 
 /// The popup currently showing on the keyboard, if any.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,26 +87,60 @@ pub struct PopupState {
 pub struct KeyboardWindow {
     layout: KeyboardLayout,
     page: Page,
-    popup: Option<PopupState>,
+    popup: Option<(PopupState, Arc<Layer>)>,
     /// §9.1 mitigation: disable key-press popups entirely.
     popups_enabled: bool,
     /// Extra surface height above the keyboard so popups fit.
     headroom: i32,
     width: i32,
+    /// The shared backdrop: keyboard area plus the suggestion strip.
+    backdrop: Arc<Layer>,
+    /// The shared key grid of each page, indexed by `Page as usize`.
+    grids: [Arc<Layer>; 3],
 }
 
 impl KeyboardWindow {
     /// Creates the keyboard window for a keyboard app on a device.
     pub fn new(kind: KeyboardKind, config: &DeviceConfig, popups_enabled: bool) -> Self {
         let layout = KeyboardLayout::new(kind, config);
-        let headroom = layout.bounds().height(); // ample room for any popup
+        let kb = layout.bounds();
+        let headroom = kb.height(); // ample room for any popup
+        let width = config.width();
+        let oy = kb.y0 - headroom; // surface origin in screen space
+        let backdrop = shared_layer(StaticLayer::KeyboardBackdrop(kind, *config), || {
+            let mut bg = Layer::new("kb-bg");
+            bg.quad(kb.translated(0, -oy), true);
+            // The suggestion strip above the key rows. Suggestions stay
+            // blank on credential fields (password managers disable them),
+            // so the strip is static content — but top-row popups occlude
+            // it, which is part of the per-key LRZ signal.
+            let strip_h = kb.height() / 4 * 3 / 5;
+            bg.quad(Rect::new(0, headroom - strip_h, width, headroom), true);
+            bg
+        });
+        let grids = [Page::Lower, Page::Upper, Page::Number].map(|page| {
+            shared_layer(StaticLayer::KeyGrid(kind, *config, page), || {
+                let mut keys = Layer::new("kb-keys");
+                let label_thickness = 4;
+                for kg in layout.keys(page) {
+                    let r = kg.rect.translated(0, -oy);
+                    keys.quad(r, true);
+                    if let Key::Char(c) = kg.key {
+                        keys.glyph(c, r.inset(r.width() / 5), label_thickness);
+                    }
+                }
+                keys
+            })
+        });
         KeyboardWindow {
             layout,
             page: Page::Lower,
             popup: None,
             popups_enabled,
             headroom,
-            width: config.width(),
+            width,
+            backdrop,
+            grids,
         }
     }
 
@@ -82,65 +164,49 @@ impl KeyboardWindow {
     }
 
     /// Shows the popup for `ch` (no-op when popups are disabled or the
-    /// character is not on the current page).
+    /// character is not on the current page), building its layer.
     pub fn show_popup(&mut self, ch: char) -> bool {
         if !self.popups_enabled {
             return false;
         }
         match self.layout.key_for_char(ch) {
             Some((page, key_rect)) if page == self.page => {
-                self.popup = Some(PopupState { ch, key_rect });
+                let oy = self.layout.bounds().y0 - self.headroom;
+                let popup_rect = self.layout.popup_rect(&key_rect).translated(0, -oy);
+                let mut layer = Layer::new("popup");
+                layer.quad(popup_rect, true);
+                layer.glyph(
+                    ch,
+                    self.layout.popup_glyph_rect(&popup_rect),
+                    self.layout.glyph_thickness(),
+                );
+                self.popup = Some((PopupState { ch, key_rect }, Arc::new(layer)));
                 true
             }
             _ => false,
         }
     }
 
-    /// Hides any active popup. Returns `true` if one was showing.
+    /// Hides any active popup, dropping its layer. Returns `true` if one was
+    /// showing.
     pub fn hide_popup(&mut self) -> bool {
         self.popup.take().is_some()
     }
 
     /// The active popup, if any.
     pub fn popup(&self) -> Option<&PopupState> {
-        self.popup.as_ref()
+        self.popup.as_ref().map(|(state, _)| state)
     }
 
-    /// Builds the window's draw list (surface-local coordinates).
+    /// Builds the window's draw list (surface-local coordinates) from its
+    /// layers: the shared backdrop, the active page's shared key grid and
+    /// the popup, if one is showing.
     pub fn draw(&self) -> DrawList {
-        let kb = self.layout.bounds();
-        let oy = kb.y0 - self.headroom; // surface origin in screen space
-        let surface_h = self.headroom + kb.height();
-        let mut dl = DrawList::new(self.width, surface_h);
-
-        let bg = dl.layer("kb-bg");
-        bg.quad(kb.translated(0, -oy), true);
-        // The suggestion strip above the key rows. Suggestions stay blank on
-        // credential fields (password managers disable them), so the strip
-        // is static content — but top-row popups occlude it, which is part
-        // of the per-key LRZ signal.
-        let strip_h = kb.height() / 4 * 3 / 5;
-        bg.quad(Rect::new(0, self.headroom - strip_h, self.width, self.headroom), true);
-
-        let keys = dl.layer("kb-keys");
-        let label_thickness = 4;
-        for kg in self.layout.keys(self.page) {
-            let r = kg.rect.translated(0, -oy);
-            keys.quad(r, true);
-            if let Key::Char(c) = kg.key {
-                keys.glyph(c, r.inset(r.width() / 5), label_thickness);
-            }
-        }
-
-        if let Some(p) = &self.popup {
-            let popup_rect = self.layout.popup_rect(&p.key_rect).translated(0, -oy);
-            let layer = dl.layer("popup");
-            layer.quad(popup_rect, true);
-            layer.glyph(
-                p.ch,
-                self.layout.popup_glyph_rect(&popup_rect),
-                self.layout.glyph_thickness(),
-            );
+        let mut dl = DrawList::new(self.width, self.headroom + self.layout.bounds().height());
+        dl.push_layer(Arc::clone(&self.backdrop));
+        dl.push_layer(Arc::clone(&self.grids[self.page as usize]));
+        if let Some((_, layer)) = &self.popup {
+            dl.push_layer(Arc::clone(layer));
         }
         dl
     }
@@ -263,6 +329,83 @@ mod tests {
 
     fn total(dl: &DrawList) -> u64 {
         render(dl, &GpuModel::Adreno650.params()).totals.total()
+    }
+
+    /// The keyboard frame built from scratch, layer by layer, as the window
+    /// drew it before its static layers were shared: the reference the
+    /// shared assembly must equal.
+    fn reference_draw(kw: &KeyboardWindow) -> DrawList {
+        let kb = kw.layout.bounds();
+        let oy = kb.y0 - kw.headroom; // surface origin in screen space
+        let surface_h = kw.headroom + kb.height();
+        let mut dl = DrawList::new(kw.width, surface_h);
+
+        let bg = dl.layer("kb-bg");
+        bg.quad(kb.translated(0, -oy), true);
+        let strip_h = kb.height() / 4 * 3 / 5;
+        bg.quad(Rect::new(0, kw.headroom - strip_h, kw.width, kw.headroom), true);
+
+        let keys = dl.layer("kb-keys");
+        let label_thickness = 4;
+        for kg in kw.layout.keys(kw.page) {
+            let r = kg.rect.translated(0, -oy);
+            keys.quad(r, true);
+            if let Key::Char(c) = kg.key {
+                keys.glyph(c, r.inset(r.width() / 5), label_thickness);
+            }
+        }
+
+        if let Some(p) = kw.popup() {
+            let popup_rect = kw.layout.popup_rect(&p.key_rect).translated(0, -oy);
+            let layer = dl.layer("popup");
+            layer.quad(popup_rect, true);
+            layer.glyph(p.ch, kw.layout.popup_glyph_rect(&popup_rect), kw.layout.glyph_thickness());
+        }
+        dl
+    }
+
+    #[test]
+    fn shared_keyboard_frames_equal_fresh_ones() {
+        use crate::keyboard::ALL_KEYBOARDS;
+        use crate::screen::{PhoneModel, Resolution};
+        use adreno_sim::memo::fingerprint;
+
+        let qhd = DeviceConfig {
+            resolution: Resolution::Qhd,
+            ..DeviceConfig::for_phone(PhoneModel::GalaxyS21)
+        };
+        for device in [cfg(), qhd] {
+            let params = device.gpu().params();
+            let check = |kw: &KeyboardWindow| {
+                let (shared, fresh) = (kw.draw(), reference_draw(kw));
+                assert_eq!(shared, fresh, "{:?} on {device}", kw.layout().kind());
+                assert_eq!(fingerprint(&shared, &params), fingerprint(&fresh, &params));
+            };
+            for kind in ALL_KEYBOARDS {
+                let mut kw = KeyboardWindow::new(kind, &device, true);
+                // Lower, then Upper (shift), then Number (?123).
+                for page_key in [None, Some(Key::Shift), Some(Key::PageSwitch)] {
+                    if let Some(key) = page_key {
+                        assert!(kw.apply_page_key(key));
+                    }
+                    check(&kw);
+                    let mut shown = 0;
+                    for kg in kw.layout().keys(kw.page()) {
+                        // `,` and `.` sit on every page but pop up only on
+                        // their own.
+                        if let Key::Char(c) = kg.key {
+                            if kw.show_popup(c) {
+                                shown += 1;
+                                check(&kw);
+                            }
+                        }
+                    }
+                    assert!(shown >= 26, "{shown} popups on {:?}", kw.page());
+                    assert!(kw.hide_popup());
+                    check(&kw);
+                }
+            }
+        }
     }
 
     #[test]
