@@ -7,8 +7,9 @@
 //! * batched classification — per-delta `classify` calls vs one row-outer
 //!   `classify_batch` pass over the same burst;
 //! * the threshold-bounded scan on the probes Algorithm 1 sends on a
-//!   recorded Chase session (changes, peel residuals, split sums) vs the
-//!   unbounded scan followed by the `C_th` test;
+//!   recorded Chase session (changes, the peel residuals the pretest lets
+//!   through, split sums) vs the unbounded scan followed by the `C_th`
+//!   test;
 //! * delta extraction — the AoS streaming stage, the PR 5-era row-major
 //!   batch pass (retained verbatim), and the current regime-adaptive
 //!   extractor, on a dense synthetic trace *and* on a paper-regime
@@ -229,25 +230,36 @@ fn recorded_chase_session() -> Vec<Delta> {
 
 /// The classifier probes greedy Algorithm 1 (`core::online`) sends on
 /// `deltas`, in order: every change; when a change is rejected outside the
-/// duplication window, every ambient-signature residual of it; then the
-/// recombined split with the previous unconsumed change, and that sum's
-/// residuals. Mirrors the engine's control flow; the bench checks the
-/// engine's own probe tally against it.
-fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterSet>, u64) {
+/// duplication window, every residual `peel_residuals` yields for it; then
+/// the recombined split with the previous unconsumed change, and that
+/// sum's residuals. Mirrors the engine's control flow; the bench checks
+/// the engine's own probe tally against it. Also returns how many peel
+/// steps the pretest dismissed, and asserts that the naive scan rejects
+/// every residual of each of them.
+fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterSet>, u64, u64) {
     let config = OnlineConfig::default();
     let mut probes = Vec::new();
     let mut accepted = 0u64;
+    let mut dismissed = 0u64;
     let mut probe = |v: CounterSet| {
         probes.push(v);
         let hit = model.classify(&v).key().is_some();
         accepted += u64::from(hit);
         hit
     };
-    // Every fitting residual is probed (the engine keeps the best hit).
-    let peel = |v: &CounterSet, probe: &mut dyn FnMut(CounterSet) -> bool| {
+    // Every yielded residual is probed (the engine keeps the best hit).
+    let mut peel = |v: &CounterSet, probe: &mut dyn FnMut(CounterSet) -> bool| {
         let mut hit = false;
-        for r in model.ambient_signatures().iter().filter_map(|s| v.checked_sub(s)) {
+        let mut yielded = false;
+        for (_, r) in model.peel_residuals(v) {
             hit |= probe(r);
+            yielded = true;
+        }
+        if !yielded {
+            dismissed += 1;
+            for r in model.ambient_signatures().iter().filter_map(|s| v.checked_sub(s)) {
+                assert_eq!(model.classify_naive(&r), Classification::Rejected, "pretest unsound");
+            }
         }
         hit
     };
@@ -277,7 +289,7 @@ fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterS
         }
         prev = Some(*d);
     }
-    (probes, accepted)
+    (probes, accepted, dismissed)
 }
 
 /// The classifier before the threshold bound, retained as the same-run
@@ -298,7 +310,7 @@ fn unbounded_classify_reference(model: &ClassifierModel, v: &CounterSet) -> Opti
 fn bench_algorithm1_probe_mix(c: &mut Criterion) {
     let model = trained_model();
     let deltas = recorded_chase_session();
-    let (probes, accepted) = algorithm1_probes(&model, &deltas);
+    let (probes, accepted, dismissed) = algorithm1_probes(&model, &deltas);
     // The mirror sends exactly the probes the engine counts...
     let tally = || {
         let snap = spansight::snapshot();
@@ -308,7 +320,10 @@ fn bench_algorithm1_probe_mix(c: &mut Criterion) {
     let _ = infer_stream(&model, &deltas, OnlineConfig::default());
     let (acc1, rej1) = tally();
     assert_eq!((acc1 - acc0, rej1 - rej0), (accepted, probes.len() as u64 - accepted));
-    assert!(accepted > 0 && probes.len() as u64 > 10 * accepted, "a session-shaped mix");
+    // A session-shaped mix: most changes are noise, and the pretest
+    // dismisses their peel steps instead of probing each residual.
+    assert!(accepted > 0 && deltas.len() as u64 > 3 * accepted, "a session-shaped mix");
+    assert!(dismissed > 0, "the peel pretest never fired");
     // ...and both scans reach identical decisions on every one of them.
     for v in &probes {
         let bounded = match model.classify(v) {

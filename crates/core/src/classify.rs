@@ -218,6 +218,127 @@ fn accept_bound(threshold: f64) -> f64 {
     bound
 }
 
+/// The exact per-counter acceptance box: for each tracked counter `i`, the
+/// integer range `[lo[i], hi[i]]` outside which no probe can lie within
+/// `C_th` of any centroid. A probe outside it is rejected before it is
+/// whitened or scanned.
+///
+/// Soundness rests on two facts about the kernel's computed squared sum
+/// (the same argument as [`norm_gap_excludes`], but with no margin to
+/// spend, because the box tests the kernel's own expression):
+///
+/// * every term is a computed `f64` square and every lane and tree
+///   addition adds non-negative values, and rounding is monotone, so the
+///   completed sum is never below any single term;
+/// * counter `i`'s term against centroid `c`,
+///   `fl(fl(fl(x) · w_i) − row_ci)²`, only grows as the count `x` moves
+///   away from `c_i`: the conversion, the product with `w_i > 0`, the
+///   difference and the square are each monotone.
+///
+/// So per `(counter, centroid)` the counts whose term stays below the
+/// acceptance bound form one interval around `c_i`, and
+/// [`last_inside`] finds its ends by evaluating that term exactly. The
+/// box is the union of those intervals over the centroids: a count outside
+/// it gives every centroid a term, hence a sum, at or above the bound, so
+/// the scan and the naive oracle both reject. The faces are exact: at
+/// `hi[i]` with every other counter equal to the centroid that set it, the
+/// distance is within `C_th`. A counter with a weight that is not positive
+/// and finite, or whose centroid coordinate whitens to a non-finite value,
+/// is left unbounded (`[0, u64::MAX]`).
+#[derive(Debug, Clone, PartialEq)]
+struct AcceptBox {
+    lo: [u64; NUM_TRACKED],
+    hi: [u64; NUM_TRACKED],
+}
+
+impl AcceptBox {
+    fn build(
+        centroids: &[KeyCentroid],
+        rows: &[[f64; NUM_TRACKED]],
+        weights: &[f64; NUM_TRACKED],
+        accept_sq: f64,
+    ) -> Self {
+        let mut bbox = AcceptBox { lo: [u64::MAX; NUM_TRACKED], hi: [0; NUM_TRACKED] };
+        for (i, &w) in weights.iter().enumerate() {
+            // The distance `C_th` spans in counts: only where the search starts.
+            let reach = (accept_sq.sqrt() / w) as u64;
+            let (lo, hi) = (&mut bbox.lo[i], &mut bbox.hi[i]);
+            for (c, row) in centroids.iter().zip(rows) {
+                let (x0, r) = (c.values.as_array()[i], row[i]);
+                let inside = |x: u64| {
+                    let d = x as f64 * w - r;
+                    d * d < accept_sq
+                };
+                if !(w > 0.0 && w.is_finite() && inside(x0)) {
+                    (*lo, *hi) = (0, u64::MAX);
+                    break;
+                }
+                // An interval that holds `x0` widens a face only if it also
+                // holds the count just past it, and one test tells: the
+                // term is monotone away from `x0`.
+                if x0 > *hi || hi.checked_add(1).is_some_and(inside) {
+                    *hi = x0 + last_inside(u64::MAX - x0, reach, |k| inside(x0 + k));
+                }
+                if x0 < *lo || lo.checked_sub(1).is_some_and(inside) {
+                    *lo = x0 - last_inside(x0, reach, |k| inside(x0 - k));
+                }
+            }
+        }
+        bbox
+    }
+
+    #[inline]
+    fn contains(&self, v: &CounterSet) -> bool {
+        let faces = self.lo.iter().zip(&self.hi);
+        v.as_array().iter().zip(faces).fold(true, |ok, (x, (lo, hi))| ok & (lo <= x) & (x <= hi))
+    }
+}
+
+/// The largest `k` in `[0, max]` with `inside(k)`, for a predicate that
+/// holds at `0` and, once false, stays false. Gallops from `guess` to
+/// bracket the edge, then bisects; a close guess costs a handful of calls.
+fn last_inside(max: u64, guess: u64, inside: impl Fn(u64) -> bool) -> u64 {
+    if inside(max) {
+        return max;
+    }
+    // Invariant once bracketed: `inside(lo)` and `!inside(hi)`.
+    let (mut lo, mut hi);
+    let mut step = 1u64;
+    let guess = guess.min(max);
+    if inside(guess) {
+        lo = guess;
+        loop {
+            let next = lo.saturating_add(step).min(max);
+            if !inside(next) {
+                hi = next;
+                break;
+            }
+            lo = next;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        hi = guess;
+        loop {
+            let next = hi.saturating_sub(step);
+            if inside(next) {
+                lo = next;
+                break;
+            }
+            hi = next;
+            step = step.saturating_mul(2);
+        }
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if inside(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Maps a counter vector into the whitened `f64` space the classifier
 /// measures distances in: `out[i] = (v[i] as f64) * w[i]`.
 ///
@@ -259,7 +380,8 @@ impl ProbeState {
 /// `Vec` grows to the largest burst seen, then stays).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    states: Vec<ProbeState>,
+    /// Per probe, its search state, or `None` outside the acceptance box.
+    states: Vec<Option<ProbeState>>,
 }
 
 /// A trained classification model for one configuration.
@@ -276,6 +398,9 @@ pub struct ClassifierModel {
     /// squared-sum cutoff [`ClassifierModel::classify`] starts its scan
     /// from.
     accept_sq: f64,
+    /// The [`AcceptBox`] of the centroids, weights and `accept_sq`, rebuilt
+    /// wherever any of them is set.
+    accept_box: AcceptBox,
     /// Base keyboard redraw delta (a popup-hide frame): the configuration's
     /// fingerprint, used for device recognition (§3.2).
     kb_signature: CounterSet,
@@ -288,6 +413,10 @@ pub struct ClassifierModel {
     /// signatures are *not* an affine function of the length and must be
     /// precomputed rather than extrapolated.
     field_signatures: Vec<CounterSet>,
+    /// Per counter, the smallest and the largest value over
+    /// `field_signatures` (`u64::MAX` and `0` when there are none): the
+    /// span [`ClassifierModel::peel_residuals`] tests against the box.
+    ambient_span: ([u64; NUM_TRACKED], [u64; NUM_TRACKED]),
     /// The target app's cold-launch burst (login screen + keyboard + status
     /// bar rendering together): the §3.2 trigger the monitoring service
     /// waits for.
@@ -319,6 +448,14 @@ impl ClassifierModel {
         assert!(!centroids.is_empty(), "a model needs at least one key centroid");
         let accept_sq = accept_bound(threshold);
         let prepared = PreparedCentroids::build(&centroids, &weights);
+        let accept_box = AcceptBox::build(&centroids, &prepared.rows, &weights, accept_sq);
+        let mut ambient_span = ([u64::MAX; NUM_TRACKED], [0; NUM_TRACKED]);
+        for sig in &field_signatures {
+            for (i, &x) in sig.as_array().iter().enumerate() {
+                ambient_span.0[i] = ambient_span.0[i].min(x);
+                ambient_span.1[i] = ambient_span.1[i].max(x);
+            }
+        }
         ClassifierModel {
             meta,
             centroids,
@@ -326,9 +463,11 @@ impl ClassifierModel {
             weights,
             threshold,
             accept_sq,
+            accept_box,
             kb_signature,
             app_signature,
             field_signatures,
+            ambient_span,
             launch_signature,
             switch_threshold,
         }
@@ -378,6 +517,15 @@ impl ClassifierModel {
         &self.field_signatures
     }
 
+    /// The acceptance box as `(lo, hi)`: per tracked counter, the integer
+    /// range `[lo[i], hi[i]]` outside which [`ClassifierModel::classify`]
+    /// rejects a probe without scanning it. Exact: no probe outside it is
+    /// within `C_th` of a centroid, and each finite face has a probe within
+    /// `C_th` of the centroid that sets it.
+    pub fn acceptance_box(&self) -> ([u64; NUM_TRACKED], [u64; NUM_TRACKED]) {
+        (self.accept_box.lo, self.accept_box.hi)
+    }
+
     /// The app-switch burst magnitude threshold.
     pub fn switch_threshold(&self) -> u64 {
         self.switch_threshold
@@ -390,7 +538,10 @@ impl ClassifierModel {
     ///
     /// Panics if `threshold` is not positive and finite.
     pub fn with_threshold(&self, threshold: f64) -> ClassifierModel {
-        ClassifierModel { threshold, accept_sq: accept_bound(threshold), ..self.clone() }
+        let accept_sq = accept_bound(threshold);
+        let accept_box =
+            AcceptBox::build(&self.centroids, &self.prepared.rows, &self.weights, accept_sq);
+        ClassifierModel { threshold, accept_sq, accept_box, ..self.clone() }
     }
 
     /// Returns a copy of the model with replacement key centroids, rebuilding
@@ -403,7 +554,9 @@ impl ClassifierModel {
     pub fn with_centroids(&self, centroids: Vec<KeyCentroid>) -> ClassifierModel {
         assert!(!centroids.is_empty(), "a model needs at least one key centroid");
         let prepared = PreparedCentroids::build(&centroids, &self.weights);
-        ClassifierModel { centroids, prepared, ..self.clone() }
+        let accept_box =
+            AcceptBox::build(&centroids, &prepared.rows, &self.weights, self.accept_sq);
+        ClassifierModel { centroids, prepared, accept_box, ..self.clone() }
     }
 
     /// Weighted (whitened) Euclidean distance between two counter vectors.
@@ -583,13 +736,18 @@ impl ClassifierModel {
     /// (the `SearchMinDist` + threshold test of Algorithm 1) *and* of
     /// key-frame-sized total magnitude.
     ///
-    /// Algorithm 1 needs only that yes/no, so the scan starts from the
-    /// acceptance bound instead of `+∞`: a probe with no centroid within
-    /// `C_th` is rejected without its nearest centroid ever being found,
-    /// while an accepted probe finds the same centroid at a bit-identical
-    /// distance. No clock is read and no telemetry is recorded here; the
-    /// caller counts its probes (see [`crate::online`]).
+    /// Algorithm 1 needs only that yes/no, so a probe outside the
+    /// acceptance box ([`AcceptBox`]) is rejected before it is whitened, and
+    /// the scan of one inside it starts from the acceptance bound instead
+    /// of `+∞`: a probe with no centroid within `C_th` is rejected without
+    /// its nearest centroid ever being found, while an accepted probe finds
+    /// the same centroid at a bit-identical distance. No clock is read and
+    /// no telemetry is recorded here; the caller counts its probes (see
+    /// [`crate::online`]).
     pub fn classify(&self, v: &CounterSet) -> Classification {
+        if !self.accept_box.contains(v) {
+            return Classification::Rejected;
+        }
         let probe = ProbeState::new(v, &self.weights);
         self.gate(self.nearest_ordered(&probe, self.accept_sq), v)
     }
@@ -615,9 +773,10 @@ impl ClassifierModel {
     /// [`Classification`] per probe (in order) to `out`.
     ///
     /// Equivalent to calling [`ClassifierModel::classify`] on each probe —
-    /// every probe runs the same bounded `nearest_ordered` scan, so every
-    /// result (including accepted distances) is bit-identical; a proptest
-    /// pins that. Probe conversion (whiten + norm) happens in one
+    /// every probe passes the same box test and runs the same bounded
+    /// `nearest_ordered` scan, so every result (including accepted
+    /// distances) is bit-identical; a proptest pins that. Probe conversion
+    /// (whiten + norm) of the probes inside the box happens in one
     /// data-parallel pass over the burst, and the scans then run
     /// back-to-back against cache-warm prepared rows.
     ///
@@ -630,10 +789,44 @@ impl ClassifierModel {
         out: &mut Vec<Classification>,
     ) {
         scratch.states.clear();
-        scratch.states.extend(probes.iter().map(|p| ProbeState::new(p, &self.weights)));
+        scratch.states.extend(
+            probes
+                .iter()
+                .map(|p| self.accept_box.contains(p).then(|| ProbeState::new(p, &self.weights))),
+        );
         for (st, probe) in scratch.states.iter().zip(probes) {
-            out.push(self.gate(self.nearest_ordered(st, self.accept_sq), probe));
+            let found = st.as_ref().and_then(|st| self.nearest_ordered(st, self.accept_sq));
+            out.push(self.gate(found, probe));
         }
+    }
+
+    /// Algorithm 1's peeling step (steps 2b and 3b, an extension beyond
+    /// the paper; see DESIGN.md): the `(signature, residual)` pairs left by
+    /// subtracting each ambient signature that fits under `v`, in signature
+    /// order.
+    ///
+    /// Yields nothing when no residual could pass the box test of
+    /// [`ClassifierModel::classify`]: a residual `v_i − s_i` lies in
+    /// `[lo_i, hi_i]` only if `s_i` lies in `[v_i − hi_i, v_i − lo_i]`, so
+    /// when that range misses the signatures' `[min_i, max_i]` on some
+    /// counter, every residual would be rejected. The test is exact integer
+    /// arithmetic. An echo, a cursor blink or a keyboard redraw is too small
+    /// or too large on some counter to leave a key-sized residual, so it is
+    /// dismissed here for the cost of one pass over its counters.
+    pub fn peel_residuals<'a>(
+        &'a self,
+        v: &CounterSet,
+    ) -> impl Iterator<Item = (&'a CounterSet, CounterSet)> + 'a {
+        let (sig_min, sig_max) = &self.ambient_span;
+        let (lo, hi) = (&self.accept_box.lo, &self.accept_box.hi);
+        let x = v.as_array();
+        let may_fit = (0..NUM_TRACKED).all(|i| {
+            x[i].checked_sub(lo[i]).is_some_and(|top| top >= sig_min[i])
+                && x[i].saturating_sub(hi[i]) <= sig_max[i]
+        });
+        let sigs: &[CounterSet] = if may_fit { &self.field_signatures } else { &[] };
+        let v = *v;
+        sigs.iter().filter_map(move |s| Some((s, v.checked_sub(s)?)))
     }
 
     /// Reference classification built on [`ClassifierModel::nearest_naive`]

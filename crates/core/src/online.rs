@@ -180,8 +180,6 @@ impl Drop for ProbeTally {
 pub struct OnlineInference<'m> {
     model: &'m ClassifierModel,
     config: OnlineConfig,
-    /// Precomputed field-redraw signatures for the peeling step.
-    ambient: Vec<adreno_sim::counters::CounterSet>,
     last_key_at: Option<SimInstant>,
     prev: Option<Delta>,
     inferred: Vec<InferredKey>,
@@ -199,7 +197,6 @@ impl<'m> OnlineInference<'m> {
         OnlineInference {
             model,
             config,
-            ambient: model.ambient_signatures().to_vec(),
             last_key_at: None,
             prev: None,
             inferred: Vec::new(),
@@ -274,33 +271,12 @@ impl<'m> OnlineInference<'m> {
         // one read window; subtracting the known field-redraw signatures
         // recovers the popup. (Engineering extension beyond the paper's
         // Algorithm 1; see DESIGN.md.)
-        // Evaluate every signature and keep the best-scoring residual: a
-        // wrong-length signature can leave a residual that still clears
-        // C_th but lands on a *neighbouring* key; the true signature's
-        // residual is exact and always scores better.
-        let mut best: Option<(f64, InferredKey, Delta, adreno_sim::counters::CounterSet)> = None;
-        for sig in &self.ambient {
-            let Some(residual) = delta.values.checked_sub(sig) else { continue };
-            if let Classification::Key { ch, distance } =
-                self.probes.classify(self.model, &residual)
-            {
-                if best.as_ref().is_none_or(|(d, _, _, _)| distance < *d) {
-                    // Report the consumed field redraw as a synthetic echo
-                    // so the downstream correction detector keeps its length
-                    // and blink anchoring intact.
-                    let echo = Delta { at: delta.at, values: *sig };
-                    best = Some((
-                        distance,
-                        InferredKey { at: delta.at, decided_at, ch, via_split: false },
-                        echo,
-                        residual,
-                    ));
-                }
-            }
-        }
-        if let Some((_, key, echo, residual)) = best {
-            self.accept(key, &residual);
-            self.rejected.push(echo);
+        if let Some((ch, sig, residual)) = self.peel(&delta.values) {
+            self.accept(InferredKey { at: delta.at, decided_at, ch, via_split: false }, &residual);
+            // Report the consumed field redraw as a synthetic echo so the
+            // downstream correction detector keeps its length and blink
+            // anchoring intact.
+            self.rejected.push(Delta { at: delta.at, values: *sig });
             self.stats.peeled += 1;
             return;
         }
@@ -324,23 +300,7 @@ impl<'m> OnlineInference<'m> {
                 // overshoots every centroid. Peel the known ambient
                 // signatures off the recombined sum, exactly as step 2b does
                 // for whole frames.
-                let mut best: Option<(
-                    f64,
-                    char,
-                    adreno_sim::counters::CounterSet,
-                    adreno_sim::counters::CounterSet,
-                )> = None;
-                for sig in &self.ambient {
-                    let Some(residual) = combined.checked_sub(sig) else { continue };
-                    if let Classification::Key { ch, distance } =
-                        self.probes.classify(self.model, &residual)
-                    {
-                        if best.as_ref().is_none_or(|(d, _, _, _)| distance < *d) {
-                            best = Some((distance, ch, *sig, residual));
-                        }
-                    }
-                }
-                if let Some((_, ch, sig, residual)) = best {
+                if let Some((ch, sig, residual)) = self.peel(&combined) {
                     self.prev = None;
                     self.accept(
                         InferredKey { at: prev.at, decided_at, ch, via_split: true },
@@ -348,7 +308,7 @@ impl<'m> OnlineInference<'m> {
                     );
                     // Surface the consumed field redraw to the correction
                     // detector as a synthetic echo.
-                    self.rejected.push(Delta { at: delta.at, values: sig });
+                    self.rejected.push(Delta { at: delta.at, values: *sig });
                     self.stats.splits_recovered += 1;
                     self.stats.peeled += 1;
                     return;
@@ -368,7 +328,26 @@ impl<'m> OnlineInference<'m> {
         }
     }
 
-    fn accept(&mut self, key: InferredKey, observed: &adreno_sim::counters::CounterSet) {
+    /// The best-scoring accepted residual of `v` over
+    /// [`ClassifierModel::peel_residuals`], as `(key, signature,
+    /// residual)`. Every residual is probed and the closest hit wins (the
+    /// first on a tie): a wrong-length signature can leave a residual that
+    /// still clears C_th but lands on a *neighbouring* key; the true
+    /// signature's residual is exact and always scores better.
+    fn peel(&mut self, v: &CounterSet) -> Option<(char, &'m CounterSet, CounterSet)> {
+        let model = self.model;
+        let mut best: Option<(f64, char, &'m CounterSet, CounterSet)> = None;
+        for (sig, residual) in model.peel_residuals(v) {
+            if let Classification::Key { ch, distance } = self.probes.classify(model, &residual) {
+                if best.is_none_or(|(d, ..)| distance < d) {
+                    best = Some((distance, ch, sig, residual));
+                }
+            }
+        }
+        best.map(|(_, ch, sig, residual)| (ch, sig, residual))
+    }
+
+    fn accept(&mut self, key: InferredKey, observed: &CounterSet) {
         self.last_key_at = Some(key.at);
         // An unconsumed leftover change is ordinary noise (usually an echo
         // frame); it must still reach the downstream correction detector.
@@ -510,7 +489,7 @@ pub struct InferStage<'m> {
     /// Reusable state for [`ClassifierModel::classify_batch`].
     batch: BatchScratch,
     /// Probe values of the burst being classified, reused across bursts.
-    burst_vals: Vec<adreno_sim::counters::CounterSet>,
+    burst_vals: Vec<CounterSet>,
     /// Classifications of the burst, aligned with `burst_vals`.
     burst_cls: Vec<Classification>,
 }
@@ -655,6 +634,7 @@ impl Stage for InferStage<'_> {
 mod tests {
     use super::*;
     use crate::classify::{KeyCentroid, ModelMeta};
+    use crate::offline::{Trainer, TrainerConfig};
     use adreno_sim::counters::{CounterSet, TrackedCounter, NUM_TRACKED};
     use android_ui::{
         AndroidVersion, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
@@ -802,15 +782,53 @@ mod tests {
             )
         };
         let mut eng = OnlineInference::new(&m, OnlineConfig::default());
-        // A rejected fragment (1 primary + 2 peel residuals), then the rest
-        // of the split (1 primary + 2 residuals + the accepted recombined
-        // sum): 7 probes, 1 accepted, 2 of them timed primaries.
+        // A rejected fragment (1 primary; both fragments sit below the
+        // acceptance box's tile range, so no peel residual is probed), then
+        // the rest of the split (1 primary + the accepted recombined sum):
+        // 3 probes, 1 accepted, 2 of them timed primaries.
         eng.process(d(100, 600, 96));
         eng.process(d(108, 400, 64));
         assert_eq!(eng.inferred().len(), 1);
         assert_eq!(published(), (0, 0, 0), "nothing is published per probe");
         let _ = eng.finish();
-        assert_eq!(published(), (1, 6, 2));
+        assert_eq!(published(), (1, 2, 2));
+    }
+
+    #[test]
+    fn noise_changes_make_one_probe_each() {
+        // Echoes and cursor blinks (field redraws, one per signature), a
+        // keyboard redraw and the app's launch burst on a trained model:
+        // each is rejected by its primary probe alone, because no ambient
+        // signature can leave a residual inside the acceptance box — the
+        // first ones are too small for that on some counter, the launch
+        // burst too large.
+        let cfg = android_ui::SimConfig::paper_default(11);
+        let m = Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app);
+        let noise: Vec<CounterSet> = m
+            .ambient_signatures()
+            .iter()
+            .chain([m.kb_signature(), m.launch_signature()])
+            .copied()
+            .collect();
+        assert!(noise.len() > 10, "a trained model anticipates many input lengths");
+        let track = spansight::register_track("online-noise-probes");
+        let _track = spansight::enter_track(track);
+        // Spaced beyond the split gap, so no change is recombined.
+        let deltas: Vec<Delta> = noise
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Delta { at: SimInstant::from_millis(100 + 300 * i as u64), values: *v })
+            .collect();
+        let (keys, rejected, stats) = infer_stream(&m, &deltas, OnlineConfig::default());
+        assert!(keys.is_empty());
+        assert_eq!((rejected.len(), stats.noise), (noise.len(), noise.len()));
+        let snap = spansight::snapshot().for_track(track);
+        let n = noise.len() as u64;
+        assert_eq!(
+            (snap.counter("core.classify.accepted"), snap.counter("core.classify.rejected")),
+            (0, n),
+            "one probe per noise change"
+        );
     }
 
     #[test]

@@ -7,7 +7,10 @@ use gpu_sc_attack::classify::{
     BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta,
 };
 use gpu_sc_attack::metrics::edit_distance;
-use gpu_sc_attack::online::{infer_full_trace, infer_stream, OnlineConfig};
+use gpu_sc_attack::online::{
+    infer_full_trace, infer_stream, InferEvent, InferenceStats, InferredKey, OnlineConfig,
+    CANDIDATES_PER_KEY,
+};
 use gpu_sc_attack::sampler::SamplerReport;
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
 use gpu_sc_attack::trace::{extract_deltas, extract_deltas_with_resets, Delta, Trace};
@@ -87,6 +90,56 @@ fn residual_probes(model: &ClassifierModel) -> Vec<CounterSet> {
     out
 }
 
+/// The model with its whitening weights replaced: non-unit weights make
+/// the whitened coordinates inexact, which is where the acceptance box's
+/// faces depend on rounding.
+fn reweighted(model: &ClassifierModel, weights: [f64; NUM_TRACKED]) -> ClassifierModel {
+    ClassifierModel::new(
+        *model.meta(),
+        model.centroids().to_vec(),
+        weights,
+        model.threshold(),
+        *model.kb_signature(),
+        *model.app_signature(),
+        model.ambient_signatures().to_vec(),
+        *model.launch_signature(),
+        model.switch_threshold(),
+    )
+}
+
+/// Trained-like whitening weights: reciprocals of integer spreads.
+fn arb_weights() -> impl Strategy<Value = [f64; NUM_TRACKED]> {
+    prop::collection::vec(1u64..4096, NUM_TRACKED)
+        .prop_map(|v| std::array::from_fn(|i| 1.0 / v[i] as f64))
+}
+
+/// Probes one count inside and one count outside each face of the model's
+/// acceptance box, each on a centroid whose interval reaches that face (the
+/// extreme centroid on that counter, under unit weights). Asserts that
+/// every face is exact: some centroid with that counter moved to the face
+/// is within `C_th`.
+fn box_face_probes(model: &ClassifierModel) -> Vec<CounterSet> {
+    let (lo, hi) = model.acceptance_box();
+    let at = |c: &CounterSet, i: usize, x: u64| {
+        let mut v = *c.as_array();
+        v[i] = x;
+        CounterSet::from_array(v)
+    };
+    let mut out = Vec::new();
+    for i in 0..NUM_TRACKED {
+        for (face, beyond) in [(hi[i], hi[i].checked_add(1)), (lo[i], lo[i].checked_sub(1))] {
+            let base = model
+                .centroids()
+                .iter()
+                .find(|c| model.distance(&at(&c.values, i, face), &c.values) <= model.threshold())
+                .unwrap_or_else(|| panic!("face {face} of counter {i} is not exact"));
+            out.push(at(&base.values, i, face));
+            out.extend(beyond.map(|x| at(&base.values, i, x)));
+        }
+    }
+    out
+}
+
 /// The model re-thresholded at both sides of a probe whose nearest
 /// distance is `d`: `C_th = d` must accept it on distance and
 /// `C_th = d.next_down()` must reject it. Empty when `d` is too small for
@@ -97,6 +150,245 @@ fn boundary_models(model: &ClassifierModel, d: f64) -> Vec<ClassifierModel> {
     } else {
         Vec::new()
     }
+}
+
+/// Algorithm 1 as the engine ran it before the peel pretest, kept only as
+/// a test oracle: every ambient signature that fits under a change (or a
+/// recombined split) is subtracted and its residual classified, by the
+/// naive full scan. Emits events in the order [`InferStage`] drains them:
+/// after each change, its keys, then its noise.
+struct ReferenceEngine<'m> {
+    model: &'m ClassifierModel,
+    config: OnlineConfig,
+    lookahead: bool,
+    held: Option<Delta>,
+    last_key_at: Option<SimInstant>,
+    prev: Option<Delta>,
+    stats: InferenceStats,
+    keys: Vec<InferEvent>,
+    noise: Vec<InferEvent>,
+    events: Vec<InferEvent>,
+}
+
+impl<'m> ReferenceEngine<'m> {
+    fn new(model: &'m ClassifierModel, lookahead: bool) -> Self {
+        ReferenceEngine {
+            model,
+            config: OnlineConfig::default(),
+            lookahead,
+            held: None,
+            last_key_at: None,
+            prev: None,
+            stats: InferenceStats::default(),
+            keys: Vec::new(),
+            noise: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, d: Delta) {
+        if !self.lookahead {
+            self.process(d, d.at);
+        } else if let Some(held) = self.held.replace(d) {
+            self.defer(&held, &d);
+            self.process(held, d.at);
+        }
+        self.drain();
+    }
+
+    fn finish(mut self) -> (Vec<InferEvent>, InferenceStats) {
+        if let Some(held) = self.held.take() {
+            self.process(held, held.at);
+        }
+        if let Some(stale) = self.prev.take() {
+            self.reject(stale);
+        }
+        self.drain();
+        (self.events, self.stats)
+    }
+
+    fn drain(&mut self) {
+        self.events.append(&mut self.keys);
+        self.events.append(&mut self.noise);
+    }
+
+    fn reject(&mut self, d: Delta) {
+        self.noise.push(InferEvent::Noise(d));
+        self.stats.noise += 1;
+    }
+
+    fn hit(&self, v: &CounterSet) -> Option<(char, f64)> {
+        match self.model.classify_naive(v) {
+            Classification::Key { ch, distance } => Some((ch, distance)),
+            Classification::Rejected => None,
+        }
+    }
+
+    /// The closest accepted residual over every fitting signature.
+    fn peel(&self, v: &CounterSet) -> Option<(char, CounterSet, CounterSet)> {
+        let mut best: Option<(f64, char, CounterSet, CounterSet)> = None;
+        for sig in self.model.ambient_signatures() {
+            let Some(residual) = v.checked_sub(sig) else { continue };
+            if let Some((ch, distance)) = self.hit(&residual) {
+                if best.is_none_or(|(d, ..)| distance < d) {
+                    best = Some((distance, ch, *sig, residual));
+                }
+            }
+        }
+        best.map(|(_, ch, sig, residual)| (ch, sig, residual))
+    }
+
+    fn accept(&mut self, key: InferredKey, observed: &CounterSet) {
+        self.last_key_at = Some(key.at);
+        if let Some(stale) = self.prev.take() {
+            self.reject(stale);
+        }
+        let candidates = self
+            .model
+            .nearest_k(observed, CANDIDATES_PER_KEY)
+            .into_iter()
+            .map(|(ch, _)| ch)
+            .collect();
+        self.keys.push(InferEvent::Key { key, candidates });
+    }
+
+    fn process(&mut self, delta: Delta, decided_at: SimInstant) {
+        let key = |at, ch, via_split| InferredKey { at, decided_at, ch, via_split };
+        let primary = self.hit(&delta.values);
+        if self.last_key_at.is_some_and(|t| delta.at.saturating_since(t) < self.config.t_l) {
+            if primary.is_some() {
+                self.stats.duplications_suppressed += 1;
+                if let Some(stale) = self.prev.take() {
+                    self.reject(stale);
+                }
+            } else {
+                self.reject(delta);
+            }
+            return;
+        }
+        if let Some((ch, _)) = primary {
+            self.accept(key(delta.at, ch, false), &delta.values);
+            self.stats.direct += 1;
+            return;
+        }
+        if let Some((ch, sig, residual)) = self.peel(&delta.values) {
+            self.accept(key(delta.at, ch, false), &residual);
+            self.noise.push(InferEvent::Noise(Delta { at: delta.at, values: sig }));
+            self.stats.peeled += 1;
+            return;
+        }
+        if let Some(prev) = self.prev {
+            if delta.at.saturating_since(prev.at) <= self.config.max_split_gap {
+                let combined = prev.values + delta.values;
+                if let Some((ch, _)) = self.hit(&combined) {
+                    self.prev = None;
+                    self.accept(key(prev.at, ch, true), &combined);
+                    self.stats.splits_recovered += 1;
+                    return;
+                }
+                if let Some((ch, sig, residual)) = self.peel(&combined) {
+                    self.prev = None;
+                    self.accept(key(prev.at, ch, true), &residual);
+                    self.noise.push(InferEvent::Noise(Delta { at: delta.at, values: sig }));
+                    self.stats.splits_recovered += 1;
+                    self.stats.peeled += 1;
+                    return;
+                }
+            } else {
+                self.prev = None;
+                self.reject(prev);
+            }
+        }
+        if let Some(stale) = self.prev.replace(delta) {
+            self.reject(stale);
+        }
+    }
+
+    /// The full-trace split fix: drop `prev` when `(current, next)` pairs
+    /// strictly better than `(prev, current)`.
+    fn defer(&mut self, current: &Delta, next: &Delta) {
+        let Some(prev) = self.prev else { return };
+        let gap = self.config.max_split_gap;
+        if current.at.saturating_since(prev.at) > gap || next.at.saturating_since(current.at) > gap
+        {
+            return;
+        }
+        let with_prev = self.hit(&(prev.values + current.values));
+        let with_next = self.hit(&(current.values + next.values));
+        if let (Some((_, dp)), Some((_, dn))) = (with_prev, with_next) {
+            if dn < dp {
+                self.prev = None;
+                self.reject(prev);
+            }
+        }
+    }
+}
+
+/// One change of a generated typing stream, built from a model's own
+/// centroids and signatures so that every Algorithm 1 path fires.
+#[derive(Debug, Clone)]
+enum TypingStep {
+    /// A clean key frame of centroid `i`.
+    Press(usize),
+    /// Key frame `i` merged with ambient signature `j` (step 2b).
+    PressWithEcho(usize, usize),
+    /// Ambient signature `j` alone: an echo or a cursor blink.
+    Echo(usize),
+    /// The keyboard redraw.
+    KeyboardRedraw,
+    /// Key frame `i` split `pct`/`100 − pct` over two reads 8 ms apart, with
+    /// signature `j` merged into the second fragment when `echo` (step 3b).
+    Split { i: usize, j: usize, pct: u64, echo: bool },
+    /// Arbitrary activity.
+    Noise(CounterSet),
+}
+
+fn arb_typing_stream() -> impl Strategy<Value = Vec<(TypingStep, u64)>> {
+    let step = prop_oneof![
+        (0usize..16).prop_map(TypingStep::Press),
+        (0usize..16, 0usize..8).prop_map(|(i, j)| TypingStep::PressWithEcho(i, j)),
+        (0usize..8).prop_map(TypingStep::Echo),
+        Just(TypingStep::KeyboardRedraw),
+        (0usize..16, 0usize..8, 1u64..100, any::<bool>())
+            .prop_map(|(i, j, pct, echo)| TypingStep::Split { i, j, pct, echo }),
+        arb_set(400_000).prop_map(TypingStep::Noise),
+    ];
+    // Gaps on both sides of the split gap (20 ms) and of T_l (75 ms).
+    let gap = prop::sample::select(vec![8u64, 16, 24, 60, 90, 300]);
+    prop::collection::vec((step, gap), 0..40)
+}
+
+/// The changes of a generated typing stream on `model`.
+fn typing_deltas(model: &ClassifierModel, steps: &[(TypingStep, u64)]) -> Vec<Delta> {
+    let keys: Vec<CounterSet> = model.centroids().iter().map(|c| c.values).collect();
+    let sigs = model.ambient_signatures();
+    let sig =
+        |j: usize| if sigs.is_empty() { *model.app_signature() } else { sigs[j % sigs.len()] };
+    let mut out = Vec::new();
+    let mut at = 0u64;
+    for (step, gap) in steps {
+        at += gap;
+        let mut push = |at: u64, values: CounterSet| {
+            out.push(Delta { at: SimInstant::from_millis(at), values });
+        };
+        match *step {
+            TypingStep::Press(i) => push(at, keys[i % keys.len()]),
+            TypingStep::PressWithEcho(i, j) => push(at, keys[i % keys.len()] + sig(j)),
+            TypingStep::Echo(j) => push(at, sig(j)),
+            TypingStep::KeyboardRedraw => push(at, *model.kb_signature()),
+            TypingStep::Split { i, j, pct, echo } => {
+                let key = keys[i % keys.len()].as_array();
+                let first = CounterSet::from_array(key.map(|v| v * pct / 100));
+                let second = keys[i % keys.len()] - first;
+                push(at, first);
+                at += 8;
+                push(at, if echo { second + sig(j) } else { second });
+            }
+            TypingStep::Noise(v) => push(at, v),
+        }
+    }
+    out.retain(|d| !d.values.is_zero());
+    out
 }
 
 fn arb_deltas() -> impl Strategy<Value = Vec<Delta>> {
@@ -354,31 +646,154 @@ proptest! {
     #[test]
     fn pruned_classification_matches_naive(
         model in arb_model(),
+        weights in arb_weights(),
         probes in prop::collection::vec(arb_set(2_500_000), 1..40),
     ) {
         // The hot-path invariant of the prepared-centroid scan: the
         // unbounded pruned search must find the naive scan's nearest
-        // centroid at a bit-identical distance, and the scan bounded at
-        // `C_th` must decide exactly as the naive full-distance scan does —
-        // same accept/reject, same char, bit-identical accepted distance.
-        // Besides random probes: peel residuals, and every probe at both
-        // sides of its own acceptance boundary.
-        let probes: Vec<CounterSet> =
-            probes.into_iter().chain(residual_probes(&model)).collect();
-        for v in &probes {
-            let (nn_ch, nn_d) = model.nearest_naive(v);
-            let (pr_ch, pr_d) = model.nearest(v);
-            prop_assert_eq!(pr_ch, nn_ch);
-            prop_assert_eq!(pr_d.to_bits(), nn_d.to_bits(), "distance must be bit-identical");
-            let boundary = boundary_models(&model, nn_d);
-            for (i, m) in std::iter::once(&model).chain(&boundary).enumerate() {
-                let naive = m.classify_naive(v);
-                let pruned = m.classify(v);
-                prop_assert_eq!(decision_bits(&pruned), decision_bits(&naive), "model {}", i);
+        // centroid at a bit-identical distance, and the box test plus the
+        // scan bounded at `C_th` must decide exactly as the naive
+        // full-distance scan does — same accept/reject, same char,
+        // bit-identical accepted distance. Besides random probes: peel
+        // residuals, one count either side of every box face, and every
+        // probe at both sides of its own acceptance boundary; on the model
+        // as drawn (unit weights) and reweighted.
+        for model in [reweighted(&model, weights), model] {
+            let probes: Vec<CounterSet> = probes
+                .iter()
+                .copied()
+                .chain(residual_probes(&model))
+                .chain(box_face_probes(&model))
+                .collect();
+            for v in &probes {
+                let (nn_ch, nn_d) = model.nearest_naive(v);
+                let (pr_ch, pr_d) = model.nearest(v);
+                prop_assert_eq!(pr_ch, nn_ch);
+                prop_assert_eq!(pr_d.to_bits(), nn_d.to_bits(), "distance must be bit-identical");
+                let boundary = boundary_models(&model, nn_d);
+                for (i, m) in std::iter::once(&model).chain(&boundary).enumerate() {
+                    let naive = m.classify_naive(v);
+                    let pruned = m.classify(v);
+                    prop_assert_eq!(decision_bits(&pruned), decision_bits(&naive), "model {}", i);
+                }
+                if let [_, below_d] = &boundary[..] {
+                    prop_assert_eq!(below_d.classify(v), Classification::Rejected);
+                }
             }
-            if let [_, below_d] = &boundary[..] {
-                prop_assert_eq!(below_d.classify(v), Classification::Rejected);
+        }
+    }
+
+    #[test]
+    fn peel_pretest_dismisses_exactly_the_changes_no_residual_can_fit(
+        model in arb_model(),
+        weights in arb_weights(),
+        probes in prop::collection::vec(arb_set(2_500_000), 1..40),
+    ) {
+        // `peel_residuals` dismisses a change exactly when, on some
+        // counter, the signature values that would leave a residual inside
+        // the acceptance box, `[v_i − hi_i, v_i − lo_i]`, miss the
+        // signatures' `[min_i, max_i]`; otherwise it yields every fitting
+        // residual in signature order. A dismissed change has no residual
+        // the naive scan accepts. Besides random probes: peel residuals,
+        // key frames merged with a signature, and one count either side of
+        // both pretest edges on every counter.
+        for model in [reweighted(&model, weights), model] {
+            let (lo, hi) = model.acceptance_box();
+            let sigs = model.ambient_signatures();
+            let span = |i: usize| {
+                sigs.iter().map(|s| s.as_array()[i]).fold((u64::MAX, 0), |(a, b), x| {
+                    (a.min(x), b.max(x))
+                })
+            };
+            let merged: Vec<CounterSet> = model
+                .centroids()
+                .iter()
+                .flat_map(|c| sigs.iter().map(move |s| c.values + *s))
+                .collect();
+            let mut edges = Vec::new();
+            if let Some(base) = merged.first() {
+                for i in 0..NUM_TRACKED {
+                    let (s_min, s_max) = span(i);
+                    let small = lo[i].checked_add(s_min);
+                    let big = hi[i].checked_add(s_max);
+                    let below = small.and_then(|x| x.checked_sub(1));
+                    let above = big.and_then(|x| x.checked_add(1));
+                    let xs = [below, small, big, above];
+                    for x in xs.into_iter().flatten() {
+                        let mut v = *base.as_array();
+                        v[i] = x;
+                        edges.push(CounterSet::from_array(v));
+                    }
+                }
             }
+            let probes = probes
+                .iter()
+                .copied()
+                .chain(residual_probes(&model))
+                .chain(merged)
+                .chain(edges);
+            for v in probes {
+                let x = v.as_array();
+                let misses = (0..NUM_TRACKED).any(|i| {
+                    let (s_min, s_max) = span(i);
+                    let top = i128::from(x[i]) - i128::from(lo[i]);
+                    let bottom = i128::from(x[i]) - i128::from(hi[i]);
+                    top < i128::from(s_min) || bottom > i128::from(s_max)
+                });
+                let fitting: Vec<(CounterSet, CounterSet)> =
+                    sigs.iter().filter_map(|s| Some((*s, v.checked_sub(s)?))).collect();
+                let got: Vec<(CounterSet, CounterSet)> =
+                    model.peel_residuals(&v).map(|(s, r)| (*s, r)).collect();
+                if misses {
+                    prop_assert!(got.is_empty(), "a change no residual can fit was peeled");
+                    for (_, r) in &fitting {
+                        prop_assert_eq!(model.classify_naive(r), Classification::Rejected);
+                    }
+                } else {
+                    prop_assert_eq!(got, fitting);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_models_rebuild_the_acceptance_box(
+        model in arb_model(),
+        weights in arb_weights(),
+        shift in arb_set(2_000),
+        factor in 0.01f64..100.0,
+    ) {
+        // `with_threshold` and `with_centroids` rebuild the box: it equals
+        // the box of the same model assembled from scratch.
+        for model in [reweighted(&model, weights), model] {
+            let fresh = |centroids: Vec<KeyCentroid>, threshold: f64| {
+                ClassifierModel::new(
+                    *model.meta(),
+                    centroids,
+                    *model.weights(),
+                    threshold,
+                    *model.kb_signature(),
+                    *model.app_signature(),
+                    model.ambient_signatures().to_vec(),
+                    *model.launch_signature(),
+                    model.switch_threshold(),
+                )
+            };
+            let threshold = model.threshold() * factor;
+            let rethresholded = model.with_threshold(threshold);
+            prop_assert_eq!(
+                rethresholded.acceptance_box(),
+                fresh(model.centroids().to_vec(), threshold).acceptance_box()
+            );
+            let moved: Vec<KeyCentroid> = model
+                .centroids()
+                .iter()
+                .map(|c| KeyCentroid { ch: c.ch, values: c.values + shift })
+                .collect();
+            prop_assert_eq!(
+                model.with_centroids(moved.clone()).acceptance_box(),
+                fresh(moved, model.threshold()).acceptance_box()
+            );
         }
     }
 
@@ -422,36 +837,46 @@ proptest! {
     #[test]
     fn batch_classification_matches_per_delta(
         model in arb_model(),
+        weights in arb_weights(),
         probes in prop::collection::vec(arb_set(2_500_000), 0..40),
     ) {
         // The batched entry point must be a pure amortisation: one
-        // row-outer traversal per burst, but per probe the same candidate
-        // order, the same bounded cutoff, and therefore the same decision as
-        // the per-delta and naive paths — bit-identical accepted distances
-        // included. Besides random probes: peel residuals, and every probe
-        // at both sides of its own acceptance boundary.
-        let probes: Vec<CounterSet> =
-            probes.into_iter().chain(residual_probes(&model)).collect();
-        let mut scratch = BatchScratch::default();
-        let mut batched = Vec::new();
-        model.classify_batch(&probes, &mut scratch, &mut batched);
-        prop_assert_eq!(batched.len(), probes.len());
-        for (v, got) in probes.iter().zip(&batched) {
-            let single = model.classify(v);
-            prop_assert_eq!(decision_bits(got), decision_bits(&single), "batch vs per-delta");
-            prop_assert_eq!(decision_bits(got), decision_bits(&model.classify_naive(v)));
-            let (_, d) = model.nearest_naive(v);
-            for m in boundary_models(&model, d) {
-                let mut at_boundary = Vec::new();
-                m.classify_batch(std::slice::from_ref(v), &mut scratch, &mut at_boundary);
-                prop_assert_eq!(at_boundary.len(), 1);
-                prop_assert_eq!(decision_bits(&at_boundary[0]), decision_bits(&m.classify_naive(v)));
+        // row-outer traversal per burst, but per probe the same box test,
+        // the same candidate order, the same bounded cutoff, and therefore
+        // the same decision as the per-delta and naive paths —
+        // bit-identical accepted distances included. Besides random probes:
+        // peel residuals, one count either side of every box face, and
+        // every probe at both sides of its own acceptance boundary; on the
+        // model as drawn (unit weights) and reweighted.
+        for model in [reweighted(&model, weights), model] {
+            let probes: Vec<CounterSet> = probes
+                .iter()
+                .copied()
+                .chain(residual_probes(&model))
+                .chain(box_face_probes(&model))
+                .collect();
+            let mut scratch = BatchScratch::default();
+            let mut batched = Vec::new();
+            model.classify_batch(&probes, &mut scratch, &mut batched);
+            prop_assert_eq!(batched.len(), probes.len());
+            for (v, got) in probes.iter().zip(&batched) {
+                let single = model.classify(v);
+                prop_assert_eq!(decision_bits(got), decision_bits(&single), "batch vs per-delta");
+                prop_assert_eq!(decision_bits(got), decision_bits(&model.classify_naive(v)));
+                let (_, d) = model.nearest_naive(v);
+                for m in boundary_models(&model, d) {
+                    let mut at_boundary = Vec::new();
+                    m.classify_batch(std::slice::from_ref(v), &mut scratch, &mut at_boundary);
+                    prop_assert_eq!(at_boundary.len(), 1);
+                    let naive = m.classify_naive(v);
+                    prop_assert_eq!(decision_bits(&at_boundary[0]), decision_bits(&naive));
+                }
             }
+            // Scratch reuse across bursts must not leak state between calls.
+            let mut again = Vec::new();
+            model.classify_batch(&probes, &mut scratch, &mut again);
+            prop_assert_eq!(again, batched);
         }
-        // Scratch reuse across bursts must not leak state between calls.
-        let mut again = Vec::new();
-        model.classify_batch(&probes, &mut scratch, &mut again);
-        prop_assert_eq!(again, batched);
     }
 
     #[test]
@@ -489,6 +914,35 @@ proptest! {
 
         prop_assert_eq!(burst_out, single_out);
         prop_assert_eq!(burst.stats(), single.stats());
+    }
+
+    #[test]
+    fn engine_matches_the_peel_everything_reference(
+        model in arb_model(),
+        steps in arb_typing_stream(),
+        lookahead in any::<bool>(),
+    ) {
+        // The peel pretest and the box only skip probes that would have
+        // been rejected: on typing streams built from the model's own key
+        // frames, echoes, splits and keyboard redraws, the engine emits
+        // exactly the events — keys with their candidates, noise — and the
+        // stats of a reference that peels every fitting signature and
+        // classifies with the naive scan.
+        use gpu_sc_attack::online::InferStage;
+        let deltas = typing_deltas(&model, &steps);
+        let mut stage = if lookahead {
+            InferStage::lookahead(&model, OnlineConfig::default())
+        } else {
+            InferStage::greedy(&model, OnlineConfig::default())
+        };
+        let events = gpu_sc_attack::stage::run_to_vec(&mut stage, deltas.iter().copied());
+        let mut reference = ReferenceEngine::new(&model, lookahead);
+        for d in &deltas {
+            reference.push(*d);
+        }
+        let (ref_events, ref_stats) = reference.finish();
+        prop_assert_eq!(stage.stats(), ref_stats);
+        prop_assert_eq!(events, ref_events);
     }
 
     #[test]
