@@ -45,16 +45,6 @@ impl CounterGroup {
             CounterGroup::Lrz => 0x19,
         }
     }
-
-    /// Looks a group up by its KGSL id.
-    pub const fn from_kgsl_id(id: u32) -> Option<CounterGroup> {
-        match id {
-            0x5 => Some(CounterGroup::Vpc),
-            0x7 => Some(CounterGroup::Ras),
-            0x19 => Some(CounterGroup::Lrz),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for CounterGroup {
@@ -168,11 +158,8 @@ impl TrackedCounter {
         }
     }
 
-    /// Looks a tracked counter up from its `(group, countable)` pair.
-    ///
-    /// This is the inverse of [`TrackedCounter::id`], written as a direct
-    /// match so the per-entry lookup in the block-read ioctl path costs a
-    /// jump table instead of a linear scan over [`ALL_TRACKED`].
+    /// Looks a tracked counter up from its `(group, countable)` pair: the
+    /// inverse of [`TrackedCounter::id`].
     pub const fn from_id(id: CounterId) -> Option<TrackedCounter> {
         use CounterGroup::*;
         use TrackedCounter::*;
@@ -413,8 +400,6 @@ mod tests {
         assert_eq!(CounterGroup::Vpc.kgsl_id(), 0x5);
         assert_eq!(CounterGroup::Ras.kgsl_id(), 0x7);
         assert_eq!(CounterGroup::Lrz.kgsl_id(), 0x19);
-        assert_eq!(CounterGroup::from_kgsl_id(0x19), Some(CounterGroup::Lrz));
-        assert_eq!(CounterGroup::from_kgsl_id(0x42), None);
     }
 
     #[test]

@@ -61,4 +61,4 @@ pub use incremental::{FrameRenderer, IncrementalStats, RendererSet};
 pub use memo::{render_cache_stats, render_cached, reset_render_caches, CacheStats};
 pub use model::{GpuModel, GpuParams, ALL_MODELS};
 pub use scene::{DrawList, Layer, Primitive};
-pub use time::{SharedClock, SimDuration, SimInstant};
+pub use time::{SimDuration, SimInstant};

@@ -6,8 +6,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A point on the simulated timeline, in nanoseconds since simulation start.
 ///
@@ -225,56 +223,9 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A shared, monotonically advancing simulation clock.
-///
-/// The UI simulation advances the clock; every other component (the KGSL
-/// device, samplers, schedulers) reads it, mirroring how real code reads the
-/// wall clock without owning it.
-///
-/// # Examples
-///
-/// ```
-/// use adreno_sim::time::{SharedClock, SimInstant};
-///
-/// let clock = SharedClock::new();
-/// let reader = clock.clone();
-/// clock.advance_to(SimInstant::from_millis(5));
-/// assert_eq!(reader.now(), SimInstant::from_millis(5));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SharedClock {
-    nanos: Arc<AtomicU64>,
-}
-
-impl SharedClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        SharedClock::default()
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimInstant {
-        SimInstant(self.nanos.load(Ordering::Acquire))
-    }
-
-    /// Advances the clock to `t`. Going backwards is a no-op: the clock is
-    /// monotonic even with multiple writers.
-    pub fn advance_to(&self, t: SimInstant) {
-        self.nanos.fetch_max(t.as_nanos(), Ordering::AcqRel);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_clock_is_monotonic() {
-        let clock = SharedClock::new();
-        clock.advance_to(SimInstant::from_millis(10));
-        clock.advance_to(SimInstant::from_millis(5)); // ignored
-        assert_eq!(clock.now(), SimInstant::from_millis(10));
-    }
 
     #[test]
     fn instant_arithmetic_round_trips() {

@@ -1,24 +1,22 @@
 //! The discrete-event UI simulation.
 //!
-//! [`UiSimulation`] owns the GPU, the shared clock, the KGSL device file and
-//! the three windows (app, keyboard, status bar). It consumes timed input
-//! events, renders damaged windows at vsync boundaries, and maintains the
-//! ground truth an attack's output is scored against.
+//! [`UiSimulation`] owns the KGSL device file — which owns the GPU and the
+//! clock — and the three windows (app, keyboard, status bar). It consumes
+//! timed input events, renders damaged windows at vsync boundaries, and
+//! maintains the ground truth an attack's output is scored against.
 //!
-//! The attack never touches this struct's internals: it only holds the
-//! [`kgsl::KgslDevice`] handle and calls [`UiSimulation::advance_to`] to let
-//! simulated time pass between counter reads — the analogue of `sleep()`
-//! between `ioctl()` calls on a real phone.
+//! The attack never touches this struct's internals: it only borrows the
+//! [`kgsl::KgslDevice`] for its calls and calls [`UiSimulation::advance_to`]
+//! to let simulated time pass between counter reads — the analogue of
+//! `sleep()` between `ioctl()` calls on a real phone.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use adreno_sim::counters::{CounterSet, TrackedCounter};
 use adreno_sim::gpu::Gpu;
-use adreno_sim::time::{SharedClock, SimDuration, SimInstant};
+use adreno_sim::time::{SimDuration, SimInstant};
 use kgsl::{KgslDevice, ObfuscationConfig, Obfuscator};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,6 +141,10 @@ struct Damage {
 
 /// The victim device simulation.
 ///
+/// It owns its device file, GPU and clock outright, so it is `Send` — a
+/// fleet hands it from worker to worker between quanta — but its device is
+/// not `Sync`: one thread at a time steps the victim and reads its counters.
+///
 /// # Examples
 ///
 /// ```
@@ -160,9 +162,7 @@ struct Damage {
 #[derive(Debug)]
 pub struct UiSimulation {
     config: SimConfig,
-    gpu: Arc<Mutex<Gpu>>,
-    clock: SharedClock,
-    device: Arc<KgslDevice>,
+    device: KgslDevice,
     rng: StdRng,
     queue: BinaryHeap<QueuedEvent>,
     next_seq: u64,
@@ -202,9 +202,7 @@ impl UiSimulation {
     pub fn new(config: SimConfig) -> Self {
         assert!((0.0..=1.0).contains(&config.gpu_load), "gpu_load must be in 0..=1");
         assert!((0.0..=1.0).contains(&config.cpu_load), "cpu_load must be in 0..=1");
-        let gpu = Arc::new(Mutex::new(Gpu::new(config.device.gpu())));
-        let clock = SharedClock::new();
-        let device = Arc::new(KgslDevice::new(Arc::clone(&gpu), clock.clone()));
+        let device = KgslDevice::new(Gpu::new(config.device.gpu()));
         let keyboard = KeyboardWindow::new(config.keyboard, &config.device, config.popups_enabled);
         let login = LoginScreen::new(config.app, &config.device);
         let status = StatusBar::new(&config.device);
@@ -222,8 +220,6 @@ impl UiSimulation {
         let start_in_other = config.start_in_other;
         UiSimulation {
             config,
-            gpu,
-            clock,
             device,
             rng,
             queue: BinaryHeap::new(),
@@ -264,18 +260,13 @@ impl UiSimulation {
     }
 
     /// The KGSL device file the attack reads through.
-    pub fn device(&self) -> &Arc<KgslDevice> {
+    pub fn device(&self) -> &KgslDevice {
         &self.device
     }
 
-    /// The shared simulation clock.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-
-    /// The GPU (shared with the device file).
-    pub fn gpu(&self) -> &Arc<Mutex<Gpu>> {
-        &self.gpu
+    /// The GPU behind the device file.
+    pub fn gpu_mut(&mut self) -> &mut Gpu {
+        self.device.gpu_mut()
     }
 
     /// Reuse counters of the GPU's incremental frame renderers.
@@ -286,7 +277,7 @@ impl UiSimulation {
     /// popup, app window growing by one echo glyph) only recompute the
     /// changed layers.
     pub fn incremental_stats(&self) -> adreno_sim::incremental::IncrementalStats {
-        self.gpu.lock().incremental_stats()
+        self.device.gpu().incremental_stats()
     }
 
     /// Simulated time processed so far.
@@ -331,7 +322,7 @@ impl UiSimulation {
 
     /// Advances simulated time to `target`, processing every queued event,
     /// vsync, cursor blink and noise source on the way, and finally moves
-    /// the shared clock so device-file reads observe the new time.
+    /// the device's clock so device-file reads observe the new time.
     pub fn advance_to(&mut self, target: SimInstant) {
         loop {
             let ev_t = self.queue.peek().map(|e| e.at);
@@ -380,9 +371,9 @@ impl UiSimulation {
         }
         self.processed_until = target;
         if let Some(obf) = &mut self.obfuscator {
-            obf.run_until(target, &mut self.gpu.lock());
+            obf.run_until(target, self.device.gpu_mut());
         }
-        self.clock.advance_to(target);
+        self.device.advance_clock(target);
     }
 
     fn handle_event(&mut self, at: SimInstant, event: UiEvent) {
@@ -553,13 +544,13 @@ impl UiSimulation {
     }
 
     fn submit(&mut self, dl: &adreno_sim::scene::DrawList, at: SimInstant) {
-        self.gpu.lock().submit(dl, at);
+        self.device.gpu_mut().submit(dl, at);
         self.frames_submitted += 1;
     }
 
     fn do_frame(&mut self, t: SimInstant) {
         if let Some(obf) = &mut self.obfuscator {
-            obf.run_until(t, &mut self.gpu.lock());
+            obf.run_until(t, self.device.gpu_mut());
         }
         // Background GPU workload (Fig 22b): a slice of `gpu_load` per frame.
         if self.config.gpu_load > 0.0 {
@@ -572,7 +563,7 @@ impl UiSimulation {
             let cycles = (frame_cycles as f64 * self.config.gpu_load * jitter) as u64;
             if cycles > 0 {
                 let counters = external_load_counters(cycles);
-                self.gpu.lock().submit_workload(counters, cycles, t);
+                self.device.gpu_mut().submit_workload(counters, cycles, t);
             }
         }
 
@@ -657,6 +648,12 @@ impl UiSimulation {
     }
 }
 
+// A fleet moves each victim between worker threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<UiSimulation>();
+};
+
 /// Counter profile of the background GPU workload (Fig 22b).
 ///
 /// The paper's load generator "invokes OpenGL ES APIs to render 3D objects
@@ -691,7 +688,7 @@ mod tests {
 
     fn counters_now(sim: &mut UiSimulation, t: SimInstant) -> CounterSet {
         sim.advance_to(t);
-        sim.gpu().lock().counters_at(t)
+        sim.gpu_mut().counters_at(t)
     }
 
     #[test]
@@ -837,8 +834,7 @@ mod tests {
                 t += SimDuration::from_millis(250);
             }
             sim.advance_to(SimInstant::from_millis(5_000));
-            let snapshot = sim.gpu().lock().counters_at(SimInstant::from_millis(5_000));
-            snapshot
+            sim.gpu_mut().counters_at(SimInstant::from_millis(5_000))
         };
         assert_eq!(run(()), run(()));
     }

@@ -82,9 +82,9 @@ fn bench_ioctl_read(c: &mut Criterion) {
     use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
     let sim = android_ui::UiSimulation::new(SimConfig::paper_default(0));
     let mut sampler = Sampler::open(sim.device(), SamplerConfig::default_8ms()).unwrap();
-    let device = std::sync::Arc::clone(sim.device());
+    let device = sim.device();
     c.bench_function("ioctl_blockread_11_counters", |b| {
-        b.iter(|| sampler.read_once(black_box(&device)).unwrap())
+        b.iter(|| sampler.read_once(black_box(device)).unwrap())
     });
 }
 

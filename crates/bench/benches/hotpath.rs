@@ -446,33 +446,39 @@ fn bench_extraction_paper_regime(c: &mut Criterion) {
 }
 
 fn bench_read_loop_alloc_vs_scratch(c: &mut Criterion) {
-    let sim = android_ui::UiSimulation::new(SimConfig::paper_default(0));
+    let mut sim = android_ui::UiSimulation::new(SimConfig::paper_default(0));
     let mut sampler = Sampler::open(sim.device(), SamplerConfig::default_8ms()).unwrap();
-    let device = std::sync::Arc::clone(sim.device());
+    // Let the victim draw its login screen, so both paths read live values.
+    sim.advance_to(SimInstant::from_millis(500));
+    let device = sim.device();
     let fd = sampler.fd();
     // The pre-refactor read path: build the request vector on the heap for
     // every read, exactly as `read_once` used to.
+    let allocating_read = || {
+        let mut reads: Vec<KgslPerfcounterReadGroup> = ALL_TRACKED
+            .iter()
+            .map(|t| {
+                let id = t.id();
+                KgslPerfcounterReadGroup::new(id.group.kgsl_id(), id.countable)
+            })
+            .collect();
+        device
+            .ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
+            .unwrap();
+        let mut out = CounterSet::ZERO;
+        for (t, r) in ALL_TRACKED.iter().zip(reads.iter()) {
+            out[*t] = r.value;
+        }
+        out
+    };
+    let reference = allocating_read();
+    assert!(!reference.is_zero(), "the login screen must show in the counters");
+    assert_eq!(sampler.read_once(device).unwrap(), reference, "the two read paths disagree");
     c.bench_function("read_loop/allocating_request_vec", |b| {
-        b.iter(|| {
-            let mut reads: Vec<KgslPerfcounterReadGroup> = ALL_TRACKED
-                .iter()
-                .map(|t| {
-                    let id = t.id();
-                    KgslPerfcounterReadGroup::new(id.group.kgsl_id(), id.countable)
-                })
-                .collect();
-            device
-                .ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
-                .unwrap();
-            let mut out = CounterSet::ZERO;
-            for (t, r) in ALL_TRACKED.iter().zip(reads.iter()) {
-                out[*t] = r.value;
-            }
-            black_box(out)
-        })
+        b.iter(|| black_box(allocating_read()))
     });
     c.bench_function("read_loop/reused_scratch_buffer", |b| {
-        b.iter(|| black_box(sampler.read_once(black_box(&device)).unwrap()))
+        b.iter(|| black_box(sampler.read_once(black_box(device)).unwrap()))
     });
 }
 

@@ -78,6 +78,7 @@ pub fn mitigation(ctx: &Ctx) {
             gpu_sc_attack::Sampler::open(sim.device(), gpu_sc_attack::SamplerConfig::default_8ms())
                 .expect("stock policy");
         let trace = sampler.sample_until(&mut sim, end).expect("stock policy");
+        sampler.close(sim.device());
         let mut detector = gpu_sc_attack::correction::CorrectionDetector::new(
             model.ambient_signatures().to_vec(),
             gpu_sc_attack::correction::CorrectionConfig::default(),

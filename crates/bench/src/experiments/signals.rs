@@ -22,6 +22,7 @@ fn quiet_sim(seed: u64) -> UiSimulation {
 fn sample(sim: &mut UiSimulation, until_ms: u64) -> Vec<gpu_sc_attack::Delta> {
     let mut s = Sampler::open(sim.device(), SamplerConfig::default_8ms()).expect("stock policy");
     let trace = s.sample_until(sim, SimInstant::from_millis(until_ms)).expect("stock policy");
+    s.close(sim.device());
     extract_deltas(&trace)
 }
 

@@ -737,13 +737,13 @@ impl ClassifierModel {
     /// key-frame-sized total magnitude.
     ///
     /// Algorithm 1 needs only that yes/no, so a probe outside the
-    /// acceptance box ([`AcceptBox`]) is rejected before it is whitened, and
-    /// the scan of one inside it starts from the acceptance bound instead
-    /// of `+∞`: a probe with no centroid within `C_th` is rejected without
-    /// its nearest centroid ever being found, while an accepted probe finds
-    /// the same centroid at a bit-identical distance. No clock is read and
-    /// no telemetry is recorded here; the caller counts its probes (see
-    /// [`crate::online`]).
+    /// acceptance box ([`ClassifierModel::acceptance_box`]) is rejected
+    /// before it is whitened, and the scan of one inside it starts from the
+    /// acceptance bound instead of `+∞`: a probe with no centroid within
+    /// `C_th` is rejected without its nearest centroid ever being found,
+    /// while an accepted probe finds the same centroid at a bit-identical
+    /// distance. No clock is read and no telemetry is recorded here; the
+    /// caller counts its probes (see [`crate::online`]).
     pub fn classify(&self, v: &CounterSet) -> Classification {
         if !self.accept_box.contains(v) {
             return Classification::Rejected;

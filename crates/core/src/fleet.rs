@@ -305,8 +305,11 @@ impl Session for FleetSession<'_> {
 
                 if live.sampling_done && self.ring_rx.is_empty() {
                     let Live { mut sampler, stream, session, .. } = *live;
-                    let result = match sampler.finish_stream(stream) {
-                        Ok(()) => session.finish(&sampler.report()),
+                    let finished = sampler.finish_stream(stream);
+                    let report = sampler.report();
+                    sampler.close(self.sim.device());
+                    let result = match finished {
+                        Ok(()) => session.finish(&report),
                         Err(err) => Err(ServiceError::Device(err)),
                     };
                     return Some(self.outcome(result));
@@ -318,6 +321,12 @@ impl Session for FleetSession<'_> {
         }
     }
 }
+
+// `run_sessions` hands each session from worker to worker between quanta.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<FleetSession<'static>>();
+};
 
 /// Shard bookkeeping for an all-in-process fleet: sessions assigned
 /// round-robin over per-shard [`AttackService`]s, then driven to

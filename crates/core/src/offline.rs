@@ -139,6 +139,7 @@ impl Trainer {
         let mut sampler =
             Sampler::open(sim.device(), sampler_cfg).expect("stock policy allows sampling");
         let trace = sampler.sample_until(&mut sim, end).expect("stock policy allows reads");
+        sampler.close(sim.device());
         let deltas = extract_deltas(&trace);
         let presses = sim.truth().keystrokes();
 

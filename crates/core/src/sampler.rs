@@ -30,7 +30,6 @@ use kgsl::abi::{
 use kgsl::{DeviceResult, Errno, KgslDevice, KgslFd, SelinuxDomain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 use crate::trace::{Sample, Trace};
 
@@ -248,9 +247,6 @@ pub struct SampleStream {
     last_err: Option<Errno>,
     acquired: u64,
     report_before: SamplerReport,
-    /// The device handle, cloned once at stream start so the per-slot loop
-    /// never touches the simulation's `Arc` again.
-    device: Arc<KgslDevice>,
     /// Per-slot retry counts, pre-bucketed against [`RETRY_HIST_EDGES`].
     /// Accumulated locally and published as one
     /// `core.sampler.slot_retries` histogram merge at
@@ -443,7 +439,6 @@ impl Sampler {
             last_err: None,
             acquired: 0,
             report_before: self.report,
-            device: Arc::clone(sim.device()),
             retry_buckets: [0; RETRY_HIST_EDGES.len() + 1],
             backoff_buckets: [0; BACKOFF_HIST_EDGES.len() + 1],
             _span: span,
@@ -470,12 +465,7 @@ impl Sampler {
                 let retries_before = self.report.retries_spent;
                 // Backoff may advance the clock, so the sample is stamped
                 // with the time the read actually completed.
-                match self.read_resilient(
-                    sim,
-                    &stream.device,
-                    stream.until,
-                    &mut stream.backoff_buckets,
-                ) {
+                match self.read_resilient(sim, stream.until, &mut stream.backoff_buckets) {
                     Ok(values) => {
                         self.report.acquired += 1;
                         produced = Some(Sample { at: sim.now(), values });
@@ -551,17 +541,18 @@ impl Sampler {
     /// One read slot under the retry budget: classify each failure, attempt
     /// the matching recovery, back off in sim-time (capped exponential with
     /// seeded jitter, each chosen delay bucketed into `backoff_buckets`),
-    /// and try again.
+    /// and try again. Each attempt borrows the victim's device afresh,
+    /// since a backoff moves the victim on.
     fn read_resilient(
         &mut self,
         sim: &mut UiSimulation,
-        device: &KgslDevice,
         until: SimInstant,
         backoff_buckets: &mut [u64; BACKOFF_HIST_EDGES.len() + 1],
     ) -> DeviceResult<adreno_sim::CounterSet> {
         let mut backoff = self.config.retry.initial_backoff;
         let mut failures = 0u32;
         loop {
+            let device = sim.device();
             let err = match self.read_once(device) {
                 Ok(values) => return Ok(values),
                 Err(err) => err,
@@ -624,6 +615,14 @@ impl Sampler {
         }
         self.fd = fd;
         Ok(())
+    }
+
+    /// Closes the sampler's handle, releasing its counter reservations.
+    /// Every driver calls this when its session ends, error returns
+    /// included. Best-effort: the fd may already be revoked, and then
+    /// there is nothing left to release.
+    pub fn close(self, device: &KgslDevice) {
+        let _ = device.close(self.fd);
     }
 }
 

@@ -644,8 +644,11 @@ impl AttackService {
                 break;
             }
         }
-        sampler.finish_stream(stream)?;
-        pipeline.finish(&sampler.report())
+        let finished = sampler.finish_stream(stream);
+        let report = sampler.report();
+        sampler.close(sim.device());
+        finished?;
+        pipeline.finish(&report)
     }
 
     /// The original batch driver: samples the whole session into a
@@ -666,9 +669,12 @@ impl AttackService {
         session_span.sim_range(sim.now().as_nanos(), until.as_nanos());
         let stage = spansight::span("core", "service.sample");
         let mut sampler = Sampler::open(sim.device(), self.config.sampler)?;
-        let trace = sampler.sample_until(sim, until)?;
+        let trace = sampler.sample_until(sim, until);
+        let report = sampler.report();
+        sampler.close(sim.device());
+        let trace = trace?;
         drop(stage);
-        self.process_trace(&trace, &sampler.report())
+        self.process_trace(&trace, &report)
     }
 
     /// Runs the analysis half of the pipeline over an already-recorded

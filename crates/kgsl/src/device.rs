@@ -2,20 +2,21 @@
 //!
 //! User-space drivers (OpenGL ES, Vulkan) and — crucially — any unprivileged
 //! process can `open()` this file and issue perf-counter ioctls (§4 of the
-//! paper). The device holds the GPU behind a lock, reads the shared clock for
-//! "now", validates requests exactly like the real driver (request-code
-//! match, reservation-before-read, group/countable bounds) and applies the
+//! paper). The device owns the victim phone's GPU and its clock, validates
+//! requests exactly like the real driver (request-code match,
+//! reservation-before-read, group/countable bounds) and applies the
 //! configured [`AccessPolicy`].
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::cell::{Ref, RefCell};
 
-use adreno_sim::counters::{CounterGroup, CounterId, CounterSet, TrackedCounter};
+use adreno_sim::counters::{CounterSet, TrackedCounter, ALL_TRACKED};
 use adreno_sim::gpu::Gpu;
-use adreno_sim::time::{SharedClock, SimDuration};
-use parking_lot::Mutex;
+use adreno_sim::time::{SimDuration, SimInstant};
 
-use crate::abi::{IoctlRequest, KgslPerfcounterReadGroup};
+use crate::abi::{
+    IoctlRequest, KgslPerfcounterReadGroup, KGSL_PERFCOUNTER_GROUP_LRZ, KGSL_PERFCOUNTER_GROUP_RAS,
+    KGSL_PERFCOUNTER_GROUP_VPC,
+};
 use crate::error::{DeviceResult, Errno};
 use crate::fault::{FaultEvent, FaultInjector, FaultLog, FaultPlan};
 use crate::policy::{AccessPolicy, CounterVisibility, SelinuxDomain};
@@ -41,13 +42,31 @@ const INLINE_READ_ENTRIES: usize = 16;
 /// Dense index of a KGSL group id within the reservation tables, `None` for
 /// unknown groups.
 const fn group_index(groupid: u32) -> Option<usize> {
-    match CounterGroup::from_kgsl_id(groupid) {
-        Some(CounterGroup::Vpc) => Some(0),
-        Some(CounterGroup::Ras) => Some(1),
-        Some(CounterGroup::Lrz) => Some(2),
-        None => None,
+    match groupid {
+        KGSL_PERFCOUNTER_GROUP_VPC => Some(0),
+        KGSL_PERFCOUNTER_GROUP_RAS => Some(1),
+        KGSL_PERFCOUNTER_GROUP_LRZ => Some(2),
+        _ => None,
     }
 }
+
+/// The tracked counter behind every `[group][countable]` slot, built from
+/// [`ALL_TRACKED`]; `None` is a valid hardware counter the simulation does
+/// not model. A block read resolves each entry with one load from this
+/// table.
+const TRACKED_SLOTS: [[Option<TrackedCounter>; COUNTABLES]; NUM_GROUPS] = {
+    let mut slots = [[None; COUNTABLES]; NUM_GROUPS];
+    let mut i = 0;
+    while i < ALL_TRACKED.len() {
+        let id = ALL_TRACKED[i].id();
+        let Some(group) = group_index(id.group.kgsl_id()) else {
+            panic!("every tracked counter lives in a modelled group");
+        };
+        slots[group][id.countable as usize] = Some(ALL_TRACKED[i]);
+        i += 1;
+    }
+    slots
+};
 
 /// Reservation refcounts as a dense `[group][countable]` table.
 ///
@@ -121,7 +140,7 @@ const ERRNO_COUNTERS: [(Errno, &str); 7] = [
     (Errno::Eintr, "kgsl.errno.eintr"),
 ];
 
-/// The device's call counts, kept as plain integers under the state lock
+/// The device's call counts, kept as plain integers in the device state
 /// and published once, when the device drops, so no call pays for a
 /// telemetry update.
 #[derive(Debug, Default)]
@@ -149,14 +168,16 @@ impl CallTally {
         self.errnos[slot] += 1;
     }
 
-    /// Adds every non-zero count to the current track's counters.
-    fn publish(&self) {
+    /// Adds every non-zero count to the current track's counters, with
+    /// `kgsl.handles_open_at_drop` for the `handles_open` nobody closed.
+    fn publish(&self, handles_open: u64) {
         let calls = [
             ("kgsl.open", self.opens),
             ("kgsl.close", self.closes),
             ("kgsl.ioctl.calls", self.ioctls),
             ("kgsl.fault.transient", self.transients),
             ("kgsl.fault.truncated_read", self.truncated_reads),
+            ("kgsl.handles_open_at_drop", handles_open),
         ];
         let errnos = ERRNO_COUNTERS.iter().zip(self.errnos).map(|(&(_, name), n)| (name, n));
         for (name, n) in calls.into_iter().chain(errnos) {
@@ -173,6 +194,7 @@ pub struct KgslFd(u32);
 
 #[derive(Debug, Clone)]
 struct HandleState {
+    fd: u32,
     pid: u32,
     domain: SelinuxDomain,
     /// This handle's own reservation refcounts, so `close()` can release
@@ -181,10 +203,13 @@ struct HandleState {
     reservations: ResvTable,
 }
 
-/// Everything the device mutates, behind its one `state` lock.
+/// Everything the device mutates, the GPU included.
 #[derive(Debug)]
 struct DeviceState {
-    handles: HashMap<u32, HandleState>,
+    gpu: Gpu,
+    /// Open handles, searched by fd. An attacker holds one or two at a
+    /// time, and fds are never reused, so a short scan is the whole lookup.
+    handles: Vec<HandleState>,
     /// The number the next `open` hands out.
     next_fd: u32,
     /// Device-wide reservation refcounts — the sum of every handle's counts,
@@ -202,26 +227,15 @@ struct DeviceState {
 }
 
 impl DeviceState {
-    fn new() -> Self {
-        DeviceState {
-            handles: HashMap::new(),
-            next_fd: 3, // 0..2 are stdio, as a nod to realism
-            reservations: ResvTable::EMPTY,
-            policy: AccessPolicy::default(),
-            fault: None,
-            counter_baseline: CounterSet::ZERO,
-            tally: CallTally::default(),
-        }
-    }
-
-    fn domain_of(&self, fd: KgslFd) -> DeviceResult<SelinuxDomain> {
-        self.handles.get(&fd.0).map(|h| h.domain).ok_or(Errno::Ebadf)
+    /// Where `fd`'s handle sits in `handles`; `EBADF` when it is not open.
+    fn slot_of(&self, fd: KgslFd) -> DeviceResult<usize> {
+        self.handles.iter().position(|h| h.fd == fd.0).ok_or(Errno::Ebadf)
     }
 
     /// Forgets every reservation, device-wide and per-handle (GPU slumber).
     fn clear_reservations(&mut self) {
         self.reservations.clear();
-        for handle in self.handles.values_mut() {
+        for handle in &mut self.handles {
             handle.reservations.clear();
         }
     }
@@ -229,12 +243,16 @@ impl DeviceState {
 
 /// The device file.
 ///
-/// # Locking
+/// # Ownership
 ///
-/// The device owns one lock, `state`, and shares the GPU's lock with the
-/// compositor. Every call takes `state` once, for its whole duration; a
-/// block read and a slumber also take the GPU lock inside it. The order is
-/// always `state` → `gpu`: nothing may take `state` while holding `gpu`.
+/// The device owns the victim phone's [`Gpu`] and its clock, and the
+/// victim simulation owns the device, so nothing about it is shared
+/// between threads: it is `Send` but not `Sync`, and the one thread that
+/// holds it steps the victim. Only the owner moves the clock
+/// ([`KgslDevice::advance_clock`]) or submits GPU work
+/// ([`KgslDevice::gpu_mut`]); `open`, `close` and `ioctl` take `&self` and
+/// borrow the device state once per call, so a block read pays for no
+/// lock, atomic or hash.
 ///
 /// # Telemetry
 ///
@@ -242,23 +260,22 @@ impl DeviceState {
 /// counted (`kgsl.open`, `kgsl.close`, `kgsl.ioctl.calls`, `kgsl.errno.*`,
 /// `kgsl.fault.transient`, `kgsl.fault.truncated_read`), but the counts are
 /// published only when the device drops, to the track current at that
-/// point. Slumber, revocation and policy-change events are recorded as
-/// they happen.
+/// point, along with `kgsl.handles_open_at_drop` when some handle was
+/// never closed. Slumber, revocation and policy-change events are recorded
+/// as they happen.
 ///
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
-/// use adreno_sim::{Gpu, GpuModel, SharedClock};
+/// use adreno_sim::geom::Rect;
+/// use adreno_sim::scene::DrawList;
+/// use adreno_sim::{Gpu, GpuModel, SimInstant};
 /// use kgsl::abi::*;
 /// use kgsl::device::KgslDevice;
 /// use kgsl::policy::SelinuxDomain;
-/// use parking_lot::Mutex;
 ///
 /// # fn main() -> Result<(), kgsl::error::Errno> {
-/// let gpu = Arc::new(Mutex::new(Gpu::new(GpuModel::Adreno650)));
-/// let clock = SharedClock::new();
-/// let dev = KgslDevice::new(gpu, clock);
+/// let mut dev = KgslDevice::new(Gpu::new(GpuModel::Adreno650));
 ///
 /// let fd = dev.open(1234, SelinuxDomain::UntrustedApp)?;
 /// let mut get = KgslPerfcounterGet { groupid: KGSL_PERFCOUNTER_GROUP_LRZ, countable: 14, ..Default::default() };
@@ -267,52 +284,95 @@ impl DeviceState {
 /// let mut reads = [KgslPerfcounterReadGroup::new(KGSL_PERFCOUNTER_GROUP_LRZ, 14)];
 /// dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))?;
 /// assert_eq!(reads[0].value, 0); // nothing rendered yet
+///
+/// // The owner renders a frame and lets time pass; the read sees it.
+/// let mut frame = DrawList::new(256, 256);
+/// frame.layer("bg").quad(Rect::from_xywh(0, 0, 256, 256), true);
+/// let end = dev.gpu_mut().submit(&frame, SimInstant::ZERO).end;
+/// dev.advance_clock(end);
+/// dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))?;
+/// assert!(reads[0].value > 0);
+/// dev.close(fd)?;
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct KgslDevice {
-    gpu: Arc<Mutex<Gpu>>,
-    clock: SharedClock,
-    state: Mutex<DeviceState>,
+    /// The simulated "now" every call observes; see
+    /// [`KgslDevice::advance_clock`].
+    now: SimInstant,
+    state: RefCell<DeviceState>,
 }
 
 impl KgslDevice {
-    /// Creates the device over a GPU and a clock.
-    pub fn new(gpu: Arc<Mutex<Gpu>>, clock: SharedClock) -> Self {
-        KgslDevice { gpu, clock, state: Mutex::new(DeviceState::new()) }
+    /// Creates the device over a GPU, with the clock at time zero.
+    pub fn new(gpu: Gpu) -> Self {
+        KgslDevice {
+            now: SimInstant::ZERO,
+            state: RefCell::new(DeviceState {
+                gpu,
+                handles: Vec::new(),
+                next_fd: 3, // 0..2 are stdio, as a nod to realism
+                reservations: ResvTable::EMPTY,
+                policy: AccessPolicy::default(),
+                fault: None,
+                counter_baseline: CounterSet::ZERO,
+                tally: CallTally::default(),
+            }),
+        }
+    }
+
+    /// The current simulated time.
+    pub fn now(&self) -> SimInstant {
+        self.now
+    }
+
+    /// Moves the clock to `t`. The clock never goes backwards: an earlier
+    /// `t` is a no-op.
+    pub fn advance_clock(&mut self, t: SimInstant) {
+        self.now = self.now.max(t);
+    }
+
+    /// The GPU behind the device, read-only. Drop the guard before the
+    /// next device call: a call made while it is alive panics.
+    pub fn gpu(&self) -> Ref<'_, Gpu> {
+        Ref::map(self.state.borrow(), |st| &st.gpu)
+    }
+
+    /// The GPU behind the device, for its owner to submit work to.
+    pub fn gpu_mut(&mut self) -> &mut Gpu {
+        &mut self.state.get_mut().gpu
     }
 
     /// Installs a fault-injection plan. Subsequent `open`/`ioctl` calls
     /// consult the plan's schedule and transient rates; see [`crate::fault`].
     /// Replaces any previously installed plan (and its log).
     pub fn install_fault_plan(&self, plan: &FaultPlan) {
-        self.state.lock().fault = Some(FaultInjector::new(plan));
+        self.state.borrow_mut().fault = Some(FaultInjector::new(plan));
     }
 
     /// Removes the fault injector; the device returns to ideal behaviour.
     pub fn clear_fault_plan(&self) {
-        self.state.lock().fault = None;
+        self.state.borrow_mut().fault = None;
     }
 
     /// Counts of faults delivered so far, if a plan is installed.
     pub fn fault_log(&self) -> Option<FaultLog> {
-        self.state.lock().fault.as_ref().map(FaultInjector::log)
+        self.state.borrow().fault.as_ref().map(FaultInjector::log)
     }
 
     /// Delivers due scheduled fault events, then makes this call's transient
-    /// draw. Called at every `open`/`ioctl` entry with the state locked;
-    /// `Some(errno)` means the call fails with that transient error.
+    /// draw. Called at every `open`/`ioctl` entry; `Some(errno)` means the
+    /// call fails with that transient error.
     fn service_faults(&self, st: &mut DeviceState) -> Option<Errno> {
         let injector = st.fault.as_mut()?;
-        let now = self.clock.now();
-        for event in injector.due_events(now) {
+        for event in injector.due_events(self.now) {
             match event {
                 FaultEvent::Slumber => {
                     spansight::instant("kgsl", "kgsl.fault.slumber");
                     // The hardware forgets: registers restart from zero and
                     // reservations are gone.
-                    st.counter_baseline = self.gpu.lock().counters_at(now);
+                    st.counter_baseline = st.gpu.counters_at(self.now);
                     st.clear_reservations();
                 }
                 FaultEvent::RevokeFds => {
@@ -333,25 +393,15 @@ impl KgslDevice {
         transient
     }
 
-    /// The shared clock this device reads.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-
-    /// The GPU behind the device (shared with the compositor).
-    pub fn gpu(&self) -> &Arc<Mutex<Gpu>> {
-        &self.gpu
-    }
-
     /// Installs a new access-control policy (the "OS security update" hook
     /// used by the §9.2 mitigation experiments).
     pub fn set_policy(&self, policy: AccessPolicy) {
-        self.state.lock().policy = policy;
+        self.state.borrow_mut().policy = policy;
     }
 
     /// The currently installed policy.
     pub fn policy(&self) -> AccessPolicy {
-        self.state.lock().policy.clone()
+        self.state.borrow().policy.clone()
     }
 
     /// Opens the device file from a process.
@@ -362,7 +412,7 @@ impl KgslDevice {
     /// the call may still fail transiently (`EBUSY`/`EINTR`), like any
     /// interrupted syscall.
     pub fn open(&self, pid: u32, domain: SelinuxDomain) -> DeviceResult<KgslFd> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.tally.opens += 1;
         if let Some(errno) = self.service_faults(&mut st) {
             st.tally.fail(errno);
@@ -370,7 +420,7 @@ impl KgslDevice {
         }
         let fd = st.next_fd;
         st.next_fd += 1;
-        st.handles.insert(fd, HandleState { pid, domain, reservations: ResvTable::EMPTY });
+        st.handles.push(HandleState { fd, pid, domain, reservations: ResvTable::EMPTY });
         Ok(KgslFd(fd))
     }
 
@@ -378,26 +428,24 @@ impl KgslDevice {
     /// driver's per-context cleanup). Closing an unknown handle returns
     /// `EBADF`.
     pub fn close(&self, fd: KgslFd) -> DeviceResult<()> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.tally.closes += 1;
-        match st.handles.remove(&fd.0) {
-            Some(handle) => {
-                for group in 0..NUM_GROUPS {
-                    for countable in 0..COUNTABLES {
-                        for _ in 0..handle.reservations.count(group, countable) {
-                            st.reservations.release(group, countable);
-                        }
-                    }
+        let slot = st.slot_of(fd)?;
+        let handle = st.handles.remove(slot);
+        for group in 0..NUM_GROUPS {
+            for countable in 0..COUNTABLES {
+                for _ in 0..handle.reservations.count(group, countable) {
+                    st.reservations.release(group, countable);
                 }
-                Ok(())
             }
-            None => Err(Errno::Ebadf),
         }
+        Ok(())
     }
 
     /// The pid that opened `fd` (as `lsof` would report).
     pub fn owner_pid(&self, fd: KgslFd) -> DeviceResult<u32> {
-        self.state.lock().handles.get(&fd.0).map(|h| h.pid).ok_or(Errno::Ebadf)
+        let st = self.state.borrow();
+        st.slot_of(fd).map(|slot| st.handles[slot].pid)
     }
 
     /// The `ioctl(2)` entry point.
@@ -414,20 +462,20 @@ impl KgslDevice {
     /// * `EACCES`/`EPERM` — blocked by the installed [`AccessPolicy`].
     pub fn ioctl(&self, fd: KgslFd, code: u32, req: IoctlRequest<'_>) -> DeviceResult<()> {
         let _span = ioctl_span_name(&req).map(|name| spansight::span("kgsl", name));
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.tally.ioctls += 1;
-        let result = self.ioctl_locked(&mut st, fd, code, req);
+        let result = self.ioctl_in(&mut st, fd, code, req);
         if let Err(errno) = result {
             st.tally.fail(errno);
         }
         result
     }
 
-    /// One ioctl under the state lock. The checks run in a fixed order —
+    /// One ioctl on the borrowed state. The checks run in a fixed order —
     /// fault servicing, `EBADF`, the request code, then the request's own
     /// checks. Which calls reach a fault draw depends on that order, so
     /// reordering the checks changes the outcome of every fault plan.
-    fn ioctl_locked(
+    fn ioctl_in(
         &self,
         st: &mut DeviceState,
         fd: KgslFd,
@@ -437,13 +485,14 @@ impl KgslDevice {
         if let Some(errno) = self.service_faults(st) {
             return Err(errno);
         }
-        let domain = st.domain_of(fd)?;
+        let slot = st.slot_of(fd)?;
+        let domain = st.handles[slot].domain;
         if code != req.expected_code() {
             return Err(Errno::Einval);
         }
         match &mut req {
             IoctlRequest::PerfcounterGet(get) => {
-                let group = self.validate_target(get.groupid, get.countable)?;
+                let group = validate_target(get.groupid, get.countable)?;
                 if st.policy.visibility(domain) == CounterVisibility::Denied {
                     return Err(Errno::Eacces);
                 }
@@ -454,20 +503,16 @@ impl KgslDevice {
                     return Err(Errno::Ebusy);
                 }
                 st.reservations.acquire(group, countable);
-                st.handles
-                    .get_mut(&fd.0)
-                    .expect("checked by domain_of")
-                    .reservations
-                    .acquire(group, countable);
+                st.handles[slot].reservations.acquire(group, countable);
                 // Fabricate plausible register offsets.
                 get.offset = 0xA000 + get.groupid * 0x40 + get.countable * 2;
                 get.offset_hi = get.offset + 1;
                 Ok(())
             }
             IoctlRequest::PerfcounterPut(put) => {
-                let group = self.validate_target(put.groupid, put.countable)?;
+                let group = validate_target(put.groupid, put.countable)?;
                 let countable = put.countable as usize;
-                let handle = st.handles.get_mut(&fd.0).expect("checked by domain_of");
+                let handle = &mut st.handles[slot];
                 if handle.reservations.count(group, countable) == 0 {
                     // This handle holds no such reservation (it may never
                     // have taken one, or lost it across a slumber).
@@ -479,16 +524,6 @@ impl KgslDevice {
             }
             IoctlRequest::PerfcounterRead(reads) => self.perfcounter_read(st, domain, reads),
         }
-    }
-
-    /// Checks a `(group, countable)` target and returns the group's dense
-    /// reservation-table index.
-    fn validate_target(&self, groupid: u32, countable: u32) -> DeviceResult<usize> {
-        let group = group_index(groupid).ok_or(Errno::Einval)?;
-        if countable > MAX_COUNTABLE {
-            return Err(Errno::Einval);
-        }
-        Ok(group)
     }
 
     fn perfcounter_read(
@@ -504,8 +539,7 @@ impl KgslDevice {
         // Validate all targets first — the real driver fails the whole
         // block-read on the first bad entry without partial writes — and
         // resolve each entry to its tracked counter in the same pass, so
-        // the fill loops below run over precomputed lookups instead of
-        // re-deriving group and countable per entry per loop. The
+        // the fill loops below run over precomputed lookups. The
         // resolution buffer lives on the stack for anything up to
         // `INLINE_READ_ENTRIES` (the attack's request is 11 entries);
         // oversized requests spill to the heap.
@@ -518,14 +552,12 @@ impl KgslDevice {
             &mut heap
         };
         for (r, slot) in reads.iter().zip(resolved.iter_mut()) {
-            let group = self.validate_target(r.groupid, r.countable)?;
-            if st.reservations.count(group, r.countable as usize) == 0 {
+            let group = validate_target(r.groupid, r.countable)?;
+            let countable = r.countable as usize;
+            if st.reservations.count(group, countable) == 0 {
                 return Err(Errno::Einval);
             }
-            let group = CounterGroup::from_kgsl_id(r.groupid).expect("validated above");
-            // `None` is a valid hardware counter our simulation does
-            // not model: it reads as a quiescent counter.
-            *slot = TrackedCounter::from_id(CounterId::new(group, r.countable));
+            *slot = TRACKED_SLOTS[group][countable];
         }
         if visibility == CounterVisibility::LocalOnly {
             // The caller sees only its own GPU activity. The attacking
@@ -540,7 +572,7 @@ impl KgslDevice {
         // `EINTR` — the ioctl analogue of a short `read(2)`. Callers must
         // discard the buffer, like the wire decoder discards short frames.
         let truncate_at = st.fault.as_mut().and_then(|inj| inj.draw_truncation(reads.len()));
-        let snapshot = self.gpu.lock().counters_at(self.clock.now());
+        let snapshot = st.gpu.counters_at(self.now);
         // Registers physically reset across a GPU slumber, so a read reports
         // the cumulative count since the most recent slumber baseline.
         let baseline = &st.counter_baseline;
@@ -566,15 +598,25 @@ impl KgslDevice {
     /// The `/sys/class/kgsl/kgsl-3d0/gpu_busy_percentage` sysfs endpoint:
     /// GPU utilisation over the last 100 ms, in percent.
     pub fn gpu_busy_percentage(&self) -> u32 {
-        let now = self.clock.now();
-        let frac = self.gpu.lock().busy_fraction(now, SimDuration::from_millis(100));
+        let frac = self.gpu().busy_fraction(self.now, SimDuration::from_millis(100));
         (frac * 100.0).round() as u32
     }
 }
 
+/// Checks a `(group, countable)` target and returns the group's dense
+/// reservation-table index.
+fn validate_target(groupid: u32, countable: u32) -> DeviceResult<usize> {
+    let group = group_index(groupid).ok_or(Errno::Einval)?;
+    if countable > MAX_COUNTABLE {
+        return Err(Errno::Einval);
+    }
+    Ok(group)
+}
+
 impl Drop for KgslDevice {
     fn drop(&mut self) {
-        self.state.get_mut().tally.publish();
+        let st = self.state.get_mut();
+        st.tally.publish(st.handles.len() as u64);
     }
 }
 
@@ -582,14 +624,34 @@ impl Drop for KgslDevice {
 mod tests {
     use super::*;
     use crate::abi::*;
+    use adreno_sim::counters::{CounterGroup, CounterId};
     use adreno_sim::geom::Rect;
     use adreno_sim::scene::DrawList;
-    use adreno_sim::time::SimInstant;
     use adreno_sim::GpuModel;
 
     fn device() -> KgslDevice {
-        let gpu = Arc::new(Mutex::new(Gpu::new(GpuModel::Adreno650)));
-        KgslDevice::new(gpu, SharedClock::new())
+        KgslDevice::new(Gpu::new(GpuModel::Adreno650))
+    }
+
+    #[test]
+    fn tracked_slots_agree_with_from_id() {
+        for (group, slots) in
+            [CounterGroup::Vpc, CounterGroup::Ras, CounterGroup::Lrz].into_iter().zip(TRACKED_SLOTS)
+        {
+            assert_eq!(group_index(group.kgsl_id()), Some(group as usize));
+            for (countable, slot) in (0..).zip(slots) {
+                let id = CounterId::new(group, countable);
+                assert_eq!(slot, TrackedCounter::from_id(id), "slot {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_clock_is_monotonic() {
+        let mut dev = device();
+        dev.advance_clock(SimInstant::from_millis(10));
+        dev.advance_clock(SimInstant::from_millis(5)); // ignored
+        assert_eq!(dev.now(), SimInstant::from_millis(10));
     }
 
     fn get_counter(dev: &KgslDevice, fd: KgslFd, group: u32, countable: u32) -> DeviceResult<()> {
@@ -619,18 +681,15 @@ mod tests {
 
     #[test]
     fn read_observes_rendered_frames() {
-        let dev = device();
+        let mut dev = device();
         let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 13).unwrap();
 
         // Some other process renders a frame.
         let mut dl = DrawList::new(256, 256);
         dl.layer("bg").quad(Rect::from_xywh(0, 0, 256, 256), true);
-        let end = {
-            let mut gpu = dev.gpu().lock();
-            gpu.submit(&dl, SimInstant::ZERO).end
-        };
-        dev.clock().advance_to(end);
+        let end = dev.gpu_mut().submit(&dl, SimInstant::ZERO).end;
+        dev.advance_clock(end);
 
         let mut reads = [KgslPerfcounterReadGroup::new(KGSL_PERFCOUNTER_GROUP_LRZ, 13)];
         dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
@@ -787,7 +846,7 @@ mod tests {
 
     #[test]
     fn rbac_gives_untrusted_apps_a_frozen_local_view() {
-        let dev = device();
+        let mut dev = device();
         dev.set_policy(AccessPolicy::role_based([SelinuxDomain::GpuProfiler]));
         let attacker = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         let profiler = dev.open(2, SelinuxDomain::GpuProfiler).unwrap();
@@ -795,8 +854,8 @@ mod tests {
 
         let mut dl = DrawList::new(256, 256);
         dl.layer("bg").quad(Rect::from_xywh(0, 0, 256, 256), true);
-        let end = dev.gpu().lock().submit(&dl, SimInstant::ZERO).end;
-        dev.clock().advance_to(end);
+        let end = dev.gpu_mut().submit(&dl, SimInstant::ZERO).end;
+        dev.advance_clock(end);
 
         let mut reads = [KgslPerfcounterReadGroup::new(KGSL_PERFCOUNTER_GROUP_LRZ, 13)];
         dev.ioctl(attacker, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
@@ -808,19 +867,19 @@ mod tests {
         assert_eq!(reads[0].value, 2, "profiler retains global visibility");
     }
 
-    fn render_a_frame(dev: &KgslDevice, at: SimInstant) {
+    fn render_a_frame(dev: &mut KgslDevice, at: SimInstant) {
         let mut dl = DrawList::new(256, 256);
         dl.layer("bg").quad(Rect::from_xywh(0, 0, 256, 256), true);
-        let end = dev.gpu().lock().submit(&dl, at).end;
-        dev.clock().advance_to(end);
+        let end = dev.gpu_mut().submit(&dl, at).end;
+        dev.advance_clock(end);
     }
 
     #[test]
     fn slumber_zeroes_live_counters_and_drops_reservations() {
-        let dev = device();
+        let mut dev = device();
         let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 13).unwrap();
-        render_a_frame(&dev, SimInstant::ZERO);
+        render_a_frame(&mut dev, SimInstant::ZERO);
 
         let mut reads = [KgslPerfcounterReadGroup::new(KGSL_PERFCOUNTER_GROUP_LRZ, 13)];
         dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
@@ -828,9 +887,9 @@ mod tests {
         assert_eq!(reads[0].value, 2);
 
         let plan = FaultPlan::new(0)
-            .at(dev.clock().now() + SimDuration::from_millis(1), crate::fault::FaultEvent::Slumber);
+            .at(dev.now() + SimDuration::from_millis(1), crate::fault::FaultEvent::Slumber);
         dev.install_fault_plan(&plan);
-        dev.clock().advance_to(dev.clock().now() + SimDuration::from_millis(2));
+        dev.advance_clock(dev.now() + SimDuration::from_millis(2));
 
         // The reservation is gone: the read is EINVAL until re-acquired.
         assert_eq!(
@@ -845,7 +904,8 @@ mod tests {
         assert_eq!(dev.fault_log().unwrap().slumbers, 1);
 
         // New work after the slumber is visible again.
-        render_a_frame(&dev, dev.clock().now());
+        let now = dev.now();
+        render_a_frame(&mut dev, now);
         dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
             .unwrap();
         assert_eq!(reads[0].value, 2);
@@ -853,13 +913,13 @@ mod tests {
 
     #[test]
     fn revocation_makes_every_fd_ebadf() {
-        let dev = device();
+        let mut dev = device();
         let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 13).unwrap();
         dev.install_fault_plan(
             &FaultPlan::new(0).at(SimInstant::from_millis(10), crate::fault::FaultEvent::RevokeFds),
         );
-        dev.clock().advance_to(SimInstant::from_millis(20));
+        dev.advance_clock(SimInstant::from_millis(20));
         assert_eq!(
             get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 14).unwrap_err(),
             Errno::Ebadf
@@ -872,14 +932,14 @@ mod tests {
 
     #[test]
     fn scheduled_policy_flip_is_applied() {
-        let dev = device();
+        let mut dev = device();
         let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 13).unwrap();
         dev.install_fault_plan(&FaultPlan::new(0).at(
             SimInstant::from_millis(5),
             crate::fault::FaultEvent::PolicyChange(AccessPolicy::DenyAll),
         ));
-        dev.clock().advance_to(SimInstant::from_millis(6));
+        dev.advance_clock(SimInstant::from_millis(6));
         assert_eq!(
             get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 14).unwrap_err(),
             Errno::Eacces
@@ -905,12 +965,12 @@ mod tests {
 
     #[test]
     fn truncated_reads_fill_a_prefix_and_fail_eintr() {
-        let dev = device();
+        let mut dev = device();
         dev.install_fault_plan(&FaultPlan::new(13).with_truncated_reads(0.5));
         let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 13).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 14).unwrap();
-        render_a_frame(&dev, SimInstant::ZERO);
+        render_a_frame(&mut dev, SimInstant::ZERO);
 
         let sentinel = u64::MAX;
         let mut truncated = 0u32;
@@ -1012,7 +1072,7 @@ mod tests {
                 .collect()
         };
 
-        let dev = device();
+        let mut dev = device();
         dev.install_fault_plan(
             &FaultPlan::new(5).with_transient_rates(0.2, 0.1).with_truncated_reads(0.3),
         );
@@ -1025,7 +1085,7 @@ mod tests {
         for countable in [13, 14] {
             while seen.get(&dev, fd, countable).is_err() {}
         }
-        render_a_frame(&dev, SimInstant::ZERO);
+        render_a_frame(&mut dev, SimInstant::ZERO);
         for _ in 0..200 {
             let _ = seen.read(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ);
         }
@@ -1067,12 +1127,28 @@ mod tests {
     }
 
     #[test]
-    fn null_fault_plan_changes_nothing() {
+    fn handles_left_open_are_published_when_the_device_drops() {
+        let track = spansight::register_track("kgsl-device-handles-at-drop");
+        let _track = spansight::enter_track(track);
         let dev = device();
+        let _kept = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
+        let closed = dev.open(2, SelinuxDomain::UntrustedApp).unwrap();
+        dev.close(closed).unwrap();
+        drop(dev);
+        let snap = spansight::snapshot().for_track(track);
+        let count = |name| snap.counters.iter().find(|c| c.name == name).map(|c| c.value);
+        assert_eq!(count("kgsl.open"), Some(2));
+        assert_eq!(count("kgsl.close"), Some(1));
+        assert_eq!(count("kgsl.handles_open_at_drop"), Some(1));
+    }
+
+    #[test]
+    fn null_fault_plan_changes_nothing() {
+        let mut dev = device();
         dev.install_fault_plan(&FaultPlan::new(123));
         let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
         get_counter(&dev, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 13).unwrap();
-        render_a_frame(&dev, SimInstant::ZERO);
+        render_a_frame(&mut dev, SimInstant::ZERO);
         let mut reads = [KgslPerfcounterReadGroup::new(KGSL_PERFCOUNTER_GROUP_LRZ, 13)];
         dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
             .unwrap();
@@ -1082,16 +1158,12 @@ mod tests {
 
     #[test]
     fn busy_percentage_reflects_load() {
-        let dev = device();
+        let mut dev = device();
         assert_eq!(dev.gpu_busy_percentage(), 0);
-        let cycles = {
-            let mut gpu = dev.gpu().lock();
-            let c = gpu.params().clock_mhz as u64 * 1_000 * 50; // 50ms of work
-            gpu.submit_workload(adreno_sim::CounterSet::ZERO, c, SimInstant::ZERO);
-            c
-        };
-        let _ = cycles;
-        dev.clock().advance_to(SimInstant::from_millis(100));
+        let gpu = dev.gpu_mut();
+        let cycles = gpu.params().clock_mhz as u64 * 1_000 * 50; // 50ms of work
+        gpu.submit_workload(CounterSet::ZERO, cycles, SimInstant::ZERO);
+        dev.advance_clock(SimInstant::from_millis(100));
         let pct = dev.gpu_busy_percentage();
         assert!((45..=55).contains(&pct), "expected ~50% busy, got {pct}");
     }

@@ -12,7 +12,6 @@
 use adreno_sim::catalog;
 use adreno_sim::counters::{CounterGroup, CounterId, CounterSet};
 use adreno_sim::time::SimInstant;
-use std::sync::Arc;
 
 use crate::device::KgslDevice;
 
@@ -53,27 +52,24 @@ pub fn get_perf_monitor_counter_string(id: CounterId) -> Option<&'static str> {
 /// use kgsl::gles::PerfMonitor;
 ///
 /// let mut sim = UiSimulation::new(SimConfig::default());
-/// let mut monitor = PerfMonitor::begin(std::sync::Arc::clone(sim.device()));
+/// let monitor = PerfMonitor::begin(sim.device());
 /// sim.advance_to(SimInstant::from_millis(500)); // the victim renders…
 /// let local = monitor.end();
 /// assert!(local.is_zero(), "…but none of it is the monitor owner's work");
 /// ```
 #[derive(Debug)]
 pub struct PerfMonitor {
-    device: Arc<KgslDevice>,
     /// GPU work submitted by this context between begin and end. The
     /// simulation never attributes work to the attacking context, so this
     /// stays at zero; a victim-side profiler would accumulate here.
     local: CounterSet,
     started_at: SimInstant,
-    ended: bool,
 }
 
 impl PerfMonitor {
-    /// `glBeginPerfMonitorAMD`.
-    pub fn begin(device: Arc<KgslDevice>) -> Self {
-        let started_at = device.clock().now();
-        PerfMonitor { device, local: CounterSet::ZERO, started_at, ended: false }
+    /// `glBeginPerfMonitorAMD`, stamped with the device's current time.
+    pub fn begin(device: &KgslDevice) -> Self {
+        PerfMonitor { local: CounterSet::ZERO, started_at: device.now() }
     }
 
     /// When the monitor started.
@@ -86,15 +82,12 @@ impl PerfMonitor {
     /// attacking app never calls this; a profiler measuring its own
     /// rendering would.
     pub fn attribute_local_work(&mut self, work: CounterSet) {
-        assert!(!self.ended, "monitor already ended");
         self.local += work;
     }
 
     /// `glEndPerfMonitorAMD` + `glGetPerfMonitorCounterDataAMD`: the local
     /// counter activity of this context over the monitored span.
-    pub fn end(mut self) -> CounterSet {
-        self.ended = true;
-        let _ = self.device.clock().now(); // the driver stamps the end time
+    pub fn end(self) -> CounterSet {
         self.local
     }
 }
@@ -158,12 +151,10 @@ mod tests {
     #[test]
     fn profiler_sees_its_own_work_only() {
         use adreno_sim::counters::TrackedCounter;
-        use adreno_sim::{Gpu, GpuModel, SharedClock};
-        use parking_lot::Mutex;
+        use adreno_sim::{Gpu, GpuModel};
 
-        let gpu = Arc::new(Mutex::new(Gpu::new(GpuModel::Adreno650)));
-        let device = Arc::new(KgslDevice::new(gpu, SharedClock::new()));
-        let mut mon = PerfMonitor::begin(Arc::clone(&device));
+        let device = KgslDevice::new(Gpu::new(GpuModel::Adreno650));
+        let mut mon = PerfMonitor::begin(&device);
         let mut own = CounterSet::ZERO;
         own[TrackedCounter::VpcPcPrimitives] = 42;
         mon.attribute_local_work(own);

@@ -10,7 +10,9 @@
 //! * [`abi`] — the `msm_kgsl.h` request codes and struct layouts (Fig 9);
 //! * [`device::KgslDevice`] — `open`/`ioctl`/`close` semantics with the real
 //!   driver's validation rules (reservation before read, `EINVAL`/`EBUSY`/
-//!   `EBADF` paths) plus the `gpu_busy_percentage` sysfs endpoint;
+//!   `EBADF` paths) plus the `gpu_busy_percentage` sysfs endpoint. The
+//!   device owns the victim's GPU and clock, and the victim simulation owns
+//!   the device, so a block read takes no lock;
 //! * [`policy`] — the §9.2 mitigation: SELinux-style role-based access
 //!   control over counter visibility;
 //! * [`obfuscate`] — the §9.3 mitigation: random decoy GPU workloads;
@@ -19,15 +21,12 @@
 //!   testing of everything built on the device.
 //!
 //! ```
-//! use std::sync::Arc;
-//! use adreno_sim::{Gpu, GpuModel, SharedClock};
+//! use adreno_sim::{Gpu, GpuModel};
 //! use kgsl::abi::*;
 //! use kgsl::{KgslDevice, SelinuxDomain};
-//! use parking_lot::Mutex;
 //!
 //! # fn main() -> Result<(), kgsl::Errno> {
-//! let gpu = Arc::new(Mutex::new(Gpu::new(GpuModel::Adreno650)));
-//! let dev = KgslDevice::new(gpu, SharedClock::new());
+//! let dev = KgslDevice::new(Gpu::new(GpuModel::Adreno650));
 //! // Any app may open the device file and reserve a counter...
 //! let fd = dev.open(4242, SelinuxDomain::UntrustedApp)?;
 //! let mut get = KgslPerfcounterGet {

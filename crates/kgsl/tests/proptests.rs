@@ -1,14 +1,18 @@
 //! Property-based fuzzing of the device-file surface: arbitrary ioctl
 //! sequences must never panic, corrupt reservations, or grant access a
-//! policy forbids.
+//! policy forbids, and handles that come and go must never disturb the
+//! ones that stay.
 
-use std::sync::Arc;
-
-use adreno_sim::{Gpu, GpuModel, SharedClock};
+use adreno_sim::geom::Rect;
+use adreno_sim::scene::DrawList;
+use adreno_sim::{Gpu, GpuModel, SimDuration, ALL_TRACKED, NUM_TRACKED};
 use kgsl::abi::*;
-use kgsl::{AccessPolicy, Errno, KgslDevice, KgslFd, SelinuxDomain};
-use parking_lot::Mutex;
+use kgsl::{AccessPolicy, Errno, FaultEvent, FaultPlan, KgslDevice, KgslFd, SelinuxDomain};
 use proptest::prelude::*;
+
+fn device() -> KgslDevice {
+    KgslDevice::new(Gpu::new(GpuModel::Adreno650))
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -52,13 +56,48 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One step in the life of a set of handles, on tracked counters only.
+#[derive(Debug, Clone)]
+enum Life {
+    Open,
+    Get {
+        fd: usize,
+        counter: usize,
+    },
+    Close(usize),
+    /// Driver recovery revokes every open fd; a fresh open follows it.
+    Revoke,
+    /// The victim renders a frame and the clock moves past it.
+    Render,
+    Read {
+        fd: usize,
+        counter: usize,
+    },
+}
+
+fn arb_life() -> impl Strategy<Value = Life> {
+    prop_oneof![
+        Just(Life::Open),
+        (0usize..8, 0usize..NUM_TRACKED).prop_map(|(fd, counter)| Life::Get { fd, counter }),
+        (0usize..8).prop_map(Life::Close),
+        Just(Life::Revoke),
+        Just(Life::Render),
+        (0usize..8, 0usize..NUM_TRACKED).prop_map(|(fd, counter)| Life::Read { fd, counter }),
+    ]
+}
+
+/// A block-read entry, or a reservation request, for one tracked counter.
+fn entry(counter: usize) -> (u32, u32) {
+    let id = ALL_TRACKED[counter].id();
+    (id.group.kgsl_id(), id.countable)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn arbitrary_ioctl_sequences_never_panic(ops in prop::collection::vec(arb_op(), 0..60)) {
-        let gpu = Arc::new(Mutex::new(Gpu::new(GpuModel::Adreno650)));
-        let device = KgslDevice::new(gpu, SharedClock::new());
+        let device = device();
         let mut fds: Vec<KgslFd> = Vec::new();
         let mut denied_everything = false;
 
@@ -125,8 +164,7 @@ proptest! {
 
     #[test]
     fn get_put_refcounts_balance(reps in 1usize..12) {
-        let gpu = Arc::new(Mutex::new(Gpu::new(GpuModel::Adreno650)));
-        let device = KgslDevice::new(gpu, SharedClock::new());
+        let device = device();
         let fd = device.open(1, SelinuxDomain::UntrustedApp).unwrap();
         for _ in 0..reps {
             let mut get = KgslPerfcounterGet {
@@ -145,5 +183,82 @@ proptest! {
             device.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_PUT, IoctlRequest::PerfcounterPut(put)),
             Err(Errno::Einval)
         );
+    }
+
+    #[test]
+    fn closed_and_revoked_fds_are_ebadf_and_the_rest_keep_their_state(
+        lives in prop::collection::vec(arb_life(), 0..80)
+    ) {
+        let mut device = device();
+        let mut frame = DrawList::new(256, 256);
+        frame.layer("bg").quad(Rect::from_xywh(0, 0, 256, 256), true);
+        // Every fd handed out, with the counters it reserved while open;
+        // `None` once it is closed or revoked.
+        let mut fds: Vec<(KgslFd, Option<Vec<usize>>)> = Vec::new();
+        for life in lives {
+            match life {
+                Life::Open => {
+                    let fd = device.open(1, SelinuxDomain::UntrustedApp).unwrap();
+                    fds.push((fd, Some(Vec::new())));
+                }
+                Life::Get { fd, counter } => {
+                    if let Some((fd, held)) = fds.get_mut(fd) {
+                        let (groupid, countable) = entry(counter);
+                        let mut get = KgslPerfcounterGet { groupid, countable, ..Default::default() };
+                        let r = device.ioctl(*fd, IOCTL_KGSL_PERFCOUNTER_GET, IoctlRequest::PerfcounterGet(&mut get));
+                        match held {
+                            Some(held) => {
+                                prop_assert_eq!(r, Ok(()));
+                                held.push(counter);
+                            }
+                            None => prop_assert_eq!(r, Err(Errno::Ebadf)),
+                        }
+                    }
+                }
+                Life::Close(i) => {
+                    if let Some((fd, held)) = fds.get_mut(i) {
+                        let expected = if held.take().is_some() { Ok(()) } else { Err(Errno::Ebadf) };
+                        prop_assert_eq!(device.close(*fd), expected);
+                    }
+                }
+                Life::Revoke => {
+                    let at = device.now() + SimDuration::from_millis(1);
+                    device.install_fault_plan(&FaultPlan::new(0).at(at, FaultEvent::RevokeFds));
+                    device.advance_clock(at);
+                    // The open delivers the revocation, then hands out a
+                    // fresh fd on the far side of it.
+                    let fresh = device.open(1, SelinuxDomain::UntrustedApp).unwrap();
+                    for (_, held) in &mut fds {
+                        *held = None;
+                    }
+                    fds.push((fresh, Some(Vec::new())));
+                }
+                Life::Render => {
+                    let now = device.now();
+                    let end = device.gpu_mut().submit(&frame, now).end;
+                    device.advance_clock(end);
+                }
+                Life::Read { fd, counter } => {
+                    if let Some((fd, held)) = fds.get(fd) {
+                        let (groupid, countable) = entry(counter);
+                        let mut reads = [KgslPerfcounterReadGroup::new(groupid, countable)];
+                        let r = device.ioctl(*fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads));
+                        // Reservations are device-wide: any open handle's
+                        // reservation makes the counter readable.
+                        let reserved = fds.iter().filter_map(|(_, h)| h.as_ref()).any(|h| h.contains(&counter));
+                        match held {
+                            None => prop_assert_eq!(r, Err(Errno::Ebadf)),
+                            Some(_) if !reserved => prop_assert_eq!(r, Err(Errno::Einval)),
+                            Some(_) => {
+                                prop_assert_eq!(r, Ok(()));
+                                let now = device.now();
+                                let shown = device.gpu_mut().counters_at(now)[ALL_TRACKED[counter]];
+                                prop_assert_eq!(reads[0].value, shown);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

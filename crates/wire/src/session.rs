@@ -701,10 +701,11 @@ pub struct SplitDriver<'s> {
     transport: SimTransport,
     client: ExfilClient,
     server: ClassifierServer<'s>,
-    sampler: Sampler,
-    /// `Some` while streaming; consumed by `finish_stream` at the
-    /// streaming → draining transition.
-    stream: Option<gpu_sc_attack::sampler::SampleStream>,
+    /// The sampler and its stream, `Some` while streaming; both end at the
+    /// streaming → draining transition, where the sampler closes its fd.
+    sampling: Option<(Sampler, gpu_sc_attack::sampler::SampleStream)>,
+    /// What the sampler survived; final once streaming ends.
+    report: SamplerReport,
     ring_tx: gpu_sc_attack::ring::Producer<Sample>,
     ring_rx: gpu_sc_attack::ring::Consumer<Sample>,
     burst: Vec<Sample>,
@@ -756,8 +757,8 @@ impl<'s> SplitDriver<'s> {
             transport,
             client,
             server,
-            sampler,
-            stream: Some(stream),
+            sampling: Some((sampler, stream)),
+            report: SamplerReport::default(),
             ring_tx,
             ring_rx,
             burst,
@@ -772,10 +773,11 @@ impl<'s> SplitDriver<'s> {
     pub fn step(&mut self, sim: &mut UiSimulation) -> Option<Result<SplitOutcome, ServiceError>> {
         match self.phase {
             SplitPhase::Streaming => {
-                let stream = self.stream.as_mut().expect("streaming phase owns a stream");
+                let (sampler, stream) =
+                    self.sampling.as_mut().expect("streaming phase owns the sampler");
                 let mut stream_done = false;
                 while !self.ring_tx.is_full() {
-                    match self.sampler.next_sample(stream, sim) {
+                    match sampler.next_sample(stream, sim) {
                         Some(sample) => {
                             self.ring_tx.push(sample).expect("a non-full SPSC ring accepts a push");
                             self.client.pump(&mut self.transport, sim.now());
@@ -793,12 +795,16 @@ impl<'s> SplitDriver<'s> {
                 self.client.pump(&mut self.transport, sim.now());
                 self.server.pump(&mut self.transport, sim.now());
                 if stream_done {
-                    let stream = self.stream.take().expect("streaming phase owns a stream");
-                    if let Err(err) = self.sampler.finish_stream(stream) {
+                    let (mut sampler, stream) =
+                        self.sampling.take().expect("streaming phase owns the sampler");
+                    let finished = sampler.finish_stream(stream);
+                    self.report = sampler.report();
+                    sampler.close(sim.device());
+                    if let Err(err) = finished {
                         self.phase = SplitPhase::Done;
                         return Some(Err(ServiceError::Device(err)));
                     }
-                    self.client.finish_sampling(&self.sampler.report());
+                    self.client.finish_sampling(&self.report);
                     // Drain: sampling is over, but frames are still in
                     // flight. Keep pumping on a coarse tick until the final
                     // handshake lands or the budget runs out (the
@@ -837,13 +843,13 @@ impl<'s> SplitDriver<'s> {
             // link was effectively one-way-dead. Salvage the session from
             // whatever samples did arrive rather than erroring out.
             None => match self.server.session.take() {
-                Some(session) => session.finish(&self.sampler.report()),
+                Some(session) => session.finish(&self.report),
                 None => match self.server.requested_digest.filter(|d| !d.is_zero()) {
                     Some(digest) => self
                         .service
                         .streaming_session_for(&digest)
-                        .and_then(|session| session.finish(&self.sampler.report())),
-                    None => self.service.streaming_session().finish(&self.sampler.report()),
+                        .and_then(|session| session.finish(&self.report)),
+                    None => self.service.streaming_session().finish(&self.report),
                 },
             },
         };

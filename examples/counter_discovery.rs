@@ -41,7 +41,7 @@ fn main() {
 
     // --- Step 2: the GL monitor dead end. --------------------------------
     let mut sim = UiSimulation::new(SimConfig::default());
-    let monitor = gles::PerfMonitor::begin(std::sync::Arc::clone(sim.device()));
+    let monitor = gles::PerfMonitor::begin(sim.device());
     sim.advance_to(SimInstant::from_millis(600)); // victim renders its UI…
     let local = monitor.end();
     println!(

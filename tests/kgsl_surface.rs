@@ -29,7 +29,7 @@ fn the_paper_fig10_sequence_works_verbatim() {
 #[test]
 fn blockread_of_many_counters_is_atomic_per_call() {
     let mut sim = UiSimulation::new(SimConfig::paper_default(1));
-    let dev = std::sync::Arc::clone(sim.device());
+    let dev = sim.device();
     let fd = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
     for c in adreno_sim::counters::ALL_TRACKED {
         let id = c.id();
@@ -45,7 +45,9 @@ fn blockread_of_many_counters_is_atomic_per_call() {
         .iter()
         .map(|c| KgslPerfcounterReadGroup::new(c.id().group.kgsl_id(), c.id().countable))
         .collect();
-    dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads)).unwrap();
+    sim.device()
+        .ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))
+        .unwrap();
     assert!(reads.iter().any(|r| r.value > 0), "the initial render must be visible");
 }
 
@@ -96,7 +98,7 @@ fn hostile_requests_get_clean_errors() {
 fn two_processes_share_the_global_counters() {
     // The vulnerability in one sentence: *any* process sees *all* GPU work.
     let mut sim = UiSimulation::new(SimConfig::paper_default(3));
-    let dev = std::sync::Arc::clone(sim.device());
+    let dev = sim.device();
     let spy = dev.open(1111, SelinuxDomain::UntrustedApp).unwrap();
     let other = dev.open(2222, SelinuxDomain::PlatformApp).unwrap();
     for fd in [spy, other] {
@@ -108,6 +110,7 @@ fn two_processes_share_the_global_counters() {
         dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_GET, IoctlRequest::PerfcounterGet(&mut get)).unwrap();
     }
     sim.advance_to(SimInstant::from_millis(300));
+    let dev = sim.device();
     let read = |fd| {
         let mut reads = [KgslPerfcounterReadGroup::new(KGSL_PERFCOUNTER_GROUP_RAS, 5)];
         dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads))

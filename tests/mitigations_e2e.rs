@@ -117,14 +117,13 @@ fn mid_session_policy_change_stops_the_stream() {
     // span in which every read is denied yields nothing — and a span with
     // zero acquired samples reports the denial instead of an empty trace.
     let (mut sim, _) = victim(SimConfig::paper_default(7), 7);
-    let device = std::sync::Arc::clone(sim.device());
     let mut sampler = gpu_eaves::attack::Sampler::open(
         sim.device(),
         gpu_eaves::attack::SamplerConfig::default_8ms(),
     )
     .unwrap();
     sampler.sample_until(&mut sim, SimInstant::from_millis(300)).unwrap();
-    device.set_policy(AccessPolicy::DenyAll);
+    sim.device().set_policy(AccessPolicy::DenyAll);
     let err = sampler.sample_until(&mut sim, SimInstant::from_millis(600)).unwrap_err();
     assert_eq!(err, Errno::Eacces);
     assert!(sampler.report().denied_reads > 0, "every slot was denied and recorded");
@@ -135,16 +134,15 @@ fn policy_flip_and_back_yields_a_partial_stream() {
     // If the denial is temporary, the resilient sampler must ride it out:
     // the session degrades (a gap in the trace) instead of dying.
     let (mut sim, _) = victim(SimConfig::paper_default(8), 8);
-    let device = std::sync::Arc::clone(sim.device());
     let mut sampler = gpu_eaves::attack::Sampler::open(
         sim.device(),
         gpu_eaves::attack::SamplerConfig::default_8ms(),
     )
     .unwrap();
     sampler.sample_until(&mut sim, SimInstant::from_millis(200)).unwrap();
-    device.set_policy(AccessPolicy::DenyAll);
+    sim.device().set_policy(AccessPolicy::DenyAll);
     sampler.sample_until(&mut sim, SimInstant::from_millis(400)).unwrap_err();
-    device.set_policy(AccessPolicy::default());
+    sim.device().set_policy(AccessPolicy::default());
     // The same sampler keeps working once access returns.
     let trace = sampler.sample_until(&mut sim, SimInstant::from_millis(600)).unwrap();
     assert!(!trace.is_empty(), "stream resumes after the policy flips back");

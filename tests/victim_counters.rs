@@ -46,7 +46,7 @@ fn session_digest(hash: u64, config: SimConfig, text: &str) -> u64 {
     while t < end {
         t += SimDuration::from_millis(8);
         sim.advance_to(t);
-        let counters = sim.gpu().lock().counters_at(t);
+        let counters = sim.gpu_mut().counters_at(t);
         for value in counters.as_array() {
             digest = fnv1a(digest, &value.to_le_bytes());
         }
