@@ -11,10 +11,11 @@ use adreno_sim::SimInstant;
 use android_ui::compositor::KeyboardWindow;
 use android_ui::sim::SimConfig;
 use android_ui::KeyboardKind;
-use bench::{eval_credentials, ModelCache, TrialOptions};
+use bench::{eval_credentials, TrialOptions};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::online::{infer_stream, OnlineConfig};
-use gpu_sc_attack::registry::Registry;
+use gpu_sc_attack::registry::{decode_model, encode_model, Quantization, Registry};
 use gpu_sc_attack::trace::Delta;
 use gpu_sc_attack::ClassifierModel;
 use input_bot::corpus::CredentialKind;
@@ -71,10 +72,12 @@ fn bench_render_fullscreen(c: &mut Criterion) {
 
 fn bench_model_serde(c: &mut Criterion) {
     let model = trained_model();
-    c.bench_function("model_to_bytes", |b| b.iter(|| black_box(&model).to_bytes()));
-    let bytes = model.to_bytes();
-    c.bench_function("model_from_bytes", |b| {
-        b.iter(|| ClassifierModel::from_bytes(black_box(bytes.clone())).unwrap())
+    c.bench_function("model_encode_gpmr", |b| {
+        b.iter(|| encode_model(black_box(&model), Quantization::F64))
+    });
+    let blob = encode_model(&model, Quantization::F64);
+    c.bench_function("model_decode_gpmr", |b| {
+        b.iter(|| decode_model(black_box(blob.clone())).unwrap())
     });
 }
 
@@ -120,10 +123,9 @@ fn bench_streaming_vs_batch_driver(c: &mut Criterion) {
     // passes). Both produce identical SessionResults; the bench pins the
     // driver overhead delta. Each iteration re-runs the full session —
     // building the sim is part of both loops, so the comparison stays fair.
-    let cache = ModelCache::new();
     let opts = TrialOptions::paper_default(0);
-    let store = cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
-    let service = AttackService::new(store, ServiceConfig::default());
+    let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let service = AttackService::new(ModelStore::from(handle), ServiceConfig::default());
     let run = |streaming: bool| {
         let mut sim = android_ui::UiSimulation::new(SimConfig { seed: 77, ..opts.sim.clone() });
         let mut rng = StdRng::seed_from_u64(77);
@@ -146,9 +148,9 @@ fn bench_streaming_vs_batch_driver(c: &mut Criterion) {
 }
 
 fn eval_fig17_style(pool: &Pool) -> f64 {
-    let cache = ModelCache::new();
     let opts = TrialOptions::paper_default(0);
-    let store = cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let store = ModelStore::from(handle);
     eval_credentials(pool, &store, &opts, CredentialKind::Username, 10, 8, 1_710).key_accuracy()
 }
 

@@ -1,7 +1,7 @@
 //! Ablations of the design choices DESIGN.md §4 calls out.
 
 use adreno_sim::counters::{CounterGroup, ALL_TRACKED, NUM_TRACKED};
-use gpu_sc_attack::offline::{ModelStore, TrainerConfig};
+use gpu_sc_attack::offline::{ModelStore, Trainer, TrainerConfig};
 use input_bot::corpus::CredentialKind;
 
 use crate::experiments::Ctx;
@@ -19,7 +19,11 @@ pub fn ablate_greedy(ctx: &Ctx) {
         let mut opts = TrialOptions::paper_default(0);
         opts.service.sampler.interval = adreno_sim::SimDuration::from_millis(12);
         opts.service.full_trace = full;
-        let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+        let store = ModelStore::from(ctx.registry.get_or_train(
+            opts.sim.device,
+            opts.sim.keyboard,
+            opts.sim.app,
+        ));
         let agg =
             eval_credentials(&ctx.pool, &store, &opts, CredentialKind::Username, 12, trials, 0xAB1);
         report::pct_row(
@@ -34,11 +38,6 @@ pub fn ablate_counters(ctx: &Ctx) {
     report::section("Ablation", "counter subsets (LRZ / RAS / VPC / all)");
     let trials = ctx.trials(15);
     let opts = TrialOptions::paper_default(0);
-    // A private registry: `train_with` registers its model under the fleet
-    // key, and shadowing the process-shared registry's paper-default key
-    // with a masked-counter model would leak into whichever experiments
-    // resolve that key later.
-    let ablations = gpu_sc_attack::registry::Registry::default();
     let subsets: [(&str, Option<CounterGroup>); 4] = [
         ("all 11 counters", None),
         ("LRZ only", Some(CounterGroup::Lrz)),
@@ -53,14 +52,10 @@ pub fn ablate_counters(ctx: &Ctx) {
             }
             m
         });
-        let handle = ablations.train_with(
-            TrainerConfig { counter_mask: mask, ..TrainerConfig::default() },
-            opts.sim.device,
-            opts.sim.keyboard,
-            opts.sim.app,
-        );
+        let trainer =
+            Trainer::new(TrainerConfig { counter_mask: mask, ..TrainerConfig::default() });
         let mut store = ModelStore::new();
-        store.add_handle(handle);
+        store.add(trainer.train(opts.sim.device, opts.sim.keyboard, opts.sim.app));
         let agg =
             eval_credentials(&ctx.pool, &store, &opts, CredentialKind::Username, 12, trials, 0xAB2);
         report::pct_row(
@@ -75,7 +70,8 @@ pub fn ablate_threshold(ctx: &Ctx) {
     report::section("Ablation", "acceptance threshold C_th sweep");
     let trials = ctx.trials(15);
     let opts = TrialOptions::paper_default(0);
-    let trained = ctx.cache.model(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let trained =
+        ctx.registry.get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app).model_arc();
     for factor in [0.25, 0.5, 1.0, 2.0, 8.0, 64.0] {
         let model = trained.with_threshold(trained.threshold() * factor);
         let mut store = ModelStore::new();

@@ -7,6 +7,7 @@ use android_ui::apps::FIG19_APPS;
 use android_ui::keyboard::ALL_KEYBOARDS;
 use android_ui::sim::{SimConfig, UiSimulation};
 use gpu_sc_attack::metrics::{per_char_tallies, Aggregate};
+use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
 use input_bot::corpus::CredentialKind;
 use input_bot::script::Typist;
@@ -41,7 +42,11 @@ fn trial_plan(
 pub fn fig11(ctx: &Ctx) {
     report::section("Fig 11 / §5.1", "system-factor census over many key presses");
     let opts = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        opts.sim.device,
+        opts.sim.keyboard,
+        opts.sim.app,
+    ));
     let plan = trial_plan(11, CredentialKind::Username, 12, ctx.trials(40));
     let tallies = ctx.pool.par_map(plan, |_, (text, volunteer, seed)| {
         let mut o = opts.clone();
@@ -79,7 +84,11 @@ pub fn fig11(ctx: &Ctx) {
 pub fn fig17(ctx: &Ctx) {
     report::section("Fig 17", "accuracy of inferring text inputs (Chase, lengths 8-16)");
     let opts = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        opts.sim.device,
+        opts.sim.keyboard,
+        opts.sim.app,
+    ));
     let per_len = ctx.trials(25);
     let mut all = Aggregate::default();
     outln!("{:<8} {:>10} {:>10} {:>12}", "length", "text acc", "key acc", "errors/text");
@@ -139,7 +148,11 @@ pub fn fig17(ctx: &Ctx) {
 pub fn fig18(ctx: &Ctx) {
     report::section("Fig 18", "inference accuracy over individual key presses");
     let opts = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        opts.sim.device,
+        opts.sim.keyboard,
+        opts.sim.app,
+    ));
     let plan = trial_plan(18, CredentialKind::Password, 12, ctx.trials(90));
     let per_trial = ctx.pool.par_map(plan, |_, (text, volunteer, seed)| {
         let mut o = opts.clone();
@@ -195,7 +208,8 @@ pub fn fig19(ctx: &Ctx) {
     for app in FIG19_APPS {
         let mut opts = TrialOptions::paper_default(0);
         opts.sim.app = app;
-        let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, app);
+        let store =
+            ModelStore::from(ctx.registry.get_or_train(opts.sim.device, opts.sim.keyboard, app));
         // Paired design: identical credentials and typing across apps, so
         // differences reflect the apps' screen geometry, not sampling.
         let agg = eval_credentials(
@@ -222,7 +236,7 @@ pub fn fig20(ctx: &Ctx) {
     for kb in ALL_KEYBOARDS {
         let mut opts = TrialOptions::paper_default(0);
         opts.sim.keyboard = kb;
-        let store = ctx.cache.store(opts.sim.device, kb, opts.sim.app);
+        let store = ModelStore::from(ctx.registry.get_or_train(opts.sim.device, kb, opts.sim.app));
         // Paired design: identical credentials and typing across keyboards.
         let agg =
             eval_credentials(&ctx.pool, &store, &opts, CredentialKind::Username, 10, per_kb, 2_000);

@@ -15,7 +15,8 @@ use crate::trials::{eval_credentials, TrialOptions};
 fn eval_device(ctx: &Ctx, device: DeviceConfig, trials: usize, seed: u64) -> (f64, f64) {
     let mut opts = TrialOptions::paper_default(0);
     opts.sim.device = device;
-    let store = ctx.cache.store(device, opts.sim.keyboard, opts.sim.app);
+    let store =
+        ModelStore::from(ctx.registry.get_or_train(device, opts.sim.keyboard, opts.sim.app));
     let agg =
         eval_credentials(&ctx.pool, &store, &opts, CredentialKind::Username, 10, trials, seed);
     (agg.text_accuracy(), agg.key_accuracy())
@@ -78,18 +79,11 @@ pub fn fig24(ctx: &Ctx) {
 pub fn modelsize(ctx: &Ctx) {
     report::section("§7.6", "classifier model sizes");
     let opts = TrialOptions::paper_default(0);
-    let model = ctx.cache.model(opts.sim.device, opts.sim.keyboard, opts.sim.app);
-    let one = model.to_bytes().len();
-    report::kv("one model (GPCM wire)", format!("{:.2} kB (paper: 3.59 kB)", one as f64 / 1024.0));
-    let mut i16_size = one;
+    let handle = ctx.registry.get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
     for q in Quantization::ALL {
-        let blob = encode_model(&model, q);
-        if q == Quantization::I16 {
-            i16_size = blob.len();
-        }
         report::kv(
             &format!("one model (GPMR registry, {})", q.name()),
-            format!("{:.2} kB", blob.len() as f64 / 1024.0),
+            format!("{:.2} kB", encode_model(handle.model(), q).len() as f64 / 1024.0),
         );
     }
 
@@ -98,20 +92,20 @@ pub fn modelsize(ctx: &Ctx) {
     let mut store = ModelStore::new();
     for phone in [PhoneModel::OnePlus8Pro, PhoneModel::OnePlus9] {
         for kb in [android_ui::KeyboardKind::Gboard, android_ui::KeyboardKind::Swift] {
-            store.add_handle(ctx.cache.handle(DeviceConfig::for_phone(phone), kb, opts.sim.app));
+            store.add_handle(ctx.registry.get_or_train(
+                DeviceConfig::for_phone(phone),
+                kb,
+                opts.sim.app,
+            ));
         }
     }
     report::kv(
         "store with 4 configurations",
         format!("{:.2} kB", store.total_wire_bytes() as f64 / 1024.0),
     );
-    let projected = one * 3_000;
+    let projected = encode_model(handle.model(), Quantization::F32).len() * 3_000;
     report::kv(
         "projected 3,000-model app payload",
-        format!("{:.2} MB (paper: ≤13.40 MB)", projected as f64 / (1024.0 * 1024.0)),
-    );
-    report::kv(
-        "projected 3,000-model payload (i16 registry tier)",
-        format!("{:.2} MB", (i16_size * 3_000) as f64 / (1024.0 * 1024.0)),
+        format!("{:.2} MB at f32 (paper: ≤13.40 MB)", projected as f64 / (1024.0 * 1024.0)),
     );
 }

@@ -192,7 +192,11 @@ fn loss_cell(
 pub fn exfil(ctx: &Ctx) {
     report::section("exfil", "split sampler/classifier over a lossy wire");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     let text =
         generate(&mut StdRng::seed_from_u64(0xE8F1), CredentialKind::Password, CREDENTIAL_LEN);
 

@@ -8,6 +8,7 @@
 //!   a target accuracy, and what does that cost in GPU time?
 
 use gpu_sc_attack::metrics::guesses_needed;
+use gpu_sc_attack::offline::ModelStore;
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::timing::{VolunteerModel, VOLUNTEERS};
 use kgsl::ObfuscationConfig;
@@ -23,7 +24,11 @@ use crate::trials::{eval_credentials, run_credential_trial, TrialOptions};
 pub fn guessing(ctx: &Ctx) {
     report::section("Extension", "credentials recovered within G guesses (§7.1)");
     let opts = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        opts.sim.device,
+        opts.sim.keyboard,
+        opts.sim.app,
+    ));
     let trials = ctx.trials(60);
     let budgets: [u128; 4] = [1, 5, 25, 100];
     let mut rng = StdRng::seed_from_u64(0x63E5);
@@ -85,7 +90,11 @@ pub fn ablate_corroboration(ctx: &Ctx) {
         opts.sim.system_noise_hz = 0.2; // noisy environment
         opts.speed = Some(input_bot::timing::SpeedClass::Slow);
         opts.service.echo_corroboration = corroborate;
-        let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+        let store = ModelStore::from(ctx.registry.get_or_train(
+            opts.sim.device,
+            opts.sim.keyboard,
+            opts.sim.app,
+        ));
         let agg =
             eval_credentials(&ctx.pool, &store, &opts, CredentialKind::Username, 12, trials, 0xEC0);
         outln!(
@@ -103,7 +112,11 @@ pub fn ablate_corroboration(ctx: &Ctx) {
 pub fn defense_tuning(ctx: &Ctx) {
     report::section("Extension", "tuning the §9.3 obfuscation defence");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     let trials = ctx.trials(10);
 
     let measure = |rate: f64| -> f64 {

@@ -119,7 +119,11 @@ fn sweep_cell(
 pub fn faults(ctx: &Ctx) {
     report::section("faults", "fault injection: intensity × retry budget");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
 
     // Sanity 1: a plan with zero rates and no scheduled events must not
     // perturb the attack at all.

@@ -34,7 +34,7 @@ use wire::{ExfilConfig, LinkPlan, SplitSessionTask};
 
 use crate::experiments::Ctx;
 use crate::report;
-use crate::trials::{ModelCache, TrialOptions};
+use crate::trials::TrialOptions;
 
 /// Credential length per session — short enough that thousand-session rows
 /// stay affordable, long enough to score accuracy meaningfully.
@@ -211,19 +211,15 @@ fn reduce_split(out: wire::SplitSessionOutcome) -> Done {
 
 /// Builds and runs one (shards × sessions) row, returning the per-session
 /// reductions in session order.
-fn run_row(ctx: &Ctx, hub: &ModelCache, shards: usize, sessions: usize, seed: u64) -> Vec<Done> {
+fn run_row(ctx: &Ctx, shards: usize, sessions: usize, seed: u64) -> Vec<Done> {
     let base = TrialOptions::paper_default(0);
 
     // Hub/clients split: the hub's registry trains the configuration once;
     // every shard builds its own service (its own ModelStore) from the same
     // registry handle — one encoded blob, one decoded model, shared by all.
-    let handle = hub.handle(base.sim.device, base.sim.keyboard, base.sim.app);
+    let handle = ctx.registry.get_or_train(base.sim.device, base.sim.keyboard, base.sim.app);
     let services: Vec<AttackService> = (0..shards)
-        .map(|_| {
-            let mut store = ModelStore::new();
-            store.add_handle(handle.clone());
-            AttackService::new(store, base.service.clone())
-        })
+        .map(|_| AttackService::new(ModelStore::from(handle.clone()), base.service.clone()))
         .collect();
 
     // Pre-draw every session's input from the sequential RNG, in index
@@ -311,7 +307,7 @@ pub fn fleet(ctx: &Ctx) {
 
     for (shards, sessions) in rows {
         let started = std::time::Instant::now();
-        let done = run_row(ctx, &ctx.cache, shards, sessions, 0xF1EE7 ^ (shards as u64) << 32);
+        let done = run_row(ctx, shards, sessions, 0xF1EE7 ^ (shards as u64) << 32);
         let elapsed = started.elapsed().as_secs_f64();
 
         let completed = done.iter().filter(|d| d.completed).count();

@@ -133,7 +133,11 @@ fn run_config(
 pub fn latency(ctx: &Ctx) {
     report::section("latency", "press-to-inference latency (§5.1 timeliness trade-off)");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     let trials = ctx.trials(12);
 
     for (label, full_trace) in [("greedy", false), ("lookahead", true)] {

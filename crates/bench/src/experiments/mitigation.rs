@@ -3,6 +3,7 @@
 
 use adreno_sim::time::SimDuration;
 use android_ui::TargetApp;
+use gpu_sc_attack::offline::ModelStore;
 use input_bot::corpus::CredentialKind;
 use kgsl::{AccessPolicy, ObfuscationConfig, SelinuxDomain};
 
@@ -20,7 +21,11 @@ pub fn fig29(ctx: &Ctx) {
     // model comes from a clean training app and is reused against PNC —
     // training on an animated login screen would be hopeless anyway.
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     for app in [TargetApp::Chase, TargetApp::Pnc] {
         let mut opts = base.clone();
         opts.sim.app = app;
@@ -38,7 +43,11 @@ pub fn fig29(ctx: &Ctx) {
 pub fn mitigation(ctx: &Ctx) {
     report::section("§9", "mitigation matrix");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     let trials = ctx.trials(12);
 
     // Stock (vulnerable) configuration.
@@ -61,7 +70,8 @@ pub fn mitigation(ctx: &Ctx) {
         );
         // Demonstrate the residual leak: the attacker still recovers the
         // input length by tracking echo ±2 directly (no popups needed).
-        let model = ctx.cache.model(base.sim.device, base.sim.keyboard, base.sim.app);
+        let model =
+            ctx.registry.get_or_train(base.sim.device, base.sim.keyboard, base.sim.app).model_arc();
         let mut sim = android_ui::UiSimulation::new(android_ui::SimConfig {
             seed: 91,
             popups_enabled: false,

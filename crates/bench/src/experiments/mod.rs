@@ -12,17 +12,12 @@ pub mod latency;
 pub mod mitigation;
 pub mod overhead;
 pub mod practical;
-pub mod registry;
 pub mod robustness;
 pub mod signals;
 pub mod table2;
 
-use std::sync::Arc;
-
 use gpu_sc_attack::registry::Registry;
 use minipool::Pool;
-
-use crate::trials::ModelCache;
 
 /// Runs one experiment, printing its report through [`crate::report`].
 pub type Runner = fn(&Ctx);
@@ -68,25 +63,19 @@ pub const CATALOGUE: &[(&str, &str, Runner)] = &[
     ("latency", "press-to-inference latency, greedy vs lookahead", latency::latency),
     ("exfil", "split sampler/classifier over a lossy wire", exfil::exfil),
     ("fleet", "fleet-scale session orchestration matrix", fleet::fleet),
-    (
-        "registry",
-        "content-addressed model registry: quantization, byte budget, lineage",
-        registry::registry,
-    ),
 ];
 
-/// Shared experiment context: the process-wide model registry (and the
-/// [`ModelCache`] shim over it), a trial-count scale (1.0 = quick
-/// defaults, larger = closer to paper-scale runs) and the worker pool
-/// trials fan out on.
+/// Shared experiment context: the process-wide model registry (training
+/// takes seconds per configuration, so every experiment shares one), a
+/// trial-count scale (1.0 = quick defaults, larger = closer to paper-scale
+/// runs) and the worker pool trials fan out on.
 ///
 /// `Ctx` is shared by reference across concurrently-running experiments,
 /// so everything in it is thread-safe; the seeded trial plan keeps results
 /// byte-identical at any worker count.
 #[derive(Debug)]
 pub struct Ctx {
-    pub registry: Arc<Registry>,
-    pub cache: ModelCache,
+    pub registry: Registry,
     pub scale: f64,
     pub pool: Pool,
 }
@@ -99,9 +88,7 @@ impl Ctx {
 
     /// Creates a context fanning trials out on `pool`.
     pub fn with_pool(scale: f64, pool: Pool) -> Self {
-        let registry = Arc::new(Registry::default());
-        let cache = ModelCache::with_registry(Arc::clone(&registry));
-        Ctx { registry, cache, scale, pool }
+        Ctx { registry: Registry::default(), scale, pool }
     }
 
     /// Scales a default trial count, keeping at least 4 trials.

@@ -19,7 +19,8 @@ use crate::{out, outln};
 pub fn fig25(ctx: &Ctx) {
     report::section("Fig 25", "computing time needed for eavesdropping");
     let opts = TrialOptions::paper_default(0);
-    let model = ctx.cache.model(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let model =
+        ctx.registry.get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app).model_arc();
 
     // One delta per centroid, replayed far apart in simulated time so every
     // process() call runs the full direct-classification path.

@@ -5,6 +5,7 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::{SimConfig, UiSimulation};
 use android_ui::{TruthKind, UiEvent};
 use gpu_sc_attack::metrics::per_char_tallies;
+use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::script::{practical_session, SessionConfig, Typist};
@@ -68,7 +69,11 @@ pub fn fig27(_ctx: &Ctx) {
 pub fn fig28(ctx: &Ctx) {
     report::section("Fig 28", "accuracy in practical usage (switches + corrections)");
     let opts = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        opts.sim.device,
+        opts.sim.keyboard,
+        opts.sim.app,
+    ));
     let runs = ctx.trials(12);
     // Sessions are self-seeded from (volunteer, run), so the whole
     // volunteer × run grid fans out at once and folds back per volunteer.

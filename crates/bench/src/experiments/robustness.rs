@@ -3,6 +3,7 @@
 
 use adreno_sim::time::SimDuration;
 use android_ui::RefreshRate;
+use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::sampler::SamplerConfig;
 use input_bot::corpus::CredentialKind;
 use input_bot::timing::SpeedClass;
@@ -18,7 +19,11 @@ use crate::trials::{eval_credentials, TrialOptions};
 pub fn fig21(ctx: &Ctx) {
     report::section("Fig 21", "impact of user input speed");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     let per_class = ctx.trials(20);
     for class in [SpeedClass::Slow, SpeedClass::Medium, SpeedClass::Fast] {
         let mut opts = base.clone();
@@ -58,7 +63,11 @@ pub fn fig21(ctx: &Ctx) {
 pub fn fig22(ctx: &Ctx) {
     report::section("Fig 22", "impact of CPU and GPU workloads");
     let base = TrialOptions::paper_default(0);
-    let store = ctx.cache.store(base.sim.device, base.sim.keyboard, base.sim.app);
+    let store = ModelStore::from(ctx.registry.get_or_train(
+        base.sim.device,
+        base.sim.keyboard,
+        base.sim.app,
+    ));
     let per_point = ctx.trials(15);
 
     outln!("(a) CPU utilisation sweep");
@@ -100,7 +109,11 @@ pub fn fig23(ctx: &Ctx) {
                 interval: SimDuration::from_millis(interval_ms),
                 ..SamplerConfig::default_8ms()
             };
-            let store = ctx.cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+            let store = ModelStore::from(ctx.registry.get_or_train(
+                opts.sim.device,
+                opts.sim.keyboard,
+                opts.sim.app,
+            ));
             let agg = eval_credentials(
                 &ctx.pool,
                 &store,

@@ -83,7 +83,7 @@ pub fn fig5(_ctx: &Ctx) {
 pub fn fig6(ctx: &Ctx) {
     report::section("Fig 6", "per-key popup deltas: LRZ_FULL_8X8 vs RAS_SUPERTILE_ACTIVE_CYCLES");
     let cfg = SimConfig::paper_default(0);
-    let model = ctx.cache.model(cfg.device, cfg.keyboard, cfg.app);
+    let model = ctx.registry.get_or_train(cfg.device, cfg.keyboard, cfg.app).model_arc();
     outln!("{:<5} {:>14} {:>14}", "key", "LRZ full 8x8", "RAS cycles");
     for c in model.centroids().iter().filter(|c| c.ch.is_ascii_lowercase()) {
         outln!(

@@ -4,7 +4,7 @@
 //! tables and figures:
 //!
 //! * [`trials`] — end-to-end trial runners ([`run_credential_trial`],
-//!   [`eval_credentials`]) and the cross-experiment [`ModelCache`];
+//!   [`eval_credentials`]);
 //! * [`experiments`] — one module per paper table/figure plus the
 //!   beyond-the-paper extensions and ablations;
 //! * [`power`] — the Fig 26 battery model;
@@ -19,11 +19,15 @@
 //! ## Running one trial
 //!
 //! ```no_run
-//! use bench::{run_credential_trial, ModelCache, TrialOptions};
+//! use bench::{run_credential_trial, TrialOptions};
+//! use gpu_sc_attack::offline::ModelStore;
+//! use gpu_sc_attack::registry::Registry;
 //!
-//! let cache = ModelCache::new();                      // trains on first use
+//! let registry = Registry::default();
 //! let opts = TrialOptions::paper_default(5);
-//! let store = cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+//! // Trains on first use; later calls for the same configuration share it.
+//! let handle = registry.get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+//! let store = ModelStore::from(handle);
 //! let (score, result) = run_credential_trial(&store, &opts, "hunter2", 11).unwrap();
 //! assert_eq!(score.total_keys, 7);
 //! println!("recovered: {:?}", result.recovered_text);
@@ -34,4 +38,4 @@ pub mod power;
 pub mod report;
 pub mod trials;
 
-pub use trials::{eval_credentials, run_credential_trial, ModelCache, TrialOptions};
+pub use trials::{eval_credentials, run_credential_trial, TrialOptions};

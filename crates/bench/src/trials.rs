@@ -1,109 +1,17 @@
 //! Trial runners: one victim session, end to end, scored.
 
-use std::sync::Arc;
-
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::{SimConfig, UiSimulation};
-use android_ui::{DeviceConfig, KeyboardKind, TargetApp};
 use gpu_sc_attack::metrics::Aggregate;
 use gpu_sc_attack::offline::ModelStore;
-use gpu_sc_attack::registry::{ModelHandle, Registry};
 use gpu_sc_attack::service::{AttackService, ServiceConfig, ServiceError, SessionResult};
-use gpu_sc_attack::{ClassifierModel, SessionScore};
+use gpu_sc_attack::SessionScore;
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::script::Typist;
 use input_bot::timing::{SpeedClass, VolunteerModel, VOLUNTEERS};
 use minipool::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Bench-side view of the trained-model pool: a thin shim over the
-/// content-addressed [`Registry`] (training takes seconds per
-/// configuration, so every experiment in a process shares one).
-///
-/// Thread-safe: concurrent lookups of the same configuration train it
-/// exactly once — the registry's per-key cell blocks the other callers —
-/// and every hit returns a shared `Arc`, never a model copy.
-#[derive(Debug, Default)]
-pub struct ModelCache {
-    registry: Arc<Registry>,
-}
-
-impl ModelCache {
-    /// A cache over a fresh private registry.
-    pub fn new() -> Self {
-        ModelCache::default()
-    }
-
-    /// A cache over an existing (shared) registry.
-    pub fn with_registry(registry: Arc<Registry>) -> Self {
-        ModelCache { registry }
-    }
-
-    /// The backing registry.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// Returns (training on miss) the registry handle for a configuration.
-    pub fn handle(
-        &self,
-        device: DeviceConfig,
-        keyboard: KeyboardKind,
-        app: TargetApp,
-    ) -> ModelHandle {
-        spansight::count("bench.model_cache.lookups", 1);
-        self.registry.get_or_train(device, keyboard, app)
-    }
-
-    /// Returns (training on miss) the model for a configuration.
-    pub fn model(
-        &self,
-        device: DeviceConfig,
-        keyboard: KeyboardKind,
-        app: TargetApp,
-    ) -> Arc<ClassifierModel> {
-        self.handle(device, keyboard, app).model_arc()
-    }
-
-    /// Seeds the cache with an already-trained model, so lookups of this
-    /// configuration share it instead of training. A no-op if the
-    /// configuration is already trained here; identical models
-    /// content-dedup onto one registry entry.
-    pub fn adopt(
-        &self,
-        device: DeviceConfig,
-        keyboard: KeyboardKind,
-        app: TargetApp,
-        model: Arc<ClassifierModel>,
-    ) {
-        spansight::count("bench.model_cache.adoptions", 1);
-        self.registry.insert_model_at((device, keyboard, app), model, 0);
-    }
-
-    /// A one-model store for a configuration, sharing the registry's
-    /// handle (and therefore its encoded blob and decoded model).
-    pub fn store(
-        &self,
-        device: DeviceConfig,
-        keyboard: KeyboardKind,
-        app: TargetApp,
-    ) -> ModelStore {
-        let mut store = ModelStore::new();
-        store.add_handle(self.handle(device, keyboard, app));
-        store
-    }
-
-    /// Number of configurations trained so far.
-    pub fn len(&self) -> usize {
-        self.registry.stats().keys
-    }
-
-    /// Whether nothing has been trained yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Per-trial options.
 #[derive(Debug, Clone)]
@@ -223,34 +131,14 @@ pub fn score_or_miss(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_trains_once() {
-        let cache = ModelCache::new();
-        let cfg = SimConfig::paper_default(0);
-        let a = cache.model(cfg.device, cfg.keyboard, cfg.app);
-        let b = cache.model(cfg.device, cfg.keyboard, cfg.app);
-        assert!(Arc::ptr_eq(&a, &b), "hits share one trained model");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_lookups_share_one_model() {
-        let cache = ModelCache::new();
-        let cfg = SimConfig::paper_default(0);
-        let models = Pool::new(4)
-            .par_map(vec![(); 4], |_, ()| cache.model(cfg.device, cfg.keyboard, cfg.app));
-        assert_eq!(cache.len(), 1, "no double training under contention");
-        for m in &models {
-            assert!(Arc::ptr_eq(m, &models[0]));
-        }
-    }
+    use gpu_sc_attack::registry::Registry;
 
     #[test]
     fn trial_round_trips() {
-        let cache = ModelCache::new();
         let opts = TrialOptions::paper_default(5);
-        let store = cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+        let handle =
+            Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+        let store = ModelStore::from(handle);
         let (score, result) = run_credential_trial(&store, &opts, "abcd", 11).unwrap();
         assert_eq!(score.total_keys, 4);
         assert!(score.correct_keys >= 3, "near-clean conditions: {score:?}");

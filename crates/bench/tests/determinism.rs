@@ -9,7 +9,9 @@
 use adreno_sim::time::SimDuration;
 use bench::experiments::{accuracy, fleet, robustness, Ctx};
 use bench::report::capture;
-use bench::{eval_credentials, ModelCache, TrialOptions};
+use bench::{eval_credentials, TrialOptions};
+use gpu_sc_attack::offline::ModelStore;
+use gpu_sc_attack::registry::Registry;
 use input_bot::corpus::CredentialKind;
 use kgsl::FaultPlan;
 use minipool::Pool;
@@ -25,14 +27,21 @@ fn eval_at_budget(
     retry_budget: Option<u32>,
 ) -> gpu_sc_attack::metrics::Aggregate {
     let pool = if jobs == 1 { Pool::sequential() } else { Pool::new(jobs) };
-    let cache = ModelCache::new();
     let mut opts = TrialOptions::paper_default(0);
     opts.fault_plan = fault_plan;
     if let Some(budget) = retry_budget {
         opts.service.sampler.retry = gpu_sc_attack::sampler::RetryPolicy::with_budget(budget);
     }
-    let store = cache.store(opts.sim.device, opts.sim.keyboard, opts.sim.app);
-    eval_credentials(&pool, &store, &opts, CredentialKind::Username, 10, 8, 0xD37)
+    let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
+    eval_credentials(
+        &pool,
+        &ModelStore::from(handle),
+        &opts,
+        CredentialKind::Username,
+        10,
+        8,
+        0xD37,
+    )
 }
 
 #[test]

@@ -14,7 +14,6 @@ use adreno_sim::counters::{CounterSet, NUM_TRACKED};
 use android_ui::{
     AndroidVersion, DeviceConfig, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// One key's trained centroid.
@@ -98,7 +97,7 @@ impl Classification {
 }
 
 /// Hot-path lookup data derived from the centroids at construction time.
-/// Never serialised — [`ClassifierModel::from_bytes`] rebuilds it.
+/// Never serialised — [`crate::registry::decode_model`] rebuilds it.
 #[derive(Debug, Clone, PartialEq)]
 struct PreparedCentroids {
     /// One fixed-length *pre-whitened* `f64` row per centroid
@@ -544,21 +543,6 @@ impl ClassifierModel {
         ClassifierModel { threshold, accept_sq, accept_box, ..self.clone() }
     }
 
-    /// Returns a copy of the model with replacement key centroids, rebuilding
-    /// the prepared hot-path data. Used by the registry's online-adaptation
-    /// fold, which nudges centroids toward a corrected session's observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `centroids` is empty.
-    pub fn with_centroids(&self, centroids: Vec<KeyCentroid>) -> ClassifierModel {
-        assert!(!centroids.is_empty(), "a model needs at least one key centroid");
-        let prepared = PreparedCentroids::build(&centroids, &self.weights);
-        let accept_box =
-            AcceptBox::build(&centroids, &prepared.rows, &self.weights, self.accept_sq);
-        ClassifierModel { centroids, prepared, accept_box, ..self.clone() }
-    }
-
     /// Weighted (whitened) Euclidean distance between two counter vectors.
     ///
     /// Both vectors are mapped through `whiten` and the squared distance
@@ -848,251 +832,7 @@ impl ClassifierModel {
         }
         Classification::Rejected
     }
-
-    /// Serialises the model to the compact on-device wire format (the paper
-    /// reports ≈3.59 kB per model, §7.6).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(64 + self.centroids.len() * (4 + NUM_TRACKED * 4));
-        b.put_slice(b"GPCM");
-        b.put_u8(2); // version
-        b.put_u8(phone_code(self.meta.phone));
-        b.put_u8(android_code(self.meta.android));
-        b.put_u8(resolution_code(self.meta.resolution));
-        b.put_u8(refresh_code(self.meta.refresh));
-        b.put_u8(keyboard_code(self.meta.keyboard));
-        b.put_u8(app_code(self.meta.app));
-        b.put_u8(0); // pad
-        b.put_f32(self.threshold as f32);
-        for w in self.weights {
-            b.put_f32(w as f32);
-        }
-        for v in self.kb_signature.as_array() {
-            b.put_u32((*v).min(u32::MAX as u64) as u32);
-        }
-        for v in self.app_signature.as_array() {
-            b.put_u32((*v).min(u32::MAX as u64) as u32);
-        }
-        b.put_u8(self.field_signatures.len() as u8);
-        for sig in &self.field_signatures {
-            for v in sig.as_array() {
-                b.put_u32((*v).min(u32::MAX as u64) as u32);
-            }
-        }
-        for v in self.launch_signature.as_array() {
-            b.put_u32((*v).min(u32::MAX as u64) as u32);
-        }
-        b.put_u32(self.switch_threshold.min(u32::MAX as u64) as u32);
-        b.put_u16(self.centroids.len() as u16);
-        for c in &self.centroids {
-            b.put_u32(c.ch as u32);
-            for v in c.values.as_array() {
-                b.put_u32((*v).min(u32::MAX as u64) as u32);
-            }
-        }
-        b.freeze()
-    }
-
-    /// Deserialises a model from [`ClassifierModel::to_bytes`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive error for truncated or corrupt input.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, ModelDecodeError> {
-        use ModelDecodeError::*;
-        if data.remaining() < 12 {
-            return Err(Truncated);
-        }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != b"GPCM" {
-            return Err(BadMagic);
-        }
-        let version = data.get_u8();
-        if version != 2 {
-            return Err(BadVersion(version));
-        }
-        let meta = ModelMeta {
-            phone: phone_from(data.get_u8()).ok_or(BadField("phone"))?,
-            android: android_from(data.get_u8()).ok_or(BadField("android"))?,
-            resolution: resolution_from(data.get_u8()).ok_or(BadField("resolution"))?,
-            refresh: refresh_from(data.get_u8()).ok_or(BadField("refresh"))?,
-            keyboard: keyboard_from(data.get_u8()).ok_or(BadField("keyboard"))?,
-            app: app_from(data.get_u8()).ok_or(BadField("app"))?,
-        };
-        let need = 1 + 4 + NUM_TRACKED * 4 + NUM_TRACKED * 4 * 2 + 1 + 4 + 2;
-        if data.remaining() < need {
-            return Err(Truncated);
-        }
-        let _pad = data.get_u8();
-        let threshold = data.get_f32() as f64;
-        let mut weights = [0.0; NUM_TRACKED];
-        for w in &mut weights {
-            *w = data.get_f32() as f64;
-        }
-        let read_set = |data: &mut Bytes| {
-            let mut a = [0u64; NUM_TRACKED];
-            for v in &mut a {
-                *v = data.get_u32() as u64;
-            }
-            CounterSet::from_array(a)
-        };
-        let kb_signature = read_set(&mut data);
-        let app_signature = read_set(&mut data);
-        let n_sigs = data.get_u8() as usize;
-        if data.remaining() < n_sigs * NUM_TRACKED * 4 + 4 + 2 {
-            return Err(Truncated);
-        }
-        let mut field_signatures = Vec::with_capacity(n_sigs);
-        for _ in 0..n_sigs {
-            field_signatures.push(read_set(&mut data));
-        }
-        if data.remaining() < NUM_TRACKED * 4 + 4 + 2 {
-            return Err(Truncated);
-        }
-        let launch_signature = read_set(&mut data);
-        let switch_threshold = data.get_u32() as u64;
-        let n = data.get_u16() as usize;
-        if data.remaining() < n * (4 + NUM_TRACKED * 4) {
-            return Err(Truncated);
-        }
-        let mut centroids = Vec::with_capacity(n);
-        for _ in 0..n {
-            let ch = char::from_u32(data.get_u32()).ok_or(BadField("char"))?;
-            let values = read_set(&mut data);
-            centroids.push(KeyCentroid { ch, values });
-        }
-        if centroids.is_empty() || threshold <= 0.0 || !threshold.is_finite() {
-            return Err(BadField("body"));
-        }
-        // Route through `new` so the prepared hot-path data is rebuilt; the
-        // checks above guarantee its panics cannot fire on decoded input.
-        Ok(ClassifierModel::new(
-            meta,
-            centroids,
-            weights,
-            threshold,
-            kb_signature,
-            app_signature,
-            field_signatures,
-            launch_signature,
-            switch_threshold,
-        ))
-    }
 }
-
-/// Errors from [`ClassifierModel::from_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelDecodeError {
-    /// The byte slice ended before the encoded model did.
-    Truncated,
-    /// The leading magic bytes did not match.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u8),
-    /// A field decoded to an out-of-range value.
-    BadField(&'static str),
-}
-
-impl fmt::Display for ModelDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelDecodeError::Truncated => write!(f, "model bytes truncated"),
-            ModelDecodeError::BadMagic => write!(f, "not a GPCM model"),
-            ModelDecodeError::BadVersion(v) => write!(f, "unsupported model version {v}"),
-            ModelDecodeError::BadField(name) => write!(f, "invalid field: {name}"),
-        }
-    }
-}
-
-impl std::error::Error for ModelDecodeError {}
-
-macro_rules! enum_codes {
-    ($to:ident, $from:ident, $ty:ty, [$(($variant:path, $code:expr)),+ $(,)?]) => {
-        // `pub(crate)`: the registry's GPMR codec shares these byte codes so
-        // GPCM and GPMR agree on every enum's encoding.
-        pub(crate) fn $to(v: $ty) -> u8 {
-            match v {
-                $($variant => $code),+
-            }
-        }
-        pub(crate) fn $from(code: u8) -> Option<$ty> {
-            match code {
-                $($code => Some($variant)),+,
-                _ => None,
-            }
-        }
-    };
-}
-
-enum_codes!(
-    phone_code,
-    phone_from,
-    PhoneModel,
-    [
-        (PhoneModel::LgV30Plus, 0),
-        (PhoneModel::GooglePixel2, 1),
-        (PhoneModel::OnePlus7Pro, 2),
-        (PhoneModel::OnePlus8Pro, 3),
-        (PhoneModel::OnePlus9, 4),
-        (PhoneModel::GalaxyS21, 5),
-    ]
-);
-enum_codes!(
-    android_code,
-    android_from,
-    AndroidVersion,
-    [
-        (AndroidVersion::V8_1, 0),
-        (AndroidVersion::V9, 1),
-        (AndroidVersion::V10, 2),
-        (AndroidVersion::V11, 3),
-    ]
-);
-enum_codes!(
-    resolution_code,
-    resolution_from,
-    Resolution,
-    [(Resolution::Fhd, 0), (Resolution::Qhd, 1),]
-);
-enum_codes!(
-    refresh_code,
-    refresh_from,
-    RefreshRate,
-    [(RefreshRate::Hz60, 0), (RefreshRate::Hz120, 1),]
-);
-enum_codes!(
-    keyboard_code,
-    keyboard_from,
-    KeyboardKind,
-    [
-        (KeyboardKind::Gboard, 0),
-        (KeyboardKind::Swift, 1),
-        (KeyboardKind::Sogou, 2),
-        (KeyboardKind::GooglePinyin, 3),
-        (KeyboardKind::Go, 4),
-        (KeyboardKind::Grammarly, 5),
-    ]
-);
-enum_codes!(
-    app_code,
-    app_from,
-    TargetApp,
-    [
-        (TargetApp::Chase, 0),
-        (TargetApp::Amex, 1),
-        (TargetApp::Fidelity, 2),
-        (TargetApp::Schwab, 3),
-        (TargetApp::MyFico, 4),
-        (TargetApp::Experian, 5),
-        (TargetApp::ChromeChase, 6),
-        (TargetApp::ChromeSchwab, 7),
-        (TargetApp::ChromeExperian, 8),
-        (TargetApp::Pnc, 9),
-        (TargetApp::Gedit, 10),
-        (TargetApp::GmailWeb, 11),
-        (TargetApp::DropboxClient, 12),
-    ]
-);
 
 #[cfg(test)]
 mod tests {
@@ -1179,62 +919,6 @@ mod tests {
         let d_prims = m.distance(&set(1000, 150), &set(1000, 160));
         let d_tiles = m.distance(&set(1000, 150), &set(1015, 150));
         assert!(d_prims > d_tiles);
-    }
-
-    #[test]
-    fn serialisation_round_trips() {
-        let m = model();
-        let bytes = m.to_bytes();
-        let back = ClassifierModel::from_bytes(bytes).unwrap();
-        assert_eq!(back.meta(), m.meta());
-        assert_eq!(back.centroids(), m.centroids());
-        assert_eq!(back.switch_threshold(), m.switch_threshold());
-        assert!((back.threshold() - m.threshold()).abs() < 1e-6);
-        assert_eq!(back.kb_signature(), m.kb_signature());
-    }
-
-    #[test]
-    fn wire_size_matches_paper_scale() {
-        // A full 80-key model must be in the ~3.6 kB ballpark (§7.6).
-        let centroids: Vec<KeyCentroid> = adreno_sim::font::FIG18_CHARSET
-            .chars()
-            .map(|ch| KeyCentroid { ch, values: set(1000 + ch as u64, 150) })
-            .collect();
-        let m = ClassifierModel::new(
-            meta(),
-            centroids,
-            [1.0; NUM_TRACKED],
-            25.0,
-            set(900, 140),
-            set(5000, 40),
-            vec![set(20, 2), set(24, 4)],
-            set(9000, 300),
-            50_000,
-        );
-        let size = m.to_bytes().len();
-        assert!(
-            (3_000..=4_500).contains(&size),
-            "model wire size {size} B should be ≈3.6 kB like the paper's \
-             (field signatures add ~2 kB on top for trained models)"
-        );
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(
-            ClassifierModel::from_bytes(Bytes::from_static(b"nope")),
-            Err(ModelDecodeError::Truncated)
-        );
-        assert_eq!(
-            ClassifierModel::from_bytes(Bytes::from_static(b"XXXX\x01aaaaaaaaaaaaaaaaaaaa")),
-            Err(ModelDecodeError::BadMagic)
-        );
-        let mut good = model().to_bytes().to_vec();
-        good.truncate(good.len() - 3);
-        assert_eq!(
-            ClassifierModel::from_bytes(Bytes::from(good)),
-            Err(ModelDecodeError::Truncated)
-        );
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //!   Fig 14);
 //! * [`offline`] — the training pipeline and the preloaded [`offline::ModelStore`]
 //!   with device recognition (§3.2, §6);
-//! * [`registry`] — the content-addressed model registry: quantized
-//!   serialization, train-once-per-key, byte-budgeted deterministic
-//!   eviction, online adaptation with lineage;
+//! * [`registry`] — the content-addressed model registry: the GPMR model
+//!   format, SHA-256 digests and train-once-per-key;
 //! * [`stage`] — the push-based streaming [`Stage`] abstraction all of the
 //!   above compose through;
 //! * [`ring`] — the lock-free SPSC ring that carries sampled slots from the
@@ -83,7 +82,7 @@ pub use metrics::{Aggregate, SessionScore};
 pub use offline::{ModelStore, Trainer, TrainerConfig};
 pub use online::{InferenceStats, InferredKey, OnlineConfig};
 pub use registry::{
-    ModelDigest, ModelHandle, ModelKey, Quantization, Registry, RegistryConfig, RegistryStats,
+    ModelDecodeError, ModelDigest, ModelHandle, Quantization, Registry, RegistryStats,
 };
 pub use sampler::{RetryPolicy, Sampler, SamplerConfig, SamplerReport};
 pub use service::{

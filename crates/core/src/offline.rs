@@ -24,8 +24,8 @@ use android_ui::sim::{SimConfig, UiSimulation};
 use android_ui::{DeviceConfig, KeyboardKind, TargetApp};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::classify::{ClassifierModel, KeyCentroid, ModelDecodeError, ModelMeta};
-use crate::registry::{ModelDigest, ModelHandle, Quantization};
+use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
+use crate::registry::{ModelDecodeError, ModelDigest, ModelHandle};
 use crate::sampler::{Sampler, SamplerConfig};
 use crate::stage::Stage;
 use crate::trace::{extract_deltas, Delta};
@@ -311,12 +311,11 @@ fn whitening_weights(centroids: &[KeyCentroid]) -> [f64; NUM_TRACKED] {
 /// The preloaded collection of per-configuration models (§7.6 discusses
 /// shipping thousands of them in a 13 MB app).
 ///
-/// Since the registry refactor the store is a thin view over
-/// [`ModelHandle`]s: each entry carries its canonical GPMR encoding, its
-/// content digest and the lazily decoded model. Cloning a store (e.g. to
-/// hand one to each of many concurrent attack services) shares both blobs
-/// and decoded models instead of copying them. Equality is digest equality
-/// (handles compare by content address).
+/// The store is a list of [`ModelHandle`]s: each entry carries its
+/// canonical GPMR encoding, its content digest and the model. Cloning a
+/// store (e.g. to hand one to each of many concurrent attack services)
+/// shares both blobs and models instead of copying them. Equality is digest
+/// equality (handles compare by content address).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelStore {
     models: Vec<ModelHandle>,
@@ -335,7 +334,7 @@ impl ModelStore {
 
     /// Adds an already-shared model without copying it.
     pub fn add_shared(&mut self, model: Arc<ClassifierModel>) {
-        self.models.push(ModelHandle::from_arc(model, Quantization::F64));
+        self.models.push(ModelHandle::from_arc(model));
     }
 
     /// Adds a registry handle directly — the fleet path: hub and shards
@@ -454,6 +453,13 @@ impl ModelStore {
     /// surfaces as a typed error rather than a misclassification.
     pub fn find_digest(&self, digest: &ModelDigest) -> Option<&ModelHandle> {
         self.models.iter().find(|h| h.digest() == *digest)
+    }
+}
+
+impl From<ModelHandle> for ModelStore {
+    /// A one-model store sharing the handle's blob and model.
+    fn from(handle: ModelHandle) -> Self {
+        ModelStore { models: vec![handle] }
     }
 }
 

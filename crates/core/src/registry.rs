@@ -1,60 +1,35 @@
-//! Content-addressed model registry: the single source of trained
-//! [`ClassifierModel`]s at fleet scale.
+//! Content-addressed model registry: every trained [`ClassifierModel`] the
+//! process uses, trained once per configuration and named by its digest.
 //!
-//! The paper ships thousands of per-configuration models inside a 13 MB app
-//! (§7.6) and adapts models across users (§7.5). At ROADMAP scale — millions
-//! of victims with per-device×keyboard×app variants — model storage,
-//! eviction and update semantics are a production subsystem of their own.
-//! This module provides it:
+//! The paper's attacker preloads one compact model per phone × keyboard
+//! configuration and picks it by device recognition (§3.2, §7.6). This
+//! module provides what that needs:
 //!
-//! * **GPMR format** — a compact versioned binary encoding of a
-//!   [`ClassifierModel`] with a quantization knob ([`Quantization`]): `f64`
-//!   (bit-exact), `f32` or `i16` centroid rows. Whitening weights and the
-//!   acceptance threshold are always kept exact (full `f64` bits) — they
-//!   define the distance space, and perturbing them would shift every
+//! * **GPMR format** — the one binary encoding of a [`ClassifierModel`]
+//!   ([`encode_model`] / [`decode_model`]), with centroid rows stored at a
+//!   [`Quantization`] tier: `f64` (bit-exact) or `f32`. Whitening weights
+//!   and the acceptance threshold are always kept exact (full `f64` bits) —
+//!   they define the distance space, and perturbing them would shift every
 //!   decision boundary at once.
-//! * **Content addressing** — a [`ModelDigest`] (SHA-256 over the canonical
-//!   encoding) names each model. Identical models deduplicate to one blob
-//!   and one decoded `Arc` regardless of how many fleet keys map to them.
-//! * **[`ModelHandle`]** — a cheaply clonable handle owning the encoded
-//!   blob. Decoding is lazy and happens at most once per handle: the first
-//!   [`ModelHandle::model`] call materialises an `Arc<ClassifierModel>`,
-//!   the blob stays resident for re-serving (the wire sends bytes, not
-//!   structs).
-//! * **[`Registry`]** — train-once-per-key semantics (absorbed from the old
-//!   `bench::ModelCache`), byte-budgeted deterministic LRU eviction with
-//!   pinning, and incremental online adaptation: an
-//!   exponential-moving-average fold of a corrected session's observations
-//!   into the centroids, producing a *new* digest with parent→child lineage
-//!   tracked.
-//!
-//! # Determinism
-//!
-//! Eviction order is a pure function of registry contents, never of thread
-//! scheduling. Recency ticks are **caller-assigned logical times** folded
-//! with `max` (commutative — concurrent touches land in any order with the
-//! same result), and ties break on insertion tick and then on the digest
-//! itself, which is scheduling-independent by construction. The `registry`
-//! experiment's eviction log is byte-identical at any `--jobs`.
+//! * **Content addressing** — a [`ModelDigest`] (SHA-256 over the GPMR
+//!   blob) names each model; wire v2's `Hello` pins a model by it.
+//! * **[`ModelHandle`]** — a cheaply clonable handle owning the digest, the
+//!   encoded blob (the wire sends bytes, not structs) and the model.
+//! * **[`Registry`]** — train-once-per-key cells plus a map of blobs
+//!   deduplicated by digest.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use adreno_sim::counters::{CounterSet, NUM_TRACKED};
-use android_ui::{DeviceConfig, KeyboardKind, TargetApp};
+use android_ui::{
+    AndroidVersion, DeviceConfig, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::classify::{
-    android_code, android_from, app_code, app_from, keyboard_code, keyboard_from, phone_code,
-    phone_from, refresh_code, refresh_from, resolution_code, resolution_from, ClassifierModel,
-    KeyCentroid, ModelDecodeError, ModelMeta,
-};
+use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
 use crate::offline::{Trainer, TrainerConfig};
-
-/// The fleet key a model is registered under: the victim configuration that
-/// selects which model can classify its popup frames.
-pub type ModelKey = (DeviceConfig, KeyboardKind, TargetApp);
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), self-contained. The registry is content-addressed
@@ -135,7 +110,7 @@ mod sha256 {
 /// Content address of an encoded model: SHA-256 over the canonical GPMR
 /// blob. Two models with the same digest are byte-identical on the wire and
 /// share one blob and one decoded `Arc` in the registry.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelDigest([u8; 32]);
 
 impl ModelDigest {
@@ -186,7 +161,7 @@ impl fmt::Debug for ModelDigest {
 }
 
 // ---------------------------------------------------------------------------
-// Quantization + GPMR codec
+// GPMR codec
 
 /// Centroid-row quantization tier of the GPMR encoding.
 ///
@@ -195,39 +170,33 @@ impl fmt::Debug for ModelDigest {
 /// matched with *relative* tolerances against raw traffic and the weights
 /// define the whitened distance space itself.
 ///
-/// Decoded-value error bounds (per counter value `v`, row maximum `m`):
+/// Decoded-value error bounds (per counter value `v`):
 ///
 /// * [`Quantization::F64`] — exact for `v < 2⁵³` (every realistic counter;
 ///   the paper's counters are tile/primitive/pixel counts ≤ 2²⁵ per frame).
 /// * [`Quantization::F32`] — `|dec − v| ≤ v / 2²³ + 1` (one f32 rounding,
 ///   then rounding back to an integer).
-/// * [`Quantization::I16`] — lossless when `m ≤ 32767`; otherwise the row
-///   is scaled by `m / 32767` and `|dec − v| ≤ m / (2 · 32767) + 1`.
 ///
-/// Every tier's decode→re-encode is **idempotent**: re-encoding a decoded
+/// Both tiers' decode→re-encode is **idempotent**: re-encoding a decoded
 /// model reproduces the blob byte-for-byte, so the digest is stable across
 /// a decode/encode round trip (pinned by proptest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Quantization {
     /// Centroid rows as full `f64` bits — bit-exact round trip.
-    #[default]
     F64,
     /// Centroid rows as `f32` bits — 4 bytes per value, ~2⁻²³ relative error.
     F32,
-    /// Centroid rows as `i16` against a per-row scale — 2 bytes per value.
-    I16,
 }
 
 impl Quantization {
-    /// All tiers, in increasing compression order.
-    pub const ALL: [Quantization; 3] = [Quantization::F64, Quantization::F32, Quantization::I16];
+    /// Both tiers, in increasing compression order.
+    pub const ALL: [Quantization; 2] = [Quantization::F64, Quantization::F32];
 
-    /// Human-readable tier name (`"f64"`, `"f32"`, `"i16"`).
+    /// Human-readable tier name (`"f64"`, `"f32"`).
     pub fn name(&self) -> &'static str {
         match self {
             Quantization::F64 => "f64",
             Quantization::F32 => "f32",
-            Quantization::I16 => "i16",
         }
     }
 
@@ -235,22 +204,133 @@ impl Quantization {
         match self {
             Quantization::F64 => 0,
             Quantization::F32 => 1,
-            Quantization::I16 => 2,
         }
     }
 
+    /// The tier a header byte names. Code 2 (a retired `i16` tier) and
+    /// anything above it are rejected.
     fn from_code(code: u8) -> Option<Quantization> {
         match code {
             0 => Some(Quantization::F64),
             1 => Some(Quantization::F32),
-            2 => Some(Quantization::I16),
             _ => None,
         }
     }
 }
 
-/// Largest representable i16 quantization level.
-const I16_LEVELS: u64 = 32767;
+/// Errors from [`decode_model`], [`ModelHandle::from_blob`] and
+/// [`crate::offline::ModelStore::from_bytes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ModelDecodeError {
+    /// The byte slice ended before the encoded model did.
+    Truncated,
+    /// The leading magic bytes did not match.
+    BadMagic,
+    /// Unsupported format version.
+    BadVersion(u8),
+    /// A field decoded to an out-of-range value.
+    BadField(&'static str),
+}
+
+impl fmt::Display for ModelDecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelDecodeError::Truncated => write!(f, "model bytes truncated"),
+            ModelDecodeError::BadMagic => write!(f, "not a GPMR model"),
+            ModelDecodeError::BadVersion(v) => write!(f, "unsupported model version {v}"),
+            ModelDecodeError::BadField(name) => write!(f, "invalid field: {name}"),
+        }
+    }
+}
+
+impl std::error::Error for ModelDecodeError {}
+
+// The one-byte codes GPMR stores each configuration enum as.
+macro_rules! enum_codes {
+    ($to:ident, $from:ident, $ty:ty, [$(($variant:path, $code:expr)),+ $(,)?]) => {
+        fn $to(v: $ty) -> u8 {
+            match v {
+                $($variant => $code),+
+            }
+        }
+        fn $from(code: u8) -> Option<$ty> {
+            match code {
+                $($code => Some($variant)),+,
+                _ => None,
+            }
+        }
+    };
+}
+
+enum_codes!(
+    phone_code,
+    phone_from,
+    PhoneModel,
+    [
+        (PhoneModel::LgV30Plus, 0),
+        (PhoneModel::GooglePixel2, 1),
+        (PhoneModel::OnePlus7Pro, 2),
+        (PhoneModel::OnePlus8Pro, 3),
+        (PhoneModel::OnePlus9, 4),
+        (PhoneModel::GalaxyS21, 5),
+    ]
+);
+enum_codes!(
+    android_code,
+    android_from,
+    AndroidVersion,
+    [
+        (AndroidVersion::V8_1, 0),
+        (AndroidVersion::V9, 1),
+        (AndroidVersion::V10, 2),
+        (AndroidVersion::V11, 3),
+    ]
+);
+enum_codes!(
+    resolution_code,
+    resolution_from,
+    Resolution,
+    [(Resolution::Fhd, 0), (Resolution::Qhd, 1),]
+);
+enum_codes!(
+    refresh_code,
+    refresh_from,
+    RefreshRate,
+    [(RefreshRate::Hz60, 0), (RefreshRate::Hz120, 1),]
+);
+enum_codes!(
+    keyboard_code,
+    keyboard_from,
+    KeyboardKind,
+    [
+        (KeyboardKind::Gboard, 0),
+        (KeyboardKind::Swift, 1),
+        (KeyboardKind::Sogou, 2),
+        (KeyboardKind::GooglePinyin, 3),
+        (KeyboardKind::Go, 4),
+        (KeyboardKind::Grammarly, 5),
+    ]
+);
+enum_codes!(
+    app_code,
+    app_from,
+    TargetApp,
+    [
+        (TargetApp::Chase, 0),
+        (TargetApp::Amex, 1),
+        (TargetApp::Fidelity, 2),
+        (TargetApp::Schwab, 3),
+        (TargetApp::MyFico, 4),
+        (TargetApp::Experian, 5),
+        (TargetApp::ChromeChase, 6),
+        (TargetApp::ChromeSchwab, 7),
+        (TargetApp::ChromeExperian, 8),
+        (TargetApp::Pnc, 9),
+        (TargetApp::Gedit, 10),
+        (TargetApp::GmailWeb, 11),
+        (TargetApp::DropboxClient, 12),
+    ]
+);
 
 fn put_varint(b: &mut BytesMut, mut v: u64) {
     loop {
@@ -318,18 +398,6 @@ fn encode_row(b: &mut BytesMut, row: &CounterSet, q: Quantization) {
                 b.put_u32((v as f32).to_bits());
             }
         }
-        Quantization::I16 => {
-            let max = row.as_array().iter().copied().max().unwrap_or(0);
-            // Scale 1.0 below the level count keeps small rows lossless;
-            // above it, scale > 1 guarantees requantizing a decoded row
-            // reproduces the same levels (the decode error is < scale/2).
-            let scale = if max <= I16_LEVELS { 1.0 } else { max as f64 / I16_LEVELS as f64 };
-            b.put_u64(scale.to_bits());
-            for &v in row.as_array() {
-                let q = ((v as f64 / scale).round() as u64).min(I16_LEVELS) as u16;
-                b.put_u16(q);
-            }
-        }
     }
 }
 
@@ -358,22 +426,6 @@ fn decode_row(data: &mut Bytes, q: Quantization) -> Result<CounterSet, ModelDeco
                     return Err(ModelDecodeError::BadField("centroid value"));
                 }
                 *v = to_counter(f as f64);
-            }
-        }
-        Quantization::I16 => {
-            if data.remaining() < 8 + NUM_TRACKED * 2 {
-                return Err(ModelDecodeError::Truncated);
-            }
-            let scale = f64::from_bits(data.get_u64());
-            if !scale.is_finite() || scale < 1.0 {
-                return Err(ModelDecodeError::BadField("row scale"));
-            }
-            for v in &mut a {
-                let q = data.get_u16() as u64;
-                if q > I16_LEVELS {
-                    return Err(ModelDecodeError::BadField("quantized value"));
-                }
-                *v = to_counter(q as f64 * scale);
             }
         }
     }
@@ -427,21 +479,41 @@ pub fn encode_model(model: &ClassifierModel, q: Quantization) -> Bytes {
     b.freeze()
 }
 
-/// Everything [`decode_model`] reads out of a blob, before the (relatively
-/// expensive) hot-path preparation that `ClassifierModel::new` performs.
-struct Parsed {
-    meta: ModelMeta,
-    threshold: f64,
-    weights: [f64; NUM_TRACKED],
-    kb_signature: CounterSet,
-    app_signature: CounterSet,
-    field_signatures: Vec<CounterSet>,
-    launch_signature: CounterSet,
-    switch_threshold: u64,
-    centroids: Vec<KeyCentroid>,
+/// Reads the fixed 12-byte GPMR header: magic, version, tier, meta.
+fn parse_header(data: &mut Bytes) -> Result<(Quantization, ModelMeta), ModelDecodeError> {
+    use ModelDecodeError::*;
+    if data.remaining() < 12 {
+        return Err(Truncated);
+    }
+    let mut magic = [0u8; 4];
+    data.copy_to_slice(&mut magic);
+    if &magic != b"GPMR" {
+        return Err(BadMagic);
+    }
+    let version = data.get_u8();
+    if version != 1 {
+        return Err(BadVersion(version));
+    }
+    let quantization = Quantization::from_code(data.get_u8()).ok_or(BadField("quantization"))?;
+    let meta = ModelMeta {
+        phone: phone_from(data.get_u8()).ok_or(BadField("phone"))?,
+        android: android_from(data.get_u8()).ok_or(BadField("android"))?,
+        resolution: resolution_from(data.get_u8()).ok_or(BadField("resolution"))?,
+        refresh: refresh_from(data.get_u8()).ok_or(BadField("refresh"))?,
+        keyboard: keyboard_from(data.get_u8()).ok_or(BadField("keyboard"))?,
+        app: app_from(data.get_u8()).ok_or(BadField("app"))?,
+    };
+    Ok((quantization, meta))
 }
 
-fn parse_blob(mut data: Bytes) -> Result<Parsed, ModelDecodeError> {
+/// Decodes a GPMR blob produced by [`encode_model`] at either tier,
+/// rebuilding the classifier's prepared hot-path data.
+///
+/// # Errors
+///
+/// A typed [`ModelDecodeError`] for truncated or corrupt input; never
+/// panics, whatever the bytes.
+pub fn decode_model(mut data: Bytes) -> Result<ClassifierModel, ModelDecodeError> {
     use ModelDecodeError::*;
     let (quantization, meta) = parse_header(&mut data)?;
     if data.remaining() < 8 + NUM_TRACKED * 8 {
@@ -486,65 +558,16 @@ fn parse_blob(mut data: Bytes) -> Result<Parsed, ModelDecodeError> {
     if centroids.is_empty() || threshold <= 0.0 || !threshold.is_finite() {
         return Err(BadField("body"));
     }
-    Ok(Parsed {
+    Ok(ClassifierModel::new(
         meta,
-        threshold,
+        centroids,
         weights,
+        threshold,
         kb_signature,
         app_signature,
         field_signatures,
         launch_signature,
         switch_threshold,
-        centroids,
-    })
-}
-
-/// Reads just the fixed 11-byte GPMR header: magic, version, tier, meta.
-fn parse_header(data: &mut Bytes) -> Result<(Quantization, ModelMeta), ModelDecodeError> {
-    use ModelDecodeError::*;
-    if data.remaining() < 12 {
-        return Err(Truncated);
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != b"GPMR" {
-        return Err(BadMagic);
-    }
-    let version = data.get_u8();
-    if version != 1 {
-        return Err(BadVersion(version));
-    }
-    let quantization = Quantization::from_code(data.get_u8()).ok_or(BadField("quantization"))?;
-    let meta = ModelMeta {
-        phone: phone_from(data.get_u8()).ok_or(BadField("phone"))?,
-        android: android_from(data.get_u8()).ok_or(BadField("android"))?,
-        resolution: resolution_from(data.get_u8()).ok_or(BadField("resolution"))?,
-        refresh: refresh_from(data.get_u8()).ok_or(BadField("refresh"))?,
-        keyboard: keyboard_from(data.get_u8()).ok_or(BadField("keyboard"))?,
-        app: app_from(data.get_u8()).ok_or(BadField("app"))?,
-    };
-    Ok((quantization, meta))
-}
-
-/// Decodes a GPMR blob produced by [`encode_model`], rebuilding the
-/// classifier's prepared hot-path data.
-///
-/// # Errors
-///
-/// A typed [`ModelDecodeError`] for truncated or corrupt input; never
-/// panics, whatever the bytes.
-pub fn decode_model(data: Bytes) -> Result<ClassifierModel, ModelDecodeError> {
-    let p = parse_blob(data)?;
-    Ok(ClassifierModel::new(
-        p.meta,
-        p.centroids,
-        p.weights,
-        p.threshold,
-        p.kb_signature,
-        p.app_signature,
-        p.field_signatures,
-        p.launch_signature,
-        p.switch_threshold,
     ))
 }
 
@@ -553,66 +576,37 @@ pub fn decode_model(data: Bytes) -> Result<ClassifierModel, ModelDecodeError> {
 
 struct HandleInner {
     digest: ModelDigest,
-    quantization: Quantization,
     blob: Bytes,
-    /// Lazily decoded model. Handles built from a live trained model are
-    /// pre-seeded with that exact `Arc`, so serving stays bit-exact even at
-    /// lossy tiers — the blob is the *wire* form, quantization error only
-    /// enters when a peer decodes the bytes.
-    decoded: OnceLock<Arc<ClassifierModel>>,
+    model: Arc<ClassifierModel>,
 }
 
-/// A cheaply clonable handle to one registered model: the content digest,
-/// the encoded GPMR blob (retained for re-serving) and a lazily decoded
-/// `Arc<ClassifierModel>` materialised at most once on first use.
+/// A cheaply clonable handle to one model: its content digest, its encoded
+/// GPMR blob (retained for re-serving) and the model itself, shared by
+/// every clone.
 #[derive(Clone)]
 pub struct ModelHandle {
     inner: Arc<HandleInner>,
 }
 
 impl ModelHandle {
-    /// Wraps an already-trained model: encodes it at `q`, digests the
-    /// encoding, and pre-seeds the decoded slot with the given `Arc` (no
-    /// decode will ever run; clones share the trained model bit-exactly).
-    pub fn from_arc(model: Arc<ClassifierModel>, q: Quantization) -> ModelHandle {
-        let blob = encode_model(&model, q);
+    /// Wraps an already-trained model: encodes it at the bit-exact `f64`
+    /// tier and digests the encoding. Clones share the given `Arc`.
+    pub fn from_arc(model: Arc<ClassifierModel>) -> ModelHandle {
+        let blob = encode_model(&model, Quantization::F64);
         let digest = ModelDigest::of(&blob);
-        let decoded = OnceLock::new();
-        let _ = decoded.set(model);
-        ModelHandle { inner: Arc::new(HandleInner { digest, quantization: q, blob, decoded }) }
+        ModelHandle { inner: Arc::new(HandleInner { digest, blob, model }) }
     }
 
-    /// Wraps an untrusted encoded blob, **eagerly validating** it by a full
-    /// decode (the decoded model seeds the lazy slot, so validation is not
-    /// wasted work).
+    /// Wraps an untrusted encoded blob of either tier, validating it by a
+    /// full decode.
     ///
     /// # Errors
     ///
     /// Any [`ModelDecodeError`] the blob fails validation with.
     pub fn from_blob(blob: Bytes) -> Result<ModelHandle, ModelDecodeError> {
-        let model = decode_model(blob.clone())?;
-        let mut header = blob.clone();
-        let (quantization, _) = parse_header(&mut header)?;
+        let model = Arc::new(decode_model(blob.clone())?);
         let digest = ModelDigest::of(&blob);
-        let decoded = OnceLock::new();
-        let _ = decoded.set(Arc::new(model));
-        Ok(ModelHandle { inner: Arc::new(HandleInner { digest, quantization, blob, decoded }) })
-    }
-
-    /// Wraps a **trusted** encoded blob (one produced by [`encode_model`])
-    /// without decoding it: only the fixed header is checked. The first
-    /// [`ModelHandle::model`] call decodes lazily.
-    ///
-    /// # Errors
-    ///
-    /// Header-level [`ModelDecodeError`]s only (magic/version/tier/meta).
-    pub fn from_trusted_blob(blob: Bytes) -> Result<ModelHandle, ModelDecodeError> {
-        let mut header = blob.clone();
-        let (quantization, _) = parse_header(&mut header)?;
-        let digest = ModelDigest::of(&blob);
-        Ok(ModelHandle {
-            inner: Arc::new(HandleInner { digest, quantization, blob, decoded: OnceLock::new() }),
-        })
+        Ok(ModelHandle { inner: Arc::new(HandleInner { digest, blob, model }) })
     }
 
     /// The model's content address.
@@ -620,63 +614,24 @@ impl ModelHandle {
         self.inner.digest
     }
 
-    /// The quantization tier the blob is encoded at.
-    pub fn quantization(&self) -> Quantization {
-        self.inner.quantization
-    }
-
     /// The encoded GPMR blob (zero-copy slice of the handle's storage).
     pub fn blob(&self) -> &Bytes {
         &self.inner.blob
     }
 
-    /// Encoded size in bytes — cached at insert time, never recomputed
-    /// (this is what fixes the old `ModelStore::total_wire_bytes`
-    /// re-serialising every model per call).
+    /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         self.inner.blob.len()
     }
 
-    /// The decoded model, materialised on first call and shared thereafter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was built over a corrupt blob via
-    /// [`ModelHandle::from_trusted_blob`] — the trusted path is for blobs
-    /// this process encoded itself.
+    /// The model.
     pub fn model(&self) -> &ClassifierModel {
-        self.model_arc_ref()
+        &self.inner.model
     }
 
-    /// The decoded model as a shared `Arc` (cloned).
+    /// The model as a shared `Arc` (cloned).
     pub fn model_arc(&self) -> Arc<ClassifierModel> {
-        Arc::clone(self.model_arc_ref())
-    }
-
-    fn model_arc_ref(&self) -> &Arc<ClassifierModel> {
-        self.inner.decoded.get_or_init(|| {
-            Arc::new(
-                decode_model(self.inner.blob.clone())
-                    .expect("trusted registry blob failed to decode"),
-            )
-        })
-    }
-
-    /// Whether the decoded model has been materialised yet.
-    pub fn is_decoded(&self) -> bool {
-        self.inner.decoded.get().is_some()
-    }
-
-    /// Decodes a *fresh* model from the blob, bypassing the pre-seeded
-    /// trained `Arc`. This is what a remote peer would reconstruct from the
-    /// wire bytes — the quantized view — and what the `registry` experiment
-    /// measures accuracy deltas against.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ModelDecodeError`] if the blob is corrupt.
-    pub fn decode_blob(&self) -> Result<ClassifierModel, ModelDecodeError> {
-        decode_model(self.inner.blob.clone())
+        Arc::clone(&self.inner.model)
     }
 }
 
@@ -684,9 +639,7 @@ impl fmt::Debug for ModelHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelHandle")
             .field("digest", &self.inner.digest)
-            .field("quantization", &self.inner.quantization)
             .field("encoded_len", &self.inner.blob.len())
-            .field("decoded", &self.is_decoded())
             .finish()
     }
 }
@@ -702,503 +655,82 @@ impl Eq for ModelHandle {}
 // ---------------------------------------------------------------------------
 // Registry
 
-/// Registry policy knobs.
-#[derive(Debug, Clone)]
-pub struct RegistryConfig {
-    /// Quantization tier models are encoded at on insert. Default
-    /// [`Quantization::F64`]: bit-exact, so registry adoption does not
-    /// perturb any accuracy number.
-    pub quantization: Quantization,
-    /// Total encoded-bytes budget. Exceeding it evicts unpinned entries in
-    /// deterministic least-recently-used order. `None` = unbounded.
-    pub byte_budget: Option<usize>,
-    /// EMA weight of a corrected session's observation when folding it into
-    /// centroids ([`Registry::adapt_at`]): `new = (1-α)·old + α·observed`.
-    pub ema_alpha: f64,
-    /// Trainer configuration for [`Registry::get_or_train`] misses.
-    pub trainer: TrainerConfig,
-}
+/// The configuration a model is trained for: the victim device, keyboard
+/// and target app.
+type ModelKey = (DeviceConfig, KeyboardKind, TargetApp);
 
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        RegistryConfig {
-            quantization: Quantization::F64,
-            byte_budget: None,
-            ema_alpha: 0.25,
-            trainer: TrainerConfig::default(),
-        }
-    }
-}
+/// Neither registry lock is held across anything that can panic (training
+/// runs with both released), so a poisoned lock is a bug.
+const POISONED: &str = "registry lock poisoned";
 
 /// Counters snapshot from [`Registry::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryStats {
-    /// Key lookups (including the lookup inside `get_or_train`).
-    pub lookups: u64,
-    /// Lookups that found a live entry for the key.
-    pub hits: u64,
-    /// Models actually trained by `get_or_train` misses.
+    /// Models trained by `get_or_train` misses.
     pub trainings: u64,
-    /// Inserts (any path) that resolved to an already-present digest.
-    pub dedup_hits: u64,
-    /// Entries evicted to meet the byte budget.
-    pub evictions: u64,
-    /// Successful adaptation folds that produced a new digest.
-    pub adaptations: u64,
-    /// Insert operations (model, encoded, or adapted child).
-    pub inserts: u64,
-    /// Fleet keys currently mapped to a live entry (≥ `models` when
-    /// deduplication folded several keys onto one digest — then it is the
-    /// *keys* that outnumber the models).
-    pub keys: usize,
-    /// Live entries right now.
+    /// Distinct models (digests) held.
     pub models: usize,
-    /// Total encoded bytes held right now.
+    /// Total encoded bytes of those models.
     pub total_bytes: usize,
 }
 
-struct Entry {
-    handle: ModelHandle,
-    pinned: bool,
-    /// Caller-assigned logical recency, folded with `max` (commutative, so
-    /// concurrent touches are order-independent).
-    last_used: u64,
-    /// Insertion tick — the LRU tie-break before the digest itself.
-    inserted_at: u64,
-}
-
 #[derive(Default)]
-struct State {
-    entries: HashMap<ModelDigest, Entry>,
-    by_key: HashMap<ModelKey, ModelDigest>,
-    /// Reverse of `by_key`, so eviction can unmap without a scan.
-    keys_of: HashMap<ModelDigest, Vec<ModelKey>>,
-    /// parent → child adaptation edges, in adaptation order.
-    lineage: Vec<(ModelDigest, ModelDigest)>,
-    /// Digests evicted so far, in eviction order (deterministic).
-    eviction_log: Vec<ModelDigest>,
-    total_bytes: usize,
-    lookups: u64,
-    hits: u64,
+struct Blobs {
+    by_digest: HashMap<ModelDigest, ModelHandle>,
     trainings: u64,
-    dedup_hits: u64,
-    adaptations: u64,
-    inserts: u64,
 }
 
-impl State {
-    fn map_key(&mut self, key: ModelKey, digest: ModelDigest) {
-        if let Some(old) = self.by_key.insert(key, digest) {
-            if old != digest {
-                if let Some(keys) = self.keys_of.get_mut(&old) {
-                    keys.retain(|k| *k != key);
-                }
-            } else {
-                return;
-            }
-        }
-        self.keys_of.entry(digest).or_default().push(key);
-    }
-
-    /// Evicts unpinned entries (never `protect`, the entry just inserted)
-    /// until the budget holds or nothing is evictable. Victim order is
-    /// (last_used, inserted_at, digest) minimum — a pure function of
-    /// contents. Returns the fleet keys whose mapping died with a victim;
-    /// the caller purges their train-once cells so the key retrains.
-    fn evict_to_budget(&mut self, budget: usize, protect: ModelDigest) -> Vec<ModelKey> {
-        let mut purged = Vec::new();
-        while self.total_bytes > budget {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(d, e)| !e.pinned && **d != protect)
-                .min_by_key(|(d, e)| (e.last_used, e.inserted_at, **d))
-                .map(|(d, _)| *d);
-            let Some(digest) = victim else { break };
-            let entry = self.entries.remove(&digest).expect("victim came from entries");
-            self.total_bytes -= entry.handle.encoded_len();
-            self.eviction_log.push(digest);
-            spansight::count("core.registry.evictions", 1);
-            for key in self.keys_of.remove(&digest).unwrap_or_default() {
-                self.by_key.remove(&key);
-                purged.push(key);
-            }
-        }
-        purged
-    }
-}
-
-/// The content-addressed model registry. See the module docs for the full
-/// picture; in one sentence: *every trained model in the process lives
-/// here, under its digest, in encoded form, decoded lazily, evicted
-/// deterministically, and adapted with tracked lineage.*
+/// The content-addressed model registry: each configuration's model is
+/// trained once, and every model is held once under its digest.
+#[derive(Default)]
 pub struct Registry {
-    config: RegistryConfig,
-    /// Train-once-per-key cells (absorbed from the old `bench::ModelCache`):
-    /// concurrent `get_or_train` calls for one key block on one `OnceLock`
-    /// and share the single trained model. Held separately from `state` —
-    /// the two locks are never held at once (training runs with neither).
+    /// Train-once-per-key cells: concurrent `get_or_train` calls for one
+    /// key block on one `OnceLock` and share the single trained model.
+    /// Training runs with neither lock held.
     cells: Mutex<HashMap<ModelKey, Arc<OnceLock<ModelHandle>>>>,
-    state: Mutex<State>,
+    blobs: Mutex<Blobs>,
 }
 
 impl fmt::Debug for Registry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("Registry").field("config", &self.config).field("stats", &stats).finish()
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new(RegistryConfig::default())
+        f.debug_struct("Registry").field("stats", &self.stats()).finish()
     }
 }
 
 impl Registry {
-    /// Creates an empty registry with the given policy.
-    pub fn new(config: RegistryConfig) -> Self {
-        Registry { config, cells: Mutex::new(HashMap::new()), state: Mutex::new(State::default()) }
-    }
-
-    /// The policy the registry was built with.
-    pub fn config(&self) -> &RegistryConfig {
-        &self.config
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().entries.len()
-    }
-
-    /// Whether the registry holds no models.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns the key's model, training it exactly once on first miss
-    /// (recency tick 0 — use [`Registry::get_or_train_at`] when eviction
-    /// order matters).
+    /// Returns the configuration's model, training it with the default
+    /// [`TrainerConfig`] exactly once on first miss. Concurrent callers for
+    /// one configuration share a single training run; a trained model
+    /// whose digest is already held shares that handle.
     pub fn get_or_train(
         &self,
         device: DeviceConfig,
         keyboard: KeyboardKind,
         app: TargetApp,
     ) -> ModelHandle {
-        self.get_or_train_at(device, keyboard, app, 0)
-    }
-
-    /// [`Registry::get_or_train`] with a caller-assigned logical recency
-    /// tick. Concurrent callers for one key share a single training run.
-    pub fn get_or_train_at(
-        &self,
-        device: DeviceConfig,
-        keyboard: KeyboardKind,
-        app: TargetApp,
-        tick: u64,
-    ) -> ModelHandle {
-        let key = (device, keyboard, app);
-        if let Some(handle) = self.lookup_at(&key, tick) {
-            return handle;
-        }
+        spansight::count("core.registry.lookups", 1);
         let cell = {
-            let mut cells = self.cells.lock().unwrap();
-            Arc::clone(cells.entry(key).or_default())
+            let mut cells = self.cells.lock().expect(POISONED);
+            Arc::clone(cells.entry((device, keyboard, app)).or_default())
         };
         cell.get_or_init(|| {
             spansight::count("core.registry.trainings", 1);
-            let model = Trainer::new(self.config.trainer.clone()).train(device, keyboard, app);
-            {
-                let mut st = self.state.lock().unwrap();
-                st.trainings += 1;
-            }
-            self.insert_arc_at(key, Arc::new(model), tick)
+            let model = Trainer::new(TrainerConfig::default()).train(device, keyboard, app);
+            let handle = ModelHandle::from_arc(Arc::new(model));
+            let mut blobs = self.blobs.lock().expect(POISONED);
+            blobs.trainings += 1;
+            blobs.by_digest.entry(handle.digest()).or_insert(handle).clone()
         })
         .clone()
     }
 
-    /// Trains a model with an explicit [`TrainerConfig`] (the counter-mask
-    /// ablations need non-default trainers) and registers it under `key`.
-    /// Bypasses the train-once cell — distinct trainer configurations for
-    /// one key are distinct models, deduplicated by digest instead.
-    ///
-    /// The key now maps to *this* model: later [`Registry::get_or_train`]
-    /// calls for the key return it, not a default-trained one. On a shared
-    /// registry that shadows the key for every other user — experiment
-    /// code wanting a one-off variant should use a private registry.
-    pub fn train_with(
-        &self,
-        trainer: TrainerConfig,
-        device: DeviceConfig,
-        keyboard: KeyboardKind,
-        app: TargetApp,
-    ) -> ModelHandle {
-        spansight::count("core.registry.trainings", 1);
-        let model = Trainer::new(trainer).train(device, keyboard, app);
-        {
-            let mut st = self.state.lock().unwrap();
-            st.trainings += 1;
-        }
-        self.insert_arc_at((device, keyboard, app), Arc::new(model), 0)
-    }
-
-    /// Looks the key up without training, folding `tick` into the entry's
-    /// recency (`max`, so concurrent touches commute).
-    pub fn lookup_at(&self, key: &ModelKey, tick: u64) -> Option<ModelHandle> {
-        let mut st = self.state.lock().unwrap();
-        st.lookups += 1;
-        spansight::count("core.registry.lookups", 1);
-        let digest = st.by_key.get(key).copied()?;
-        st.hits += 1;
-        spansight::count("core.registry.hits", 1);
-        let entry = st.entries.get_mut(&digest).expect("by_key maps to live entries");
-        entry.last_used = entry.last_used.max(tick);
-        Some(entry.handle.clone())
-    }
-
-    /// Resolves a digest to its handle without touching recency — the wire
-    /// server's path: a `Hello` names the model by content, not by key.
-    pub fn resolve(&self, digest: &ModelDigest) -> Option<ModelHandle> {
-        let st = self.state.lock().unwrap();
-        st.entries.get(digest).map(|e| e.handle.clone())
-    }
-
-    /// Registers an already-trained model under `key` at the configured
-    /// quantization tier. Same digest → the existing handle is shared
-    /// (counted as a dedup hit), no new bytes are held.
-    pub fn insert_model_at(
-        &self,
-        key: ModelKey,
-        model: Arc<ClassifierModel>,
-        tick: u64,
-    ) -> ModelHandle {
-        self.insert_arc_at(key, model, tick)
-    }
-
-    /// Registers a pre-encoded GPMR blob under `key` without decoding it
-    /// (header validation only — the blob must come from [`encode_model`]).
-    /// This is the bulk-load path: inserting 10k fleet models costs 10k
-    /// digests, not 10k decodes.
-    ///
-    /// # Errors
-    ///
-    /// Header-level [`ModelDecodeError`]s (magic/version/tier/meta).
-    pub fn insert_encoded_at(
-        &self,
-        key: ModelKey,
-        blob: Bytes,
-        tick: u64,
-    ) -> Result<ModelHandle, ModelDecodeError> {
-        let handle = ModelHandle::from_trusted_blob(blob)?;
-        Ok(self.insert_handle_at(key, handle, tick))
-    }
-
-    fn insert_arc_at(&self, key: ModelKey, model: Arc<ClassifierModel>, tick: u64) -> ModelHandle {
-        let handle = ModelHandle::from_arc(model, self.config.quantization);
-        self.insert_handle_at(key, handle, tick)
-    }
-
-    fn insert_handle_at(&self, key: ModelKey, handle: ModelHandle, tick: u64) -> ModelHandle {
-        let digest = handle.digest();
-        let (shared, purged) = {
-            let mut st = self.state.lock().unwrap();
-            st.inserts += 1;
-            spansight::count("core.registry.inserts", 1);
-            let existing = st.entries.get_mut(&digest).map(|entry| {
-                entry.last_used = entry.last_used.max(tick);
-                entry.handle.clone()
-            });
-            if let Some(shared) = existing {
-                st.dedup_hits += 1;
-                spansight::count("core.registry.dedup_hits", 1);
-                st.map_key(key, digest);
-                (shared, Vec::new())
-            } else {
-                st.total_bytes += handle.encoded_len();
-                st.entries.insert(
-                    digest,
-                    Entry {
-                        handle: handle.clone(),
-                        pinned: false,
-                        last_used: tick,
-                        inserted_at: tick,
-                    },
-                );
-                st.map_key(key, digest);
-                let purged = match self.config.byte_budget {
-                    Some(budget) => st.evict_to_budget(budget, digest),
-                    None => Vec::new(),
-                };
-                (handle, purged)
-            }
-        };
-        self.purge_cells(&purged);
-        shared
-    }
-
-    /// Drops the train-once cells of keys whose entry was evicted, so a
-    /// later `get_or_train` for them retrains rather than resurrecting the
-    /// evicted handle.
-    fn purge_cells(&self, keys: &[ModelKey]) {
-        if keys.is_empty() {
-            return;
-        }
-        let mut cells = self.cells.lock().unwrap();
-        for key in keys {
-            cells.remove(key);
-        }
-    }
-
-    /// Pins a digest: pinned entries are never evicted. Returns `false` if
-    /// the digest is not registered.
-    pub fn pin(&self, digest: &ModelDigest) -> bool {
-        let mut st = self.state.lock().unwrap();
-        match st.entries.get_mut(digest) {
-            Some(e) => {
-                e.pinned = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Unpins a digest, making it evictable again. Returns `false` if the
-    /// digest is not registered.
-    pub fn unpin(&self, digest: &ModelDigest) -> bool {
-        let mut st = self.state.lock().unwrap();
-        match st.entries.get_mut(digest) {
-            Some(e) => {
-                e.pinned = false;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Folds a corrected session's observations into the parent model's
-    /// centroids with an exponential moving average
-    /// (`new = (1-α)·old + α·observed`, rounded back to counter space),
-    /// registering the result as a **new** model: a new digest, with
-    /// `parent → child` lineage recorded, and every fleet key that mapped
-    /// to the parent remapped to the child. Corrections for characters the
-    /// model has no centroid for are ignored.
-    ///
-    /// Returns `None` when `parent` is not registered; returns the parent's
-    /// own handle when the fold is a no-op (no matching characters, or the
-    /// EMA rounds back to the identical encoding).
-    pub fn adapt_at(
-        &self,
-        parent: &ModelDigest,
-        corrections: &[(char, CounterSet)],
-        tick: u64,
-    ) -> Option<ModelHandle> {
-        let parent_handle = {
-            let st = self.state.lock().unwrap();
-            st.entries.get(parent)?.handle.clone()
-        };
-        let alpha = self.config.ema_alpha;
-        let model = parent_handle.model();
-        let mut centroids = model.centroids().to_vec();
-        let mut changed = false;
-        for (ch, observed) in corrections {
-            if let Some(centroid) = centroids.iter_mut().find(|c| c.ch == *ch) {
-                let mut folded = [0u64; NUM_TRACKED];
-                for (slot, (&old, &obs)) in folded
-                    .iter_mut()
-                    .zip(centroid.values.as_array().iter().zip(observed.as_array()))
-                {
-                    *slot = to_counter((1.0 - alpha) * old as f64 + alpha * obs as f64);
-                }
-                centroid.values = CounterSet::from_array(folded);
-                changed = true;
-            }
-        }
-        if !changed {
-            return Some(parent_handle);
-        }
-        let child_model = Arc::new(model.with_centroids(centroids));
-        let child = ModelHandle::from_arc(child_model, self.config.quantization);
-        if child.digest() == *parent {
-            return Some(parent_handle);
-        }
-        let child_digest = child.digest();
-        let (shared, purged) = {
-            let mut st = self.state.lock().unwrap();
-            // Re-check the parent under the lock; it may have been evicted
-            // while we folded.
-            if !st.entries.contains_key(parent) {
-                return None;
-            }
-            st.inserts += 1;
-            spansight::count("core.registry.inserts", 1);
-            let existing = st.entries.get_mut(&child_digest).map(|entry| {
-                entry.last_used = entry.last_used.max(tick);
-                entry.handle.clone()
-            });
-            let (shared, purged) = if let Some(shared) = existing {
-                st.dedup_hits += 1;
-                spansight::count("core.registry.dedup_hits", 1);
-                (shared, Vec::new())
-            } else {
-                st.total_bytes += child.encoded_len();
-                st.entries.insert(
-                    child_digest,
-                    Entry {
-                        handle: child.clone(),
-                        pinned: false,
-                        last_used: tick,
-                        inserted_at: tick,
-                    },
-                );
-                let purged = match self.config.byte_budget {
-                    Some(budget) => st.evict_to_budget(budget, child_digest),
-                    None => Vec::new(),
-                };
-                (child, purged)
-            };
-            st.adaptations += 1;
-            spansight::count("core.registry.adaptations", 1);
-            st.lineage.push((*parent, child_digest));
-            // Remap every key that still points at the parent.
-            let keys = st.keys_of.get(parent).cloned().unwrap_or_default();
-            for key in keys {
-                st.map_key(key, child_digest);
-            }
-            (shared, purged)
-        };
-        self.purge_cells(&purged);
-        Some(shared)
-    }
-
-    /// The digest this model was adapted from, if it is an adaptation
-    /// child. Walking `parent_of` repeatedly reconstructs the full lineage
-    /// chain back to the originally trained root.
-    pub fn parent_of(&self, digest: &ModelDigest) -> Option<ModelDigest> {
-        let st = self.state.lock().unwrap();
-        st.lineage.iter().rev().find(|(_, c)| c == digest).map(|(p, _)| *p)
-    }
-
-    /// Digests evicted so far, in eviction order. Deterministic for a
-    /// deterministic tick assignment — the `registry` experiment prints a
-    /// prefix of it and CI diffs the output across `--jobs` counts.
-    pub fn eviction_log(&self) -> Vec<ModelDigest> {
-        self.state.lock().unwrap().eviction_log.clone()
-    }
-
     /// Snapshot of the registry's counters and occupancy.
     pub fn stats(&self) -> RegistryStats {
-        let st = self.state.lock().unwrap();
+        let blobs = self.blobs.lock().expect(POISONED);
         RegistryStats {
-            lookups: st.lookups,
-            hits: st.hits,
-            trainings: st.trainings,
-            dedup_hits: st.dedup_hits,
-            evictions: st.eviction_log.len() as u64,
-            adaptations: st.adaptations,
-            inserts: st.inserts,
-            keys: st.by_key.len(),
-            models: st.entries.len(),
-            total_bytes: st.total_bytes,
+            trainings: blobs.trainings,
+            models: blobs.by_digest.len(),
+            total_bytes: blobs.by_digest.values().map(ModelHandle::encoded_len).sum(),
         }
     }
 }
@@ -1211,10 +743,6 @@ mod tests {
     fn trained_model() -> ClassifierModel {
         let cfg = SimConfig::paper_default(11);
         Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app)
-    }
-
-    fn key_of(cfg: &SimConfig) -> ModelKey {
-        (cfg.device, cfg.keyboard, cfg.app)
     }
 
     #[test]
@@ -1238,67 +766,40 @@ mod tests {
     }
 
     #[test]
-    fn lossy_tiers_stay_within_documented_bounds() {
+    fn f32_stays_within_documented_bound() {
         let model = trained_model();
-        for q in [Quantization::F32, Quantization::I16] {
-            let decoded = decode_model(encode_model(&model, q)).expect("decodes");
-            for (orig, dec) in model.centroids().iter().zip(decoded.centroids()) {
-                let max = orig.values.as_array().iter().copied().max().unwrap_or(0);
-                for (&v, &d) in orig.values.as_array().iter().zip(dec.values.as_array()) {
-                    let err = v.abs_diff(d) as f64;
-                    let bound = match q {
-                        Quantization::F32 => v as f64 / (1u64 << 23) as f64 + 1.0,
-                        Quantization::I16 => max as f64 / (2.0 * I16_LEVELS as f64) + 1.0,
-                        Quantization::F64 => unreachable!(),
-                    };
-                    assert!(err <= bound, "{} err {err} > bound {bound}", q.name());
-                }
-            }
-            // Weights and threshold are never quantized.
-            assert_eq!(decoded.weights(), model.weights());
-            assert_eq!(decoded.threshold(), model.threshold());
-        }
-    }
-
-    #[test]
-    fn i16_is_lossless_below_the_level_count() {
-        let model = trained_model();
-        let decoded = decode_model(encode_model(&model, Quantization::I16)).expect("decodes");
+        let decoded = decode_model(encode_model(&model, Quantization::F32)).expect("decodes");
         for (orig, dec) in model.centroids().iter().zip(decoded.centroids()) {
-            let max = orig.values.as_array().iter().copied().max().unwrap_or(0);
-            if max <= I16_LEVELS {
-                assert_eq!(orig.values, dec.values);
+            for (&v, &d) in orig.values.as_array().iter().zip(dec.values.as_array()) {
+                let bound = v as f64 / (1u64 << 23) as f64 + 1.0;
+                assert!(v.abs_diff(d) as f64 <= bound, "f32 err > bound {bound}");
             }
         }
+        // Weights and threshold are never quantized.
+        assert_eq!(decoded.weights(), model.weights());
+        assert_eq!(decoded.threshold(), model.threshold());
     }
 
     #[test]
     fn truncated_blobs_never_panic() {
-        let blob = encode_model(&trained_model(), Quantization::I16);
+        let blob = encode_model(&trained_model(), Quantization::F32);
         for len in 0..blob.len() {
             assert!(decode_model(blob.slice(..len)).is_err(), "truncation at {len} accepted");
         }
     }
 
     #[test]
-    fn train_once_and_dedup() {
+    fn train_once_per_key() {
         let registry = Registry::default();
         let cfg = SimConfig::paper_default(3);
         let a = registry.get_or_train(cfg.device, cfg.keyboard, cfg.app);
         let b = registry.get_or_train(cfg.device, cfg.keyboard, cfg.app);
         assert_eq!(a.digest(), b.digest());
-        assert!(std::ptr::eq(a.model(), b.model()), "handles share one decoded model");
+        assert!(std::ptr::eq(a.model(), b.model()), "handles share one model");
         let stats = registry.stats();
         assert_eq!(stats.trainings, 1);
         assert_eq!(stats.models, 1);
-
-        // Inserting the identical model under a different key dedups.
-        let mut other = key_of(&cfg);
-        other.1 = KeyboardKind::Swift;
-        let c = registry.insert_model_at(other, a.model_arc(), 5);
-        assert_eq!(c.digest(), a.digest());
-        assert_eq!(registry.stats().dedup_hits, 1);
-        assert_eq!(registry.stats().models, 1);
+        assert_eq!(stats.total_bytes, a.encoded_len());
     }
 
     #[test]
@@ -1314,151 +815,28 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_deterministic_and_respects_pins() {
-        let model = Arc::new(trained_model());
-        let blob_len = ModelHandle::from_arc(Arc::clone(&model), Quantization::F64).encoded_len();
-        let build = || {
-            Registry::new(RegistryConfig {
-                // Room for three entries.
-                byte_budget: Some(blob_len * 3 + blob_len / 2),
-                ..RegistryConfig::default()
-            })
-        };
-        // Four distinct models via distinct thresholds.
-        let variants: Vec<Arc<ClassifierModel>> =
-            (1..=4).map(|i| Arc::new(model.with_threshold(i as f64))).collect();
-        let cfg = SimConfig::paper_default(3);
-        let keys: Vec<ModelKey> =
-            [TargetApp::Chase, TargetApp::Amex, TargetApp::Fidelity, TargetApp::Schwab]
-                .into_iter()
-                .map(|app| (cfg.device, cfg.keyboard, app))
-                .collect();
-
-        let registry = build();
-        for (i, (key, m)) in keys.iter().zip(&variants).enumerate() {
-            registry.insert_model_at(*key, Arc::clone(m), i as u64);
-        }
-        // Budget fits 3: the oldest (tick 0) entry must have been evicted.
-        let log = registry.eviction_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(
-            log[0],
-            ModelHandle::from_arc(Arc::clone(&variants[0]), Quantization::F64).digest()
-        );
-        assert!(registry.lookup_at(&keys[0], 10).is_none(), "evicted key must miss");
-        assert_eq!(registry.stats().models, 3);
-
-        // Same inserts, but with the would-be victim pinned: the next-oldest
-        // unpinned entry goes instead.
-        let registry = build();
-        let first = registry.insert_model_at(keys[0], Arc::clone(&variants[0]), 0);
-        assert!(registry.pin(&first.digest()));
-        for (i, (key, m)) in keys.iter().zip(&variants).enumerate().skip(1) {
-            registry.insert_model_at(*key, Arc::clone(m), i as u64);
-        }
-        let log = registry.eviction_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(
-            log[0],
-            ModelHandle::from_arc(Arc::clone(&variants[1]), Quantization::F64).digest()
-        );
-        assert!(registry.lookup_at(&keys[0], 10).is_some(), "pinned entry survives");
-    }
-
-    #[test]
-    fn parallel_touches_do_not_perturb_eviction_order() {
-        // Touch recency is a commutative max-fold of caller-assigned ticks,
-        // so the same touch multiset through 1 or 4 workers must produce
-        // the same eviction log once inserts push past the budget.
-        let model = Arc::new(trained_model());
-        let variants: Vec<Arc<ClassifierModel>> =
-            (1..=6).map(|i| Arc::new(model.with_threshold(i as f64))).collect();
-        let blob_len =
-            ModelHandle::from_arc(Arc::clone(&variants[0]), Quantization::F64).encoded_len();
-        let cfg = SimConfig::paper_default(3);
-        let apps = [
-            TargetApp::Chase,
-            TargetApp::Amex,
-            TargetApp::Fidelity,
-            TargetApp::Schwab,
-            TargetApp::MyFico,
-            TargetApp::Experian,
-        ];
-        let keys: Vec<ModelKey> =
-            apps.into_iter().map(|app| (cfg.device, cfg.keyboard, app)).collect();
-        // Pre-drawn touch schedule: (key index, tick).
-        let touches: Vec<(usize, u64)> =
-            (0..64u64).map(|i| ((i as usize * 7) % 4, 100 + (i * 13) % 50)).collect();
-
-        let run = |workers: usize| {
-            let registry = Arc::new(Registry::new(RegistryConfig {
-                byte_budget: Some(blob_len * 4 + blob_len / 2),
-                ..RegistryConfig::default()
-            }));
-            for (i, (key, m)) in keys.iter().zip(&variants).enumerate().take(4) {
-                registry.insert_model_at(*key, Arc::clone(m), i as u64);
-            }
-            let pool = minipool::Pool::new(workers);
-            pool.par_map(touches.clone(), |_, (ki, tick)| {
-                registry.lookup_at(&keys[ki], tick);
-            });
-            // Two more inserts force two evictions.
-            registry.insert_model_at(keys[4], Arc::clone(&variants[4]), 200);
-            registry.insert_model_at(keys[5], Arc::clone(&variants[5]), 201);
-            registry.eviction_log()
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn adaptation_produces_lineage_and_remaps_keys() {
-        let registry = Registry::default();
-        let cfg = SimConfig::paper_default(3);
-        let key = key_of(&cfg);
-        let parent = registry.get_or_train(cfg.device, cfg.keyboard, cfg.app);
-        let ch = parent.model().centroids()[0].ch;
-        let mut observed = parent.model().centroids()[0].values;
-        let shifted: Vec<u64> = observed.as_array().iter().map(|v| v + 400).collect();
-        observed = CounterSet::from_array(shifted.try_into().unwrap());
-
-        let child = registry
-            .adapt_at(&parent.digest(), &[(ch, observed)], 7)
-            .expect("parent is registered");
-        assert_ne!(child.digest(), parent.digest());
-        assert_eq!(registry.parent_of(&child.digest()), Some(parent.digest()));
-        // The fleet key now resolves to the child.
-        let resolved = registry.lookup_at(&key, 8).expect("key still mapped");
-        assert_eq!(resolved.digest(), child.digest());
-        // EMA with α=0.25: new = 0.75·old + 0.25·(old+400) = old + 100.
-        let old = parent.model().centroids()[0].values;
-        let new = child.model().centroids().iter().find(|c| c.ch == ch).unwrap().values;
-        for (&o, &n) in old.as_array().iter().zip(new.as_array()) {
-            assert_eq!(n, o + 100);
-        }
-        assert_eq!(registry.stats().adaptations, 1);
-
-        // Adapting with an unknown character is a no-op returning the
-        // parent handle.
-        let same = registry.adapt_at(&child.digest(), &[('\u{10FFFF}', observed)], 9).unwrap();
-        assert_eq!(same.digest(), child.digest());
-    }
-
-    #[test]
-    fn from_blob_validates_and_from_trusted_blob_defers() {
+    fn from_blob_validates() {
         let model = trained_model();
         let blob = encode_model(&model, Quantization::F32);
         let h = ModelHandle::from_blob(blob.clone()).expect("valid blob");
-        assert!(h.is_decoded(), "untrusted path decodes eagerly");
-        let t = ModelHandle::from_trusted_blob(blob).expect("valid header");
-        assert!(!t.is_decoded(), "trusted path defers decode");
-        assert_eq!(t.digest(), h.digest());
-        assert_eq!(t.model().meta(), model.meta());
-        assert!(t.is_decoded());
+        assert_eq!(h.digest(), ModelDigest::of(&blob));
+        assert_eq!(h.model().meta(), model.meta());
 
         let mut corrupt = BytesMut::new();
         corrupt.put_slice(b"GPXX");
         corrupt.put_slice(&[1; 8]);
-        assert!(ModelHandle::from_blob(corrupt.freeze()).is_err());
+        assert_eq!(ModelHandle::from_blob(corrupt.freeze()), Err(ModelDecodeError::BadMagic));
+    }
+
+    #[test]
+    fn decode_errors_name_the_gpmr_format() {
+        assert_eq!(ModelDecodeError::BadMagic.to_string(), "not a GPMR model");
+        assert_eq!(ModelDecodeError::Truncated.to_string(), "model bytes truncated");
+        assert_eq!(ModelDecodeError::BadVersion(7).to_string(), "unsupported model version 7");
+        assert_eq!(
+            ModelDecodeError::BadField("quantization").to_string(),
+            "invalid field: quantization"
+        );
     }
 
     #[test]

@@ -434,42 +434,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn model_serialisation_round_trips(model in arb_model()) {
-        let bytes = model.to_bytes();
-        let back = ClassifierModel::from_bytes(bytes).unwrap();
-        prop_assert_eq!(back.meta(), model.meta());
-        prop_assert_eq!(back.centroids(), model.centroids());
-        prop_assert_eq!(back.kb_signature(), model.kb_signature());
-        prop_assert_eq!(back.app_signature(), model.app_signature());
-        prop_assert_eq!(back.ambient_signatures(), model.ambient_signatures());
-        prop_assert_eq!(back.launch_signature(), model.launch_signature());
-        prop_assert_eq!(back.switch_threshold(), model.switch_threshold());
-        prop_assert!((back.threshold() - model.threshold()).abs() / model.threshold() < 1e-5);
-    }
-
-    #[test]
     fn store_serialisation_round_trips(models in prop::collection::vec(arb_model(), 0..4)) {
         let mut store = ModelStore::new();
-        for m in models {
-            store.add(m);
+        for m in &models {
+            store.add(m.clone());
         }
         let back = ModelStore::from_bytes(store.to_bytes()).unwrap();
-        // Thresholds round-trip through f32, so compare the canonical wire
-        // form rather than the in-memory f64 values.
-        prop_assert_eq!(back.to_bytes(), store.to_bytes());
-        prop_assert_eq!(back.len(), store.len());
-    }
-
-    #[test]
-    fn truncated_models_never_panic(model in arb_model(), cut in 0usize..200) {
-        let bytes = model.to_bytes();
-        let cut = cut.min(bytes.len());
-        let truncated = bytes.slice(0..bytes.len() - cut);
-        // Any outcome is fine except a panic; full-length must decode.
-        let result = ClassifierModel::from_bytes(truncated);
-        if cut == 0 {
-            prop_assert!(result.is_ok());
+        // Stores hold bit-exact f64 GPMR blobs: every model comes back equal.
+        prop_assert_eq!(back.len(), models.len());
+        for (h, m) in back.handles().iter().zip(&models) {
+            prop_assert_eq!(h.model(), m);
         }
+        prop_assert_eq!(back.to_bytes(), store.to_bytes());
     }
 
     #[test]
@@ -760,39 +736,26 @@ proptest! {
     fn derived_models_rebuild_the_acceptance_box(
         model in arb_model(),
         weights in arb_weights(),
-        shift in arb_set(2_000),
         factor in 0.01f64..100.0,
     ) {
-        // `with_threshold` and `with_centroids` rebuild the box: it equals
-        // the box of the same model assembled from scratch.
+        // `with_threshold` rebuilds the box: it equals the box of the same
+        // model assembled from scratch.
         for model in [reweighted(&model, weights), model] {
-            let fresh = |centroids: Vec<KeyCentroid>, threshold: f64| {
-                ClassifierModel::new(
-                    *model.meta(),
-                    centroids,
-                    *model.weights(),
-                    threshold,
-                    *model.kb_signature(),
-                    *model.app_signature(),
-                    model.ambient_signatures().to_vec(),
-                    *model.launch_signature(),
-                    model.switch_threshold(),
-                )
-            };
             let threshold = model.threshold() * factor;
-            let rethresholded = model.with_threshold(threshold);
-            prop_assert_eq!(
-                rethresholded.acceptance_box(),
-                fresh(model.centroids().to_vec(), threshold).acceptance_box()
+            let fresh = ClassifierModel::new(
+                *model.meta(),
+                model.centroids().to_vec(),
+                *model.weights(),
+                threshold,
+                *model.kb_signature(),
+                *model.app_signature(),
+                model.ambient_signatures().to_vec(),
+                *model.launch_signature(),
+                model.switch_threshold(),
             );
-            let moved: Vec<KeyCentroid> = model
-                .centroids()
-                .iter()
-                .map(|c| KeyCentroid { ch: c.ch, values: c.values + shift })
-                .collect();
             prop_assert_eq!(
-                model.with_centroids(moved.clone()).acceptance_box(),
-                fresh(moved, model.threshold()).acceptance_box()
+                model.with_threshold(threshold).acceptance_box(),
+                fresh.acceptance_box()
             );
         }
     }

@@ -8,8 +8,7 @@
 use adreno_sim::counters::TrackedCounter;
 use gpu_eaves::android_ui::SimConfig;
 use gpu_eaves::attack::offline::ModelStore;
-use gpu_eaves::attack::registry::{Quantization, Registry};
-use gpu_eaves::attack::ClassifierModel;
+use gpu_eaves::attack::registry::{decode_model, encode_model, Quantization, Registry};
 
 fn main() {
     let cfg = SimConfig::paper_default(0);
@@ -53,22 +52,20 @@ fn main() {
         println!("  {a:?} vs {b:?}  distance {d:.3}");
     }
 
-    // Wire format round trip.
-    let bytes = model.to_bytes();
-    println!(
-        "\nserialised model: {} bytes ({:.2} kB; paper reports 3.59 kB)",
-        bytes.len(),
-        bytes.len() as f64 / 1024.0
-    );
-    let restored = ClassifierModel::from_bytes(bytes).expect("round trip");
-    assert_eq!(restored.centroids(), model.centroids());
-
-    // The registry's content-addressed GPMR encoding, per quantization tier.
-    println!("\nregistry (GPMR) encoding — digest {}:", handle.digest().short());
+    // The content-addressed GPMR wire format, per quantization tier: f64
+    // round-trips bit-exactly, f32 keeps every centroid within 2^-23.
+    println!("\nGPMR encoding — digest {}:", handle.digest().short());
     for q in Quantization::ALL {
-        let blob = gpu_eaves::attack::registry::encode_model(model, q);
-        println!("  {:<3} tier: {} bytes", q.name(), blob.len());
+        let blob = encode_model(model, q);
+        println!(
+            "  {:<3} tier: {} bytes ({:.2} kB)",
+            q.name(),
+            blob.len(),
+            blob.len() as f64 / 1024.0
+        );
     }
+    let restored = decode_model(handle.blob().clone()).expect("round trip");
+    assert_eq!(&restored, model);
 
     let mut store = ModelStore::new();
     store.add_handle(handle.clone());

