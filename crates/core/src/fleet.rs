@@ -15,18 +15,18 @@
 //!   flowing.
 //! * [`FleetSession`] — the in-process implementation: it owns its victim
 //!   [`UiSimulation`] and drives [`Sampler::next_sample`] into a
-//!   [`StreamingSession`] through the same lock-free [`crate::ring`] SPSC
-//!   that [`AttackService::eavesdrop`] uses, with backpressure: when the
-//!   classifier side falls behind, the ring fills, the sampler yields
-//!   instead of buffering, and sampler memory stays bounded at the ring
-//!   capacity (counted in [`SessionStats::sampler_stalls`]).
+//!   [`StreamingSession`] through a bounded sample queue, with
+//!   backpressure: when the classifier side falls behind, the queue fills,
+//!   the sampler yields instead of buffering, and sampler memory stays
+//!   bounded at the queue capacity (counted in
+//!   [`SessionStats::sampler_stalls`]).
 //! * [`Fleet`] — shard bookkeeping: each shard is one [`AttackService`]
 //!   (its own `ModelStore`, typically sharing trained `ClassifierModel`s
 //!   by `Arc` — the hub/clients split), and sessions are assigned
 //!   round-robin.
 //!
-//! Sessions are fully independent (each owns its simulation and its SPSC
-//! ring), so outcomes are byte-identical at any worker count; the `fleet`
+//! Sessions are fully independent (each owns its simulation and its sample
+//! queue), so outcomes are byte-identical at any worker count; the `fleet`
 //! experiment in `crates/bench` pins that at 1000+ sessions.
 //!
 //! Degraded sessions never stall a shard: a `FaultPlan` installed on a
@@ -35,12 +35,13 @@
 //! keeps stepping everyone else. The wire layer adds a split-session task
 //! on the same [`Session`] trait for remote fleets over lossy links.
 
+use std::collections::VecDeque;
+
 use adreno_sim::time::SimInstant;
 use android_ui::UiSimulation;
 use minipool::Pool;
 
 use crate::metrics::SessionScore;
-use crate::ring::{Consumer, Producer};
 use crate::sampler::{SampleStream, Sampler};
 use crate::service::{AttackService, ServiceError, SessionResult, StreamingSession};
 use crate::trace::Sample;
@@ -65,7 +66,7 @@ pub trait Session {
 /// run queue, returning outcomes in session order.
 ///
 /// Sessions must be independent of each other (each [`FleetSession`] owns
-/// its simulation, sampler, and ring), which makes the outcome vector
+/// its simulation, sampler, and sample queue), which makes the outcome vector
 /// byte-identical at any `Pool` worker count.
 pub fn run_sessions<S>(pool: &Pool, sessions: Vec<S>) -> Vec<S::Outcome>
 where
@@ -83,24 +84,25 @@ pub struct FleetConfig {
     /// assigned to round-robin. Purely bookkeeping for [`Fleet`]; a
     /// hand-built session carries its own shard id.
     pub shards: usize,
-    /// Capacity of the per-session SPSC ring between sampling and
-    /// classification — the backpressure bound: the sampler can never run
-    /// more than this many samples ahead of the classifier.
+    /// Capacity of the per-session sample queue between sampling and
+    /// classification, rounded up to a power of two — the backpressure
+    /// bound: the sampler can never run more than this many samples ahead
+    /// of the classifier.
     pub ring_capacity: usize,
     /// Upper bound on samples acquired per quantum (the sampling burst).
     pub sample_quantum: usize,
     /// Upper bound on samples drained and classified per quantum. Setting
     /// this below `sample_quantum` models a classifier slower than the
-    /// sampler; the ring then fills and sampling stalls instead of
+    /// sampler; the queue then fills and sampling stalls instead of
     /// buffering unboundedly.
     pub classify_quantum: usize,
 }
 
 impl Default for FleetConfig {
-    /// One shard; ring and both quanta sized to the same 64-slot burst the
-    /// single-session driver uses (`SAMPLE_RING_CAPACITY`), so a lone
-    /// fleet session does the same work per visit as
-    /// [`AttackService::eavesdrop`] does per ring generation.
+    /// One shard; queue and both quanta sized to the same 64-sample burst
+    /// the single-session driver uses (`SAMPLE_BURST`), so a lone fleet
+    /// session does the same work per visit as
+    /// [`AttackService::eavesdrop`] does per burst.
     fn default() -> Self {
         FleetConfig { shards: 1, ring_capacity: 64, sample_quantum: 64, classify_quantum: 64 }
     }
@@ -111,10 +113,10 @@ impl Default for FleetConfig {
 pub struct SessionStats {
     /// Quanta the scheduler spent on this session (steps taken).
     pub quanta: u64,
-    /// Times the sampling burst hit a full ring and yielded early — each
+    /// Times the sampling burst hit a full queue and yielded early — each
     /// one is backpressure doing its job.
     pub sampler_stalls: u64,
-    /// Most samples ever resident in the ring; never exceeds the ring
+    /// Most samples ever resident in the queue; never exceeds the queue
     /// capacity by construction.
     pub max_ring_occupancy: u64,
 }
@@ -163,7 +165,7 @@ struct Live<'s> {
 ///
 /// Owns its victim [`UiSimulation`] end to end. Each [`Session::step`]
 /// runs one quantum: acquire up to [`FleetConfig::sample_quantum`] samples
-/// into the SPSC ring (stopping early — a *stall* — if the ring fills),
+/// into the sample queue (stopping early — a *stall* — if the queue fills),
 /// then drain up to [`FleetConfig::classify_quantum`] of them into the
 /// [`StreamingSession`] stage pipeline. The outcome is identical to
 /// running [`AttackService::eavesdrop`] on the same seeded simulation;
@@ -180,11 +182,11 @@ pub struct FleetSession<'s> {
     shard: usize,
     sample_quantum: usize,
     classify_quantum: usize,
-    ring_tx: Producer<Sample>,
-    ring_rx: Consumer<Sample>,
-    /// Samples currently in the ring (`pushed - popped`); the ring itself
-    /// deliberately has no shared length counter.
-    ring_occupancy: u64,
+    /// Samples read but not yet classified; never longer than
+    /// `queue_capacity`.
+    queue: VecDeque<Sample>,
+    /// [`FleetConfig::ring_capacity`] rounded up to a power of two.
+    queue_capacity: usize,
     burst: Vec<Sample>,
     stats: SessionStats,
     state: State<'s>,
@@ -201,7 +203,7 @@ impl<'s> FleetSession<'s> {
         until: SimInstant,
         config: &FleetConfig,
     ) -> Self {
-        let (ring_tx, ring_rx) = crate::ring::spsc::<Sample>(config.ring_capacity);
+        let queue_capacity = config.ring_capacity.next_power_of_two();
         let state = match Sampler::open(sim.device(), service.config().sampler) {
             Ok(mut sampler) => {
                 let stream = sampler.start_stream(&sim, until);
@@ -219,9 +221,8 @@ impl<'s> FleetSession<'s> {
             shard,
             sample_quantum: config.sample_quantum.max(1),
             classify_quantum: config.classify_quantum.max(1),
-            ring_tx,
-            ring_rx,
-            ring_occupancy: 0,
+            queue: VecDeque::with_capacity(queue_capacity),
+            queue_capacity,
             burst: Vec::with_capacity(config.classify_quantum.max(1)),
             stats: SessionStats::default(),
             state: State::Finished, // replaced below
@@ -264,22 +265,19 @@ impl Session for FleetSession<'_> {
             State::Failed(err) => Some(self.outcome(Err(err))),
             State::Running(mut live) => {
                 // Sampling burst: up to `sample_quantum` reads, stopping
-                // early when the ring fills (backpressure) or the stream
+                // early when the queue fills (backpressure) or the stream
                 // ends.
                 if !live.sampling_done {
                     for _ in 0..self.sample_quantum {
-                        if self.ring_tx.is_full() {
+                        if self.queue.len() == self.queue_capacity {
                             self.stats.sampler_stalls += 1;
                             break;
                         }
                         match live.sampler.next_sample(&mut live.stream, &mut self.sim) {
                             Some(sample) => {
-                                self.ring_tx
-                                    .push(sample)
-                                    .expect("a non-full SPSC ring accepts a push");
-                                self.ring_occupancy += 1;
+                                self.queue.push_back(sample);
                                 self.stats.max_ring_occupancy =
-                                    self.stats.max_ring_occupancy.max(self.ring_occupancy);
+                                    self.stats.max_ring_occupancy.max(self.queue.len() as u64);
                             }
                             None => {
                                 live.sampling_done = true;
@@ -288,22 +286,15 @@ impl Session for FleetSession<'_> {
                         }
                     }
                 }
-                // Classification burst: drain up to `classify_quantum`
-                // ring slots and push them through the stage pipeline as
-                // one batch.
+                // Classification burst: take up to `classify_quantum`
+                // queued samples and push them through the stage pipeline
+                // as one batch.
                 self.burst.clear();
-                while self.burst.len() < self.classify_quantum {
-                    match self.ring_rx.pop() {
-                        Some(s) => {
-                            self.ring_occupancy -= 1;
-                            self.burst.push(s);
-                        }
-                        None => break,
-                    }
-                }
+                let n = self.classify_quantum.min(self.queue.len());
+                self.burst.extend(self.queue.drain(..n));
                 live.session.push_samples(&self.burst);
 
-                if live.sampling_done && self.ring_rx.is_empty() {
+                if live.sampling_done && self.queue.is_empty() {
                     let Live { mut sampler, stream, session, .. } = *live;
                     let finished = sampler.finish_stream(stream);
                     let report = sampler.report();

@@ -21,12 +21,10 @@
 //!   format, SHA-256 digests and train-once-per-key;
 //! * [`stage`] — the push-based streaming [`Stage`] abstraction all of the
 //!   above compose through;
-//! * [`ring`] — the lock-free SPSC ring that carries sampled slots from the
-//!   reader loop to the stage pipeline in bursts;
 //! * [`service`] — the end-to-end background service;
 //! * [`fleet`] — fleet-scale orchestration: thousands of concurrent
 //!   sessions as cooperative tasks over a bounded worker set, with
-//!   SPSC-ring backpressure per session;
+//!   bounded-queue backpressure per session;
 //! * [`metrics`] — the accuracy metrics of §7.
 //!
 //! This library exists for research and defensive evaluation: it runs only
@@ -59,6 +57,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod appswitch;
 pub mod classify;
@@ -69,7 +68,6 @@ pub mod metrics;
 pub mod offline;
 pub mod online;
 pub mod registry;
-pub mod ring;
 pub mod sampler;
 pub mod service;
 pub mod stage;

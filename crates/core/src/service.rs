@@ -40,12 +40,11 @@ use crate::sampler::{Sampler, SamplerConfig, SamplerReport};
 use crate::stage::Stage;
 use crate::trace::{extract_deltas_with_resets, Delta, DeltaStage, Sample, Trace};
 
-/// Capacity of the SPSC ring between the sampling loop and the stage
-/// pipeline in [`AttackService::eavesdrop`]. One ring's worth is the burst
-/// granularity of the analysis side: big enough to amortise stage dispatch
-/// and centroid traversal, small enough (~6 read intervals per keystroke
-/// at the paper's 5 ms cadence) that decision latency stays bounded.
-const SAMPLE_RING_CAPACITY: usize = 64;
+/// Samples per burst between the sampling loop and the stage pipeline in
+/// [`AttackService::eavesdrop`]: big enough to amortise stage dispatch and
+/// centroid traversal, small enough (~6 read intervals per keystroke at
+/// the paper's 5 ms cadence) that decision latency stays bounded.
+const SAMPLE_BURST: usize = 64;
 
 /// Service configuration.
 #[derive(Debug, Clone, Default)]
@@ -479,9 +478,7 @@ impl<'s> Pipeline<'s> {
     /// of once per sample.
     fn push_samples(&mut self, samples: &[Sample]) {
         let mut deltas = std::mem::take(&mut self.deltas);
-        for &s in samples {
-            self.delta.push(s, &mut deltas);
-        }
+        self.delta.push_samples(samples, &mut deltas);
         self.route_deltas(&mut deltas);
         self.deltas = deltas;
     }
@@ -616,31 +613,16 @@ impl AttackService {
         let mut sampler = Sampler::open(sim.device(), self.config.sampler)?;
         let mut stream = sampler.start_stream(sim, until);
         let mut pipeline = Pipeline::new(&self.store, &self.config);
-        // The reader loop hands samples to the analysis side through a
-        // lock-free SPSC ring: fill until the ring is full (or the stream
-        // ends), then drain the whole burst into the pipeline at once. In
-        // this single-threaded driver the two sides run in lockstep; the
-        // split-process driver (`wire::run_split_session`) runs the same
-        // shape with the ring feeding the exfiltration batcher instead.
-        let (mut ring_tx, mut ring_rx) = crate::ring::spsc::<Sample>(SAMPLE_RING_CAPACITY);
-        let mut burst: Vec<Sample> = Vec::with_capacity(ring_tx.capacity());
+        // Read a burst, then push it through the pipeline at once; a short
+        // burst means the stream has ended.
+        let mut burst: Vec<Sample> = Vec::with_capacity(SAMPLE_BURST);
         loop {
-            let mut stream_done = false;
-            while !ring_tx.is_full() {
-                match sampler.next_sample(&mut stream, sim) {
-                    Some(sample) => {
-                        ring_tx.push(sample).expect("a non-full SPSC ring accepts a push");
-                    }
-                    None => {
-                        stream_done = true;
-                        break;
-                    }
-                }
-            }
             burst.clear();
-            ring_rx.drain_into(&mut burst);
+            burst.extend(
+                std::iter::from_fn(|| sampler.next_sample(&mut stream, sim)).take(SAMPLE_BURST),
+            );
             pipeline.push_samples(&burst);
-            if stream_done {
+            if burst.len() < SAMPLE_BURST {
                 break;
             }
         }

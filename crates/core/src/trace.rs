@@ -360,8 +360,8 @@ fn sweep_change_masks(cols: &[Vec<u64>; NUM_TRACKED], w: usize, ch: &mut Vec<u64
 
 /// Incremental delta extraction: the [`Stage`] form of
 /// [`extract_deltas_with_resets`], consuming one [`Sample`] at a time and
-/// emitting the nonzero [`Delta`]s. Holds only the previous sample, so a
-/// live session never materializes the raw trace.
+/// emitting the nonzero [`Delta`]s. Holds only the previous read's counter
+/// values, so a live session never materializes the raw trace.
 ///
 /// Counter-reset windows (any counter moving backwards — GPU slumber) emit
 /// nothing; extraction re-anchors at the later sample. The reset count is
@@ -369,7 +369,8 @@ fn sweep_change_masks(cols: &[Vec<u64>; NUM_TRACKED], w: usize, ch: &mut Vec<u64
 /// count, is published as telemetry at [`Stage::finish`].
 #[derive(Debug, Default)]
 pub struct DeltaStage {
-    prev: Option<Sample>,
+    /// Counter values of the anchor read; `None` before the first read.
+    prev: Option<CounterSet>,
     emitted: usize,
     resets: usize,
 }
@@ -384,17 +385,21 @@ impl DeltaStage {
     pub fn resets(&self) -> usize {
         self.resets
     }
-}
 
-impl Stage for DeltaStage {
-    type In = Sample;
-    type Out = Delta;
-
-    fn push(&mut self, input: Sample, out: &mut Vec<Delta>) {
-        // Most reads see no new frame (~95 % of a login session's): an
-        // unchanged read only moves the anchor.
-        if let Some(prev) = self.prev.filter(|p| p.values != input.values) {
-            match input.values.checked_sub(&prev.values) {
+    /// Pushes a burst of reads in order; [`Stage::push`] is this loop over
+    /// a single read. Each read is compared against the anchor and
+    /// re-anchors it in place, so an unchanged read (~95 % of a login
+    /// session's) copies nothing.
+    pub fn push_samples(&mut self, samples: &[Sample], out: &mut Vec<Delta>) {
+        for input in samples {
+            let Some(prev) = &mut self.prev else {
+                self.prev = Some(input.values);
+                continue;
+            };
+            if *prev == input.values {
+                continue;
+            }
+            match input.values.checked_sub(prev) {
                 // Unequal and nothing moved backwards, so the delta is nonzero.
                 Some(d) => {
                     out.push(Delta { at: input.at, values: d });
@@ -402,8 +407,17 @@ impl Stage for DeltaStage {
                 }
                 None => self.resets += 1,
             }
+            *prev = input.values;
         }
-        self.prev = Some(input);
+    }
+}
+
+impl Stage for DeltaStage {
+    type In = Sample;
+    type Out = Delta;
+
+    fn push(&mut self, input: Sample, out: &mut Vec<Delta>) {
+        self.push_samples(std::slice::from_ref(&input), out);
     }
 
     fn finish(&mut self, _out: &mut Vec<Delta>) {

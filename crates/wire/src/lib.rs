@@ -30,6 +30,7 @@
 //! damage instead of failing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod crc;
 pub mod error;

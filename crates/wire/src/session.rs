@@ -26,7 +26,10 @@
 //! data sequence space; the client discards duplicates by sequence number.
 //! `InferredKeys` frames are fire-and-forget (a lost one costs a latency
 //! datapoint, nothing else), while the `FinAck` is re-sent every time a
-//! retransmitted `Fin` arrives, so the handshake always terminates.
+//! retransmitted `Fin` arrives. A cumulative Ack retires every frame it
+//! covers except the `Fin`, which stays pending — and keeps retransmitting
+//! — until its `FinAck` lands, so a lost `FinAck` is always asked for again
+//! and the handshake terminates whenever the link does.
 
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::UiSimulation;
@@ -175,6 +178,8 @@ struct PendingFrame {
     seq: u64,
     datagram: Vec<u8>,
     payload_len: u64,
+    /// The session's last frame: retired by the FinAck, not by an Ack.
+    fin: bool,
     /// `None` until first transmission (backpressure keeps it queued).
     last_sent: Option<SimInstant>,
     backoff: SimDuration,
@@ -254,8 +259,8 @@ impl ExfilClient {
     /// Stages a burst of counter samples for exfiltration in one pass.
     /// Frame boundaries depend only on the cumulative sample count, so this
     /// produces exactly the frames the equivalent [`ExfilClient::push_sample`]
-    /// calls would. [`run_split_session`] drains its sampling ring straight
-    /// into this.
+    /// calls would. [`run_split_session`] stages each wire batch of reads
+    /// through this.
     pub fn push_samples(&mut self, samples: &[Sample]) {
         let mut staged = std::mem::take(&mut self.staged);
         for &s in samples {
@@ -310,6 +315,7 @@ impl ExfilClient {
                 seq,
                 datagram,
                 payload_len,
+                fin: matches!(msg, Message::Fin { .. }),
                 last_sent: None,
                 backoff: self.config.retransmit_after,
                 retransmits: 0,
@@ -413,7 +419,10 @@ impl ExfilClient {
                 if next_expected > self.acked_to {
                     self.acked_to = next_expected;
                 }
-                while self.pending.front().is_some_and(|p| p.seq < self.acked_to) {
+                // The Fin outlives the Ack that covers it: should the FinAck
+                // ahead of this Ack have been lost, the Fin's retransmit is
+                // what asks the server for it again.
+                while self.pending.front().is_some_and(|p| p.seq < self.acked_to && !p.fin) {
                     let p = self.pending.pop_front().expect("checked front");
                     self.link.bytes_acked += p.payload_len;
                 }
@@ -424,6 +433,14 @@ impl ExfilClient {
                 }
             }
             Message::FinAck { recovered } => {
+                // Only a Fin an Ack already covered can be acked and still
+                // pending; its payload counts now, once.
+                self.link.bytes_acked += self
+                    .pending
+                    .iter()
+                    .filter(|p| p.seq < self.acked_to)
+                    .map(|p| p.payload_len)
+                    .sum::<u64>();
                 self.recovered = Some(recovered);
                 self.done = true;
                 self.pending.clear();
@@ -673,7 +690,7 @@ fn fold_link(
 
 /// Where a [`SplitDriver`] stands in the session lifecycle.
 enum SplitPhase {
-    /// Counter sampling still running; each step is one ring generation.
+    /// Counter sampling still running; each step reads one wire batch.
     Streaming,
     /// Sampling is over; each step is one coarse drain tick until the final
     /// handshake lands or the deadline passes.
@@ -686,7 +703,7 @@ enum SplitPhase {
 }
 
 /// A split session as an incremental state machine: one [`SplitDriver::step`]
-/// call runs one *quantum* (a ring generation while sampling, a 5 ms drain
+/// call runs one *quantum* (a wire batch of reads while sampling, a 5 ms drain
 /// tick afterwards) and yields. [`run_split_session`] drives it in a tight
 /// loop for the one-session case; the fleet orchestrator steps many drivers
 /// interleaved on the same workers via [`SplitSessionTask`].
@@ -706,8 +723,7 @@ pub struct SplitDriver<'s> {
     sampling: Option<(Sampler, gpu_sc_attack::sampler::SampleStream)>,
     /// What the sampler survived; final once streaming ends.
     report: SamplerReport,
-    ring_tx: gpu_sc_attack::ring::Producer<Sample>,
-    ring_rx: gpu_sc_attack::ring::Consumer<Sample>,
+    /// One wire batch of samples, read before it is staged.
     burst: Vec<Sample>,
     phase: SplitPhase,
     _span: spansight::Span,
@@ -742,15 +758,7 @@ impl<'s> SplitDriver<'s> {
         let mut sampler = Sampler::open(sim.device(), service.config().sampler)?;
         let stream = sampler.start_stream(sim, until);
         client.connect(&mut transport, sim.now());
-        // Same SPSC handoff as the in-process driver: the reader loop fills
-        // the ring, the exfiltration side drains it in bursts. Sizing the
-        // ring at one wire batch means each drain stages exactly one
-        // SampleBatch frame. Both ends still pump at every read slot — the
-        // retransmit/ack clock needs the fine-grained ticks (its timeouts
-        // are shorter than a ring's worth of slots) — but those per-slot
-        // pumps carry no staging work; the batcher is fed once per drain.
-        let (ring_tx, ring_rx) = gpu_sc_attack::ring::spsc::<Sample>(config.batch_samples);
-        let burst = Vec::with_capacity(ring_tx.capacity());
+        let burst = Vec::with_capacity(config.batch_samples);
         Ok(SplitDriver {
             service,
             config,
@@ -759,8 +767,6 @@ impl<'s> SplitDriver<'s> {
             server,
             sampling: Some((sampler, stream)),
             report: SamplerReport::default(),
-            ring_tx,
-            ring_rx,
             burst,
             phase: SplitPhase::Streaming,
             _span: span,
@@ -775,22 +781,20 @@ impl<'s> SplitDriver<'s> {
             SplitPhase::Streaming => {
                 let (sampler, stream) =
                     self.sampling.as_mut().expect("streaming phase owns the sampler");
-                let mut stream_done = false;
-                while !self.ring_tx.is_full() {
-                    match sampler.next_sample(stream, sim) {
-                        Some(sample) => {
-                            self.ring_tx.push(sample).expect("a non-full SPSC ring accepts a push");
-                            self.client.pump(&mut self.transport, sim.now());
-                            self.server.pump(&mut self.transport, sim.now());
-                        }
-                        None => {
-                            stream_done = true;
-                            break;
-                        }
-                    }
-                }
+                // Read one wire batch, then stage it as one SampleBatch
+                // frame. Both ends still pump at every read slot — the
+                // retransmit/ack clock needs the fine-grained ticks (its
+                // timeouts are shorter than a batch's worth of slots) — but
+                // those per-slot pumps carry no staging work.
+                let batch = self.config.batch_samples.max(1);
                 self.burst.clear();
-                self.ring_rx.drain_into(&mut self.burst);
+                while self.burst.len() < batch {
+                    let Some(sample) = sampler.next_sample(stream, sim) else { break };
+                    self.burst.push(sample);
+                    self.client.pump(&mut self.transport, sim.now());
+                    self.server.pump(&mut self.transport, sim.now());
+                }
+                let stream_done = self.burst.len() < batch;
                 self.client.push_samples(&self.burst);
                 self.client.pump(&mut self.transport, sim.now());
                 self.server.pump(&mut self.transport, sim.now());

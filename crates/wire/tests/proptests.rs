@@ -76,8 +76,28 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// CRC-32 one byte and one bit at a time, straight from the polynomial:
+/// the reference the slice-by-8 [`wire::crc::crc32`] must match.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Slice-by-8 computes the bytewise CRC for every length, whatever its
+    /// remainder modulo eight.
+    #[test]
+    fn crc32_matches_the_bytewise_reference(bytes in prop::collection::vec(any::<u8>(), 0..=2048)) {
+        prop_assert_eq!(wire::crc::crc32(&bytes), crc32_bytewise(&bytes));
+    }
 
     /// encode → decode is the identity for every message variant.
     #[test]

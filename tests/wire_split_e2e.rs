@@ -12,10 +12,14 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
 use gpu_eaves::attack::offline::ModelStore;
 use gpu_eaves::attack::registry::Registry;
+use gpu_eaves::attack::sampler::SamplerReport;
 use gpu_eaves::attack::service::{AttackService, ServiceConfig, ServiceError, SessionResult};
 use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
-use gpu_eaves::wire::{run_split_session, ExfilConfig, LinkPlan, SplitOutcome};
+use gpu_eaves::wire::{
+    run_split_session, ClassifierServer, Direction, ExfilClient, ExfilConfig, Frame, LinkPlan,
+    Message, SimTransport, SplitOutcome,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,9 +49,18 @@ fn run_in_process(store: &ModelStore, seed: u64) -> SessionResult {
 }
 
 fn run_split(store: &ModelStore, seed: u64, plan: &LinkPlan) -> SplitOutcome {
+    run_split_with(store, seed, plan, ExfilConfig::default())
+}
+
+fn run_split_with(
+    store: &ModelStore,
+    seed: u64,
+    plan: &LinkPlan,
+    config: ExfilConfig,
+) -> SplitOutcome {
     let (mut sim, end) = victim(seed);
     let service = AttackService::new(store.clone(), ServiceConfig::default());
-    run_split_session(&service, &mut sim, end, plan, ExfilConfig::default())
+    run_split_session(&service, &mut sim, end, plan, config)
         .expect("split session must complete, not error, under link damage")
 }
 
@@ -105,6 +118,7 @@ fn every_seeded_lossy_plan_completes_and_matches() {
         // Exactly-once in-order delivery: the analysis half must be
         // oblivious to the link, so the whole result matches modulo the
         // degradation tally.
+        assert!(outcome.completed, "plan '{name}' never finished its handshake");
         let mut delinked = outcome.result.clone();
         delinked.link = Default::default();
         assert_eq!(
@@ -124,11 +138,94 @@ fn every_seeded_lossy_plan_completes_and_matches() {
     }
 }
 
+/// A FinAck lost on its way back while the Ack sent behind it arrives:
+/// the Ack covers the Fin, but the Fin stays pending, and its retransmit
+/// asks the server for the FinAck again.
+#[test]
+fn a_lost_finack_is_asked_for_again() {
+    let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
+    // Two perfect links joined by a relay that drops the first FinAck and
+    // forwards every other datagram.
+    let mut client_side = SimTransport::new(&LinkPlan::new(1));
+    let mut server_side = SimTransport::new(&LinkPlan::new(2));
+    let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+    let mut server = ClassifierServer::new(&service);
+    let report = SamplerReport::default();
+
+    let mut now = SimInstant::ZERO;
+    client.connect(&mut client_side, now);
+    client.finish_sampling(&report);
+    let (mut finacks_dropped, mut acks_after_drop) = (0, 0);
+    while !client.done() && now < SimInstant::from_millis(10_000) {
+        now += SimDuration::from_millis(1);
+        client.pump(&mut client_side, now);
+        for datagram in client_side.recv(Direction::ToServer, now) {
+            server_side.send(Direction::ToServer, now, datagram);
+        }
+        server.pump(&mut server_side, now);
+        for datagram in server_side.recv(Direction::ToClient, now) {
+            let msg = Frame::decode(&datagram).map(|f| Message::decode(&f.payload));
+            match msg {
+                Ok(Ok(Message::FinAck { .. })) if finacks_dropped == 0 => {
+                    finacks_dropped += 1;
+                    continue;
+                }
+                Ok(Ok(Message::Ack { .. })) if finacks_dropped > 0 => acks_after_drop += 1,
+                _ => {}
+            }
+            client_side.send(Direction::ToClient, now, datagram);
+        }
+    }
+
+    assert_eq!(finacks_dropped, 1, "test premise: the first FinAck was dropped");
+    assert!(acks_after_drop > 0, "test premise: the Ack behind the FinAck was delivered");
+    assert!(client.done(), "a lost FinAck wedged the handshake");
+    assert_eq!(client.recovered(), Some(""), "an empty store recovers nothing");
+    let link = client.link_report();
+    assert!(link.retransmits > 0, "only the Fin's retransmit can re-request the FinAck: {link}");
+    let fin_payload = Message::Fin { report }.encode().len() as u64;
+    assert_eq!(link.bytes_acked, fin_payload, "the acked Fin must count once: {link}");
+}
+
+/// A link that goes down mid-session and stays down past the drain
+/// deadline: the handshake never completes, and the server session is
+/// salvaged from what did arrive.
+#[test]
+fn a_link_that_never_comes_back_is_salvaged() {
+    let store = single_store();
+    let plan = LinkPlan::new(5)
+        .with_outages(SimDuration::from_millis(500), SimDuration::from_secs(120))
+        .with_horizon(SimDuration::from_secs(2));
+    let config = ExfilConfig { drain_timeout: SimDuration::from_secs(1), ..ExfilConfig::default() };
+    let outages = SimTransport::new(&plan).outages().to_vec();
+    assert!(
+        outages.len() == 1
+            && outages[0].0 > SimInstant::from_millis(100)
+            && outages[0].1 > SimInstant::from_millis(60_000),
+        "test premise: one outage from after the Hello to past the drain deadline: {outages:?}"
+    );
+
+    let track = spansight::register_track("wire-split-salvage");
+    let outcome = {
+        let _track = spansight::enter_track(track);
+        run_split_with(&store, 92, &plan, config)
+    };
+    let drain_timeouts =
+        spansight::snapshot().for_track(track).counter("wire.session.drain_timeouts");
+
+    assert!(!outcome.completed, "no FinAck can cross a dead link");
+    assert_eq!(outcome.recovered_over_wire, None);
+    assert!(outcome.result.link.frames_dropped > 0, "{}", outcome.result.link);
+    assert!(
+        outcome.transport.outage_drops > 0,
+        "the outage must be what stopped the session: {:?}",
+        outcome.transport
+    );
+    assert_eq!(drain_timeouts, 1, "the salvaged session must be counted");
+}
+
 #[test]
 fn pinning_a_digest_the_server_lacks_is_a_typed_error() {
-    use gpu_eaves::attack::sampler::SamplerReport;
-    use gpu_eaves::wire::{ClassifierServer, ExfilClient, SimTransport};
-
     let store = single_store();
     let service = AttackService::new(store, ServiceConfig::default());
 
