@@ -80,12 +80,13 @@ impl Frame {
         let len = usize::try_from(len).map_err(|_| WireError::LengthMismatch)?;
         // The declared payload plus the trailing CRC must fit exactly.
         let crc_at = pos.checked_add(len).ok_or(WireError::LengthMismatch)?;
-        match (crc_at + 4).cmp(&bytes.len()) {
+        let end = crc_at.checked_add(4).ok_or(WireError::LengthMismatch)?;
+        match end.cmp(&bytes.len()) {
             std::cmp::Ordering::Greater => return Err(WireError::Truncated),
             std::cmp::Ordering::Less => return Err(WireError::TrailingBytes),
             std::cmp::Ordering::Equal => {}
         }
-        let expected = u32::from_le_bytes(bytes[crc_at..crc_at + 4].try_into().expect("4 bytes"));
+        let expected = u32::from_le_bytes(bytes[crc_at..end].try_into().expect("4 bytes"));
         if crc32(&bytes[..crc_at]) != expected {
             return Err(WireError::CrcMismatch);
         }

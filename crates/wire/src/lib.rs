@@ -10,9 +10,9 @@
 //!   with zigzag, CRC-32 integrity, and the versioned length-prefixed
 //!   [`Frame`] envelope every datagram travels in.
 //! * [`message`] — the protocol: a versioned [`Message`] enum whose
-//!   [`SampleBatch`] payload encodes counter batches columnar as
-//!   delta-of-delta varints (about one byte per column entry on the steady
-//!   8 ms grid).
+//!   [`SampleBatch`] holds counter samples as rows in memory and puts them
+//!   on the wire columnar, as delta-of-delta varints (about one byte per
+//!   column entry on the steady 8 ms grid).
 //! * [`transport`] — [`SimTransport`], a seeded hostile link driven by a
 //!   [`LinkPlan`] in the same deterministic-plan idiom as
 //!   [`kgsl::FaultPlan`].
@@ -44,7 +44,7 @@ pub use error::{WireError, WireResult};
 pub use frame::{Frame, MAGIC, WIRE_VERSION};
 pub use message::{Message, SampleBatch};
 pub use session::{
-    run_split_session, BatchStage, ClassifierServer, ExfilClient, ExfilConfig, ResequenceStage,
-    SplitDriver, SplitOutcome, SplitSessionOutcome, SplitSessionTask, CONTROL_SEQ,
+    run_split_session, ClassifierServer, ExfilClient, ExfilConfig, ResequenceStage, SplitDriver,
+    SplitOutcome, SplitSessionOutcome, SplitSessionTask, CONTROL_SEQ,
 };
 pub use transport::{Direction, LinkPlan, SimTransport, TransportStats};

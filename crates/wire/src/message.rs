@@ -9,15 +9,17 @@
 //!
 //! # Batch encoding
 //!
-//! A sample batch is stored and encoded *columnar*, mirroring the SoA
-//! [`Trace`](gpu_sc_attack::trace::Trace): the timestamp column followed by
-//! one column per tracked counter, each as `first value` + zigzagged
-//! delta-of-delta varints. Counters are cumulative and near-linear in time,
-//! and read timestamps sit on a jittered 8 ms grid — second differences of
-//! both are tiny, so almost every residual fits in one byte. The `exfil`
-//! experiment reports the resulting bytes-per-keystroke.
+//! A sample batch holds its samples as rows, the form the sampler reads
+//! them in and the analysis pipeline consumes them in, and goes on the wire
+//! *columnar*: the timestamp column followed by one column per tracked
+//! counter, each as `first value` + zigzagged delta-of-delta varints.
+//! Counters are cumulative and near-linear in time, and read timestamps sit
+//! on a jittered 8 ms grid — second differences of both are tiny, so almost
+//! every residual fits in one byte. The encoder walks the rows once per
+//! column and the decoder fills one pre-sized row buffer column by column.
+//! The `exfil` experiment reports the resulting bytes-per-keystroke.
 
-use adreno_sim::counters::{CounterSet, NUM_TRACKED};
+use adreno_sim::counters::{CounterSet, ALL_TRACKED, NUM_TRACKED};
 use adreno_sim::time::SimInstant;
 use gpu_sc_attack::online::InferredKey;
 use gpu_sc_attack::registry::ModelDigest;
@@ -27,11 +29,16 @@ use gpu_sc_attack::trace::Sample;
 use crate::error::{WireError, WireResult};
 use crate::varint;
 
-/// A batch of counter samples in columnar form.
+/// Columns of a batch on the wire: the timestamp, then each tracked counter.
+const COLUMNS: usize = 1 + NUM_TRACKED;
+
+/// Bytes in the longest `u64` varint.
+const MAX_VARINT: usize = 10;
+
+/// A batch of counter samples: rows in memory, columns on the wire.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SampleBatch {
-    ats: Vec<u64>,
-    cols: [Vec<u64>; NUM_TRACKED],
+    samples: Vec<Sample>,
 }
 
 impl SampleBatch {
@@ -42,81 +49,76 @@ impl SampleBatch {
 
     /// Builds a batch from row-form samples.
     pub fn from_samples(samples: &[Sample]) -> Self {
-        let mut batch = SampleBatch::new();
-        for s in samples {
-            batch.push(*s);
-        }
-        batch
-    }
-
-    /// Appends one sample (scattered into the columns).
-    pub fn push(&mut self, s: Sample) {
-        self.ats.push(s.at.as_nanos());
-        for (col, &v) in self.cols.iter_mut().zip(s.values.as_array()) {
-            col.push(v);
-        }
+        SampleBatch { samples: samples.to_vec() }
     }
 
     /// Number of samples in the batch.
     pub fn len(&self) -> usize {
-        self.ats.len()
+        self.samples.len()
     }
 
     /// Whether the batch holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.ats.is_empty()
+        self.samples.is_empty()
     }
 
-    /// Reassembles the row-form samples in order.
-    pub fn samples(&self) -> Vec<Sample> {
-        (0..self.len())
-            .map(|i| {
-                let mut values = [0u64; NUM_TRACKED];
-                for (v, col) in values.iter_mut().zip(&self.cols) {
-                    *v = col[i];
-                }
-                Sample {
-                    at: SimInstant::from_nanos(self.ats[i]),
-                    values: CounterSet::from_array(values),
-                }
-            })
-            .collect()
-    }
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        varint::write_u64(buf, self.len() as u64);
-        encode_column(buf, &self.ats);
-        for col in &self.cols {
-            encode_column(buf, col);
-        }
+    /// The samples, in order.
+    pub fn samples(&self) -> &[Sample] {
+        &self.samples
     }
 
     fn decode_from(buf: &[u8], pos: &mut usize) -> WireResult<Self> {
         let count = varint::read_u64(buf, pos)?;
-        // Each sample costs at least one byte per column; reject counts the
-        // buffer cannot possibly back before allocating anything.
-        if count as u128 > (buf.len() - *pos) as u128 {
+        // Each sample costs at least one byte in every column; reject counts
+        // the buffer cannot possibly back before allocating anything.
+        if u128::from(count) * COLUMNS as u128 > (buf.len() - *pos) as u128 {
             return Err(WireError::LengthMismatch);
         }
-        let count = count as usize;
-        let ats = decode_column(buf, pos, count)?;
-        let mut cols: [Vec<u64>; NUM_TRACKED] = Default::default();
-        for col in &mut cols {
-            *col = decode_column(buf, pos, count)?;
+        let blank = Sample { at: SimInstant::ZERO, values: CounterSet::ZERO };
+        let mut samples = vec![blank; count as usize];
+        decode_column(buf, pos, &mut samples, |s, v| s.at = SimInstant::from_nanos(v))?;
+        for c in ALL_TRACKED {
+            decode_column(buf, pos, &mut samples, |s, v| s.values[c] = v)?;
         }
-        Ok(SampleBatch { ats, cols })
+        Ok(SampleBatch { samples })
+    }
+}
+
+/// The payload of `Message::SampleBatch(SampleBatch::from_samples(samples))`,
+/// byte for byte, encoded straight from the caller's rows.
+pub(crate) fn encode_sample_batch(samples: &[Sample]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(batch_len_hint(samples.len()));
+    encode_batch(&mut buf, samples);
+    buf
+}
+
+/// A batch payload's usual size: the tag, the count, and per column a full
+/// first value plus two bytes for each residual. Steady-state batches fit;
+/// a burst of large residuals grows the buffer once.
+fn batch_len_hint(samples: usize) -> usize {
+    1 + MAX_VARINT + COLUMNS * (MAX_VARINT + 2 * samples.saturating_sub(1))
+}
+
+/// Writes a [`Message::SampleBatch`] payload: the tag, the sample count,
+/// then each column in turn.
+fn encode_batch(buf: &mut Vec<u8>, samples: &[Sample]) {
+    buf.push(TAG_SAMPLE_BATCH);
+    varint::write_u64(buf, samples.len() as u64);
+    encode_column(buf, samples.iter().map(|s| s.at.as_nanos()));
+    for c in ALL_TRACKED {
+        encode_column(buf, samples.iter().map(|s| s.values[c]));
     }
 }
 
 /// One column as `first` + zigzagged delta-of-delta residuals. Wrapping
 /// arithmetic throughout: the codec is an exact bijection on any `u64`
 /// sequence, monotone or not.
-fn encode_column(buf: &mut Vec<u8>, col: &[u64]) {
-    let Some(&first) = col.first() else { return };
+fn encode_column(buf: &mut Vec<u8>, mut col: impl Iterator<Item = u64>) {
+    let Some(first) = col.next() else { return };
     varint::write_u64(buf, first);
     let mut prev = first;
     let mut prev_delta = 0i64;
-    for &v in &col[1..] {
+    for v in col {
         let delta = v.wrapping_sub(prev) as i64;
         varint::write_i64(buf, delta.wrapping_sub(prev_delta));
         prev = v;
@@ -124,22 +126,25 @@ fn encode_column(buf: &mut Vec<u8>, col: &[u64]) {
     }
 }
 
-fn decode_column(buf: &[u8], pos: &mut usize, count: usize) -> WireResult<Vec<u64>> {
-    let mut col = Vec::with_capacity(count);
-    if count == 0 {
-        return Ok(col);
-    }
+/// Decodes one column into `rows`, storing each value with `set`.
+fn decode_column(
+    buf: &[u8],
+    pos: &mut usize,
+    rows: &mut [Sample],
+    set: impl Fn(&mut Sample, u64),
+) -> WireResult<()> {
+    let Some((first_row, rest)) = rows.split_first_mut() else { return Ok(()) };
     let first = varint::read_u64(buf, pos)?;
-    col.push(first);
+    set(first_row, first);
     let mut prev = first;
     let mut prev_delta = 0i64;
-    for _ in 1..count {
+    for row in rest {
         let delta = prev_delta.wrapping_add(varint::read_i64(buf, pos)?);
         prev = prev.wrapping_add(delta as u64);
-        col.push(prev);
+        set(row, prev);
         prev_delta = delta;
     }
-    Ok(col)
+    Ok(())
 }
 
 /// Everything that can cross the link, under one version tag (see
@@ -262,7 +267,7 @@ impl Message {
     /// Encodes the message into a payload (to be wrapped in a
     /// [`Frame`](crate::frame::Frame)).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.len_hint());
         match self {
             Message::Hello { session_id, resume_from, model_digest } => {
                 buf.push(TAG_HELLO);
@@ -270,10 +275,7 @@ impl Message {
                 varint::write_u64(&mut buf, *resume_from);
                 buf.extend_from_slice(model_digest.as_bytes());
             }
-            Message::SampleBatch(batch) => {
-                buf.push(TAG_SAMPLE_BATCH);
-                batch.encode_into(&mut buf);
-            }
+            Message::SampleBatch(batch) => encode_batch(&mut buf, &batch.samples),
             Message::Fin { report } => {
                 buf.push(TAG_FIN);
                 for field in report_fields(report) {
@@ -298,6 +300,20 @@ impl Message {
             }
         }
         buf
+    }
+
+    /// A buffer size that holds the encoding: exact upper bounds, except for
+    /// a batch (see [`batch_len_hint`]).
+    fn len_hint(&self) -> usize {
+        match self {
+            Message::Hello { .. } => 1 + 2 * MAX_VARINT + 32,
+            Message::SampleBatch(batch) => batch_len_hint(batch.len()),
+            Message::Fin { .. } => 1 + 11 * MAX_VARINT,
+            Message::Ack { .. } => 1 + MAX_VARINT,
+            // Per key: two u64 varints, a code point in at most 3 bytes, a flag.
+            Message::InferredKeys { keys } => 1 + MAX_VARINT + keys.len() * (2 * MAX_VARINT + 4),
+            Message::FinAck { recovered } => 1 + MAX_VARINT + recovered.len(),
+        }
     }
 
     /// Decodes a payload produced by [`Message::encode`]. The whole buffer
@@ -448,6 +464,10 @@ mod tests {
         assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
         let mut payload = vec![TAG_SAMPLE_BATCH];
         varint::write_u64(&mut payload, u64::MAX);
+        assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
+        // Two samples take at least one byte per column entry, 24 in all.
+        let mut payload = vec![TAG_SAMPLE_BATCH, 2];
+        payload.extend([0; 2 * COLUMNS - 1]);
         assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
     }
 }

@@ -44,7 +44,7 @@ use gpu_sc_attack::trace::Sample;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::frame::Frame;
-use crate::message::{Message, SampleBatch};
+use crate::message::{encode_sample_batch, Message};
 use crate::transport::{Direction, LinkPlan, SimTransport, TransportStats};
 
 /// The sequence number reserved for control frames (Hello, Ack), which live
@@ -84,43 +84,10 @@ impl Default for ExfilConfig {
     }
 }
 
-/// A [`Stage`] that packs samples into fixed-size [`Message::SampleBatch`]
-/// frames; `finish` flushes the partial tail batch.
-#[derive(Debug)]
-pub struct BatchStage {
-    capacity: usize,
-    staging: SampleBatch,
-}
-
-impl BatchStage {
-    /// A stage emitting one message per `capacity` samples.
-    pub fn new(capacity: usize) -> Self {
-        BatchStage { capacity: capacity.max(1), staging: SampleBatch::new() }
-    }
-}
-
-impl Stage for BatchStage {
-    type In = Sample;
-    type Out = Message;
-
-    fn push(&mut self, input: Sample, out: &mut Vec<Message>) {
-        self.staging.push(input);
-        if self.staging.len() >= self.capacity {
-            out.push(Message::SampleBatch(std::mem::take(&mut self.staging)));
-        }
-    }
-
-    fn finish(&mut self, out: &mut Vec<Message>) {
-        if !self.staging.is_empty() {
-            out.push(Message::SampleBatch(std::mem::take(&mut self.staging)));
-        }
-    }
-}
-
-/// A [`Stage`] that restores sequence order over a lossy arrival stream:
-/// frames are released strictly in sequence, duplicates are discarded, and
-/// early arrivals wait in a bounded buffer. Feeds the receive side of
-/// [`ClassifierServer`].
+/// A [`Stage`] that restores sequence order over a lossy arrival stream of
+/// decoded `(seq, message)` data frames: messages are released strictly in
+/// sequence, duplicates are discarded, and early arrivals wait in a bounded
+/// buffer. Feeds the receive side of [`ClassifierServer`].
 #[derive(Debug, Default)]
 pub struct ResequenceStage {
     next_expected: u64,
@@ -140,22 +107,17 @@ impl ResequenceStage {
 }
 
 impl Stage for ResequenceStage {
-    type In = Frame;
+    type In = (u64, Message);
     type Out = Message;
 
-    fn push(&mut self, input: Frame, out: &mut Vec<Message>) {
-        if input.seq < self.next_expected || self.buffer.contains_key(&input.seq) {
+    fn push(&mut self, (seq, msg): (u64, Message), out: &mut Vec<Message>) {
+        if seq < self.next_expected || self.buffer.contains_key(&seq) {
             self.duplicates_discarded += 1;
             return;
         }
-        // The payload was already decoded once by the server to classify
-        // control vs data; decoding again here keeps the stage self-contained.
-        let Ok(msg) = Message::decode(&input.payload) else {
-            return;
-        };
-        if input.seq > self.next_expected {
+        if seq > self.next_expected {
             self.reorders_observed += 1;
-            self.buffer.insert(input.seq, msg);
+            self.buffer.insert(seq, msg);
             return;
         }
         self.next_expected += 1;
@@ -195,8 +157,9 @@ pub struct ExfilClient {
     /// Content address of the model this sampler expects the server to
     /// classify with; [`ModelDigest::ZERO`] requests device recognition.
     model_digest: ModelDigest,
-    batcher: BatchStage,
-    staged: Vec<Message>,
+    /// Samples short of a full batch, waiting for the next burst. Empty
+    /// whenever bursts come in whole batches, as [`SplitDriver`]'s do.
+    tail: Vec<Sample>,
     pending: VecDeque<PendingFrame>,
     next_seq: u64,
     /// Lowest data seq not yet acknowledged by the server.
@@ -224,8 +187,7 @@ impl ExfilClient {
             config,
             session_id,
             model_digest,
-            batcher: BatchStage::new(config.batch_samples),
-            staged: Vec::new(),
+            tail: Vec::new(),
             pending: VecDeque::new(),
             next_seq: 0,
             acked_to: 0,
@@ -256,18 +218,31 @@ impl ExfilClient {
         self.push_samples(std::slice::from_ref(&sample));
     }
 
-    /// Stages a burst of counter samples for exfiltration in one pass.
-    /// Frame boundaries depend only on the cumulative sample count, so this
-    /// produces exactly the frames the equivalent [`ExfilClient::push_sample`]
-    /// calls would. [`run_split_session`] stages each wire batch of reads
-    /// through this.
-    pub fn push_samples(&mut self, samples: &[Sample]) {
-        let mut staged = std::mem::take(&mut self.staged);
-        for &s in samples {
-            self.batcher.push(s, &mut staged);
+    /// Stages a burst of counter samples for exfiltration: every full
+    /// [`ExfilConfig::batch_samples`] batch is encoded straight from the
+    /// burst into its frame, and only a partial tail waits for the next
+    /// burst. Frame boundaries depend only on the cumulative sample count,
+    /// so this produces exactly the frames the equivalent
+    /// [`ExfilClient::push_sample`] calls would. [`run_split_session`] hands
+    /// over each wire batch of reads through this.
+    pub fn push_samples(&mut self, mut samples: &[Sample]) {
+        let batch = self.config.batch_samples.max(1);
+        if !self.tail.is_empty() {
+            let (head, rest) = samples.split_at((batch - self.tail.len()).min(samples.len()));
+            self.tail.extend_from_slice(head);
+            samples = rest;
+            if self.tail.len() < batch {
+                return;
+            }
+            let payload = encode_sample_batch(&self.tail);
+            self.tail.clear();
+            self.enqueue(payload, false);
         }
-        self.staged = staged;
-        self.enqueue_staged();
+        let mut chunks = samples.chunks_exact(batch);
+        for chunk in &mut chunks {
+            self.enqueue(encode_sample_batch(chunk), false);
+        }
+        self.tail.extend_from_slice(chunks.remainder());
     }
 
     /// Ends sampling: flushes the tail batch and queues the Fin frame
@@ -275,11 +250,11 @@ impl ExfilClient {
     pub fn finish_sampling(&mut self, report: &SamplerReport) {
         assert!(!self.finished, "finish_sampling called twice");
         self.finished = true;
-        let mut staged = std::mem::take(&mut self.staged);
-        self.batcher.finish(&mut staged);
-        staged.push(Message::Fin { report: *report });
-        self.staged = staged;
-        self.enqueue_staged();
+        let tail = std::mem::take(&mut self.tail);
+        if !tail.is_empty() {
+            self.enqueue(encode_sample_batch(&tail), false);
+        }
+        self.enqueue(Message::Fin { report: *report }.encode(), true);
     }
 
     /// Whether the final handshake completed (FinAck received).
@@ -304,23 +279,20 @@ impl ExfilClient {
         self.link
     }
 
-    fn enqueue_staged(&mut self) {
-        for msg in self.staged.drain(..) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let payload = msg.encode();
-            let payload_len = payload.len() as u64;
-            let datagram = Frame::new(seq, payload).encode();
-            self.pending.push_back(PendingFrame {
-                seq,
-                datagram,
-                payload_len,
-                fin: matches!(msg, Message::Fin { .. }),
-                last_sent: None,
-                backoff: self.config.retransmit_after,
-                retransmits: 0,
-            });
-        }
+    /// Queues one data frame behind the ones already pending.
+    fn enqueue(&mut self, payload: Vec<u8>, fin: bool) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let payload_len = payload.len() as u64;
+        self.pending.push_back(PendingFrame {
+            seq,
+            datagram: Frame::new(seq, payload).encode(),
+            payload_len,
+            fin,
+            last_sent: None,
+            backoff: self.config.retransmit_after,
+            retransmits: 0,
+        });
     }
 
     fn send_control(&mut self, transport: &mut SimTransport, now: SimInstant, msg: Message) {
@@ -541,33 +513,29 @@ impl<'s> ClassifierServer<'s> {
     }
 
     fn handle(&mut self, datagram: &[u8], transport: &mut SimTransport, now: SimInstant) {
-        let Ok(frame) = Frame::decode(datagram) else {
+        // Every datagram is validated in full before it touches any state,
+        // and decoded this once: the resequencer takes the message.
+        let decoded = Frame::decode(datagram)
+            .and_then(|frame| Message::decode(&frame.payload).map(|msg| (frame.seq, msg)));
+        let Ok((seq, msg)) = decoded else {
             self.link.frames_corrupt += 1;
             return;
         };
-        if frame.seq == CONTROL_SEQ {
-            match Message::decode(&frame.payload) {
-                Ok(Message::Hello { model_digest, .. }) => {
-                    // Initial open or reconnect-resume: both are answered
-                    // with where the data stream actually stands. The
-                    // session itself is created lazily on first data.
-                    self.requested_digest = Some(model_digest);
-                    self.ensure_session();
-                    self.send_ack(transport, now);
-                }
-                Ok(_) => {}
-                Err(_) => self.link.frames_corrupt += 1,
+        if seq == CONTROL_SEQ {
+            if let Message::Hello { model_digest, .. } = msg {
+                // Initial open or reconnect-resume: both are answered with
+                // where the data stream actually stands. The session itself
+                // is created lazily on first data.
+                self.requested_digest = Some(model_digest);
+                self.ensure_session();
+                self.send_ack(transport, now);
             }
             return;
         }
-        if Message::decode(&frame.payload).is_err() {
-            self.link.frames_corrupt += 1;
-            return;
-        }
         let before = self.resequencer.next_expected();
-        let was_duplicate_fin = frame.seq < before && self.finack.is_some();
+        let was_duplicate_fin = seq < before && self.finack.is_some();
         let mut inbox = std::mem::take(&mut self.inbox);
-        self.resequencer.push(frame, &mut inbox);
+        self.resequencer.push((seq, msg), &mut inbox);
         for msg in inbox.drain(..) {
             self.apply(msg, transport, now);
         }
@@ -610,7 +578,7 @@ impl<'s> ClassifierServer<'s> {
             Message::SampleBatch(batch) => {
                 self.ensure_session();
                 let Some(session) = self.session.as_mut() else { return };
-                session.push_samples(&batch.samples());
+                session.push_samples(batch.samples());
                 let mut fresh = std::mem::take(&mut self.fresh_keys);
                 session.drain_new_keys(&mut fresh);
                 if !fresh.is_empty() {
@@ -723,7 +691,7 @@ pub struct SplitDriver<'s> {
     sampling: Option<(Sampler, gpu_sc_attack::sampler::SampleStream)>,
     /// What the sampler survived; final once streaming ends.
     report: SamplerReport,
-    /// One wire batch of samples, read before it is staged.
+    /// One wire batch of samples, read before the client encodes it.
     burst: Vec<Sample>,
     phase: SplitPhase,
     _span: spansight::Span,
@@ -781,11 +749,12 @@ impl<'s> SplitDriver<'s> {
             SplitPhase::Streaming => {
                 let (sampler, stream) =
                     self.sampling.as_mut().expect("streaming phase owns the sampler");
-                // Read one wire batch, then stage it as one SampleBatch
-                // frame. Both ends still pump at every read slot — the
-                // retransmit/ack clock needs the fine-grained ticks (its
-                // timeouts are shorter than a batch's worth of slots) — but
-                // those per-slot pumps carry no staging work.
+                // Read one wire batch, then hand it to the client, which
+                // encodes it as one SampleBatch frame. Both ends still pump
+                // at every read slot — the retransmit/ack clock needs the
+                // fine-grained ticks (its timeouts are shorter than a
+                // batch's worth of slots) — but those per-slot pumps carry
+                // no encoding work.
                 let batch = self.config.batch_samples.max(1);
                 self.burst.clear();
                 while self.burst.len() < batch {
@@ -1001,26 +970,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_stage_packs_and_flushes() {
-        let mut stage = BatchStage::new(3);
-        let mut out = Vec::new();
-        for i in 0..7u64 {
-            stage.push(sample(i, i * 100), &mut out);
-        }
-        stage.finish(&mut out);
-        let lens: Vec<usize> = out
-            .iter()
-            .map(|m| match m {
-                Message::SampleBatch(b) => b.len(),
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(lens, vec![3, 3, 1]);
-    }
-
-    #[test]
     fn resequencer_restores_order_and_counts() {
-        let frame = |seq: u64| Frame::new(seq, Message::Ack { next_expected: seq }.encode());
+        let frame = |seq: u64| (seq, Message::Ack { next_expected: seq });
         let mut stage = ResequenceStage::default();
         let mut out = Vec::new();
         stage.push(frame(1), &mut out); // early: buffered
