@@ -4,12 +4,15 @@
 //! The paper's deployment story is app-store scale — many victim phones,
 //! each running the tiny sampler, all feeding classification capacity
 //! somewhere else. This experiment runs that shape end to end on the
-//! `core::fleet` orchestrator: sessions are cooperative tasks stepped one
-//! quantum at a time over `minipool`'s ring run queue, shards are
-//! independent `AttackService`s sharing one hub-trained registry handle
-//! (one blob, one decoded model), every third session is split over its
-//! own lossy wire link, and a rotating mix of device-fault intensities keeps degraded
-//! sessions in the schedule without letting them stall anyone else.
+//! `core::fleet` orchestrator: sessions are cooperative tasks, and each
+//! time `minipool`'s ring run queue dequeues one it runs a turn of up to
+//! four quanta back to back (so its state is re-warmed in cache once per
+//! turn, not once per quantum) before going to the back of the ring.
+//! Shards are independent `AttackService`s sharing one hub-trained
+//! registry handle (one blob, one decoded model), every third session is
+//! split over its own lossy wire link, and a rotating mix of device-fault
+//! intensities keeps degraded sessions in the schedule without letting
+//! them stall anyone else.
 //!
 //! Reported per (shards × sessions) row, all in deterministic sim time
 //! (byte-identical at any `--jobs`): completion/salvage/failure counts,

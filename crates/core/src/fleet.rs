@@ -8,11 +8,14 @@
 //!
 //! * [`Session`] — a cooperative task: one `step` runs one *quantum* of a
 //!   session (a bounded burst of sampling plus a bounded burst of
-//!   classification) and yields. [`minipool::Pool::par_drive`] requeues
-//!   yielded sessions FIFO on a ring-shaped run queue, so quanta of
-//!   different sessions interleave on the same workers and one degraded
-//!   session can pin at most one worker while every other session keeps
-//!   flowing.
+//!   classification) and yields. [`run_sessions`] gives each dequeued
+//!   session a *turn* of up to four consecutive quanta, so a session's
+//!   working set stays in cache across the quanta of its turn instead of
+//!   being evicted by every other resident session between each two.
+//!   [`minipool::Pool::par_drive`] requeues a session FIFO on a
+//!   ring-shaped run queue after its turn, so turns of different sessions
+//!   interleave on the same workers and one degraded session can pin at
+//!   most one worker while every other session keeps flowing.
 //! * [`FleetSession`] — the in-process implementation: it owns its victim
 //!   [`UiSimulation`] and drives [`Sampler::next_sample`] into a
 //!   [`StreamingSession`] through a bounded sample queue, with
@@ -49,32 +52,45 @@ use crate::trace::Sample;
 /// A cooperative fleet task.
 ///
 /// `step` runs one quantum and returns `Some(outcome)` when the session is
-/// finished, `None` to yield. The scheduler ([`run_sessions`]) requeues
-/// yielded sessions FIFO, so with `k` live sessions each is stepped again
-/// within `k` dequeues regardless of how long any single session takes —
-/// the starvation-freedom property the fleet leans on. A task is never
-/// stepped again after it returns `Some`.
+/// finished, `None` to yield. The scheduler ([`run_sessions`]) steps a
+/// dequeued session for one *turn* — up to `TURN_QUANTA` (4) quanta back
+/// to back, fewer if it finishes — and then requeues it FIFO, so with `k`
+/// live sessions each is stepped again within `k` dequeues of at most four
+/// quanta each, regardless of how long any single session takes — the
+/// starvation-freedom property the fleet leans on. A task is never stepped
+/// again after it returns `Some`.
 pub trait Session {
     /// What a finished session yields.
     type Outcome;
 
-    /// Runs one quantum. `Some` = finished, `None` = yield and requeue.
+    /// Runs one quantum. `Some` = finished, `None` = not yet: the next
+    /// quantum runs later in this turn, or after the session is requeued.
     fn step(&mut self) -> Option<Self::Outcome>;
 }
+
+/// Quanta a session runs back to back each time the ring dequeues it. A
+/// session's live heap (~16–29 KiB) is evicted from a core's L2 by the
+/// thousands of other resident sessions between two dequeues, so a turn
+/// pays that re-warming once per four quanta instead of once per quantum.
+/// A turn is only consecutive ordinary `step`s, so outcomes and
+/// per-session quanta counts do not depend on its length.
+const TURN_QUANTA: usize = 4;
 
 /// Drives every session to completion over the pool's cooperative ring
 /// run queue, returning outcomes in session order.
 ///
+/// Each dequeue runs one turn of the session (see [`Session`]); the ring
+/// itself is [`minipool::Pool::par_drive`], which sees a turn as one step.
 /// Sessions must be independent of each other (each [`FleetSession`] owns
-/// its simulation, sampler, and sample queue), which makes the outcome vector
-/// byte-identical at any `Pool` worker count.
+/// its simulation, sampler, and sample queue), which makes the outcome
+/// vector byte-identical at any `Pool` worker count.
 pub fn run_sessions<S>(pool: &Pool, sessions: Vec<S>) -> Vec<S::Outcome>
 where
     S: Session + Send,
     S::Outcome: Send,
 {
     spansight::count("core.fleet.sessions", sessions.len() as u64);
-    pool.par_drive(sessions, |_, s| s.step())
+    pool.par_drive(sessions, |_, s| (0..TURN_QUANTA).find_map(|_| s.step()))
 }
 
 /// Tuning knobs for [`FleetSession`] quanta and backpressure.
@@ -313,7 +329,7 @@ impl Session for FleetSession<'_> {
     }
 }
 
-// `run_sessions` hands each session from worker to worker between quanta.
+// `run_sessions` hands each session from worker to worker between turns.
 const _: fn() = || {
     fn send<T: Send>() {}
     send::<FleetSession<'static>>();

@@ -147,8 +147,14 @@ const ERRNO_COUNTERS: [(Errno, &str); 7] = [
 struct CallTally {
     /// `kgsl.open`: `open` calls, failed ones included.
     opens: u64,
+    /// `kgsl.open_failed`: `open` calls that handed out no handle.
+    open_failed: u64,
     /// `kgsl.close`: `close` calls, failed ones included.
     closes: u64,
+    /// `kgsl.close_failed`: `close` calls on a handle that was not open.
+    close_failed: u64,
+    /// `kgsl.fds_revoked`: open handles cleared by a revocation.
+    fds_revoked: u64,
     /// `kgsl.ioctl.calls`: `ioctl` calls of every kind.
     ioctls: u64,
     /// Failed `open`/`ioctl` calls, per [`ERRNO_COUNTERS`] entry.
@@ -173,7 +179,10 @@ impl CallTally {
     fn publish(&self, handles_open: u64) {
         let calls = [
             ("kgsl.open", self.opens),
+            ("kgsl.open_failed", self.open_failed),
             ("kgsl.close", self.closes),
+            ("kgsl.close_failed", self.close_failed),
+            ("kgsl.fds_revoked", self.fds_revoked),
             ("kgsl.ioctl.calls", self.ioctls),
             ("kgsl.fault.transient", self.transients),
             ("kgsl.fault.truncated_read", self.truncated_reads),
@@ -257,12 +266,16 @@ impl DeviceState {
 /// # Telemetry
 ///
 /// `ioctl.perfcounter_get`/`_put` calls are timed as spans. Every call is
-/// counted (`kgsl.open`, `kgsl.close`, `kgsl.ioctl.calls`, `kgsl.errno.*`,
-/// `kgsl.fault.transient`, `kgsl.fault.truncated_read`), but the counts are
+/// counted (`kgsl.open`, `kgsl.open_failed`, `kgsl.close`,
+/// `kgsl.close_failed`, `kgsl.ioctl.calls`, `kgsl.errno.*`,
+/// `kgsl.fault.transient`, `kgsl.fault.truncated_read`), as is every open
+/// handle a revocation clears (`kgsl.fds_revoked`), but the counts are
 /// published only when the device drops, to the track current at that
 /// point, along with `kgsl.handles_open_at_drop` when some handle was
-/// never closed. Slumber, revocation and policy-change events are recorded
-/// as they happen.
+/// never closed. Together they account for every handle handed out:
+/// `open − open_failed = (close − close_failed) + fds_revoked +
+/// handles_open_at_drop`. Slumber, revocation and policy-change events
+/// are recorded as they happen.
 ///
 /// # Examples
 ///
@@ -377,6 +390,7 @@ impl KgslDevice {
                 }
                 FaultEvent::RevokeFds => {
                     spansight::instant("kgsl", "kgsl.fault.revoke_fds");
+                    st.tally.fds_revoked += st.handles.len() as u64;
                     st.handles.clear();
                     st.reservations.clear();
                 }
@@ -415,6 +429,7 @@ impl KgslDevice {
         let mut st = self.state.borrow_mut();
         st.tally.opens += 1;
         if let Some(errno) = self.service_faults(&mut st) {
+            st.tally.open_failed += 1;
             st.tally.fail(errno);
             return Err(errno);
         }
@@ -430,7 +445,7 @@ impl KgslDevice {
     pub fn close(&self, fd: KgslFd) -> DeviceResult<()> {
         let mut st = self.state.borrow_mut();
         st.tally.closes += 1;
-        let slot = st.slot_of(fd)?;
+        let slot = st.slot_of(fd).inspect_err(|_| st.tally.close_failed += 1)?;
         let handle = st.handles.remove(slot);
         for group in 0..NUM_GROUPS {
             for countable in 0..COUNTABLES {
@@ -1006,6 +1021,7 @@ mod tests {
     #[derive(Default)]
     struct Observed {
         opens: u64,
+        open_failed: u64,
         closes: u64,
         ioctls: u64,
         errnos: std::collections::BTreeMap<String, u64>,
@@ -1022,7 +1038,9 @@ mod tests {
 
         fn open(&mut self, dev: &KgslDevice) -> DeviceResult<KgslFd> {
             self.opens += 1;
-            self.note(dev.open(1, SelinuxDomain::UntrustedApp))
+            let result = self.note(dev.open(1, SelinuxDomain::UntrustedApp));
+            self.open_failed += u64::from(result.is_err());
+            result
         }
 
         fn ioctl(
@@ -1116,6 +1134,7 @@ mod tests {
             ("kgsl.fault.truncated_read".into(), log.truncated_reads),
             ("kgsl.ioctl.calls".into(), seen.ioctls),
             ("kgsl.open".into(), seen.opens),
+            ("kgsl.open_failed".into(), seen.open_failed),
         ];
         expected.extend(seen.errnos.clone());
         expected.sort();
@@ -1139,6 +1158,35 @@ mod tests {
         let count = |name| snap.counters.iter().find(|c| c.name == name).map(|c| c.value);
         assert_eq!(count("kgsl.open"), Some(2));
         assert_eq!(count("kgsl.close"), Some(1));
+        assert_eq!(count("kgsl.handles_open_at_drop"), Some(1));
+    }
+
+    #[test]
+    fn failed_closes_and_revoked_handles_are_counted() {
+        let track = spansight::register_track("kgsl-device-handle-conservation");
+        let _track = spansight::enter_track(track);
+        let mut dev = device();
+        let closed = dev.open(1, SelinuxDomain::UntrustedApp).unwrap();
+        dev.close(closed).unwrap();
+        assert_eq!(dev.close(closed).unwrap_err(), Errno::Ebadf);
+        for pid in [2, 3] {
+            dev.open(pid, SelinuxDomain::UntrustedApp).unwrap();
+        }
+        dev.install_fault_plan(
+            &FaultPlan::new(0).at(SimInstant::from_millis(10), crate::fault::FaultEvent::RevokeFds),
+        );
+        dev.advance_clock(SimInstant::from_millis(20));
+        // This open delivers the revocation, then hands out a handle that
+        // stays open until the device drops.
+        dev.open(4, SelinuxDomain::UntrustedApp).unwrap();
+        drop(dev);
+        let snap = spansight::snapshot().for_track(track);
+        let count = |name| snap.counters.iter().find(|c| c.name == name).map(|c| c.value);
+        assert_eq!(count("kgsl.open"), Some(4));
+        assert_eq!(count("kgsl.open_failed"), None);
+        assert_eq!(count("kgsl.close"), Some(2));
+        assert_eq!(count("kgsl.close_failed"), Some(1));
+        assert_eq!(count("kgsl.fds_revoked"), Some(2));
         assert_eq!(count("kgsl.handles_open_at_drop"), Some(1));
     }
 

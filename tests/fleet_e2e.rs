@@ -10,6 +10,10 @@
 //!   an order of magnitude past everyone else's) finishes last: every
 //!   other session completes while it is still being cycled through the
 //!   ring run queue, so it can never stall a shard.
+//! * **Turns** — each dequeue steps a session up to four quanta back to
+//!   back, stopping at the quantum that finishes it; a turn moves only the
+//!   interleaving, so every session's outcome and quanta count equal those
+//!   of the same session stepped alone to completion.
 //! * **Incremental-rendering isolation** — each session's per-viewport
 //!   frame-delta renderers ([`adreno_sim::incremental`]) are state owned by
 //!   that session's GPU, so the reuse machinery engages under concurrent
@@ -132,6 +136,74 @@ fn mixed_fleet_outcomes_identical_at_any_worker_count() {
     }
 }
 
+/// Steps one task alone until it finishes.
+fn step_alone<S: Session>(mut session: S) -> S::Outcome {
+    loop {
+        if let Some(out) = session.step() {
+            break out;
+        }
+    }
+}
+
+#[test]
+fn turns_change_no_outcome_and_no_quanta_count() {
+    let store = single_store();
+    let service = AttackService::new(store, ServiceConfig::default());
+    let config = FleetConfig { ring_capacity: 16, classify_quantum: 16, ..FleetConfig::default() };
+    let alone: Vec<MixedOutcome> =
+        mixed_fleet(&service, &config).into_iter().map(step_alone).collect();
+    let quanta = |out: &MixedOutcome| match out {
+        MixedOutcome::Local(o) => o.stats.quanta,
+        MixedOutcome::Split(o) => o.quanta,
+    };
+    for jobs in [1usize, 2] {
+        let driven = run_sessions(&Pool::new(jobs), mixed_fleet(&service, &config));
+        assert_eq!(driven.len(), alone.len());
+        for (i, (a, d)) in alone.iter().zip(&driven).enumerate() {
+            assert_eq!(quanta(a), quanta(d), "session {i}'s quanta count moved (jobs={jobs})");
+            assert_eq!(a, d, "session {i}'s outcome moved (jobs={jobs})");
+        }
+    }
+    // Non-vacuous: some session needs more than one turn, and some
+    // finishes part-way through one.
+    assert!(alone.iter().any(|o| quanta(o) > 4), "every session fit in one turn");
+    assert!(alone.iter().any(|o| quanta(o) % 4 != 0), "every session ended on a turn boundary");
+}
+
+/// A task that finishes after `left` steps, logging its index at each.
+struct Toy {
+    index: usize,
+    left: usize,
+    log: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Session for Toy {
+    type Outcome = usize;
+
+    fn step(&mut self) -> Option<usize> {
+        self.log.lock().unwrap().push(self.index);
+        self.left -= 1;
+        (self.left == 0).then_some(self.index)
+    }
+}
+
+#[test]
+fn each_dequeue_steps_a_turn_of_up_to_four_quanta() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let tasks: Vec<Toy> = [10, 3, 6]
+        .into_iter()
+        .enumerate()
+        .map(|(index, left)| Toy { index, left, log: Arc::clone(&log) })
+        .collect();
+    assert_eq!(run_sessions(&Pool::new(1), tasks), vec![0, 1, 2]);
+    // A turn ends after four quanta or at the quantum that finishes the
+    // task, whichever comes first; the ring then moves on FIFO.
+    let turns = [(0, 4), (1, 3), (2, 4), (0, 4), (2, 2), (0, 2)];
+    let expected: Vec<usize> =
+        turns.iter().flat_map(|&(task, quanta)| std::iter::repeat_n(task, quanta)).collect();
+    assert_eq!(*log.lock().unwrap(), expected);
+}
+
 #[test]
 fn fleet_session_matches_eavesdrop() {
     let store = single_store();
@@ -145,12 +217,7 @@ fn fleet_session_matches_eavesdrop() {
 
         let (sim, end) = victim(seed, "hunter2pass");
         sim.device().install_fault_plan(&plan);
-        let mut session = FleetSession::new(0, &service, sim, end, &FleetConfig::default());
-        let outcome = loop {
-            if let Some(out) = session.step() {
-                break out;
-            }
-        };
+        let outcome = step_alone(FleetSession::new(0, &service, sim, end, &FleetConfig::default()));
         let fleet_result = outcome.result.expect("fleet session completes");
         assert_eq!(fleet_result, direct, "quantum decomposition changed the result (seed {seed})");
         assert!(!direct.recovered_text.is_empty(), "vacuous equivalence (seed {seed})");

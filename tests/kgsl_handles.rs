@@ -5,7 +5,9 @@
 //! A device publishes its call counts when it drops, plus
 //! `kgsl.handles_open_at_drop` when some handle was never closed, to the
 //! spansight track current at that point. Each case runs on a track of its
-//! own and reads back only that track.
+//! own and reads back only that track. Under faults the counts balance:
+//! every handle an `open` handed out was closed, revoked, or left open at
+//! drop.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -114,4 +116,31 @@ fn a_split_session_leaves_no_handle_open() {
     });
     assert_eq!(counters.get("kgsl.close"), counters.get("kgsl.open"), "{counters:?}");
     assert_eq!(counters.get("kgsl.handles_open_at_drop"), None, "{counters:?}");
+}
+
+#[test]
+fn a_heavily_faulted_eavesdrop_accounts_for_every_handle() {
+    let service = service();
+    let counters = kgsl_counters("kgsl-handles-conservation", || {
+        let (mut sim, end) = victim(5);
+        sim.device().install_fault_plan(&FaultPlan::with_intensity(
+            5,
+            0.9,
+            SimDuration::from_secs(8),
+        ));
+        let result = service.eavesdrop(&mut sim, end).expect("the session survives");
+        assert!(result.degradation.fd_reopens > 0, "no handle was revoked: {}", result.degradation);
+    });
+    let n = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert!(
+        n("kgsl.fds_revoked") > 0 && n("kgsl.open_failed") > 0,
+        "the plan is live: {counters:?}"
+    );
+    assert_eq!(
+        n("kgsl.open") - n("kgsl.open_failed"),
+        n("kgsl.close") - n("kgsl.close_failed")
+            + n("kgsl.fds_revoked")
+            + n("kgsl.handles_open_at_drop"),
+        "a handed-out handle is unaccounted for: {counters:?}"
+    );
 }
