@@ -109,44 +109,6 @@ fn bench_render_memoized(c: &mut Criterion) {
     });
 }
 
-fn bench_streaming_vs_batch_driver(c: &mut Criterion) {
-    use adreno_sim::time::SimDuration;
-    use gpu_sc_attack::service::{AttackService, ServiceConfig};
-    use input_bot::script::Typist;
-    use input_bot::timing::VOLUNTEERS;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    // One long credential session (30 keys ≈ 10 s of sim time), eavesdropped
-    // by the streaming driver (per-sample stage pushes, no materialised
-    // trace) vs the batch driver (sample everything, then whole-trace
-    // passes). Both produce identical SessionResults; the bench pins the
-    // driver overhead delta. Each iteration re-runs the full session —
-    // building the sim is part of both loops, so the comparison stays fair.
-    let opts = TrialOptions::paper_default(0);
-    let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
-    let service = AttackService::new(ModelStore::from(handle), ServiceConfig::default());
-    let run = |streaming: bool| {
-        let mut sim = android_ui::UiSimulation::new(SimConfig { seed: 77, ..opts.sim.clone() });
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut typist = Typist::new(VOLUNTEERS[0]);
-        let plan = typist.type_text(
-            "correct-horse-battery-staple-9",
-            SimInstant::from_millis(900),
-            &mut rng,
-        );
-        let end = plan.end + SimDuration::from_millis(800);
-        sim.queue_all(plan.events);
-        if streaming {
-            service.eavesdrop(&mut sim, end).unwrap()
-        } else {
-            service.eavesdrop_batch(&mut sim, end).unwrap()
-        }
-    };
-    c.bench_function("eavesdrop_30key_session_streaming", |b| b.iter(|| black_box(run(true))));
-    c.bench_function("eavesdrop_30key_session_batch", |b| b.iter(|| black_box(run(false))));
-}
-
 fn eval_fig17_style(pool: &Pool) -> f64 {
     let opts = TrialOptions::paper_default(0);
     let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
@@ -173,7 +135,6 @@ criterion_group!(
     bench_render_memoized,
     bench_eval_parallelism,
     bench_model_serde,
-    bench_ioctl_read,
-    bench_streaming_vs_batch_driver
+    bench_ioctl_read
 );
 criterion_main!(benches);

@@ -10,10 +10,6 @@
 //!   recorded Chase session (changes, the peel residuals the pretest lets
 //!   through, split sums) vs the unbounded scan followed by the `C_th`
 //!   test;
-//! * delta extraction — the AoS streaming stage, the PR 5-era row-major
-//!   batch pass (retained verbatim), and the current regime-adaptive
-//!   extractor, on a dense synthetic trace *and* on a paper-regime
-//!   idle-dominated trace (5–8 ms sampling vs ~250 ms keystroke spacing);
 //! * the sampling read loop — per-read allocated request vector vs the
 //!   sampler's reusable scratch buffer.
 //!
@@ -21,8 +17,8 @@
 //! recorded numbers because the host measurably drifts between runs; only
 //! same-run ratios are trustworthy. Optimised/reference pairs are
 //! semantically equivalent (pinned by proptests in
-//! `crates/core/tests/proptests.rs`; the integer extraction pairs are also
-//! asserted bit-equal right here).
+//! `crates/core/tests/proptests.rs`; the threshold-bounded scan is also
+//! asserted decision-equal to its reference right here).
 
 use adreno_sim::counters::{CounterSet, ALL_TRACKED, NUM_TRACKED};
 use adreno_sim::time::{SimDuration, SimInstant};
@@ -31,11 +27,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_sc_attack::online::{infer_stream, OnlineConfig};
 use gpu_sc_attack::registry::Registry;
 use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
-use gpu_sc_attack::stage::Stage;
-use gpu_sc_attack::trace::{
-    extract_deltas, extract_deltas_with_resets, extract_deltas_with_resets_scratch, Delta,
-    DeltaStage, ExtractScratch, Sample, Trace,
-};
+use gpu_sc_attack::trace::{extract_deltas, Delta};
 use gpu_sc_attack::{BatchScratch, Classification, ClassifierModel};
 use input_bot::script::Typist;
 use input_bot::timing::VOLUNTEERS;
@@ -349,102 +341,6 @@ fn bench_algorithm1_probe_mix(c: &mut Criterion) {
     });
 }
 
-/// A synthetic 5k-sample monotone trace with idle windows and a couple of
-/// counter resets — ~⅔ of windows busy, the worst case for extraction.
-fn synthetic_trace() -> (Trace, Vec<Sample>) {
-    let mut trace = Trace::with_capacity(5_000);
-    let mut acc = [0u64; NUM_TRACKED];
-    for i in 0..5_000u64 {
-        if i % 1_024 == 1_000 {
-            acc = [i; NUM_TRACKED]; // slumber: registers restart
-        } else if i % 3 != 0 {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += (i % 97) * (j as u64 + 1);
-            }
-        } // else: idle window, values unchanged
-        trace.push(SimInstant::from_millis(i * 8), CounterSet::from_array(acc));
-    }
-    let aos: Vec<Sample> = trace.iter().collect();
-    (trace, aos)
-}
-
-/// The paper-regime trace: 8 ms sampling against ~250 ms keystroke spacing
-/// means ~3 % of windows change ("the PC values remain unchanged if the
-/// screen display does not change", §3.4), with occasional slumber resets.
-fn paper_regime_trace() -> Trace {
-    let mut trace = Trace::with_capacity(5_000);
-    let mut acc = [0u64; NUM_TRACKED];
-    for i in 0..5_000u64 {
-        if i % 1_024 == 1_000 {
-            acc = [i; NUM_TRACKED]; // slumber reset
-        } else if i % 31 == 7 {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += (i % 97) * (j as u64 + 1);
-            }
-        }
-        trace.push(SimInstant::from_millis(i * 8), CounterSet::from_array(acc));
-    }
-    trace
-}
-
-/// The PR 5-era batch extractor, retained verbatim as the same-run
-/// baseline: one row-major pass, per-column backward check, emit-if-nonzero.
-fn pr5_extract(trace: &Trace) -> (Vec<Delta>, usize) {
-    let n = trace.len();
-    let mut out = Vec::new();
-    let mut resets = 0usize;
-    'windows: for i in 1..n {
-        let mut values = [0u64; NUM_TRACKED];
-        for (v, col) in values.iter_mut().zip(trace.columns()) {
-            let (prev, cur) = (col[i - 1], col[i]);
-            if cur < prev {
-                resets += 1;
-                continue 'windows;
-            }
-            *v = cur - prev;
-        }
-        if values.iter().any(|&v| v != 0) {
-            out.push(Delta { at: trace.at(i), values: CounterSet::from_array(values) });
-        }
-    }
-    (out, resets)
-}
-
-fn bench_extraction_aos_vs_soa(c: &mut Criterion) {
-    let (trace, aos) = synthetic_trace();
-    c.bench_function("delta_extraction/aos_streaming_stage", |b| {
-        b.iter(|| {
-            let mut stage = DeltaStage::new();
-            let mut out = Vec::new();
-            for s in &aos {
-                stage.push(*s, &mut out);
-            }
-            stage.finish(&mut out);
-            black_box((out, stage.resets()))
-        })
-    });
-    c.bench_function("delta_extraction/pr5_rowwise_reference", |b| {
-        b.iter(|| black_box(pr5_extract(black_box(&trace))))
-    });
-    c.bench_function("delta_extraction/soa_columnar_batch", |b| {
-        let mut scratch = ExtractScratch::default();
-        b.iter(|| black_box(extract_deltas_with_resets_scratch(black_box(&trace), &mut scratch)))
-    });
-    assert_eq!(pr5_extract(&trace), extract_deltas_with_resets(&trace));
-}
-
-fn bench_extraction_paper_regime(c: &mut Criterion) {
-    let trace = paper_regime_trace();
-    c.bench_function("delta_extraction/paper_regime_pr5_reference", |b| {
-        b.iter(|| black_box(pr5_extract(black_box(&trace))))
-    });
-    c.bench_function("delta_extraction/paper_regime_adaptive", |b| {
-        let mut scratch = ExtractScratch::default();
-        b.iter(|| black_box(extract_deltas_with_resets_scratch(black_box(&trace), &mut scratch)))
-    });
-    assert_eq!(pr5_extract(&trace), extract_deltas_with_resets(&trace));
-}
-
 fn bench_read_loop_alloc_vs_scratch(c: &mut Criterion) {
     let mut sim = android_ui::UiSimulation::new(SimConfig::paper_default(0));
     let mut sampler = Sampler::open(sim.device(), SamplerConfig::default_8ms()).unwrap();
@@ -487,8 +383,6 @@ criterion_group!(
     bench_classify_naive_vs_pruned,
     bench_classify_batch_vs_per_delta,
     bench_algorithm1_probe_mix,
-    bench_extraction_aos_vs_soa,
-    bench_extraction_paper_regime,
     bench_read_loop_alloc_vs_scratch
 );
 criterion_main!(benches);

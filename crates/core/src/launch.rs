@@ -14,47 +14,20 @@ use adreno_sim::time::SimInstant;
 use crate::stage::Stage;
 use crate::trace::Delta;
 
-/// Detects the target app's cold-launch burst in a change stream.
-#[derive(Debug, Clone)]
-pub struct LaunchDetector {
-    signature: CounterSet,
-    /// Maximum relative L1 distance for a match.
-    tolerance: f64,
-}
-
-impl LaunchDetector {
-    /// Creates a detector for a trained launch signature (see
-    /// [`crate::ClassifierModel::launch_signature`]).
-    pub fn new(signature: CounterSet) -> Self {
-        LaunchDetector { signature, tolerance: 0.05 }
-    }
-
-    /// Whether one change matches the launch burst.
-    pub fn matches(&self, delta: &Delta) -> bool {
-        let sig_norm = self.signature.total().max(1) as f64;
-        let mut l1 = 0.0;
-        for (a, b) in delta.values.as_array().iter().zip(self.signature.as_array()) {
-            l1 += (*a as f64 - *b as f64).abs();
-        }
-        l1 / sig_norm <= self.tolerance
-    }
-
-    /// The first launch in a change stream, if any.
-    pub fn detect(&self, deltas: &[Delta]) -> Option<SimInstant> {
-        deltas.iter().find(|d| self.matches(d)).map(|d| d.at)
-    }
-}
+/// Maximum relative L1 distance between a change and the trained launch
+/// signature for the change to count as the launch burst.
+const LAUNCH_TOLERANCE: f64 = 0.05;
 
 /// Streaming launch gating (§3.2) as a [`Stage`].
 ///
-/// An **armed** gate swallows every change until one matches the trained
-/// cold-launch burst, drops the matching change itself, and passes
-/// everything after it — exactly the batch driver's
-/// `detect` + `filter(d.at > launch_at)`. An **open** gate (launch gating
+/// An **armed** gate swallows every change until one lands within 5 %
+/// (relative L1) of the trained cold-launch burst (see
+/// [`crate::ClassifierModel::launch_signature`]), drops the matching change
+/// itself, and passes everything after it. An **open** gate (launch gating
 /// disabled) passes everything through untouched.
 #[derive(Debug, Clone)]
 pub struct LaunchGate {
-    detector: Option<LaunchDetector>,
+    signature: Option<CounterSet>,
     launch_at: Option<SimInstant>,
 }
 
@@ -62,12 +35,12 @@ impl LaunchGate {
     /// A gate that waits for `signature`'s cold-launch burst before passing
     /// anything downstream.
     pub fn armed(signature: CounterSet) -> Self {
-        LaunchGate { detector: Some(LaunchDetector::new(signature)), launch_at: None }
+        LaunchGate { signature: Some(signature), launch_at: None }
     }
 
     /// A pass-through gate for sessions that do not gate on launch.
     pub fn open() -> Self {
-        LaunchGate { detector: None, launch_at: None }
+        LaunchGate { signature: None, launch_at: None }
     }
 
     /// When the launch burst was observed (`None` while still waiting, and
@@ -77,20 +50,30 @@ impl LaunchGate {
     }
 }
 
+/// Whether one change matches the launch burst `signature`.
+fn matches_launch(signature: &CounterSet, delta: &Delta) -> bool {
+    let sig_norm = signature.total().max(1) as f64;
+    let mut l1 = 0.0;
+    for (a, b) in delta.values.as_array().iter().zip(signature.as_array()) {
+        l1 += (*a as f64 - *b as f64).abs();
+    }
+    l1 / sig_norm <= LAUNCH_TOLERANCE
+}
+
 impl Stage for LaunchGate {
     type In = Delta;
     type Out = Delta;
 
     fn push(&mut self, input: Delta, out: &mut Vec<Delta>) {
-        match (&self.detector, self.launch_at) {
+        match (&self.signature, self.launch_at) {
             (None, _) => out.push(input),
             (Some(_), Some(at)) => {
                 if input.at > at {
                     out.push(input);
                 }
             }
-            (Some(det), None) => {
-                if det.matches(&input) {
+            (Some(sig), None) => {
+                if matches_launch(sig, &input) {
                     self.launch_at = Some(input.at);
                 }
             }
@@ -117,30 +100,33 @@ mod tests {
         Delta { at: SimInstant::from_millis(ms), values }
     }
 
+    /// Pushes `deltas` through an armed gate: what it passed, and when it
+    /// saw the launch.
+    fn gate(deltas: &[Delta]) -> (Vec<Delta>, Option<SimInstant>) {
+        let mut gate = LaunchGate::armed(sig());
+        let out = crate::stage::run_to_vec(&mut gate, deltas.iter().copied());
+        (out, gate.launch_at())
+    }
+
     #[test]
-    fn exact_burst_matches() {
-        let det = LaunchDetector::new(sig());
-        assert!(det.matches(&delta(10, sig())));
-        assert_eq!(
-            det.detect(&[delta(5, CounterSet::ZERO), delta(10, sig())]),
-            Some(SimInstant::from_millis(10))
-        );
+    fn exact_burst_arms_the_gate() {
+        let after = delta(20, CounterSet::ZERO);
+        let (out, at) = gate(&[delta(5, CounterSet::ZERO), delta(10, sig()), after]);
+        assert_eq!(at, Some(SimInstant::from_millis(10)));
+        assert_eq!(out, vec![after], "only what follows the burst passes");
     }
 
     #[test]
     fn near_burst_within_tolerance_matches() {
-        let det = LaunchDetector::new(sig());
         let mut near = sig();
         near[TrackedCounter::LrzVisiblePixelAfterLrz] += 2_000; // <5% of total
-        assert!(det.matches(&delta(10, near)));
+        assert_eq!(gate(&[delta(10, near)]).1, Some(SimInstant::from_millis(10)));
     }
 
     #[test]
     fn unrelated_changes_do_not_match() {
-        let det = LaunchDetector::new(sig());
         let mut half = sig();
         half[TrackedCounter::LrzVisiblePixelAfterLrz] /= 2;
-        assert!(!det.matches(&delta(10, half)));
-        assert!(det.detect(&[delta(1, CounterSet::ZERO), delta(2, half)]).is_none());
+        assert_eq!(gate(&[delta(1, CounterSet::ZERO), delta(2, half)]), (vec![], None));
     }
 }

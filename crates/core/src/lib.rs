@@ -75,7 +75,6 @@ pub mod trace;
 
 pub use classify::{BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta};
 pub use fleet::{Fleet, FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};
-pub use launch::LaunchDetector;
 pub use metrics::{Aggregate, SessionScore};
 pub use offline::{ModelStore, Trainer, TrainerConfig};
 pub use online::{InferenceStats, InferredKey, OnlineConfig};
@@ -88,7 +87,4 @@ pub use service::{
     SessionResult, StreamingSession,
 };
 pub use stage::Stage;
-pub use trace::{
-    extract_deltas, extract_deltas_with_resets, extract_deltas_with_resets_scratch, Delta,
-    ExtractScratch, Sample, Trace,
-};
+pub use trace::{extract_deltas, extract_deltas_with_resets, Delta, Sample, Trace};

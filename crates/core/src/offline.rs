@@ -405,21 +405,6 @@ impl ModelStore {
         Ok(ModelStore { models })
     }
 
-    /// Recognises the victim configuration from observed changes (§3.2):
-    /// every keyboard redraw matches exactly one model's base-redraw
-    /// fingerprint, and the *first* change within the recognition
-    /// threshold of a fingerprint decides. `None` when no observed change
-    /// is close to any fingerprint.
-    ///
-    /// First-match is deliberately the same rule [`RecognizeStage`] applies
-    /// one change at a time, so batch and streaming recognition agree by
-    /// construction.
-    pub fn recognize(&self, deltas: &[Delta]) -> Option<&ClassifierModel> {
-        deltas.iter().find_map(|d| {
-            self.score_change(d).filter(|(_, s)| *s < RECOGNITION_THRESHOLD).map(|(m, _)| m)
-        })
-    }
-
     /// Scores one observed change against every model's keyboard-redraw
     /// fingerprint: the best `(model, relative-L1 score)` pair, ties going
     /// to the earlier model. `None` only when the store is empty.
@@ -634,8 +619,12 @@ mod tests {
     #[test]
     fn empty_store_recognizes_nothing() {
         let store = ModelStore::new();
-        assert!(store.recognize(&[]).is_none());
         assert!(store.is_empty());
+        let mut stage = RecognizeStage::new(&store);
+        let out =
+            crate::stage::run_to_vec(&mut stage, [Delta { at: SimInstant::ZERO, values: set(7) }]);
+        assert!(out.is_empty());
+        assert!(stage.model().is_none());
     }
 
     #[test]

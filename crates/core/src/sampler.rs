@@ -414,7 +414,7 @@ impl Sampler {
     ) -> DeviceResult<Trace> {
         let mut stream = self.start_stream(sim, until);
         // One read per interval plus the slot at the start of the grid: size
-        // every trace column up front so a long session never re-grows them.
+        // the trace up front so a long session never re-grows it.
         let slots = until.saturating_since(sim.now()).as_nanos()
             / self.config.interval.as_nanos().max(1)
             + 2;
@@ -644,9 +644,9 @@ mod tests {
         let mut s = Sampler::open(sim.device(), SamplerConfig::default_8ms()).unwrap();
         let trace = s.sample_until(&mut sim, SimInstant::from_millis(400)).unwrap();
         assert_eq!(trace.len(), 51, "reads at 0, 8, …, 400 ms");
-        for w in trace.timestamps().windows(2) {
+        for w in trace.samples().windows(2) {
             // Grid spacing ± the baseline timer-slack wobble.
-            let gap = (w[1] - w[0]).as_micros();
+            let gap = (w[1].at - w[0].at).as_micros();
             assert!((6_500..=9_500).contains(&gap), "gap {gap}us off the jittered grid");
         }
     }
@@ -678,7 +678,7 @@ mod tests {
         // irregular spacing.
         assert!(trace.len() < 245, "expected drops, got {}", trace.len());
         let irregular =
-            trace.timestamps().windows(2).filter(|w| (w[1] - w[0]).as_millis() != 8).count();
+            trace.samples().windows(2).filter(|w| (w[1].at - w[0].at).as_millis() != 8).count();
         assert!(irregular > 10, "expected irregular spacing, got {irregular}");
     }
 

@@ -1,10 +1,11 @@
 //! The attacking application's background service (§3.2 "Online Phase").
 //!
-//! Runs the full pipeline end to end. The default [`AttackService::eavesdrop`]
-//! driver is *streaming*: it interleaves counter reads with incremental
-//! [`Stage`] pushes, so no full session trace is ever
-//! materialised and every key press is committed the moment the evidence
-//! suffices (see each [`InferredKey::decided_at`]). The pipeline is
+//! Runs the full pipeline end to end. Its one driver,
+//! [`AttackService::eavesdrop`], is *streaming*: it interleaves bursts of
+//! counter reads with incremental [`Stage`] pushes, so no full session
+//! trace is ever materialised and every key press is committed the moment
+//! the evidence suffices (see each [`InferredKey::decided_at`]). The
+//! pipeline is
 //!
 //! 1. [`Sampler::next_sample`] — one counter read at a time;
 //! 2. [`DeltaStage`] — raw reads → counter changes, re-anchoring resets;
@@ -19,17 +20,17 @@
 //! 7. [`CorrectionStage`] — backspace/length tracking over the noise
 //!    stream, applied at end of session (§5.3).
 //!
-//! [`AttackService::eavesdrop_batch`] keeps the original batch shape —
-//! sample everything, then run the stages as whole-trace passes — and is
-//! guaranteed to produce an identical [`SessionResult`]; the equivalence
-//! tests and the `latency` experiment lean on that.
+//! [`AttackService::streaming_session`] is the same pipeline without the
+//! sampler, for a remote process (the wire layer's classifier server) that
+//! receives its samples off a transport. `tests/pipeline_digests.rs` pins
+//! what the pipeline returns on a fixed matrix of sessions.
 
 use adreno_sim::time::SimInstant;
 use android_ui::UiSimulation;
 use kgsl::Errno;
 use std::fmt;
 
-use crate::appswitch::{SwitchConfig, SwitchDetector, SwitchEvent, SwitchOutcome, SwitchStage};
+use crate::appswitch::{SwitchConfig, SwitchEvent, SwitchStage};
 use crate::classify::{ClassifierModel, ModelMeta};
 use crate::correction::{CorrectedKeys, CorrectionConfig, CorrectionEvent, CorrectionStage};
 use crate::launch::LaunchGate;
@@ -38,7 +39,7 @@ use crate::offline::{ModelStore, RecognizeStage};
 use crate::online::{InferEvent, InferStage, InferenceStats, InferredKey, OnlineConfig};
 use crate::sampler::{Sampler, SamplerConfig, SamplerReport};
 use crate::stage::Stage;
-use crate::trace::{extract_deltas_with_resets, Delta, DeltaStage, Sample, Trace};
+use crate::trace::{Delta, DeltaStage, Sample};
 
 /// Samples per burst between the sampling loop and the stage pipeline in
 /// [`AttackService::eavesdrop`]: big enough to amortise stage dispatch and
@@ -170,8 +171,7 @@ impl fmt::Display for DegradationReport {
 /// How much the session was degraded by the *exfiltration link*, when the
 /// sampler and classifier ran as separate processes over a lossy transport
 /// (see the `wire` crate). All-zero — the [`Default`] — for in-process
-/// sessions, so folding it into [`SessionResult`] leaves the streaming ≡
-/// batch equivalence untouched.
+/// sessions.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LinkDegradationReport {
     /// Data frames transmitted, including retransmissions.
@@ -467,10 +467,6 @@ impl<'s> Pipeline<'s> {
         }
     }
 
-    fn push_sample(&mut self, sample: Sample) {
-        self.push_samples(std::slice::from_ref(&sample));
-    }
-
     /// Pushes a burst of samples, routing the resulting changes downstream
     /// in one pass. Equivalent to pushing each sample individually — every
     /// stage consumes its inputs in order — but the routing overhead and
@@ -530,29 +526,24 @@ impl<'s> Pipeline<'s> {
         if self.config.require_launch && output.launch_at.is_none() {
             return Err(ServiceError::LaunchNotDetected);
         }
-        Ok(assemble_result(output, DegradationReport::from_sampler(report, counter_resets)))
-    }
-}
-
-/// Joins pipeline output and degradation data into a [`SessionResult`],
-/// counting the session telemetry exactly once.
-fn assemble_result(output: PipelineOutput<'_>, degradation: DegradationReport) -> SessionResult {
-    let CorrectedKeys { keys, candidates, keys_before_corrections, corrections } = output.corrected;
-    let recovered_text: String = keys.iter().map(|k| k.ch).collect();
-    spansight::count("core.service.sessions", 1);
-    spansight::count("core.service.keys_inferred", keys.len() as u64);
-    SessionResult {
-        model: *output.model.meta(),
-        keys,
-        candidates,
-        keys_before_corrections,
-        recovered_text,
-        stats: output.stats,
-        corrections,
-        switches: output.switches,
-        launch_at: output.launch_at,
-        degradation,
-        link: LinkDegradationReport::default(),
+        let CorrectedKeys { keys, candidates, keys_before_corrections, corrections } =
+            output.corrected;
+        let recovered_text: String = keys.iter().map(|k| k.ch).collect();
+        spansight::count("core.service.sessions", 1);
+        spansight::count("core.service.keys_inferred", keys.len() as u64);
+        Ok(SessionResult {
+            model: *output.model.meta(),
+            keys,
+            candidates,
+            keys_before_corrections,
+            recovered_text,
+            stats: output.stats,
+            corrections,
+            switches: output.switches,
+            launch_at: output.launch_at,
+            degradation: DegradationReport::from_sampler(report, counter_resets),
+            link: LinkDegradationReport::default(),
+        })
     }
 }
 
@@ -587,9 +578,6 @@ impl AttackService {
     /// the stage pipeline as it lands, so the full session trace is never
     /// materialised and every [`InferredKey::decided_at`] records when the
     /// pipeline actually committed to the press.
-    /// [`AttackService::eavesdrop_batch`] runs the original
-    /// sample-everything-then-analyse shape and returns an identical
-    /// result.
     ///
     /// Device faults degrade gracefully: transient errors are retried,
     /// revoked fds reopened, lost reservations re-acquired, and counter
@@ -633,154 +621,6 @@ impl AttackService {
         pipeline.finish(&report)
     }
 
-    /// The original batch driver: samples the whole session into a
-    /// [`Trace`], then analyses it with [`AttackService::process_trace`].
-    /// Kept as the reference the streaming driver is tested against, and
-    /// as the shape whose end-of-session decision times the `latency`
-    /// experiment compares.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AttackService::eavesdrop`].
-    pub fn eavesdrop_batch(
-        &self,
-        sim: &mut UiSimulation,
-        until: SimInstant,
-    ) -> Result<SessionResult, ServiceError> {
-        let mut session_span = spansight::span("core", "service.eavesdrop");
-        session_span.sim_range(sim.now().as_nanos(), until.as_nanos());
-        let stage = spansight::span("core", "service.sample");
-        let mut sampler = Sampler::open(sim.device(), self.config.sampler)?;
-        let trace = sampler.sample_until(sim, until);
-        let report = sampler.report();
-        sampler.close(sim.device());
-        let trace = trace?;
-        drop(stage);
-        self.process_trace(&trace, &report)
-    }
-
-    /// Runs the analysis half of the pipeline over an already-recorded
-    /// trace as whole-trace batch passes (extract → recognise → gate →
-    /// filter → infer → correct).
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::UnrecognisedDevice`] /
-    /// [`ServiceError::LaunchNotDetected`] as in
-    /// [`AttackService::eavesdrop`]; never [`ServiceError::Device`] (the
-    /// device is out of the picture by now).
-    pub fn process_trace(
-        &self,
-        trace: &Trace,
-        report: &SamplerReport,
-    ) -> Result<SessionResult, ServiceError> {
-        let stage = spansight::span("core", "service.extract");
-        let (deltas, counter_resets) = extract_deltas_with_resets(trace);
-        drop(stage);
-        let degradation = DegradationReport::from_sampler(report, counter_resets);
-
-        let stage = spansight::span("core", "service.recognize");
-        let model = self.store.recognize(&deltas).ok_or(ServiceError::UnrecognisedDevice)?;
-        drop(stage);
-
-        // §3.2: optionally wait for the target app's cold-launch burst and
-        // ignore everything before it.
-        let mut launch_at = None;
-        let deltas: Vec<Delta> = if self.config.require_launch {
-            let detector = crate::launch::LaunchDetector::new(*model.launch_signature());
-            let at = detector.detect(&deltas).ok_or(ServiceError::LaunchNotDetected)?;
-            launch_at = Some(at);
-            deltas.into_iter().filter(|d| d.at > at).collect()
-        } else {
-            deltas
-        };
-
-        // §5.2: drop everything produced outside the target app, and note
-        // when the victim returns (the cursor-blink timer restarts then).
-        let stage = spansight::span("core", "service.switch_filter");
-        let mut switch =
-            SwitchDetector::new(SwitchConfig::with_threshold(model.switch_threshold()));
-        let mut in_target: Vec<Delta> = Vec::with_capacity(deltas.len());
-        let mut returns: Vec<SimInstant> = Vec::new();
-        for d in &deltas {
-            match switch.feed(d) {
-                SwitchOutcome::Typing { returned_at } => {
-                    if let Some(t) = returned_at {
-                        returns.push(t);
-                    }
-                    in_target.push(*d);
-                }
-                SwitchOutcome::Filtered => {}
-            }
-        }
-        if let Some(t) = switch.finish() {
-            returns.push(t);
-        }
-        drop(stage);
-
-        // §5.1: Algorithm 1 (candidate lists retained for guessing). Both
-        // variants derive candidates from the observed feature vector.
-        let stage = spansight::span("core", "service.infer");
-        let mut infer = if self.config.full_trace {
-            InferStage::lookahead(model, self.config.online)
-        } else {
-            InferStage::greedy(model, self.config.online)
-        };
-        let events = crate::stage::run_to_vec(&mut infer, in_target.iter().copied());
-        let stats = infer.stats();
-        drop(stage);
-
-        // §5.3: corrections from the echo stream, re-anchoring the blink
-        // grid at every detected return to the target app. The stage
-        // applies each queued return before the first noise change at or
-        // after it, so queueing them all up front reproduces the
-        // timestamp-ordered interleave.
-        let stage = spansight::span("core", "service.corrections");
-        let mut correction = CorrectionStage::new(
-            model.ambient_signatures().to_vec(),
-            self.config.correction,
-            self.config.echo_corroboration,
-        );
-        for t in returns {
-            correction.push_return(t);
-        }
-        let mut sink = Vec::new();
-        for ev in events {
-            correction.push(ev, &mut sink);
-        }
-        correction.finish(&mut sink);
-        let corrected = correction.into_corrected();
-        drop(stage);
-
-        let output = PipelineOutput {
-            model,
-            launch_at,
-            switches: switch.switches_detected(),
-            stats,
-            corrected,
-        };
-        Ok(assemble_result(output, degradation))
-    }
-
-    /// Runs the streaming pipeline over an already-recorded trace —
-    /// [`AttackService::process_trace`] in stage form. Exists so the
-    /// streaming/batch equivalence can be tested without a live simulation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`AttackService::process_trace`].
-    pub fn process_trace_streaming(
-        &self,
-        trace: &Trace,
-        report: &SamplerReport,
-    ) -> Result<SessionResult, ServiceError> {
-        let mut session = self.streaming_session();
-        for s in trace.iter() {
-            session.push_sample(s);
-        }
-        session.finish(report)
-    }
-
     /// Begins an incremental analysis session: the push-based half of
     /// [`AttackService::eavesdrop`], decoupled from the sampler so a remote
     /// process (the wire layer's classifier server) can feed it samples as
@@ -822,16 +662,11 @@ pub struct StreamingSession<'s> {
 }
 
 impl StreamingSession<'_> {
-    /// Feeds one counter sample through the stage pipeline.
-    pub fn push_sample(&mut self, sample: Sample) {
-        self.pipeline.push_sample(sample);
-    }
-
     /// Feeds a burst of samples (in timestamp order) through the stage
-    /// pipeline in one pass — same results as pushing them one by one, but
-    /// the routing and classification costs are amortised across the
-    /// burst. The wire layer's classifier server uses this to process each
-    /// received exfiltration batch whole.
+    /// pipeline in one pass. Any split of a sample sequence into bursts
+    /// gives the same result; the routing and classification costs are
+    /// amortised across each burst. The wire layer's classifier server
+    /// uses this to process each received exfiltration batch whole.
     pub fn push_samples(&mut self, samples: &[Sample]) {
         self.pipeline.push_samples(samples);
     }
@@ -847,7 +682,10 @@ impl StreamingSession<'_> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`AttackService::process_trace`].
+    /// [`ServiceError::UnrecognisedDevice`] /
+    /// [`ServiceError::LaunchNotDetected`] as in
+    /// [`AttackService::eavesdrop`]; never [`ServiceError::Device`] (the
+    /// device is out of the picture by now).
     pub fn finish(self, report: &SamplerReport) -> Result<SessionResult, ServiceError> {
         self.pipeline.finish(report)
     }
@@ -856,8 +694,8 @@ impl StreamingSession<'_> {
 #[cfg(test)]
 mod tests {
     // End-to-end service tests need a trained model and live in
-    // `tests/attack_e2e.rs` and `tests/streaming_equivalence_e2e.rs`; unit
-    // tests here cover the error plumbing.
+    // `tests/attack_e2e.rs` and `tests/pipeline_digests.rs`; unit tests
+    // here cover the error plumbing.
     use super::*;
 
     #[test]
@@ -875,14 +713,6 @@ mod tests {
         sim.device().set_policy(kgsl::AccessPolicy::DenyAll);
         let err = service.eavesdrop(&mut sim, SimInstant::from_millis(500)).unwrap_err();
         assert_eq!(err, ServiceError::Device(Errno::Eacces));
-    }
-
-    #[test]
-    fn batch_driver_matches_streaming_on_empty_store() {
-        let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
-        let mut sim = UiSimulation::new(android_ui::SimConfig::paper_default(3));
-        let err = service.eavesdrop_batch(&mut sim, SimInstant::from_millis(500)).unwrap_err();
-        assert_eq!(err, ServiceError::UnrecognisedDevice);
     }
 
     #[test]

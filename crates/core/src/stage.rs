@@ -20,9 +20,9 @@
 //! | [`crate::correction::CorrectionStage`] | `InferEvent` → `CorrectionEvent` | blink grid + pending ambiguity |
 //!
 //! Every stage is deterministic and side-effect-free apart from telemetry,
-//! so driving a recorded trace through the chain produces byte-identical
-//! output to the live interleaved drive — the property the equivalence
-//! tests pin down.
+//! so however a sample stream is cut into bursts, the chain produces
+//! byte-identical output — the property
+//! `pipeline_result_is_independent_of_burst_slicing` pins down.
 
 /// A push-based streaming pipeline stage.
 ///

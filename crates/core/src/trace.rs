@@ -2,20 +2,11 @@
 //!
 //! The attack periodically reads the eleven tracked counters and works on
 //! the *changes* between consecutive reads (Fig 3, Fig 11). A [`Trace`] is
-//! the raw sample series; [`extract_deltas`] turns it into the nonzero
-//! change events all downstream inference consumes.
-//!
-//! # Data layout
-//!
-//! `Trace` stores samples in columnar (structure-of-arrays) form: one
-//! contiguous `Vec<u64>` per tracked counter plus a timestamp array, rather
-//! than a `Vec` of `(SimInstant, CounterSet)` pairs. Delta extraction and
-//! windowing then walk contiguous cache lines instead of striding over
-//! 96-byte records. The AoS-style view is still available per index via
-//! [`Trace::sample`] and [`Trace::iter`], which assemble a [`Sample`] on
-//! the fly.
+//! the raw sample series; [`DeltaStage`] turns reads into the nonzero
+//! change events all downstream inference consumes, and
+//! [`extract_deltas`] runs it over a whole trace.
 
-use adreno_sim::counters::{CounterSet, TrackedCounter, NUM_TRACKED};
+use adreno_sim::counters::CounterSet;
 use adreno_sim::time::SimInstant;
 
 use crate::stage::Stage;
@@ -29,11 +20,10 @@ pub struct Sample {
     pub values: CounterSet,
 }
 
-/// A time-ordered series of raw counter samples in columnar storage.
+/// A time-ordered series of raw counter samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    ats: Vec<SimInstant>,
-    cols: [Vec<u64>; NUM_TRACKED],
+    samples: Vec<Sample>,
 }
 
 impl Trace {
@@ -42,21 +32,10 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace with room for `samples` reads in every column,
-    /// so a streaming session of known length never re-grows mid-loop.
+    /// Creates an empty trace with room for `samples` reads, so a session
+    /// of known length never re-grows mid-loop.
     pub fn with_capacity(samples: usize) -> Self {
-        Trace {
-            ats: Vec::with_capacity(samples),
-            cols: std::array::from_fn(|_| Vec::with_capacity(samples)),
-        }
-    }
-
-    /// Reserves room for at least `additional` more samples in every column.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ats.reserve(additional);
-        for col in &mut self.cols {
-            col.reserve(additional);
-        }
+        Trace { samples: Vec::with_capacity(samples) }
     }
 
     /// Appends a sample.
@@ -66,57 +45,30 @@ impl Trace {
     /// Panics if `at` is earlier than the previous sample (reads are issued
     /// in time order).
     pub fn push(&mut self, at: SimInstant, values: CounterSet) {
-        if let Some(&last) = self.ats.last() {
-            assert!(at >= last, "samples must be time-ordered");
+        if let Some(last) = self.samples.last() {
+            assert!(at >= last.at, "samples must be time-ordered");
         }
-        self.ats.push(at);
-        for (col, &v) in self.cols.iter_mut().zip(values.as_array()) {
-            col.push(v);
-        }
+        self.samples.push(Sample { at, values });
     }
 
-    /// The timestamp of sample `i`.
-    pub fn at(&self, i: usize) -> SimInstant {
-        self.ats[i]
+    /// The samples in order.
+    pub fn samples(&self) -> &[Sample] {
+        &self.samples
     }
 
-    /// Assembles the AoS view of sample `i` from the columns.
-    pub fn sample(&self, i: usize) -> Sample {
-        let mut values = [0u64; NUM_TRACKED];
-        for (v, col) in values.iter_mut().zip(&self.cols) {
-            *v = col[i];
-        }
-        Sample { at: self.ats[i], values: CounterSet::from_array(values) }
-    }
-
-    /// Iterates the samples in order, assembling each [`Sample`] on the fly.
+    /// Iterates the samples in order.
     pub fn iter(&self) -> impl Iterator<Item = Sample> + '_ {
-        (0..self.len()).map(move |i| self.sample(i))
-    }
-
-    /// The read timestamps in order.
-    pub fn timestamps(&self) -> &[SimInstant] {
-        &self.ats
-    }
-
-    /// The contiguous value column of one tracked counter.
-    pub fn column(&self, c: TrackedCounter) -> &[u64] {
-        &self.cols[c.index()]
-    }
-
-    /// All value columns in [`adreno_sim::counters::ALL_TRACKED`] order.
-    pub fn columns(&self) -> &[Vec<u64>; NUM_TRACKED] {
-        &self.cols
+        self.samples.iter().copied()
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.ats.len()
+        self.samples.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.ats.is_empty()
+        self.samples.is_empty()
     }
 }
 
@@ -176,191 +128,18 @@ pub fn extract_deltas(trace: &Trace) -> Vec<Delta> {
 /// differencing from there. The activity that fell inside the reset window
 /// is lost (degraded coverage), but nothing invented is emitted.
 ///
-/// Allocates its change-mask scratch per call; streaming callers that
-/// extract repeatedly should hold an [`ExtractScratch`] and use
-/// [`extract_deltas_with_resets_scratch`], which never allocates in steady
-/// state.
+/// Runs one [`DeltaStage`] over the trace, so the deltas, the reset count
+/// and the published telemetry are exactly a live session's.
 pub fn extract_deltas_with_resets(trace: &Trace) -> (Vec<Delta>, usize) {
-    extract_deltas_with_resets_scratch(trace, &mut ExtractScratch::default())
-}
-
-/// Reusable change-mask buffer for [`extract_deltas_with_resets_scratch`].
-/// Grows to the largest trace seen, then stays — repeat extractions never
-/// allocate (and never re-zero: the sweep's first column quad overwrites
-/// every slot).
-#[derive(Debug, Default)]
-pub struct ExtractScratch {
-    ch: Vec<u64>,
-}
-
-/// Windows per probe stride when estimating how busy a trace is.
-const PROBE_WINDOWS: usize = 64;
-
-/// L1-sized span of the columnar change sweep: 1024 `u64` masks (8 kB) stay
-/// cache-resident while all eleven columns fold into them.
-const SWEEP_CHUNK: usize = 1_024;
-
-/// [`extract_deltas_with_resets`] with a caller-held scratch buffer.
-///
-/// The extraction is *regime-adaptive*. A strided probe of
-/// `PROBE_WINDOWS` windows estimates the busy fraction first:
-///
-/// * **Busy trace** (> ¼ of probes changed): one row-major pass — for each
-///   window, difference all eleven columns, drop backward (reset) windows,
-///   emit nonzero deltas. Dense traces are bound by the per-window
-///   difference-and-emit work itself, and the single pass does exactly
-///   that and nothing else.
-/// * **Idle-dominated trace** (the paper's regime: 5–8 ms sampling against
-///   ~250 ms keystroke spacing, and "the PC values remain unchanged if the
-///   screen display does not change", §3.4): a columnar xor-accumulate
-///   sweep ORs `prev ^ cur` of all columns into one `u64` change mask per
-///   window — contiguous, branch-free, four columns folded per pass over
-///   an L1-resident `SWEEP_CHUNK` block — and only the windows with a
-///   nonzero mask are then assembled row-major. Backward detection happens
-///   during assembly: a backward window has `cur != prev` in the offending
-///   column, so it necessarily carries a nonzero change mask and cannot be
-///   missed by the xor sweep.
-///
-/// Both paths emit identical deltas, resets and telemetry as each other
-/// and as the streaming [`DeltaStage`].
-pub fn extract_deltas_with_resets_scratch(
-    trace: &Trace,
-    scratch: &mut ExtractScratch,
-) -> (Vec<Delta>, usize) {
-    let n = trace.len();
+    let mut stage = DeltaStage::new();
     let mut out = Vec::new();
-    let mut resets = 0usize;
-    if n >= 2 {
-        let w = n - 1;
-        let cols = trace.columns();
-        let ats = trace.timestamps();
-        let probes = PROBE_WINDOWS.min(w);
-        let mut busy = 0usize;
-        for k in 0..probes {
-            let i = 1 + k * w / probes;
-            let mut x = 0u64;
-            for col in cols {
-                x |= col[i] ^ col[i - 1];
-            }
-            busy += usize::from(x != 0);
-        }
-        if busy * 4 > probes {
-            emit_windows_rowwise(cols, ats, 1..n, &mut out, &mut resets);
-        } else {
-            sweep_change_masks(cols, w, &mut scratch.ch);
-            let ch = &scratch.ch[..w];
-            // Idle windows skip four at a time: one OR of their masks.
-            let mut k = 0usize;
-            while k + 4 <= w {
-                if ch[k] | ch[k + 1] | ch[k + 2] | ch[k + 3] == 0 {
-                    k += 4;
-                    continue;
-                }
-                for (kk, &mask) in ch.iter().enumerate().skip(k).take(4) {
-                    if mask != 0 {
-                        emit_windows_rowwise(cols, ats, kk + 1..kk + 2, &mut out, &mut resets);
-                    }
-                }
-                k += 4;
-            }
-            while k < w {
-                if ch[k] != 0 {
-                    emit_windows_rowwise(cols, ats, k + 1..k + 2, &mut out, &mut resets);
-                }
-                k += 1;
-            }
-        }
-    }
-    spansight::count("core.trace.deltas", out.len() as u64);
-    if resets > 0 {
-        spansight::count("core.trace.resets", resets as u64);
-    }
-    (out, resets)
+    stage.push_samples(trace.samples(), &mut out);
+    stage.finish(&mut out);
+    (out, stage.resets())
 }
 
-/// The row-major difference-and-emit pass shared by both extraction
-/// regimes: for each window ending at sample `i` in `range`, difference
-/// all columns, count the window as a reset if any column moved backwards,
-/// otherwise emit a [`Delta`] if anything changed.
-#[inline]
-fn emit_windows_rowwise(
-    cols: &[Vec<u64>; NUM_TRACKED],
-    ats: &[SimInstant],
-    range: std::ops::Range<usize>,
-    out: &mut Vec<Delta>,
-    resets: &mut usize,
-) {
-    'windows: for i in range {
-        let mut values = [0u64; NUM_TRACKED];
-        for (v, col) in values.iter_mut().zip(cols) {
-            let (prev, cur) = (col[i - 1], col[i]);
-            if cur < prev {
-                *resets += 1;
-                continue 'windows;
-            }
-            *v = cur - prev;
-        }
-        if values.iter().any(|&v| v != 0) {
-            out.push(Delta { at: ats[i], values: CounterSet::from_array(values) });
-        }
-    }
-}
-
-/// Columnar change sweep: `ch[k] = OR over columns of (col[k] ^ col[k+1])`
-/// for all `w` windows. Folds four columns per pass over an L1-resident
-/// `SWEEP_CHUNK` block; the first quad *writes* (no `ch` pre-zeroing
-/// needed — `NUM_TRACKED` ≥ 4 guarantees the quad exists) and later
-/// passes OR into it.
-fn sweep_change_masks(cols: &[Vec<u64>; NUM_TRACKED], w: usize, ch: &mut Vec<u64>) {
-    const { assert!(NUM_TRACKED >= 4, "first column quad must cover every mask") };
-    ch.resize(w, 0);
-    let mut s = 0usize;
-    while s < w {
-        let e = (s + SWEEP_CHUNK).min(w);
-        let cb = &mut ch[s..e];
-        let mut quads = cols.chunks_exact(4);
-        let mut first = true;
-        for quad in &mut quads {
-            let (pa, ca) = (&quad[0][s..e], &quad[0][s + 1..e + 1]);
-            let (pb, cb2) = (&quad[1][s..e], &quad[1][s + 1..e + 1]);
-            let (pc, cc) = (&quad[2][s..e], &quad[2][s + 1..e + 1]);
-            let (pd, cd) = (&quad[3][s..e], &quad[3][s + 1..e + 1]);
-            if first {
-                for k in 0..cb.len() {
-                    cb[k] =
-                        ((pa[k] ^ ca[k]) | (pb[k] ^ cb2[k])) | ((pc[k] ^ cc[k]) | (pd[k] ^ cd[k]));
-                }
-                first = false;
-            } else {
-                for k in 0..cb.len() {
-                    cb[k] |=
-                        ((pa[k] ^ ca[k]) | (pb[k] ^ cb2[k])) | ((pc[k] ^ cc[k]) | (pd[k] ^ cd[k]));
-                }
-            }
-        }
-        let rem = quads.remainder();
-        if rem.len() == 3 {
-            let (pa, ca) = (&rem[0][s..e], &rem[0][s + 1..e + 1]);
-            let (pb, cb2) = (&rem[1][s..e], &rem[1][s + 1..e + 1]);
-            let (pc, cc) = (&rem[2][s..e], &rem[2][s + 1..e + 1]);
-            for k in 0..cb.len() {
-                cb[k] |= ((pa[k] ^ ca[k]) | (pb[k] ^ cb2[k])) | (pc[k] ^ cc[k]);
-            }
-        } else {
-            for col in rem {
-                let (p, c) = (&col[s..e], &col[s + 1..e + 1]);
-                for k in 0..cb.len() {
-                    cb[k] |= p[k] ^ c[k];
-                }
-            }
-        }
-        s = e;
-    }
-}
-
-/// Incremental delta extraction: the [`Stage`] form of
-/// [`extract_deltas_with_resets`], consuming one [`Sample`] at a time and
-/// emitting the nonzero [`Delta`]s. Holds only the previous read's counter
+/// Incremental delta extraction: consumes one [`Sample`] at a time and
+/// emits the nonzero [`Delta`]s. Holds only the previous read's counter
 /// values, so a live session never materializes the raw trace.
 ///
 /// Counter-reset windows (any counter moving backwards — GPU slumber) emit
@@ -531,47 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn soa_views_round_trip_pushed_samples() {
-        let samples: Vec<Sample> = (0..4)
-            .map(|i| Sample { at: SimInstant::from_millis(i * 8), values: set(i * 7 + 1) })
-            .collect();
-        let t: Trace = samples.iter().copied().collect();
-        assert_eq!(t.timestamps().len(), 4);
-        for (i, s) in samples.iter().enumerate() {
-            assert_eq!(t.at(i), s.at);
-            assert_eq!(t.sample(i), *s);
-            assert_eq!(t.column(TrackedCounter::Ras8x4Tiles)[i], (i as u64) * 7 + 1);
-        }
-        let collected: Vec<Sample> = t.iter().collect();
-        assert_eq!(collected, samples);
-    }
-
-    #[test]
-    fn with_capacity_reserves_every_column() {
+    fn with_capacity_reserves_room_for_every_read() {
         let t = Trace::with_capacity(64);
-        assert!(t.ats.capacity() >= 64);
-        for col in t.columns() {
-            assert!(col.capacity() >= 64);
-        }
+        assert!(t.samples.capacity() >= 64);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn batch_extraction_matches_streaming_stage() {
-        // Mixed workload: idle windows, activity, and a reset.
-        let vals = [100u64, 100, 130, 5, 25, 25, 60];
-        let mut t = Trace::new();
-        for (i, v) in vals.into_iter().enumerate() {
-            t.push(SimInstant::from_millis(i as u64 * 8), set(v));
-        }
-        let (batch, batch_resets) = extract_deltas_with_resets(&t);
-        let mut stage = DeltaStage::new();
-        let mut streamed = Vec::new();
-        for s in t.iter() {
-            stage.push(s, &mut streamed);
-        }
-        stage.finish(&mut streamed);
-        assert_eq!(batch, streamed);
-        assert_eq!(batch_resets, stage.resets());
     }
 }

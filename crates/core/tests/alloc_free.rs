@@ -3,7 +3,7 @@
 //! The hot loop of the attack — jitter, advance, block-read ioctl, sample
 //! assembly — runs ~113k times per session, so a single heap allocation per
 //! slot costs real throughput. The sampler's scratch read buffer and the
-//! columnar trace's pre-reserved columns are supposed to eliminate them all;
+//! trace's pre-reserved sample buffer are supposed to eliminate them all;
 //! this test pins that with a counting global allocator.
 //!
 //! Methodology: the measured window must avoid *incidental* allocation

@@ -489,17 +489,17 @@ proptest! {
     }
 
     #[test]
-    fn streaming_pipeline_matches_batch_passes(
+    fn pipeline_result_is_independent_of_burst_slicing(
         model in arb_model(),
         session in arb_session(),
         full_trace in any::<bool>(),
         require_launch in any::<bool>(),
     ) {
-        // The tentpole invariant of the stage refactor: driving the stages
-        // one sample at a time (process_trace_streaming) must produce the
-        // same SessionResult — or the same error — as the whole-trace batch
-        // passes (process_trace), for any trace, in both inference modes,
-        // with launch gating on or off.
+        // Pushing a session's samples one per call must produce the same
+        // SessionResult — or the same error — as pushing them in bursts, for
+        // any trace, in both inference modes, with launch gating on or off.
+        // The burst sizes cover an odd size, the split server's 32-sample
+        // batch and the in-process driver's 64-sample burst.
         let kb = *model.kb_signature();
         let launch = *model.launch_signature();
         let presses: Vec<CounterSet> =
@@ -525,18 +525,16 @@ proptest! {
         let config = ServiceConfig { full_trace, require_launch, ..ServiceConfig::default() };
         let service = AttackService::new(store, config);
         let report = SamplerReport::default();
-        let batch = service.process_trace(&trace, &report);
-        prop_assert_eq!(service.process_trace_streaming(&trace, &report), batch.clone());
-        // Burst pushes (the ring-drain shape of the live driver) must be
-        // indistinguishable from per-sample pushes, whatever the burst
-        // boundaries.
-        let samples: Vec<_> = trace.iter().collect();
-        for chunk in [3usize, 64] {
+        let run = |burst: usize| {
             let mut session = service.streaming_session();
-            for c in samples.chunks(chunk) {
+            for c in trace.samples().chunks(burst) {
                 session.push_samples(c);
             }
-            prop_assert_eq!(session.finish(&report), batch.clone());
+            session.finish(&report)
+        };
+        let reference = run(1);
+        for burst in [3usize, 32, 64] {
+            prop_assert_eq!(run(burst), reference.clone());
         }
     }
 
@@ -571,8 +569,8 @@ proptest! {
         }
         let deltas = extract_deltas(&trace);
         let sum = deltas.iter().fold(CounterSet::ZERO, |s, d| s + d.values);
-        let first = trace.sample(0).values;
-        let last = trace.sample(trace.len() - 1).values;
+        let first = trace.samples()[0].values;
+        let last = trace.samples()[trace.len() - 1].values;
         prop_assert_eq!(sum + first, last, "deltas must sum to the end-to-end change");
     }
 
@@ -909,56 +907,24 @@ proptest! {
     }
 
     #[test]
-    fn soa_trace_matches_aos_reference(
+    fn trace_round_trips_pushed_samples(
         values in prop::collection::vec(arb_set(50_000), 0..40),
         start in 0u64..1_000,
     ) {
-        // The columnar Trace must behave exactly like the old
-        // array-of-samples form: same per-index views, same iteration
-        // order, and batch delta extraction identical to pushing every
-        // sample through the streaming DeltaStage (the AoS reference
-        // implementation).
-        use gpu_sc_attack::stage::Stage;
-        use gpu_sc_attack::trace::{DeltaStage, Sample};
+        // A trace hands back exactly the samples pushed into it, in order.
+        use gpu_sc_attack::trace::Sample;
 
-        // Non-monotone accumulation: flip between adding and resetting so
-        // reset windows are exercised too.
-        let mut aos: Vec<Sample> = Vec::with_capacity(values.len());
-        let mut acc = CounterSet::ZERO;
-        for (i, v) in values.iter().enumerate() {
-            if i % 7 == 3 {
-                acc = *v; // register reset: restart from an arbitrary point
-            } else {
-                acc += *v;
-            }
-            aos.push(Sample { at: SimInstant::from_millis(start + i as u64 * 8), values: acc });
-        }
-        let trace: Trace = aos.iter().copied().collect();
+        let samples: Vec<Sample> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| Sample { at: SimInstant::from_millis(start + i as u64 * 8), values: v })
+            .collect();
+        let trace: Trace = samples.iter().copied().collect();
 
-        prop_assert_eq!(trace.len(), aos.len());
-        prop_assert_eq!(trace.is_empty(), aos.is_empty());
-        for (i, s) in aos.iter().enumerate() {
-            prop_assert_eq!(trace.at(i), s.at);
-            prop_assert_eq!(trace.sample(i), *s);
-        }
+        prop_assert_eq!(trace.len(), samples.len());
+        prop_assert_eq!(trace.is_empty(), samples.is_empty());
+        prop_assert_eq!(trace.samples(), &samples[..]);
         let iterated: Vec<Sample> = trace.iter().collect();
-        prop_assert_eq!(&iterated, &aos);
-        let ts: Vec<_> = aos.iter().map(|s| s.at).collect();
-        prop_assert_eq!(trace.timestamps(), &ts[..]);
-        for c in adreno_sim::counters::ALL_TRACKED {
-            let col: Vec<u64> = aos.iter().map(|s| s.values[c]).collect();
-            prop_assert_eq!(trace.column(c), &col[..]);
-        }
-
-        // Columnar batch extraction ≡ streaming AoS extraction.
-        let mut stage = DeltaStage::new();
-        let mut streamed = Vec::new();
-        for s in &aos {
-            stage.push(*s, &mut streamed);
-        }
-        stage.finish(&mut streamed);
-        let (batch, resets) = extract_deltas_with_resets(&trace);
-        prop_assert_eq!(batch, streamed);
-        prop_assert_eq!(resets, stage.resets());
+        prop_assert_eq!(&iterated, &samples);
     }
 }

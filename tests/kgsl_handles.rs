@@ -1,6 +1,6 @@
-//! Kernel-resource conservation: every attack driver closes the
-//! device-file handle it opened, so the victim's device drops with no
-//! handle left open.
+//! Kernel-resource conservation: every attack driver, and the trace tap
+//! training records through, closes the device-file handle it opened, so
+//! the victim's device drops with no handle left open.
 //!
 //! A device publishes its call counts when it drops, plus
 //! `kgsl.handles_open_at_drop` when some handle was never closed, to the
@@ -96,12 +96,14 @@ fn a_revoked_and_slumbering_eavesdrop_leaves_no_handle_open() {
 }
 
 #[test]
-fn eavesdrop_batch_leaves_no_handle_open() {
-    let service = service();
-    let counters = kgsl_counters("kgsl-handles-batch", || {
-        let (mut sim, end) = victim(3);
-        service.eavesdrop_batch(&mut sim, end).expect("a clean session succeeds");
+fn training_closes_what_its_trace_tap_opens() {
+    // Training records its traces through `Sampler::open`, `sample_until`
+    // and `close` on victim devices of its own.
+    let counters = kgsl_counters("kgsl-handles-trace-tap", || {
+        let cfg = SimConfig::paper_default(0);
+        Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app);
     });
+    assert!(counters.get("kgsl.open").is_some_and(|&n| n > 0), "{counters:?}");
     assert_eq!(counters.get("kgsl.close"), counters.get("kgsl.open"), "{counters:?}");
     assert_eq!(counters.get("kgsl.handles_open_at_drop"), None, "{counters:?}");
 }

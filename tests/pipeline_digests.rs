@@ -1,0 +1,278 @@
+//! Pinned digests of the analysis pipeline, over a fixed matrix of
+//! sessions.
+//!
+//! Each session folds into two FNV-1a-64 values:
+//!
+//! * the `Debug` text of what [`AttackService::eavesdrop`] returns — the
+//!   recovered text, every key with its `decided_at`, the candidates, the
+//!   Algorithm 1 statistics and the degradation report, or the error. It is
+//!   the text perfbench's outcome digest covers;
+//! * the `(deltas, resets)` that [`extract_deltas_with_resets`] returns for
+//!   a [`Sampler::sample_until`] tap of an identically built victim — the
+//!   delta stream every downstream stage consumes.
+//!
+//! The constants were computed on a tree that still carried a second, batch
+//! analysis driver and a second, columnar delta extractor, after checking
+//! there that both drivers returned the same result for every session
+//! below. A change here is a change to what the pipeline decides, and must
+//! be explained rather than re-pinned silently.
+
+use std::sync::OnceLock;
+
+use adreno_sim::time::{SimDuration, SimInstant};
+use gpu_eaves::android_ui::{SimConfig, TimedEvent, UiEvent, UiSimulation};
+use gpu_eaves::attack::correction::CorrectionEvent;
+use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
+use gpu_eaves::attack::sampler::{Sampler, SamplerConfig};
+use gpu_eaves::attack::service::{AttackService, ServiceConfig, ServiceError, SessionResult};
+use gpu_eaves::attack::trace::extract_deltas_with_resets;
+use gpu_eaves::input_bot::script::Typist;
+use gpu_eaves::input_bot::timing::VOLUNTEERS;
+use gpu_eaves::kgsl::FaultPlan;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// How one session's victim is built. Everything that feeds the
+/// simulation derives from the seed, so two builds observe the same victim.
+#[derive(Debug, Clone, Copy)]
+enum Victim {
+    /// "hunter2pass" on a stock device, optionally under a live fault plan
+    /// of the given intensity.
+    Credential { seed: u64, faults: Option<f64> },
+    /// Another app first, then the target app's cold launch at 3 s and a
+    /// credential (as in `tests/launch_e2e.rs`).
+    PreLaunch { seed: u64 },
+    /// A typo undone with backspace, a hop to another app and back, then
+    /// the rest of the credential (as in `tests/practical_e2e.rs`).
+    Practical { seed: u64 },
+}
+
+impl Victim {
+    fn build(self) -> (UiSimulation, SimInstant) {
+        match self {
+            Victim::Credential { seed, faults } => {
+                let mut sim = UiSimulation::new(SimConfig::paper_default(seed));
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+                let mut typist = Typist::new(VOLUNTEERS[seed as usize % VOLUNTEERS.len()]);
+                let plan = typist.type_text("hunter2pass", SimInstant::from_millis(900), &mut rng);
+                let end = plan.end + SimDuration::from_millis(800);
+                sim.queue_all(plan.events);
+                if let Some(intensity) = faults {
+                    sim.device().install_fault_plan(&FaultPlan::with_intensity(
+                        seed ^ 0xFA,
+                        intensity,
+                        SimDuration::from_secs(8),
+                    ));
+                }
+                (sim, end)
+            }
+            Victim::PreLaunch { seed } => {
+                let cfg = SimConfig {
+                    start_in_other: true,
+                    system_noise_hz: 0.0,
+                    ..SimConfig::paper_default(seed)
+                };
+                let mut sim = UiSimulation::new(cfg);
+                for ms in (400..2_600).step_by(450) {
+                    sim.queue(TimedEvent::new(
+                        SimInstant::from_millis(ms),
+                        UiEvent::OtherAppActivity,
+                    ));
+                }
+                sim.queue(TimedEvent::new(
+                    SimInstant::from_millis(3_000),
+                    UiEvent::LaunchTargetApp,
+                ));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let plan = Typist::new(VOLUNTEERS[1]).type_text(
+                    "openbanking1",
+                    SimInstant::from_millis(4_000),
+                    &mut rng,
+                );
+                let end = plan.end + SimDuration::from_millis(800);
+                sim.queue_all(plan.events);
+                (sim, end)
+            }
+            Victim::Practical { seed } => {
+                let cfg = SimConfig { system_noise_hz: 0.0, ..SimConfig::paper_default(seed) };
+                let mut sim = UiSimulation::new(cfg);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut typist = Typist::new(VOLUNTEERS[1]);
+                let mut plan = typist.type_text("pasx", SimInstant::from_millis(900), &mut rng);
+                plan.extend(typist.backspaces(1, plan.end, &mut rng));
+                plan.extend(typist.type_text("s", plan.end, &mut rng));
+                let away = plan.end + SimDuration::from_millis(300);
+                sim.queue_all(plan.events);
+                sim.queue(TimedEvent::new(away, UiEvent::SwitchAway));
+                for k in 0..4u64 {
+                    sim.queue(TimedEvent::new(
+                        away + SimDuration::from_millis(400 + k * 350),
+                        UiEvent::OtherAppActivity,
+                    ));
+                }
+                let back = away + SimDuration::from_millis(2_200);
+                sim.queue(TimedEvent::new(back, UiEvent::SwitchBack));
+                let rest = typist.type_text("word", back + SimDuration::from_millis(900), &mut rng);
+                let end = rest.end + SimDuration::from_millis(800);
+                sim.queue_all(rest.events);
+                (sim, end)
+            }
+        }
+    }
+}
+
+/// One session of the matrix: a victim and the service options it runs
+/// under.
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    victim: Victim,
+    full_trace: bool,
+    require_launch: bool,
+}
+
+impl Case {
+    const fn credential(seed: u64, faults: Option<f64>, full_trace: bool) -> Self {
+        Case { victim: Victim::Credential { seed, faults }, full_trace, require_launch: false }
+    }
+}
+
+/// One trained model shared by every test in this binary.
+fn store() -> &'static ModelStore {
+    static STORE: OnceLock<ModelStore> = OnceLock::new();
+    STORE.get_or_init(|| {
+        let cfg = SimConfig::paper_default(0);
+        let mut store = ModelStore::new();
+        store.add(Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app));
+        store
+    })
+}
+
+const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+/// Runs the case's session through the service.
+fn eavesdrop(case: Case) -> Result<SessionResult, ServiceError> {
+    let config = ServiceConfig {
+        full_trace: case.full_trace,
+        require_launch: case.require_launch,
+        ..ServiceConfig::default()
+    };
+    let service = AttackService::new(store().clone(), config);
+    let (mut sim, end) = case.victim.build();
+    service.eavesdrop(&mut sim, end)
+}
+
+/// Digest of the deltas and resets extracted from a raw trace of the
+/// case's victim (or of the sampler's error, if it never read).
+fn tap_digest(victim: Victim) -> u64 {
+    let (mut sim, end) = victim.build();
+    let trace = Sampler::open(sim.device(), SamplerConfig::default()).and_then(|mut sampler| {
+        let trace = sampler.sample_until(&mut sim, end);
+        sampler.close(sim.device());
+        trace
+    });
+    match trace {
+        Ok(trace) => {
+            let (deltas, resets) = extract_deltas_with_resets(&trace);
+            let mut digest = FNV_BASIS;
+            for d in &deltas {
+                digest = fnv1a(digest, &d.at.as_nanos().to_le_bytes());
+                for value in d.values.as_array() {
+                    digest = fnv1a(digest, &value.to_le_bytes());
+                }
+            }
+            fnv1a(digest, &(resets as u64).to_le_bytes())
+        }
+        Err(err) => fnv1a(FNV_BASIS, format!("{err:?}").as_bytes()),
+    }
+}
+
+/// Runs every case, checks both digests against their pinned values and
+/// returns the session results in case order. All mismatches are reported
+/// at once, with the digests this tree computed.
+fn replay(pinned: &[(Case, u64, u64)]) -> Vec<Result<SessionResult, ServiceError>> {
+    let mut results = Vec::with_capacity(pinned.len());
+    let mut mismatches = Vec::new();
+    for &(case, result_pin, tap_pin) in pinned {
+        let result = eavesdrop(case);
+        let result_digest = fnv1a(FNV_BASIS, format!("{result:?}").as_bytes());
+        let tap = tap_digest(case.victim);
+        if (result_digest, tap) != (result_pin, tap_pin) {
+            mismatches.push(format!("{case:?}: result {result_digest:#018x}, tap {tap:#018x}"));
+        }
+        results.push(result);
+    }
+    assert!(mismatches.is_empty(), "digests moved:\n{}", mismatches.join("\n"));
+    results
+}
+
+#[test]
+fn clean_sessions_replay_their_pinned_digests() {
+    let pinned = [
+        (Case::credential(60, None, false), 0x0DD5_EE14_3F96_301C, 0x3941_20F1_16B9_1267),
+        (Case::credential(61, None, false), 0x42A2_885F_0FB7_BE45, 0xB225_8904_392C_96E4),
+        (Case::credential(62, None, false), 0x711C_B103_5753_9400, 0x3849_8162_F240_DB0D),
+        (Case::credential(60, None, true), 0xD87A_6C33_98BC_1D7E, 0x3941_20F1_16B9_1267),
+        (Case::credential(61, None, true), 0xC8F4_6696_62CE_5DB7, 0xB225_8904_392C_96E4),
+        (Case::credential(62, None, true), 0x6188_6BCB_3ED3_EF42, 0x3849_8162_F240_DB0D),
+    ];
+    for ((case, ..), result) in pinned.iter().zip(replay(&pinned)) {
+        // Guard against vacuous digests: clean sessions must recognise the
+        // device and recover text.
+        let result = result.unwrap_or_else(|e| panic!("{case:?} failed: {e}"));
+        assert!(!result.recovered_text.is_empty(), "{case:?} recovered nothing");
+    }
+}
+
+#[test]
+fn faulted_sessions_replay_their_pinned_digests() {
+    let pinned = [
+        (Case::credential(70, Some(0.3), false), 0x739A_1951_8525_32A6, 0xA134_0B1C_E87C_2D3E),
+        (Case::credential(71, Some(0.6), false), 0x5169_FF9E_57CC_22F6, 0xD5A1_7773_E0B0_E06D),
+        (Case::credential(70, Some(0.3), true), 0xACA7_9178_4975_36C4, 0xA134_0B1C_E87C_2D3E),
+        (Case::credential(71, Some(0.6), true), 0xC894_04EA_9CB3_B5FE, 0xD5A1_7773_E0B0_E06D),
+    ];
+    // A fault plan may legitimately kill a session, but if every session
+    // failed the digests would pin nothing but errors.
+    let succeeded = replay(&pinned).iter().filter(|r| r.is_ok()).count();
+    assert!(succeeded > 0, "at least one faulted session should still recover text");
+}
+
+#[test]
+fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
+    let pinned = [
+        (
+            Case {
+                victim: Victim::PreLaunch { seed: 60 },
+                full_trace: false,
+                require_launch: true,
+            },
+            0x4C17_0248_B74E_E518,
+            0x9E73_F427_F211_C071,
+        ),
+        (
+            Case {
+                victim: Victim::Practical { seed: 2 },
+                full_trace: false,
+                require_launch: false,
+            },
+            0x05D8_DD36_81DD_05AE,
+            0xD88E_B12E_5675_1B4D,
+        ),
+    ];
+    let results = replay(&pinned);
+    let launched = results[0].as_ref().expect("the gated session recognises the launch");
+    assert!(launched.launch_at.is_some(), "the gate must arm on the launch burst");
+    assert_eq!(launched.recovered_text, "openbanking1");
+    let practical = results[1].as_ref().expect("the practical session succeeds");
+    assert_eq!(practical.recovered_text, "password", "the deleted 'x' must not appear");
+    assert_eq!(practical.switches, 2, "away + back bursts");
+    assert!(
+        practical.corrections.iter().any(|e| matches!(e, CorrectionEvent::CharDeleted(_))),
+        "the backspace must reach the echo stream"
+    );
+}
