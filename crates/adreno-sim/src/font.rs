@@ -307,4 +307,19 @@ mod tests {
     fn space_has_no_strokes() {
         assert_eq!(stroke_count(' '), 0);
     }
+
+    #[test]
+    fn glyph_bounds_cover_strokes() {
+        let dest = Rect::from_xywh(100, 200, 80, 80);
+        let b = glyph_screen_bounds('o', &dest, 4);
+        // 'o' spans grid 2..=7 in both axes; bounds must sit inside a
+        // slightly padded dest and be non-empty.
+        assert!(!b.is_empty());
+        assert!(b.x0 >= dest.x0 - 4 && b.x1 <= dest.x1 + 4);
+    }
+
+    #[test]
+    fn space_glyph_has_empty_bounds() {
+        assert!(glyph_screen_bounds(' ', &Rect::from_xywh(0, 0, 50, 50), 4).is_empty());
+    }
 }

@@ -9,8 +9,9 @@
 use std::collections::VecDeque;
 
 use crate::counters::CounterSet;
-use crate::incremental::{IncrementalStats, RendererSet};
+use crate::incremental::IncrementalStats;
 use crate::model::{GpuModel, GpuParams};
+use crate::pipeline;
 use crate::scene::DrawList;
 use crate::time::{SimDuration, SimInstant};
 
@@ -33,8 +34,9 @@ struct Job {
     start: SimInstant,
     end: SimInstant,
     totals: CounterSet,
-    /// `(absolute completion time, cumulative counters)` checkpoints.
-    checkpoints: Vec<(SimInstant, CounterSet)>,
+    /// `(absolute completion time in nanoseconds, cumulative counters)`
+    /// checkpoints.
+    checkpoints: Vec<(u64, CounterSet)>,
 }
 
 /// A simulated Adreno GPU.
@@ -67,8 +69,9 @@ pub struct Gpu {
     busy_until: SimInstant,
     /// Recent busy intervals for utilisation queries, oldest first.
     busy_log: VecDeque<(SimInstant, SimInstant)>,
-    /// Per-viewport incremental frame renderers ([`crate::incremental`]).
-    renderers: RendererSet,
+    /// What this GPU's frames took from the layer cache and computed,
+    /// published when the GPU drops.
+    stats: IncrementalStats,
 }
 
 /// How much busy-interval history the GPU retains for utilisation queries.
@@ -85,7 +88,7 @@ impl Gpu {
             jobs: VecDeque::new(),
             busy_until: SimInstant::ZERO,
             busy_log: VecDeque::new(),
-            renderers: RendererSet::new(),
+            stats: IncrementalStats::default(),
         }
     }
 
@@ -112,20 +115,22 @@ impl Gpu {
     /// Renders `draw_list` as a frame job submitted at `now`. If the GPU is
     /// still busy, the job queues behind in-flight work.
     ///
-    /// Rendering goes through this GPU's per-viewport incremental renderers
-    /// ([`crate::incremental::RendererSet`]): consecutive frames of one
-    /// surface are diffed at layer granularity and only changed layers are
-    /// recomputed, with identical frames served from the process-global
-    /// whole-list memo. Output is bit-identical to
-    /// [`crate::pipeline::render_uncached`].
+    /// The frame is rendered by [`crate::pipeline::render`], assembled from
+    /// the process-wide layer cache, so only layers no earlier frame of any
+    /// session rendered are computed; output is bit-identical to
+    /// [`crate::pipeline::render_uncached`]. The job takes the output's
+    /// checkpoint vector as it is, and the frame is tallied in
+    /// [`Gpu::incremental_stats`], so a frame whose layers are all cached
+    /// allocates only that vector and makes no telemetry call.
     pub fn submit(&mut self, draw_list: &DrawList, now: SimInstant) -> FrameStats {
-        let out = self.renderers.render(draw_list, &self.params);
-        self.enqueue(now, out.totals, out.total_cycles, &out.checkpoints)
+        let out = pipeline::render_counted(draw_list, &self.params, &mut self.stats);
+        self.enqueue(now, out.totals, out.total_cycles, out.checkpoints)
     }
 
-    /// Reuse counters of this GPU's incremental frame renderers.
+    /// What this GPU's frames took from the layer cache and what they
+    /// computed.
     pub fn incremental_stats(&self) -> IncrementalStats {
-        self.renderers.stats()
+        self.stats
     }
 
     /// Submits an opaque workload (e.g. a background 3D app or a mitigation
@@ -144,25 +149,25 @@ impl Gpu {
             }
             a
         });
-        let cps = [(cycles / 2, half), (cycles, totals)];
-        self.enqueue(now, totals, cycles, &cps)
+        self.enqueue(now, totals, cycles, vec![(cycles / 2, half), (cycles, totals)])
     }
 
+    /// Queues a job whose `checkpoints` count cycles into the job; they are
+    /// rewritten in place to absolute completion times.
     fn enqueue(
         &mut self,
         now: SimInstant,
         totals: CounterSet,
         cycles: u64,
-        checkpoints: &[(u64, CounterSet)],
+        mut checkpoints: Vec<(u64, CounterSet)>,
     ) -> FrameStats {
         let start = if self.busy_until > now { self.busy_until } else { now };
         let duration = self.cycles_to_duration(cycles);
         let end = start + duration;
-        let abs_cps: Vec<(SimInstant, CounterSet)> = checkpoints
-            .iter()
-            .map(|&(cyc, set)| (start + self.cycles_to_duration(cyc), set))
-            .collect();
-        self.jobs.push_back(Job { start, end, totals, checkpoints: abs_cps });
+        for cp in &mut checkpoints {
+            cp.0 = (start + self.cycles_to_duration(cp.0)).as_nanos();
+        }
+        self.jobs.push_back(Job { start, end, totals, checkpoints });
         self.busy_until = end;
         if cycles > 0 {
             self.busy_log.push_back((start, end));
@@ -209,7 +214,7 @@ impl Gpu {
             // Partial: last checkpoint at or before t.
             let mut partial = CounterSet::ZERO;
             for (cp_t, cp_set) in &job.checkpoints {
-                if *cp_t <= t {
+                if *cp_t <= t.as_nanos() {
                     partial = *cp_set;
                 } else {
                     break;
@@ -234,6 +239,13 @@ impl Gpu {
             busy += e.saturating_since(s).as_nanos();
         }
         (busy as f64 / window.as_nanos() as f64).min(1.0)
+    }
+}
+
+/// Publishes the frame tally once, when the GPU's owner is done with it.
+impl Drop for Gpu {
+    fn drop(&mut self) {
+        self.stats.publish();
     }
 }
 

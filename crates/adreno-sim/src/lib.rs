@@ -57,8 +57,7 @@ pub mod time;
 
 pub use counters::{CounterGroup, CounterId, CounterSet, TrackedCounter, ALL_TRACKED, NUM_TRACKED};
 pub use gpu::{FrameStats, Gpu};
-pub use incremental::{FrameRenderer, IncrementalStats, RendererSet};
-pub use memo::{render_cache_stats, render_cached, reset_render_caches, CacheStats};
+pub use incremental::IncrementalStats;
 pub use model::{GpuModel, GpuParams, ALL_MODELS};
 pub use scene::{DrawList, Layer, Primitive};
 pub use time::{SimDuration, SimInstant};

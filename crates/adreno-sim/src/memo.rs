@@ -1,40 +1,39 @@
-//! Render memoization: process-global caches over the deterministic
-//! pipeline.
+//! Content-addressed caches over the deterministic pipeline.
 //!
 //! [`crate::pipeline::render`] is a pure function of `(DrawList, GpuParams)`
-//! — the property the side channel itself exploits — so its outputs can be
-//! cached without changing any observable result. The experiment suite
-//! re-renders the same lists constantly: every keyboard frame of every
-//! trial, and the calibration / field-update signature renders repeated by
-//! every `Trainer::train` call. Two cache layers capture that reuse:
+//! — the property the side channel itself exploits — and so is each
+//! layer's share of a frame, given the occlusion the layers above it cast.
+//! Two process-wide caches hold those shares:
 //!
-//! 1. **Whole-list cache** ([`render_cached`]) — keyed by a 128-bit
-//!    fingerprint of the draw-list contents plus the GPU parameters, valued
-//!    by the complete [`RenderOutput`] behind an `Arc`.
-//! 2. **Per-glyph stroke-stats cache** (used inside `render` itself) —
-//!    keyed by `(ch, dest, thickness, occlusion fingerprint, params)`,
-//!    valued by the per-stroke pipeline stats. This hits even when whole
-//!    lists differ, e.g. the same popup glyph over different backgrounds.
+//! 1. **Layer cache** — keyed by a layer's content fingerprint and its
+//!    occlusion-above fingerprint (GPU parameters, viewport, and the
+//!    opaque-quad fingerprints of the layers above), valued by the layer's
+//!    running `(cycles, counters)` sums. `render` looks up every layer of a
+//!    frame under one lock and computes only the missing ones, so a layer
+//!    recurring in any frame of any session is computed once per process.
+//! 2. **Glyph cache** — keyed by `(ch, dest, thickness, occlusion bits,
+//!    params)`, valued by the glyph's per-stroke stats. It hits even when
+//!    layers differ, e.g. a key label that popups at different positions
+//!    leave uncovered.
 //!
 //! Both caches are thread-safe and deterministic: values are pure functions
-//! of their keys, so concurrent fills from different threads are benign.
-//! [`render_cache_stats`] exposes hit/miss counters;
-//! [`reset_render_caches`] drops everything (benchmarks measuring the cold
-//! path, and tests).
+//! of their keys, so concurrent fills from different threads are benign and
+//! sharing a cache cannot change any result.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use crate::counters::CounterSet;
 use crate::model::GpuParams;
-use crate::pipeline::{self, OcclusionGrid, RenderOutput, LRZ_TILE};
+use crate::pipeline::{OcclusionGrid, PrimStats, LRZ_TILE};
 use crate::scene::{DrawList, Primitive};
 
-/// Entry cap of the whole-list cache; on overflow the cache is dropped
+/// Entry cap of the layer cache; on overflow the cache is dropped
 /// wholesale (the working set of the experiment suite is far below this, so
 /// eviction is a backstop, not a policy).
-const RENDER_CACHE_CAP: usize = 4096;
-/// Entry cap of the per-glyph cache (entries are a few hundred bytes).
+const LAYER_CACHE_CAP: usize = 16_384;
+/// Entry cap of the glyph cache (entries are a few hundred bytes).
 const GLYPH_CACHE_CAP: usize = 65_536;
 
 /// A 128-bit content fingerprint. Two independently-mixed 64-bit lanes make
@@ -69,6 +68,11 @@ impl Mixer {
 
     pub(crate) fn write_i32(&mut self, v: i32) {
         self.write(v as u32 as u64);
+    }
+
+    pub(crate) fn write_fp(&mut self, fp: Fingerprint) {
+        self.write(fp.lo);
+        self.write(fp.hi);
     }
 
     pub(crate) fn finish(&self) -> Fingerprint {
@@ -127,24 +131,13 @@ pub(crate) fn write_prim(m: &mut Mixer, prim: &Primitive) {
 /// holds. Folding one fingerprint per layer also keeps layer boundaries in
 /// the key: the same primitives split differently occlude differently.
 pub fn fingerprint(draw_list: &DrawList, params: &GpuParams) -> Fingerprint {
-    let mut pm = Mixer::new();
-    write_params(&mut pm, params);
-    fold_layers(draw_list, pm.finish())
-}
-
-/// [`fingerprint`] with the GPU parameters already fingerprinted by
-/// [`write_params`] into a fresh [`Mixer`].
-pub(crate) fn fold_layers(draw_list: &DrawList, params_fp: Fingerprint) -> Fingerprint {
     let mut m = Mixer::new();
     m.write_i32(draw_list.width());
     m.write_i32(draw_list.height());
     for layer in draw_list.layers() {
-        let c = layer.content_fp();
-        m.write(c.lo);
-        m.write(c.hi);
+        m.write_fp(layer.content_fp());
     }
-    m.write(params_fp.lo);
-    m.write(params_fp.hi);
+    write_params(&mut m, params);
     m.finish()
 }
 
@@ -180,173 +173,74 @@ pub(crate) fn glyph_occlusion_fingerprint(
     m.finish()
 }
 
-/// Hit/miss counters of one cache layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
+/// A process-wide map from fingerprints to shared, immutable slices.
+pub(crate) struct Cache<T> {
+    map: Mutex<FingerprintMap<Arc<[T]>>>,
+    cap: usize,
 }
 
-impl CacheStats {
-    /// Hit fraction in `0.0..=1.0` (1.0 when the cache was never queried).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 1.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
+/// A map keyed by fingerprints, hashed by [`LaneHasher`].
+pub(crate) type FingerprintMap<V> = HashMap<Fingerprint, V, BuildHasherDefault<LaneHasher>>;
 
-struct RenderCache {
-    map: Mutex<HashMap<Fingerprint, Arc<RenderOutput>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// Hashes a [`Fingerprint`] by folding its two lanes, which are already
+/// mixed, instead of running SipHash over them: a lookup is on the path of
+/// every frame. Keys come from this crate's own fingerprints, never from
+/// outside the program, so nobody can craft them to collide.
+#[derive(Default)]
+pub(crate) struct LaneHasher(u64);
 
-fn render_cache() -> &'static RenderCache {
-    static CACHE: OnceLock<RenderCache> = OnceLock::new();
-    CACHE.get_or_init(|| RenderCache {
-        map: Mutex::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Renders `draw_list`, satisfying the request from the whole-list cache
-/// when an identical list was rendered before. Byte-identical to
-/// [`pipeline::render`]; strictly faster on repeats.
-pub fn render_cached(draw_list: &DrawList, params: &GpuParams) -> Arc<RenderOutput> {
-    let fp = fingerprint(draw_list, params);
-    let cache = render_cache();
-    if let Some(hit) = lock(&cache.map).get(&fp) {
-        cache.hits.fetch_add(1, Ordering::Relaxed);
-        spansight::count("adreno.memo.render_hits", 1);
-        return Arc::clone(hit);
-    }
-    cache.misses.fetch_add(1, Ordering::Relaxed);
-    spansight::count("adreno.memo.render_misses", 1);
-    // Render outside the lock: a concurrent miss on the same key computes
-    // the same pure value, and the first insert wins.
-    let out = Arc::new(pipeline::render(draw_list, params));
-    let mut map = lock(&cache.map);
-    if map.len() >= RENDER_CACHE_CAP {
-        map.clear();
-    }
-    Arc::clone(map.entry(fp).or_insert(out))
-}
-
-/// Probes the whole-list cache for a fingerprint computed by the caller
-/// (the incremental renderer derives the identical fingerprint during its
-/// layer-diff pass, so it shares this cache without re-hashing the list).
-pub(crate) fn render_cache_lookup(fp: Fingerprint) -> Option<Arc<RenderOutput>> {
-    let cache = render_cache();
-    if let Some(hit) = lock(&cache.map).get(&fp) {
-        cache.hits.fetch_add(1, Ordering::Relaxed);
-        spansight::count("adreno.memo.render_hits", 1);
-        return Some(Arc::clone(hit));
-    }
-    cache.misses.fetch_add(1, Ordering::Relaxed);
-    spansight::count("adreno.memo.render_misses", 1);
-    None
-}
-
-/// Publishes an output computed outside [`render_cached`] (the incremental
-/// renderer) under its whole-list fingerprint, so later submissions of the
-/// same list — from any session — hit without rendering.
-pub(crate) fn render_cache_insert(fp: Fingerprint, out: Arc<RenderOutput>) {
-    let mut map = lock(&render_cache().map);
-    if map.len() >= RENDER_CACHE_CAP {
-        map.clear();
-    }
-    map.entry(fp).or_insert(out);
-}
-
-/// Whole-list cache hit/miss counters since process start (or the last
-/// [`reset_render_caches`]).
-pub fn render_cache_stats() -> CacheStats {
-    let c = render_cache();
-    CacheStats { hits: c.hits.load(Ordering::Relaxed), misses: c.misses.load(Ordering::Relaxed) }
-}
-
-/// Per-glyph stroke-stats cache hit/miss counters.
-pub fn glyph_cache_stats() -> CacheStats {
-    pipeline::glyph_cache_stats()
-}
-
-/// Empties every cache layer (whole-list, per-glyph, per-layer) and zeroes
-/// their counters.
-pub fn reset_render_caches() {
-    let c = render_cache();
-    lock(&c.map).clear();
-    c.hits.store(0, Ordering::Relaxed);
-    c.misses.store(0, Ordering::Relaxed);
-    pipeline::reset_glyph_cache();
-    crate::incremental::reset_layer_cache();
-}
-
-pub(crate) struct GlyphCache<V> {
-    map: Mutex<HashMap<Fingerprint, Arc<V>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Telemetry counter names bumped on hit / miss.
-    hit_counter: &'static str,
-    miss_counter: &'static str,
-}
-
-impl<V> GlyphCache<V> {
-    pub(crate) fn new() -> Self {
-        Self::with_counters("adreno.memo.glyph_hits", "adreno.memo.glyph_misses")
-    }
-
-    /// A cache with the same policy but custom telemetry counter names (the
-    /// incremental renderer's per-layer cache reuses this machinery).
-    pub(crate) fn with_counters(hit_counter: &'static str, miss_counter: &'static str) -> Self {
-        GlyphCache {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            hit_counter,
-            miss_counter,
+impl Hasher for LaneHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
-    pub(crate) fn get_or_insert_with(
-        &self,
-        key: Fingerprint,
-        compute: impl FnOnce() -> V,
-    ) -> Arc<V> {
-        if let Some(hit) = lock(&self.map).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            spansight::count(self.hit_counter, 1);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        spansight::count(self.miss_counter, 1);
-        let value = Arc::new(compute());
-        let mut map = lock(&self.map);
-        if map.len() >= GLYPH_CACHE_CAP {
-            map.clear();
-        }
-        Arc::clone(map.entry(key).or_insert(value))
+    fn write_u64(&mut self, lane: u64) {
+        self.0 = self.0.rotate_left(32) ^ lane;
     }
 
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<T> Cache<T> {
+    fn new(cap: usize) -> Self {
+        Cache { map: Mutex::new(FingerprintMap::default()), cap }
     }
 
-    pub(crate) fn reset(&self) {
-        lock(&self.map).clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+    /// The map, locked. Every update leaves it valid, so a panic elsewhere
+    /// while the lock was held cannot have left it half-written.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, FingerprintMap<Arc<[T]>>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Stores every `(key, value)` pair under one lock. A key another
+    /// thread filled meanwhile keeps its value, which is the same.
+    pub(crate) fn insert_all(&self, entries: impl IntoIterator<Item = (Fingerprint, Arc<[T]>)>) {
+        let mut map = self.lock();
+        for (key, value) in entries {
+            if map.len() >= self.cap {
+                map.clear();
+            }
+            map.entry(key).or_insert(value);
+        }
+    }
+}
+
+/// Running `(cycles, counters)` sums of each layer, keyed by its content and
+/// occlusion-above fingerprints (see `pipeline::layer_keys`).
+pub(crate) fn layer_cache() -> &'static Cache<(u64, CounterSet)> {
+    static CACHE: OnceLock<Cache<(u64, CounterSet)>> = OnceLock::new();
+    CACHE.get_or_init(|| Cache::new(LAYER_CACHE_CAP))
+}
+
+/// Per-stroke stats of each glyph placement, keyed as in
+/// `pipeline::glyph_stats_cached`.
+pub(crate) fn glyph_cache() -> &'static Cache<PrimStats> {
+    static CACHE: OnceLock<Cache<PrimStats>> = OnceLock::new();
+    CACHE.get_or_init(|| Cache::new(GLYPH_CACHE_CAP))
 }
 
 #[cfg(test)]
@@ -354,26 +248,12 @@ mod tests {
     use super::*;
     use crate::geom::Rect;
     use crate::model::GpuModel;
-    use crate::pipeline::render_uncached;
 
     fn sample_list(glyph: char) -> DrawList {
         let mut dl = DrawList::new(512, 512);
         dl.layer("bg").quad(Rect::from_xywh(0, 0, 512, 512), true);
         dl.layer("popup").glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
         dl
-    }
-
-    #[test]
-    fn cached_render_matches_uncached() {
-        let params = GpuModel::Adreno650.params();
-        for ch in ['a', 'w', '#'] {
-            let dl = sample_list(ch);
-            let cached = render_cached(&dl, &params);
-            let fresh = render_uncached(&dl, &params);
-            assert_eq!(*cached, fresh);
-            // Second lookup is a hit and still identical.
-            assert_eq!(*render_cached(&dl, &params), fresh);
-        }
     }
 
     #[test]

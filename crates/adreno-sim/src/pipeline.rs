@@ -18,14 +18,15 @@
 //! same counter increments. All noise in the reproduction comes from timing
 //! (sampling alignment) and the UI layer, never from the pipeline itself.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::counters::{CounterSet, TrackedCounter};
 use crate::font::{self, FALLBACK};
 use crate::geom::{Rect, Segment};
+use crate::incremental::IncrementalStats;
 use crate::memo;
 use crate::model::GpuParams;
-use crate::scene::{DrawList, Primitive};
+use crate::scene::{DrawList, Layer, Primitive};
 
 /// Side of an LRZ tile in pixels (8×8).
 pub const LRZ_TILE: i32 = 8;
@@ -379,24 +380,24 @@ fn glyph_stats(
     strokes.iter().map(|seg| process_stroke(seg, dest, thickness, occ, params)).collect()
 }
 
-/// [`glyph_stats`] through the process-global per-glyph cache. The key
-/// captures everything the stroke walk reads: the glyph identity and
-/// placement, the GPU parameters, and the occlusion bits inside the glyph's
-/// padded bounding region (strokes never query cells outside their
+/// [`glyph_stats`] through the process-global glyph cache. The key captures
+/// everything the stroke walk reads: the glyph identity and placement, the
+/// GPU parameters, and the occlusion bits inside the glyph's padded bounding
+/// region (strokes never query cells outside their
 /// [`Segment::screen_bounds`]).
 ///
 /// The key computation itself is cache-hit-cheap: the glyph's screen bounds
 /// come from the once-per-process design-grid bounding-box table
 /// ([`font::glyph_screen_bounds`]) instead of a per-call fold over every
-/// stroke's `screen_bounds`, and the stroke table lookup is deferred into
-/// the miss closure.
-pub(crate) fn glyph_stats_cached(
+/// stroke's `screen_bounds`, and the stroke table lookup is deferred to a
+/// miss.
+fn glyph_stats_cached(
     ch: char,
     dest: &Rect,
     thickness: i32,
     occ: &OcclusionGrid,
     params: &GpuParams,
-) -> Arc<Vec<PrimStats>> {
+) -> Arc<[PrimStats]> {
     let bounds = font::glyph_screen_bounds(ch, dest, thickness);
     let mut m = memo::Mixer::new();
     m.write(ch as u64);
@@ -406,71 +407,156 @@ pub(crate) fn glyph_stats_cached(
     m.write_i32(dest.y1);
     m.write_i32(thickness);
     memo::write_params(&mut m, params);
-    let occ_fp = memo::glyph_occlusion_fingerprint(&bounds, occ);
-    m.write(occ_fp.lo);
-    m.write(occ_fp.hi);
-    glyph_cache().get_or_insert_with(m.finish(), || glyph_stats(ch, dest, thickness, occ, params))
+    m.write_fp(memo::glyph_occlusion_fingerprint(&bounds, occ));
+    let key = m.finish();
+    let cache = memo::glyph_cache();
+    if let Some(hit) = cache.lock().get(&key).cloned() {
+        spansight::count("adreno.memo.glyph_hits", 1);
+        return hit;
+    }
+    spansight::count("adreno.memo.glyph_misses", 1);
+    let stats: Arc<[PrimStats]> = glyph_stats(ch, dest, thickness, occ, params).into();
+    cache.insert_all([(key, Arc::clone(&stats))]);
+    stats
 }
 
-fn glyph_cache() -> &'static memo::GlyphCache<Vec<PrimStats>> {
-    static CACHE: OnceLock<memo::GlyphCache<Vec<PrimStats>>> = OnceLock::new();
-    CACHE.get_or_init(memo::GlyphCache::new)
-}
+/// Running `(cycles, counters)` sums over one layer's per-primitive results
+/// in submission order: entry `k` sums the first `k + 1` results (a glyph
+/// contributes one result per stroke).
+type LayerSums = Arc<[(u64, CounterSet)]>;
 
-pub(crate) fn glyph_cache_stats() -> memo::CacheStats {
-    glyph_cache().stats()
-}
-
-pub(crate) fn reset_glyph_cache() {
-    glyph_cache().reset()
-}
-
-/// Per-prim stats of one layer against its occlusion mask — exactly the
-/// pass-2 inner loop of [`render_impl`] for a single layer, glyph cache on.
-/// The incremental renderer recomputes dirty layers through this, so a
-/// merged stream of per-layer results is element-identical to a full pass 2.
-pub(crate) fn layer_stats(
-    layer: &crate::scene::Layer,
-    mask: &OcclusionGrid,
-    params: &GpuParams,
-) -> Vec<PrimStats> {
-    let mut out: Vec<PrimStats> = Vec::with_capacity(layer.prims().len() * 2);
+/// The sums of `layer` against `mask`, the occlusion cast by the layers
+/// above it.
+fn layer_sums(layer: &Layer, mask: &OcclusionGrid, params: &GpuParams) -> LayerSums {
+    let mut sums = Vec::with_capacity(layer.prims().len() * 2);
+    let (mut cycles, mut counters) = (0u64, CounterSet::ZERO);
+    let mut push = |s: PrimStats| {
+        cycles += s.cycles;
+        counters += s.to_counters();
+        sums.push((cycles, counters));
+    };
     for prim in layer.prims() {
         match prim {
-            Primitive::Quad { rect, opaque } => {
-                out.push(process_quad(rect, *opaque, mask, params));
-            }
+            Primitive::Quad { rect, opaque } => push(process_quad(rect, *opaque, mask, params)),
             Primitive::Glyph { ch, dest, thickness } => {
-                let stats = glyph_stats_cached(*ch, dest, *thickness, mask, params);
-                out.extend(stats.iter().copied());
+                for s in glyph_stats_cached(*ch, dest, *thickness, mask, params).iter() {
+                    push(*s);
+                }
             }
             Primitive::Stroke { seg, dest, thickness } => {
-                out.push(process_stroke(seg, dest, *thickness, mask, params));
+                push(process_stroke(seg, dest, *thickness, mask, params))
             }
         }
     }
-    out
+    sums.into()
+}
+
+/// Layer-cache keys of every layer of `draw_list`, back to front, into
+/// `keys`. A layer's key folds its content fingerprint with its
+/// occlusion-above fingerprint: the GPU parameters, the viewport, and the
+/// opaque-quad fingerprints of the occluding layers above it. Equal
+/// occlusion-above fingerprints mean equal opaque-rect streams above, hence
+/// equal masks, so equal keys mean equal sums. O(layers): each layer carries
+/// its fingerprints.
+fn layer_keys(draw_list: &DrawList, params: &GpuParams, keys: &mut Vec<memo::Fingerprint>) {
+    let layers = draw_list.layers();
+    let mut above = memo::Mixer::new();
+    memo::write_params(&mut above, params);
+    above.write_i32(draw_list.width());
+    above.write_i32(draw_list.height());
+    keys.clear();
+    for layer in layers.iter().rev() {
+        let mut m = memo::Mixer::new();
+        m.write_fp(layer.content_fp());
+        m.write_fp(above.finish());
+        keys.push(m.finish());
+        if layer.has_opaque() {
+            above.write_fp(layer.opaque_fp());
+        }
+    }
+    keys.reverse();
+}
+
+/// Computes the layers missing from `sums` top-down, against one occlusion
+/// grid that accumulates the opaque quads of each layer passed, and stores
+/// them in the layer cache. Returns the number of per-primitive results
+/// computed.
+fn compute_missing_layers(
+    draw_list: &DrawList,
+    params: &GpuParams,
+    keys: &[memo::Fingerprint],
+    sums: &mut [Option<LayerSums>],
+) -> u64 {
+    let _span = spansight::span("adreno", "render.layers");
+    let lowest = sums.iter().position(Option::is_none).expect("a layer is missing");
+    let layers = draw_list.layers();
+    let mut grid = OcclusionGrid::new(draw_list.width(), draw_list.height());
+    let mut fresh = Vec::new();
+    let mut prims = 0u64;
+    for i in (lowest..layers.len()).rev() {
+        if sums[i].is_none() {
+            let computed = layer_sums(&layers[i], &grid, params);
+            prims += computed.len() as u64;
+            sums[i] = Some(Arc::clone(&computed));
+            fresh.push((keys[i], computed));
+        }
+        if i > lowest && layers[i].has_opaque() {
+            for prim in layers[i].prims() {
+                if let Primitive::Quad { rect, opaque: true } = prim {
+                    grid.add_opaque_rect(rect);
+                }
+            }
+        }
+    }
+    spansight::count("adreno.render.layers", fresh.len() as u64);
+    spansight::count("adreno.render.prims", prims);
+    memo::layer_cache().insert_all(fresh);
+    prims
+}
+
+/// Assembles a frame from its layers' running sums, back to front: the
+/// totals, cycles and [`CHECKPOINTS_PER_FRAME`] checkpoints
+/// [`fold_prim_stream`] derives from the frame's whole per-primitive
+/// stream, in O(layers + checkpoints). A checkpoint is the sum of every
+/// layer below plus one running sum.
+fn assemble<'a>(layers: impl Iterator<Item = &'a [(u64, CounterSet)]> + Clone) -> RenderOutput {
+    let total: usize = layers.clone().map(<[_]>::len).sum();
+    let (mut cycles, mut totals) = (0u64, CounterSet::ZERO);
+    if total == 0 {
+        return RenderOutput { totals, total_cycles: cycles, checkpoints: Vec::new() };
+    }
+    let chunk = total.div_ceil(CHECKPOINTS_PER_FRAME);
+    let mut checkpoints = Vec::with_capacity(total.div_ceil(chunk));
+    // `next` is the frame-wide index of the next checkpointed result: every
+    // `chunk`-th one, and the last.
+    let (mut next, mut start) = (chunk - 1, 0);
+    for sums in layers {
+        while next < start + sums.len() {
+            let (c, set) = sums[next - start];
+            checkpoints.push((cycles + c, totals + set));
+            next = if next + 1 == total { usize::MAX } else { (next + chunk).min(total - 1) };
+        }
+        if let Some(&(c, set)) = sums.last() {
+            cycles += c;
+            totals += set;
+        }
+        start += sums.len();
+    }
+    RenderOutput { totals, total_cycles: cycles, checkpoints }
 }
 
 /// Folds an ordered per-prim stats stream into a [`RenderOutput`]: totals,
-/// cycles, and the [`CHECKPOINTS_PER_FRAME`] cumulative checkpoints. Both
-/// the full renderer and the incremental renderer aggregate through this
-/// single function, so their outputs agree bit-for-bit whenever their
-/// per-prim streams do (everything here is integer addition in stream
-/// order).
-pub(crate) fn fold_prim_stream(
-    prims: impl Iterator<Item = PrimStats>,
-    total_prims: usize,
-) -> RenderOutput {
+/// cycles, and the [`CHECKPOINTS_PER_FRAME`] cumulative checkpoints.
+fn fold_prim_stream(prims: &[PrimStats]) -> RenderOutput {
     let mut checkpoints = Vec::with_capacity(CHECKPOINTS_PER_FRAME);
     let mut cum = CounterSet::ZERO;
     let mut cyc = 0u64;
-    if total_prims > 0 {
-        let chunk = total_prims.div_ceil(CHECKPOINTS_PER_FRAME);
-        for (i, s) in prims.enumerate() {
+    if !prims.is_empty() {
+        let chunk = prims.len().div_ceil(CHECKPOINTS_PER_FRAME);
+        for (i, s) in prims.iter().enumerate() {
             cum += s.to_counters();
             cyc += s.cycles;
-            if (i + 1) % chunk == 0 || i + 1 == total_prims {
+            if (i + 1) % chunk == 0 || i + 1 == prims.len() {
                 checkpoints.push((cyc, cum));
             }
         }
@@ -517,6 +603,14 @@ pub struct RenderOutput {
 /// Layers occlude strictly lower layers via their opaque quads, at LRZ-tile
 /// granularity. Primitives execute in submission (back-to-front) order.
 ///
+/// This is the one render path. Each layer's share of the frame is a pure
+/// function of its content and of the occlusion the layers above cast, so
+/// the frame is assembled from the process-wide layer cache
+/// ([`crate::memo`]): every layer is looked up under one lock, only the
+/// missing layers are computed, and a frame whose layers are all cached
+/// costs O(layers + checkpoints) and one allocation, its checkpoint vector.
+/// The output equals [`render_uncached`]'s.
+///
 /// # Examples
 ///
 /// ```
@@ -531,23 +625,53 @@ pub struct RenderOutput {
 /// assert!(out.totals.total() > 0);
 /// ```
 pub fn render(draw_list: &DrawList, params: &GpuParams) -> RenderOutput {
-    render_impl(draw_list, params, true)
+    render_counted(draw_list, params, &mut IncrementalStats::default())
 }
 
-/// [`render`] with every cache layer bypassed: glyph stroke stats are
-/// recomputed from scratch. Reference implementation for the memoization
-/// property tests and the cold-path benchmarks; produces output identical
-/// to [`render`] and [`crate::memo::render_cached`].
+thread_local! {
+    /// [`render_counted`]'s layer keys, high-water-marked so a frame whose
+    /// layers are all cached allocates nothing here.
+    static LAYER_KEYS: std::cell::RefCell<Vec<memo::Fingerprint>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// [`render`], tallying the frame and its layers into `stats`. A frame
+/// whose layers are all cached is assembled under the cache's lock, from
+/// the cached sums themselves.
+pub(crate) fn render_counted(
+    draw_list: &DrawList,
+    params: &GpuParams,
+    stats: &mut IncrementalStats,
+) -> RenderOutput {
+    LAYER_KEYS.with(|keys| {
+        let keys = &mut *keys.borrow_mut();
+        layer_keys(draw_list, params, keys);
+        stats.frames += 1;
+        let mut sums: Vec<Option<LayerSums>> = {
+            let cache = memo::layer_cache().lock();
+            if keys.iter().all(|k| cache.contains_key(k)) {
+                stats.identical_frames += 1;
+                stats.layers_reused += keys.len() as u64;
+                return assemble(keys.iter().map(|k| &*cache[k]));
+            }
+            keys.iter().map(|k| cache.get(k).cloned()).collect()
+        };
+        let missing = sums.iter().filter(|s| s.is_none()).count() as u64;
+        stats.layers_reused += keys.len() as u64 - missing;
+        stats.layers_dirty += missing;
+        stats.prims_recomputed += compute_missing_layers(draw_list, params, keys, &mut sums);
+        assemble(sums.iter().map(|s| &**s.as_ref().expect("every missing layer was computed")))
+    })
+}
+
+/// [`render`] without any cache: every layer's mask and every primitive,
+/// glyph strokes included, is computed from scratch and the whole
+/// per-primitive stream is folded in one pass. The reference that tests and
+/// benchmarks compare [`render`] against.
 pub fn render_uncached(draw_list: &DrawList, params: &GpuParams) -> RenderOutput {
-    render_impl(draw_list, params, false)
-}
-
-fn render_impl(draw_list: &DrawList, params: &GpuParams, use_glyph_cache: bool) -> RenderOutput {
-    let _span = spansight::span("adreno", "render");
     let layers = draw_list.layers();
 
     // Pass 1 (front-to-back): per-layer occlusion masks from higher layers.
-    let pass1 = spansight::span("adreno", "render.occlusion_pass");
     // `masks[i]` is the occlusion seen by layer i. Snapshots are shared:
     // a layer adding no opaque occlusion reuses the previous snapshot `Arc`
     // untouched, and the bottom layer takes the accumulator by move, so a
@@ -585,10 +709,8 @@ fn render_impl(draw_list: &DrawList, params: &GpuParams, use_glyph_cache: bool) 
         rev.reverse();
         rev
     };
-    drop(pass1);
 
     // Pass 2 (back-to-front): process primitives against their layer's mask.
-    let pass2 = spansight::span("adreno", "render.prim_pass");
     let mut per_prim: Vec<PrimStats> = Vec::with_capacity(draw_list.prim_count() * 2);
     for (layer, mask) in layers.iter().zip(masks.iter()) {
         for prim in layer.prims() {
@@ -597,12 +719,7 @@ fn render_impl(draw_list: &DrawList, params: &GpuParams, use_glyph_cache: bool) 
                     per_prim.push(process_quad(rect, *opaque, mask, params));
                 }
                 Primitive::Glyph { ch, dest, thickness } => {
-                    if use_glyph_cache {
-                        let stats = glyph_stats_cached(*ch, dest, *thickness, mask, params);
-                        per_prim.extend(stats.iter().copied());
-                    } else {
-                        per_prim.extend(glyph_stats(*ch, dest, *thickness, mask, params));
-                    }
+                    per_prim.extend(glyph_stats(*ch, dest, *thickness, mask, params));
                 }
                 Primitive::Stroke { seg, dest, thickness } => {
                     per_prim.push(process_stroke(seg, dest, *thickness, mask, params));
@@ -610,20 +727,7 @@ fn render_impl(draw_list: &DrawList, params: &GpuParams, use_glyph_cache: bool) 
             }
         }
     }
-
-    drop(pass2);
-
-    // Aggregate + checkpoint.
-    let out = fold_prim_stream(per_prim.iter().copied(), per_prim.len());
-    spansight::count("adreno.render.calls", 1);
-    spansight::count("adreno.render.prims", per_prim.len() as u64);
-    spansight::count(
-        "adreno.render.lrz_8x8_tiles",
-        out.totals[TrackedCounter::LrzFull8x8Tiles]
-            + out.totals[TrackedCounter::LrzPartial8x8Tiles],
-    );
-    spansight::count("adreno.render.ras_8x4_tiles", out.totals[TrackedCounter::Ras8x4Tiles]);
-    out
+    fold_prim_stream(&per_prim)
 }
 
 #[cfg(test)]
@@ -794,5 +898,61 @@ mod tests {
         assert!(out.totals.is_zero());
         assert_eq!(out.total_cycles, 0);
         assert!(out.checkpoints.is_empty());
+    }
+
+    /// A keyboard-like frame: backdrop, key row, a translucent animation
+    /// layer at `anim_x`, an opaque popup at `popup_x` and its glyph layer
+    /// on top. `vw` must be unique per test: the layer cache is
+    /// process-global, and another test's layers would turn the computes
+    /// asserted here into hits.
+    fn keyboard_frame(vw: i32, anim_x: i32, popup_x: i32) -> DrawList {
+        let mut dl = DrawList::new(vw, 512);
+        dl.layer("bg").quad(Rect::from_xywh(0, 0, vw, 512), true);
+        let keys = dl.layer("keys");
+        for i in 0..10 {
+            keys.quad(Rect::from_xywh(i * 50, 300, 46, 60), true);
+            keys.glyph((b'a' + i as u8) as char, Rect::from_xywh(i * 50 + 8, 308, 30, 44), 4);
+        }
+        dl.layer("anim").quad(Rect::from_xywh(anim_x, 100, 200, 200), false);
+        dl.layer("popup").quad(Rect::from_xywh(popup_x, 180, 90, 110), true);
+        dl.layer("popup-glyph").glyph('w', Rect::from_xywh(205, 185, 80, 100), 8);
+        dl
+    }
+
+    /// Renders `dl`, checks it against the reference, and returns what the
+    /// frame took from the layer cache and computed.
+    fn tally(dl: &DrawList) -> IncrementalStats {
+        let mut stats = IncrementalStats::default();
+        assert_eq!(render_counted(dl, &params(), &mut stats), render_uncached(dl, &params()));
+        stats
+    }
+
+    #[test]
+    fn a_repeated_frame_is_assembled_from_cached_layers() {
+        let dl = keyboard_frame(520, 100, 200);
+        let cold = tally(&dl);
+        assert_eq!((cold.layers_dirty, cold.layers_reused, cold.identical_frames), (5, 0, 0));
+        assert!(cold.prims_recomputed > 10, "{cold:?}");
+        let warm = tally(&dl);
+        assert_eq!((warm.layers_dirty, warm.layers_reused, warm.identical_frames), (0, 5, 1));
+        assert_eq!(warm.prims_recomputed, 0);
+    }
+
+    #[test]
+    fn a_translucent_change_computes_only_its_layer() {
+        let _ = tally(&keyboard_frame(528, 100, 200));
+        // It occludes nothing, so every other layer keeps its key.
+        let moved = tally(&keyboard_frame(528, 104, 200));
+        assert_eq!((moved.layers_dirty, moved.layers_reused), (1, 4));
+        assert_eq!(moved.prims_recomputed, 1);
+    }
+
+    #[test]
+    fn a_moved_occluder_recomputes_itself_and_the_layers_below() {
+        let _ = tally(&keyboard_frame(536, 100, 200));
+        // The popup glyph layer above keeps its key; the popup and the
+        // three layers it occludes are computed.
+        let moved = tally(&keyboard_frame(536, 100, 240));
+        assert_eq!((moved.layers_dirty, moved.layers_reused), (4, 1));
     }
 }

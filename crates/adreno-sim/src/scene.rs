@@ -8,14 +8,13 @@
 //! A draw list holds its layers as `Arc<Layer>`, so a window can build a
 //! layer whose content never changes (a keyboard's key grid, an app's
 //! chrome) once and share it across frames and sessions. Each layer keeps
-//! its own summary — content fingerprint, opaque-quad fingerprint, bounds —
-//! up to date as primitives are added, so fingerprinting a frame costs
+//! its own summary — content fingerprint and opaque-quad fingerprint — up
+//! to date as primitives are added, so keying a frame's layers costs
 //! O(layers), not O(primitives). The primitives themselves are private to
 //! this crate: nothing can change a layer without its summary following.
 
 use std::sync::Arc;
 
-use crate::font;
 use crate::geom::{Rect, Segment};
 use crate::memo::{self, Fingerprint, Mixer};
 
@@ -33,29 +32,14 @@ pub enum Primitive {
     Stroke { seg: Segment, dest: Rect, thickness: i32 },
 }
 
-impl Primitive {
-    /// A conservative bounding box of the primitive in screen space.
-    pub fn bounds(&self) -> Rect {
-        match self {
-            Primitive::Quad { rect, .. } => *rect,
-            Primitive::Glyph { ch, dest, thickness } => {
-                font::glyph_screen_bounds(*ch, dest, *thickness)
-            }
-            Primitive::Stroke { seg, dest, thickness } => {
-                seg.screen_bounds(dest, font::GRID, *thickness)
-            }
-        }
-    }
-}
-
 /// One rendering layer: a group of primitives at the same depth.
 ///
-/// Besides its primitives, a layer carries a summary that every renderer
+/// Besides its primitives, a layer carries a summary that the renderer
 /// reads instead of re-walking the primitives: a fingerprint of the
-/// primitive stream (what [`crate::memo::fingerprint`] folds per layer), a
-/// fingerprint of its non-empty opaque quads, the union of the primitive
-/// bounds and whether any opaque quad is present. The builder methods fold
-/// each primitive into the summary as it is added.
+/// primitive stream, a fingerprint of its non-empty opaque quads and
+/// whether any opaque quad is present. The renderer keys the layer cache by
+/// these. The builder methods fold each primitive into the summary as it is
+/// added.
 #[derive(Debug, Clone)]
 pub struct Layer {
     /// Human-readable tag, for debugging and tests ("keyboard", "popup", …).
@@ -63,7 +47,6 @@ pub struct Layer {
     prims: Vec<Primitive>,
     content: Mixer,
     opaque: Mixer,
-    bounds: Rect,
     has_opaque: bool,
 }
 
@@ -75,7 +58,6 @@ impl Layer {
             prims: Vec::new(),
             content: Mixer::new(),
             opaque: Mixer::new(),
-            bounds: Rect::EMPTY,
             has_opaque: false,
         }
     }
@@ -104,7 +86,6 @@ impl Layer {
 
     fn push(&mut self, prim: Primitive) -> &mut Self {
         memo::write_prim(&mut self.content, &prim);
-        self.bounds = self.bounds.union(&prim.bounds());
         self.prims.push(prim);
         self
     }
@@ -123,11 +104,6 @@ impl Layer {
     /// lower layer's occlusion mask can learn from this layer.
     pub(crate) fn opaque_fp(&self) -> Fingerprint {
         self.opaque.finish()
-    }
-
-    /// Union of the primitives' screen-space bounds.
-    pub(crate) fn bounds(&self) -> Rect {
-        self.bounds
     }
 
     /// Whether the layer holds a non-empty opaque quad (occludes anything).
@@ -252,7 +228,6 @@ mod tests {
         layer.quad(Rect::from_xywh(20, 20, 10, 10), true);
         assert!(layer.has_opaque());
         assert_ne!(layer.content_fp(), before);
-        assert_eq!(layer.bounds(), Rect::new(0, 0, 30, 30));
 
         // Pushing an `Arc` shares the layer, summary and all.
         let shared = Arc::new(layer);
@@ -261,23 +236,6 @@ mod tests {
         dl.layer("top").glyph('x', Rect::from_xywh(0, 0, 16, 16), 2);
         assert!(Arc::ptr_eq(&dl.layers()[0], &shared));
         assert_eq!(dl.prim_count(), 4);
-    }
-
-    #[test]
-    fn glyph_bounds_cover_strokes() {
-        let dest = Rect::from_xywh(100, 200, 80, 80);
-        let p = Primitive::Glyph { ch: 'o', dest, thickness: 4 };
-        let b = p.bounds();
-        // 'o' spans grid 2..=7 in both axes; bounds must sit inside a
-        // slightly padded dest and be non-empty.
-        assert!(!b.is_empty());
-        assert!(b.x0 >= dest.x0 - 4 && b.x1 <= dest.x1 + 4);
-    }
-
-    #[test]
-    fn space_glyph_has_empty_bounds() {
-        let p = Primitive::Glyph { ch: ' ', dest: Rect::from_xywh(0, 0, 50, 50), thickness: 4 };
-        assert!(p.bounds().is_empty());
     }
 
     #[test]

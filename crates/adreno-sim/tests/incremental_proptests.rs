@@ -1,20 +1,22 @@
-//! Frame-sequence equivalence for the incremental frame-delta renderer.
+//! Frame-sequence equivalence for the layer-cache render path.
 //!
-//! A persistent [`FrameRenderer`] carries reuse state from frame to frame, so
+//! [`render`] assembles each frame from layers cached by earlier frames, so
 //! its correctness is a property of *sequences*, not of single draw lists:
-//! a stale fingerprint comparison only shows up when a specific edit follows
-//! a specific history. These tests drive a renderer through random
-//! keyboard-like edit scripts — popup add/remove/move (including positions
-//! hanging off the viewport edge), typing and deleting echo glyphs, layer
-//! insert/delete, occluder resize/toggle and identical-frame holds — and
-//! require the output of every frame to be bit-identical to
-//! [`render_uncached`].
+//! a layer-cache key that misses some occlusion only shows up when a
+//! specific edit follows a specific history. These tests drive a [`Gpu`]
+//! through random keyboard-like edit scripts — popup add/remove/move
+//! (including positions hanging off the viewport edge), typing and deleting
+//! echo glyphs, layer insert/delete, occluder resize/toggle and
+//! identical-frame holds — and require every frame of [`render`] to be
+//! bit-identical to [`render_uncached`], and every frame [`Gpu::submit`]
+//! queues to carry its totals and cycles.
 
 use adreno_sim::geom::Rect;
-use adreno_sim::incremental::FrameRenderer;
+use adreno_sim::gpu::Gpu;
 use adreno_sim::model::{GpuModel, ALL_MODELS};
-use adreno_sim::pipeline::render_uncached;
+use adreno_sim::pipeline::{render, render_uncached};
 use adreno_sim::scene::DrawList;
+use adreno_sim::time::SimInstant;
 use proptest::prelude::*;
 
 const W: i32 = 720;
@@ -157,17 +159,26 @@ impl SceneState {
 
 fn run_script(script: &[Edit], model: GpuModel) -> Result<(), TestCaseError> {
     let params = model.params();
-    let mut renderer = FrameRenderer::new();
+    let mut gpu = Gpu::new(model);
     let mut state = SceneState::default();
+    let mut now = SimInstant::ZERO;
     for (frame, edit) in script.iter().enumerate() {
         state.apply(edit);
         let dl = state.build();
-        let incremental = renderer.render(&dl, &params);
         let reference = render_uncached(&dl, &params);
-        prop_assert_eq!(&*incremental, &reference, "frame {} diverged after {:?}", frame, edit);
-        prop_assert_eq!(incremental.totals, reference.totals);
+        prop_assert_eq!(
+            &render(&dl, &params),
+            &reference,
+            "frame {} diverged after {:?}",
+            frame,
+            edit
+        );
+        let submitted = gpu.submit(&dl, now);
+        prop_assert_eq!(submitted.totals, reference.totals);
+        prop_assert_eq!(submitted.cycles, reference.total_cycles);
+        now = submitted.end;
     }
-    prop_assert_eq!(renderer.stats().frames, script.len() as u64);
+    prop_assert_eq!(gpu.incremental_stats().frames, script.len() as u64);
     Ok(())
 }
 
@@ -203,7 +214,6 @@ fn offscreen_popup_sequence_matches_uncached() {
     // Deterministic viewport-edge regression: the popup walks off every
     // edge, including fully outside the render target.
     let params = GpuModel::Adreno650.params();
-    let mut renderer = FrameRenderer::new();
     let mut state = SceneState::default();
     let walk = [
         Edit::ShowPopup { ch: 'w', x: -50, y: -70 },
@@ -216,6 +226,6 @@ fn offscreen_popup_sequence_matches_uncached() {
     for edit in &walk {
         state.apply(edit);
         let dl = state.build();
-        assert_eq!(*renderer.render(&dl, &params), render_uncached(&dl, &params));
+        assert_eq!(render(&dl, &params), render_uncached(&dl, &params));
     }
 }

@@ -28,13 +28,11 @@
 //! frame.
 //!
 //! Consecutive damaged frames of one window differ by a layer or two (popup
-//! shown/hidden, one more echo glyph), so the GPU renders these draw lists
-//! through its incremental frame-delta engine
-//! ([`adreno_sim::incremental`]): each surface's viewport keeps a persistent
-//! renderer that diffs against the previous frame and recomputes only the
-//! changed layers, with output bit-identical to a full render. Every layer
-//! carries its own fingerprints, so a frame of shared layers is keyed in
-//! O(layers).
+//! shown/hidden, one more echo glyph), and the GPU renders these draw lists
+//! through [`adreno_sim::pipeline::render`], which assembles each frame from
+//! a process-wide cache of layers and computes only the layers it lacks,
+//! with output bit-identical to a full render. Every layer carries its own
+//! fingerprints, so a frame of shared layers is keyed in O(layers).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};

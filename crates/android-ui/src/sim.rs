@@ -269,13 +269,14 @@ impl UiSimulation {
         self.device.gpu_mut()
     }
 
-    /// Reuse counters of the GPU's incremental frame renderers.
+    /// What the GPU's frames took from the layer cache and what they
+    /// computed.
     ///
-    /// Each window's per-vsync submissions flow through the GPU's
-    /// per-viewport [`adreno_sim::incremental::FrameRenderer`]s, so
-    /// consecutive damaged frames of one surface (keyboard with/without a
-    /// popup, app window growing by one echo glyph) only recompute the
-    /// changed layers.
+    /// Each window's per-vsync submissions go through
+    /// [`adreno_sim::pipeline::render`], which assembles a frame from the
+    /// process-wide layer cache, so a damaged frame (keyboard with or
+    /// without a popup, app window growing by one echo glyph) computes only
+    /// the layers no earlier frame of any session drew.
     pub fn incremental_stats(&self) -> adreno_sim::incremental::IncrementalStats {
         self.device.gpu().incremental_stats()
     }

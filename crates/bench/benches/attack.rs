@@ -57,6 +57,13 @@ fn bench_render_keyboard_frame(c: &mut Criterion) {
     kw.show_popup('w');
     let dl = kw.draw();
     let params = GpuModel::Adreno650.params();
+    // The same frame through the reference pipeline and through `render`,
+    // whose layers are all cached after this first call: the steady-state
+    // cost of a repeated popup frame.
+    assert_eq!(render(&dl, &params), render_uncached(&dl, &params));
+    c.bench_function("render_popup_frame_uncached", |b| {
+        b.iter(|| render_uncached(black_box(&dl), &params))
+    });
     c.bench_function("render_keyboard_popup_frame", |b| b.iter(|| render(black_box(&dl), &params)));
 }
 
@@ -91,24 +98,6 @@ fn bench_ioctl_read(c: &mut Criterion) {
     });
 }
 
-fn bench_render_memoized(c: &mut Criterion) {
-    let cfg = SimConfig::paper_default(0);
-    let mut kw = KeyboardWindow::new(KeyboardKind::Gboard, &cfg.device, true);
-    kw.show_popup('w');
-    let dl = kw.draw();
-    let params = GpuModel::Adreno650.params();
-    // The same frame through the raw pipeline vs through the memo layer
-    // once it is warm — the steady-state cost of a repeated popup frame.
-    c.bench_function("render_popup_frame_uncached", |b| {
-        b.iter(|| render_uncached(black_box(&dl), &params))
-    });
-    adreno_sim::reset_render_caches();
-    black_box(adreno_sim::render_cached(&dl, &params));
-    c.bench_function("render_popup_frame_memoized", |b| {
-        b.iter(|| adreno_sim::render_cached(black_box(&dl), &params))
-    });
-}
-
 fn eval_fig17_style(pool: &Pool) -> f64 {
     let opts = TrialOptions::paper_default(0);
     let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
@@ -132,7 +121,6 @@ criterion_group!(
     bench_algorithm1,
     bench_render_keyboard_frame,
     bench_render_fullscreen,
-    bench_render_memoized,
     bench_eval_parallelism,
     bench_model_serde,
     bench_ioctl_read

@@ -1,26 +1,28 @@
-//! Prices the incremental frame-delta renderer against the full pipeline,
-//! in the same binary and run (the host drifts between runs; only same-run
+//! Prices the layer-cache render path against the reference pipeline, in
+//! the same binary and run (the host drifts between runs; only same-run
 //! ratios are trustworthy):
 //!
-//! * **cold** — first frame of a stream with every process-global cache
-//!   reset: the incremental path pays fingerprinting and diff bookkeeping
-//!   on top of the full render, its overhead ceiling;
+//! * **cold** — every layer of the frame is novel (each carries a marker
+//!   that changes every iteration), so `render` computes them all: its
+//!   overhead ceiling — keying, lookups and cache inserts on top of the
+//!   reference's work;
 //! * **dirty one layer** — a translucent animation layer (the PNC-style
-//!   login decoration) changes every frame while the keyboard holds: masks
-//!   and clean layers are reused and only the animated layer recomputes,
-//!   the per-frame shape animated login pages actually submit;
+//!   login decoration) changes every frame while the keyboard holds: every
+//!   other layer comes from the cache and only the animated layer is
+//!   computed, the per-frame shape animated login pages actually submit;
 //! * **identical** — the frame repeats unchanged, the dominant vsync case:
-//!   the previous-frame shortcut answers after one fingerprint pass.
+//!   every layer comes from the cache.
 //!
-//! The incremental/uncached pairs are asserted bit-equal right here before
-//! timing (and pinned at scale by the frame-sequence proptests in
+//! Nothing resets the caches, so "cold" is a frame no earlier frame shared
+//! a layer with. Each `render` output is asserted equal to
+//! `render_uncached` here before timing, cold and warm (and pinned at scale
+//! by the frame-sequence proptests in
 //! `crates/adreno-sim/tests/incremental_proptests.rs`).
 
 use adreno_sim::geom::{Rect, Segment};
-use adreno_sim::incremental::FrameRenderer;
 use adreno_sim::model::{GpuModel, GpuParams};
-use adreno_sim::pipeline::render_uncached;
-use adreno_sim::scene::DrawList;
+use adreno_sim::pipeline::{render, render_uncached};
+use adreno_sim::scene::{DrawList, Layer};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const W: i32 = 1080;
@@ -28,16 +30,18 @@ const H: i32 = 920;
 
 /// A keyboard-like frame: opaque background, echo field, three key rows
 /// with glyphs, and a held key popup — the static backdrop of a session.
-fn keyboard_frame() -> DrawList {
+/// Every layer opens with an empty quad at `x = marker`, which draws
+/// nothing but makes the layer novel to the layer cache for each marker.
+fn keyboard_frame(marker: i32) -> DrawList {
     let mut dl = DrawList::new(W, H);
-    dl.layer("bg").quad(Rect::from_xywh(0, 0, W, H), true);
-    let field = dl.layer("field");
+    marked_layer(&mut dl, "bg", marker).quad(Rect::from_xywh(0, 0, W, H), true);
+    let field = marked_layer(&mut dl, "field", marker);
     field.quad(Rect::from_xywh(16, 16, W - 32, 56), true);
     for i in 0..8 {
         field.glyph('*', Rect::from_xywh(24 + 30 * i, 24, 24, 40), 4);
     }
     for row in 0..3 {
-        let keys = dl.layer("keys");
+        let keys = marked_layer(&mut dl, "keys", marker);
         for i in 0..10 {
             let x = i * 108 + row * 18;
             let y = H - 300 + row * 96;
@@ -49,17 +53,25 @@ fn keyboard_frame() -> DrawList {
             );
         }
     }
-    dl.layer("popup").quad(Rect::from_xywh(360, H - 420, 96, 116), true);
-    dl.layer("popup-glyph").glyph('f', Rect::from_xywh(366, H - 414, 84, 104), 8);
+    marked_layer(&mut dl, "popup", marker).quad(Rect::from_xywh(360, H - 420, 96, 116), true);
+    marked_layer(&mut dl, "popup-glyph", marker).glyph(
+        'f',
+        Rect::from_xywh(366, H - 414, 84, 104),
+        8,
+    );
     dl
 }
 
+/// A new topmost layer opening with an empty quad at `x = marker`.
+fn marked_layer<'a>(dl: &'a mut DrawList, tag: &'static str, marker: i32) -> &'a mut Layer {
+    dl.layer(tag).quad(Rect::from_xywh(marker, 0, 0, 0), false)
+}
+
 /// The keyboard frame plus a translucent animated stroke layer at `phase`.
-/// Phases are effectively never-repeating (~82k combinations against a
-/// 4096-entry whole-list cache that clears on overflow), so every frame is
-/// novel at whole-frame granularity while only this one layer is dirty.
+/// Phases are effectively never-repeating (~82k combinations), so the
+/// animation layer is novel every frame while every other layer is cached.
 fn animated_frame(phase: u32) -> DrawList {
-    let mut dl = keyboard_frame();
+    let mut dl = keyboard_frame(0);
     let band =
         Rect::from_xywh(40, 140, 200 + (phase % 640) as i32, 240 + ((phase / 640) % 128) as i32);
     let anim = dl.layer("login-animation");
@@ -71,29 +83,34 @@ fn animated_frame(phase: u32) -> DrawList {
     dl
 }
 
+/// Cold, then warm: both renders equal the reference.
 fn assert_equivalent(dl: &DrawList, params: &GpuParams) {
-    let mut r = FrameRenderer::new();
-    assert_eq!(*r.render(dl, params), render_uncached(dl, params));
+    let reference = render_uncached(dl, params);
+    assert_eq!(render(dl, params), reference);
+    assert_eq!(render(dl, params), reference);
 }
 
 fn bench_render_incremental(c: &mut Criterion) {
     let params = GpuModel::Adreno650.params();
-    assert_equivalent(&keyboard_frame(), &params);
+    assert_equivalent(&keyboard_frame(-1), &params);
     for phase in [0, 1, 999_999] {
         assert_equivalent(&animated_frame(phase), &params);
     }
 
-    // Cold: a fresh renderer and freshly-reset caches every iteration. The
-    // incremental path's overhead ceiling vs the plain pipeline.
-    let cold = keyboard_frame();
+    // Cold: every layer novel every iteration. The cached path's overhead
+    // ceiling vs the plain pipeline; the reference renders the same frames.
     c.bench_function("render_incremental/cold_uncached_reference", |b| {
-        b.iter(|| black_box(render_uncached(black_box(&cold), &params)))
-    });
-    c.bench_function("render_incremental/cold_incremental", |b| {
+        let mut marker = 0;
         b.iter(|| {
-            adreno_sim::reset_render_caches();
-            let mut r = FrameRenderer::new();
-            black_box(r.render(black_box(&cold), &params))
+            marker += 1;
+            black_box(render_uncached(black_box(&keyboard_frame(marker)), &params))
+        })
+    });
+    c.bench_function("render_incremental/cold_render", |b| {
+        let mut marker = 1_000_000_000;
+        b.iter(|| {
+            marker += 1;
+            black_box(render(black_box(&keyboard_frame(marker)), &params))
         })
     });
 
@@ -105,26 +122,22 @@ fn bench_render_incremental(c: &mut Criterion) {
             black_box(render_uncached(black_box(&animated_frame(n)), &params))
         })
     });
-    c.bench_function("render_incremental/dirty_layer_incremental", |b| {
-        let mut r = FrameRenderer::new();
-        let _ = r.render(&animated_frame(0), &params); // warm baseline
+    c.bench_function("render_incremental/dirty_layer_render", |b| {
         let mut n = 2_000_000u32;
         b.iter(|| {
             n = n.wrapping_add(1);
-            black_box(r.render(black_box(&animated_frame(n)), &params))
+            black_box(render(black_box(&animated_frame(n)), &params))
         })
     });
 
-    // Identical: the steady vsync case. The reference still renders; the
-    // incremental renderer answers after one fingerprint pass.
+    // Identical: the steady vsync case. The reference still renders;
+    // `render` assembles the frame from cached layers.
     let held = animated_frame(7);
     c.bench_function("render_incremental/identical_uncached_reference", |b| {
         b.iter(|| black_box(render_uncached(black_box(&held), &params)))
     });
-    c.bench_function("render_incremental/identical_incremental", |b| {
-        let mut r = FrameRenderer::new();
-        let _ = r.render(&held, &params);
-        b.iter(|| black_box(r.render(black_box(&held), &params)))
+    c.bench_function("render_incremental/identical_render", |b| {
+        b.iter(|| black_box(render(black_box(&held), &params)))
     });
 }
 

@@ -49,11 +49,11 @@ fn end_to_end_run_records_spans_from_every_layer() {
     // counters.
     assert!(mine.counter("core.trace.deltas") > 0);
     assert!(mine.counter("core.service.sessions") > 0);
-    // The render memo cache is process-global, so a sibling test may have
-    // warmed it and render_impl (the "adreno"/"render" span) never runs
-    // here. The memo counters fire on hits and misses alike.
+    // The layer cache is process-global, so a sibling test may have warmed
+    // it and no layer is computed here (no "adreno" span). Every victim GPU
+    // publishes its frame tally when it drops, inside the run.
     assert!(
-        mine.counter("adreno.memo.render_hits") + mine.counter("adreno.memo.render_misses") > 0,
+        mine.counter("adreno.incremental.frames") > 0,
         "adreno-sim layer produced no telemetry"
     );
     assert!(

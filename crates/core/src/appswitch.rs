@@ -2,7 +2,7 @@
 //!
 //! Switching apps plays the overview animation: a run of large counter
 //! changes spaced less than 50 ms apart — far faster than human typing.
-//! The detector recognises these bursts and toggles an "in target app"
+//! [`SwitchStage`] recognises these bursts and toggles an "in target app"
 //! flag, so the inference engine only consumes changes produced while the
 //! victim is typing in the target application.
 
@@ -30,14 +30,26 @@ impl SwitchConfig {
     }
 }
 
-/// Streaming app-switch detector.
-///
-/// Feed every observed change in order; [`SwitchDetector::observe`] returns
-/// whether the victim is in the target app *after* accounting for that
-/// change.
+/// Events out of the app-switch filter stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwitchEvent {
+    /// The victim returned to the target app; the cursor-blink grid
+    /// re-anchors at this instant. Emitted *before* the typing change that
+    /// resolved the return.
+    Return(SimInstant),
+    /// A typing-sized change inside the target app.
+    Typing(Delta),
+}
+
+/// The app-switch filter (§5.2) as a streaming [`Stage`]: feed every
+/// observed change in order. It drops switch bursts and everything outside
+/// the target app, forwards typing-sized changes, and surfaces completed
+/// return bursts as [`SwitchEvent::Return`] markers.
 #[derive(Debug)]
-pub struct SwitchDetector {
+pub struct SwitchStage {
     config: SwitchConfig,
+    /// Whether the victim is believed to be in the target app; it starts
+    /// there.
     in_target: bool,
     burst_len: usize,
     last_big_at: Option<SimInstant>,
@@ -48,34 +60,15 @@ pub struct SwitchDetector {
     /// The last frame of a return burst still running: the victim's
     /// cursor-blink timer restarts when the switch-back animation
     /// *finishes*, so the re-anchor time is the burst's last frame, not its
-    /// first. Resolved by the first quiet in-target change (or at end of
-    /// stream via [`SwitchDetector::finish`]).
+    /// first. Resolved by the first quiet in-target change, or at the end of
+    /// the stream.
     pending_return: Option<SimInstant>,
-    /// `in_target` after the previous [`SwitchDetector::feed`] call; a
-    /// false→true edge starts the pending-return tracking.
-    was_inside: bool,
 }
 
-/// Verdict of one [`SwitchDetector::feed`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchOutcome {
-    /// A typing-sized change inside the target app — downstream inference
-    /// should consume it. When the change is the first quiet one after a
-    /// completed return burst, `returned_at` carries the burst's last-frame
-    /// timestamp (the blink-grid re-anchor point, §5.3).
-    Typing {
-        /// Re-anchor time of the return burst this change resolved, if any.
-        returned_at: Option<SimInstant>,
-    },
-    /// Outside the target app, or part of a switch animation burst — dropped
-    /// from the inference stream.
-    Filtered,
-}
-
-impl SwitchDetector {
-    /// Creates a detector; the victim starts in the target app.
+impl SwitchStage {
+    /// A stage whose victim starts in the target app.
     pub fn new(config: SwitchConfig) -> Self {
-        SwitchDetector {
+        SwitchStage {
             config,
             in_target: true,
             burst_len: 0,
@@ -83,13 +76,7 @@ impl SwitchDetector {
             toggled_this_burst: false,
             switches_detected: 0,
             pending_return: None,
-            was_inside: true,
         }
-    }
-
-    /// Whether the victim is currently believed to be in the target app.
-    pub fn in_target(&self) -> bool {
-        self.in_target
     }
 
     /// Number of switch bursts detected so far.
@@ -97,8 +84,9 @@ impl SwitchDetector {
         self.switches_detected
     }
 
-    /// Observes one change; returns `in_target` after the update.
-    pub fn observe(&mut self, delta: &Delta) -> bool {
+    /// Updates the burst state with one change; returns whether the victim
+    /// is in the target app after it.
+    fn observe(&mut self, delta: &Delta) -> bool {
         let big = delta.magnitude() >= self.config.magnitude_threshold;
         if big {
             let continues = self
@@ -123,90 +111,33 @@ impl SwitchDetector {
         }
         self.in_target
     }
-
-    /// Observes one change and classifies it for the inference stream:
-    /// [`SwitchDetector::observe`] plus the return-burst bookkeeping the
-    /// service used to inline. A burst frame that re-enters the target app
-    /// starts a pending return; further burst frames push its timestamp
-    /// forward ("burst still running"); the first quiet in-target change
-    /// resolves it as `returned_at`.
-    pub fn feed(&mut self, delta: &Delta) -> SwitchOutcome {
-        let burst = delta.magnitude() >= self.config.magnitude_threshold;
-        let was_inside = self.was_inside;
-        let inside = self.observe(delta);
-        self.was_inside = inside;
-        let mut returned_at = None;
-        if inside && !was_inside {
-            self.pending_return = Some(delta.at);
-        } else if inside && burst && self.pending_return.is_some() {
-            self.pending_return = Some(delta.at); // burst still running
-        } else if inside && !burst {
-            returned_at = self.pending_return.take();
-        }
-        if inside && !burst {
-            SwitchOutcome::Typing { returned_at }
-        } else {
-            SwitchOutcome::Filtered
-        }
-    }
-
-    /// Flushes a return burst still running at end of stream, yielding its
-    /// re-anchor time.
-    pub fn finish(&mut self) -> Option<SimInstant> {
-        self.pending_return.take()
-    }
-}
-
-/// Events out of the app-switch filter stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchEvent {
-    /// The victim returned to the target app; the cursor-blink grid
-    /// re-anchors at this instant. Emitted *before* the typing change that
-    /// resolved the return.
-    Return(SimInstant),
-    /// A typing-sized change inside the target app.
-    Typing(Delta),
-}
-
-/// [`Stage`] adapter over [`SwitchDetector::feed`] (§5.2): drops switch
-/// bursts and everything outside the target app, forwards typing-sized
-/// changes, and surfaces completed return bursts as [`SwitchEvent::Return`]
-/// markers.
-#[derive(Debug)]
-pub struct SwitchStage {
-    detector: SwitchDetector,
-}
-
-impl SwitchStage {
-    /// A stage over a fresh detector.
-    pub fn new(config: SwitchConfig) -> Self {
-        SwitchStage { detector: SwitchDetector::new(config) }
-    }
-
-    /// The underlying detector (for `switches_detected`).
-    pub fn detector(&self) -> &SwitchDetector {
-        &self.detector
-    }
 }
 
 impl Stage for SwitchStage {
     type In = Delta;
     type Out = SwitchEvent;
 
+    /// A burst frame that re-enters the target app starts a pending
+    /// return; further burst frames push its timestamp forward ("burst
+    /// still running"); the first quiet in-target change resolves it.
     fn push(&mut self, input: Delta, out: &mut Vec<SwitchEvent>) {
-        match self.detector.feed(&input) {
-            SwitchOutcome::Typing { returned_at } => {
-                if let Some(t) = returned_at {
-                    out.push(SwitchEvent::Return(t));
-                }
-                out.push(SwitchEvent::Typing(input));
+        let burst = input.magnitude() >= self.config.magnitude_threshold;
+        let was_inside = self.in_target;
+        let inside = self.observe(&input);
+        if inside && !was_inside {
+            self.pending_return = Some(input.at);
+        } else if inside && burst && self.pending_return.is_some() {
+            self.pending_return = Some(input.at); // burst still running
+        } else if inside && !burst {
+            if let Some(t) = self.pending_return.take() {
+                out.push(SwitchEvent::Return(t));
             }
-            SwitchOutcome::Filtered => {}
+            out.push(SwitchEvent::Typing(input));
         }
     }
 
     fn finish(&mut self, out: &mut Vec<SwitchEvent>) {
-        if let Some(t) = self.detector.finish() {
+        if let Some(t) = self.pending_return.take() {
             out.push(SwitchEvent::Return(t));
         }
     }
@@ -223,131 +154,130 @@ mod tests {
         Delta { at: SimInstant::from_millis(ms), values }
     }
 
-    fn detector() -> SwitchDetector {
-        SwitchDetector::new(SwitchConfig::with_threshold(1_000_000))
+    fn stage() -> SwitchStage {
+        SwitchStage::new(SwitchConfig::with_threshold(1_000_000))
+    }
+
+    /// Pushes one change and returns what the stage emitted for it.
+    fn push(stage: &mut SwitchStage, ms: u64, magnitude: u64) -> Vec<SwitchEvent> {
+        let mut out = Vec::new();
+        stage.push(delta(ms, magnitude), &mut out);
+        out
     }
 
     #[test]
     fn typing_changes_never_toggle() {
-        let mut det = detector();
+        let mut st = stage();
         for ms in (0..2_000).step_by(250) {
-            assert!(det.observe(&delta(ms, 200_000)), "key-sized changes keep us in target");
+            assert_eq!(
+                push(&mut st, ms, 200_000),
+                vec![SwitchEvent::Typing(delta(ms, 200_000))],
+                "key-sized changes keep us in target"
+            );
         }
-        assert_eq!(det.switches_detected(), 0);
+        assert_eq!(st.switches_detected(), 0);
     }
 
     #[test]
     fn burst_toggles_once_and_return_burst_toggles_back() {
-        let mut det = detector();
+        let mut st = stage();
         // Away burst: 6 big frames 16 ms apart.
         for i in 0..6u64 {
-            det.observe(&delta(1_000 + i * 16, 2_000_000));
+            assert!(push(&mut st, 1_000 + i * 16, 2_000_000).is_empty());
         }
-        assert!(!det.in_target(), "burst must flip to out-of-target");
-        assert_eq!(det.switches_detected(), 1);
-        // Quiet usage of the other app.
-        det.observe(&delta(2_000, 400_000));
-        assert!(!det.in_target());
+        assert!(!st.in_target, "burst must flip to out-of-target");
+        assert_eq!(st.switches_detected(), 1);
+        // Quiet usage of the other app is filtered.
+        assert!(push(&mut st, 2_000, 400_000).is_empty());
+        assert!(!st.in_target);
         // Return burst.
         for i in 0..6u64 {
-            det.observe(&delta(3_000 + i * 16, 2_000_000));
+            assert!(push(&mut st, 3_000 + i * 16, 2_000_000).is_empty());
         }
-        assert!(det.in_target(), "second burst returns to target");
-        assert_eq!(det.switches_detected(), 2);
+        assert!(st.in_target, "second burst returns to target");
+        assert_eq!(st.switches_detected(), 2);
     }
 
     #[test]
     fn slow_big_changes_are_not_a_burst() {
-        let mut det = detector();
+        let mut st = stage();
         // Big changes 200 ms apart (e.g. shade opening then app redraw)
         // never reach burst length.
         for i in 0..8u64 {
-            det.observe(&delta(1_000 + i * 200, 2_000_000));
+            assert!(push(&mut st, 1_000 + i * 200, 2_000_000).is_empty());
         }
-        assert!(det.in_target());
-        assert_eq!(det.switches_detected(), 0);
+        assert!(st.in_target);
+        assert_eq!(st.switches_detected(), 0);
     }
 
     #[test]
     fn two_frame_flicker_is_ignored() {
-        let mut det = detector();
-        det.observe(&delta(100, 2_000_000));
-        det.observe(&delta(116, 2_000_000));
-        assert!(det.in_target(), "min_burst is 3");
+        let mut st = stage();
+        push(&mut st, 100, 2_000_000);
+        push(&mut st, 116, 2_000_000);
+        assert!(st.in_target, "min_burst is 3");
     }
 
     #[test]
     fn one_long_burst_toggles_only_once() {
-        let mut det = detector();
+        let mut st = stage();
         for i in 0..20u64 {
-            det.observe(&delta(1_000 + i * 16, 2_000_000));
+            push(&mut st, 1_000 + i * 16, 2_000_000);
         }
-        assert!(!det.in_target());
-        assert_eq!(det.switches_detected(), 1);
+        assert!(!st.in_target);
+        assert_eq!(st.switches_detected(), 1);
     }
 
     /// Drives an away burst followed by `return_frames` big return frames,
-    /// returning the detector mid-scenario.
-    fn after_return_burst(return_frames: u64) -> SwitchDetector {
-        let mut det = detector();
+    /// returning the stage mid-scenario.
+    fn after_return_burst(return_frames: u64) -> SwitchStage {
+        let mut st = stage();
         for i in 0..4u64 {
-            assert_eq!(det.feed(&delta(1_000 + i * 16, 2_000_000)), SwitchOutcome::Filtered);
+            assert!(push(&mut st, 1_000 + i * 16, 2_000_000).is_empty());
         }
-        assert!(!det.in_target());
+        assert!(!st.in_target);
         for i in 0..return_frames {
-            assert_eq!(
-                det.feed(&delta(2_000 + i * 16, 2_000_000)),
-                SwitchOutcome::Filtered,
+            assert!(
+                push(&mut st, 2_000 + i * 16, 2_000_000).is_empty(),
                 "burst frames never reach the inference stream"
             );
         }
-        assert!(det.in_target());
-        det
+        assert!(st.in_target);
+        st
     }
 
     #[test]
     fn return_anchor_tracks_a_still_running_burst() {
         // The burst toggles back at its 3rd frame but keeps running for
         // three more; the re-anchor time must be the *last* frame (2064 ms),
-        // not the toggle frame (2032 ms).
-        let mut det = after_return_burst(5);
+        // not the toggle frame (2032 ms). It is emitted before the typing
+        // change that resolved it.
+        let mut st = after_return_burst(5);
         assert_eq!(
-            det.feed(&delta(2_400, 200_000)),
-            SwitchOutcome::Typing { returned_at: Some(SimInstant::from_millis(2_064)) }
+            push(&mut st, 2_400, 200_000),
+            vec![
+                SwitchEvent::Return(SimInstant::from_millis(2_064)),
+                SwitchEvent::Typing(delta(2_400, 200_000)),
+            ]
         );
         // The return is reported exactly once.
-        assert_eq!(det.feed(&delta(2_700, 200_000)), SwitchOutcome::Typing { returned_at: None });
-        assert_eq!(det.finish(), None);
+        assert_eq!(push(&mut st, 2_700, 200_000), vec![SwitchEvent::Typing(delta(2_700, 200_000))]);
+        let mut out = Vec::new();
+        st.finish(&mut out);
+        assert!(out.is_empty());
+        assert_eq!(st.switches_detected(), 2);
     }
 
     #[test]
     fn trailing_return_burst_is_flushed_at_finish() {
         // The stream ends while the return burst is the last thing seen: no
         // quiet change ever resolves it, so `finish` must yield the anchor.
-        let mut det = after_return_burst(4);
-        assert_eq!(det.finish(), Some(SimInstant::from_millis(2_048)));
-        assert_eq!(det.finish(), None, "finish drains the pending return");
-    }
-
-    #[test]
-    fn switch_stage_orders_return_before_typing() {
-        let mut stage = SwitchStage::new(SwitchConfig::with_threshold(1_000_000));
+        let mut st = after_return_burst(4);
         let mut out = Vec::new();
-        for i in 0..4u64 {
-            stage.push(delta(1_000 + i * 16, 2_000_000), &mut out);
-        }
-        for i in 0..4u64 {
-            stage.push(delta(2_000 + i * 16, 2_000_000), &mut out);
-        }
-        assert!(out.is_empty(), "bursts emit nothing");
-        stage.push(delta(2_400, 200_000), &mut out);
-        assert_eq!(
-            out,
-            vec![
-                SwitchEvent::Return(SimInstant::from_millis(2_048)),
-                SwitchEvent::Typing(delta(2_400, 200_000)),
-            ]
-        );
-        assert_eq!(stage.detector().switches_detected(), 2);
+        st.finish(&mut out);
+        assert_eq!(out, vec![SwitchEvent::Return(SimInstant::from_millis(2_048))]);
+        out.clear();
+        st.finish(&mut out);
+        assert!(out.is_empty(), "finish drains the pending return");
     }
 }

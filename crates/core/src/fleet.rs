@@ -188,11 +188,11 @@ struct Live<'s> {
 /// only the interleaving with other sessions differs.
 ///
 /// Because the session owns its simulation — and the simulation owns its
-/// GPU — each session also carries its own set of incremental frame
-/// renderers ([`adreno_sim::incremental::RendererSet`]): per-session frame
-/// diffing is isolated state, so session results stay bit-identical at any
-/// `--jobs` level. [`FleetSession::incremental_stats`] exposes the reuse
-/// counters.
+/// GPU — each session also owns its GPU's frame tally, while the layers its
+/// frames are assembled from come from the process-wide layer cache
+/// ([`adreno_sim::pipeline::render`]). Cached layers are pure functions of
+/// their keys, so session results stay bit-identical at any `--jobs` level.
+/// [`FleetSession::incremental_stats`] exposes the tally.
 pub struct FleetSession<'s> {
     sim: UiSimulation,
     shard: usize,
@@ -251,7 +251,8 @@ impl<'s> FleetSession<'s> {
         self
     }
 
-    /// Reuse counters of this session's incremental frame renderers.
+    /// What this session's frames took from the layer cache and what they
+    /// computed.
     pub fn incremental_stats(&self) -> adreno_sim::incremental::IncrementalStats {
         self.sim.incremental_stats()
     }

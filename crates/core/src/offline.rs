@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use adreno_sim::counters::{CounterSet, NUM_TRACKED};
 use adreno_sim::font::FIG18_CHARSET;
-use adreno_sim::memo::render_cached;
+use adreno_sim::pipeline::render;
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::apps::LoginScreen;
 use android_ui::compositor::KeyboardWindow;
@@ -177,10 +177,11 @@ impl Trainer {
 
         // Signatures computed from the attacker's own (identical) hardware.
         // These draw lists are identical across every training run for the
-        // same configuration, so they go through the render memo cache.
+        // same configuration, so after the first run their layers all come
+        // from the render's layer cache.
         let params = device.gpu().params();
         let kb_signature = KeyboardWindow::new(keyboard, &device, true).draw();
-        let kb_signature = render_cached(&kb_signature, &params).totals;
+        let kb_signature = render(&kb_signature, &params).totals;
         let login = LoginScreen::new(app, &device);
         // Field-region redraw signatures for every anticipated input
         // length, cursor off and on. They drive the §5.3 correction
@@ -190,17 +191,15 @@ impl Trainer {
         let max_len = 22.min(login.max_cells());
         let mut field_signatures = Vec::with_capacity((max_len + 1) * 2);
         for len in 0..=max_len {
-            field_signatures
-                .push(render_cached(&login.draw_field_update(len, false), &params).totals);
-            field_signatures
-                .push(render_cached(&login.draw_field_update(len, true), &params).totals);
+            field_signatures.push(render(&login.draw_field_update(len, false), &params).totals);
+            field_signatures.push(render(&login.draw_field_update(len, true), &params).totals);
         }
-        let app_signature = render_cached(&login.draw_field_update(0, true), &params).totals;
+        let app_signature = render(&login.draw_field_update(0, true), &params).totals;
         // Cold launch renders the full login screen, the keyboard and the
         // status bar on one vsync: their merged delta is the launch burst.
-        let launch_signature = render_cached(&login.draw(0, true, 0.0), &params).totals
+        let launch_signature = render(&login.draw(0, true, 0.0), &params).totals
             + kb_signature
-            + render_cached(&android_ui::StatusBar::new(&device).draw(), &params).totals;
+            + render(&android_ui::StatusBar::new(&device).draw(), &params).totals;
         // App-switch bursts dwarf any window redraw; three keyboard frames
         // is a robust floor.
         let switch_threshold = kb_signature.total() * 3;

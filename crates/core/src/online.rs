@@ -712,6 +712,21 @@ mod tests {
     }
 
     #[test]
+    fn t_l_window_is_half_open() {
+        let m = model();
+        // A repeat 74 ms after the accepted press is an animation duplicate;
+        // one exactly T_l = 75 ms after it is a new press.
+        let (keys, _, stats) =
+            infer_stream(&m, &[d(100, 1000, 160), d(174, 1000, 160)], OnlineConfig::default());
+        assert_eq!(keys.len(), 1, "74 ms is inside T_l");
+        assert_eq!(stats.duplications_suppressed, 1);
+        let (keys, _, stats) =
+            infer_stream(&m, &[d(100, 1000, 160), d(175, 1000, 160)], OnlineConfig::default());
+        assert_eq!(keys.len(), 2, "75 ms is outside T_l");
+        assert_eq!(stats.duplications_suppressed, 0);
+    }
+
+    #[test]
     fn split_recombination_recovers_the_press() {
         let m = model();
         // 'w' split across two adjacent reads (60% + 40%).

@@ -409,7 +409,7 @@ impl<'s> PostRecognition<'s> {
         PipelineOutput {
             model: self.model,
             launch_at: self.launch.launch_at(),
-            switches: self.switch.detector().switches_detected(),
+            switches: self.switch.switches_detected(),
             stats: self.infer.stats(),
             corrected: self.correction.into_corrected(),
         }

@@ -14,10 +14,11 @@
 //!   back, stopping at the quantum that finishes it; a turn moves only the
 //!   interleaving, so every session's outcome and quanta count equal those
 //!   of the same session stepped alone to completion.
-//! * **Incremental-rendering isolation** — each session's per-viewport
-//!   frame-delta renderers ([`adreno_sim::incremental`]) are state owned by
-//!   that session's GPU, so the reuse machinery engages under concurrent
-//!   scheduling while session results stay bit-identical at any `--jobs`.
+//! * **Render-cache isolation** — every session's frames are assembled from
+//!   the process-wide layer cache ([`adreno_sim::pipeline::render`]) while
+//!   the frame tally ([`adreno_sim::incremental`]) is owned by that
+//!   session's GPU, so reuse engages under concurrent scheduling while
+//!   session results stay bit-identical at any `--jobs`.
 
 use std::sync::{Arc, Mutex};
 
@@ -224,8 +225,8 @@ fn fleet_session_matches_eavesdrop() {
     }
 }
 
-/// Reuse probe: captures a session's incremental-renderer counters at the
-/// step that finishes it (the session still owns its simulation then).
+/// Reuse probe: captures a session's frame tally at the step that finishes
+/// it (the session still owns its simulation then).
 struct ReuseProbe<'s> {
     inner: FleetSession<'s>,
     index: usize,
@@ -278,11 +279,11 @@ fn incremental_rendering_keeps_results_bit_identical_across_jobs() {
         assert!(!result.recovered_text.is_empty(), "session {i} recovered nothing");
     }
     // Frame submission is sim-deterministic, so every session renders the
-    // same number of frames at any worker count. The *reuse-path* counters
-    // (identical vs diffed) may legitimately shift with jobs: the
-    // process-global whole-list cache is shared across concurrently-running
-    // sessions, and which session renders a recurring frame first is a
-    // scheduling artefact — results are fingerprint-validated either way.
+    // same number of frames at any worker count. The *reuse* counters
+    // (cached vs computed layers) may legitimately shift with jobs: the
+    // process-wide layer cache is shared across concurrently-running
+    // sessions, and which session renders a recurring layer first is a
+    // scheduling artefact — results are fingerprint-keyed either way.
     for (i, (a, b)) in seq_stats.iter().zip(&par_stats).enumerate() {
         assert!(a.frames > 0, "session {i} never rendered incrementally: {a:?}");
         assert_eq!(a.frames, b.frames, "session {i} frame count depends on jobs");
