@@ -2,12 +2,11 @@
 //!
 //! * `guessing` — quantifies §7.1's remark that "single errors in inference
 //!   could be addressed with a small number of guesses": fraction of
-//!   credentials recovered within G guesses using ranked candidates.
+//!   credentials recovered exactly, and after a single-edit repair sweep.
 //! * `defense-tuning` — attacks §9.3's open question head on: how many
 //!   decoy injections per second does the OS need to push the attack below
 //!   a target accuracy, and what does that cost in GPU time?
 
-use gpu_sc_attack::metrics::guesses_needed;
 use gpu_sc_attack::offline::ModelStore;
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::timing::{VolunteerModel, VOLUNTEERS};
@@ -20,9 +19,9 @@ use crate::outln;
 use crate::report;
 use crate::trials::{eval_credentials, run_credential_trial, TrialOptions};
 
-/// Accuracy-within-G-guesses over random credentials.
+/// Exact and single-edit recovery over random credentials.
 pub fn guessing(ctx: &Ctx) {
-    report::section("Extension", "credentials recovered within G guesses (§7.1)");
+    report::section("Extension", "credentials recovered exactly or with one edit (§7.1)");
     let opts = TrialOptions::paper_default(0);
     let store = ModelStore::from(ctx.registry.get_or_train(
         opts.sim.device,
@@ -30,7 +29,6 @@ pub fn guessing(ctx: &Ctx) {
         opts.sim.app,
     ));
     let trials = ctx.trials(60);
-    let budgets: [u128; 4] = [1, 5, 25, 100];
     let mut rng = StdRng::seed_from_u64(0x63E5);
     let plan: Vec<(String, VolunteerModel, u64)> = (0..trials)
         .map(|t| {
@@ -42,40 +40,20 @@ pub fn guessing(ctx: &Ctx) {
         let mut o = opts.clone();
         o.volunteer = volunteer;
         let (_, result) = run_credential_trial(&store, &o, &text, seed).ok()?;
-        let truth = text; // no corrections in these sessions
-                          // Misses/insertions fall outside ranked-candidate guessing, but a
-                          // single-edit repair sweep (~|Σ|·(len+1) ≈ 1k guesses for the
-                          // Fig 18 charset) still recovers them.
-        let one_edit = gpu_sc_attack::metrics::edit_distance(&result.recovered_text, &truth) <= 1;
-        Some((guesses_needed(&truth, &result.candidates), one_edit))
+        // These sessions make no corrections, so the typed text is the
+        // truth. A single-edit repair sweep (~|Σ|·(len+1) ≈ 1k guesses for
+        // the Fig 18 charset) also recovers one missed, extra or wrong press.
+        let exact = result.recovered_text == text;
+        let one_edit = gpu_sc_attack::metrics::edit_distance(&result.recovered_text, &text) <= 1;
+        Some((exact, one_edit))
     });
-    let mut within = [0usize; 4];
-    let mut one_edit = 0usize;
-    let mut total = 0usize;
-    for (guesses, repaired) in outcomes.into_iter().flatten() {
-        total += 1;
-        if let Some(g) = guesses {
-            for (i, b) in budgets.iter().enumerate() {
-                if g <= *b {
-                    within[i] += 1;
-                }
-            }
-        }
-        if repaired {
-            one_edit += 1;
-        }
-    }
-    for (i, b) in budgets.iter().enumerate() {
-        report::pct_row(
-            &format!("G = {b:>6} (candidate ranks)"),
-            &[("recovered".into(), within[i] as f64 / total.max(1) as f64)],
-        );
-    }
-    report::pct_row(
-        "single-edit repair (~1k)",
-        &[("recovered".into(), one_edit as f64 / total.max(1) as f64)],
-    );
-    outln!("(errors here are mostly missed/extra presses, so edit repair dominates rank guessing)");
+    let outcomes: Vec<(bool, bool)> = outcomes.into_iter().flatten().collect();
+    let share = |n: usize| n as f64 / outcomes.len().max(1) as f64;
+    let exact = outcomes.iter().filter(|(exact, _)| *exact).count();
+    let one_edit = outcomes.iter().filter(|(_, one_edit)| *one_edit).count();
+    report::pct_row("exact recovery", &[("recovered".into(), share(exact))]);
+    report::pct_row("single-edit repair (~1k)", &[("recovered".into(), share(one_edit))]);
+    outln!("(the repair sweep recovers credentials with one missed, extra or wrong press)");
 }
 
 /// Quantifies the echo-corroboration insertion filter: slow typists suffer

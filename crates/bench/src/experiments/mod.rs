@@ -49,7 +49,7 @@ pub const CATALOGUE: &[(&str, &str, Runner)] = &[
     ("fig29", "PNC animation obfuscation", mitigation::fig29),
     ("mitigation", "§9 mitigation matrix", mitigation::mitigation),
     ("modelsize", "§7.6 model sizes", adapt::modelsize),
-    ("guessing", "recovery within G guesses (§7.1 extension)", extensions::guessing),
+    ("guessing", "exact and single-edit recovery (§7.1 extension)", extensions::guessing),
     ("defense-tuning", "cheapest sufficient §9.3 decoy rate", extensions::defense_tuning),
     ("ablate-greedy", "greedy vs full-trace Algorithm 1", ablate::ablate_greedy),
     (

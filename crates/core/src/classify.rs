@@ -547,42 +547,12 @@ impl ClassifierModel {
     ///
     /// Both vectors are mapped through `whiten` and the squared distance
     /// is computed with the `simdlite` chunked kernel. Every distance in
-    /// this module — here, the pruned scan, the batched scan, `nearest_k` —
+    /// this module — here, the pruned scan, the batched scan —
     /// whitens with the same expression and sums with the same kernel lane
     /// order, which is what makes the pruned/batched paths *bit-identical*
     /// to the naive references rather than merely close.
     pub fn distance(&self, a: &CounterSet, b: &CounterSet) -> f64 {
         simdlite::sq_dist_fixed(&whiten(a, &self.weights), &whiten(b, &self.weights)).sqrt()
-    }
-
-    /// The `k` nearest centroids to `v`, closest first, with whitened
-    /// distances. Rank 0 is what [`ClassifierModel::classify`] would pick;
-    /// the rest are the alternatives a guessing attacker tries (§7.1:
-    /// "single errors in inference could be addressed with a small number
-    /// of guesses").
-    ///
-    /// `k` is tiny ([`crate::online::CANDIDATES_PER_KEY`] = 8) against tens
-    /// of centroids, so this keeps a bounded sorted buffer of the best `k`
-    /// seen — one insertion into a ≤ `k`-element `Vec` per surviving
-    /// candidate — instead of materialising and fully sorting all centroids
-    /// per call. Ties break deterministically to the earliest centroid
-    /// (distances are never NaN: they are square roots of non-negative
-    /// sums), matching what the previous stable full sort produced.
-    pub fn nearest_k(&self, v: &CounterSet, k: usize) -> Vec<(char, f64)> {
-        let k = k.min(self.centroids.len());
-        let av = whiten(v, &self.weights);
-        let mut top: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
-        for (idx, row) in self.prepared.rows.iter().enumerate() {
-            let d = simdlite::sq_dist_fixed(&av, row).sqrt();
-            // Insertion point after every entry at or below `d`: equal
-            // distances keep centroid order (earlier centroid first).
-            let pos = top.partition_point(|&(td, _)| td <= d);
-            if pos < k {
-                top.insert(pos, (d, idx));
-                top.truncate(k);
-            }
-        }
-        top.into_iter().map(|(d, idx)| (self.centroids[idx].ch, d)).collect()
     }
 
     /// The nearest centroid to `v` and its whitened distance: the unbounded
@@ -897,19 +867,6 @@ mod tests {
         let (nearest, distance) = m.nearest(&set(5000, 40));
         assert_eq!(nearest, 'b');
         assert!(distance > 25.0);
-    }
-
-    #[test]
-    fn nearest_k_ranks_by_distance() {
-        let m = model();
-        let ranked = m.nearest_k(&set(1000, 150), 3);
-        assert_eq!(ranked.len(), 3);
-        assert_eq!(ranked[0].0, 'a');
-        assert_eq!(ranked[0].1, 0.0);
-        assert!(ranked[0].1 <= ranked[1].1 && ranked[1].1 <= ranked[2].1);
-        // Truncation works.
-        assert_eq!(m.nearest_k(&set(1000, 150), 2).len(), 2);
-        assert_eq!(m.nearest_k(&set(1000, 150), 99).len(), 3, "capped at centroid count");
     }
 
     #[test]

@@ -326,8 +326,6 @@ impl CorrectionDetector {
 pub struct CorrectedKeys {
     /// Surviving presses (deleted/uncorroborated ones removed).
     pub keys: Vec<InferredKey>,
-    /// Ranked alternatives per surviving press, aligned with `keys`.
-    pub candidates: Vec<Vec<char>>,
     /// Every accepted press, including the ones corrections removed.
     pub keys_before_corrections: Vec<InferredKey>,
     /// Every echo-stream event recorded.
@@ -351,7 +349,6 @@ pub struct CorrectionStage {
     echo_corroboration: bool,
     returns: VecDeque<SimInstant>,
     keys: Vec<InferredKey>,
-    candidates: Vec<Vec<char>>,
     events_drained: usize,
 }
 
@@ -367,7 +364,6 @@ impl CorrectionStage {
             echo_corroboration,
             returns: VecDeque::new(),
             keys: Vec::new(),
-            candidates: Vec::new(),
             events_drained: 0,
         }
     }
@@ -400,23 +396,13 @@ impl CorrectionStage {
         self.detector.flush();
         let corrections = self.detector.events().to_vec();
 
-        // Apply deletions: each deletion removes the latest not-yet-deleted
-        // inferred key before it.
-        let keys_before_corrections = self.keys.clone();
-        let mut alive: Vec<(InferredKey, Vec<char>, bool)> =
-            self.keys.into_iter().zip(self.candidates).map(|(k, c)| (k, c, true)).collect();
+        // Apply deletions: each deletion removes the latest surviving key
+        // before it.
+        let keys_before_corrections = self.keys;
+        let mut keys = keys_before_corrections.clone();
         for del_at in self.detector.deletions() {
-            if let Some(slot) = alive.iter_mut().rev().find(|(k, _, alive)| *alive && k.at < del_at)
-            {
-                slot.2 = false;
-            }
-        }
-        let mut keys = Vec::with_capacity(alive.len());
-        let mut candidates = Vec::with_capacity(alive.len());
-        for (k, c, a) in alive {
-            if a {
-                keys.push(k);
-                candidates.push(c);
+            if let Some(i) = keys.iter().rposition(|k| k.at < del_at) {
+                keys.remove(i);
             }
         }
 
@@ -443,19 +429,11 @@ impl CorrectionStage {
                     corroborated[i] = true;
                 }
             }
-            let mut kept_keys = Vec::with_capacity(keys.len());
-            let mut kept_cands = Vec::with_capacity(candidates.len());
-            for ((k, c), ok) in keys.into_iter().zip(candidates).zip(corroborated) {
-                if ok {
-                    kept_keys.push(k);
-                    kept_cands.push(c);
-                }
-            }
-            keys = kept_keys;
-            candidates = kept_cands;
+            let mut corroborated = corroborated.into_iter();
+            keys.retain(|_| corroborated.next() == Some(true));
         }
 
-        CorrectedKeys { keys, candidates, keys_before_corrections, corrections }
+        CorrectedKeys { keys, keys_before_corrections, corrections }
     }
 }
 
@@ -465,10 +443,7 @@ impl Stage for CorrectionStage {
 
     fn push(&mut self, input: InferEvent, out: &mut Vec<CorrectionEvent>) {
         match input {
-            InferEvent::Key { key, candidates } => {
-                self.keys.push(key);
-                self.candidates.push(candidates);
-            }
+            InferEvent::Key(key) => self.keys.push(key),
             InferEvent::Noise(d) => {
                 self.observe_noise(&d);
                 self.drain_events(out);

@@ -96,37 +96,6 @@ fn within(a: SimInstant, b: SimInstant, window: SimDuration) -> bool {
     a.saturating_since(b) <= window && b.saturating_since(a) <= window
 }
 
-/// The number of guesses an attacker needs to hit `truth` given ranked
-/// per-position candidate lists, trying combinations in best-first order.
-///
-/// The attacker enumerates candidate texts in order of the product of
-/// per-position ranks (rank 1 = top candidate), so the guess count for the
-/// correct text is exactly that product. Returns `None` when some true
-/// character is absent from its position's candidates or the lengths
-/// disagree (insertions/deletions cannot be guessed away by this scheme).
-///
-/// # Examples
-///
-/// ```
-/// use gpu_sc_attack::metrics::guesses_needed;
-///
-/// let candidates = vec![vec!['a', 'x'], vec!['y', 'b']];
-/// assert_eq!(guesses_needed("ab", &candidates), Some(2));
-/// assert_eq!(guesses_needed("az", &candidates), None); // 'z' not offered
-/// ```
-pub fn guesses_needed(truth: &str, candidates: &[Vec<char>]) -> Option<u128> {
-    let truth: Vec<char> = truth.chars().collect();
-    if truth.len() != candidates.len() {
-        return None;
-    }
-    let mut product: u128 = 1;
-    for (c, cands) in truth.iter().zip(candidates) {
-        let rank = cands.iter().position(|x| x == c)? as u128 + 1;
-        product = product.saturating_mul(rank);
-    }
-    Some(product)
-}
-
 /// Levenshtein edit distance between two strings (by chars).
 pub fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
@@ -284,15 +253,6 @@ mod tests {
         let inferred = vec![key(110, 'a')];
         let s = score_session(&truth, "aa", &inferred, "a");
         assert_eq!(s.correct_keys, 1);
-    }
-
-    #[test]
-    fn guesses_needed_counts_rank_products() {
-        let cands = vec![vec!['a', 'b', 'c'], vec!['x', 'y'], vec!['1']];
-        assert_eq!(guesses_needed("ax1", &cands), Some(1));
-        assert_eq!(guesses_needed("cy1", &cands), Some(6));
-        assert_eq!(guesses_needed("az1", &cands), None, "missing candidate");
-        assert_eq!(guesses_needed("ax", &cands), None, "length mismatch");
     }
 
     #[test]

@@ -86,10 +86,6 @@ pub struct InferenceStats {
     pub noise: usize,
 }
 
-/// How many ranked alternatives are kept per accepted key press for the
-/// guessing post-processor.
-pub const CANDIDATES_PER_KEY: usize = 8;
-
 /// The classifier probes one engine sent. A probe is one
 /// [`ClassifierModel::classify`] call: a change (the *primary*
 /// classification), a residual peeled off it, a recombined split, or a
@@ -183,9 +179,6 @@ pub struct OnlineInference<'m> {
     last_key_at: Option<SimInstant>,
     prev: Option<Delta>,
     inferred: Vec<InferredKey>,
-    /// Ranked alternative characters per accepted press, aligned with
-    /// `inferred`.
-    candidates: Vec<Vec<char>>,
     rejected: Vec<Delta>,
     stats: InferenceStats,
     probes: ProbeTally,
@@ -200,7 +193,6 @@ impl<'m> OnlineInference<'m> {
             last_key_at: None,
             prev: None,
             inferred: Vec::new(),
-            candidates: Vec::new(),
             rejected: Vec::new(),
             stats: InferenceStats::default(),
             probes: ProbeTally::default(),
@@ -259,10 +251,7 @@ impl<'m> OnlineInference<'m> {
         }
         // Step 2: direct classification.
         if let Classification::Key { ch, .. } = primary {
-            self.accept(
-                InferredKey { at: delta.at, decided_at, ch, via_split: false },
-                &delta.values,
-            );
+            self.accept(InferredKey { at: delta.at, decided_at, ch, via_split: false });
             self.stats.direct += 1;
             return;
         }
@@ -271,8 +260,8 @@ impl<'m> OnlineInference<'m> {
         // one read window; subtracting the known field-redraw signatures
         // recovers the popup. (Engineering extension beyond the paper's
         // Algorithm 1; see DESIGN.md.)
-        if let Some((ch, sig, residual)) = self.peel(&delta.values) {
-            self.accept(InferredKey { at: delta.at, decided_at, ch, via_split: false }, &residual);
+        if let Some((ch, sig)) = self.peel(&delta.values) {
+            self.accept(InferredKey { at: delta.at, decided_at, ch, via_split: false });
             // Report the consumed field redraw as a synthetic echo so the
             // downstream correction detector keeps its length and blink
             // anchoring intact.
@@ -288,10 +277,7 @@ impl<'m> OnlineInference<'m> {
                 {
                     // Both fragments are consumed by the recombination.
                     self.prev = None;
-                    self.accept(
-                        InferredKey { at: prev.at, decided_at, ch, via_split: true },
-                        &combined,
-                    );
+                    self.accept(InferredKey { at: prev.at, decided_at, ch, via_split: true });
                     self.stats.splits_recovered += 1;
                     return;
                 }
@@ -300,12 +286,9 @@ impl<'m> OnlineInference<'m> {
                 // overshoots every centroid. Peel the known ambient
                 // signatures off the recombined sum, exactly as step 2b does
                 // for whole frames.
-                if let Some((ch, sig, residual)) = self.peel(&combined) {
+                if let Some((ch, sig)) = self.peel(&combined) {
                     self.prev = None;
-                    self.accept(
-                        InferredKey { at: prev.at, decided_at, ch, via_split: true },
-                        &residual,
-                    );
+                    self.accept(InferredKey { at: prev.at, decided_at, ch, via_split: true });
                     // Surface the consumed field redraw to the correction
                     // detector as a synthetic echo.
                     self.rejected.push(Delta { at: delta.at, values: *sig });
@@ -329,25 +312,25 @@ impl<'m> OnlineInference<'m> {
     }
 
     /// The best-scoring accepted residual of `v` over
-    /// [`ClassifierModel::peel_residuals`], as `(key, signature,
-    /// residual)`. Every residual is probed and the closest hit wins (the
-    /// first on a tie): a wrong-length signature can leave a residual that
-    /// still clears C_th but lands on a *neighbouring* key; the true
-    /// signature's residual is exact and always scores better.
-    fn peel(&mut self, v: &CounterSet) -> Option<(char, &'m CounterSet, CounterSet)> {
+    /// [`ClassifierModel::peel_residuals`], as `(key, signature)`. Every
+    /// residual is probed and the closest hit wins (the first on a tie): a
+    /// wrong-length signature can leave a residual that still clears C_th
+    /// but lands on a *neighbouring* key; the true signature's residual is
+    /// exact and always scores better.
+    fn peel(&mut self, v: &CounterSet) -> Option<(char, &'m CounterSet)> {
         let model = self.model;
-        let mut best: Option<(f64, char, &'m CounterSet, CounterSet)> = None;
+        let mut best: Option<(f64, char, &'m CounterSet)> = None;
         for (sig, residual) in model.peel_residuals(v) {
             if let Classification::Key { ch, distance } = self.probes.classify(model, &residual) {
                 if best.is_none_or(|(d, ..)| distance < d) {
-                    best = Some((distance, ch, sig, residual));
+                    best = Some((distance, ch, sig));
                 }
             }
         }
-        best.map(|(_, ch, sig, residual)| (ch, sig, residual))
+        best.map(|(_, ch, sig)| (ch, sig))
     }
 
-    fn accept(&mut self, key: InferredKey, observed: &CounterSet) {
+    fn accept(&mut self, key: InferredKey) {
         self.last_key_at = Some(key.at);
         // An unconsumed leftover change is ordinary noise (usually an echo
         // frame); it must still reach the downstream correction detector.
@@ -355,34 +338,12 @@ impl<'m> OnlineInference<'m> {
             self.rejected.push(stale);
             self.stats.noise += 1;
         }
-        self.candidates.push(
-            self.model
-                .nearest_k(observed, CANDIDATES_PER_KEY)
-                .into_iter()
-                .map(|(ch, _)| ch)
-                .collect(),
-        );
         self.inferred.push(key);
     }
 
     /// Finishes the stream, flushing any leftover change as noise, and
     /// returns `(inferred presses, rejected noise changes, statistics)`.
-    pub fn finish(self) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
-        let (keys, _, rejected, stats) = self.finish_with_candidates_impl();
-        (keys, rejected, stats)
-    }
-
-    /// Like [`OnlineInference::finish`], additionally returning the ranked
-    /// alternative characters per accepted press (for guessing).
-    pub fn finish_with_candidates(
-        self,
-    ) -> (Vec<InferredKey>, Vec<Vec<char>>, Vec<Delta>, InferenceStats) {
-        self.finish_with_candidates_impl()
-    }
-
-    fn finish_with_candidates_impl(
-        mut self,
-    ) -> (Vec<InferredKey>, Vec<Vec<char>>, Vec<Delta>, InferenceStats) {
+    pub fn finish(mut self) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
         self.flush_prev();
         // Every rejection path emits at a time no earlier than anything
         // already rejected (the engine holds at most one pending fragment,
@@ -390,7 +351,7 @@ impl<'m> OnlineInference<'m> {
         // — the streaming [`InferStage`] relies on that to emit noise
         // incrementally in the same order. A proptest pins the invariant.
         self.rejected.sort_by_key(|d| d.at);
-        (self.inferred, self.candidates, self.rejected, self.stats)
+        (self.inferred, self.rejected, self.stats)
     }
 
     /// Flushes a pending unconsumed change as noise (end of stream).
@@ -442,7 +403,7 @@ pub fn infer_full_trace(
     let mut rejected = Vec::new();
     for ev in events {
         match ev {
-            InferEvent::Key { key, .. } => keys.push(key),
+            InferEvent::Key(key) => keys.push(key),
             InferEvent::Noise(d) => rejected.push(d),
         }
     }
@@ -452,15 +413,8 @@ pub fn infer_full_trace(
 /// Events out of the inference stage.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InferEvent {
-    /// A committed key press with its ranked alternative characters
-    /// (derived from the *observed* feature vector, not the winning
-    /// centroid).
-    Key {
-        /// The accepted press.
-        key: InferredKey,
-        /// Ranked alternatives for the guessing post-processor.
-        candidates: Vec<char>,
-    },
+    /// A committed key press.
+    Key(InferredKey),
     /// A change dismissed as noise — fuel for the downstream correction
     /// detector (echoes, blinks, stale fragments).
     Noise(Delta),
@@ -524,10 +478,7 @@ impl<'m> InferStage<'m> {
     /// downstream correction stage keys off timestamps, not arrival order.
     fn drain(&mut self, out: &mut Vec<InferEvent>) {
         while self.keys_drained < self.engine.inferred.len() {
-            out.push(InferEvent::Key {
-                key: self.engine.inferred[self.keys_drained],
-                candidates: self.engine.candidates[self.keys_drained].clone(),
-            });
+            out.push(InferEvent::Key(self.engine.inferred[self.keys_drained]));
             self.keys_drained += 1;
         }
         while self.rejected_drained < self.engine.rejected.len() {

@@ -236,9 +236,6 @@ pub struct SessionResult {
     /// Inferred key presses, time-ordered, after removing presses undone by
     /// detected backspaces.
     pub keys: Vec<InferredKey>,
-    /// Ranked alternative characters per surviving press (aligned with
-    /// `keys`) — fuel for the §7.1 guessing post-processor.
-    pub candidates: Vec<Vec<char>>,
     /// Every inferred press *including* the ones later excluded because a
     /// backspace deleted them. Per-key accuracy is measured against these:
     /// a corrected typo was still correctly eavesdropped (§5.3 merely keeps
@@ -377,8 +374,8 @@ impl<'s> PostRecognition<'s> {
     fn route_infer_events(&mut self, infer_events: &mut Vec<InferEvent>) {
         let mut sink = std::mem::take(&mut self.correction_sink);
         for ev in infer_events.drain(..) {
-            if let InferEvent::Key { key, .. } = &ev {
-                self.fresh_keys.push(*key);
+            if let InferEvent::Key(key) = ev {
+                self.fresh_keys.push(key);
             }
             self.correction.push(ev, &mut sink);
         }
@@ -526,15 +523,13 @@ impl<'s> Pipeline<'s> {
         if self.config.require_launch && output.launch_at.is_none() {
             return Err(ServiceError::LaunchNotDetected);
         }
-        let CorrectedKeys { keys, candidates, keys_before_corrections, corrections } =
-            output.corrected;
+        let CorrectedKeys { keys, keys_before_corrections, corrections } = output.corrected;
         let recovered_text: String = keys.iter().map(|k| k.ch).collect();
         spansight::count("core.service.sessions", 1);
         spansight::count("core.service.keys_inferred", keys.len() as u64);
         Ok(SessionResult {
             model: *output.model.meta(),
             keys,
-            candidates,
             keys_before_corrections,
             recovered_text,
             stats: output.stats,

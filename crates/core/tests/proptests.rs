@@ -9,7 +9,6 @@ use gpu_sc_attack::classify::{
 use gpu_sc_attack::metrics::edit_distance;
 use gpu_sc_attack::online::{
     infer_full_trace, infer_stream, InferEvent, InferenceStats, InferredKey, OnlineConfig,
-    CANDIDATES_PER_KEY,
 };
 use gpu_sc_attack::sampler::SamplerReport;
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
@@ -225,31 +224,25 @@ impl<'m> ReferenceEngine<'m> {
     }
 
     /// The closest accepted residual over every fitting signature.
-    fn peel(&self, v: &CounterSet) -> Option<(char, CounterSet, CounterSet)> {
-        let mut best: Option<(f64, char, CounterSet, CounterSet)> = None;
+    fn peel(&self, v: &CounterSet) -> Option<(char, CounterSet)> {
+        let mut best: Option<(f64, char, CounterSet)> = None;
         for sig in self.model.ambient_signatures() {
             let Some(residual) = v.checked_sub(sig) else { continue };
             if let Some((ch, distance)) = self.hit(&residual) {
                 if best.is_none_or(|(d, ..)| distance < d) {
-                    best = Some((distance, ch, *sig, residual));
+                    best = Some((distance, ch, *sig));
                 }
             }
         }
-        best.map(|(_, ch, sig, residual)| (ch, sig, residual))
+        best.map(|(_, ch, sig)| (ch, sig))
     }
 
-    fn accept(&mut self, key: InferredKey, observed: &CounterSet) {
+    fn accept(&mut self, key: InferredKey) {
         self.last_key_at = Some(key.at);
         if let Some(stale) = self.prev.take() {
             self.reject(stale);
         }
-        let candidates = self
-            .model
-            .nearest_k(observed, CANDIDATES_PER_KEY)
-            .into_iter()
-            .map(|(ch, _)| ch)
-            .collect();
-        self.keys.push(InferEvent::Key { key, candidates });
+        self.keys.push(InferEvent::Key(key));
     }
 
     fn process(&mut self, delta: Delta, decided_at: SimInstant) {
@@ -267,12 +260,12 @@ impl<'m> ReferenceEngine<'m> {
             return;
         }
         if let Some((ch, _)) = primary {
-            self.accept(key(delta.at, ch, false), &delta.values);
+            self.accept(key(delta.at, ch, false));
             self.stats.direct += 1;
             return;
         }
-        if let Some((ch, sig, residual)) = self.peel(&delta.values) {
-            self.accept(key(delta.at, ch, false), &residual);
+        if let Some((ch, sig)) = self.peel(&delta.values) {
+            self.accept(key(delta.at, ch, false));
             self.noise.push(InferEvent::Noise(Delta { at: delta.at, values: sig }));
             self.stats.peeled += 1;
             return;
@@ -282,13 +275,13 @@ impl<'m> ReferenceEngine<'m> {
                 let combined = prev.values + delta.values;
                 if let Some((ch, _)) = self.hit(&combined) {
                     self.prev = None;
-                    self.accept(key(prev.at, ch, true), &combined);
+                    self.accept(key(prev.at, ch, true));
                     self.stats.splits_recovered += 1;
                     return;
                 }
-                if let Some((ch, sig, residual)) = self.peel(&combined) {
+                if let Some((ch, sig)) = self.peel(&combined) {
                     self.prev = None;
-                    self.accept(key(prev.at, ch, true), &residual);
+                    self.accept(key(prev.at, ch, true));
                     self.noise.push(InferEvent::Noise(Delta { at: delta.at, values: sig }));
                     self.stats.splits_recovered += 1;
                     self.stats.peeled += 1;
@@ -886,9 +879,9 @@ proptest! {
         // The peel pretest and the box only skip probes that would have
         // been rejected: on typing streams built from the model's own key
         // frames, echoes, splits and keyboard redraws, the engine emits
-        // exactly the events — keys with their candidates, noise — and the
-        // stats of a reference that peels every fitting signature and
-        // classifies with the naive scan.
+        // exactly the events — keys and noise — and the stats of a
+        // reference that peels every fitting signature and classifies with
+        // the naive scan.
         use gpu_sc_attack::online::InferStage;
         let deltas = typing_deltas(&model, &steps);
         let mut stage = if lookahead {

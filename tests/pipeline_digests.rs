@@ -1,21 +1,31 @@
 //! Pinned digests of the analysis pipeline, over a fixed matrix of
 //! sessions.
 //!
-//! Each session folds into two FNV-1a-64 values:
+//! Each session folds into three FNV-1a-64 values:
 //!
 //! * the `Debug` text of what [`AttackService::eavesdrop`] returns — the
-//!   recovered text, every key with its `decided_at`, the candidates, the
-//!   Algorithm 1 statistics and the degradation report, or the error. It is
-//!   the text perfbench's outcome digest covers;
+//!   recovered text, every key with its `decided_at` (after and before
+//!   corrections), the Algorithm 1 statistics, the correction events, the
+//!   degradation report, or the error. It is the text perfbench's outcome
+//!   digest covers;
+//! * Algorithm 1's decisions — every accepted key before corrections and
+//!   the statistics, hashed field by field (or the error), so that a change
+//!   to how a result is represented leaves it alone;
 //! * the `(deltas, resets)` that [`extract_deltas_with_resets`] returns for
 //!   a [`Sampler::sample_until`] tap of an identically built victim — the
 //!   delta stream every downstream stage consumes.
 //!
-//! The constants were computed on a tree that still carried a second, batch
-//! analysis driver and a second, columnar delta extractor, after checking
-//! there that both drivers returned the same result for every session
-//! below. A change here is a change to what the pipeline decides, and must
-//! be explained rather than re-pinned silently.
+//! The result and tap constants were first computed on a tree that still
+//! carried a second, batch analysis driver and a second, columnar delta
+//! extractor, after checking there that both drivers returned the same
+//! result for every session below. The decisions constants were computed
+//! on the tree just before ranked per-key candidate lists were removed
+//! from the session result, and that removal left them and the tap
+//! constants unchanged. It re-pinned the result constants by construction:
+//! each is the digest of the previous tree's text with its
+//! `candidates: [...], ` field cut out. A change here is a change to what
+//! the pipeline decides or reports, and must be explained rather than
+//! re-pinned silently.
 
 use std::sync::OnceLock;
 
@@ -23,6 +33,7 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, TimedEvent, UiEvent, UiSimulation};
 use gpu_eaves::attack::correction::CorrectionEvent;
 use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
+use gpu_eaves::attack::online::InferenceStats;
 use gpu_eaves::attack::sampler::{Sampler, SamplerConfig};
 use gpu_eaves::attack::service::{AttackService, ServiceConfig, ServiceError, SessionResult};
 use gpu_eaves::attack::trace::extract_deltas_with_resets;
@@ -191,18 +202,53 @@ fn tap_digest(victim: Victim) -> u64 {
     }
 }
 
-/// Runs every case, checks both digests against their pinned values and
-/// returns the session results in case order. All mismatches are reported
-/// at once, with the digests this tree computed.
-fn replay(pinned: &[(Case, u64, u64)]) -> Vec<Result<SessionResult, ServiceError>> {
+/// Digest of Algorithm 1's decisions in a session: every accepted key
+/// before corrections, then the five [`InferenceStats`] counts, or the
+/// error. Hashed field by field rather than through `Debug`, so a change to
+/// how a result is represented cannot move it.
+fn decisions_digest(result: &Result<SessionResult, ServiceError>) -> u64 {
+    match result {
+        Ok(result) => {
+            let mut digest = FNV_BASIS;
+            for k in &result.keys_before_corrections {
+                digest = fnv1a(digest, &k.at.as_nanos().to_le_bytes());
+                digest = fnv1a(digest, &k.decided_at.as_nanos().to_le_bytes());
+                digest = fnv1a(digest, &u32::from(k.ch).to_le_bytes());
+                digest = fnv1a(digest, &[u8::from(k.via_split)]);
+            }
+            let InferenceStats { direct, peeled, splits_recovered, duplications_suppressed, noise } =
+                result.stats;
+            for count in [direct, peeled, splits_recovered, duplications_suppressed, noise] {
+                digest = fnv1a(digest, &(count as u64).to_le_bytes());
+            }
+            digest
+        }
+        Err(err) => fnv1a(FNV_BASIS, format!("{err:?}").as_bytes()),
+    }
+}
+
+/// The pinned digests of one case: its result, its decisions and its tap.
+type Pinned = (Case, u64, u64, u64);
+
+/// Runs every case, checks its three digests against their pinned values
+/// and returns the session results in case order. All mismatches are
+/// reported at once, with the digests this tree computed.
+fn replay(pinned: &[Pinned]) -> Vec<Result<SessionResult, ServiceError>> {
     let mut results = Vec::with_capacity(pinned.len());
     let mut mismatches = Vec::new();
-    for &(case, result_pin, tap_pin) in pinned {
+    for &(case, result_pin, decisions_pin, tap_pin) in pinned {
         let result = eavesdrop(case);
-        let result_digest = fnv1a(FNV_BASIS, format!("{result:?}").as_bytes());
-        let tap = tap_digest(case.victim);
-        if (result_digest, tap) != (result_pin, tap_pin) {
-            mismatches.push(format!("{case:?}: result {result_digest:#018x}, tap {tap:#018x}"));
+        let digests = (
+            fnv1a(FNV_BASIS, format!("{result:?}").as_bytes()),
+            decisions_digest(&result),
+            tap_digest(case.victim),
+        );
+        if digests != (result_pin, decisions_pin, tap_pin) {
+            let (result_digest, decisions, tap) = digests;
+            mismatches.push(format!(
+                "{case:?}: result {result_digest:#018x}, decisions {decisions:#018x}, \
+                 tap {tap:#018x}"
+            ));
         }
         results.push(result);
     }
@@ -213,12 +259,42 @@ fn replay(pinned: &[(Case, u64, u64)]) -> Vec<Result<SessionResult, ServiceError
 #[test]
 fn clean_sessions_replay_their_pinned_digests() {
     let pinned = [
-        (Case::credential(60, None, false), 0x0DD5_EE14_3F96_301C, 0x3941_20F1_16B9_1267),
-        (Case::credential(61, None, false), 0x42A2_885F_0FB7_BE45, 0xB225_8904_392C_96E4),
-        (Case::credential(62, None, false), 0x711C_B103_5753_9400, 0x3849_8162_F240_DB0D),
-        (Case::credential(60, None, true), 0xD87A_6C33_98BC_1D7E, 0x3941_20F1_16B9_1267),
-        (Case::credential(61, None, true), 0xC8F4_6696_62CE_5DB7, 0xB225_8904_392C_96E4),
-        (Case::credential(62, None, true), 0x6188_6BCB_3ED3_EF42, 0x3849_8162_F240_DB0D),
+        (
+            Case::credential(60, None, false),
+            0x1690_8EEC_2619_FC18,
+            0x96CF_6C49_3418_C854,
+            0x3941_20F1_16B9_1267,
+        ),
+        (
+            Case::credential(61, None, false),
+            0x6723_838E_4E53_73E1,
+            0xE191_F1B0_6683_0500,
+            0xB225_8904_392C_96E4,
+        ),
+        (
+            Case::credential(62, None, false),
+            0x0753_C1EE_CCC4_5A04,
+            0x614F_F561_9162_F6A0,
+            0x3849_8162_F240_DB0D,
+        ),
+        (
+            Case::credential(60, None, true),
+            0x49A8_E249_2591_50F4,
+            0xC5C6_32EC_D4C2_3EBA,
+            0x3941_20F1_16B9_1267,
+        ),
+        (
+            Case::credential(61, None, true),
+            0xD74D_9F10_A21B_6CCB,
+            0x3851_64B8_B825_9AAE,
+            0xB225_8904_392C_96E4,
+        ),
+        (
+            Case::credential(62, None, true),
+            0xE47A_CBB3_933C_4510,
+            0x8CB0_07F9_12C8_BF8A,
+            0x3849_8162_F240_DB0D,
+        ),
     ];
     for ((case, ..), result) in pinned.iter().zip(replay(&pinned)) {
         // Guard against vacuous digests: clean sessions must recognise the
@@ -231,10 +307,30 @@ fn clean_sessions_replay_their_pinned_digests() {
 #[test]
 fn faulted_sessions_replay_their_pinned_digests() {
     let pinned = [
-        (Case::credential(70, Some(0.3), false), 0x739A_1951_8525_32A6, 0xA134_0B1C_E87C_2D3E),
-        (Case::credential(71, Some(0.6), false), 0x5169_FF9E_57CC_22F6, 0xD5A1_7773_E0B0_E06D),
-        (Case::credential(70, Some(0.3), true), 0xACA7_9178_4975_36C4, 0xA134_0B1C_E87C_2D3E),
-        (Case::credential(71, Some(0.6), true), 0xC894_04EA_9CB3_B5FE, 0xD5A1_7773_E0B0_E06D),
+        (
+            Case::credential(70, Some(0.3), false),
+            0xB44F_63FC_8DE9_5502,
+            0x09CD_E680_C177_6179,
+            0xA134_0B1C_E87C_2D3E,
+        ),
+        (
+            Case::credential(71, Some(0.6), false),
+            0x9B21_685F_85A2_761A,
+            0xD2DF_879A_A34E_FE1B,
+            0xD5A1_7773_E0B0_E06D,
+        ),
+        (
+            Case::credential(70, Some(0.3), true),
+            0x838E_1AC7_919B_2AF0,
+            0xF938_D341_89B9_4C81,
+            0xA134_0B1C_E87C_2D3E,
+        ),
+        (
+            Case::credential(71, Some(0.6), true),
+            0xB7D1_D8CE_73F3_B75A,
+            0x9BA6_8A88_9E93_ED2A,
+            0xD5A1_7773_E0B0_E06D,
+        ),
     ];
     // A fault plan may legitimately kill a session, but if every session
     // failed the digests would pin nothing but errors.
@@ -251,7 +347,8 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
                 full_trace: false,
                 require_launch: true,
             },
-            0x4C17_0248_B74E_E518,
+            0x0A4F_BA68_3132_347C,
+            0xA0B6_25B7_6E6A_969D,
             0x9E73_F427_F211_C071,
         ),
         (
@@ -260,7 +357,8 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
                 full_trace: false,
                 require_launch: false,
             },
-            0x05D8_DD36_81DD_05AE,
+            0x447C_AFC9_502D_890D,
+            0xF619_F978_21A2_1D3B,
             0xD88E_B12E_5675_1B4D,
         ),
     ];
