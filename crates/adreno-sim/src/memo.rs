@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use crate::counters::CounterSet;
 use crate::model::GpuParams;
 use crate::pipeline::{OcclusionGrid, PrimStats, LRZ_TILE};
-use crate::scene::{DrawList, Primitive};
+use crate::scene::Primitive;
 
 /// Entry cap of the layer cache; on overflow the cache is dropped
 /// wholesale (the working set of the experiment suite is far below this, so
@@ -120,25 +120,6 @@ pub(crate) fn write_prim(m: &mut Mixer, prim: &Primitive) {
             m.write_i32(*thickness);
         }
     }
-}
-
-/// Fingerprints everything `render` consumes: the viewport, every
-/// primitive of every layer in order, and the GPU parameters. Layer tags
-/// are debug metadata the pipeline never reads, so they are excluded.
-///
-/// Each layer contributes its own content fingerprint, kept by the layer as
-/// it was built, so this costs O(layers) however many primitives the frame
-/// holds. Folding one fingerprint per layer also keeps layer boundaries in
-/// the key: the same primitives split differently occlude differently.
-pub fn fingerprint(draw_list: &DrawList, params: &GpuParams) -> Fingerprint {
-    let mut m = Mixer::new();
-    m.write_i32(draw_list.width());
-    m.write_i32(draw_list.height());
-    for layer in draw_list.layers() {
-        m.write_fp(layer.content_fp());
-    }
-    write_params(&mut m, params);
-    m.finish()
 }
 
 /// Fingerprints the occlusion state a glyph at `(dest, thickness)` can
@@ -247,63 +228,6 @@ pub(crate) fn glyph_cache() -> &'static Cache<PrimStats> {
 mod tests {
     use super::*;
     use crate::geom::Rect;
-    use crate::model::GpuModel;
-
-    fn sample_list(glyph: char) -> DrawList {
-        let mut dl = DrawList::new(512, 512);
-        dl.layer("bg").quad(Rect::from_xywh(0, 0, 512, 512), true);
-        dl.layer("popup").glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
-        dl
-    }
-
-    #[test]
-    fn fingerprint_separates_lists_params_and_tags() {
-        let params = GpuModel::Adreno650.params();
-        let a = fingerprint(&sample_list('a'), &params);
-        assert_eq!(a, fingerprint(&sample_list('a'), &params));
-        assert_ne!(a, fingerprint(&sample_list('b'), &params));
-        assert_ne!(a, fingerprint(&sample_list('a'), &GpuModel::Adreno540.params()));
-
-        // Layer tags are render-irrelevant and excluded.
-        let mut tagged = DrawList::new(512, 512);
-        tagged.layer("renamed").quad(Rect::from_xywh(0, 0, 512, 512), true);
-        tagged.layer("other").glyph('a', Rect::from_xywh(100, 100, 90, 110), 8);
-        assert_eq!(a, fingerprint(&tagged, &params));
-    }
-
-    #[test]
-    fn layer_boundaries_are_part_of_the_fingerprint() {
-        let params = GpuModel::Adreno650.params();
-        // Same prims, different layer split → different occlusion → must
-        // not collide.
-        let mut merged = DrawList::new(256, 256);
-        let layer = merged.layer("one");
-        layer.quad(Rect::from_xywh(0, 0, 256, 256), true);
-        layer.quad(Rect::from_xywh(10, 10, 50, 50), true);
-        let mut split = DrawList::new(256, 256);
-        split.layer("a").quad(Rect::from_xywh(0, 0, 256, 256), true);
-        split.layer("b").quad(Rect::from_xywh(10, 10, 50, 50), true);
-        assert_ne!(fingerprint(&merged, &params), fingerprint(&split, &params));
-    }
-
-    #[test]
-    fn shared_layers_fingerprint_like_fresh_ones() {
-        let params = GpuModel::Adreno650.params();
-        let mut bg = crate::scene::Layer::new("bg");
-        bg.quad(Rect::from_xywh(0, 0, 512, 512), true);
-        let bg = Arc::new(bg);
-        // Two lists topping one shared backdrop with different popups, each
-        // against the same list built fresh layer by layer.
-        for glyph in ['a', 'w'] {
-            let mut shared = DrawList::new(512, 512);
-            shared.push_layer(Arc::clone(&bg));
-            shared.layer("popup").glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
-            let fresh = sample_list(glyph);
-            assert_eq!(shared, fresh);
-            assert_eq!(fingerprint(&shared, &params), fingerprint(&fresh, &params));
-        }
-        assert_eq!(Arc::strong_count(&bg), 1, "the lists dropped their shares");
-    }
 
     #[test]
     fn occlusion_fingerprint_sees_region_bits() {

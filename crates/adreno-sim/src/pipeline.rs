@@ -955,4 +955,46 @@ mod tests {
         let moved = tally(&keyboard_frame(536, 100, 240));
         assert_eq!((moved.layers_dirty, moved.layers_reused), (4, 1));
     }
+
+    fn keys_of(draw_list: &DrawList, params: &GpuParams) -> Vec<memo::Fingerprint> {
+        let mut keys = Vec::new();
+        layer_keys(draw_list, params, &mut keys);
+        keys
+    }
+
+    fn popup_list(bg: &'static str, popup: &'static str, glyph: char) -> DrawList {
+        let mut dl = DrawList::new(512, 512);
+        dl.layer(bg).quad(Rect::from_xywh(0, 0, 512, 512), true);
+        dl.layer(popup).glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
+        dl
+    }
+
+    #[test]
+    fn layer_keys_follow_content_and_params_but_not_tags() {
+        let a = keys_of(&popup_list("bg", "popup", 'a'), &params());
+        assert_eq!(a, keys_of(&popup_list("bg", "popup", 'a'), &params()));
+        // A glyph occludes nothing, so only its own layer's key moves.
+        let b = keys_of(&popup_list("bg", "popup", 'b'), &params());
+        assert_eq!(a[0], b[0]);
+        assert_ne!(a[1], b[1]);
+        let other = keys_of(&popup_list("bg", "popup", 'a'), &GpuModel::Adreno540.params());
+        assert!(a.iter().zip(&other).all(|(x, y)| x != y), "GPU params are in every key");
+        // Layer tags are render-irrelevant and excluded.
+        assert_eq!(a, keys_of(&popup_list("renamed", "other", 'a'), &params()));
+    }
+
+    #[test]
+    fn layer_boundaries_are_part_of_the_keys() {
+        // The same quads in one layer or in two occlude differently, so no
+        // key of one list may serve the other.
+        let mut merged = DrawList::new(256, 256);
+        let layer = merged.layer("one");
+        layer.quad(Rect::from_xywh(0, 0, 256, 256), true);
+        layer.quad(Rect::from_xywh(10, 10, 50, 50), true);
+        let mut split = DrawList::new(256, 256);
+        split.layer("a").quad(Rect::from_xywh(0, 0, 256, 256), true);
+        split.layer("b").quad(Rect::from_xywh(10, 10, 50, 50), true);
+        let (merged, split) = (keys_of(&merged, &params()), keys_of(&split, &params()));
+        assert!(merged.iter().all(|k| !split.contains(k)), "{merged:?} vs {split:?}");
+    }
 }

@@ -218,6 +218,25 @@ mod tests {
     }
 
     #[test]
+    fn shared_layers_equal_fresh_ones() {
+        let mut bg = Layer::new("bg");
+        bg.quad(Rect::from_xywh(0, 0, 512, 512), true);
+        let bg = Arc::new(bg);
+        // Two lists topping one shared backdrop with different popups, each
+        // against the same list built fresh layer by layer.
+        for glyph in ['a', 'w'] {
+            let mut shared = DrawList::new(512, 512);
+            shared.push_layer(Arc::clone(&bg));
+            shared.layer("popup").glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
+            let mut fresh = DrawList::new(512, 512);
+            fresh.layer("bg").quad(Rect::from_xywh(0, 0, 512, 512), true);
+            fresh.layer("popup").glyph(glyph, Rect::from_xywh(100, 100, 90, 110), 8);
+            assert_eq!(shared, fresh);
+        }
+        assert_eq!(Arc::strong_count(&bg), 1, "the lists dropped their shares");
+    }
+
+    #[test]
     fn summary_follows_the_primitives() {
         let mut layer = Layer::new("l");
         layer.quad(Rect::from_xywh(0, 0, 10, 10), false);

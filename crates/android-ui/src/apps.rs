@@ -352,7 +352,6 @@ mod tests {
     #[test]
     fn shared_login_frames_equal_fresh_ones() {
         use crate::screen::{PhoneModel, Resolution};
-        use adreno_sim::memo::fingerprint;
 
         let apps = [
             TargetApp::Chase,
@@ -374,7 +373,6 @@ mod tests {
             ..DeviceConfig::for_phone(PhoneModel::LgV30Plus)
         };
         for device in [cfg(), qhd] {
-            let params = device.gpu().params();
             for app in apps {
                 let screen = LoginScreen::new(app, &device);
                 for (text_len, cursor) in [(0, true), (0, false), (5, true), (40, false)] {
@@ -382,7 +380,6 @@ mod tests {
                         let shared = screen.draw(text_len, cursor, phase);
                         let fresh = reference_draw(&screen, text_len, cursor, phase);
                         assert_eq!(shared, fresh, "{app} on {device}, phase {phase}");
-                        assert_eq!(fingerprint(&shared, &params), fingerprint(&fresh, &params));
                     }
                 }
             }

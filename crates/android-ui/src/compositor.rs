@@ -35,14 +35,13 @@
 //! fingerprints, so a frame of shared layers is keyed in O(layers).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::apps::TargetApp;
 use crate::keyboard::{Key, KeyboardKind, KeyboardLayout, Page};
 use crate::screen::DeviceConfig;
 use adreno_sim::geom::Rect;
 use adreno_sim::scene::{DrawList, Layer};
-use parking_lot::Mutex;
 use rand::Rng;
 
 /// Names one static window layer: which layer, of which keyboard or app, on
@@ -62,13 +61,16 @@ pub(crate) enum StaticLayer {
 pub(crate) fn shared_layer(key: StaticLayer, build: impl FnOnce() -> Layer) -> Arc<Layer> {
     static TABLE: OnceLock<Mutex<HashMap<StaticLayer, Arc<Layer>>>> = OnceLock::new();
     let table = TABLE.get_or_init(Default::default);
-    if let Some(layer) = table.lock().get(&key) {
+    // Every update is one insert, so a panic elsewhere while the lock was
+    // held cannot have left the table half-written.
+    let lock = || table.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(layer) = lock().get(&key) {
         return Arc::clone(layer);
     }
     // Build outside the lock; a concurrent first use builds the same value
     // and the first insert wins.
     let layer = Arc::new(build());
-    Arc::clone(table.lock().entry(key).or_insert(layer))
+    Arc::clone(lock().entry(key).or_insert(layer))
 }
 
 /// The popup currently showing on the keyboard, if any.
@@ -366,18 +368,14 @@ mod tests {
     fn shared_keyboard_frames_equal_fresh_ones() {
         use crate::keyboard::ALL_KEYBOARDS;
         use crate::screen::{PhoneModel, Resolution};
-        use adreno_sim::memo::fingerprint;
 
         let qhd = DeviceConfig {
             resolution: Resolution::Qhd,
             ..DeviceConfig::for_phone(PhoneModel::GalaxyS21)
         };
         for device in [cfg(), qhd] {
-            let params = device.gpu().params();
             let check = |kw: &KeyboardWindow| {
-                let (shared, fresh) = (kw.draw(), reference_draw(kw));
-                assert_eq!(shared, fresh, "{:?} on {device}", kw.layout().kind());
-                assert_eq!(fingerprint(&shared, &params), fingerprint(&fresh, &params));
+                assert_eq!(kw.draw(), reference_draw(kw), "{:?} on {device}", kw.layout().kind());
             };
             for kind in ALL_KEYBOARDS {
                 let mut kw = KeyboardWindow::new(kind, &device, true);

@@ -83,9 +83,7 @@ fn bench_model_serde(c: &mut Criterion) {
         b.iter(|| encode_model(black_box(&model), Quantization::F64))
     });
     let blob = encode_model(&model, Quantization::F64);
-    c.bench_function("model_decode_gpmr", |b| {
-        b.iter(|| decode_model(black_box(blob.clone())).unwrap())
-    });
+    c.bench_function("model_decode_gpmr", |b| b.iter(|| decode_model(black_box(&blob)).unwrap()));
 }
 
 fn bench_ioctl_read(c: &mut Criterion) {

@@ -17,6 +17,11 @@ use crate::online::{InferEvent, InferredKey};
 use crate::stage::Stage;
 use crate::trace::Delta;
 
+/// The visible-prim count of an empty field with the cursor hidden: the
+/// field's own quad and nothing else. A text change always shows the
+/// cursor, so this count is never the echo of one.
+const EMPTY_FIELD_CURSOR_HIDDEN: i64 = 2;
+
 /// What an app-window echo change meant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrectionEvent {
@@ -171,12 +176,15 @@ impl CorrectionDetector {
         let at = delta.at;
         let Some(prev) = self.last_visible_prims else {
             // First echo seen: establishes the baseline and the blink
-            // anchor. When it decodes to exactly one character with the
-            // cursor shown, it *is* the first commit's echo and counts as a
-            // text change; longer baselines mean sampling started
-            // mid-input, where the preceding history is unknowable.
+            // anchor. The empty field with the cursor hidden (a blink-off
+            // before the first commit) is the one count that shows the
+            // cursor state; any other baseline is taken as cursor shown.
+            // When it decodes to exactly one character with the cursor
+            // shown, it *is* the first commit's echo and counts as a text
+            // change; longer baselines mean sampling started mid-input,
+            // where the preceding history is unknowable.
             self.last_visible_prims = Some(v);
-            self.cursor_on = true;
+            self.cursor_on = v != EMPTY_FIELD_CURSOR_HIDDEN;
             self.blink_anchor = Some(at);
             if v == 6 {
                 let event = CorrectionEvent::CharAdded(at);
@@ -215,6 +223,13 @@ impl CorrectionDetector {
             let event = CorrectionEvent::CursorBlink(at);
             self.events.push(event);
             return Some(event);
+        }
+        // Not a blink, yet the cursor is hidden: no text change shows that,
+        // so only the cursor state is learned.
+        if v == EMPTY_FIELD_CURSOR_HIDDEN {
+            self.cursor_on = false;
+            self.last_visible_prims = Some(v);
+            return None;
         }
         // Text change: the cursor ends up visible and the blink timer
         // restarts; decode the length shift.
@@ -471,9 +486,10 @@ mod tests {
         c
     }
 
-    /// Field signatures for prim counts 36..=60 (covering the test echoes).
+    /// Field signatures for prim counts 2..=60: the empty field with the
+    /// cursor hidden up to the longest test echo.
     fn sigs() -> Vec<CounterSet> {
-        (36..=60)
+        (2..=60)
             .step_by(2)
             .map(|p| {
                 let mut c = sig();
@@ -581,6 +597,31 @@ mod tests {
         assert_eq!(det.observe(&echo(2_135, 40)), None);
         det.flush();
         assert_eq!(det.events(), &[CorrectionEvent::CursorBlink(SimInstant::from_millis(2_135))]);
+        assert!(det.deletions().is_empty());
+    }
+
+    #[test]
+    fn count_two_is_the_empty_field_with_the_cursor_hidden() {
+        let added = |ms| Some(CorrectionEvent::CharAdded(SimInstant::from_millis(ms)));
+        // A session's first echo is often the empty field's blink-off. As
+        // the baseline it hides the cursor, so the first commit reads as one
+        // character, and a blink-on before it reads as a blink.
+        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        assert_eq!(det.observe(&echo(520, 2)), None);
+        assert_eq!(det.observe(&echo(968, 6)), added(968));
+        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        det.observe(&echo(520, 2));
+        assert_eq!(
+            det.observe(&echo(1_020, 4)),
+            Some(CorrectionEvent::CursorBlink(SimInstant::from_millis(1_020)))
+        );
+
+        // Later, a count-2 echo that is not a blink is no text change (a
+        // text change shows the cursor): it only hides the cursor.
+        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        det.observe(&echo(17, 2));
+        assert_eq!(det.observe(&echo(520, 2)), None, "an empty field loses no character");
+        assert_eq!(det.observe(&echo(900, 6)), added(900));
         assert!(det.deletions().is_empty());
     }
 

@@ -19,6 +19,7 @@
 //!   with device recognition (§3.2, §6);
 //! * [`registry`] — the content-addressed model registry: the GPMR model
 //!   format, SHA-256 digests and train-once-per-key;
+//! * [`varint`] — the LEB128 codec GPMR and the wire protocol share;
 //! * [`stage`] — the push-based streaming [`Stage`] abstraction all of the
 //!   above compose through;
 //! * [`service`] — the end-to-end background service;
@@ -72,6 +73,7 @@ pub mod sampler;
 pub mod service;
 pub mod stage;
 pub mod trace;
+pub mod varint;
 
 pub use classify::{BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta};
 pub use fleet::{Fleet, FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};

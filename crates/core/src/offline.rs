@@ -22,10 +22,9 @@ use android_ui::apps::LoginScreen;
 use android_ui::compositor::KeyboardWindow;
 use android_ui::sim::{SimConfig, UiSimulation};
 use android_ui::{DeviceConfig, KeyboardKind, TargetApp};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
-use crate::registry::{ModelDecodeError, ModelDigest, ModelHandle};
+use crate::registry::{take, ModelDecodeError, ModelDigest, ModelHandle};
 use crate::sampler::{Sampler, SamplerConfig};
 use crate::stage::Stage;
 use crate::trace::{extract_deltas, Delta};
@@ -367,14 +366,13 @@ impl ModelStore {
 
     /// Serialises the whole store (length-prefixed GPMR blobs). The blobs
     /// are re-served straight from the handles — nothing is re-encoded.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut b = BytesMut::new();
-        b.put_u32(self.models.len() as u32);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut b = (self.models.len() as u32).to_be_bytes().to_vec();
         for h in &self.models {
-            b.put_u32(h.encoded_len() as u32);
-            b.put_slice(h.blob());
+            b.extend_from_slice(&(h.encoded_len() as u32).to_be_bytes());
+            b.extend_from_slice(h.blob());
         }
-        b.freeze()
+        b
     }
 
     /// Deserialises a store, validating every blob (eager decode — this is
@@ -384,22 +382,25 @@ impl ModelStore {
     ///
     /// Returns the first model's decode error, or `Truncated` on framing
     /// problems.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, ModelDecodeError> {
-        if data.remaining() < 4 {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ModelDecodeError> {
+        if data.len() < 4 {
             return Err(ModelDecodeError::Truncated);
         }
-        let n = data.get_u32() as usize;
-        let mut models = Vec::with_capacity(n);
+        let mut pos = 0;
+        let n = u32::from_be_bytes(take(data, &mut pos)) as usize;
+        // Each model costs at least its 4-byte length: a declared count the
+        // buffer cannot back must not size the allocation.
+        let mut models = Vec::with_capacity(n.min(data.len() / 4));
         for _ in 0..n {
-            if data.remaining() < 4 {
+            if data.len() - pos < 4 {
                 return Err(ModelDecodeError::Truncated);
             }
-            let len = data.get_u32() as usize;
-            if data.remaining() < len {
+            let len = u32::from_be_bytes(take(data, &mut pos)) as usize;
+            if data.len() - pos < len {
                 return Err(ModelDecodeError::Truncated);
             }
-            let body = data.split_to(len);
-            models.push(ModelHandle::from_blob(body)?);
+            models.push(ModelHandle::from_blob(data[pos..pos + len].to_vec())?);
+            pos += len;
         }
         Ok(ModelStore { models })
     }
@@ -608,8 +609,7 @@ mod tests {
         let mut store = ModelStore::new();
         store.add(m.clone());
         store.add(m);
-        let bytes = store.to_bytes();
-        let back = ModelStore::from_bytes(bytes).unwrap();
+        let back = ModelStore::from_bytes(&store.to_bytes()).unwrap();
         assert_eq!(back, store);
         assert_eq!(back.len(), 2);
         assert!(store.total_wire_bytes() > 0);
@@ -628,13 +628,11 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_truncation() {
+        assert_eq!(ModelStore::from_bytes(b"\x00"), Err(ModelDecodeError::Truncated));
         assert_eq!(
-            ModelStore::from_bytes(Bytes::from_static(b"\x00")),
+            ModelStore::from_bytes(b"\x00\x00\x00\x02\x00\x00\x00\x10"),
             Err(ModelDecodeError::Truncated)
         );
-        assert_eq!(
-            ModelStore::from_bytes(Bytes::from_static(b"\x00\x00\x00\x02\x00\x00\x00\x10")),
-            Err(ModelDecodeError::Truncated)
-        );
+        assert_eq!(ModelStore::from_bytes(b"\xff\xff\xff\xff"), Err(ModelDecodeError::Truncated));
     }
 }

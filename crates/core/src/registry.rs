@@ -26,10 +26,10 @@ use adreno_sim::counters::{CounterSet, NUM_TRACKED};
 use android_ui::{
     AndroidVersion, DeviceConfig, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
 use crate::offline::{Trainer, TrainerConfig};
+use crate::varint::{self, VarintError};
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), self-contained. The registry is content-addressed
@@ -245,6 +245,23 @@ impl fmt::Display for ModelDecodeError {
 
 impl std::error::Error for ModelDecodeError {}
 
+impl From<VarintError> for ModelDecodeError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => ModelDecodeError::Truncated,
+            VarintError::Overflow => ModelDecodeError::BadField("varint overflow"),
+        }
+    }
+}
+
+/// The `N` bytes at `*pos`, advancing it. The decoders check lengths up
+/// front, so a short buffer is a typed `Truncated` error, never a panic.
+pub(crate) fn take<const N: usize>(data: &[u8], pos: &mut usize) -> [u8; N] {
+    let bytes = data[*pos..*pos + N].try_into().expect("length checked up front");
+    *pos += N;
+    bytes
+}
+
 // The one-byte codes GPMR stores each configuration enum as.
 macro_rules! enum_codes {
     ($to:ident, $from:ident, $ty:ty, [$(($variant:path, $code:expr)),+ $(,)?]) => {
@@ -332,50 +349,16 @@ enum_codes!(
     ]
 );
 
-fn put_varint(b: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            b.put_u8(byte);
-            return;
-        }
-        b.put_u8(byte | 0x80);
-    }
-}
-
-fn get_varint(data: &mut Bytes) -> Result<u64, ModelDecodeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if data.remaining() == 0 {
-            return Err(ModelDecodeError::Truncated);
-        }
-        let byte = data.get_u8();
-        if shift == 63 && byte > 1 {
-            return Err(ModelDecodeError::BadField("varint overflow"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(ModelDecodeError::BadField("varint overflow"));
-        }
-    }
-}
-
-fn put_set_varint(b: &mut BytesMut, set: &CounterSet) {
+fn put_set_varint(b: &mut Vec<u8>, set: &CounterSet) {
     for &v in set.as_array() {
-        put_varint(b, v);
+        varint::write_u64(b, v);
     }
 }
 
-fn get_set_varint(data: &mut Bytes) -> Result<CounterSet, ModelDecodeError> {
+fn get_set_varint(data: &[u8], pos: &mut usize) -> Result<CounterSet, ModelDecodeError> {
     let mut a = [0u64; NUM_TRACKED];
     for v in &mut a {
-        *v = get_varint(data)?;
+        *v = varint::read_u64(data, pos)?;
     }
     Ok(CounterSet::from_array(a))
 }
@@ -386,30 +369,34 @@ fn to_counter(f: f64) -> u64 {
     f.round() as u64
 }
 
-fn encode_row(b: &mut BytesMut, row: &CounterSet, q: Quantization) {
+fn encode_row(b: &mut Vec<u8>, row: &CounterSet, q: Quantization) {
     match q {
         Quantization::F64 => {
             for &v in row.as_array() {
-                b.put_u64((v as f64).to_bits());
+                b.extend_from_slice(&(v as f64).to_be_bytes());
             }
         }
         Quantization::F32 => {
             for &v in row.as_array() {
-                b.put_u32((v as f32).to_bits());
+                b.extend_from_slice(&(v as f32).to_be_bytes());
             }
         }
     }
 }
 
-fn decode_row(data: &mut Bytes, q: Quantization) -> Result<CounterSet, ModelDecodeError> {
+fn decode_row(
+    data: &[u8],
+    pos: &mut usize,
+    q: Quantization,
+) -> Result<CounterSet, ModelDecodeError> {
     let mut a = [0u64; NUM_TRACKED];
     match q {
         Quantization::F64 => {
-            if data.remaining() < NUM_TRACKED * 8 {
+            if data.len() - *pos < NUM_TRACKED * 8 {
                 return Err(ModelDecodeError::Truncated);
             }
             for v in &mut a {
-                let f = f64::from_bits(data.get_u64());
+                let f = f64::from_be_bytes(take(data, pos));
                 if !f.is_finite() || f < 0.0 {
                     return Err(ModelDecodeError::BadField("centroid value"));
                 }
@@ -417,11 +404,11 @@ fn decode_row(data: &mut Bytes, q: Quantization) -> Result<CounterSet, ModelDeco
             }
         }
         Quantization::F32 => {
-            if data.remaining() < NUM_TRACKED * 4 {
+            if data.len() - *pos < NUM_TRACKED * 4 {
                 return Err(ModelDecodeError::Truncated);
             }
             for v in &mut a {
-                let f = f32::from_bits(data.get_u32());
+                let f = f32::from_be_bytes(take(data, pos));
                 if !f.is_finite() || f < 0.0 {
                     return Err(ModelDecodeError::BadField("centroid value"));
                 }
@@ -447,61 +434,62 @@ fn decode_row(data: &mut Bytes, q: Quantization) -> Result<CounterSet, ModelDeco
 /// centroid count u16
 /// per centroid: char varint + row              (row format per tier)
 /// ```
-pub fn encode_model(model: &ClassifierModel, q: Quantization) -> Bytes {
+pub fn encode_model(model: &ClassifierModel, q: Quantization) -> Vec<u8> {
     let meta = model.meta();
-    let mut b = BytesMut::with_capacity(160 + model.centroids().len() * (2 + NUM_TRACKED * 8));
-    b.put_slice(b"GPMR");
-    b.put_u8(1); // version
-    b.put_u8(q.code());
-    b.put_u8(phone_code(meta.phone));
-    b.put_u8(android_code(meta.android));
-    b.put_u8(resolution_code(meta.resolution));
-    b.put_u8(refresh_code(meta.refresh));
-    b.put_u8(keyboard_code(meta.keyboard));
-    b.put_u8(app_code(meta.app));
-    b.put_u64(model.threshold().to_bits());
+    let mut b = Vec::with_capacity(160 + model.centroids().len() * (2 + NUM_TRACKED * 8));
+    b.extend_from_slice(b"GPMR");
+    b.extend_from_slice(&[
+        1, // version
+        q.code(),
+        phone_code(meta.phone),
+        android_code(meta.android),
+        resolution_code(meta.resolution),
+        refresh_code(meta.refresh),
+        keyboard_code(meta.keyboard),
+        app_code(meta.app),
+    ]);
+    b.extend_from_slice(&model.threshold().to_be_bytes());
     for w in model.weights() {
-        b.put_u64(w.to_bits());
+        b.extend_from_slice(&w.to_be_bytes());
     }
     put_set_varint(&mut b, model.kb_signature());
     put_set_varint(&mut b, model.app_signature());
-    put_varint(&mut b, model.ambient_signatures().len() as u64);
+    varint::write_u64(&mut b, model.ambient_signatures().len() as u64);
     for sig in model.ambient_signatures() {
         put_set_varint(&mut b, sig);
     }
     put_set_varint(&mut b, model.launch_signature());
-    put_varint(&mut b, model.switch_threshold());
-    b.put_u16(model.centroids().len() as u16);
+    varint::write_u64(&mut b, model.switch_threshold());
+    b.extend_from_slice(&(model.centroids().len() as u16).to_be_bytes());
     for c in model.centroids() {
-        put_varint(&mut b, u64::from(u32::from(c.ch)));
+        varint::write_u64(&mut b, u64::from(u32::from(c.ch)));
         encode_row(&mut b, &c.values, q);
     }
-    b.freeze()
+    b
 }
 
 /// Reads the fixed 12-byte GPMR header: magic, version, tier, meta.
-fn parse_header(data: &mut Bytes) -> Result<(Quantization, ModelMeta), ModelDecodeError> {
+fn parse_header(data: &[u8]) -> Result<(Quantization, ModelMeta), ModelDecodeError> {
     use ModelDecodeError::*;
-    if data.remaining() < 12 {
+    let Some(&[g, p, m, r, version, tier, phone, android, resolution, refresh, keyboard, app]) =
+        data.first_chunk()
+    else {
         return Err(Truncated);
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != b"GPMR" {
+    };
+    if [g, p, m, r] != *b"GPMR" {
         return Err(BadMagic);
     }
-    let version = data.get_u8();
     if version != 1 {
         return Err(BadVersion(version));
     }
-    let quantization = Quantization::from_code(data.get_u8()).ok_or(BadField("quantization"))?;
+    let quantization = Quantization::from_code(tier).ok_or(BadField("quantization"))?;
     let meta = ModelMeta {
-        phone: phone_from(data.get_u8()).ok_or(BadField("phone"))?,
-        android: android_from(data.get_u8()).ok_or(BadField("android"))?,
-        resolution: resolution_from(data.get_u8()).ok_or(BadField("resolution"))?,
-        refresh: refresh_from(data.get_u8()).ok_or(BadField("refresh"))?,
-        keyboard: keyboard_from(data.get_u8()).ok_or(BadField("keyboard"))?,
-        app: app_from(data.get_u8()).ok_or(BadField("app"))?,
+        phone: phone_from(phone).ok_or(BadField("phone"))?,
+        android: android_from(android).ok_or(BadField("android"))?,
+        resolution: resolution_from(resolution).ok_or(BadField("resolution"))?,
+        refresh: refresh_from(refresh).ok_or(BadField("refresh"))?,
+        keyboard: keyboard_from(keyboard).ok_or(BadField("keyboard"))?,
+        app: app_from(app).ok_or(BadField("app"))?,
     };
     Ok((quantization, meta))
 }
@@ -513,46 +501,47 @@ fn parse_header(data: &mut Bytes) -> Result<(Quantization, ModelMeta), ModelDeco
 ///
 /// A typed [`ModelDecodeError`] for truncated or corrupt input; never
 /// panics, whatever the bytes.
-pub fn decode_model(mut data: Bytes) -> Result<ClassifierModel, ModelDecodeError> {
+pub fn decode_model(data: &[u8]) -> Result<ClassifierModel, ModelDecodeError> {
     use ModelDecodeError::*;
-    let (quantization, meta) = parse_header(&mut data)?;
-    if data.remaining() < 8 + NUM_TRACKED * 8 {
+    let (quantization, meta) = parse_header(data)?;
+    let mut pos = 12; // past the header
+    if data.len() - pos < 8 + NUM_TRACKED * 8 {
         return Err(Truncated);
     }
-    let threshold = f64::from_bits(data.get_u64());
+    let threshold = f64::from_be_bytes(take(data, &mut pos));
     let mut weights = [0.0; NUM_TRACKED];
     for w in &mut weights {
-        *w = f64::from_bits(data.get_u64());
+        *w = f64::from_be_bytes(take(data, &mut pos));
         if !w.is_finite() {
             return Err(BadField("weight"));
         }
     }
-    let kb_signature = get_set_varint(&mut data)?;
-    let app_signature = get_set_varint(&mut data)?;
-    let n_sigs = get_varint(&mut data)?;
+    let kb_signature = get_set_varint(data, &mut pos)?;
+    let app_signature = get_set_varint(data, &mut pos)?;
+    let n_sigs = varint::read_u64(data, &mut pos)?;
     // Each signature costs ≥ NUM_TRACKED bytes; reject absurd counts before
     // allocating.
-    if n_sigs as u128 * NUM_TRACKED as u128 > data.remaining() as u128 {
+    if n_sigs as u128 * NUM_TRACKED as u128 > (data.len() - pos) as u128 {
         return Err(Truncated);
     }
     let mut field_signatures = Vec::with_capacity(n_sigs as usize);
     for _ in 0..n_sigs {
-        field_signatures.push(get_set_varint(&mut data)?);
+        field_signatures.push(get_set_varint(data, &mut pos)?);
     }
-    let launch_signature = get_set_varint(&mut data)?;
-    let switch_threshold = get_varint(&mut data)?;
-    if data.remaining() < 2 {
+    let launch_signature = get_set_varint(data, &mut pos)?;
+    let switch_threshold = varint::read_u64(data, &mut pos)?;
+    if data.len() - pos < 2 {
         return Err(Truncated);
     }
-    let n = data.get_u16() as usize;
+    let n = u16::from_be_bytes(take(data, &mut pos)) as usize;
     let mut centroids = Vec::with_capacity(n);
     for _ in 0..n {
-        let ch = get_varint(&mut data)?;
+        let ch = varint::read_u64(data, &mut pos)?;
         let ch = u32::try_from(ch).ok().and_then(char::from_u32).ok_or(BadField("char"))?;
-        let values = decode_row(&mut data, quantization)?;
+        let values = decode_row(data, &mut pos, quantization)?;
         centroids.push(KeyCentroid { ch, values });
     }
-    if data.remaining() != 0 {
+    if pos != data.len() {
         return Err(BadField("trailing bytes"));
     }
     if centroids.is_empty() || threshold <= 0.0 || !threshold.is_finite() {
@@ -576,7 +565,7 @@ pub fn decode_model(mut data: Bytes) -> Result<ClassifierModel, ModelDecodeError
 
 struct HandleInner {
     digest: ModelDigest,
-    blob: Bytes,
+    blob: Vec<u8>,
     model: Arc<ClassifierModel>,
 }
 
@@ -603,8 +592,8 @@ impl ModelHandle {
     /// # Errors
     ///
     /// Any [`ModelDecodeError`] the blob fails validation with.
-    pub fn from_blob(blob: Bytes) -> Result<ModelHandle, ModelDecodeError> {
-        let model = Arc::new(decode_model(blob.clone())?);
+    pub fn from_blob(blob: Vec<u8>) -> Result<ModelHandle, ModelDecodeError> {
+        let model = Arc::new(decode_model(&blob)?);
         let digest = ModelDigest::of(&blob);
         Ok(ModelHandle { inner: Arc::new(HandleInner { digest, blob, model }) })
     }
@@ -614,8 +603,8 @@ impl ModelHandle {
         self.inner.digest
     }
 
-    /// The encoded GPMR blob (zero-copy slice of the handle's storage).
-    pub fn blob(&self) -> &Bytes {
+    /// The encoded GPMR blob.
+    pub fn blob(&self) -> &[u8] {
         &self.inner.blob
     }
 
@@ -749,7 +738,7 @@ mod tests {
     fn f64_round_trip_is_bit_exact() {
         let model = trained_model();
         let blob = encode_model(&model, Quantization::F64);
-        let back = decode_model(blob).expect("decodes");
+        let back = decode_model(&blob).expect("decodes");
         assert_eq!(back, model);
     }
 
@@ -758,7 +747,7 @@ mod tests {
         let model = trained_model();
         for q in Quantization::ALL {
             let blob = encode_model(&model, q);
-            let decoded = decode_model(blob.clone()).expect("decodes");
+            let decoded = decode_model(&blob).expect("decodes");
             let reencoded = encode_model(&decoded, q);
             assert_eq!(blob, reencoded, "tier {} re-encode changed bytes", q.name());
             assert_eq!(ModelDigest::of(&blob), ModelDigest::of(&reencoded));
@@ -768,7 +757,7 @@ mod tests {
     #[test]
     fn f32_stays_within_documented_bound() {
         let model = trained_model();
-        let decoded = decode_model(encode_model(&model, Quantization::F32)).expect("decodes");
+        let decoded = decode_model(&encode_model(&model, Quantization::F32)).expect("decodes");
         for (orig, dec) in model.centroids().iter().zip(decoded.centroids()) {
             for (&v, &d) in orig.values.as_array().iter().zip(dec.values.as_array()) {
                 let bound = v as f64 / (1u64 << 23) as f64 + 1.0;
@@ -784,7 +773,7 @@ mod tests {
     fn truncated_blobs_never_panic() {
         let blob = encode_model(&trained_model(), Quantization::F32);
         for len in 0..blob.len() {
-            assert!(decode_model(blob.slice(..len)).is_err(), "truncation at {len} accepted");
+            assert!(decode_model(&blob[..len]).is_err(), "truncation at {len} accepted");
         }
     }
 
@@ -822,10 +811,9 @@ mod tests {
         assert_eq!(h.digest(), ModelDigest::of(&blob));
         assert_eq!(h.model().meta(), model.meta());
 
-        let mut corrupt = BytesMut::new();
-        corrupt.put_slice(b"GPXX");
-        corrupt.put_slice(&[1; 8]);
-        assert_eq!(ModelHandle::from_blob(corrupt.freeze()), Err(ModelDecodeError::BadMagic));
+        let mut corrupt = b"GPXX".to_vec();
+        corrupt.extend_from_slice(&[1; 8]);
+        assert_eq!(ModelHandle::from_blob(corrupt), Err(ModelDecodeError::BadMagic));
     }
 
     #[test]

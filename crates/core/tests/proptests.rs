@@ -432,7 +432,7 @@ proptest! {
         for m in &models {
             store.add(m.clone());
         }
-        let back = ModelStore::from_bytes(store.to_bytes()).unwrap();
+        let back = ModelStore::from_bytes(&store.to_bytes()).unwrap();
         // Stores hold bit-exact f64 GPMR blobs: every model comes back equal.
         prop_assert_eq!(back.len(), models.len());
         for (h, m) in back.handles().iter().zip(&models) {
@@ -753,37 +753,44 @@ proptest! {
 
     #[test]
     fn simd_kernels_match_scalar_reference_bitwise(
-        a in prop::collection::vec(0u64..3_000_000, 0..24),
-        b in prop::collection::vec(0u64..3_000_000, 0..24),
-        w in prop::collection::vec(1u64..64, 0..24),
+        a in arb_set(3_000_000),
+        b in arb_set(3_000_000),
+        weights in arb_weights(),
     ) {
         // The vendored kernels promise an exact summation order (lane j
         // accumulates elements j, j+4, …; reduction tree (l0+l1)+(l2+l3)).
-        // Pin them, bit for bit, against a plain scalar spelling of that
-        // order — for every length, including ragged tails — and pin the
-        // pruned variant's completion to the full kernel.
-        let n = a.len().min(b.len()).min(w.len());
-        let a: Vec<f64> = a[..n].iter().map(|&v| v as f64).collect();
-        let b: Vec<f64> = b[..n].iter().map(|&v| v as f64).collect();
-        let w: Vec<f64> = w[..n].iter().map(|&v| 1.0 / v as f64).collect();
+        // Pin them, bit for bit, on whitened 11-wide rows as the classifier
+        // scans them (two full chunks and a ragged tail of three) against a
+        // plain scalar spelling of that order, and pin the pruned variant's
+        // completion to the full kernel.
+        let whiten = |s: &CounterSet| -> [f64; NUM_TRACKED] {
+            std::array::from_fn(|i| s.as_array()[i] as f64 * weights[i])
+        };
+        let (a, b) = (whiten(&a), whiten(&b));
+        let reference = |a: &[f64; NUM_TRACKED], b: &[f64; NUM_TRACKED]| {
+            let mut lanes = [0.0f64; simdlite::LANES];
+            for i in 0..NUM_TRACKED {
+                let d = a[i] - b[i];
+                lanes[i % simdlite::LANES] += d * d;
+            }
+            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        };
 
-        let mut lanes = [0.0f64; simdlite::LANES];
-        for i in 0..n {
-            let d = (a[i] - b[i]) * w[i];
-            lanes[i % simdlite::LANES] += d * d;
-        }
-        let reference = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-
-        let full = simdlite::weighted_sq_dist(&a, &b, &w);
-        prop_assert_eq!(full.to_bits(), reference.to_bits(), "chunked ≡ scalar, len {}", n);
-        let completed = simdlite::weighted_sq_dist_pruned(&a, &b, &w, f64::INFINITY)
+        let full = simdlite::sq_dist_fixed(&a, &b);
+        prop_assert_eq!(full.to_bits(), reference(&a, &b).to_bits(), "chunked ≡ scalar");
+        prop_assert_eq!(
+            simdlite::sq_norm_fixed(&a).to_bits(),
+            reference(&a, &[0.0; NUM_TRACKED]).to_bits(),
+            "norm ≡ distance from the origin"
+        );
+        let completed = simdlite::sq_dist_pruned_fixed(&a, &b, f64::INFINITY)
             .expect("infinite cutoff never prunes");
         prop_assert_eq!(completed.to_bits(), full.to_bits(), "pruned completion ≡ full scan");
         // Pruning decisions are consistent with the full sum: at or above
         // the cutoff the scan aborts, below it the scan completes exactly.
-        prop_assert_eq!(simdlite::weighted_sq_dist_pruned(&a, &b, &w, full), None);
+        prop_assert_eq!(simdlite::sq_dist_pruned_fixed(&a, &b, full), None);
         prop_assert_eq!(
-            simdlite::weighted_sq_dist_pruned(&a, &b, &w, full + 1.0).map(f64::to_bits),
+            simdlite::sq_dist_pruned_fixed(&a, &b, full + 1.0).map(f64::to_bits),
             Some(full.to_bits())
         );
     }

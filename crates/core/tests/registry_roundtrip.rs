@@ -98,7 +98,7 @@ proptest! {
     #[test]
     fn f64_round_trip_is_bit_exact(model in arb_model()) {
         let blob = encode_model(&model, Quantization::F64);
-        let back = decode_model(blob).unwrap();
+        let back = decode_model(&blob).unwrap();
         assert_exact_parts(&back, &model);
         prop_assert_eq!(back.centroids(), model.centroids());
     }
@@ -107,7 +107,7 @@ proptest! {
     /// `|dec − v| ≤ v / 2²³ + 1`.
     #[test]
     fn f32_round_trip_is_within_documented_bound(model in arb_model()) {
-        let back = decode_model(encode_model(&model, Quantization::F32)).unwrap();
+        let back = decode_model(&encode_model(&model, Quantization::F32)).unwrap();
         assert_exact_parts(&back, &model);
         for (b, m) in back.centroids().iter().zip(model.centroids()) {
             prop_assert_eq!(b.ch, m.ch);
@@ -128,7 +128,7 @@ proptest! {
         for q in Quantization::ALL {
             let blob = encode_model(&model, q);
             let digest = ModelDigest::of(&blob);
-            let back = decode_model(blob.clone()).unwrap();
+            let back = decode_model(&blob).unwrap();
             let again = encode_model(&back, q);
             prop_assert_eq!(&again, &blob, "{} re-encode changed bytes", q.name());
             prop_assert_eq!(ModelDigest::of(&again), digest);
@@ -154,7 +154,7 @@ proptest! {
         for q in Quantization::ALL {
             let blob = encode_model(&model, q);
             let cut = cut.min(blob.len());
-            let result = decode_model(blob.slice(0..blob.len() - cut));
+            let result = decode_model(&blob[..blob.len() - cut]);
             if cut == 0 {
                 prop_assert!(result.is_ok());
             }

@@ -204,7 +204,6 @@ pub struct KgslFd(u32);
 #[derive(Debug, Clone)]
 struct HandleState {
     fd: u32,
-    pid: u32,
     domain: SelinuxDomain,
     /// This handle's own reservation refcounts, so `close()` can release
     /// exactly what the handle still holds (like the real driver's per-context
@@ -364,11 +363,6 @@ impl KgslDevice {
         self.state.borrow_mut().fault = Some(FaultInjector::new(plan));
     }
 
-    /// Removes the fault injector; the device returns to ideal behaviour.
-    pub fn clear_fault_plan(&self) {
-        self.state.borrow_mut().fault = None;
-    }
-
     /// Counts of faults delivered so far, if a plan is installed.
     pub fn fault_log(&self) -> Option<FaultLog> {
         self.state.borrow().fault.as_ref().map(FaultInjector::log)
@@ -424,8 +418,9 @@ impl KgslDevice {
     /// inside every app's process, so the file must be world-accessible
     /// (§4). Policies restrict *ioctls*, not `open`. Under fault injection
     /// the call may still fail transiently (`EBUSY`/`EINTR`), like any
-    /// interrupted syscall.
-    pub fn open(&self, pid: u32, domain: SelinuxDomain) -> DeviceResult<KgslFd> {
+    /// interrupted syscall. The caller's pid is part of the syscall's shape
+    /// only: what a handle may do follows from its SELinux `domain`.
+    pub fn open(&self, _pid: u32, domain: SelinuxDomain) -> DeviceResult<KgslFd> {
         let mut st = self.state.borrow_mut();
         st.tally.opens += 1;
         if let Some(errno) = self.service_faults(&mut st) {
@@ -435,7 +430,7 @@ impl KgslDevice {
         }
         let fd = st.next_fd;
         st.next_fd += 1;
-        st.handles.push(HandleState { fd, pid, domain, reservations: ResvTable::EMPTY });
+        st.handles.push(HandleState { fd, domain, reservations: ResvTable::EMPTY });
         Ok(KgslFd(fd))
     }
 
@@ -455,12 +450,6 @@ impl KgslDevice {
             }
         }
         Ok(())
-    }
-
-    /// The pid that opened `fd` (as `lsof` would report).
-    pub fn owner_pid(&self, fd: KgslFd) -> DeviceResult<u32> {
-        let st = self.state.borrow();
-        st.slot_of(fd).map(|slot| st.handles[slot].pid)
     }
 
     /// The `ioctl(2)` entry point.

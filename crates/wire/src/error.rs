@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use gpu_sc_attack::varint::VarintError;
+
 /// Why a frame or message failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -52,6 +54,15 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<VarintError> for WireError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => WireError::Truncated,
+            VarintError::Overflow => WireError::VarintOverflow,
+        }
+    }
+}
 
 /// Decode-side result alias.
 pub type WireResult<T> = Result<T, WireError>;

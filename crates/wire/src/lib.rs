@@ -7,8 +7,9 @@
 //! deterministic sim-time:
 //!
 //! * [`varint`] / [`crc`] / [`frame`] — the encoding floor: LEB128 varints
-//!   with zigzag, CRC-32 integrity, and the versioned length-prefixed
-//!   [`Frame`] envelope every datagram travels in.
+//!   (the codec GPMR uses too, re-exported from `gpu_sc_attack`), CRC-32
+//!   integrity, and the versioned length-prefixed [`Frame`] envelope every
+//!   datagram travels in.
 //! * [`message`] — the protocol: a versioned [`Message`] enum whose
 //!   [`SampleBatch`] holds counter samples as rows in memory and puts them
 //!   on the wire columnar, as delta-of-delta varints (about one byte per
@@ -38,7 +39,8 @@ pub mod frame;
 pub mod message;
 pub mod session;
 pub mod transport;
-pub mod varint;
+
+pub use gpu_sc_attack::varint;
 
 pub use error::{WireError, WireResult};
 pub use frame::{Frame, MAGIC, WIRE_VERSION};

@@ -110,6 +110,17 @@ fn encode_batch(buf: &mut Vec<u8>, samples: &[Sample]) {
     }
 }
 
+/// Zigzag-maps a signed value to unsigned, so that small magnitudes of
+/// either sign encode in few varint bytes: one byte for `[-64, 63]`.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
 /// One column as `first` + zigzagged delta-of-delta residuals. Wrapping
 /// arithmetic throughout: the codec is an exact bijection on any `u64`
 /// sequence, monotone or not.
@@ -120,7 +131,7 @@ fn encode_column(buf: &mut Vec<u8>, mut col: impl Iterator<Item = u64>) {
     let mut prev_delta = 0i64;
     for v in col {
         let delta = v.wrapping_sub(prev) as i64;
-        varint::write_i64(buf, delta.wrapping_sub(prev_delta));
+        varint::write_u64(buf, zigzag(delta.wrapping_sub(prev_delta)));
         prev = v;
         prev_delta = delta;
     }
@@ -139,7 +150,7 @@ fn decode_column(
     let mut prev = first;
     let mut prev_delta = 0i64;
     for row in rest {
-        let delta = prev_delta.wrapping_add(varint::read_i64(buf, pos)?);
+        let delta = prev_delta.wrapping_add(unzigzag(varint::read_u64(buf, pos)?));
         prev = prev.wrapping_add(delta as u64);
         set(row, prev);
         prev_delta = delta;
@@ -235,14 +246,17 @@ fn report_from_fields(f: [u64; 11]) -> SamplerReport {
 fn encode_key(buf: &mut Vec<u8>, key: &InferredKey) {
     varint::write_u64(buf, key.at.as_nanos());
     // decided_at trails at by microseconds-to-milliseconds: a small delta.
-    varint::write_i64(buf, key.decided_at.as_nanos().wrapping_sub(key.at.as_nanos()) as i64);
+    varint::write_u64(
+        buf,
+        zigzag(key.decided_at.as_nanos().wrapping_sub(key.at.as_nanos()) as i64),
+    );
     varint::write_u64(buf, u64::from(u32::from(key.ch)));
     buf.push(u8::from(key.via_split));
 }
 
 fn decode_key(buf: &[u8], pos: &mut usize) -> WireResult<InferredKey> {
     let at = varint::read_u64(buf, pos)?;
-    let decided_delta = varint::read_i64(buf, pos)?;
+    let decided_delta = unzigzag(varint::read_u64(buf, pos)?);
     let ch = varint::read_u64(buf, pos)?;
     let ch = u32::try_from(ch)
         .ok()
@@ -396,6 +410,18 @@ mod tests {
             *v = base + i as u64 * 17;
         }
         Sample { at: SimInstant::from_millis(at_ms), values: CounterSet::from_array(values) }
+    }
+
+    #[test]
+    fn zigzag_round_trips_and_keeps_small_magnitudes_short() {
+        let mut buf = Vec::new();
+        for v in [0i64, -1, 1, -64, 63, -65, 64, i64::MIN, i64::MAX] {
+            buf.clear();
+            varint::write_u64(&mut buf, zigzag(v));
+            assert_eq!(buf.len() == 1, (-64..=63).contains(&v), "{v} takes {} bytes", buf.len());
+            let mut pos = 0;
+            assert_eq!(varint::read_u64(&buf, &mut pos).map(unzigzag), Ok(v));
+        }
     }
 
     #[test]

@@ -436,7 +436,6 @@ pub struct ClassifierServer<'s> {
     resequencer: ResequenceStage,
     inbox: Vec<Message>,
     fresh_keys: Vec<InferredKey>,
-    streamed_keys: u64,
     next_out_seq: u64,
     finack: Option<Vec<u8>>,
     result: Option<Result<SessionResult, ServiceError>>,
@@ -453,7 +452,6 @@ impl<'s> ClassifierServer<'s> {
             resequencer: ResequenceStage::default(),
             inbox: Vec::new(),
             fresh_keys: Vec::new(),
-            streamed_keys: 0,
             next_out_seq: 0,
             finack: None,
             result: None,
@@ -464,11 +462,6 @@ impl<'s> ClassifierServer<'s> {
     /// The finished session result, once Fin has been processed.
     pub fn result(&self) -> Option<&Result<SessionResult, ServiceError>> {
         self.result.as_ref()
-    }
-
-    /// Count of presses streamed back over the wire so far.
-    pub fn keys_streamed(&self) -> u64 {
-        self.streamed_keys
     }
 
     /// The server's half of the link degradation tally.
@@ -582,7 +575,6 @@ impl<'s> ClassifierServer<'s> {
                 let mut fresh = std::mem::take(&mut self.fresh_keys);
                 session.drain_new_keys(&mut fresh);
                 if !fresh.is_empty() {
-                    self.streamed_keys += fresh.len() as u64;
                     let msg = Message::InferredKeys { keys: std::mem::take(&mut fresh) };
                     self.send_data(transport, now, &msg);
                 }

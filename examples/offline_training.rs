@@ -64,7 +64,7 @@ fn main() {
             blob.len() as f64 / 1024.0
         );
     }
-    let restored = decode_model(handle.blob().clone()).expect("round trip");
+    let restored = decode_model(handle.blob()).expect("round trip");
     assert_eq!(&restored, model);
 
     let mut store = ModelStore::new();

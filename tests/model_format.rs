@@ -5,7 +5,7 @@
 //! any self-consistent format, so only a pin notices a changed byte.
 
 use gpu_eaves::android_ui::SimConfig;
-use gpu_eaves::attack::offline::{Trainer, TrainerConfig};
+use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
 use gpu_eaves::attack::registry::{
     decode_model, encode_model, ModelDecodeError, ModelDigest, ModelHandle, Quantization,
 };
@@ -36,6 +36,24 @@ fn paper_default_model_encodes_to_the_pinned_digests() {
     let mut retired = encode_model(&model, Quantization::F32).to_vec();
     retired[5] = 2;
     let expected = Err(ModelDecodeError::BadField("quantization"));
-    assert_eq!(decode_model(retired.clone().into()).map(|_| ()), expected);
-    assert_eq!(ModelHandle::from_blob(retired.into()).map(|_| ()), expected);
+    assert_eq!(decode_model(&retired).map(|_| ()), expected);
+    assert_eq!(ModelHandle::from_blob(retired).map(|_| ()), expected);
+}
+
+/// The store container, pinned: a `u32` model count, then each model as a
+/// `u32` length and its GPMR blob. Round trips alone would pass for any
+/// self-consistent framing.
+#[test]
+fn model_store_container_encodes_to_the_pinned_digest() {
+    let cfg = SimConfig::paper_default(0);
+    let model = Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app);
+    let mut store = ModelStore::new();
+    store.add(model.clone());
+    store.add(model);
+    let bytes = store.to_bytes();
+    assert_eq!(bytes.len(), 4 + 2 * (4 + 8_054));
+    assert_eq!(
+        ModelDigest::of(&bytes).to_string(),
+        "c924277f03cf31f36cc8ad3dd52961220648d128759694e997330f2c8661d446"
+    );
 }

@@ -23,8 +23,12 @@
 //! from the session result, and that removal left them and the tap
 //! constants unchanged. It re-pinned the result constants by construction:
 //! each is the digest of the previous tree's text with its
-//! `candidates: [...], ` field cut out. A change here is a change to what
-//! the pipeline decides or reports, and must be explained rather than
+//! `candidates: [...], ` field cut out. The result constants moved once
+//! more when the echo decoder learned that a visible-prim count of 2 is the
+//! empty field with its cursor hidden: every session gained or lost
+//! correction events, and each new text was checked to equal the old one
+//! outside its `corrections: [...]` field. A change here is a change to
+//! what the pipeline decides or reports, and must be explained rather than
 //! re-pinned silently.
 
 use std::sync::OnceLock;
@@ -165,6 +169,13 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
 }
 
+/// Runs the victim's session through a service with `config`.
+fn run(victim: Victim, config: ServiceConfig) -> Result<SessionResult, ServiceError> {
+    let service = AttackService::new(store().clone(), config);
+    let (mut sim, end) = victim.build();
+    service.eavesdrop(&mut sim, end)
+}
+
 /// Runs the case's session through the service.
 fn eavesdrop(case: Case) -> Result<SessionResult, ServiceError> {
     let config = ServiceConfig {
@@ -172,9 +183,7 @@ fn eavesdrop(case: Case) -> Result<SessionResult, ServiceError> {
         require_launch: case.require_launch,
         ..ServiceConfig::default()
     };
-    let service = AttackService::new(store().clone(), config);
-    let (mut sim, end) = case.victim.build();
-    service.eavesdrop(&mut sim, end)
+    run(case.victim, config)
 }
 
 /// Digest of the deltas and resets extracted from a raw trace of the
@@ -261,37 +270,37 @@ fn clean_sessions_replay_their_pinned_digests() {
     let pinned = [
         (
             Case::credential(60, None, false),
-            0x1690_8EEC_2619_FC18,
+            0xCAA2_3D4E_E618_9E8D,
             0x96CF_6C49_3418_C854,
             0x3941_20F1_16B9_1267,
         ),
         (
             Case::credential(61, None, false),
-            0x6723_838E_4E53_73E1,
+            0x0FED_D388_7169_94CB,
             0xE191_F1B0_6683_0500,
             0xB225_8904_392C_96E4,
         ),
         (
             Case::credential(62, None, false),
-            0x0753_C1EE_CCC4_5A04,
+            0x2839_8407_62E7_F093,
             0x614F_F561_9162_F6A0,
             0x3849_8162_F240_DB0D,
         ),
         (
             Case::credential(60, None, true),
-            0x49A8_E249_2591_50F4,
+            0xFA10_2242_44C7_0A41,
             0xC5C6_32EC_D4C2_3EBA,
             0x3941_20F1_16B9_1267,
         ),
         (
             Case::credential(61, None, true),
-            0xD74D_9F10_A21B_6CCB,
+            0x033D_8D7D_7196_466D,
             0x3851_64B8_B825_9AAE,
             0xB225_8904_392C_96E4,
         ),
         (
             Case::credential(62, None, true),
-            0xE47A_CBB3_933C_4510,
+            0x7DD7_D810_82FC_5ECF,
             0x8CB0_07F9_12C8_BF8A,
             0x3849_8162_F240_DB0D,
         ),
@@ -309,25 +318,25 @@ fn faulted_sessions_replay_their_pinned_digests() {
     let pinned = [
         (
             Case::credential(70, Some(0.3), false),
-            0xB44F_63FC_8DE9_5502,
+            0xE655_432F_F7E2_1926,
             0x09CD_E680_C177_6179,
             0xA134_0B1C_E87C_2D3E,
         ),
         (
             Case::credential(71, Some(0.6), false),
-            0x9B21_685F_85A2_761A,
+            0xD1BC_6540_1E89_A544,
             0xD2DF_879A_A34E_FE1B,
             0xD5A1_7773_E0B0_E06D,
         ),
         (
             Case::credential(70, Some(0.3), true),
-            0x838E_1AC7_919B_2AF0,
+            0x6EA9_D575_5BDA_F488,
             0xF938_D341_89B9_4C81,
             0xA134_0B1C_E87C_2D3E,
         ),
         (
             Case::credential(71, Some(0.6), true),
-            0xB7D1_D8CE_73F3_B75A,
+            0x10DB_5B6A_4147_CA84,
             0x9BA6_8A88_9E93_ED2A,
             0xD5A1_7773_E0B0_E06D,
         ),
@@ -347,7 +356,7 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
                 full_trace: false,
                 require_launch: true,
             },
-            0x0A4F_BA68_3132_347C,
+            0x3089_9B83_6867_DE96,
             0xA0B6_25B7_6E6A_969D,
             0x9E73_F427_F211_C071,
         ),
@@ -357,7 +366,7 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
                 full_trace: false,
                 require_launch: false,
             },
-            0x447C_AFC9_502D_890D,
+            0x29C1_6950_DAAE_AD2C,
             0xF619_F978_21A2_1D3B,
             0xD88E_B12E_5675_1B4D,
         ),
@@ -373,4 +382,28 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
         practical.corrections.iter().any(|e| matches!(e, CorrectionEvent::CharDeleted(_))),
         "the backspace must reach the echo stream"
     );
+}
+
+#[test]
+fn echo_corroboration_keeps_exactly_the_typed_credential() {
+    // The filter keeps a press only when a commit echo follows it. These
+    // sessions open on the empty field's cursor blink-off, so the filter
+    // holds only if the echo decoder reads that count-2 echo as a hidden
+    // cursor and still sees the first commit.
+    let corroborated = ServiceConfig { echo_corroboration: true, ..ServiceConfig::default() };
+    let mut inserted = 0;
+    for seed in 60..=71 {
+        let victim = Victim::Credential { seed, faults: None };
+        let unfiltered = run(victim, ServiceConfig::default())
+            .unwrap_or_else(|e| panic!("seed {seed} failed unfiltered: {e}"));
+        let filtered = run(victim, corroborated.clone())
+            .unwrap_or_else(|e| panic!("seed {seed} failed filtered: {e}"));
+        assert_eq!(filtered.recovered_text, "hunter2pass", "seed {seed}");
+        assert!(
+            filtered.keys.iter().all(|k| unfiltered.keys.contains(k)),
+            "seed {seed}: the filter may only remove keys"
+        );
+        inserted += usize::from(unfiltered.recovered_text != "hunter2pass");
+    }
+    assert!(inserted > 0, "no unfiltered session inserted a key: the filter went unexercised");
 }

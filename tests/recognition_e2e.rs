@@ -59,7 +59,7 @@ fn recognizes_each_configuration_and_recovers_the_text() {
 fn store_survives_serialisation_and_still_recognizes() {
     let store = multi_store();
     let bytes = store.to_bytes();
-    let store = ModelStore::from_bytes(bytes).expect("round trip");
+    let store = ModelStore::from_bytes(&bytes).expect("round trip");
 
     let cfg = SimConfig {
         device: DeviceConfig::for_phone(PhoneModel::GalaxyS21),
