@@ -50,10 +50,6 @@ pub struct SimConfig {
     /// Target utilisation of a background GPU workload, `0.0..=1.0`
     /// (Fig 22b).
     pub gpu_load: f64,
-    /// Background CPU utilisation, `0.0..=1.0`. The simulation itself does
-    /// not consume CPU; the attack's sampler reads this to model read
-    /// jitter (Fig 22a).
-    pub cpu_load: f64,
     /// Mean rate of random system-noise redraws (toasts, IME hints), in
     /// events per second.
     pub system_noise_hz: f64,
@@ -78,7 +74,6 @@ impl SimConfig {
             app: TargetApp::Chase,
             seed,
             gpu_load: 0.0,
-            cpu_load: 0.0,
             system_noise_hz: 0.05,
             popups_enabled: true,
             start_in_other: false,
@@ -198,10 +193,9 @@ impl UiSimulation {
     ///
     /// # Panics
     ///
-    /// Panics if `gpu_load` or `cpu_load` are outside `0.0..=1.0`.
+    /// Panics if `gpu_load` is outside `0.0..=1.0`.
     pub fn new(config: SimConfig) -> Self {
         assert!((0.0..=1.0).contains(&config.gpu_load), "gpu_load must be in 0..=1");
-        assert!((0.0..=1.0).contains(&config.cpu_load), "cpu_load must be in 0..=1");
         let device = KgslDevice::new(Gpu::new(config.device.gpu()));
         let keyboard = KeyboardWindow::new(config.keyboard, &config.device, config.popups_enabled);
         let login = LoginScreen::new(config.app, &config.device);

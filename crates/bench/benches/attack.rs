@@ -14,7 +14,7 @@ use android_ui::KeyboardKind;
 use bench::{eval_credentials, TrialOptions};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_sc_attack::offline::ModelStore;
-use gpu_sc_attack::online::{infer_stream, OnlineConfig};
+use gpu_sc_attack::online::infer_stream;
 use gpu_sc_attack::registry::{decode_model, encode_model, Quantization, Registry};
 use gpu_sc_attack::trace::Delta;
 use gpu_sc_attack::ClassifierModel;
@@ -47,7 +47,7 @@ fn bench_algorithm1(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("algorithm1_200_changes", |b| {
-        b.iter(|| infer_stream(black_box(&model), black_box(&deltas), OnlineConfig::default()))
+        b.iter(|| infer_stream(black_box(&model), black_box(&deltas)))
     });
 }
 

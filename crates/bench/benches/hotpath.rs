@@ -24,7 +24,7 @@ use adreno_sim::counters::{CounterSet, ALL_TRACKED, NUM_TRACKED};
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::SimConfig;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gpu_sc_attack::online::{infer_stream, OnlineConfig};
+use gpu_sc_attack::online::{infer_stream, MAX_SPLIT_GAP, T_L};
 use gpu_sc_attack::registry::Registry;
 use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
 use gpu_sc_attack::trace::{extract_deltas, Delta};
@@ -229,7 +229,6 @@ fn recorded_chase_session() -> Vec<Delta> {
 /// steps the pretest dismissed, and asserts that the naive scan rejects
 /// every residual of each of them.
 fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterSet>, u64, u64) {
-    let config = OnlineConfig::default();
     let mut probes = Vec::new();
     let mut accepted = 0u64;
     let mut dismissed = 0u64;
@@ -259,7 +258,7 @@ fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterS
     let mut prev: Option<Delta> = None;
     for d in deltas {
         let hit = probe(d.values);
-        if last_key.is_some_and(|t| d.at.saturating_since(t) < config.t_l) {
+        if last_key.is_some_and(|t| d.at.saturating_since(t) < T_L) {
             if hit {
                 prev = None; // a duplicate; it displaces the pending change
             }
@@ -271,7 +270,7 @@ fn algorithm1_probes(model: &ClassifierModel, deltas: &[Delta]) -> (Vec<CounterS
             continue;
         }
         if let Some(p) = prev.take() {
-            if d.at.saturating_since(p.at) <= config.max_split_gap {
+            if d.at.saturating_since(p.at) <= MAX_SPLIT_GAP {
                 let sum = p.values + d.values;
                 if probe(sum) || peel(&sum, &mut probe) {
                     last_key = Some(p.at);
@@ -309,7 +308,7 @@ fn bench_algorithm1_probe_mix(c: &mut Criterion) {
         (snap.counter("core.classify.accepted"), snap.counter("core.classify.rejected"))
     };
     let (acc0, rej0) = tally();
-    let _ = infer_stream(&model, &deltas, OnlineConfig::default());
+    let _ = infer_stream(&model, &deltas);
     let (acc1, rej1) = tally();
     assert_eq!((acc1 - acc0, rej1 - rej0), (accepted, probes.len() as u64 - accepted));
     // A session-shaped mix: most changes are noise, and the pretest

@@ -52,8 +52,7 @@ pub fn ablate_counters(ctx: &Ctx) {
             }
             m
         });
-        let trainer =
-            Trainer::new(TrainerConfig { counter_mask: mask, ..TrainerConfig::default() });
+        let trainer = Trainer::new(TrainerConfig { counter_mask: mask });
         let mut store = ModelStore::new();
         store.add(trainer.train(opts.sim.device, opts.sim.keyboard, opts.sim.app));
         let agg =

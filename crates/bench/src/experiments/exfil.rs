@@ -23,10 +23,10 @@
 
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::{SimConfig, UiSimulation};
-use gpu_sc_attack::metrics::{Aggregate, MATCH_WINDOW};
+use gpu_sc_attack::metrics::{press_latencies_ms, Aggregate};
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::{AttackService, ServiceError, SessionResult};
-use gpu_sc_attack::{InferredKey, SessionScore};
+use gpu_sc_attack::SessionScore;
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::script::Typist;
 use input_bot::timing::VOLUNTEERS;
@@ -96,30 +96,6 @@ fn inproc_trial(
     let end = typed.end + SimDuration::from_millis(800);
     sim.queue_all(typed.events);
     AttackService::new(store.clone(), opts.service.clone()).eavesdrop(&mut sim, end)
-}
-
-/// Press-to-client-arrival latencies: every true press matched (same greedy
-/// rule as `metrics::score_session`) against the keys the server streamed
-/// back, measured to their client-side arrival instant.
-fn wire_latencies(
-    truth: &[(SimInstant, char)],
-    arrivals: &[(InferredKey, SimInstant)],
-) -> Vec<u64> {
-    let mut used = vec![false; arrivals.len()];
-    let mut out = Vec::new();
-    for &(t, c) in truth {
-        let hit = arrivals.iter().enumerate().find(|(i, (k, _))| {
-            !used[*i]
-                && k.ch == c
-                && k.at.saturating_since(t) <= MATCH_WINDOW
-                && t.saturating_since(k.at) <= MATCH_WINDOW
-        });
-        if let Some((i, (_, arrived))) = hit {
-            used[i] = true;
-            out.push(arrived.saturating_since(t).as_nanos() / 1_000_000);
-        }
-    }
-    out
 }
 
 /// One loss-rate row of the sweep, folded in trial order.
@@ -232,7 +208,7 @@ pub fn exfil(ctx: &Ctx) {
 
     // 2. Wire latency: press → key streamed back to the client. Includes
     // batching (up to one 32-sample batch, ~256 ms) and the round trip.
-    let mut lat = wire_latencies(&truth, outcome.key_arrivals.as_slice());
+    let mut lat = press_latencies_ms(&truth, outcome.key_arrivals.iter().copied());
     lat.sort_unstable();
     for &ms in &lat {
         spansight::record("bench.exfil.press_to_inference_wire_ms", WIRE_LATENCY_EDGES_MS, ms);

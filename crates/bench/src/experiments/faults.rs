@@ -10,7 +10,6 @@
 use adreno_sim::time::SimDuration;
 use gpu_sc_attack::metrics::Aggregate;
 use gpu_sc_attack::offline::ModelStore;
-use gpu_sc_attack::sampler::RetryPolicy;
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::timing::VOLUNTEERS;
 use kgsl::FaultPlan;
@@ -78,7 +77,7 @@ fn sweep_cell(
     let outcomes = pool.par_map(plan, |_, (text, trial_seed, t)| {
         let mut opts = base.clone();
         opts.volunteer = VOLUNTEERS[t % VOLUNTEERS.len()];
-        opts.service.sampler.retry = RetryPolicy::with_budget(budget);
+        opts.service.sampler.retry_budget = budget;
         opts.fault_plan = Some(FaultPlan::with_intensity(trial_seed ^ 0xFA, intensity, HORIZON));
         match run_credential_trial(store, &opts, &text, trial_seed) {
             Ok(sr) => Ok(sr),

@@ -17,17 +17,16 @@
 //! Reported per (shards × sessions) row, all in deterministic sim time
 //! (byte-identical at any `--jobs`): completion/salvage/failure counts,
 //! key accuracy by degradation band, p50/p95/p99 press-to-inference
-//! latency, and scheduler pressure (quanta, sampler stalls). Wall-clock
-//! throughput (sessions/s, keys/s) goes to stderr and to the
-//! `bench.fleet.*` telemetry counters in `BENCH_experiments.json`.
+//! latency, and scheduler quanta. Wall-clock throughput (sessions/s,
+//! keys/s) goes to stderr and to the `bench.fleet.*` telemetry counters in
+//! `BENCH_experiments.json`.
 
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::{SimConfig, UiSimulation};
 use gpu_sc_attack::fleet::{run_sessions, FleetConfig, FleetSession, Session};
-use gpu_sc_attack::metrics::MATCH_WINDOW;
+use gpu_sc_attack::metrics::press_latencies_ms;
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::AttackService;
-use gpu_sc_attack::InferredKey;
 use input_bot::corpus::{generate, CredentialKind};
 use input_bot::script::Typist;
 use input_bot::timing::VOLUNTEERS;
@@ -80,7 +79,6 @@ struct Done {
     /// Press-to-inference latencies (ms, sim time) of matched presses.
     latencies_ms: Vec<u64>,
     quanta: u64,
-    sampler_stalls: u64,
 }
 
 impl Session for Task<'_> {
@@ -120,31 +118,6 @@ fn local_ordinal(index: usize) -> usize {
     index - index / SPLIT_EVERY
 }
 
-/// Greedy time-ordered alignment of inferred presses against the truth
-/// (same rule as `metrics::score_session`), yielding per-press latency:
-/// decision (or wire-arrival) time minus true press time.
-fn press_latencies(
-    truth: &[(SimInstant, char)],
-    inferred: impl Iterator<Item = (InferredKey, SimInstant)>,
-) -> Vec<u64> {
-    let timed: Vec<(InferredKey, SimInstant)> = inferred.collect();
-    let mut used = vec![false; timed.len()];
-    let mut latencies = Vec::new();
-    for &(t, c) in truth {
-        let hit = timed.iter().enumerate().find(|(i, (k, _))| {
-            !used[*i]
-                && k.ch == c
-                && k.at.saturating_since(t) <= MATCH_WINDOW
-                && t.saturating_since(k.at) <= MATCH_WINDOW
-        });
-        if let Some((i, (_, decided))) = hit {
-            used[i] = true;
-            latencies.push(decided.saturating_since(t).as_nanos() / 1_000_000);
-        }
-    }
-    latencies
-}
-
 /// Reduces a local session's outcome. The band is a placeholder here —
 /// it's a pure function of the global session index, which the outcome
 /// doesn't carry, so [`run_row`] stamps the real one on afterwards.
@@ -159,12 +132,11 @@ fn reduce_local(out: gpu_sc_attack::fleet::SessionOutcome) -> Done {
             correct_keys: out.score.map_or(0, |s| s.correct_keys),
             total_keys: out.truth.len(),
             recovered_keys: result.keys.len(),
-            latencies_ms: press_latencies(
+            latencies_ms: press_latencies_ms(
                 &out.truth,
                 result.keys_before_corrections.iter().map(|k| (*k, k.decided_at)),
             ),
             quanta: out.stats.quanta,
-            sampler_stalls: out.stats.sampler_stalls,
         },
         Err(_) => Done {
             band,
@@ -176,7 +148,6 @@ fn reduce_local(out: gpu_sc_attack::fleet::SessionOutcome) -> Done {
             recovered_keys: 0,
             latencies_ms: Vec::new(),
             quanta: out.stats.quanta,
-            sampler_stalls: out.stats.sampler_stalls,
         },
     }
 }
@@ -193,9 +164,8 @@ fn reduce_split(out: wire::SplitSessionOutcome) -> Done {
             correct_keys: out.score.map_or(0, |s| s.correct_keys),
             total_keys: out.truth.len(),
             recovered_keys: split.result.keys.len(),
-            latencies_ms: press_latencies(&out.truth, split.key_arrivals.into_iter()),
+            latencies_ms: press_latencies_ms(&out.truth, split.key_arrivals),
             quanta: out.quanta,
-            sampler_stalls: 0,
         },
         Err(_) => Done {
             band: "?",
@@ -207,7 +177,6 @@ fn reduce_split(out: wire::SplitSessionOutcome) -> Done {
             recovered_keys: 0,
             latencies_ms: Vec::new(),
             quanta: out.quanta,
-            sampler_stalls: 0,
         },
     }
 }
@@ -235,7 +204,7 @@ fn run_row(ctx: &Ctx, shards: usize, sessions: usize, seed: u64) -> Vec<Done> {
         })
         .collect();
 
-    let fleet_config = FleetConfig { shards, ..FleetConfig::default() };
+    let fleet_config = FleetConfig { shards };
     let tasks: Vec<(Task<'_>, &'static str)> = inputs
         .into_iter()
         .enumerate()
@@ -318,16 +287,12 @@ pub fn fleet(ctx: &Ctx) {
         let failed = done.iter().filter(|d| d.failed).count();
         let keys: usize = done.iter().map(|d| d.recovered_keys).sum();
         let quanta: u64 = done.iter().map(|d| d.quanta).sum();
-        let stalls: u64 = done.iter().map(|d| d.sampler_stalls).sum();
 
         report::kv(
             format!("-- {shards} shard(s) x {sessions} sessions --").as_str(),
             format!("{completed} completed, {salvaged} salvaged, {failed} failed"),
         );
-        report::kv(
-            "keys recovered / scheduler quanta / sampler stalls",
-            format!("{keys} / {quanta} / {stalls}"),
-        );
+        report::kv("keys recovered / scheduler quanta", format!("{keys} / {quanta}"));
 
         // Accuracy by degradation band, in fixed band order.
         for band in

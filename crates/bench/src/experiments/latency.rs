@@ -12,7 +12,7 @@
 use adreno_sim::time::SimDuration;
 use adreno_sim::SimInstant;
 use android_ui::sim::{SimConfig, UiSimulation};
-use gpu_sc_attack::metrics::MATCH_WINDOW;
+use gpu_sc_attack::metrics::press_latencies_ms;
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::AttackService;
 use gpu_sc_attack::InferredKey;
@@ -34,28 +34,14 @@ const CREDENTIAL_LEN: usize = 10;
 const LATENCY_EDGES_MS: &[u64] = &[10, 20, 40, 80, 160, 320, 640];
 
 /// Per-press latencies of one session: for every true press matched to an
-/// inferred key, `decided_at - <true press time>` in milliseconds.
+/// inferred key, `decided_at - <true press time>` in milliseconds. Latency
+/// is only meaningful for presses the attack actually got right.
 fn session_latencies(
     truth_presses: &[(SimInstant, char)],
     inferred: &[InferredKey],
 ) -> (Vec<u64>, usize) {
-    // Greedy time-ordered alignment, same rule as metrics::score_session —
-    // latency is only meaningful for presses the attack actually got right.
-    let mut used = vec![false; inferred.len()];
-    let mut latencies = Vec::new();
-    for &(t, c) in truth_presses {
-        let hit = inferred.iter().enumerate().find(|(i, k)| {
-            !used[*i]
-                && k.ch == c
-                && k.at.saturating_since(t) <= MATCH_WINDOW
-                && t.saturating_since(k.at) <= MATCH_WINDOW
-        });
-        if let Some((i, k)) = hit {
-            used[i] = true;
-            latencies.push(k.decided_at.saturating_since(t).as_nanos() / 1_000_000);
-        }
-    }
-    (latencies, truth_presses.len())
+    let timed = inferred.iter().map(|k| (*k, k.decided_at));
+    (press_latencies_ms(truth_presses, timed), truth_presses.len())
 }
 
 /// Runs one credential session and returns its matched-press latencies —

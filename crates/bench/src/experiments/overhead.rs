@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use android_ui::screen::ALL_PHONES;
 use android_ui::PhoneModel;
-use gpu_sc_attack::online::{OnlineConfig, OnlineInference};
+use gpu_sc_attack::online::OnlineInference;
 use gpu_sc_attack::trace::Delta;
 
 use crate::experiments::Ctx;
@@ -36,7 +36,7 @@ pub fn fig25(ctx: &Ctx) {
 
     let presses = ctx.trials(3_300);
     let mut times_us: Vec<f64> = Vec::with_capacity(presses);
-    let mut engine = OnlineInference::new(&model, OnlineConfig::default());
+    let mut engine = OnlineInference::new(&model);
     let mut i = 0usize;
     let mut virtual_ms = 0u64;
     while times_us.len() < presses {

@@ -73,7 +73,6 @@ pub fn fig22(ctx: &Ctx) {
     outln!("(a) CPU utilisation sweep");
     for load in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let mut opts = base.clone();
-        opts.sim.cpu_load = load;
         opts.service.sampler = SamplerConfig { cpu_load: load, ..SamplerConfig::default_8ms() };
         let agg =
             eval_credentials(&ctx.pool, &store, &opts, CredentialKind::Username, 10, per_point, 22);

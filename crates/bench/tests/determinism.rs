@@ -30,7 +30,7 @@ fn eval_at_budget(
     let mut opts = TrialOptions::paper_default(0);
     opts.fault_plan = fault_plan;
     if let Some(budget) = retry_budget {
-        opts.service.sampler.retry = gpu_sc_attack::sampler::RetryPolicy::with_budget(budget);
+        opts.service.sampler.retry_budget = budget;
     }
     let handle = Registry::default().get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app);
     eval_credentials(

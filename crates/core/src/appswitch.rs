@@ -11,24 +11,11 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use crate::stage::Stage;
 use crate::trace::Delta;
 
-/// Configuration of the burst detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchConfig {
-    /// Magnitude above which a change is switch-animation-sized (trained:
-    /// [`crate::classify::ClassifierModel::switch_threshold`]).
-    pub magnitude_threshold: u64,
-    /// Maximum spacing inside a burst (the paper observes < 50 ms).
-    pub burst_gap: SimDuration,
-    /// Changes needed to confirm a burst.
-    pub min_burst: usize,
-}
+/// Maximum spacing inside a burst (the paper observes < 50 ms).
+const BURST_GAP: SimDuration = SimDuration::from_millis(50);
 
-impl SwitchConfig {
-    /// Builds the config from a trained model threshold.
-    pub fn with_threshold(magnitude_threshold: u64) -> Self {
-        SwitchConfig { magnitude_threshold, burst_gap: SimDuration::from_millis(50), min_burst: 3 }
-    }
-}
+/// Switch-sized changes needed to confirm a burst.
+const MIN_BURST: usize = 3;
 
 /// Events out of the app-switch filter stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +34,8 @@ pub enum SwitchEvent {
 /// return bursts as [`SwitchEvent::Return`] markers.
 #[derive(Debug)]
 pub struct SwitchStage {
-    config: SwitchConfig,
+    /// Magnitude from which a change is switch-animation-sized.
+    magnitude_threshold: u64,
     /// Whether the victim is believed to be in the target app; it starts
     /// there.
     in_target: bool,
@@ -66,10 +54,12 @@ pub struct SwitchStage {
 }
 
 impl SwitchStage {
-    /// A stage whose victim starts in the target app.
-    pub fn new(config: SwitchConfig) -> Self {
+    /// A stage whose victim starts in the target app. Changes of at least
+    /// `magnitude_threshold` are switch-animation-sized (trained:
+    /// [`crate::classify::ClassifierModel::switch_threshold`]).
+    pub fn new(magnitude_threshold: u64) -> Self {
         SwitchStage {
-            config,
+            magnitude_threshold,
             in_target: true,
             burst_len: 0,
             last_big_at: None,
@@ -87,25 +77,21 @@ impl SwitchStage {
     /// Updates the burst state with one change; returns whether the victim
     /// is in the target app after it.
     fn observe(&mut self, delta: &Delta) -> bool {
-        let big = delta.magnitude() >= self.config.magnitude_threshold;
+        let big = delta.magnitude() >= self.magnitude_threshold;
         if big {
-            let continues = self
-                .last_big_at
-                .is_some_and(|t| delta.at.saturating_since(t) <= self.config.burst_gap);
+            let continues =
+                self.last_big_at.is_some_and(|t| delta.at.saturating_since(t) <= BURST_GAP);
             self.burst_len = if continues { self.burst_len + 1 } else { 1 };
             self.last_big_at = Some(delta.at);
             if !continues {
                 self.toggled_this_burst = false;
             }
-            if self.burst_len >= self.config.min_burst && !self.toggled_this_burst {
+            if self.burst_len >= MIN_BURST && !self.toggled_this_burst {
                 self.in_target = !self.in_target;
                 self.toggled_this_burst = true;
                 self.switches_detected += 1;
             }
-        } else if self
-            .last_big_at
-            .is_none_or(|t| delta.at.saturating_since(t) > self.config.burst_gap)
-        {
+        } else if self.last_big_at.is_none_or(|t| delta.at.saturating_since(t) > BURST_GAP) {
             self.burst_len = 0;
             self.toggled_this_burst = false;
         }
@@ -121,7 +107,7 @@ impl Stage for SwitchStage {
     /// return; further burst frames push its timestamp forward ("burst
     /// still running"); the first quiet in-target change resolves it.
     fn push(&mut self, input: Delta, out: &mut Vec<SwitchEvent>) {
-        let burst = input.magnitude() >= self.config.magnitude_threshold;
+        let burst = input.magnitude() >= self.magnitude_threshold;
         let was_inside = self.in_target;
         let inside = self.observe(&input);
         if inside && !was_inside {
@@ -155,7 +141,7 @@ mod tests {
     }
 
     fn stage() -> SwitchStage {
-        SwitchStage::new(SwitchConfig::with_threshold(1_000_000))
+        SwitchStage::new(1_000_000)
     }
 
     /// Pushes one change and returns what the stage emitted for it.
@@ -215,7 +201,7 @@ mod tests {
         let mut st = stage();
         push(&mut st, 100, 2_000_000);
         push(&mut st, 116, 2_000_000);
-        assert!(st.in_target, "min_burst is 3");
+        assert!(st.in_target, "MIN_BURST is 3");
     }
 
     #[test]

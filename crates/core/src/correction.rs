@@ -22,6 +22,17 @@ use crate::trace::Delta;
 /// cursor, so this count is never the echo of one.
 const EMPTY_FIELD_CURSOR_HIDDEN: i64 = 2;
 
+/// The cursor blink period (fixed 0.5 s on Android).
+const BLINK_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// Tolerance around the blink grid. Rendering latency puts a blink's
+/// observable change up to ~vsync+read-interval after the tick.
+const BLINK_TOLERANCE: SimDuration = SimDuration::from_millis(40);
+
+/// Relative tolerance when matching a change against the app-window echo
+/// signature on the large counters.
+const ECHO_MATCH_FRAC: f64 = 0.02;
+
 /// What an app-window echo change meant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorrectionEvent {
@@ -33,34 +44,10 @@ pub enum CorrectionEvent {
     CursorBlink(SimInstant),
 }
 
-/// Configuration of the correction detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorrectionConfig {
-    /// The cursor blink period (fixed 0.5 s on Android).
-    pub blink_period: SimDuration,
-    /// Tolerance around the blink grid. Rendering latency puts a blink's
-    /// observable change up to ~vsync+read-interval after the tick.
-    pub blink_tolerance: SimDuration,
-    /// Relative tolerance when matching a change against the app-window
-    /// echo signature on the large counters.
-    pub echo_match_frac: f64,
-}
-
-impl Default for CorrectionConfig {
-    fn default() -> Self {
-        CorrectionConfig {
-            blink_period: SimDuration::from_millis(500),
-            blink_tolerance: SimDuration::from_millis(40),
-            echo_match_frac: 0.02,
-        }
-    }
-}
-
 /// Streaming correction detector over the changes the popup classifier
 /// rejected as "noise".
 #[derive(Debug)]
 pub struct CorrectionDetector {
-    config: CorrectionConfig,
     /// The trained field-redraw signatures (all lengths, cursor on/off).
     signatures: Vec<CounterSet>,
     last_visible_prims: Option<i64>,
@@ -91,9 +78,8 @@ struct PendingMinus2 {
 impl CorrectionDetector {
     /// Creates a detector over a model's field-redraw signatures (see
     /// [`crate::ClassifierModel::ambient_signatures`]).
-    pub fn new(signatures: Vec<CounterSet>, config: CorrectionConfig) -> Self {
+    pub fn new(signatures: Vec<CounterSet>) -> Self {
         CorrectionDetector {
-            config,
             signatures,
             last_visible_prims: None,
             cursor_on: true,
@@ -126,7 +112,7 @@ impl CorrectionDetector {
     }
 
     /// Whether `values` matches one of the trained field-redraw signatures
-    /// within the configured tolerance. Matching against the exact
+    /// within a 2 % relative tolerance. Matching against the exact
     /// signature list (rather than a single loose envelope) keeps toasts
     /// and split popup fragments of coincidentally similar size from being
     /// mistaken for echoes.
@@ -135,7 +121,7 @@ impl CorrectionDetector {
             let close = |c: TrackedCounter| {
                 let s = sig[c] as f64;
                 let v = values[c] as f64;
-                s > 0.0 && (v - s).abs() <= s * self.config.echo_match_frac
+                s > 0.0 && (v - s).abs() <= s * ECHO_MATCH_FRAC
             };
             close(TrackedCounter::LrzVisiblePixelAfterLrz)
                 && close(TrackedCounter::Ras8x4Tiles)
@@ -147,16 +133,16 @@ impl CorrectionDetector {
     fn on_blink_grid(&self, at: SimInstant) -> bool {
         let Some(anchor) = self.blink_anchor else {
             // No activity anchor yet: fall back to the absolute grid.
-            let phase = at.as_nanos() % self.config.blink_period.as_nanos();
-            return phase <= self.config.blink_tolerance.as_nanos();
+            let phase = at.as_nanos() % BLINK_PERIOD.as_nanos();
+            return phase <= BLINK_TOLERANCE.as_nanos();
         };
         let since = at.saturating_since(anchor).as_nanos();
-        let period = self.config.blink_period.as_nanos();
+        let period = BLINK_PERIOD.as_nanos();
         if since < period / 2 {
             return false; // too soon after a text change to be a blink
         }
         let phase = since % period;
-        let tol = self.config.blink_tolerance.as_nanos();
+        let tol = BLINK_TOLERANCE.as_nanos();
         phase <= tol || phase >= period - tol
     }
 
@@ -269,10 +255,10 @@ impl CorrectionDetector {
             let on_grid = match anchor_after {
                 Some(a) => {
                     let since = at.saturating_since(a).as_nanos();
-                    let period = self.config.blink_period.as_nanos();
+                    let period = BLINK_PERIOD.as_nanos();
                     since >= period / 2 && {
                         let phase = since % period;
-                        let tol = self.config.blink_tolerance.as_nanos();
+                        let tol = BLINK_TOLERANCE.as_nanos();
                         phase <= tol || phase >= period - tol
                     }
                 }
@@ -369,13 +355,9 @@ pub struct CorrectionStage {
 
 impl CorrectionStage {
     /// A fresh stage over a model's field-redraw signatures.
-    pub fn new(
-        signatures: Vec<CounterSet>,
-        config: CorrectionConfig,
-        echo_corroboration: bool,
-    ) -> Self {
+    pub fn new(signatures: Vec<CounterSet>, echo_corroboration: bool) -> Self {
         CorrectionStage {
-            detector: CorrectionDetector::new(signatures, config),
+            detector: CorrectionDetector::new(signatures),
             echo_corroboration,
             returns: VecDeque::new(),
             keys: Vec::new(),
@@ -514,14 +496,14 @@ mod tests {
 
     #[test]
     fn ignores_non_echo_changes() {
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         assert_eq!(det.observe(&popup(123)), None);
         assert!(det.events().is_empty());
     }
 
     #[test]
     fn detects_additions_and_deletions_off_grid() {
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         assert_eq!(det.observe(&echo(130, 40)), None, "first echo is the baseline");
         // Fig 14: 3 letters in, 2 deleted — all off the 0.5 s blink grid.
         assert_eq!(
@@ -552,7 +534,7 @@ mod tests {
         // The blink timer restarts at each text change, so blinks land at
         // anchor + k·500 ms (± tolerance for render/read latency). An
         // on-grid −2 is ambiguous and resolves at the next echo.
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         det.observe(&echo(130, 42)); // baseline → anchor at 130 ms
         assert_eq!(det.observe(&echo(640, 40)), None, "on-grid −2 defers");
         assert_eq!(
@@ -574,7 +556,7 @@ mod tests {
         // A backspace landing exactly on the grid looks like a blink-off —
         // until the *restarted* timer fires a −2 one period after it, which
         // a genuine blink-off could never do (its successor is +2).
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         det.observe(&echo(130, 42));
         assert_eq!(det.observe(&echo(630, 40)), None, "ambiguous: deferred");
         det.observe(&echo(1_133, 38));
@@ -592,7 +574,7 @@ mod tests {
     fn unresolvable_pending_flushes_as_blink() {
         // With no successor, the conservative reading (blink) wins — the
         // detector never fabricates a deletion from silence.
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         det.observe(&echo(130, 42));
         assert_eq!(det.observe(&echo(2_135, 40)), None);
         det.flush();
@@ -606,10 +588,10 @@ mod tests {
         // A session's first echo is often the empty field's blink-off. As
         // the baseline it hides the cursor, so the first commit reads as one
         // character, and a blink-on before it reads as a blink.
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         assert_eq!(det.observe(&echo(520, 2)), None);
         assert_eq!(det.observe(&echo(968, 6)), added(968));
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         det.observe(&echo(520, 2));
         assert_eq!(
             det.observe(&echo(1_020, 4)),
@@ -618,7 +600,7 @@ mod tests {
 
         // Later, a count-2 echo that is not a blink is no text change (a
         // text change shows the cursor): it only hides the cursor.
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         det.observe(&echo(17, 2));
         assert_eq!(det.observe(&echo(520, 2)), None, "an empty field loses no character");
         assert_eq!(det.observe(&echo(900, 6)), added(900));
@@ -629,7 +611,7 @@ mod tests {
     fn change_too_soon_after_activity_is_not_a_blink() {
         // Less than half a period after a commit, a −2 must be a deletion:
         // the restarted blink timer cannot have fired yet.
-        let mut det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let mut det = CorrectionDetector::new(sigs());
         det.observe(&echo(130, 40));
         assert_eq!(
             det.observe(&echo(330, 42)),
@@ -643,7 +625,7 @@ mod tests {
 
     #[test]
     fn echo_match_respects_tolerance() {
-        let det = CorrectionDetector::new(sigs(), CorrectionConfig::default());
+        let det = CorrectionDetector::new(sigs());
         let mut near = sig();
         near[TrackedCounter::LrzVisiblePixelAfterLrz] = 101_000; // +1%
         assert!(det.is_echo_like(&near));

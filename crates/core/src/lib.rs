@@ -24,8 +24,8 @@
 //!   above compose through;
 //! * [`service`] — the end-to-end background service;
 //! * [`fleet`] — fleet-scale orchestration: thousands of concurrent
-//!   sessions as cooperative tasks over a bounded worker set, with
-//!   bounded-queue backpressure per session;
+//!   sessions as cooperative tasks over a bounded worker set, each stepping
+//!   the service's burst loop;
 //! * [`metrics`] — the accuracy metrics of §7.
 //!
 //! This library exists for research and defensive evaluation: it runs only
@@ -76,14 +76,14 @@ pub mod trace;
 pub mod varint;
 
 pub use classify::{BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta};
-pub use fleet::{Fleet, FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};
+pub use fleet::{FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};
 pub use metrics::{Aggregate, SessionScore};
 pub use offline::{ModelStore, Trainer, TrainerConfig};
-pub use online::{InferenceStats, InferredKey, OnlineConfig};
+pub use online::{InferenceStats, InferredKey};
 pub use registry::{
     ModelDecodeError, ModelDigest, ModelHandle, Quantization, Registry, RegistryStats,
 };
-pub use sampler::{RetryPolicy, Sampler, SamplerConfig, SamplerReport};
+pub use sampler::{Sampler, SamplerConfig, SamplerReport};
 pub use service::{
     AttackService, DegradationReport, LinkDegradationReport, ServiceConfig, ServiceError,
     SessionResult, StreamingSession,

@@ -38,31 +38,56 @@ impl SessionScore {
     }
 }
 
-/// Greedily aligns inferred presses to true presses within
-/// [`MATCH_WINDOW`], in time order, and scores the session.
+/// Aligns inferred presses to true presses, greedily in time order: each
+/// true press takes the first unused inferred press of the same character
+/// within [`MATCH_WINDOW`]. Returns, per true press, the index of the
+/// inferred press it took (`None` for a miss). Every score and latency in
+/// the reproduction rests on this one rule.
+pub fn align(truth: &[(SimInstant, char)], inferred: &[InferredKey]) -> Vec<Option<usize>> {
+    let mut used = vec![false; inferred.len()];
+    truth
+        .iter()
+        .map(|&(t, c)| {
+            let i = (0..inferred.len()).find(|&i| {
+                !used[i] && inferred[i].ch == c && within(inferred[i].at, t, MATCH_WINDOW)
+            })?;
+            used[i] = true;
+            Some(i)
+        })
+        .collect()
+}
+
+/// Press-to-decision latency, in whole milliseconds of sim time, of every
+/// true press that [`align`] matches, in press order. Each inferred press
+/// comes with the instant the attacker knew it: its
+/// [`InferredKey::decided_at`], or its arrival over the wire.
+pub fn press_latencies_ms(
+    truth: &[(SimInstant, char)],
+    inferred: impl IntoIterator<Item = (InferredKey, SimInstant)>,
+) -> Vec<u64> {
+    let (keys, known_at): (Vec<InferredKey>, Vec<SimInstant>) = inferred.into_iter().unzip();
+    align(truth, &keys)
+        .into_iter()
+        .zip(truth)
+        .filter_map(|(hit, &(t, _))| {
+            hit.map(|i| known_at[i].saturating_since(t).as_nanos() / 1_000_000)
+        })
+        .collect()
+}
+
+/// Aligns inferred presses to true presses ([`align`]) and scores the
+/// session.
 pub fn score_session(
     truth_presses: &[(SimInstant, char)],
     truth_text: &str,
     inferred: &[InferredKey],
     recovered_text: &str,
 ) -> SessionScore {
-    let mut used = vec![false; inferred.len()];
-    let mut correct = 0usize;
-    for &(t, c) in truth_presses {
-        let hit = inferred
-            .iter()
-            .enumerate()
-            .find(|(i, k)| !used[*i] && k.ch == c && within(k.at, t, MATCH_WINDOW));
-        if let Some((i, _)) = hit {
-            used[i] = true;
-            correct += 1;
-        }
-    }
-    let spurious = used.iter().filter(|u| !**u).count();
+    let correct = align(truth_presses, inferred).iter().flatten().count();
     SessionScore {
         correct_keys: correct,
         total_keys: truth_presses.len(),
-        spurious_keys: spurious,
+        spurious_keys: inferred.len() - correct,
         text_exact: recovered_text == truth_text,
         edit_distance: edit_distance(recovered_text, truth_text),
     }
@@ -74,20 +99,12 @@ pub fn per_char_tallies(
     truth_presses: &[(SimInstant, char)],
     inferred: &[InferredKey],
 ) -> std::collections::HashMap<char, (usize, usize)> {
-    let mut used = vec![false; inferred.len()];
     let mut tallies: std::collections::HashMap<char, (usize, usize)> =
         std::collections::HashMap::new();
-    for &(t, c) in truth_presses {
+    for (&(_, c), hit) in truth_presses.iter().zip(align(truth_presses, inferred)) {
         let e = tallies.entry(c).or_insert((0, 0));
+        e.0 += usize::from(hit.is_some());
         e.1 += 1;
-        let hit = inferred
-            .iter()
-            .enumerate()
-            .find(|(i, k)| !used[*i] && k.ch == c && within(k.at, t, MATCH_WINDOW));
-        if let Some((i, _)) = hit {
-            used[i] = true;
-            e.0 += 1;
-        }
     }
     tallies
 }
@@ -244,6 +261,22 @@ mod tests {
         let s = score_session(&truth, "a", &inferred, "a");
         assert_eq!(s.correct_keys, 0, "200 ms is outside the match window");
         assert!(s.text_exact, "text comparison is independent of timing");
+    }
+
+    #[test]
+    fn alignment_takes_the_first_unused_press_and_latency_follows_it() {
+        let truth = vec![
+            (SimInstant::from_millis(100), 'a'),
+            (SimInstant::from_millis(150), 'a'),
+            (SimInstant::from_millis(400), 'b'),
+        ];
+        // Both 'a' presses are within the window of both true presses; the
+        // late 'b' is not.
+        let inferred = vec![key(110, 'a'), key(140, 'a'), key(470, 'b')];
+        assert_eq!(align(&truth, &inferred), vec![Some(0), Some(1), None]);
+        let known_at = [130, 145, 470].map(SimInstant::from_millis);
+        let timed = inferred.iter().zip(known_at).map(|(k, t)| (*k, t));
+        assert_eq!(press_latencies_ms(&truth, timed), vec![30, 0]);
     }
 
     #[test]

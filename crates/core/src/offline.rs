@@ -43,36 +43,21 @@ use crate::trace::{extract_deltas, Delta};
 const RECOGNITION_THRESHOLD: f64 = 0.005;
 
 /// Trainer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainerConfig {
-    /// Repetitions per key during calibration (more reps → the modal
-    /// sample wins over occasional split-corrupted ones).
-    pub reps: usize,
-    /// The sampler interval used for calibration (must match the online
-    /// interval for the deltas to align).
-    pub interval: SimDuration,
-    /// Characters to train, default the full Fig 18 set.
-    pub charset: String,
-    /// Safety factor applied below the closest noise exemplar when fixing
-    /// `C_th`.
-    pub threshold_margin: f64,
     /// Optional counter mask for the counter-subset ablation: masked-out
     /// counters get zero weight in the distance metric before `C_th`
     /// calibration. `None` keeps all eleven counters.
     pub counter_mask: Option<[bool; NUM_TRACKED]>,
 }
 
-impl Default for TrainerConfig {
-    fn default() -> Self {
-        TrainerConfig {
-            reps: 5,
-            interval: SimDuration::from_millis(8),
-            charset: FIG18_CHARSET.to_owned(),
-            threshold_margin: 0.6,
-            counter_mask: None,
-        }
-    }
-}
+/// Repetitions per key during calibration (more reps → the modal sample
+/// wins over occasional split-corrupted ones).
+const CALIBRATION_REPS: usize = 5;
+
+/// Safety factor applied below the closest noise exemplar when fixing
+/// `C_th`.
+const THRESHOLD_MARGIN: f64 = 0.6;
 
 /// How long after a press the popup change may arrive (vsync + read
 /// latency).
@@ -95,7 +80,8 @@ impl Trainer {
     }
 
     /// Trains a model for one device/keyboard/app configuration by driving
-    /// the calibration bot through the full character set.
+    /// the calibration bot through the full Fig 18 character set, sampled
+    /// at the online default of 8 ms so that the deltas align.
     ///
     /// # Panics
     ///
@@ -115,7 +101,6 @@ impl Trainer {
             app,
             seed: 0xCA11B,
             gpu_load: 0.0,
-            cpu_load: 0.0,
             system_noise_hz: 0.0,
             popups_enabled: true,
             start_in_other: false,
@@ -123,18 +108,14 @@ impl Trainer {
         };
         let mut sim = UiSimulation::new(sim_config);
         let plan = input_bot::script::calibration_taps(
-            self.config.charset.chars(),
-            self.config.reps,
+            FIG18_CHARSET.chars(),
+            CALIBRATION_REPS,
             SimInstant::from_millis(800),
         );
         let end = plan.end + SimDuration::from_millis(800);
         sim.queue_all(plan.events);
 
-        let sampler_cfg = SamplerConfig {
-            interval: self.config.interval,
-            seed: 1,
-            ..SamplerConfig::default_8ms()
-        };
+        let sampler_cfg = SamplerConfig { seed: 1, ..SamplerConfig::default_8ms() };
         let mut sampler =
             Sampler::open(sim.device(), sampler_cfg).expect("stock policy allows sampling");
         let trace = sampler.sample_until(&mut sim, end).expect("stock policy allows reads");
@@ -153,7 +134,7 @@ impl Trainer {
         }
 
         let mut centroids: Vec<KeyCentroid> = Vec::with_capacity(samples.len());
-        for c in self.config.charset.chars() {
+        for c in FIG18_CHARSET.chars() {
             if c == ' ' {
                 continue; // space has no popup; it is tracked via echoes
             }
@@ -234,11 +215,8 @@ impl Trainer {
                 min_noise = dist;
             }
         }
-        let threshold = if min_noise.is_finite() {
-            (min_noise * self.config.threshold_margin).max(1e-6)
-        } else {
-            1.0
-        };
+        let threshold =
+            if min_noise.is_finite() { (min_noise * THRESHOLD_MARGIN).max(1e-6) } else { 1.0 };
 
         ClassifierModel::new(
             *provisional.meta(),

@@ -31,26 +31,15 @@ use crate::trace::Delta;
 /// 1 µs, 10 µs, 0.1 ms (the paper's Fig 25 bound), 1 ms, overflow.
 pub const CLASSIFY_LATENCY_EDGES: &[u64] = &[1_000, 10_000, 100_000, 1_000_000];
 
-/// Tuning of the online algorithm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineConfig {
-    /// The duplication backtrace window `T_l`. The paper uses 75 ms, the
-    /// shortest plausible interval between two human key presses.
-    pub t_l: SimDuration,
-    /// Maximum age of the previous change for split recombination. Splits
-    /// land in adjacent read windows, so a small multiple of the reading
-    /// interval suffices.
-    pub max_split_gap: SimDuration,
-}
+/// The duplication backtrace window `T_l`: 75 ms, the paper's shortest
+/// plausible interval between two human key presses. A key-like change
+/// less than `T_L` after an accepted press is an animation duplicate.
+pub const T_L: SimDuration = SimDuration::from_millis(75);
 
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        OnlineConfig {
-            t_l: SimDuration::from_millis(75),
-            max_split_gap: SimDuration::from_millis(20),
-        }
-    }
-}
+/// Maximum age of the previous change for split recombination. Splits land
+/// in adjacent read windows, so a small multiple of the reading interval
+/// suffices.
+pub const MAX_SPLIT_GAP: SimDuration = SimDuration::from_millis(20);
 
 /// One inferred key press.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,7 +164,6 @@ impl Drop for ProbeTally {
 #[derive(Debug)]
 pub struct OnlineInference<'m> {
     model: &'m ClassifierModel,
-    config: OnlineConfig,
     last_key_at: Option<SimInstant>,
     prev: Option<Delta>,
     inferred: Vec<InferredKey>,
@@ -186,10 +174,9 @@ pub struct OnlineInference<'m> {
 
 impl<'m> OnlineInference<'m> {
     /// Creates a fresh inference engine over a trained model.
-    pub fn new(model: &'m ClassifierModel, config: OnlineConfig) -> Self {
+    pub fn new(model: &'m ClassifierModel) -> Self {
         OnlineInference {
             model,
-            config,
             last_key_at: None,
             prev: None,
             inferred: Vec::new(),
@@ -233,7 +220,7 @@ impl<'m> OnlineInference<'m> {
         // the window (such as the release echo) are ordinary noise and must
         // still reach the downstream correction detector.
         if let Some(last) = self.last_key_at {
-            if delta.at.saturating_since(last) < self.config.t_l {
+            if delta.at.saturating_since(last) < T_L {
                 if primary.key().is_some() {
                     self.stats.duplications_suppressed += 1;
                     // A duplicate must not seed a later recombination, but a
@@ -271,7 +258,7 @@ impl<'m> OnlineInference<'m> {
         }
         // Step 3: split recombination with the previous unconsumed change.
         if let Some(prev) = self.prev {
-            if delta.at.saturating_since(prev.at) <= self.config.max_split_gap {
+            if delta.at.saturating_since(prev.at) <= MAX_SPLIT_GAP {
                 let combined = prev.values + delta.values;
                 if let Classification::Key { ch, .. } = self.probes.classify(self.model, &combined)
                 {
@@ -377,9 +364,8 @@ impl<'m> OnlineInference<'m> {
 pub fn infer_stream(
     model: &ClassifierModel,
     deltas: &[Delta],
-    config: OnlineConfig,
 ) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
-    let mut engine = OnlineInference::new(model, config);
+    let mut engine = OnlineInference::new(model);
     for d in deltas {
         engine.process(*d);
     }
@@ -395,9 +381,8 @@ pub fn infer_stream(
 pub fn infer_full_trace(
     model: &ClassifierModel,
     deltas: &[Delta],
-    config: OnlineConfig,
 ) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
-    let mut stage = InferStage::lookahead(model, config);
+    let mut stage = InferStage::lookahead(model);
     let events = crate::stage::run_to_vec(&mut stage, deltas.iter().copied());
     let mut keys = Vec::new();
     let mut rejected = Vec::new();
@@ -450,9 +435,9 @@ pub struct InferStage<'m> {
 
 impl<'m> InferStage<'m> {
     /// The streaming variant: every change is decided on arrival.
-    pub fn greedy(model: &'m ClassifierModel, config: OnlineConfig) -> Self {
+    pub fn greedy(model: &'m ClassifierModel) -> Self {
         InferStage {
-            engine: OnlineInference::new(model, config),
+            engine: OnlineInference::new(model),
             held: None,
             lookahead: false,
             keys_drained: 0,
@@ -464,8 +449,8 @@ impl<'m> InferStage<'m> {
     }
 
     /// The bounded-lookahead variant behind `full_trace: true`.
-    pub fn lookahead(model: &'m ClassifierModel, config: OnlineConfig) -> Self {
-        InferStage { lookahead: true, ..InferStage::greedy(model, config) }
+    pub fn lookahead(model: &'m ClassifierModel) -> Self {
+        InferStage { lookahead: true, ..InferStage::greedy(model) }
     }
 
     /// Inference statistics accumulated so far.
@@ -537,11 +522,10 @@ impl<'m> InferStage<'m> {
     /// pairs `current` with `next`.
     fn lookahead_defer(&mut self, current: &Delta, next: &Delta) {
         let Some(prev) = self.engine.prev else { return };
-        let config = self.engine.config;
-        if current.at.saturating_since(prev.at) > config.max_split_gap {
+        if current.at.saturating_since(prev.at) > MAX_SPLIT_GAP {
             return;
         }
-        if next.at.saturating_since(current.at) > config.max_split_gap {
+        if next.at.saturating_since(current.at) > MAX_SPLIT_GAP {
             return;
         }
         let model = self.engine.model;
@@ -630,8 +614,7 @@ mod tests {
     #[test]
     fn direct_classification() {
         let m = model();
-        let (keys, noise, stats) =
-            infer_stream(&m, &[d(100, 1000, 160), d(400, 1100, 150)], OnlineConfig::default());
+        let (keys, noise, stats) = infer_stream(&m, &[d(100, 1000, 160), d(400, 1100, 150)]);
         assert_eq!(keys.len(), 2);
         assert_eq!(keys[0].ch, 'w');
         assert_eq!(keys[1].ch, 'n');
@@ -643,11 +626,8 @@ mod tests {
     fn duplication_suppressed_within_t_l() {
         let m = model();
         // GBoard animation: identical change 16 ms after the accepted one.
-        let (keys, _, stats) = infer_stream(
-            &m,
-            &[d(100, 1000, 160), d(116, 1000, 160), d(400, 1100, 150)],
-            OnlineConfig::default(),
-        );
+        let (keys, _, stats) =
+            infer_stream(&m, &[d(100, 1000, 160), d(116, 1000, 160), d(400, 1100, 150)]);
         assert_eq!(keys.len(), 2, "duplicate must not become a second press");
         assert_eq!(stats.duplications_suppressed, 1);
     }
@@ -656,8 +636,7 @@ mod tests {
     fn presses_beyond_t_l_are_kept() {
         let m = model();
         // A genuine double letter 90 ms apart (fast typist) survives.
-        let (keys, _, stats) =
-            infer_stream(&m, &[d(100, 1000, 160), d(190, 1000, 160)], OnlineConfig::default());
+        let (keys, _, stats) = infer_stream(&m, &[d(100, 1000, 160), d(190, 1000, 160)]);
         assert_eq!(keys.len(), 2);
         assert_eq!(stats.duplications_suppressed, 0);
     }
@@ -667,12 +646,10 @@ mod tests {
         let m = model();
         // A repeat 74 ms after the accepted press is an animation duplicate;
         // one exactly T_l = 75 ms after it is a new press.
-        let (keys, _, stats) =
-            infer_stream(&m, &[d(100, 1000, 160), d(174, 1000, 160)], OnlineConfig::default());
+        let (keys, _, stats) = infer_stream(&m, &[d(100, 1000, 160), d(174, 1000, 160)]);
         assert_eq!(keys.len(), 1, "74 ms is inside T_l");
         assert_eq!(stats.duplications_suppressed, 1);
-        let (keys, _, stats) =
-            infer_stream(&m, &[d(100, 1000, 160), d(175, 1000, 160)], OnlineConfig::default());
+        let (keys, _, stats) = infer_stream(&m, &[d(100, 1000, 160), d(175, 1000, 160)]);
         assert_eq!(keys.len(), 2, "75 ms is outside T_l");
         assert_eq!(stats.duplications_suppressed, 0);
     }
@@ -681,8 +658,7 @@ mod tests {
     fn split_recombination_recovers_the_press() {
         let m = model();
         // 'w' split across two adjacent reads (60% + 40%).
-        let (keys, noise, stats) =
-            infer_stream(&m, &[d(100, 600, 96), d(108, 400, 64)], OnlineConfig::default());
+        let (keys, noise, stats) = infer_stream(&m, &[d(100, 600, 96), d(108, 400, 64)]);
         assert_eq!(keys.len(), 1);
         assert_eq!(keys[0].ch, 'w');
         assert_eq!(keys[0].at, SimInstant::from_millis(100), "split press is backdated");
@@ -695,8 +671,7 @@ mod tests {
     fn distant_fragments_do_not_recombine() {
         let m = model();
         // Same fragments, but 300 ms apart: both are noise.
-        let (keys, noise, stats) =
-            infer_stream(&m, &[d(100, 600, 96), d(400, 400, 64)], OnlineConfig::default());
+        let (keys, noise, stats) = infer_stream(&m, &[d(100, 600, 96), d(400, 400, 64)]);
         assert!(keys.is_empty());
         assert_eq!(noise.len(), 2);
         assert_eq!(stats.noise, 2);
@@ -705,8 +680,7 @@ mod tests {
     #[test]
     fn unmatched_changes_become_noise() {
         let m = model();
-        let (keys, noise, stats) =
-            infer_stream(&m, &[d(100, 5000, 10), d(300, 7000, 20)], OnlineConfig::default());
+        let (keys, noise, stats) = infer_stream(&m, &[d(100, 5000, 10), d(300, 7000, 20)]);
         assert!(keys.is_empty());
         assert_eq!(noise.len(), 2);
         assert_eq!(stats.noise, 2);
@@ -724,11 +698,9 @@ mod tests {
         let split_b = d(116, 400, 96);
         // greedy: 100+108 = (1105, 150) ≈ 'n' (dist 5 ≤ C_th) → accepted wrongly,
         // and the real second fragment is then suppressed as a duplicate.
-        let (keys_greedy, _, _) =
-            infer_stream(&m, &[noise_frag, split_a, split_b], OnlineConfig::default());
+        let (keys_greedy, _, _) = infer_stream(&m, &[noise_frag, split_a, split_b]);
         // full trace: 108+116 = (1000,160) = 'w' exactly (dist 0 < 5) wins the pairing.
-        let (keys_full, _, _) =
-            infer_full_trace(&m, &[noise_frag, split_a, split_b], OnlineConfig::default());
+        let (keys_full, _, _) = infer_full_trace(&m, &[noise_frag, split_a, split_b]);
         assert_eq!(keys_greedy.first().map(|k| k.ch), Some('n'));
         assert_eq!(keys_full.first().map(|k| k.ch), Some('w'));
     }
@@ -747,7 +719,7 @@ mod tests {
                 latency,
             )
         };
-        let mut eng = OnlineInference::new(&m, OnlineConfig::default());
+        let mut eng = OnlineInference::new(&m);
         // A rejected fragment (1 primary; both fragments sit below the
         // acceptance box's tile range, so no peel residual is probed), then
         // the rest of the split (1 primary + the accepted recombined sum):
@@ -785,7 +757,7 @@ mod tests {
             .enumerate()
             .map(|(i, v)| Delta { at: SimInstant::from_millis(100 + 300 * i as u64), values: *v })
             .collect();
-        let (keys, rejected, stats) = infer_stream(&m, &deltas, OnlineConfig::default());
+        let (keys, rejected, stats) = infer_stream(&m, &deltas);
         assert!(keys.is_empty());
         assert_eq!((rejected.len(), stats.noise), (noise.len(), noise.len()));
         let snap = spansight::snapshot().for_track(track);
@@ -800,7 +772,7 @@ mod tests {
     #[test]
     fn finish_flushes_leftover_as_noise() {
         let m = model();
-        let mut eng = OnlineInference::new(&m, OnlineConfig::default());
+        let mut eng = OnlineInference::new(&m);
         eng.process(d(100, 600, 96)); // un-classifiable fragment
         assert_eq!(eng.inferred().len(), 0);
         let (_, noise, stats) = eng.finish();

@@ -37,49 +37,16 @@ use crate::trace::{Sample, Trace};
 /// the screen refresh interval" — 8 ms at 60 Hz).
 pub const DEFAULT_INTERVAL: SimDuration = SimDuration::from_millis(8);
 
-/// How hard the sampler fights for each individual read slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Failed attempts tolerated per read slot before it is abandoned.
-    pub max_retries: u32,
-    /// First backoff delay; doubles after every failed attempt until it
-    /// reaches [`max_backoff`](Self::max_backoff).
-    pub initial_backoff: SimDuration,
-    /// Ceiling on the per-attempt backoff delay. Without it the doubling
-    /// schedule blows past the session end after a handful of failures;
-    /// with it a persistent fault costs a bounded, predictable amount of
-    /// sim-time per slot.
-    pub max_backoff: SimDuration,
-}
+/// First retry backoff delay; doubles after every failed attempt until it
+/// reaches [`MAX_BACKOFF`].
+const INITIAL_BACKOFF: SimDuration = SimDuration::from_micros(500);
 
-impl RetryPolicy {
-    /// The default budget: 8 attempts starting at 0.5 ms of backoff and
-    /// capped at 4 ms, which keeps even a fully-backed-off slot within a
-    /// few 60 Hz frames.
-    pub fn default_bounded() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            initial_backoff: SimDuration::from_micros(500),
-            max_backoff: SimDuration::from_millis(4),
-        }
-    }
-
-    /// Fail-stop behaviour: the first error abandons the slot.
-    pub fn none() -> Self {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default_bounded() }
-    }
-
-    /// A budget of `max_retries` attempts with the default backoff.
-    pub fn with_budget(max_retries: u32) -> Self {
-        RetryPolicy { max_retries, ..RetryPolicy::default_bounded() }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::default_bounded()
-    }
-}
+/// Ceiling on the per-attempt backoff delay. Without it the doubling
+/// schedule blows past the session end after a handful of failures; with
+/// it a persistent fault costs a bounded, predictable amount of sim-time
+/// per slot — even a slot that spends the default budget of 8 stays within
+/// a few 60 Hz frames.
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(4);
 
 /// Sampler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,19 +58,15 @@ pub struct SamplerConfig {
     pub cpu_load: f64,
     /// RNG seed for the jitter model.
     pub seed: u64,
-    /// Per-read-slot retry budget for device errors.
-    pub retry: RetryPolicy,
+    /// Failed attempts tolerated per read slot (and per setup ioctl)
+    /// before it is abandoned; 0 is fail-stop.
+    pub retry_budget: u32,
 }
 
 impl SamplerConfig {
     /// 8 ms reads on an otherwise idle device.
     pub fn default_8ms() -> Self {
-        SamplerConfig {
-            interval: DEFAULT_INTERVAL,
-            cpu_load: 0.0,
-            seed: 0,
-            retry: RetryPolicy::default_bounded(),
-        }
+        SamplerConfig { interval: DEFAULT_INTERVAL, cpu_load: 0.0, seed: 0, retry_budget: 8 }
     }
 }
 
@@ -289,8 +252,13 @@ impl Sampler {
     /// nothing is leaked: counters acquired before the failing one are
     /// released and the fd is closed. Transient errors (`EBUSY`/`EINTR`)
     /// are retried per call within the configured budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.cpu_load` is outside `0.0..=1.0`.
     pub fn open(device: &KgslDevice, config: SamplerConfig) -> DeviceResult<Self> {
-        let budget = config.retry.max_retries;
+        assert!((0.0..=1.0).contains(&config.cpu_load), "cpu_load must be in 0..=1");
+        let budget = config.retry_budget;
         let fd =
             retry_transient(budget, || device.open(ATTACKER_PID, SelinuxDomain::UntrustedApp))?;
         if let Err(err) = Self::reserve_all(device, fd, budget) {
@@ -397,7 +365,7 @@ impl Sampler {
     /// advancing the simulation between reads. Returns the raw trace.
     ///
     /// Device errors no longer stop the stream: each read slot is retried
-    /// within the configured [`RetryPolicy`] (reopening the fd or re-running
+    /// within the configured retry budget (reopening the fd or re-running
     /// the reservation loop when the device forgot about us), and a slot
     /// whose budget runs out is simply skipped — degrading the trace rather
     /// than killing the session.
@@ -549,7 +517,7 @@ impl Sampler {
         until: SimInstant,
         backoff_buckets: &mut [u64; BACKOFF_HIST_EDGES.len() + 1],
     ) -> DeviceResult<adreno_sim::CounterSet> {
-        let mut backoff = self.config.retry.initial_backoff;
+        let mut backoff = INITIAL_BACKOFF;
         let mut failures = 0u32;
         loop {
             let device = sim.device();
@@ -572,7 +540,7 @@ impl Sampler {
                 // the reservation loop on the existing fd.
                 Errno::Einval => {
                     self.report.reservation_losses += 1;
-                    if Self::reserve_all(device, self.fd, self.config.retry.max_retries).is_ok() {
+                    if Self::reserve_all(device, self.fd, self.config.retry_budget).is_ok() {
                         self.report.reservations_reacquired += 1;
                     }
                 }
@@ -586,7 +554,7 @@ impl Sampler {
                 Errno::Enodev => return Err(err),
             }
             failures += 1;
-            if failures > self.config.retry.max_retries {
+            if failures > self.config.retry_budget {
                 return Err(err);
             }
             self.report.retries_spent += 1;
@@ -598,7 +566,7 @@ impl Sampler {
                 return Err(err);
             }
             sim.advance_to(wake);
-            backoff = (backoff * 2).min(self.config.retry.max_backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
         }
     }
 
@@ -606,7 +574,7 @@ impl Sampler {
     /// revocation). The reservation loop must fully succeed, otherwise the
     /// new fd is closed again and the old (dead) one is kept.
     fn reacquire(&mut self, device: &KgslDevice) -> DeviceResult<()> {
-        let budget = self.config.retry.max_retries;
+        let budget = self.config.retry_budget;
         let fd =
             retry_transient(budget, || device.open(ATTACKER_PID, SelinuxDomain::UntrustedApp))?;
         if let Err(err) = Self::reserve_all(device, fd, budget) {
@@ -666,11 +634,7 @@ mod tests {
 
     #[test]
     fn cpu_load_jitters_the_schedule() {
-        let mut sim = UiSimulation::new(SimConfig {
-            system_noise_hz: 0.0,
-            cpu_load: 0.75,
-            ..SimConfig::paper_default(3)
-        });
+        let mut sim = quiet_sim(3);
         let cfg = SamplerConfig { cpu_load: 0.75, ..SamplerConfig::default_8ms() };
         let mut s = Sampler::open(sim.device(), cfg).unwrap();
         let trace = s.sample_until(&mut sim, SimInstant::from_millis(2_000)).unwrap();
@@ -680,6 +644,14 @@ mod tests {
         let irregular =
             trace.samples().windows(2).filter(|w| (w[1].at - w[0].at).as_millis() != 8).count();
         assert!(irregular > 10, "expected irregular spacing, got {irregular}");
+    }
+
+    #[test]
+    #[should_panic(expected = "cpu_load must be in 0..=1")]
+    fn cpu_load_outside_the_unit_range_is_rejected() {
+        let sim = quiet_sim(13);
+        let cfg = SamplerConfig { cpu_load: 1.5, ..SamplerConfig::default_8ms() };
+        let _ = Sampler::open(sim.device(), cfg);
     }
 
     #[test]
@@ -807,7 +779,7 @@ mod tests {
         use kgsl::FaultPlan;
 
         let mut sim = quiet_sim(10);
-        let cfg = SamplerConfig { retry: RetryPolicy::none(), ..SamplerConfig::default_8ms() };
+        let cfg = SamplerConfig { retry_budget: 0, ..SamplerConfig::default_8ms() };
         // Open cleanly first: with a zero budget even `open` is fail-stop.
         let mut s = Sampler::open(sim.device(), cfg).unwrap();
         sim.device().install_fault_plan(&FaultPlan::new(2).with_transient_rates(0.3, 0.0));
@@ -841,12 +813,11 @@ mod tests {
     fn backoff_schedule_is_capped() {
         // Walk the doubling schedule the way read_resilient does and check
         // the cap binds: 0.5, 1, 2, 4, 4, 4, ... ms.
-        let policy = RetryPolicy::default_bounded();
-        let mut backoff = policy.initial_backoff;
+        let mut backoff = INITIAL_BACKOFF;
         let mut seen = Vec::new();
         for _ in 0..6 {
             seen.push(backoff);
-            backoff = (backoff * 2).min(policy.max_backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
         }
         assert_eq!(
             seen,

@@ -30,21 +30,22 @@ use android_ui::UiSimulation;
 use kgsl::Errno;
 use std::fmt;
 
-use crate::appswitch::{SwitchConfig, SwitchEvent, SwitchStage};
+use crate::appswitch::{SwitchEvent, SwitchStage};
 use crate::classify::{ClassifierModel, ModelMeta};
-use crate::correction::{CorrectedKeys, CorrectionConfig, CorrectionEvent, CorrectionStage};
+use crate::correction::{CorrectedKeys, CorrectionEvent, CorrectionStage};
 use crate::launch::LaunchGate;
 use crate::metrics::{score_session, SessionScore};
 use crate::offline::{ModelStore, RecognizeStage};
-use crate::online::{InferEvent, InferStage, InferenceStats, InferredKey, OnlineConfig};
-use crate::sampler::{Sampler, SamplerConfig, SamplerReport};
+use crate::online::{InferEvent, InferStage, InferenceStats, InferredKey};
+use crate::sampler::{SampleStream, Sampler, SamplerConfig, SamplerReport};
 use crate::stage::Stage;
 use crate::trace::{Delta, DeltaStage, Sample};
 
 /// Samples per burst between the sampling loop and the stage pipeline in
-/// [`AttackService::eavesdrop`]: big enough to amortise stage dispatch and
-/// centroid traversal, small enough (~6 read intervals per keystroke at
-/// the paper's 5 ms cadence) that decision latency stays bounded.
+/// the in-process burst loop ([`AttackService::eavesdrop`] and every fleet
+/// session): big enough to amortise stage dispatch and centroid traversal,
+/// small enough (~6 read intervals per keystroke at the paper's 5 ms
+/// cadence) that decision latency stays bounded.
 const SAMPLE_BURST: usize = 64;
 
 /// Service configuration.
@@ -52,8 +53,6 @@ const SAMPLE_BURST: usize = 64;
 pub struct ServiceConfig {
     /// Counter-sampling loop configuration.
     pub sampler: SamplerConfig,
-    /// Algorithm 1 (online inference) configuration.
-    pub online: OnlineConfig,
     /// Use the one-change-lookahead variant of Algorithm 1 — accuracy over
     /// timeliness (§5.1 trade-off). Despite the name this no longer buffers
     /// the full trace: [`InferStage::lookahead`] holds exactly one change.
@@ -69,8 +68,6 @@ pub struct ServiceConfig {
     /// system noise does not. Off by default so the stock pipeline matches
     /// the paper; the `ablate-corroboration` experiment quantifies it.
     pub echo_corroboration: bool,
-    /// Backspace/length-tracking (§5.3) configuration.
-    pub correction: CorrectionConfig,
 }
 
 /// Errors from an eavesdropping session.
@@ -308,18 +305,17 @@ impl<'s> PostRecognition<'s> {
             LaunchGate::open()
         };
         let infer = if config.full_trace {
-            InferStage::lookahead(model, config.online)
+            InferStage::lookahead(model)
         } else {
-            InferStage::greedy(model, config.online)
+            InferStage::greedy(model)
         };
         PostRecognition {
             model,
             launch,
-            switch: SwitchStage::new(SwitchConfig::with_threshold(model.switch_threshold())),
+            switch: SwitchStage::new(model.switch_threshold()),
             infer,
             correction: CorrectionStage::new(
                 model.ambient_signatures().to_vec(),
-                config.correction,
                 config.echo_corroboration,
             ),
             gated: Vec::new(),
@@ -593,27 +589,9 @@ impl AttackService {
     ) -> Result<SessionResult, ServiceError> {
         let mut session_span = spansight::span("core", "service.eavesdrop");
         session_span.sim_range(sim.now().as_nanos(), until.as_nanos());
-        let mut sampler = Sampler::open(sim.device(), self.config.sampler)?;
-        let mut stream = sampler.start_stream(sim, until);
-        let mut pipeline = Pipeline::new(&self.store, &self.config);
-        // Read a burst, then push it through the pipeline at once; a short
-        // burst means the stream has ended.
-        let mut burst: Vec<Sample> = Vec::with_capacity(SAMPLE_BURST);
-        loop {
-            burst.clear();
-            burst.extend(
-                std::iter::from_fn(|| sampler.next_sample(&mut stream, sim)).take(SAMPLE_BURST),
-            );
-            pipeline.push_samples(&burst);
-            if burst.len() < SAMPLE_BURST {
-                break;
-            }
-        }
-        let finished = sampler.finish_stream(stream);
-        let report = sampler.report();
-        sampler.close(sim.device());
-        finished?;
-        pipeline.finish(&report)
+        let mut driver = LocalDriver::open(self, sim, until)?;
+        while !driver.step(sim) {}
+        driver.finish(sim)
     }
 
     /// Begins an incremental analysis session: the push-based half of
@@ -642,6 +620,59 @@ impl AttackService {
         Ok(StreamingSession {
             pipeline: Pipeline::pinned(&self.store, &self.config, handle.model()),
         })
+    }
+}
+
+/// The in-process burst loop, one step at a time: the sampler, its stream
+/// and the stage pipeline of one session. [`AttackService::eavesdrop`]
+/// steps it until the stream ends; a [`crate::fleet::FleetSession`] steps
+/// it once per scheduler quantum. The wire layer's `SplitDriver` is the
+/// same loop with a transport between sampler and pipeline.
+pub(crate) struct LocalDriver<'s> {
+    sampler: Sampler,
+    stream: SampleStream,
+    pipeline: Pipeline<'s>,
+    /// One burst of samples, read before the pipeline takes it whole.
+    burst: Vec<Sample>,
+}
+
+impl<'s> LocalDriver<'s> {
+    /// Opens the sampler on `sim`'s device, starts its stream to `until`
+    /// and the service's pipeline; fails when the device refuses to open.
+    pub(crate) fn open(
+        service: &'s AttackService,
+        sim: &UiSimulation,
+        until: SimInstant,
+    ) -> Result<Self, ServiceError> {
+        let mut sampler = Sampler::open(sim.device(), service.config.sampler)?;
+        let stream = sampler.start_stream(sim, until);
+        Ok(LocalDriver {
+            sampler,
+            stream,
+            pipeline: Pipeline::new(&service.store, &service.config),
+            burst: Vec::with_capacity(SAMPLE_BURST),
+        })
+    }
+
+    /// Reads one burst of up to [`SAMPLE_BURST`] samples and pushes it
+    /// through the pipeline at once. Returns true once a short burst has
+    /// ended the stream.
+    pub(crate) fn step(&mut self, sim: &mut UiSimulation) -> bool {
+        let LocalDriver { sampler, stream, burst, .. } = self;
+        burst.clear();
+        burst.extend(std::iter::from_fn(|| sampler.next_sample(stream, sim)).take(SAMPLE_BURST));
+        self.pipeline.push_samples(&self.burst);
+        self.burst.len() < SAMPLE_BURST
+    }
+
+    /// Closes the sampler and assembles the session result.
+    pub(crate) fn finish(self, sim: &UiSimulation) -> Result<SessionResult, ServiceError> {
+        let LocalDriver { mut sampler, stream, pipeline, .. } = self;
+        let finished = sampler.finish_stream(stream);
+        let report = sampler.report();
+        sampler.close(sim.device());
+        finished?;
+        pipeline.finish(&report)
     }
 }
 

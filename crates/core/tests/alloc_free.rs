@@ -22,9 +22,9 @@ use std::cell::Cell;
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::SimConfig;
 use android_ui::UiSimulation;
-use gpu_sc_attack::correction::{CorrectionConfig, CorrectionStage};
+use gpu_sc_attack::correction::CorrectionStage;
 use gpu_sc_attack::offline::{Trainer, TrainerConfig};
-use gpu_sc_attack::online::{InferStage, OnlineConfig};
+use gpu_sc_attack::online::InferStage;
 use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
 use gpu_sc_attack::stage::Stage;
 use gpu_sc_attack::trace::Delta;
@@ -124,12 +124,8 @@ fn accepted_keys_allocate_only_for_list_growth() {
                 values: centroids[i % centroids.len()].values,
             })
             .collect();
-        let mut infer = InferStage::greedy(&model, OnlineConfig::default());
-        let mut correction = CorrectionStage::new(
-            model.ambient_signatures().to_vec(),
-            CorrectionConfig::default(),
-            false,
-        );
+        let mut infer = InferStage::greedy(&model);
+        let mut correction = CorrectionStage::new(model.ambient_signatures().to_vec(), false);
         let mut infer_events = Vec::with_capacity(keys);
         let mut correction_events = Vec::with_capacity(keys);
         spansight::flush();

@@ -8,7 +8,7 @@ use gpu_sc_attack::classify::{
 };
 use gpu_sc_attack::metrics::edit_distance;
 use gpu_sc_attack::online::{
-    infer_full_trace, infer_stream, InferEvent, InferenceStats, InferredKey, OnlineConfig,
+    infer_full_trace, infer_stream, InferEvent, InferenceStats, InferredKey, MAX_SPLIT_GAP, T_L,
 };
 use gpu_sc_attack::sampler::SamplerReport;
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
@@ -158,7 +158,6 @@ fn boundary_models(model: &ClassifierModel, d: f64) -> Vec<ClassifierModel> {
 /// after each change, its keys, then its noise.
 struct ReferenceEngine<'m> {
     model: &'m ClassifierModel,
-    config: OnlineConfig,
     lookahead: bool,
     held: Option<Delta>,
     last_key_at: Option<SimInstant>,
@@ -173,7 +172,6 @@ impl<'m> ReferenceEngine<'m> {
     fn new(model: &'m ClassifierModel, lookahead: bool) -> Self {
         ReferenceEngine {
             model,
-            config: OnlineConfig::default(),
             lookahead,
             held: None,
             last_key_at: None,
@@ -248,7 +246,7 @@ impl<'m> ReferenceEngine<'m> {
     fn process(&mut self, delta: Delta, decided_at: SimInstant) {
         let key = |at, ch, via_split| InferredKey { at, decided_at, ch, via_split };
         let primary = self.hit(&delta.values);
-        if self.last_key_at.is_some_and(|t| delta.at.saturating_since(t) < self.config.t_l) {
+        if self.last_key_at.is_some_and(|t| delta.at.saturating_since(t) < T_L) {
             if primary.is_some() {
                 self.stats.duplications_suppressed += 1;
                 if let Some(stale) = self.prev.take() {
@@ -271,7 +269,7 @@ impl<'m> ReferenceEngine<'m> {
             return;
         }
         if let Some(prev) = self.prev {
-            if delta.at.saturating_since(prev.at) <= self.config.max_split_gap {
+            if delta.at.saturating_since(prev.at) <= MAX_SPLIT_GAP {
                 let combined = prev.values + delta.values;
                 if let Some((ch, _)) = self.hit(&combined) {
                     self.prev = None;
@@ -301,8 +299,8 @@ impl<'m> ReferenceEngine<'m> {
     /// strictly better than `(prev, current)`.
     fn defer(&mut self, current: &Delta, next: &Delta) {
         let Some(prev) = self.prev else { return };
-        let gap = self.config.max_split_gap;
-        if current.at.saturating_since(prev.at) > gap || next.at.saturating_since(current.at) > gap
+        if current.at.saturating_since(prev.at) > MAX_SPLIT_GAP
+            || next.at.saturating_since(current.at) > MAX_SPLIT_GAP
         {
             return;
         }
@@ -460,9 +458,9 @@ proptest! {
     ) {
         for full in [false, true] {
             let (keys, noise, stats) = if full {
-                infer_full_trace(&model, &deltas, OnlineConfig::default())
+                infer_full_trace(&model, &deltas)
             } else {
-                infer_stream(&model, &deltas, OnlineConfig::default())
+                infer_stream(&model, &deltas)
             };
             // Every input change is accounted for at most once.
             prop_assert!(keys.len() + noise.len() <= deltas.len());
@@ -854,9 +852,9 @@ proptest! {
         use gpu_sc_attack::online::InferStage;
         use gpu_sc_attack::stage::Stage;
         let mk = || if lookahead {
-            InferStage::lookahead(&model, OnlineConfig::default())
+            InferStage::lookahead(&model)
         } else {
-            InferStage::greedy(&model, OnlineConfig::default())
+            InferStage::greedy(&model)
         };
 
         let mut single = mk();
@@ -892,9 +890,9 @@ proptest! {
         use gpu_sc_attack::online::InferStage;
         let deltas = typing_deltas(&model, &steps);
         let mut stage = if lookahead {
-            InferStage::lookahead(&model, OnlineConfig::default())
+            InferStage::lookahead(&model)
         } else {
-            InferStage::greedy(&model, OnlineConfig::default())
+            InferStage::greedy(&model)
         };
         let events = gpu_sc_attack::stage::run_to_vec(&mut stage, deltas.iter().copied());
         let mut reference = ReferenceEngine::new(&model, lookahead);

@@ -3,6 +3,8 @@
 //! [`DegradationReport`], never a panic, and an `Err` only when it acquired
 //! nothing at all — and the whole fault schedule must be deterministic.
 
+mod common;
+
 use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
 use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
@@ -14,6 +16,8 @@ use gpu_eaves::kgsl::fault::FaultEvent;
 use gpu_eaves::kgsl::{AccessPolicy, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use common::{fnv1a, FNV_BASIS};
 
 const SECRET: &str = "hunter2pass";
 
@@ -137,11 +141,6 @@ fn a_storm_of_faults_never_panics() {
     }
 }
 
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
-}
-
 /// The raw fault path, pinned to a constant rather than compared with a
 /// second run: a heavy fault plan (transients, truncated reads, slumbers,
 /// revocations) plus a scheduled deny-all policy flip and its reversal,
@@ -174,7 +173,7 @@ fn fault_path_replays_the_pinned_sample_digest() {
     assert!(report.denied_reads > 0, "the deny-all window must be sampled: {report:?}");
     assert!(log.slumbers > 0 && log.revocations > 0 && log.truncated_reads > 0, "{log:?}");
 
-    let mut digest = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV_BASIS;
     for sample in trace.iter() {
         digest = fnv1a(digest, &sample.at.as_nanos().to_le_bytes());
         for value in sample.values.as_array() {

@@ -31,6 +31,8 @@
 //! what the pipeline decides or reports, and must be explained rather than
 //! re-pinned silently.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use adreno_sim::time::{SimDuration, SimInstant};
@@ -46,6 +48,8 @@ use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::kgsl::FaultPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use common::{fnv1a, FNV_BASIS};
 
 /// How one session's victim is built. Everything that feeds the
 /// simulation derives from the seed, so two builds observe the same victim.
@@ -160,13 +164,6 @@ fn store() -> &'static ModelStore {
         store.add(Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app));
         store
     })
-}
-
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
 }
 
 /// Runs the victim's session through a service with `config`.

@@ -14,6 +14,8 @@
 //! login, and the popup-disabled mitigation with the first session's
 //! keyboard and app on the second device.
 
+mod common;
+
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::apps::TargetApp;
 use android_ui::keyboard::KeyboardKind;
@@ -24,10 +26,7 @@ use input_bot::timing::VOLUNTEERS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
-}
+use common::{fnv1a, FNV_BASIS};
 
 /// Types `text` into a victim built from `config` and folds, on the 8 ms
 /// read grid, every counter value the GPU shows, then the number of frames
@@ -85,7 +84,7 @@ fn victim_counter_streams_replay_the_pinned_digest() {
             "mQ7rs",
         ),
     ];
-    let mut digest = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV_BASIS;
     for (config, text) in sessions {
         digest = session_digest(digest, config, text);
     }

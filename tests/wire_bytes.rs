@@ -9,6 +9,8 @@
 //! sampler's bursts are sliced, and that a declared payload length near
 //! `u64::MAX` is a typed error rather than an overflow.
 
+mod common;
+
 use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
 use gpu_eaves::attack::offline::ModelStore;
@@ -25,17 +27,14 @@ use gpu_eaves::wire::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use common::{fnv1a, FNV_BASIS};
+
 /// The victim both pinned tests use: the `wire_split_e2e` lossy-matrix
 /// session.
 const SEED: u64 = 90;
 const CREDENTIAL: &str = "hunter2pass";
 /// Samples per batch frame at the default [`ExfilConfig`].
 const BATCH: usize = 32;
-
-/// FNV-1a over `bytes`, continuing from `hash`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
-}
 
 fn service() -> AttackService {
     let cfg = SimConfig::paper_default(0);
@@ -112,7 +111,7 @@ fn split_datagrams_replay_the_pinned_digest() {
     let finack = Message::FinAck { recovered: result.recovered_text.clone() };
     datagrams.push(Frame::new(1, finack.encode()).encode());
 
-    let mut digest = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV_BASIS;
     for datagram in &datagrams {
         digest = fnv1a(digest, &(datagram.len() as u64).to_le_bytes());
         digest = fnv1a(digest, datagram);
