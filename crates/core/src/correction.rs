@@ -56,7 +56,8 @@ pub struct CorrectionDetector {
     cursor_on: bool,
     /// The blink timer restarts on every text change, so the grid is
     /// anchored at the last add/delete echo rather than at absolute time.
-    blink_anchor: Option<SimInstant>,
+    /// The first echo sets it, before anything reads it.
+    blink_anchor: SimInstant,
     /// An on-grid −2 echo awaiting disambiguation: a blink turning the
     /// cursor off and a backspace that happens to land on the blink grid
     /// look identical *now*, but they predict different successor values,
@@ -72,7 +73,22 @@ struct PendingMinus2 {
     /// The absolute prim value the ambiguous echo showed.
     v: i64,
     /// The blink anchor in force before the ambiguous event.
-    prior_anchor: Option<SimInstant>,
+    prior_anchor: SimInstant,
+}
+
+/// Whether an echo at `at` lands on the cursor-blink grid that the blink
+/// timer's last restart, at `anchor`, laid down: a whole number of
+/// [`BLINK_PERIOD`]s after it, within [`BLINK_TOLERANCE`], and never within
+/// half a period of the restart itself.
+fn on_blink_grid(anchor: SimInstant, at: SimInstant) -> bool {
+    let since = at.saturating_since(anchor).as_nanos();
+    let period = BLINK_PERIOD.as_nanos();
+    if since < period / 2 {
+        return false; // too soon after a text change to be a blink
+    }
+    let phase = since % period;
+    let tol = BLINK_TOLERANCE.as_nanos();
+    phase <= tol || phase >= period - tol
 }
 
 impl CorrectionDetector {
@@ -83,7 +99,7 @@ impl CorrectionDetector {
             signatures,
             last_visible_prims: None,
             cursor_on: true,
-            blink_anchor: None,
+            blink_anchor: SimInstant::ZERO,
             pending: None,
             events: Vec::new(),
         }
@@ -98,7 +114,7 @@ impl CorrectionDetector {
         // A refocus means any pending ambiguity will never get its
         // follow-up; resolve it conservatively as a blink.
         self.resolve_pending_as_blink();
-        self.blink_anchor = Some(at);
+        self.blink_anchor = at;
         self.cursor_on = true;
     }
 
@@ -130,22 +146,6 @@ impl CorrectionDetector {
         })
     }
 
-    fn on_blink_grid(&self, at: SimInstant) -> bool {
-        let Some(anchor) = self.blink_anchor else {
-            // No activity anchor yet: fall back to the absolute grid.
-            let phase = at.as_nanos() % BLINK_PERIOD.as_nanos();
-            return phase <= BLINK_TOLERANCE.as_nanos();
-        };
-        let since = at.saturating_since(anchor).as_nanos();
-        let period = BLINK_PERIOD.as_nanos();
-        if since < period / 2 {
-            return false; // too soon after a text change to be a blink
-        }
-        let phase = since % period;
-        let tol = BLINK_TOLERANCE.as_nanos();
-        phase <= tol || phase >= period - tol
-    }
-
     /// Observes one rejected change; records an event when it is an echo.
     ///
     /// An echo's visible-prim value encodes `2 (field) + 2·len + 2·cursor`.
@@ -171,7 +171,7 @@ impl CorrectionDetector {
             // where the preceding history is unknowable.
             self.last_visible_prims = Some(v);
             self.cursor_on = v != EMPTY_FIELD_CURSOR_HIDDEN;
-            self.blink_anchor = Some(at);
+            self.blink_anchor = at;
             if v == 6 {
                 let event = CorrectionEvent::CharAdded(at);
                 self.events.push(event);
@@ -188,7 +188,7 @@ impl CorrectionDetector {
         // On-grid −2 is ambiguous (blink-off vs backspace on the grid) —
         // but only while the cursor is visible; a hidden cursor cannot turn
         // off again. Defer until the next echo reveals which it was.
-        if self.on_blink_grid(at) && v - prev == -2 && self.cursor_on {
+        if on_blink_grid(self.blink_anchor, at) && v - prev == -2 && self.cursor_on {
             self.pending = Some(PendingMinus2 { at, v, prior_anchor: self.blink_anchor });
             return None;
         }
@@ -203,7 +203,7 @@ impl CorrectionDetector {
         // while the cursor is already visible is a *commit* whose echo
         // happens to land on the grid, not a blink.
         let blink_direction_ok = if v > prev { !self.cursor_on } else { self.cursor_on };
-        if self.on_blink_grid(at) && (v - prev).abs() == 2 && blink_direction_ok {
+        if on_blink_grid(self.blink_anchor, at) && (v - prev).abs() == 2 && blink_direction_ok {
             self.cursor_on = v > prev;
             self.last_visible_prims = Some(v);
             let event = CorrectionEvent::CursorBlink(at);
@@ -223,7 +223,7 @@ impl CorrectionDetector {
         let len_new = (v - 4) / 2;
         self.cursor_on = true;
         self.last_visible_prims = Some(v);
-        self.blink_anchor = Some(at);
+        self.blink_anchor = at;
         let event = match len_new - len_old {
             1 => CorrectionEvent::CharAdded(at),
             -1 => CorrectionEvent::CharDeleted(at),
@@ -249,22 +249,10 @@ impl CorrectionDetector {
     /// fall back to the blink reading, which never fabricates deletions).
     fn resolve_pending(&mut self, at: SimInstant, v: i64) {
         let p = self.pending.take().expect("caller checked");
-        let score = |cursor_after: bool, anchor_after: Option<SimInstant>| -> i32 {
+        let score = |cursor_after: bool, anchor_after: SimInstant| -> i32 {
             // Blink successor?
             let expected_blink = p.v + if cursor_after { -2 } else { 2 };
-            let on_grid = match anchor_after {
-                Some(a) => {
-                    let since = at.saturating_since(a).as_nanos();
-                    let period = BLINK_PERIOD.as_nanos();
-                    since >= period / 2 && {
-                        let phase = since % period;
-                        let tol = BLINK_TOLERANCE.as_nanos();
-                        phase <= tol || phase >= period - tol
-                    }
-                }
-                None => false,
-            };
-            if on_grid && v == expected_blink {
+            if on_blink_grid(anchor_after, at) && v == expected_blink {
                 return 2;
             }
             // Text-change successor? A ±1 length step and a cursor-restoring
@@ -283,12 +271,12 @@ impl CorrectionDetector {
         // Blink interpretation: cursor off, anchor unchanged.
         let blink_score = score(false, p.prior_anchor);
         // Deletion interpretation: cursor on, timer restarted at the event.
-        let delete_score = score(true, Some(p.at));
+        let delete_score = score(true, p.at);
 
         if delete_score > blink_score {
             self.events.push(CorrectionEvent::CharDeleted(p.at));
             self.cursor_on = true;
-            self.blink_anchor = Some(p.at);
+            self.blink_anchor = p.at;
         } else {
             self.events.push(CorrectionEvent::CursorBlink(p.at));
             self.cursor_on = false;

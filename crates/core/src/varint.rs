@@ -12,17 +12,25 @@ pub enum VarintError {
 }
 
 /// Appends `v` to `buf` as an unsigned LEB128 varint (1–10 bytes).
+///
+/// A value below 128, the common case in both formats (small fields, and
+/// the delta-of-delta residuals of a steady sample batch), is one byte.
 #[inline]
-pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
+pub fn write_u64(buf: &mut Vec<u8>, v: u64) {
+    if v < 0x80 {
+        buf.push(v as u8);
+    } else {
+        write_long(buf, v);
     }
+}
+
+/// [`write_u64`] for a value of two bytes or more.
+fn write_long(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// Reads an unsigned LEB128 varint from `buf` at `*pos`, advancing `*pos`.
@@ -31,9 +39,21 @@ pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
 ///
 /// [`VarintError::Truncated`] when the buffer ends mid-varint;
 /// [`VarintError::Overflow`] when the encoding runs past 10 bytes or
-/// carries bits beyond a `u64`.
+/// carries bits beyond a `u64`. Either way `*pos` has moved past every
+/// byte read.
 #[inline]
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(byte))
+        }
+        _ => read_long(buf, pos),
+    }
+}
+
+/// [`read_u64`] past the one-byte case.
+fn read_long(buf: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {

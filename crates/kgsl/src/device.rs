@@ -372,8 +372,8 @@ impl KgslDevice {
     /// draw. Called at every `open`/`ioctl` entry; `Some(errno)` means the
     /// call fails with that transient error.
     fn service_faults(&self, st: &mut DeviceState) -> Option<Errno> {
-        let injector = st.fault.as_mut()?;
-        for event in injector.due_events(self.now) {
+        st.fault.as_ref()?;
+        while let Some(event) = st.fault.as_mut().and_then(|fault| fault.pop_due(self.now)) {
             match event {
                 FaultEvent::Slumber => {
                     spansight::instant("kgsl", "kgsl.fault.slumber");

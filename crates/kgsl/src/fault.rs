@@ -259,20 +259,22 @@ impl FaultInjector {
         }
     }
 
-    /// Removes and returns every scheduled event due at or before `now`.
-    pub fn due_events(&mut self, now: SimInstant) -> Vec<FaultEvent> {
-        let mut due = Vec::new();
-        while self.next < self.schedule.len() && self.schedule[self.next].0 <= now {
-            let event = self.schedule[self.next].1.clone();
-            match event {
-                FaultEvent::Slumber => self.log.slumbers += 1,
-                FaultEvent::RevokeFds => self.log.revocations += 1,
-                FaultEvent::PolicyChange(_) => self.log.policy_changes += 1,
-            }
-            due.push(event);
-            self.next += 1;
+    /// Removes, logs and returns the earliest scheduled event if it is due
+    /// at or before `now`. The device calls this at every `open`/`ioctl`
+    /// until it returns `None`; with nothing due, that is one comparison.
+    pub fn pop_due(&mut self, now: SimInstant) -> Option<FaultEvent> {
+        let (when, event) = self.schedule.get(self.next)?;
+        if *when > now {
+            return None;
         }
-        due
+        match event {
+            FaultEvent::Slumber => self.log.slumbers += 1,
+            FaultEvent::RevokeFds => self.log.revocations += 1,
+            FaultEvent::PolicyChange(_) => self.log.policy_changes += 1,
+        }
+        let event = event.clone();
+        self.next += 1;
+        Some(event)
     }
 
     /// One per-call transient draw: `Some(EBUSY | EINTR)` or `None`.
@@ -393,15 +395,18 @@ mod tests {
     }
 
     #[test]
-    fn due_events_drain_in_order_and_are_logged() {
+    fn due_events_pop_in_order_and_are_logged() {
         let plan = FaultPlan::new(0)
             .at(SimInstant::from_millis(100), FaultEvent::Slumber)
             .at(SimInstant::from_millis(300), FaultEvent::RevokeFds);
         let mut inj = FaultInjector::new(&plan);
-        assert!(inj.due_events(SimInstant::from_millis(50)).is_empty());
-        assert_eq!(inj.due_events(SimInstant::from_millis(200)), vec![FaultEvent::Slumber]);
-        assert_eq!(inj.due_events(SimInstant::from_millis(400)), vec![FaultEvent::RevokeFds]);
-        assert!(inj.due_events(SimInstant::from_millis(500)).is_empty());
+        let mut due = |ms| -> Vec<FaultEvent> {
+            std::iter::from_fn(|| inj.pop_due(SimInstant::from_millis(ms))).collect()
+        };
+        assert!(due(50).is_empty());
+        assert_eq!(due(200), vec![FaultEvent::Slumber]);
+        assert_eq!(due(400), vec![FaultEvent::RevokeFds]);
+        assert!(due(500).is_empty());
         assert_eq!(inj.log().slumbers, 1);
         assert_eq!(inj.log().revocations, 1);
     }

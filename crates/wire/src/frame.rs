@@ -13,6 +13,10 @@
 //! including mid-CRC — fails closed. The version byte sits *outside* the
 //! checksummed payload semantics on purpose: a peer speaking a different
 //! protocol revision is rejected before any payload is interpreted.
+//!
+//! The session frames each payload once, into a datagram allocated at its
+//! exact size, and decodes each datagram in place, reading the payload as
+//! a slice of it; [`Frame`] is the owning form of the same codec.
 
 use crate::crc::crc32;
 use crate::error::{WireError, WireResult};
@@ -43,18 +47,12 @@ impl Frame {
 
     /// Encodes the frame into one datagram.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.payload.len() + 16);
-        buf.extend_from_slice(&MAGIC);
-        buf.push(WIRE_VERSION);
-        varint::write_u64(&mut buf, self.seq);
-        varint::write_u64(&mut buf, self.payload.len() as u64);
-        buf.extend_from_slice(&self.payload);
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        encode(self.seq, &self.payload)
     }
 
-    /// Decodes one datagram into a frame.
+    /// Decodes one datagram into a frame, copying its payload out. The
+    /// session's pumps use the borrowing decoder this wraps, which reads
+    /// the payload in place.
     ///
     /// # Errors
     ///
@@ -62,47 +60,96 @@ impl Frame {
     /// foreign version, truncation anywhere, checksum mismatch, or bytes
     /// past the end.
     pub fn decode(bytes: &[u8]) -> WireResult<Frame> {
-        let mut pos = 0;
-        if bytes.len() < MAGIC.len() + 1 {
-            return Err(WireError::Truncated);
-        }
-        if bytes[..2] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        pos += 2;
-        let version = bytes[pos];
-        pos += 1;
-        if version != WIRE_VERSION {
-            return Err(WireError::VersionMismatch { got: version });
-        }
-        let seq = varint::read_u64(bytes, &mut pos)?;
-        let len = varint::read_u64(bytes, &mut pos)?;
-        let len = usize::try_from(len).map_err(|_| WireError::LengthMismatch)?;
-        // The declared payload plus the trailing CRC must fit exactly.
-        let crc_at = pos.checked_add(len).ok_or(WireError::LengthMismatch)?;
-        let end = crc_at.checked_add(4).ok_or(WireError::LengthMismatch)?;
-        match end.cmp(&bytes.len()) {
-            std::cmp::Ordering::Greater => return Err(WireError::Truncated),
-            std::cmp::Ordering::Less => return Err(WireError::TrailingBytes),
-            std::cmp::Ordering::Equal => {}
-        }
-        let expected = u32::from_le_bytes(bytes[crc_at..end].try_into().expect("4 bytes"));
-        if crc32(&bytes[..crc_at]) != expected {
-            return Err(WireError::CrcMismatch);
-        }
-        Ok(Frame { seq, payload: bytes[pos..crc_at].to_vec() })
+        decode_in_place(bytes).map(|(seq, payload)| Frame { seq, payload: payload.to_vec() })
     }
+}
+
+/// Bytes in the LEB128 encoding of `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The datagram of the frame carrying `payload` under `seq`, allocated once
+/// at its exact size.
+pub(crate) fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
+    let len = payload.len() as u64;
+    let mut buf =
+        Vec::with_capacity(MAGIC.len() + 1 + varint_len(seq) + varint_len(len) + payload.len() + 4);
+    buf.extend_from_slice(&MAGIC);
+    buf.push(WIRE_VERSION);
+    varint::write_u64(&mut buf, seq);
+    varint::write_u64(&mut buf, len);
+    buf.extend_from_slice(payload);
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf
+}
+
+/// Decodes one datagram in place: its sequence number and its payload, a
+/// slice of `bytes`. The checks run in a fixed order (length of the fixed
+/// header, magic, version, the two varints, the declared length against
+/// the datagram, then the CRC), so a datagram damaged in several ways
+/// always reports the same error.
+///
+/// # Errors
+///
+/// As [`Frame::decode`].
+pub(crate) fn decode_in_place(bytes: &[u8]) -> WireResult<(u64, &[u8])> {
+    let mut pos = 0;
+    if bytes.len() < MAGIC.len() + 1 {
+        return Err(WireError::Truncated);
+    }
+    if bytes[..2] != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    pos += 2;
+    let version = bytes[pos];
+    pos += 1;
+    if version != WIRE_VERSION {
+        return Err(WireError::VersionMismatch { got: version });
+    }
+    let seq = varint::read_u64(bytes, &mut pos)?;
+    let len = varint::read_u64(bytes, &mut pos)?;
+    let len = usize::try_from(len).map_err(|_| WireError::LengthMismatch)?;
+    // The declared payload plus the trailing CRC must fit exactly.
+    let crc_at = pos.checked_add(len).ok_or(WireError::LengthMismatch)?;
+    let end = crc_at.checked_add(4).ok_or(WireError::LengthMismatch)?;
+    match end.cmp(&bytes.len()) {
+        std::cmp::Ordering::Greater => return Err(WireError::Truncated),
+        std::cmp::Ordering::Less => return Err(WireError::TrailingBytes),
+        std::cmp::Ordering::Equal => {}
+    }
+    let expected = u32::from_le_bytes(bytes[crc_at..end].try_into().expect("4 bytes"));
+    if crc32(&bytes[..crc_at]) != expected {
+        return Err(WireError::CrcMismatch);
+    }
+    Ok((seq, &bytes[pos..crc_at]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const CONTROL: u64 = u64::MAX;
+
     #[test]
     fn round_trip() {
         for (seq, payload) in [(0u64, vec![]), (7, vec![1, 2, 3]), (u64::MAX, vec![0xff; 300])] {
             let frame = Frame::new(seq, payload);
             assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
+        }
+    }
+
+    #[test]
+    fn frames_are_sized_exactly() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+            let mut buf = Vec::new();
+            varint::write_u64(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v:#x}");
+        }
+        for (seq, len) in [(0u64, 0usize), (CONTROL, 5), (300, 200)] {
+            let datagram = Frame::new(seq, vec![9; len]).encode();
+            assert_eq!(datagram.capacity(), datagram.len());
         }
     }
 

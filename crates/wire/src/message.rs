@@ -84,14 +84,6 @@ impl SampleBatch {
     }
 }
 
-/// The payload of `Message::SampleBatch(SampleBatch::from_samples(samples))`,
-/// byte for byte, encoded straight from the caller's rows.
-pub(crate) fn encode_sample_batch(samples: &[Sample]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(batch_len_hint(samples.len()));
-    encode_batch(&mut buf, samples);
-    buf
-}
-
 /// A batch payload's usual size: the tag, the count, and per column a full
 /// first value plus two bytes for each residual. Steady-state batches fit;
 /// a burst of large residuals grows the buffer once.
@@ -99,9 +91,10 @@ fn batch_len_hint(samples: usize) -> usize {
     1 + MAX_VARINT + COLUMNS * (MAX_VARINT + 2 * samples.saturating_sub(1))
 }
 
-/// Writes a [`Message::SampleBatch`] payload: the tag, the sample count,
-/// then each column in turn.
-fn encode_batch(buf: &mut Vec<u8>, samples: &[Sample]) {
+/// Appends the payload of `Message::SampleBatch(SampleBatch::from_samples(samples))`
+/// to `buf`, byte for byte, encoded straight from the caller's rows: the
+/// tag, the sample count, then each column in turn.
+pub(crate) fn encode_batch(buf: &mut Vec<u8>, samples: &[Sample]) {
     buf.push(TAG_SAMPLE_BATCH);
     varint::write_u64(buf, samples.len() as u64);
     encode_column(buf, samples.iter().map(|s| s.at.as_nanos()));
@@ -277,43 +270,52 @@ fn decode_key(buf: &[u8], pos: &mut usize) -> WireResult<InferredKey> {
     })
 }
 
+/// Appends the payload of `Message::InferredKeys { keys }` to `buf`,
+/// encoded straight from the caller's slice.
+pub(crate) fn encode_inferred_keys(buf: &mut Vec<u8>, keys: &[InferredKey]) {
+    buf.push(TAG_INFERRED_KEYS);
+    varint::write_u64(buf, keys.len() as u64);
+    for key in keys {
+        encode_key(buf, key);
+    }
+}
+
 impl Message {
     /// Encodes the message into a payload (to be wrapped in a
     /// [`Frame`](crate::frame::Frame)).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.len_hint());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the message's payload to `buf`.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Hello { session_id, resume_from, model_digest } => {
                 buf.push(TAG_HELLO);
-                varint::write_u64(&mut buf, *session_id);
-                varint::write_u64(&mut buf, *resume_from);
+                varint::write_u64(buf, *session_id);
+                varint::write_u64(buf, *resume_from);
                 buf.extend_from_slice(model_digest.as_bytes());
             }
-            Message::SampleBatch(batch) => encode_batch(&mut buf, &batch.samples),
+            Message::SampleBatch(batch) => encode_batch(buf, &batch.samples),
             Message::Fin { report } => {
                 buf.push(TAG_FIN);
                 for field in report_fields(report) {
-                    varint::write_u64(&mut buf, field);
+                    varint::write_u64(buf, field);
                 }
             }
             Message::Ack { next_expected } => {
                 buf.push(TAG_ACK);
-                varint::write_u64(&mut buf, *next_expected);
+                varint::write_u64(buf, *next_expected);
             }
-            Message::InferredKeys { keys } => {
-                buf.push(TAG_INFERRED_KEYS);
-                varint::write_u64(&mut buf, keys.len() as u64);
-                for key in keys {
-                    encode_key(&mut buf, key);
-                }
-            }
+            Message::InferredKeys { keys } => encode_inferred_keys(buf, keys),
             Message::FinAck { recovered } => {
                 buf.push(TAG_FIN_ACK);
-                varint::write_u64(&mut buf, recovered.len() as u64);
+                varint::write_u64(buf, recovered.len() as u64);
                 buf.extend_from_slice(recovered.as_bytes());
             }
         }
-        buf
     }
 
     /// A buffer size that holds the encoding: exact upper bounds, except for

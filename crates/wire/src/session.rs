@@ -43,13 +43,16 @@ use gpu_sc_attack::stage::Stage;
 use gpu_sc_attack::trace::Sample;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::frame::Frame;
-use crate::message::{encode_sample_batch, Message};
+use crate::frame;
+use crate::message::{encode_batch, encode_inferred_keys, Message};
 use crate::transport::{Direction, LinkPlan, SimTransport, TransportStats};
 
 /// The sequence number reserved for control frames (Hello, Ack), which live
 /// outside the resequenced data stream.
 pub const CONTROL_SEQ: u64 = u64::MAX;
+
+/// A wake instant no pump reaches: nothing is waiting on a timer.
+const NEVER: SimInstant = SimInstant::from_nanos(u64::MAX);
 
 /// Tuning for the client side of the split session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +163,15 @@ pub struct ExfilClient {
     /// Samples short of a full batch, waiting for the next burst. Empty
     /// whenever bursts come in whole batches, as [`SplitDriver`]'s do.
     tail: Vec<Sample>,
+    /// The payload being framed, reused by every frame the client sends.
+    payload: Vec<u8>,
+    /// Datagrams received and not yet absorbed, reused by every pump.
+    inbox: Vec<Vec<u8>>,
     pending: VecDeque<PendingFrame>,
+    /// Before this instant no retransmit is due: the earliest
+    /// `last_sent + backoff` over the transmitted pending frames, as of the
+    /// last full pump. Queuing a frame resets it to zero.
+    wake: SimInstant,
     next_seq: u64,
     /// Lowest data seq not yet acknowledged by the server.
     acked_to: u64,
@@ -188,7 +199,10 @@ impl ExfilClient {
             session_id,
             model_digest,
             tail: Vec::new(),
+            payload: Vec::new(),
+            inbox: Vec::new(),
             pending: VecDeque::new(),
+            wake: SimInstant::ZERO,
             next_seq: 0,
             acked_to: 0,
             finished: false,
@@ -234,13 +248,13 @@ impl ExfilClient {
             if self.tail.len() < batch {
                 return;
             }
-            let payload = encode_sample_batch(&self.tail);
-            self.tail.clear();
-            self.enqueue(payload, false);
+            self.enqueue_tail();
         }
         let mut chunks = samples.chunks_exact(batch);
         for chunk in &mut chunks {
-            self.enqueue(encode_sample_batch(chunk), false);
+            self.payload.clear();
+            encode_batch(&mut self.payload, chunk);
+            self.enqueue(false);
         }
         self.tail.extend_from_slice(chunks.remainder());
     }
@@ -250,11 +264,12 @@ impl ExfilClient {
     pub fn finish_sampling(&mut self, report: &SamplerReport) {
         assert!(!self.finished, "finish_sampling called twice");
         self.finished = true;
-        let tail = std::mem::take(&mut self.tail);
-        if !tail.is_empty() {
-            self.enqueue(encode_sample_batch(&tail), false);
+        if !self.tail.is_empty() {
+            self.enqueue_tail();
         }
-        self.enqueue(Message::Fin { report: *report }.encode(), true);
+        self.payload.clear();
+        Message::Fin { report: *report }.encode_into(&mut self.payload);
+        self.enqueue(true);
     }
 
     /// Whether the final handshake completed (FinAck received).
@@ -279,24 +294,36 @@ impl ExfilClient {
         self.link
     }
 
-    /// Queues one data frame behind the ones already pending.
-    fn enqueue(&mut self, payload: Vec<u8>, fin: bool) {
+    /// Queues the tail's samples as one batch frame and empties the tail.
+    fn enqueue_tail(&mut self) {
+        self.payload.clear();
+        encode_batch(&mut self.payload, &self.tail);
+        self.tail.clear();
+        self.enqueue(false);
+    }
+
+    /// Frames the payload under the next data sequence number and queues
+    /// the datagram behind the ones already pending.
+    fn enqueue(&mut self, fin: bool) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let payload_len = payload.len() as u64;
         self.pending.push_back(PendingFrame {
             seq,
-            datagram: Frame::new(seq, payload).encode(),
-            payload_len,
+            datagram: frame::encode(seq, &self.payload),
+            payload_len: self.payload.len() as u64,
             fin,
             last_sent: None,
             backoff: self.config.retransmit_after,
             retransmits: 0,
         });
+        // The next pump transmits it.
+        self.wake = SimInstant::ZERO;
     }
 
     fn send_control(&mut self, transport: &mut SimTransport, now: SimInstant, msg: Message) {
-        let datagram = Frame::new(CONTROL_SEQ, msg.encode()).encode();
+        self.payload.clear();
+        msg.encode_into(&mut self.payload);
+        let datagram = frame::encode(CONTROL_SEQ, &self.payload);
         self.link.frames_sent += 1;
         self.link.bytes_sent += datagram.len() as u64;
         transport.send(Direction::ToServer, now, datagram);
@@ -305,11 +332,22 @@ impl ExfilClient {
     /// One scheduling round: absorb server traffic, transmit what the
     /// window allows, retransmit what timed out, reconnect if the link
     /// looks dead. Call at every sample slot and on a coarse tick while
-    /// draining.
+    /// draining, at non-decreasing `now`.
+    ///
+    /// A round that receives nothing, with no frame queued since the last
+    /// full round and `now` before the earliest retransmit deadline, has
+    /// nothing to do and returns at once: only an arrival can open the send
+    /// window, and only a deadline can start a retransmit or a reconnect.
     pub fn pump(&mut self, transport: &mut SimTransport, now: SimInstant) {
-        for datagram in transport.recv(Direction::ToClient, now) {
+        transport.recv_into(Direction::ToClient, now, &mut self.inbox);
+        if self.inbox.is_empty() && now < self.wake {
+            return;
+        }
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for datagram in inbox.drain(..) {
             self.absorb(&datagram, now);
         }
+        self.inbox = inbox;
         if self.done {
             return;
         }
@@ -331,27 +369,26 @@ impl ExfilClient {
         // Retransmissions on capped exponential backoff.
         let mut reconnect = false;
         let max_backoff = self.config.max_retransmit_backoff;
-        let mut resend: Vec<Vec<u8>> = Vec::new();
+        let mut wake = NEVER;
         for (i, p) in self.pending.iter_mut().enumerate() {
-            let Some(sent_at) = p.last_sent else { continue };
-            if now.saturating_since(sent_at) < p.backoff {
-                continue;
+            let Some(mut sent_at) = p.last_sent else { continue };
+            if now.saturating_since(sent_at) >= p.backoff {
+                sent_at = now;
+                p.last_sent = Some(now);
+                p.backoff = (p.backoff * 2).min(max_backoff);
+                p.retransmits += 1;
+                self.link.frames_sent += 1;
+                self.link.retransmits += 1;
+                self.link.bytes_sent += p.datagram.len() as u64;
+                transport.send(Direction::ToServer, now, p.datagram.clone());
+                if i == 0 && p.retransmits >= self.config.reconnect_after {
+                    reconnect = true;
+                    p.retransmits = 0;
+                }
             }
-            p.last_sent = Some(now);
-            p.backoff = (p.backoff * 2).min(max_backoff);
-            p.retransmits += 1;
-            self.link.frames_sent += 1;
-            self.link.retransmits += 1;
-            self.link.bytes_sent += p.datagram.len() as u64;
-            resend.push(p.datagram.clone());
-            if i == 0 && p.retransmits >= self.config.reconnect_after {
-                reconnect = true;
-                p.retransmits = 0;
-            }
+            wake = wake.min(sent_at + p.backoff);
         }
-        for datagram in resend {
-            transport.send(Direction::ToServer, now, datagram);
-        }
+        self.wake = wake;
         if reconnect {
             // The oldest unacked frame has been retransmitted into the void
             // repeatedly: assume an outage ended state agreement and re-open
@@ -371,17 +408,15 @@ impl ExfilClient {
     }
 
     fn absorb(&mut self, datagram: &[u8], now: SimInstant) {
-        let Ok(frame) = Frame::decode(datagram) else {
+        let decoded = frame::decode_in_place(datagram)
+            .and_then(|(seq, payload)| Message::decode(payload).map(|msg| (seq, msg)));
+        let Ok((seq, msg)) = decoded else {
             self.link.frames_corrupt += 1;
             return;
         };
-        let Ok(msg) = Message::decode(&frame.payload) else {
-            self.link.frames_corrupt += 1;
-            return;
-        };
-        if frame.seq != CONTROL_SEQ {
+        if seq != CONTROL_SEQ {
             // Server data frame: dedup by seq.
-            if !self.server_seen.insert(frame.seq) {
+            if !self.server_seen.insert(seq) {
                 self.link.duplicates_discarded += 1;
                 return;
             }
@@ -434,6 +469,10 @@ pub struct ClassifierServer<'s> {
     /// arrives; a zero digest means device recognition).
     requested_digest: Option<ModelDigest>,
     resequencer: ResequenceStage,
+    /// Datagrams received and not yet handled, reused by every pump.
+    datagrams: Vec<Vec<u8>>,
+    /// The payload being framed, reused by every frame the server sends.
+    payload: Vec<u8>,
     inbox: Vec<Message>,
     fresh_keys: Vec<InferredKey>,
     next_out_seq: u64,
@@ -450,6 +489,8 @@ impl<'s> ClassifierServer<'s> {
             session: None,
             requested_digest: None,
             resequencer: ResequenceStage::default(),
+            datagrams: Vec::new(),
+            payload: Vec::new(),
             inbox: Vec::new(),
             fresh_keys: Vec::new(),
             next_out_seq: 0,
@@ -472,12 +513,18 @@ impl<'s> ClassifierServer<'s> {
         link
     }
 
-    /// Receives everything due on the transport and answers it.
+    /// Receives everything due on the transport and answers it. Returns at
+    /// once when nothing is due.
     pub fn pump(&mut self, transport: &mut SimTransport, now: SimInstant) {
-        let datagrams = transport.recv(Direction::ToServer, now);
-        for datagram in datagrams {
+        transport.recv_into(Direction::ToServer, now, &mut self.datagrams);
+        if self.datagrams.is_empty() {
+            return;
+        }
+        let mut datagrams = std::mem::take(&mut self.datagrams);
+        for datagram in datagrams.drain(..) {
             self.handle(&datagram, transport, now);
         }
+        self.datagrams = datagrams;
     }
 
     fn send(&mut self, transport: &mut SimTransport, now: SimInstant, datagram: Vec<u8>) {
@@ -486,30 +533,27 @@ impl<'s> ClassifierServer<'s> {
         transport.send(Direction::ToClient, now, datagram);
     }
 
-    fn send_data(
-        &mut self,
-        transport: &mut SimTransport,
-        now: SimInstant,
-        msg: &Message,
-    ) -> Vec<u8> {
+    /// Frames the payload under the next server sequence number.
+    fn frame_data(&mut self) -> Vec<u8> {
         let seq = self.next_out_seq;
         self.next_out_seq += 1;
-        let datagram = Frame::new(seq, msg.encode()).encode();
-        self.send(transport, now, datagram.clone());
-        datagram
+        frame::encode(seq, &self.payload)
     }
 
     fn send_ack(&mut self, transport: &mut SimTransport, now: SimInstant) {
-        let msg = Message::Ack { next_expected: self.resequencer.next_expected() };
-        let datagram = Frame::new(CONTROL_SEQ, msg.encode()).encode();
+        self.payload.clear();
+        Message::Ack { next_expected: self.resequencer.next_expected() }
+            .encode_into(&mut self.payload);
+        let datagram = frame::encode(CONTROL_SEQ, &self.payload);
         self.send(transport, now, datagram);
     }
 
     fn handle(&mut self, datagram: &[u8], transport: &mut SimTransport, now: SimInstant) {
         // Every datagram is validated in full before it touches any state,
-        // and decoded this once: the resequencer takes the message.
-        let decoded = Frame::decode(datagram)
-            .and_then(|frame| Message::decode(&frame.payload).map(|msg| (frame.seq, msg)));
+        // and decoded this once, in place: the resequencer takes the
+        // message.
+        let decoded = frame::decode_in_place(datagram)
+            .and_then(|(seq, payload)| Message::decode(payload).map(|msg| (seq, msg)));
         let Ok((seq, msg)) = decoded else {
             self.link.frames_corrupt += 1;
             return;
@@ -572,13 +616,14 @@ impl<'s> ClassifierServer<'s> {
                 self.ensure_session();
                 let Some(session) = self.session.as_mut() else { return };
                 session.push_samples(batch.samples());
-                let mut fresh = std::mem::take(&mut self.fresh_keys);
-                session.drain_new_keys(&mut fresh);
-                if !fresh.is_empty() {
-                    let msg = Message::InferredKeys { keys: std::mem::take(&mut fresh) };
-                    self.send_data(transport, now, &msg);
+                session.drain_new_keys(&mut self.fresh_keys);
+                if !self.fresh_keys.is_empty() {
+                    self.payload.clear();
+                    encode_inferred_keys(&mut self.payload, &self.fresh_keys);
+                    self.fresh_keys.clear();
+                    let datagram = self.frame_data();
+                    self.send(transport, now, datagram);
                 }
-                self.fresh_keys = fresh;
             }
             Message::Fin { report } => {
                 self.ensure_session();
@@ -598,9 +643,11 @@ impl<'s> ClassifierServer<'s> {
                     None if self.result.is_some() => String::new(),
                     None => return,
                 };
-                let msg = Message::FinAck { recovered };
-                let datagram = self.send_data(transport, now, &msg);
-                self.finack = Some(datagram);
+                self.payload.clear();
+                Message::FinAck { recovered }.encode_into(&mut self.payload);
+                let datagram = self.frame_data();
+                self.finack = Some(datagram.clone());
+                self.send(transport, now, datagram);
             }
             // Server-bound messages only; Hello is handled before
             // resequencing and the rest are peer bugs — drop them.

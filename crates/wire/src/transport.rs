@@ -260,7 +260,7 @@ impl SimTransport {
     }
 
     /// Hands one datagram to the link at sim-time `now`.
-    pub fn send(&mut self, dir: Direction, now: SimInstant, bytes: Vec<u8>) {
+    pub fn send(&mut self, dir: Direction, now: SimInstant, mut bytes: Vec<u8>) {
         self.stats.sent += 1;
         if self.is_down(now) {
             self.stats.dropped += 1;
@@ -271,7 +271,6 @@ impl SimTransport {
             self.stats.dropped += 1;
             return;
         }
-        let mut bytes = bytes;
         if self.plan.truncate > 0.0
             && !bytes.is_empty()
             && self.rng.gen::<f64>() < self.plan.truncate
@@ -280,43 +279,60 @@ impl SimTransport {
             bytes.truncate(keep);
             self.stats.truncated += 1;
         }
-        let copies = if self.plan.duplicate > 0.0 && self.rng.gen::<f64>() < self.plan.duplicate {
+        let duplicate = self.plan.duplicate > 0.0 && self.rng.gen::<f64>() < self.plan.duplicate;
+        if duplicate {
             self.stats.duplicated += 1;
-            2
-        } else {
-            1
-        };
+        }
         let held_back =
-            self.plan.reorder > 0.0 && copies == 1 && self.rng.gen::<f64>() < self.plan.reorder;
+            self.plan.reorder > 0.0 && !duplicate && self.rng.gen::<f64>() < self.plan.reorder;
         if held_back && self.lane(dir).held.is_none() {
             self.stats.reordered += 1;
             self.lane(dir).held = Some(bytes);
             return;
         }
-        for _ in 0..copies {
+        // The datagram moves into its lane; only an injected duplicate is a
+        // copy of it.
+        if duplicate {
             let arrive = self.arrival(now);
-            let order = self.order;
-            self.order += 1;
-            self.lane(dir).insert(InFlight { arrive, order, bytes: bytes.clone() });
+            self.deliver_at(dir, arrive, bytes.clone());
         }
+        let arrive = self.arrival(now);
+        self.deliver_at(dir, arrive, bytes);
         // Release a previously held datagram just *after* this send, which
         // is what makes it arrive out of order.
         if let Some(late) = self.lane(dir).held.take() {
             let arrive = self.arrival(now) + SimDuration::from_nanos(1);
-            let order = self.order;
-            self.order += 1;
-            self.lane(dir).insert(InFlight { arrive, order, bytes: late });
+            self.deliver_at(dir, arrive, late);
         }
+    }
+
+    /// Queues `bytes` on `dir` to arrive at `arrive`, behind everything
+    /// already due then.
+    fn deliver_at(&mut self, dir: Direction, arrive: SimInstant, bytes: Vec<u8>) {
+        let order = self.order;
+        self.order += 1;
+        self.lane(dir).insert(InFlight { arrive, order, bytes });
     }
 
     /// Removes and returns every datagram due at or before `now` on `dir`,
     /// in arrival order.
     pub fn recv(&mut self, dir: Direction, now: SimInstant) -> Vec<Vec<u8>> {
-        let lane = self.lane(dir);
-        let due = lane.queue.partition_point(|q| q.arrive <= now);
-        let delivered: Vec<Vec<u8>> = lane.queue.drain(..due).map(|q| q.bytes).collect();
-        self.stats.delivered += delivered.len() as u64;
+        let mut delivered = Vec::new();
+        self.recv_into(dir, now, &mut delivered);
         delivered
+    }
+
+    /// [`recv`](SimTransport::recv) into the caller's buffer: appends every
+    /// datagram due at or before `now` on `dir` to `out`, in arrival order.
+    /// Returns at once when none is due.
+    pub(crate) fn recv_into(&mut self, dir: Direction, now: SimInstant, out: &mut Vec<Vec<u8>>) {
+        let lane = self.lane(dir);
+        if lane.queue.first().is_none_or(|q| q.arrive > now) {
+            return;
+        }
+        let due = lane.queue.partition_point(|q| q.arrive <= now);
+        out.extend(lane.queue.drain(..due).map(|q| q.bytes));
+        self.stats.delivered += due as u64;
     }
 }
 

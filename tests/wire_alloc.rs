@@ -1,0 +1,204 @@
+//! Where a split session allocates, counted per thread.
+//!
+//! A split session pumps both ends of its link at every read slot, and
+//! almost every pump finds nothing due: such a pump must cost no heap
+//! allocation on either end. Beyond that, a clean split session moves each
+//! batch of samples through the wire as one framed datagram; what it
+//! allocates beyond the in-process session of the same victim must be at
+//! most half of what it allocated before datagrams were framed once, moved
+//! through the transport and decoded in place.
+//!
+//! Allocations are counted per thread, as in `crates/core/tests/alloc_free.rs`:
+//! the tests of this file run in parallel, and the harness allocates on its
+//! own thread when one of them finishes.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::OnceLock;
+
+use adreno_sim::counters::{CounterSet, NUM_TRACKED};
+use adreno_sim::time::{SimDuration, SimInstant};
+use gpu_eaves::android_ui::{SimConfig, UiSimulation};
+use gpu_eaves::attack::offline::ModelStore;
+use gpu_eaves::attack::registry::Registry;
+use gpu_eaves::attack::service::{AttackService, ServiceConfig};
+use gpu_eaves::attack::trace::Sample;
+use gpu_eaves::input_bot::corpus::{generate, CredentialKind};
+use gpu_eaves::input_bot::script::Typist;
+use gpu_eaves::input_bot::timing::VOLUNTEERS;
+use gpu_eaves::wire::{
+    run_split_session, ClassifierServer, ExfilClient, ExfilConfig, LinkPlan, SimTransport,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made on this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Victims in the clean-session comparison.
+const VICTIMS: usize = 12;
+
+/// Allocations the [`VICTIMS`] clean split sessions made beyond their
+/// in-process twins when every datagram was a fresh payload `Vec` framed
+/// into a second one, cloned into the transport's lane and copied out again
+/// by the frame decoder.
+const BEFORE_EXTRA: u64 = 4_289;
+
+/// One service for every session, its model trained once.
+fn service() -> AttackService {
+    static STORE: OnceLock<ModelStore> = OnceLock::new();
+    let store = STORE.get_or_init(|| {
+        let cfg = SimConfig::paper_default(0);
+        let mut store = ModelStore::new();
+        store.add_handle(Registry::default().get_or_train(cfg.device, cfg.keyboard, cfg.app));
+        store
+    });
+    AttackService::new(store.clone(), ServiceConfig::default())
+}
+
+/// A 6-character victim drawn as the `fleet` workload draws one: its
+/// credential, its seed and its typist.
+struct Victim {
+    text: String,
+    seed: u64,
+    volunteer: usize,
+}
+
+impl Victim {
+    fn draw(rng: &mut StdRng, i: usize) -> Victim {
+        let text = generate(rng, CredentialKind::Password, 6);
+        Victim { text, seed: rng.gen(), volunteer: i % VOLUNTEERS.len() }
+    }
+
+    /// A fresh simulation of the victim with its typing queued, and when
+    /// sampling stops.
+    fn sim(&self) -> (UiSimulation, SimInstant) {
+        let mut sim =
+            UiSimulation::new(SimConfig { seed: self.seed, ..SimConfig::paper_default(0) });
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7157);
+        let plan = Typist::new(VOLUNTEERS[self.volunteer]).type_text(
+            &self.text,
+            SimInstant::from_millis(900),
+            &mut rng,
+        );
+        sim.queue_all(plan.events);
+        (sim, plan.end + SimDuration::from_millis(800))
+    }
+}
+
+fn sample(ms: u64) -> Sample {
+    let mut values = [0u64; NUM_TRACKED];
+    for (i, v) in values.iter_mut().enumerate() {
+        *v = 1_000 * ms + i as u64;
+    }
+    Sample { at: SimInstant::from_millis(ms), values: CounterSet::from_array(values) }
+}
+
+#[test]
+fn idle_pumps_allocate_nothing() {
+    let service = service();
+    let config = ExfilConfig::default();
+    let mut transport = SimTransport::new(&LinkPlan::new(3));
+    let mut client = ExfilClient::new(config, 3);
+    let mut server = ClassifierServer::new(&service);
+    let t0 = SimInstant::from_millis(100);
+    client.connect(&mut transport, t0);
+    let samples: Vec<Sample> = (0..config.batch_samples as u64).map(|i| sample(8 * i)).collect();
+    client.push_samples(&samples);
+    client.pump(&mut transport, t0);
+    // The Hello and the batch arrive after the link's 2 ms latency; the
+    // server answers both, and its Acks reach the client 2 ms later.
+    let mut now = t0;
+    let mut pump_until =
+        |until: SimInstant, client: &mut ExfilClient, server: &mut ClassifierServer| {
+            while now < until {
+                now += SimDuration::from_micros(250);
+                client.pump(&mut transport, now);
+                server.pump(&mut transport, now);
+            }
+        };
+    pump_until(t0 + SimDuration::from_millis(1), &mut client, &mut server);
+    spansight::flush();
+    // Before any datagram is due, every pump on either end is idle.
+    let before = allocations();
+    pump_until(
+        t0 + SimDuration::from_millis(2) - SimDuration::from_micros(250),
+        &mut client,
+        &mut server,
+    );
+    assert_eq!(allocations() - before, 0, "idle pumps before the first arrival allocated");
+    // Let the server answer and the client absorb the Acks; then, with the
+    // batch acknowledged and nothing left to send, pumps are idle again.
+    pump_until(t0 + SimDuration::from_millis(10), &mut client, &mut server);
+    spansight::flush();
+    let before = allocations();
+    pump_until(t0 + SimDuration::from_millis(25), &mut client, &mut server);
+    assert_eq!(allocations() - before, 0, "idle pumps after the Acks allocated");
+    assert!(client.link_report().bytes_acked > 0, "test premise: the batch was acked");
+}
+
+#[test]
+fn a_clean_split_session_allocates_little_beyond_its_in_process_twin() {
+    let service = service();
+    let mut rng = StdRng::seed_from_u64(29);
+    let victims: Vec<Victim> = (0..VICTIMS).map(|i| Victim::draw(&mut rng, i)).collect();
+    // Warm both paths up, so lazily built state is not counted.
+    let ((mut a, end), (mut b, _)) = (victims[0].sim(), victims[0].sim());
+    service.eavesdrop(&mut a, end).expect("the victim is eavesdropped");
+    run_split_session(&service, &mut b, end, &LinkPlan::new(1), ExfilConfig::default())
+        .expect("a clean link completes the session");
+    let (mut in_process, mut split) = (0u64, 0u64);
+    for (i, victim) in victims.iter().enumerate() {
+        let ((mut a, end), (mut b, _)) = (victim.sim(), victim.sim());
+        spansight::flush();
+        let before = allocations();
+        let local = service.eavesdrop(&mut a, end).expect("the victim is eavesdropped");
+        in_process += allocations() - before;
+        spansight::flush();
+        let before = allocations();
+        let plan = LinkPlan::new(i as u64);
+        let outcome = run_split_session(&service, &mut b, end, &plan, ExfilConfig::default())
+            .expect("a clean link completes the session");
+        split += allocations() - before;
+        assert!(outcome.completed && outcome.result.link.is_clean(), "{}", outcome.result.link);
+        assert_eq!(outcome.result.recovered_text, local.recovered_text, "victim {i}");
+    }
+    let extra = split - in_process;
+    println!(
+        "{VICTIMS} victims: {in_process} allocations in process, {split} split, {extra} beyond \
+         (before: {BEFORE_EXTRA})"
+    );
+    assert!(2 * extra <= BEFORE_EXTRA, "{extra} allocations beyond the in-process twins");
+}
