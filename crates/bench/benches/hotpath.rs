@@ -4,8 +4,6 @@
 //! * nearest-centroid classification — naive full-distance scan, the
 //!   PR 5-era scalar pruned scan (retained verbatim below), and the current
 //!   pre-whitened `simdlite` kernel scan with the norm-gap prescreen;
-//! * batched classification — per-delta `classify` calls vs one row-outer
-//!   `classify_batch` pass over the same burst;
 //! * the threshold-bounded scan on the probes Algorithm 1 sends on a
 //!   recorded Chase session (changes, the peel residuals the pretest lets
 //!   through, split sums) vs the unbounded scan followed by the `C_th`
@@ -41,7 +39,7 @@ use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
 use gpu_sc_attack::trace::{extract_deltas, Delta, Sample, Trace};
 use gpu_sc_attack::varint::VarintError;
-use gpu_sc_attack::{BatchScratch, Classification, ClassifierModel};
+use gpu_sc_attack::{Classification, ClassifierModel};
 use input_bot::script::Typist;
 use input_bot::timing::VOLUNTEERS;
 use kgsl::abi::{IoctlRequest, KgslPerfcounterReadGroup, IOCTL_KGSL_PERFCOUNTER_READ};
@@ -192,27 +190,6 @@ fn bench_classify_naive_vs_pruned(c: &mut Criterion) {
             for v in &probes {
                 black_box(model.classify(black_box(v)));
             }
-        })
-    });
-}
-
-fn bench_classify_batch_vs_per_delta(c: &mut Criterion) {
-    let model = trained_model();
-    let probes = probe_workload(&model);
-    c.bench_function("classify/per_delta_calls", |b| {
-        b.iter(|| {
-            for v in &probes {
-                black_box(model.classify(black_box(v)));
-            }
-        })
-    });
-    c.bench_function("classify/batched_burst", |b| {
-        let mut scratch = BatchScratch::default();
-        let mut out = Vec::new();
-        b.iter(|| {
-            out.clear();
-            model.classify_batch(black_box(&probes), &mut scratch, &mut out);
-            black_box(out.len())
         })
     });
 }
@@ -594,7 +571,6 @@ fn bench_session_in_process_vs_split(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_classify_naive_vs_pruned,
-    bench_classify_batch_vs_per_delta,
     bench_algorithm1_probe_mix,
     bench_read_loop_alloc_vs_scratch,
     bench_batch_codec_vs_reference_varints,

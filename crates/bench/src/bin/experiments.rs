@@ -18,7 +18,10 @@
 //! and printed in selection order. `--bench-out PATH` writes the
 //! per-experiment wall-clock timings and pipeline telemetry aggregates to
 //! `PATH`; without it no record is written, so an ordinary run cannot
-//! overwrite the committed `BENCH_experiments.json` baseline.
+//! overwrite the committed `BENCH_experiments.json` baseline. A record or
+//! trace that cannot be written fails the run (exit status 1), so a later
+//! step never reads a stale file as this run's. `--scale` must be a finite
+//! number above 0.
 //!
 //! Observability: every run collects `spansight` spans/counters/histograms
 //! across the whole signal path (kgsl ioctls, adreno-sim renders, the
@@ -178,6 +181,10 @@ fn print_track_table(name: &str, track: u32) {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let scale = take_flag::<f64>(&mut args, "--scale").unwrap_or(1.0);
+    if !(scale.is_finite() && scale > 0.0) {
+        eprintln!("--scale must be a finite number above 0, not {scale}");
+        usage();
+    }
     let jobs =
         take_flag::<usize>(&mut args, "--jobs").unwrap_or_else(Pool::available_parallelism).max(1);
     let trace_out = take_flag::<String>(&mut args, "--trace-out");
@@ -267,9 +274,11 @@ fn main() {
         eprintln!("[suite telemetry]");
         eprint!("{totals_table}");
     }
+    let mut written = true;
     if let Some(path) = bench_out {
         if let Err(e) = write_bench_json(&path, jobs, scale, total_s, &timings, &snap) {
-            eprintln!("warning: could not write {path}: {e}");
+            eprintln!("error: could not write {path}: {e}");
+            written = false;
         }
     }
     if let Some(path) = trace_out {
@@ -279,7 +288,13 @@ fn main() {
             Ok(()) => {
                 eprintln!("[trace: {} events to {path}, {dropped} dropped]", events.len());
             }
-            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+            Err(e) => {
+                eprintln!("error: could not write {path}: {e}");
+                written = false;
+            }
         }
+    }
+    if !written {
+        std::process::exit(1);
     }
 }

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use android_ui::screen::ALL_PHONES;
 use android_ui::PhoneModel;
-use gpu_sc_attack::online::OnlineInference;
+use gpu_sc_attack::online::{InferEvent, InferStage};
 use gpu_sc_attack::trace::Delta;
 
 use crate::experiments::Ctx;
@@ -23,7 +23,7 @@ pub fn fig25(ctx: &Ctx) {
         ctx.registry.get_or_train(opts.sim.device, opts.sim.keyboard, opts.sim.app).model_arc();
 
     // One delta per centroid, replayed far apart in simulated time so every
-    // process() call runs the full direct-classification path.
+    // push runs the full direct-classification path.
     let deltas: Vec<Delta> = model
         .centroids()
         .iter()
@@ -36,7 +36,8 @@ pub fn fig25(ctx: &Ctx) {
 
     let presses = ctx.trials(3_300);
     let mut times_us: Vec<f64> = Vec::with_capacity(presses);
-    let mut engine = OnlineInference::new(&model);
+    let mut stage = InferStage::greedy(&model);
+    let mut inferred = 0usize;
     let mut i = 0usize;
     let mut virtual_ms = 0u64;
     while times_us.len() < presses {
@@ -45,7 +46,7 @@ pub fn fig25(ctx: &Ctx) {
         d.at = adreno_sim::SimInstant::from_millis(virtual_ms + 200);
         virtual_ms += 300;
         let start = Instant::now();
-        engine.process(d);
+        inferred += stage.push(d).filter(|e| matches!(e, InferEvent::Key(_))).count();
         times_us.push(start.elapsed().as_nanos() as f64 / 1_000.0);
         i += 1;
     }
@@ -68,7 +69,7 @@ pub fn fig25(ctx: &Ctx) {
         "presses inferred within 0.1ms",
         format!("{:.1}% (paper: >95%)", under_100us as f64 / times_us.len() as f64 * 100.0),
     );
-    report::kv("inferred keys (sanity)", engine.inferred().len());
+    report::kv("inferred keys (sanity)", inferred);
 }
 
 /// Fig 26: extra battery consumption over two hours of continuous

@@ -8,7 +8,6 @@
 
 use adreno_sim::time::{SimDuration, SimInstant};
 
-use crate::stage::Stage;
 use crate::trace::Delta;
 
 /// Maximum spacing inside a burst (the paper observes < 50 ms).
@@ -17,21 +16,10 @@ const BURST_GAP: SimDuration = SimDuration::from_millis(50);
 /// Switch-sized changes needed to confirm a burst.
 const MIN_BURST: usize = 3;
 
-/// Events out of the app-switch filter stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchEvent {
-    /// The victim returned to the target app; the cursor-blink grid
-    /// re-anchors at this instant. Emitted *before* the typing change that
-    /// resolved the return.
-    Return(SimInstant),
-    /// A typing-sized change inside the target app.
-    Typing(Delta),
-}
-
-/// The app-switch filter (§5.2) as a streaming [`Stage`]: feed every
-/// observed change in order. It drops switch bursts and everything outside
-/// the target app, forwards typing-sized changes, and surfaces completed
-/// return bursts as [`SwitchEvent::Return`] markers.
+/// The app-switch filter (§5.2): feed every observed change in order. It
+/// drops switch bursts and everything outside the target app, forwards
+/// typing-sized changes, and surfaces each completed return burst as the
+/// instant the cursor-blink grid re-anchors at.
 #[derive(Debug)]
 pub struct SwitchStage {
     /// Magnitude from which a change is switch-animation-sized.
@@ -97,16 +85,17 @@ impl SwitchStage {
         }
         self.in_target
     }
-}
 
-impl Stage for SwitchStage {
-    type In = Delta;
-    type Out = SwitchEvent;
-
+    /// Pushes one change. Returns `(returned, typing)`: the return to the
+    /// target app this change resolved, if any, and the change itself when
+    /// it is a typing-sized change inside the target app. Only a typing
+    /// change resolves a return, and the blink grid re-anchors at the
+    /// return before that change is inferred.
+    ///
     /// A burst frame that re-enters the target app starts a pending
     /// return; further burst frames push its timestamp forward ("burst
     /// still running"); the first quiet in-target change resolves it.
-    fn push(&mut self, input: Delta, out: &mut Vec<SwitchEvent>) {
+    pub fn push(&mut self, input: Delta) -> (Option<SimInstant>, Option<Delta>) {
         let burst = input.magnitude() >= self.magnitude_threshold;
         let was_inside = self.in_target;
         let inside = self.observe(&input);
@@ -115,17 +104,15 @@ impl Stage for SwitchStage {
         } else if inside && burst && self.pending_return.is_some() {
             self.pending_return = Some(input.at); // burst still running
         } else if inside && !burst {
-            if let Some(t) = self.pending_return.take() {
-                out.push(SwitchEvent::Return(t));
-            }
-            out.push(SwitchEvent::Typing(input));
+            return (self.pending_return.take(), Some(input));
         }
+        (None, None)
     }
 
-    fn finish(&mut self, out: &mut Vec<SwitchEvent>) {
-        if let Some(t) = self.pending_return.take() {
-            out.push(SwitchEvent::Return(t));
-        }
+    /// Ends the stream: the return still pending, when the stream ended
+    /// inside a return burst.
+    pub fn finish(&mut self) -> Option<SimInstant> {
+        self.pending_return.take()
     }
 }
 
@@ -144,12 +131,17 @@ mod tests {
         SwitchStage::new(1_000_000)
     }
 
-    /// Pushes one change and returns what the stage emitted for it.
-    fn push(stage: &mut SwitchStage, ms: u64, magnitude: u64) -> Vec<SwitchEvent> {
-        let mut out = Vec::new();
-        stage.push(delta(ms, magnitude), &mut out);
-        out
+    /// Pushes one change and returns what the stage forwarded for it.
+    fn push(
+        stage: &mut SwitchStage,
+        ms: u64,
+        magnitude: u64,
+    ) -> (Option<SimInstant>, Option<Delta>) {
+        stage.push(delta(ms, magnitude))
     }
+
+    /// Nothing forwarded.
+    const DROPPED: (Option<SimInstant>, Option<Delta>) = (None, None);
 
     #[test]
     fn typing_changes_never_toggle() {
@@ -157,7 +149,7 @@ mod tests {
         for ms in (0..2_000).step_by(250) {
             assert_eq!(
                 push(&mut st, ms, 200_000),
-                vec![SwitchEvent::Typing(delta(ms, 200_000))],
+                (None, Some(delta(ms, 200_000))),
                 "key-sized changes keep us in target"
             );
         }
@@ -169,16 +161,16 @@ mod tests {
         let mut st = stage();
         // Away burst: 6 big frames 16 ms apart.
         for i in 0..6u64 {
-            assert!(push(&mut st, 1_000 + i * 16, 2_000_000).is_empty());
+            assert_eq!(push(&mut st, 1_000 + i * 16, 2_000_000), DROPPED);
         }
         assert!(!st.in_target, "burst must flip to out-of-target");
         assert_eq!(st.switches_detected(), 1);
         // Quiet usage of the other app is filtered.
-        assert!(push(&mut st, 2_000, 400_000).is_empty());
+        assert_eq!(push(&mut st, 2_000, 400_000), DROPPED);
         assert!(!st.in_target);
         // Return burst.
         for i in 0..6u64 {
-            assert!(push(&mut st, 3_000 + i * 16, 2_000_000).is_empty());
+            assert_eq!(push(&mut st, 3_000 + i * 16, 2_000_000), DROPPED);
         }
         assert!(st.in_target, "second burst returns to target");
         assert_eq!(st.switches_detected(), 2);
@@ -190,7 +182,7 @@ mod tests {
         // Big changes 200 ms apart (e.g. shade opening then app redraw)
         // never reach burst length.
         for i in 0..8u64 {
-            assert!(push(&mut st, 1_000 + i * 200, 2_000_000).is_empty());
+            assert_eq!(push(&mut st, 1_000 + i * 200, 2_000_000), DROPPED);
         }
         assert!(st.in_target);
         assert_eq!(st.switches_detected(), 0);
@@ -219,12 +211,13 @@ mod tests {
     fn after_return_burst(return_frames: u64) -> SwitchStage {
         let mut st = stage();
         for i in 0..4u64 {
-            assert!(push(&mut st, 1_000 + i * 16, 2_000_000).is_empty());
+            assert_eq!(push(&mut st, 1_000 + i * 16, 2_000_000), DROPPED);
         }
         assert!(!st.in_target);
         for i in 0..return_frames {
-            assert!(
-                push(&mut st, 2_000 + i * 16, 2_000_000).is_empty(),
+            assert_eq!(
+                push(&mut st, 2_000 + i * 16, 2_000_000),
+                DROPPED,
                 "burst frames never reach the inference stream"
             );
         }
@@ -241,16 +234,11 @@ mod tests {
         let mut st = after_return_burst(5);
         assert_eq!(
             push(&mut st, 2_400, 200_000),
-            vec![
-                SwitchEvent::Return(SimInstant::from_millis(2_064)),
-                SwitchEvent::Typing(delta(2_400, 200_000)),
-            ]
+            (Some(SimInstant::from_millis(2_064)), Some(delta(2_400, 200_000)))
         );
         // The return is reported exactly once.
-        assert_eq!(push(&mut st, 2_700, 200_000), vec![SwitchEvent::Typing(delta(2_700, 200_000))]);
-        let mut out = Vec::new();
-        st.finish(&mut out);
-        assert!(out.is_empty());
+        assert_eq!(push(&mut st, 2_700, 200_000), (None, Some(delta(2_700, 200_000))));
+        assert_eq!(st.finish(), None);
         assert_eq!(st.switches_detected(), 2);
     }
 
@@ -259,11 +247,7 @@ mod tests {
         // The stream ends while the return burst is the last thing seen: no
         // quiet change ever resolves it, so `finish` must yield the anchor.
         let mut st = after_return_burst(4);
-        let mut out = Vec::new();
-        st.finish(&mut out);
-        assert_eq!(out, vec![SwitchEvent::Return(SimInstant::from_millis(2_048))]);
-        out.clear();
-        st.finish(&mut out);
-        assert!(out.is_empty(), "finish drains the pending return");
+        assert_eq!(st.finish(), Some(SimInstant::from_millis(2_048)));
+        assert_eq!(st.finish(), None, "finish drains the pending return");
     }
 }

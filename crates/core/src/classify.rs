@@ -346,8 +346,8 @@ fn last_inside(max: u64, guess: u64, inside: impl Fn(u64) -> bool) -> u64 {
 /// `(a[i] - b[i]) * w[i]`. The two forms differ in their rounding, so the
 /// choice is part of the bit-exactness contract: prepared rows, per-call
 /// probes and the naive oracle's operands all go through this one function,
-/// which is what keeps the pruned scan, the batched scan and
-/// [`ClassifierModel::distance`] bit-identical to each other.
+/// which is what keeps the pruned scan and [`ClassifierModel::distance`]
+/// bit-identical to each other.
 #[inline]
 fn whiten(v: &CounterSet, w: &[f64; NUM_TRACKED]) -> [f64; NUM_TRACKED] {
     let mut out = v.to_f64();
@@ -371,16 +371,6 @@ impl ProbeState {
         let av = whiten(v, weights);
         ProbeState { av, an: simdlite::sq_norm_fixed(&av).sqrt() }
     }
-}
-
-/// Reusable per-burst search state for [`ClassifierModel::classify_batch`].
-/// Callers on the streaming hot path keep one of these alive across bursts
-/// so batched classification never allocates in steady state (the backing
-/// `Vec` grows to the largest burst seen, then stays).
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    /// Per probe, its search state, or `None` outside the acceptance box.
-    states: Vec<Option<ProbeState>>,
 }
 
 /// A trained classification model for one configuration.
@@ -547,10 +537,10 @@ impl ClassifierModel {
     ///
     /// Both vectors are mapped through `whiten` and the squared distance
     /// is computed with the `simdlite` chunked kernel. Every distance in
-    /// this module — here, the pruned scan, the batched scan —
-    /// whitens with the same expression and sums with the same kernel lane
-    /// order, which is what makes the pruned/batched paths *bit-identical*
-    /// to the naive references rather than merely close.
+    /// this module — here and in the pruned scan — whitens with the same
+    /// expression and sums with the same kernel lane order, which is what
+    /// makes the pruned scan *bit-identical* to the naive references rather
+    /// than merely close.
     pub fn distance(&self, a: &CounterSet, b: &CounterSet) -> f64 {
         simdlite::sq_dist_fixed(&whiten(a, &self.weights), &whiten(b, &self.weights)).sqrt()
     }
@@ -703,15 +693,11 @@ impl ClassifierModel {
             return Classification::Rejected;
         }
         let probe = ProbeState::new(v, &self.weights);
-        self.gate(self.nearest_ordered(&probe, self.accept_sq), v)
-    }
-
-    /// The magnitude gate after the bounded search, which has already
-    /// applied the `C_th` test: the centroid it found (if any) is accepted
-    /// iff the probe is of key-frame-sized total magnitude. Shared by the
-    /// per-delta and batched paths so both gate identically.
-    fn gate(&self, found: Option<(usize, f64)>, v: &CounterSet) -> Classification {
-        let Some((idx, distance)) = found else { return Classification::Rejected };
+        let Some((idx, distance)) = self.nearest_ordered(&probe, self.accept_sq) else {
+            return Classification::Rejected;
+        };
+        // The bounded search has applied the `C_th` test; the magnitude gate
+        // accepts the centroid it found iff the probe is key-frame-sized.
         debug_assert!(distance <= self.threshold, "the acceptance bound admits only C_th hits");
         let centroid_total = self.prepared.gate_totals[idx];
         let total = v.total() as f64;
@@ -721,37 +707,6 @@ impl ClassifierModel {
             return Classification::Key { ch: self.centroids[idx].ch, distance };
         }
         Classification::Rejected
-    }
-
-    /// Classifies a burst of deltas in one pass, appending one
-    /// [`Classification`] per probe (in order) to `out`.
-    ///
-    /// Equivalent to calling [`ClassifierModel::classify`] on each probe —
-    /// every probe passes the same box test and runs the same bounded
-    /// `nearest_ordered` scan, so every result (including accepted
-    /// distances) is bit-identical; a proptest pins that. Probe conversion
-    /// (whiten + norm) of the probes inside the box happens in one
-    /// data-parallel pass over the burst, and the scans then run
-    /// back-to-back against cache-warm prepared rows.
-    ///
-    /// `scratch` carries the per-probe search state between calls so the
-    /// steady-state streaming path does not allocate.
-    pub fn classify_batch(
-        &self,
-        probes: &[CounterSet],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Classification>,
-    ) {
-        scratch.states.clear();
-        scratch.states.extend(
-            probes
-                .iter()
-                .map(|p| self.accept_box.contains(p).then(|| ProbeState::new(p, &self.weights))),
-        );
-        for (st, probe) in scratch.states.iter().zip(probes) {
-            let found = st.as_ref().and_then(|st| self.nearest_ordered(st, self.accept_sq));
-            out.push(self.gate(found, probe));
-        }
     }
 
     /// Algorithm 1's peeling step (steps 2b and 3b, an extension beyond

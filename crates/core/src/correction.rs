@@ -14,7 +14,6 @@ use adreno_sim::counters::{CounterSet, TrackedCounter};
 use adreno_sim::time::{SimDuration, SimInstant};
 
 use crate::online::{InferEvent, InferredKey};
-use crate::stage::Stage;
 use crate::trace::Delta;
 
 /// The visible-prim count of an empty field with the cursor hidden: the
@@ -321,24 +320,23 @@ pub struct CorrectedKeys {
     pub corrections: Vec<CorrectionEvent>,
 }
 
-/// Terminal [`Stage`] of the pipeline (§5.3): tracks corrections over the
+/// The last stage of the pipeline (§5.3): tracks corrections over the
 /// inference stream's noise events, accumulates accepted presses, and — at
-/// end of stream — applies detected deletions (and, optionally, echo
-/// corroboration) to produce the final key lists.
+/// end of stream, in [`CorrectionStage::into_corrected`] — applies detected
+/// deletions (and, optionally, echo corroboration) to produce the final
+/// key lists.
 ///
 /// Return-to-target markers enter through
 /// [`CorrectionStage::push_return`]: each queued return re-anchors the
-/// blink grid just before the first noise change at or after it, exactly
-/// reproducing the batch driver's returns/noise interleave. Returns still
-/// queued when the stream ends never re-anchor (there is no later echo they
-/// could disambiguate).
+/// blink grid just before the first noise change at or after it. Returns
+/// still queued when the stream ends never re-anchor (there is no later
+/// echo they could disambiguate).
 #[derive(Debug)]
 pub struct CorrectionStage {
     detector: CorrectionDetector,
     echo_corroboration: bool,
     returns: VecDeque<SimInstant>,
     keys: Vec<InferredKey>,
-    events_drained: usize,
 }
 
 impl CorrectionStage {
@@ -349,7 +347,6 @@ impl CorrectionStage {
             echo_corroboration,
             returns: VecDeque::new(),
             keys: Vec::new(),
-            events_drained: 0,
         }
     }
 
@@ -359,25 +356,26 @@ impl CorrectionStage {
         self.returns.push_back(at);
     }
 
-    fn observe_noise(&mut self, delta: &Delta) {
-        while self.returns.front().is_some_and(|t| *t <= delta.at) {
-            let t = self.returns.pop_front().expect("peeked");
-            spansight::count("core.service.reanchors", 1);
-            self.detector.reanchor(t);
+    /// Pushes one inference event: a press joins the key list, a noise
+    /// change goes to the echo detector, after any queued return at or
+    /// before it has re-anchored the blink grid.
+    pub fn push(&mut self, input: InferEvent) {
+        match input {
+            InferEvent::Key(key) => self.keys.push(key),
+            InferEvent::Noise(delta) => {
+                while self.returns.front().is_some_and(|t| *t <= delta.at) {
+                    let t = self.returns.pop_front().expect("peeked");
+                    spansight::count("core.service.reanchors", 1);
+                    self.detector.reanchor(t);
+                }
+                self.detector.observe(&delta);
+            }
         }
-        self.detector.observe(delta);
     }
 
-    fn drain_events(&mut self, out: &mut Vec<CorrectionEvent>) {
-        let events = self.detector.events();
-        out.extend_from_slice(&events[self.events_drained..]);
-        self.events_drained = events.len();
-    }
-
-    /// Consumes the stage after [`Stage::finish`], applying deletions and
-    /// optional echo corroboration to the accumulated presses.
+    /// Ends the stream: flushes the echo detector, then applies deletions
+    /// and optional echo corroboration to the accumulated presses.
     pub fn into_corrected(mut self) -> CorrectedKeys {
-        // Idempotent with a prior `finish`; direct callers may skip it.
         self.detector.flush();
         let corrections = self.detector.events().to_vec();
 
@@ -419,28 +417,6 @@ impl CorrectionStage {
         }
 
         CorrectedKeys { keys, keys_before_corrections, corrections }
-    }
-}
-
-impl Stage for CorrectionStage {
-    type In = InferEvent;
-    type Out = CorrectionEvent;
-
-    fn push(&mut self, input: InferEvent, out: &mut Vec<CorrectionEvent>) {
-        match input {
-            InferEvent::Key(key) => self.keys.push(key),
-            InferEvent::Noise(d) => {
-                self.observe_noise(&d);
-                self.drain_events(out);
-            }
-        }
-    }
-
-    fn finish(&mut self, out: &mut Vec<CorrectionEvent>) {
-        // Returns with no later noise never re-anchor (batch parity).
-        self.returns.clear();
-        self.detector.flush();
-        self.drain_events(out);
     }
 }
 

@@ -11,14 +11,13 @@
 use adreno_sim::counters::CounterSet;
 use adreno_sim::time::SimInstant;
 
-use crate::stage::Stage;
 use crate::trace::Delta;
 
 /// Maximum relative L1 distance between a change and the trained launch
 /// signature for the change to count as the launch burst.
 const LAUNCH_TOLERANCE: f64 = 0.05;
 
-/// Streaming launch gating (§3.2) as a [`Stage`].
+/// Streaming launch gating (§3.2): passes each change on or swallows it.
 ///
 /// An **armed** gate swallows every change until one lands within 5 %
 /// (relative L1) of the trained cold-launch burst (see
@@ -48,6 +47,20 @@ impl LaunchGate {
     pub fn launch_at(&self) -> Option<SimInstant> {
         self.launch_at
     }
+
+    /// Pushes one change: returns it if the gate passes it downstream.
+    pub fn push(&mut self, input: Delta) -> Option<Delta> {
+        match (&self.signature, self.launch_at) {
+            (None, _) => Some(input),
+            (Some(_), Some(at)) => (input.at > at).then_some(input),
+            (Some(sig), None) => {
+                if matches_launch(sig, &input) {
+                    self.launch_at = Some(input.at);
+                }
+                None
+            }
+        }
+    }
 }
 
 /// Whether one change matches the launch burst `signature`.
@@ -58,29 +71,6 @@ fn matches_launch(signature: &CounterSet, delta: &Delta) -> bool {
         l1 += (*a as f64 - *b as f64).abs();
     }
     l1 / sig_norm <= LAUNCH_TOLERANCE
-}
-
-impl Stage for LaunchGate {
-    type In = Delta;
-    type Out = Delta;
-
-    fn push(&mut self, input: Delta, out: &mut Vec<Delta>) {
-        match (&self.signature, self.launch_at) {
-            (None, _) => out.push(input),
-            (Some(_), Some(at)) => {
-                if input.at > at {
-                    out.push(input);
-                }
-            }
-            (Some(sig), None) => {
-                if matches_launch(sig, &input) {
-                    self.launch_at = Some(input.at);
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self, _out: &mut Vec<Delta>) {}
 }
 
 #[cfg(test)]
@@ -104,7 +94,7 @@ mod tests {
     /// saw the launch.
     fn gate(deltas: &[Delta]) -> (Vec<Delta>, Option<SimInstant>) {
         let mut gate = LaunchGate::armed(sig());
-        let out = crate::stage::run_to_vec(&mut gate, deltas.iter().copied());
+        let out = deltas.iter().filter_map(|&d| gate.push(d)).collect();
         (out, gate.launch_at())
     }
 

@@ -20,9 +20,9 @@
 //! * [`registry`] — the content-addressed model registry: the GPMR model
 //!   format, SHA-256 digests and train-once-per-key;
 //! * [`varint`] — the LEB128 codec GPMR and the wire protocol share;
-//! * [`stage`] — the push-based streaming [`Stage`] abstraction all of the
-//!   above compose through;
-//! * [`service`] — the end-to-end background service;
+//! * [`service`] — the end-to-end background service: the streaming
+//!   pipeline that pushes each counter change through the stages above by
+//!   direct calls;
 //! * [`fleet`] — fleet-scale orchestration: thousands of concurrent
 //!   sessions as cooperative tasks over a bounded worker set, each stepping
 //!   the service's burst loop;
@@ -71,11 +71,10 @@ pub mod online;
 pub mod registry;
 pub mod sampler;
 pub mod service;
-pub mod stage;
 pub mod trace;
 pub mod varint;
 
-pub use classify::{BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta};
+pub use classify::{Classification, ClassifierModel, KeyCentroid, ModelMeta};
 pub use fleet::{FleetConfig, FleetSession, Session, SessionOutcome, SessionStats};
 pub use metrics::{Aggregate, SessionScore};
 pub use offline::{ModelStore, Trainer, TrainerConfig};
@@ -88,5 +87,4 @@ pub use service::{
     AttackService, DegradationReport, LinkDegradationReport, ServiceConfig, ServiceError,
     SessionResult, StreamingSession,
 };
-pub use stage::Stage;
 pub use trace::{extract_deltas, extract_deltas_with_resets, Delta, Sample, Trace};

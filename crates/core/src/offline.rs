@@ -26,7 +26,6 @@ use android_ui::{DeviceConfig, KeyboardKind, TargetApp};
 use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
 use crate::registry::{take, ModelDecodeError, ModelDigest, ModelHandle};
 use crate::sampler::{Sampler, SamplerConfig};
-use crate::stage::Stage;
 use crate::trace::{extract_deltas, Delta};
 
 /// Maximum relative-L1 distance between an observed change and a model's
@@ -426,7 +425,7 @@ impl From<ModelHandle> for ModelStore {
     }
 }
 
-/// Streaming device recognition (§3.2) as a [`Stage`]: buffers the warm-up
+/// Streaming device recognition (§3.2): buffers the warm-up
 /// prefix of the change stream until some change lands within the
 /// recognition threshold of a model's keyboard-redraw fingerprint, then
 /// flushes the whole buffered prefix downstream (recognition only *names*
@@ -463,13 +462,12 @@ impl<'s> RecognizeStage<'s> {
     pub fn model(&self) -> Option<&'s ClassifierModel> {
         self.chosen
     }
-}
 
-impl Stage for RecognizeStage<'_> {
-    type In = Delta;
-    type Out = Delta;
-
-    fn push(&mut self, input: Delta, out: &mut Vec<Delta>) {
+    /// Pushes one change, appending what the stage releases to `out`:
+    /// nothing while the warm-up prefix is buffered, the whole prefix and
+    /// then `input` on the change that matches a fingerprint, and `input`
+    /// alone from then on.
+    pub fn push(&mut self, input: Delta, out: &mut Vec<Delta>) {
         if self.chosen.is_some() {
             out.push(input);
             return;
@@ -483,12 +481,6 @@ impl Stage for RecognizeStage<'_> {
             }
         }
         self.warmup.push(input);
-    }
-
-    fn finish(&mut self, _out: &mut Vec<Delta>) {
-        // An unrecognised session's warm-up buffer is discarded: with no
-        // model there is nothing downstream to consume it.
-        self.warmup.clear();
     }
 }
 
@@ -598,8 +590,8 @@ mod tests {
         let store = ModelStore::new();
         assert!(store.is_empty());
         let mut stage = RecognizeStage::new(&store);
-        let out =
-            crate::stage::run_to_vec(&mut stage, [Delta { at: SimInstant::ZERO, values: set(7) }]);
+        let mut out = Vec::new();
+        stage.push(Delta { at: SimInstant::ZERO, values: set(7) }, &mut out);
         assert!(out.is_empty());
         assert!(stage.model().is_none());
     }

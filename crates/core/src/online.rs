@@ -16,14 +16,17 @@
 //! The greedy combination can mis-attribute (§5.1 discusses the trade-off);
 //! [`infer_full_trace`] is the offline variant with one-step lookahead that
 //! the paper says requires the whole trace.
+//!
+//! [`InferStage`] runs Algorithm 1 one change at a time, as the service's
+//! pipeline does; [`infer_stream`] and [`infer_full_trace`] push a whole
+//! change stream through it.
 
 use std::time::Instant;
 
 use adreno_sim::counters::CounterSet;
 use adreno_sim::time::{SimDuration, SimInstant};
 
-use crate::classify::{BatchScratch, Classification, ClassifierModel};
-use crate::stage::Stage;
+use crate::classify::{Classification, ClassifierModel};
 use crate::trace::Delta;
 
 /// Bucket edges of the classification-latency histogram
@@ -80,13 +83,13 @@ pub struct InferenceStats {
 /// classification), a residual peeled off it, a recombined split, or a
 /// lookahead pairing. Tallied here and published once, when the engine is
 /// dropped, so no probe pays for a telemetry map update. Only primaries
-/// are timed — once per burst, not per probe.
+/// are timed.
 #[derive(Debug, Default)]
 struct ProbeTally {
     accepted: u64,
     rejected: u64,
     /// `core.classify.latency_ns` bucket counts, one entry per primary
-    /// classification at its burst's amortised cost.
+    /// classification.
     latency: [u64; CLASSIFY_LATENCY_EDGES.len() + 1],
 }
 
@@ -105,42 +108,15 @@ impl ProbeTally {
         c
     }
 
-    /// The primary classifications of a burst of changes, appended to
-    /// `out`: one [`ClassifierModel::classify_batch`] pass, timed as a whole.
-    fn classify_primaries(
-        &mut self,
-        model: &ClassifierModel,
-        values: &[CounterSet],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Classification>,
-    ) {
-        if values.is_empty() {
-            return;
-        }
-        let first = out.len();
-        let started = Instant::now();
-        model.classify_batch(values, scratch, out);
-        self.time_primaries(values.len(), started);
-        for c in &out[first..] {
-            self.count(c);
-        }
-    }
-
-    /// The primary classification of a single change: a burst of one.
+    /// The primary classification of a change, timed: one latency entry
+    /// per change (Fig 25's claim is per inference).
     fn classify_primary(&mut self, model: &ClassifierModel, v: &CounterSet) -> Classification {
         let started = Instant::now();
         let c = model.classify(v);
-        self.time_primaries(1, started);
+        let ns = started.elapsed().as_nanos() as u64;
+        self.latency[spansight::Hist::bucket_of(CLASSIFY_LATENCY_EDGES, ns)] += 1;
         self.count(&c);
         c
-    }
-
-    /// One latency entry per primary of a burst of `n` started at
-    /// `started`, at the amortised per-change cost (Fig 25's claim is per
-    /// inference).
-    fn time_primaries(&mut self, n: usize, started: Instant) {
-        let per_change_ns = started.elapsed().as_nanos() as u64 / n as u64;
-        self.latency[spansight::Hist::bucket_of(CLASSIFY_LATENCY_EDGES, per_change_ns)] += n as u64;
     }
 }
 
@@ -160,61 +136,43 @@ impl Drop for ProbeTally {
     }
 }
 
-/// Streaming implementation of Algorithm 1.
+/// Algorithm 1's state over one change stream. Each decision leaves what
+/// it produced in `key` and `noise`, which [`InferStage`] hands on before
+/// the next one.
 #[derive(Debug)]
-pub struct OnlineInference<'m> {
+struct OnlineInference<'m> {
     model: &'m ClassifierModel,
     last_key_at: Option<SimInstant>,
     prev: Option<Delta>,
-    inferred: Vec<InferredKey>,
-    rejected: Vec<Delta>,
     stats: InferenceStats,
     probes: ProbeTally,
+    /// The press the current decision accepted; one decision accepts at
+    /// most one.
+    key: Option<InferredKey>,
+    /// The changes the current decision dismissed as noise, in order.
+    noise: Vec<Delta>,
 }
 
 impl<'m> OnlineInference<'m> {
-    /// Creates a fresh inference engine over a trained model.
-    pub fn new(model: &'m ClassifierModel) -> Self {
+    fn new(model: &'m ClassifierModel) -> Self {
         OnlineInference {
             model,
             last_key_at: None,
             prev: None,
-            inferred: Vec::new(),
-            rejected: Vec::new(),
             stats: InferenceStats::default(),
             probes: ProbeTally::default(),
+            key: None,
+            noise: Vec::new(),
         }
     }
 
-    /// Processes one counter change, committing any accepted press at the
-    /// change's own read time.
-    pub fn process(&mut self, delta: Delta) {
-        self.process_at(delta, delta.at);
-    }
-
-    /// Processes one counter change whose *decision* happens at
-    /// `decided_at` — later than `delta.at` when the caller buffered the
-    /// change for lookahead. Every press this call accepts is stamped with
-    /// that decision time.
-    pub fn process_at(&mut self, delta: Delta, decided_at: SimInstant) {
+    /// Decides one counter change whose *decision* happens at `decided_at`
+    /// — later than `delta.at` when the change waited for lookahead. Every
+    /// press this call accepts is stamped with that decision time.
+    fn decide(&mut self, delta: Delta, decided_at: SimInstant) {
         // Steps 1 and 2 below are the only consumers of Δ's own
-        // classification, and exactly one of them runs — so it can be
-        // computed up front, which is what lets [`InferStage::push_burst`]
-        // substitute a batched result without changing behaviour.
+        // classification, and exactly one of them runs.
         let primary = self.probes.classify_primary(self.model, &delta.values);
-        self.process_classified(delta, decided_at, primary);
-    }
-
-    /// [`OnlineInference::process_at`] with Δ's own classification already
-    /// in hand (`primary` must be `classify(&delta.values)`; the batched
-    /// path precomputes it, bit-identically, via
-    /// [`ClassifierModel::classify_batch`]).
-    fn process_classified(
-        &mut self,
-        delta: Delta,
-        decided_at: SimInstant,
-        primary: Classification,
-    ) {
         // Step 1: duplication backtrace over T_l. Only changes that *look
         // like key presses* are animation duplicates; other changes inside
         // the window (such as the release echo) are ordinary noise and must
@@ -225,13 +183,9 @@ impl<'m> OnlineInference<'m> {
                     self.stats.duplications_suppressed += 1;
                     // A duplicate must not seed a later recombination, but a
                     // leftover change it displaces is still noise downstream.
-                    if let Some(stale) = self.prev.take() {
-                        self.rejected.push(stale);
-                        self.stats.noise += 1;
-                    }
+                    self.flush_prev();
                 } else {
-                    self.rejected.push(delta);
-                    self.stats.noise += 1;
+                    self.reject(delta);
                 }
                 return;
             }
@@ -252,7 +206,7 @@ impl<'m> OnlineInference<'m> {
             // Report the consumed field redraw as a synthetic echo so the
             // downstream correction detector keeps its length and blink
             // anchoring intact.
-            self.rejected.push(Delta { at: delta.at, values: *sig });
+            self.noise.push(Delta { at: delta.at, values: *sig });
             self.stats.peeled += 1;
             return;
         }
@@ -278,23 +232,20 @@ impl<'m> OnlineInference<'m> {
                     self.accept(InferredKey { at: prev.at, decided_at, ch, via_split: true });
                     // Surface the consumed field redraw to the correction
                     // detector as a synthetic echo.
-                    self.rejected.push(Delta { at: delta.at, values: *sig });
+                    self.noise.push(Delta { at: delta.at, values: *sig });
                     self.stats.splits_recovered += 1;
                     self.stats.peeled += 1;
                     return;
                 }
             } else {
                 // The stale leftover is definitively noise.
-                self.rejected.push(prev);
-                self.stats.noise += 1;
-                self.prev = None;
+                self.flush_prev();
             }
         }
         // Step 4: keep Δ around for one recombination attempt; if the next
         // change does not consume it, it becomes noise.
         if let Some(stale) = self.prev.replace(delta) {
-            self.rejected.push(stale);
-            self.stats.noise += 1;
+            self.reject(stale);
         }
     }
 
@@ -321,55 +272,33 @@ impl<'m> OnlineInference<'m> {
         self.last_key_at = Some(key.at);
         // An unconsumed leftover change is ordinary noise (usually an echo
         // frame); it must still reach the downstream correction detector.
-        if let Some(stale) = self.prev.take() {
-            self.rejected.push(stale);
-            self.stats.noise += 1;
-        }
-        self.inferred.push(key);
-    }
-
-    /// Finishes the stream, flushing any leftover change as noise, and
-    /// returns `(inferred presses, rejected noise changes, statistics)`.
-    pub fn finish(mut self) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
         self.flush_prev();
-        // Every rejection path emits at a time no earlier than anything
-        // already rejected (the engine holds at most one pending fragment,
-        // resolved by the very next change), so this sort is a stable no-op
-        // — the streaming [`InferStage`] relies on that to emit noise
-        // incrementally in the same order. A proptest pins the invariant.
-        self.rejected.sort_by_key(|d| d.at);
-        (self.inferred, self.rejected, self.stats)
+        debug_assert!(self.key.is_none(), "one decision accepts at most one press");
+        self.key = Some(key);
     }
 
-    /// Flushes a pending unconsumed change as noise (end of stream).
+    /// Dismisses a change as noise.
+    fn reject(&mut self, delta: Delta) {
+        self.noise.push(delta);
+        self.stats.noise += 1;
+    }
+
+    /// Dismisses the pending unconsumed change, if any, as noise.
     fn flush_prev(&mut self) {
         if let Some(stale) = self.prev.take() {
-            self.rejected.push(stale);
-            self.stats.noise += 1;
+            self.reject(stale);
         }
-    }
-
-    /// Presses inferred so far.
-    pub fn inferred(&self) -> &[InferredKey] {
-        &self.inferred
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> &InferenceStats {
-        &self.stats
     }
 }
 
-/// Runs Algorithm 1 over a complete delta stream.
+/// Runs Algorithm 1 over a complete delta stream: the accepted presses,
+/// the changes dismissed as noise (in the order they were dismissed, which
+/// is time order) and the statistics.
 pub fn infer_stream(
     model: &ClassifierModel,
     deltas: &[Delta],
 ) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
-    let mut engine = OnlineInference::new(model);
-    for d in deltas {
-        engine.process(*d);
-    }
-    engine.finish()
+    run(InferStage::greedy(model), deltas)
 }
 
 /// The full-trace variant: identical to the greedy algorithm except that a
@@ -382,17 +311,25 @@ pub fn infer_full_trace(
     model: &ClassifierModel,
     deltas: &[Delta],
 ) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
-    let mut stage = InferStage::lookahead(model);
-    let events = crate::stage::run_to_vec(&mut stage, deltas.iter().copied());
-    let mut keys = Vec::new();
-    let mut rejected = Vec::new();
-    for ev in events {
-        match ev {
-            InferEvent::Key(key) => keys.push(key),
-            InferEvent::Noise(d) => rejected.push(d),
-        }
+    run(InferStage::lookahead(model), deltas)
+}
+
+/// Pushes a whole change stream through `stage` and collects what it
+/// decided.
+fn run(
+    mut stage: InferStage<'_>,
+    deltas: &[Delta],
+) -> (Vec<InferredKey>, Vec<Delta>, InferenceStats) {
+    let (mut keys, mut noise) = (Vec::new(), Vec::new());
+    let mut collect = |event| match event {
+        InferEvent::Key(key) => keys.push(key),
+        InferEvent::Noise(delta) => noise.push(delta),
+    };
+    for &delta in deltas {
+        stage.push(delta).for_each(&mut collect);
     }
-    (keys, rejected, stage.stats())
+    stage.finish().for_each(&mut collect);
+    (keys, noise, stage.stats())
 }
 
 /// Events out of the inference stage.
@@ -405,8 +342,8 @@ pub enum InferEvent {
     Noise(Delta),
 }
 
-/// [`Stage`] form of Algorithm 1: consumes in-target changes, emits
-/// accepted presses and rejected noise incrementally.
+/// Algorithm 1 as a streaming stage: consumes in-target changes one at a
+/// time and hands back what each decision produced, as [`InferEvent`]s.
 ///
 /// Two variants share the same engine:
 ///
@@ -419,33 +356,15 @@ pub enum InferEvent {
 #[derive(Debug)]
 pub struct InferStage<'m> {
     engine: OnlineInference<'m>,
-    /// One-change lookahead buffer (with the change's precomputed
-    /// classification); only used in lookahead mode.
-    held: Option<(Delta, Classification)>,
+    /// One-change lookahead buffer; only used in lookahead mode.
+    held: Option<Delta>,
     lookahead: bool,
-    keys_drained: usize,
-    rejected_drained: usize,
-    /// Reusable state for [`ClassifierModel::classify_batch`].
-    batch: BatchScratch,
-    /// Probe values of the burst being classified, reused across bursts.
-    burst_vals: Vec<CounterSet>,
-    /// Classifications of the burst, aligned with `burst_vals`.
-    burst_cls: Vec<Classification>,
 }
 
 impl<'m> InferStage<'m> {
     /// The streaming variant: every change is decided on arrival.
     pub fn greedy(model: &'m ClassifierModel) -> Self {
-        InferStage {
-            engine: OnlineInference::new(model),
-            held: None,
-            lookahead: false,
-            keys_drained: 0,
-            rejected_drained: 0,
-            batch: BatchScratch::default(),
-            burst_vals: Vec::new(),
-            burst_cls: Vec::new(),
-        }
+        InferStage { engine: OnlineInference::new(model), held: None, lookahead: false }
     }
 
     /// The bounded-lookahead variant behind `full_trace: true`.
@@ -458,62 +377,39 @@ impl<'m> InferStage<'m> {
         self.engine.stats
     }
 
-    /// Emits everything the engine accepted or rejected since the last
-    /// drain. Key events surface before noise events of the same step; the
-    /// downstream correction stage keys off timestamps, not arrival order.
-    fn drain(&mut self, out: &mut Vec<InferEvent>) {
-        while self.keys_drained < self.engine.inferred.len() {
-            out.push(InferEvent::Key(self.engine.inferred[self.keys_drained]));
-            self.keys_drained += 1;
+    /// Pushes one change and returns what deciding it produced: the press
+    /// it accepted, if any, then the changes it dismissed as noise, in
+    /// order. In lookahead mode the change decided is the one held since
+    /// the previous push, now that `input` is known, and `input` is held
+    /// in its place. The downstream correction stage keys off timestamps,
+    /// not arrival order.
+    pub fn push(&mut self, input: Delta) -> impl Iterator<Item = InferEvent> + '_ {
+        if !self.lookahead {
+            self.engine.decide(input, input.at);
+        } else if let Some(held) = self.held.replace(input) {
+            self.lookahead_defer(&held, &input);
+            self.engine.decide(held, input.at);
         }
-        while self.rejected_drained < self.engine.rejected.len() {
-            out.push(InferEvent::Noise(self.engine.rejected[self.rejected_drained]));
-            self.rejected_drained += 1;
-        }
+        self.events()
     }
 
-    /// Processes a whole burst of changes through one batched
-    /// classification pass: every change's own (step 1 / step 2)
-    /// classification comes from a single row-outer
-    /// [`ClassifierModel::classify_batch`] traversal, then each change runs
-    /// through exactly the per-change algorithm [`Stage::push`] would apply
-    /// — same order, same events, bit-identical results (a proptest pins
-    /// the equivalence).
-    pub fn push_burst(&mut self, inputs: &[Delta], out: &mut Vec<InferEvent>) {
-        self.burst_vals.clear();
-        self.burst_vals.extend(inputs.iter().map(|d| d.values));
-        self.burst_cls.clear();
-        self.engine.probes.classify_primaries(
-            self.engine.model,
-            &self.burst_vals,
-            &mut self.batch,
-            &mut self.burst_cls,
-        );
-        let classes = std::mem::take(&mut self.burst_cls);
-        for (d, cls) in inputs.iter().zip(classes.iter()) {
-            self.push_classified(*d, *cls, out);
+    /// Ends the stream: decides the held change, if any, and dismisses an
+    /// unconsumed fragment as noise; returns what that produced, as
+    /// [`InferStage::push`] does.
+    pub fn finish(&mut self) -> impl Iterator<Item = InferEvent> + '_ {
+        if let Some(held) = self.held.take() {
+            // No next change exists, so the lookahead check is moot.
+            self.engine.decide(held, held.at);
         }
-        self.burst_cls = classes;
+        self.engine.flush_prev();
+        self.events()
     }
 
-    /// One change with its classification already computed — the shared
-    /// tail of [`Stage::push`] and [`InferStage::push_burst`].
-    fn push_classified(
-        &mut self,
-        input: Delta,
-        primary: Classification,
-        out: &mut Vec<InferEvent>,
-    ) {
-        if self.lookahead {
-            if let Some((held, held_cls)) = self.held.take() {
-                self.lookahead_defer(&held, &input);
-                self.engine.process_classified(held, input.at, held_cls);
-            }
-            self.held = Some((input, primary));
-        } else {
-            self.engine.process_classified(input, input.at, primary);
-        }
-        self.drain(out);
+    /// Moves the last decision's press and noise out, press first.
+    fn events(&mut self) -> impl Iterator<Item = InferEvent> + '_ {
+        let engine = &mut self.engine;
+        let key = engine.key.take().map(InferEvent::Key);
+        key.into_iter().chain(engine.noise.drain(..).map(InferEvent::Noise))
     }
 
     /// The lookahead fix, deciding `current` now that `next` is known:
@@ -537,31 +433,9 @@ impl<'m> InferStage<'m> {
         };
         if let (Some(dp), Some(dn)) = (dist(&with_prev), dist(&with_next)) {
             if dn < dp {
-                self.engine.rejected.push(prev);
-                self.engine.stats.noise += 1;
-                self.engine.prev = None;
+                self.engine.flush_prev();
             }
         }
-    }
-}
-
-impl Stage for InferStage<'_> {
-    type In = Delta;
-    type Out = InferEvent;
-
-    fn push(&mut self, input: Delta, out: &mut Vec<InferEvent>) {
-        let primary = self.engine.probes.classify_primary(self.engine.model, &input.values);
-        self.push_classified(input, primary, out);
-    }
-
-    fn finish(&mut self, out: &mut Vec<InferEvent>) {
-        if let Some((held, held_cls)) = self.held.take() {
-            // No next change exists, so the lookahead check is moot — the
-            // batch variant's final iteration behaves identically.
-            self.engine.process_classified(held, held.at, held_cls);
-        }
-        self.engine.flush_prev();
-        self.drain(out);
     }
 }
 
@@ -719,16 +593,16 @@ mod tests {
                 latency,
             )
         };
-        let mut eng = OnlineInference::new(&m);
+        let mut stage = InferStage::greedy(&m);
         // A rejected fragment (1 primary; both fragments sit below the
         // acceptance box's tile range, so no peel residual is probed), then
         // the rest of the split (1 primary + the accepted recombined sum):
         // 3 probes, 1 accepted, 2 of them timed primaries.
-        eng.process(d(100, 600, 96));
-        eng.process(d(108, 400, 64));
-        assert_eq!(eng.inferred().len(), 1);
+        assert_eq!(stage.push(d(100, 600, 96)).count(), 0);
+        let events: Vec<InferEvent> = stage.push(d(108, 400, 64)).collect();
+        assert!(matches!(events[..], [InferEvent::Key(_)]));
         assert_eq!(published(), (0, 0, 0), "nothing is published per probe");
-        let _ = eng.finish();
+        drop(stage);
         assert_eq!(published(), (1, 2, 2));
     }
 
@@ -772,11 +646,10 @@ mod tests {
     #[test]
     fn finish_flushes_leftover_as_noise() {
         let m = model();
-        let mut eng = OnlineInference::new(&m);
-        eng.process(d(100, 600, 96)); // un-classifiable fragment
-        assert_eq!(eng.inferred().len(), 0);
-        let (_, noise, stats) = eng.finish();
-        assert_eq!(noise.len(), 1);
-        assert_eq!(stats.noise, 1);
+        let mut stage = InferStage::greedy(&m);
+        let fragment = d(100, 600, 96); // un-classifiable, held for a split
+        assert_eq!(stage.push(fragment).count(), 0);
+        assert_eq!(stage.finish().collect::<Vec<_>>(), vec![InferEvent::Noise(fragment)]);
+        assert_eq!(stage.stats().noise, 1);
     }
 }

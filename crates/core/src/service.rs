@@ -2,23 +2,31 @@
 //!
 //! Runs the full pipeline end to end. Its one driver,
 //! [`AttackService::eavesdrop`], is *streaming*: it interleaves bursts of
-//! counter reads with incremental [`Stage`] pushes, so no full session
+//! counter reads with pushes through the pipeline, so no full session
 //! trace is ever materialised and every key press is committed the moment
 //! the evidence suffices (see each [`InferredKey::decided_at`]). The
-//! pipeline is
+//! pipeline is a [`StreamingSession`], and each step is a plain call on
+//! what the step before it emitted:
 //!
-//! 1. [`Sampler::next_sample`] — one counter read at a time;
-//! 2. [`DeltaStage`] — raw reads → counter changes, re-anchoring resets;
-//! 3. [`RecognizeStage`] — pick the
-//!    preloaded model from the warm-up prefix (§3.2);
-//! 4. [`LaunchGate`] — optionally swallow everything before the target
-//!    app's cold-launch burst (§3.2);
-//! 5. [`SwitchStage`] — drop changes produced outside the target app,
-//!    flag returns to it (§5.2);
-//! 6. [`InferStage`] — Algorithm 1: key presses out of typing changes
-//!    (§5.1);
-//! 7. [`CorrectionStage`] — backspace/length tracking over the noise
+//! 1. [`Sampler::next_sample`] — one counter read at a time, handed on in
+//!    bursts;
+//! 2. [`DeltaStage::push_samples`] — a burst of reads → its counter
+//!    changes, re-anchoring resets;
+//! 3. [`RecognizeStage::push`] — holds the warm-up prefix until a change
+//!    matches a preloaded model's fingerprint, then releases the prefix
+//!    and every later change (§3.2);
+//! 4. [`LaunchGate::push`] — passes a change on or swallows it: optionally
+//!    everything up to the target app's cold-launch burst (§3.2);
+//! 5. [`SwitchStage::push`] — drops changes produced outside the target
+//!    app and forwards each typing change, with the return to the target
+//!    app it resolved, which re-anchors the blink grid first (§5.2);
+//! 6. [`InferStage::push`] — Algorithm 1: the press a typing change
+//!    decided and the noise it dismissed (§5.1);
+//! 7. [`CorrectionStage::push`] — backspace/length tracking over the noise
 //!    stream, applied at end of session (§5.3).
+//!
+//! When the stream ends, the switch filter, inference and correction flush
+//! in that order.
 //!
 //! [`AttackService::streaming_session`] is the same pipeline without the
 //! sampler, for a remote process (the wire layer's classifier server) that
@@ -30,7 +38,7 @@ use android_ui::UiSimulation;
 use kgsl::Errno;
 use std::fmt;
 
-use crate::appswitch::{SwitchEvent, SwitchStage};
+use crate::appswitch::SwitchStage;
 use crate::classify::{ClassifierModel, ModelMeta};
 use crate::correction::{CorrectedKeys, CorrectionEvent, CorrectionStage};
 use crate::launch::LaunchGate;
@@ -38,14 +46,13 @@ use crate::metrics::{score_session, SessionScore};
 use crate::offline::{ModelStore, RecognizeStage};
 use crate::online::{InferEvent, InferStage, InferenceStats, InferredKey};
 use crate::sampler::{SampleStream, Sampler, SamplerConfig, SamplerReport};
-use crate::stage::Stage;
 use crate::trace::{Delta, DeltaStage, Sample};
 
-/// Samples per burst between the sampling loop and the stage pipeline in
-/// the in-process burst loop ([`AttackService::eavesdrop`] and every fleet
-/// session): big enough to amortise stage dispatch and centroid traversal,
-/// small enough (~6 read intervals per keystroke at the paper's 5 ms
-/// cadence) that decision latency stays bounded.
+/// Samples per burst between the sampling loop and the pipeline in the
+/// in-process burst loop ([`AttackService::eavesdrop`] and every fleet
+/// session): big enough to amortise the per-burst calls, small enough (~6
+/// read intervals per keystroke at the paper's 5 ms cadence) that decision
+/// latency stays bounded.
 const SAMPLE_BURST: usize = 64;
 
 /// Service configuration.
@@ -274,7 +281,7 @@ impl SessionResult {
     }
 }
 
-/// Everything downstream of device recognition, constructed lazily once
+/// Everything downstream of device recognition, constructed once
 /// [`RecognizeStage`] picks a model (the stages need its signatures and
 /// centroids).
 struct PostRecognition<'s> {
@@ -283,15 +290,6 @@ struct PostRecognition<'s> {
     switch: SwitchStage,
     infer: InferStage<'s>,
     correction: CorrectionStage,
-    // Scratch buffers reused across pushes so the steady-state path does
-    // not allocate.
-    gated: Vec<Delta>,
-    switch_events: Vec<SwitchEvent>,
-    infer_events: Vec<InferEvent>,
-    correction_sink: Vec<CorrectionEvent>,
-    /// In-target changes of the burst being routed, batched so the
-    /// inference stage classifies them in one prepared-row traversal.
-    typing_burst: Vec<Delta>,
     /// Accepted presses not yet drained by a streaming consumer (the wire
     /// layer's classifier server streams these back as they commit).
     fresh_keys: Vec<InferredKey>,
@@ -318,223 +316,25 @@ impl<'s> PostRecognition<'s> {
                 model.ambient_signatures().to_vec(),
                 config.echo_corroboration,
             ),
-            gated: Vec::new(),
-            switch_events: Vec::new(),
-            infer_events: Vec::new(),
-            correction_sink: Vec::new(),
-            typing_burst: Vec::new(),
             fresh_keys: Vec::new(),
         }
     }
 
-    /// Routes one recognised change through launch gate → switch filter →
+    /// Pushes one recognised change through launch gate → switch filter →
     /// inference → correction tracking.
     fn push_change(&mut self, delta: Delta) {
-        let mut gated = std::mem::take(&mut self.gated);
-        self.launch.push(delta, &mut gated);
-        self.route_gated(&mut gated);
-        self.gated = gated;
-    }
-
-    fn route_gated(&mut self, gated: &mut Vec<Delta>) {
-        let mut switch_events = std::mem::take(&mut self.switch_events);
-        for g in gated.drain(..) {
-            self.switch.push(g, &mut switch_events);
+        let Some(delta) = self.launch.push(delta) else { return };
+        let (returned, typing) = self.switch.push(delta);
+        if let Some(at) = returned {
+            self.correction.push_return(at);
         }
-        self.route_switch_events(&mut switch_events);
-        self.switch_events = switch_events;
-    }
-
-    fn route_switch_events(&mut self, switch_events: &mut Vec<SwitchEvent>) {
-        let mut infer_events = std::mem::take(&mut self.infer_events);
-        let mut burst = std::mem::take(&mut self.typing_burst);
-        // Returns only queue a timestamp on the correction stage (applied
-        // there in timestamp order, independent of arrival order), and the
-        // inference events are routed after this whole batch anyway — so
-        // the typing changes can be collected and pushed as one burst,
-        // which classifies them in a single prepared-row traversal while
-        // producing the exact event sequence per-change pushes would.
-        for ev in switch_events.drain(..) {
-            match ev {
-                SwitchEvent::Return(t) => self.correction.push_return(t),
-                SwitchEvent::Typing(d) => burst.push(d),
-            }
-        }
-        self.infer.push_burst(&burst, &mut infer_events);
-        burst.clear();
-        self.typing_burst = burst;
-        self.route_infer_events(&mut infer_events);
-        self.infer_events = infer_events;
-    }
-
-    fn route_infer_events(&mut self, infer_events: &mut Vec<InferEvent>) {
-        let mut sink = std::mem::take(&mut self.correction_sink);
-        for ev in infer_events.drain(..) {
-            if let InferEvent::Key(key) = ev {
+        let Some(typing) = typing else { return };
+        for event in self.infer.push(typing) {
+            if let InferEvent::Key(key) = event {
                 self.fresh_keys.push(key);
             }
-            self.correction.push(ev, &mut sink);
+            self.correction.push(event);
         }
-        // Correction events are re-read from the stage at the end of the
-        // session; the incremental stream has no further consumer.
-        sink.clear();
-        self.correction_sink = sink;
-    }
-
-    /// Flushes every stage in pipeline order and assembles the corrected
-    /// key lists.
-    fn finish(mut self) -> PipelineOutput<'s> {
-        let mut gated = std::mem::take(&mut self.gated);
-        self.launch.finish(&mut gated);
-        self.route_gated(&mut gated);
-
-        let mut switch_events = std::mem::take(&mut self.switch_events);
-        self.switch.finish(&mut switch_events);
-        self.route_switch_events(&mut switch_events);
-
-        let mut infer_events = std::mem::take(&mut self.infer_events);
-        self.infer.finish(&mut infer_events);
-        self.route_infer_events(&mut infer_events);
-
-        let mut sink = std::mem::take(&mut self.correction_sink);
-        self.correction.finish(&mut sink);
-
-        PipelineOutput {
-            model: self.model,
-            launch_at: self.launch.launch_at(),
-            switches: self.switch.switches_detected(),
-            stats: self.infer.stats(),
-            corrected: self.correction.into_corrected(),
-        }
-    }
-}
-
-/// What a finished pipeline produced, before degradation data joins it.
-struct PipelineOutput<'s> {
-    model: &'s ClassifierModel,
-    launch_at: Option<SimInstant>,
-    switches: usize,
-    stats: InferenceStats,
-    corrected: CorrectedKeys,
-}
-
-/// The full streaming pipeline: delta extraction and device recognition up
-/// front, everything model-dependent behind [`PostRecognition`].
-struct Pipeline<'s> {
-    config: &'s ServiceConfig,
-    delta: DeltaStage,
-    recognize: RecognizeStage<'s>,
-    post: Option<PostRecognition<'s>>,
-    deltas: Vec<Delta>,
-    recognized: Vec<Delta>,
-}
-
-impl<'s> Pipeline<'s> {
-    fn new(store: &'s ModelStore, config: &'s ServiceConfig) -> Self {
-        Pipeline {
-            config,
-            delta: DeltaStage::new(),
-            recognize: RecognizeStage::new(store),
-            post: None,
-            deltas: Vec::new(),
-            recognized: Vec::new(),
-        }
-    }
-
-    /// A pipeline pre-committed to `model` (digest-pinned wire sessions).
-    /// Produces the same output as the recognition path for any session the
-    /// recognition path would have matched to the same model — see
-    /// [`RecognizeStage::pinned`].
-    fn pinned(
-        store: &'s ModelStore,
-        config: &'s ServiceConfig,
-        model: &'s ClassifierModel,
-    ) -> Self {
-        Pipeline {
-            config,
-            delta: DeltaStage::new(),
-            recognize: RecognizeStage::pinned(store, model),
-            post: None,
-            deltas: Vec::new(),
-            recognized: Vec::new(),
-        }
-    }
-
-    /// Pushes a burst of samples, routing the resulting changes downstream
-    /// in one pass. Equivalent to pushing each sample individually — every
-    /// stage consumes its inputs in order — but the routing overhead and
-    /// the classifier's centroid traversal are paid once per burst instead
-    /// of once per sample.
-    fn push_samples(&mut self, samples: &[Sample]) {
-        let mut deltas = std::mem::take(&mut self.deltas);
-        self.delta.push_samples(samples, &mut deltas);
-        self.route_deltas(&mut deltas);
-        self.deltas = deltas;
-    }
-
-    fn route_deltas(&mut self, deltas: &mut Vec<Delta>) {
-        let mut recognized = std::mem::take(&mut self.recognized);
-        for d in deltas.drain(..) {
-            self.recognize.push(d, &mut recognized);
-        }
-        if self.post.is_none() {
-            if let Some(model) = self.recognize.model() {
-                self.post = Some(PostRecognition::new(model, self.config));
-            }
-        }
-        if let Some(post) = &mut self.post {
-            for d in recognized.drain(..) {
-                post.push_change(d);
-            }
-        } else {
-            // Still unrecognised: the recognise stage buffers the warm-up
-            // prefix internally, so nothing can reach here.
-            debug_assert!(recognized.is_empty());
-            recognized.clear();
-        }
-        self.recognized = recognized;
-    }
-
-    /// Moves accepted presses not yet seen by a streaming consumer into
-    /// `out` (empty until the device is recognised).
-    fn drain_new_keys(&mut self, out: &mut Vec<InferredKey>) {
-        if let Some(post) = &mut self.post {
-            out.append(&mut post.fresh_keys);
-        }
-    }
-
-    /// Flushes the pipeline and assembles the session result.
-    fn finish(mut self, report: &SamplerReport) -> Result<SessionResult, ServiceError> {
-        let mut deltas = std::mem::take(&mut self.deltas);
-        self.delta.finish(&mut deltas);
-        self.route_deltas(&mut deltas);
-        let counter_resets = self.delta.resets();
-
-        let mut recognized = std::mem::take(&mut self.recognized);
-        self.recognize.finish(&mut recognized);
-        debug_assert!(recognized.is_empty());
-
-        let post = self.post.take().ok_or(ServiceError::UnrecognisedDevice)?;
-        let output = post.finish();
-        if self.config.require_launch && output.launch_at.is_none() {
-            return Err(ServiceError::LaunchNotDetected);
-        }
-        let CorrectedKeys { keys, keys_before_corrections, corrections } = output.corrected;
-        let recovered_text: String = keys.iter().map(|k| k.ch).collect();
-        spansight::count("core.service.sessions", 1);
-        spansight::count("core.service.keys_inferred", keys.len() as u64);
-        Ok(SessionResult {
-            model: *output.model.meta(),
-            keys,
-            keys_before_corrections,
-            recovered_text,
-            stats: output.stats,
-            corrections,
-            switches: output.switches,
-            launch_at: output.launch_at,
-            degradation: DegradationReport::from_sampler(report, counter_resets),
-            link: LinkDegradationReport::default(),
-        })
     }
 }
 
@@ -599,7 +399,7 @@ impl AttackService {
     /// process (the wire layer's classifier server) can feed it samples as
     /// they arrive off a transport.
     pub fn streaming_session(&self) -> StreamingSession<'_> {
-        StreamingSession { pipeline: Pipeline::new(&self.store, &self.config) }
+        StreamingSession::new(&self.config, RecognizeStage::new(&self.store), None)
     }
 
     /// Begins an incremental session pinned to the model with the given
@@ -615,23 +415,31 @@ impl AttackService {
         &self,
         digest: &crate::registry::ModelDigest,
     ) -> Result<StreamingSession<'_>, ServiceError> {
-        let handle =
-            self.store.find_digest(digest).ok_or(ServiceError::ModelDigestMismatch(*digest))?;
-        Ok(StreamingSession {
-            pipeline: Pipeline::pinned(&self.store, &self.config, handle.model()),
-        })
+        let model = self
+            .store
+            .find_digest(digest)
+            .ok_or(ServiceError::ModelDigestMismatch(*digest))?
+            .model();
+        // Nothing is left to recognise, so the stages behind recognition
+        // start now.
+        let post = PostRecognition::new(model, &self.config);
+        Ok(StreamingSession::new(
+            &self.config,
+            RecognizeStage::pinned(&self.store, model),
+            Some(post),
+        ))
     }
 }
 
 /// The in-process burst loop, one step at a time: the sampler, its stream
-/// and the stage pipeline of one session. [`AttackService::eavesdrop`]
+/// and the pipeline of one session. [`AttackService::eavesdrop`]
 /// steps it until the stream ends; a [`crate::fleet::FleetSession`] steps
 /// it once per scheduler quantum. The wire layer's `SplitDriver` is the
 /// same loop with a transport between sampler and pipeline.
 pub(crate) struct LocalDriver<'s> {
     sampler: Sampler,
     stream: SampleStream,
-    pipeline: Pipeline<'s>,
+    session: StreamingSession<'s>,
     /// One burst of samples, read before the pipeline takes it whole.
     burst: Vec<Sample>,
 }
@@ -649,7 +457,7 @@ impl<'s> LocalDriver<'s> {
         Ok(LocalDriver {
             sampler,
             stream,
-            pipeline: Pipeline::new(&service.store, &service.config),
+            session: service.streaming_session(),
             burst: Vec::with_capacity(SAMPLE_BURST),
         })
     }
@@ -661,50 +469,85 @@ impl<'s> LocalDriver<'s> {
         let LocalDriver { sampler, stream, burst, .. } = self;
         burst.clear();
         burst.extend(std::iter::from_fn(|| sampler.next_sample(stream, sim)).take(SAMPLE_BURST));
-        self.pipeline.push_samples(&self.burst);
+        self.session.push_samples(&self.burst);
         self.burst.len() < SAMPLE_BURST
     }
 
     /// Closes the sampler and assembles the session result.
     pub(crate) fn finish(self, sim: &UiSimulation) -> Result<SessionResult, ServiceError> {
-        let LocalDriver { mut sampler, stream, pipeline, .. } = self;
+        let LocalDriver { mut sampler, stream, session, .. } = self;
         let finished = sampler.finish_stream(stream);
         let report = sampler.report();
         sampler.close(sim.device());
         finished?;
-        pipeline.finish(&report)
+        session.finish(&report)
     }
 }
 
 /// An in-flight incremental analysis session (see
-/// [`AttackService::streaming_session`]).
+/// [`AttackService::streaming_session`]): the whole pipeline, from delta
+/// extraction and device recognition to everything model-dependent behind
+/// it.
 ///
 /// Push samples in timestamp order, drain freshly committed presses at any
 /// point (the wire layer streams them back to the sampler side for latency
 /// measurement), and finish with the sampler's report to assemble the
 /// [`SessionResult`].
 pub struct StreamingSession<'s> {
-    pipeline: Pipeline<'s>,
+    config: &'s ServiceConfig,
+    delta: DeltaStage,
+    recognize: RecognizeStage<'s>,
+    post: Option<PostRecognition<'s>>,
+    /// The changes extracted from the burst being pushed.
+    deltas: Vec<Delta>,
+    /// The changes recognition released for the burst being pushed.
+    recognized: Vec<Delta>,
 }
 
-impl StreamingSession<'_> {
-    /// Feeds a burst of samples (in timestamp order) through the stage
-    /// pipeline in one pass. Any split of a sample sequence into bursts
-    /// gives the same result; the routing and classification costs are
-    /// amortised across each burst. The wire layer's classifier server
-    /// uses this to process each received exfiltration batch whole.
+impl<'s> StreamingSession<'s> {
+    fn new(
+        config: &'s ServiceConfig,
+        recognize: RecognizeStage<'s>,
+        post: Option<PostRecognition<'s>>,
+    ) -> Self {
+        StreamingSession {
+            config,
+            delta: DeltaStage::new(),
+            recognize,
+            post,
+            deltas: Vec::new(),
+            recognized: Vec::new(),
+        }
+    }
+
+    /// Feeds a burst of samples (in timestamp order) through the pipeline.
+    /// Any split of a sample sequence into bursts gives the same result;
+    /// delta extraction runs once per burst. The wire layer's classifier
+    /// server uses this to process each received exfiltration batch whole.
     pub fn push_samples(&mut self, samples: &[Sample]) {
-        self.pipeline.push_samples(samples);
+        self.delta.push_samples(samples, &mut self.deltas);
+        for delta in self.deltas.drain(..) {
+            self.recognize.push(delta, &mut self.recognized);
+        }
+        // Until a model matches, recognition holds every change itself.
+        let Some(model) = self.recognize.model() else { return };
+        let post = self.post.get_or_insert_with(|| PostRecognition::new(model, self.config));
+        for delta in self.recognized.drain(..) {
+            post.push_change(delta);
+        }
     }
 
     /// Moves presses committed since the last drain into `out`. The full
     /// per-session sequence equals `keys_before_corrections` of the final
     /// result (corrections are only applied at session end).
     pub fn drain_new_keys(&mut self, out: &mut Vec<InferredKey>) {
-        self.pipeline.drain_new_keys(out);
+        if let Some(post) = &mut self.post {
+            out.append(&mut post.fresh_keys);
+        }
     }
 
-    /// Flushes every stage and assembles the session result.
+    /// Flushes every stage and assembles the session result. The switch
+    /// filter, inference and correction flush in that order.
     ///
     /// # Errors
     ///
@@ -713,7 +556,36 @@ impl StreamingSession<'_> {
     /// [`AttackService::eavesdrop`]; never [`ServiceError::Device`] (the
     /// device is out of the picture by now).
     pub fn finish(self, report: &SamplerReport) -> Result<SessionResult, ServiceError> {
-        self.pipeline.finish(report)
+        self.delta.finish();
+        let PostRecognition { model, launch, mut switch, mut infer, mut correction, .. } =
+            self.post.ok_or(ServiceError::UnrecognisedDevice)?;
+        if let Some(at) = switch.finish() {
+            correction.push_return(at);
+        }
+        for event in infer.finish() {
+            correction.push(event);
+        }
+        let launch_at = launch.launch_at();
+        if self.config.require_launch && launch_at.is_none() {
+            return Err(ServiceError::LaunchNotDetected);
+        }
+        let CorrectedKeys { keys, keys_before_corrections, corrections } =
+            correction.into_corrected();
+        let recovered_text: String = keys.iter().map(|k| k.ch).collect();
+        spansight::count("core.service.sessions", 1);
+        spansight::count("core.service.keys_inferred", keys.len() as u64);
+        Ok(SessionResult {
+            model: *model.meta(),
+            keys,
+            keys_before_corrections,
+            recovered_text,
+            stats: infer.stats(),
+            corrections,
+            switches: switch.switches_detected(),
+            launch_at,
+            degradation: DegradationReport::from_sampler(report, self.delta.resets()),
+            link: LinkDegradationReport::default(),
+        })
     }
 }
 

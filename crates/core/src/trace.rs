@@ -9,8 +9,6 @@
 use adreno_sim::counters::CounterSet;
 use adreno_sim::time::SimInstant;
 
-use crate::stage::Stage;
-
 /// One raw counter sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sample {
@@ -134,18 +132,18 @@ pub fn extract_deltas_with_resets(trace: &Trace) -> (Vec<Delta>, usize) {
     let mut stage = DeltaStage::new();
     let mut out = Vec::new();
     stage.push_samples(trace.samples(), &mut out);
-    stage.finish(&mut out);
+    stage.finish();
     (out, stage.resets())
 }
 
-/// Incremental delta extraction: consumes one [`Sample`] at a time and
-/// emits the nonzero [`Delta`]s. Holds only the previous read's counter
-/// values, so a live session never materializes the raw trace.
+/// Incremental delta extraction: consumes bursts of [`Sample`]s and emits
+/// the nonzero [`Delta`]s. Holds only the previous read's counter values,
+/// so a live session never materializes the raw trace.
 ///
 /// Counter-reset windows (any counter moving backwards — GPU slumber) emit
 /// nothing; extraction re-anchors at the later sample. The reset count is
 /// available via [`DeltaStage::resets`] and, together with the emitted-delta
-/// count, is published as telemetry at [`Stage::finish`].
+/// count, is published as telemetry at [`DeltaStage::finish`].
 #[derive(Debug, Default)]
 pub struct DeltaStage {
     /// Counter values of the anchor read; `None` before the first read.
@@ -165,10 +163,9 @@ impl DeltaStage {
         self.resets
     }
 
-    /// Pushes a burst of reads in order; [`Stage::push`] is this loop over
-    /// a single read. Each read is compared against the anchor and
-    /// re-anchors it in place, so an unchanged read (~95 % of a login
-    /// session's) copies nothing.
+    /// Pushes a burst of reads in order. Each read is compared against the
+    /// anchor and re-anchors it in place, so an unchanged read (~95 % of a
+    /// login session's) copies nothing.
     pub fn push_samples(&mut self, samples: &[Sample], out: &mut Vec<Delta>) {
         for input in samples {
             let Some(prev) = &mut self.prev else {
@@ -189,17 +186,10 @@ impl DeltaStage {
             *prev = input.values;
         }
     }
-}
 
-impl Stage for DeltaStage {
-    type In = Sample;
-    type Out = Delta;
-
-    fn push(&mut self, input: Sample, out: &mut Vec<Delta>) {
-        self.push_samples(std::slice::from_ref(&input), out);
-    }
-
-    fn finish(&mut self, _out: &mut Vec<Delta>) {
+    /// Ends the stream: publishes the emitted-delta and reset counts as
+    /// telemetry. Extraction holds back no change, so nothing is emitted.
+    pub fn finish(&self) {
         spansight::count("core.trace.deltas", self.emitted as u64);
         if self.resets > 0 {
             spansight::count("core.trace.resets", self.resets as u64);

@@ -7,7 +7,8 @@
 //! trace's pre-reserved sample buffer are supposed to eliminate them all;
 //! this test pins that with a counting global allocator. An accepted key is
 //! one `InferredKey` value from the inference stage to the correction
-//! stage, so all that may allocate there is the growth of their key lists.
+//! stage, so all that may allocate there is the growth of the correction
+//! stage's key list.
 //!
 //! Methodology: the measured window must avoid *incidental* allocation
 //! sources that are not part of the per-slot loop — telemetry flushes (the
@@ -26,7 +27,6 @@ use gpu_sc_attack::correction::CorrectionStage;
 use gpu_sc_attack::offline::{Trainer, TrainerConfig};
 use gpu_sc_attack::online::InferStage;
 use gpu_sc_attack::sampler::{Sampler, SamplerConfig};
-use gpu_sc_attack::stage::Stage;
 use gpu_sc_attack::trace::Delta;
 
 struct CountingAlloc;
@@ -126,21 +126,20 @@ fn accepted_keys_allocate_only_for_list_growth() {
             .collect();
         let mut infer = InferStage::greedy(&model);
         let mut correction = CorrectionStage::new(model.ambient_signatures().to_vec(), false);
-        let mut infer_events = Vec::with_capacity(keys);
-        let mut correction_events = Vec::with_capacity(keys);
         spansight::flush();
 
         let before = allocations();
-        infer.push_burst(&deltas, &mut infer_events);
-        for event in infer_events.drain(..) {
-            correction.push(event, &mut correction_events);
+        for &delta in &deltas {
+            for event in infer.push(delta) {
+                correction.push(event);
+            }
         }
         let made = allocations() - before;
 
         assert_eq!(infer.stats().direct, keys, "every delta must be accepted");
-        // Only the stages' key lists and burst buffers grow, each doubling
-        // a logarithmic number of times; any per-key allocation would cost
-        // at least `keys`.
+        // Only the correction stage's key list grows, doubling a
+        // logarithmic number of times; any per-key allocation would cost at
+        // least `keys`.
         assert!(made < keys as u64 / 2, "{keys} accepted keys made {made} allocations");
     }
 }

@@ -3,9 +3,7 @@
 use adreno_sim::counters::{CounterSet, NUM_TRACKED};
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::{AndroidVersion, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp};
-use gpu_sc_attack::classify::{
-    BatchScratch, Classification, ClassifierModel, KeyCentroid, ModelMeta,
-};
+use gpu_sc_attack::classify::{Classification, ClassifierModel, KeyCentroid, ModelMeta};
 use gpu_sc_attack::metrics::edit_distance;
 use gpu_sc_attack::online::{
     infer_full_trace, infer_stream, InferEvent, InferenceStats, InferredKey, MAX_SPLIT_GAP, T_L,
@@ -154,7 +152,7 @@ fn boundary_models(model: &ClassifierModel, d: f64) -> Vec<ClassifierModel> {
 /// Algorithm 1 as the engine ran it before the peel pretest, kept only as
 /// a test oracle: every ambient signature that fits under a change (or a
 /// recombined split) is subtracted and its residual classified, by the
-/// naive full scan. Emits events in the order [`InferStage`] drains them:
+/// naive full scan. Emits events in the order [`InferStage`] hands them back:
 /// after each change, its keys, then its noise.
 struct ReferenceEngine<'m> {
     model: &'m ClassifierModel,
@@ -794,88 +792,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_classification_matches_per_delta(
-        model in arb_model(),
-        weights in arb_weights(),
-        probes in prop::collection::vec(arb_set(2_500_000), 0..40),
-    ) {
-        // The batched entry point must be a pure amortisation: one
-        // row-outer traversal per burst, but per probe the same box test,
-        // the same candidate order, the same bounded cutoff, and therefore
-        // the same decision as the per-delta and naive paths —
-        // bit-identical accepted distances included. Besides random probes:
-        // peel residuals, one count either side of every box face, and
-        // every probe at both sides of its own acceptance boundary; on the
-        // model as drawn (unit weights) and reweighted.
-        for model in [reweighted(&model, weights), model] {
-            let probes: Vec<CounterSet> = probes
-                .iter()
-                .copied()
-                .chain(residual_probes(&model))
-                .chain(box_face_probes(&model))
-                .collect();
-            let mut scratch = BatchScratch::default();
-            let mut batched = Vec::new();
-            model.classify_batch(&probes, &mut scratch, &mut batched);
-            prop_assert_eq!(batched.len(), probes.len());
-            for (v, got) in probes.iter().zip(&batched) {
-                let single = model.classify(v);
-                prop_assert_eq!(decision_bits(got), decision_bits(&single), "batch vs per-delta");
-                prop_assert_eq!(decision_bits(got), decision_bits(&model.classify_naive(v)));
-                let (_, d) = model.nearest_naive(v);
-                for m in boundary_models(&model, d) {
-                    let mut at_boundary = Vec::new();
-                    m.classify_batch(std::slice::from_ref(v), &mut scratch, &mut at_boundary);
-                    prop_assert_eq!(at_boundary.len(), 1);
-                    let naive = m.classify_naive(v);
-                    prop_assert_eq!(decision_bits(&at_boundary[0]), decision_bits(&naive));
-                }
-            }
-            // Scratch reuse across bursts must not leak state between calls.
-            let mut again = Vec::new();
-            model.classify_batch(&probes, &mut scratch, &mut again);
-            prop_assert_eq!(again, batched);
-        }
-    }
-
-    #[test]
-    fn burst_inference_matches_per_change_pushes(
-        model in arb_model(),
-        deltas in arb_deltas(),
-        chunk in 1usize..9,
-        lookahead in any::<bool>(),
-    ) {
-        // Feeding Algorithm 1 whole bursts (the streaming driver's ring
-        // drains) must replay the per-change push sequence exactly: same
-        // events in the same order, same stats, for any burst boundaries,
-        // in both greedy and lookahead modes.
-        use gpu_sc_attack::online::InferStage;
-        use gpu_sc_attack::stage::Stage;
-        let mk = || if lookahead {
-            InferStage::lookahead(&model)
-        } else {
-            InferStage::greedy(&model)
-        };
-
-        let mut single = mk();
-        let mut single_out = Vec::new();
-        for d in &deltas {
-            single.push(*d, &mut single_out);
-        }
-        single.finish(&mut single_out);
-
-        let mut burst = mk();
-        let mut burst_out = Vec::new();
-        for c in deltas.chunks(chunk) {
-            burst.push_burst(c, &mut burst_out);
-        }
-        burst.finish(&mut burst_out);
-
-        prop_assert_eq!(burst_out, single_out);
-        prop_assert_eq!(burst.stats(), single.stats());
-    }
-
-    #[test]
     fn engine_matches_the_peel_everything_reference(
         model in arb_model(),
         steps in arb_typing_stream(),
@@ -894,7 +810,11 @@ proptest! {
         } else {
             InferStage::greedy(&model)
         };
-        let events = gpu_sc_attack::stage::run_to_vec(&mut stage, deltas.iter().copied());
+        let mut events = Vec::new();
+        for &d in &deltas {
+            events.extend(stage.push(d));
+        }
+        events.extend(stage.finish());
         let mut reference = ReferenceEngine::new(&model, lookahead);
         for d in &deltas {
             reference.push(*d);

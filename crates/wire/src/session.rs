@@ -39,7 +39,6 @@ use gpu_sc_attack::sampler::{Sampler, SamplerReport};
 use gpu_sc_attack::service::{
     AttackService, LinkDegradationReport, ServiceError, SessionResult, StreamingSession,
 };
-use gpu_sc_attack::stage::Stage;
 use gpu_sc_attack::trace::Sample;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -87,10 +86,12 @@ impl Default for ExfilConfig {
     }
 }
 
-/// A [`Stage`] that restores sequence order over a lossy arrival stream of
-/// decoded `(seq, message)` data frames: messages are released strictly in
+/// Restores sequence order over a lossy arrival stream of decoded
+/// `(seq, message)` data frames: messages are released strictly in
 /// sequence, duplicates are discarded, and early arrivals wait in a bounded
-/// buffer. Feeds the receive side of [`ClassifierServer`].
+/// buffer. Feeds the receive side of [`ClassifierServer`]. Frames still
+/// gapped when the session ends are lost for good: the buffer is never
+/// flushed out of order.
 #[derive(Debug, Default)]
 pub struct ResequenceStage {
     next_expected: u64,
@@ -107,13 +108,10 @@ impl ResequenceStage {
     pub fn next_expected(&self) -> u64 {
         self.next_expected
     }
-}
 
-impl Stage for ResequenceStage {
-    type In = (u64, Message);
-    type Out = Message;
-
-    fn push(&mut self, (seq, msg): (u64, Message), out: &mut Vec<Message>) {
+    /// Pushes one arrived data frame, appending to `out` every message it
+    /// releases, in sequence order.
+    pub fn push(&mut self, (seq, msg): (u64, Message), out: &mut Vec<Message>) {
         if seq < self.next_expected || self.buffer.contains_key(&seq) {
             self.duplicates_discarded += 1;
             return;
@@ -129,12 +127,6 @@ impl Stage for ResequenceStage {
             self.next_expected += 1;
             out.push(msg);
         }
-    }
-
-    fn finish(&mut self, _out: &mut Vec<Message>) {
-        // Frames still gapped at end of session are lost for good; the
-        // buffer is intentionally not flushed out of order.
-        self.buffer.clear();
     }
 }
 
@@ -227,18 +219,13 @@ impl ExfilClient {
         );
     }
 
-    /// Stages one counter sample for exfiltration.
-    pub fn push_sample(&mut self, sample: Sample) {
-        self.push_samples(std::slice::from_ref(&sample));
-    }
-
     /// Stages a burst of counter samples for exfiltration: every full
     /// [`ExfilConfig::batch_samples`] batch is encoded straight from the
     /// burst into its frame, and only a partial tail waits for the next
     /// burst. Frame boundaries depend only on the cumulative sample count,
-    /// so this produces exactly the frames the equivalent
-    /// [`ExfilClient::push_sample`] calls would. [`run_split_session`] hands
-    /// over each wire batch of reads through this.
+    /// so any split of a sample sequence into bursts, down to one sample
+    /// each, produces the same frames. [`run_split_session`] hands over
+    /// each wire batch of reads through this.
     pub fn push_samples(&mut self, mut samples: &[Sample]) {
         let batch = self.config.batch_samples.max(1);
         if !self.tail.is_empty() {
@@ -1034,9 +1021,9 @@ mod tests {
             ..ExfilConfig::default()
         };
         let mut client = ExfilClient::new(config, 1);
-        for i in 0..config.batch_samples {
-            client.push_sample(sample(i as u64, 10));
-        }
+        let samples: Vec<Sample> =
+            (0..config.batch_samples).map(|i| sample(i as u64, 10)).collect();
+        client.push_samples(&samples);
         let t0 = SimInstant::from_millis(0);
         client.pump(&mut transport, t0);
         // Discard everything the transport carries so no acks ever return,

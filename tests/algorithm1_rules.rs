@@ -11,6 +11,12 @@
 //!   one 75 ms after it is a second press;
 //! * split recombination: two fragments of a key 20 ms apart are one press,
 //!   21 ms apart they are two noise changes, for both inference variants;
+//! * the acceptance box: a change on its face is a press at distance
+//!   `C_th`, one count beyond it is noise;
+//! * peeling (steps 2b and 3b): a key merged with a field redraw in one
+//!   read, or split across two reads with the redraw in one of them, is one
+//!   press, and the redraw whose residual is closest is the one surfaced as
+//!   noise;
 //! * the app-switch filter (§5.2): three switch-sized changes 50 ms apart
 //!   are a switch burst; 51 ms apart, or only two, are not;
 //! * the launch gate (§3.2): a change within 5 % relative L1 of the launch
@@ -24,11 +30,10 @@ use adreno_sim::time::SimInstant;
 use gpu_eaves::android_ui::{
     AndroidVersion, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
 };
-use gpu_eaves::attack::appswitch::{SwitchEvent, SwitchStage};
-use gpu_eaves::attack::classify::{ClassifierModel, KeyCentroid, ModelMeta};
+use gpu_eaves::attack::appswitch::SwitchStage;
+use gpu_eaves::attack::classify::{Classification, ClassifierModel, KeyCentroid, ModelMeta};
 use gpu_eaves::attack::launch::LaunchGate;
 use gpu_eaves::attack::online::{InferEvent, InferStage, InferenceStats, InferredKey};
-use gpu_eaves::attack::stage::{run_to_vec, Stage};
 use gpu_eaves::attack::trace::Delta;
 
 /// Switch-sized changes are at least this large (the model's trained
@@ -75,8 +80,21 @@ fn model() -> ClassifierModel {
 
 /// Runs `deltas` through one inference stage: its events and statistics.
 fn infer(mut stage: InferStage<'_>, deltas: &[Delta]) -> (Vec<InferEvent>, InferenceStats) {
-    let events = run_to_vec(&mut stage, deltas.iter().copied());
+    let mut events = Vec::new();
+    for &delta in deltas {
+        events.extend(stage.push(delta));
+    }
+    events.extend(stage.finish());
     (events, stage.stats())
+}
+
+/// The lookahead or the greedy inference stage over `m`.
+fn variant(m: &ClassifierModel, lookahead: bool) -> InferStage<'_> {
+    if lookahead {
+        InferStage::lookahead(m)
+    } else {
+        InferStage::greedy(m)
+    }
 }
 
 fn key(at_ms: u64, decided_ms: u64, ch: char, via_split: bool) -> InferEvent {
@@ -115,15 +133,7 @@ fn split_fragments_recombine_up_to_the_split_gap_in_both_variants() {
     let joined = [d(100, first), d(120, second)];
     let apart = [d(100, first), d(121, second)];
     for lookahead in [false, true] {
-        let stage = || {
-            if lookahead {
-                InferStage::lookahead(&m)
-            } else {
-                InferStage::greedy(&m)
-            }
-        };
-
-        let (events, stats) = infer(stage(), &joined);
+        let (events, stats) = infer(variant(&m, lookahead), &joined);
         assert_eq!(
             events,
             vec![key(100, 120, 'w', true)],
@@ -131,13 +141,78 @@ fn split_fragments_recombine_up_to_the_split_gap_in_both_variants() {
         );
         assert_eq!((stats.splits_recovered, stats.noise), (1, 0));
 
-        let (events, stats) = infer(stage(), &apart);
+        let (events, stats) = infer(variant(&m, lookahead), &apart);
         assert_eq!(
             events,
             vec![InferEvent::Noise(apart[0]), InferEvent::Noise(apart[1])],
             "21 ms apart is two noise changes (lookahead: {lookahead})"
         );
         assert_eq!((stats.splits_recovered, stats.noise), (0, 2));
+    }
+}
+
+#[test]
+fn a_change_on_the_acceptance_box_face_is_a_press_and_one_count_beyond_is_noise() {
+    let m = model();
+    // 'w' sets the box's upper primitive face: 160 + C_th = 180.
+    let (face, beyond) = (set(1000, 180), set(1000, 181));
+    assert_eq!(m.classify(&face), Classification::Key { ch: 'w', distance: 20.0 });
+    assert_eq!(m.classify(&beyond), Classification::Rejected);
+
+    for lookahead in [false, true] {
+        let (events, stats) = infer(variant(&m, lookahead), &[d(100, face)]);
+        assert_eq!(events, vec![key(100, 100, 'w', false)], "on the face (lookahead: {lookahead})");
+        assert_eq!((stats.direct, stats.noise), (1, 0));
+
+        let (events, stats) = infer(variant(&m, lookahead), &[d(100, beyond)]);
+        assert_eq!(
+            events,
+            vec![InferEvent::Noise(d(100, beyond))],
+            "one count beyond the face (lookahead: {lookahead})"
+        );
+        assert_eq!((stats.direct, stats.noise), (0, 1));
+    }
+}
+
+#[test]
+fn a_field_redraw_merged_into_one_read_is_peeled_off_by_its_closest_residual() {
+    let m = model();
+    // 'w' plus the (24, 4) field redraw: 24.3 from 'w', rejected directly.
+    let merged = set(1024, 164);
+    assert_eq!(m.classify(&merged), Classification::Rejected);
+    // Peeling (20, 2) instead would leave a residual 4.47 from 'w', also a
+    // hit; the exact residual of (24, 4) is closer and wins.
+    assert_eq!(
+        m.classify(&set(1004, 162)),
+        Classification::Key { ch: 'w', distance: 20f64.sqrt() }
+    );
+
+    for lookahead in [false, true] {
+        let (events, stats) = infer(variant(&m, lookahead), &[d(100, merged)]);
+        assert_eq!(
+            events,
+            vec![key(100, 100, 'w', false), InferEvent::Noise(d(100, set(24, 4)))],
+            "one press, and the peeled redraw as noise at the same read (lookahead: {lookahead})"
+        );
+        assert_eq!((stats.direct, stats.peeled, stats.splits_recovered, stats.noise), (0, 1, 0, 0));
+    }
+}
+
+#[test]
+fn a_split_whose_sum_carries_a_field_redraw_is_peeled_after_recombining() {
+    let m = model();
+    // The merged read above, cut 600/96 + 424/68 across two reads 8 ms
+    // apart: neither fragment is near a key, and neither is peelable, so
+    // only step 3b, peeling the recombined sum, finds the press.
+    let fragments = [d(100, set(600, 96)), d(108, set(424, 68))];
+    for lookahead in [false, true] {
+        let (events, stats) = infer(variant(&m, lookahead), &fragments);
+        assert_eq!(
+            events,
+            vec![key(100, 108, 'w', true), InferEvent::Noise(d(108, set(24, 4)))],
+            "one press dated at the first fragment, decided at the second (lookahead: {lookahead})"
+        );
+        assert_eq!((stats.direct, stats.peeled, stats.splits_recovered, stats.noise), (0, 1, 1, 0));
     }
 }
 
@@ -152,8 +227,10 @@ fn three_switch_sized_changes_within_the_burst_gap_toggle_once() {
         let mut stage = SwitchStage::new(SWITCH_THRESHOLD);
         let mut deltas: Vec<Delta> = offsets.iter().map(|ms| d(1_000 + ms, big)).collect();
         deltas.push(d(2_000, typing));
-        let events = run_to_vec(&mut stage, deltas);
-        let typed = events.iter().any(|e| matches!(e, SwitchEvent::Typing(_)));
+        let mut typed = false;
+        for delta in deltas {
+            typed |= stage.push(delta).1.is_some();
+        }
         (stage.switches_detected(), typed)
     };
 
@@ -177,10 +254,8 @@ fn the_launch_gate_fires_within_five_percent_relative_l1() {
         burst[TrackedCounter::LrzVisiblePixelAfterLrz] += off;
         let after = d(200, set(1000, 160));
         let mut gate = LaunchGate::armed(signature);
-        let mut out = Vec::new();
-        gate.push(d(100, burst), &mut out);
-        gate.push(after, &mut out);
-        gate.finish(&mut out);
+        let out: Vec<Delta> =
+            [d(100, burst), after].into_iter().filter_map(|delta| gate.push(delta)).collect();
         (gate.launch_at(), out == vec![after])
     };
 

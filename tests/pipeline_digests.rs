@@ -15,6 +15,11 @@
 //!   a [`Sampler::sample_until`] tap of an identically built victim — the
 //!   delta stream every downstream stage consumes.
 //!
+//! The same tap, pushed through a [`AttackService::streaming_session`] in
+//! bursts of 1, 7 and 64 samples and finished with the tap's sampler
+//! report, must return exactly what `eavesdrop` returned: how a sample
+//! stream is cut into bursts decides nothing.
+//!
 //! The result and tap constants were first computed on a tree that still
 //! carried a second, batch analysis driver and a second, columnar delta
 //! extractor, after checking there that both drivers returned the same
@@ -40,12 +45,12 @@ use gpu_eaves::android_ui::{SimConfig, TimedEvent, UiEvent, UiSimulation};
 use gpu_eaves::attack::correction::CorrectionEvent;
 use gpu_eaves::attack::offline::{ModelStore, Trainer, TrainerConfig};
 use gpu_eaves::attack::online::InferenceStats;
-use gpu_eaves::attack::sampler::{Sampler, SamplerConfig};
+use gpu_eaves::attack::sampler::{Sampler, SamplerConfig, SamplerReport};
 use gpu_eaves::attack::service::{AttackService, ServiceConfig, ServiceError, SessionResult};
-use gpu_eaves::attack::trace::extract_deltas_with_resets;
+use gpu_eaves::attack::trace::{extract_deltas_with_resets, Trace};
 use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
-use gpu_eaves::kgsl::FaultPlan;
+use gpu_eaves::kgsl::{Errno, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -173,28 +178,32 @@ fn run(victim: Victim, config: ServiceConfig) -> Result<SessionResult, ServiceEr
     service.eavesdrop(&mut sim, end)
 }
 
-/// Runs the case's session through the service.
-fn eavesdrop(case: Case) -> Result<SessionResult, ServiceError> {
-    let config = ServiceConfig {
+/// The service options the case runs under.
+fn config(case: Case) -> ServiceConfig {
+    ServiceConfig {
         full_trace: case.full_trace,
         require_launch: case.require_launch,
         ..ServiceConfig::default()
-    };
-    run(case.victim, config)
+    }
 }
 
-/// Digest of the deltas and resets extracted from a raw trace of the
-/// case's victim (or of the sampler's error, if it never read).
-fn tap_digest(victim: Victim) -> u64 {
+/// A raw trace of the victim and its sampler's report, or the sampler's
+/// error if it never read.
+fn tap(victim: Victim) -> Result<(Trace, SamplerReport), Errno> {
     let (mut sim, end) = victim.build();
-    let trace = Sampler::open(sim.device(), SamplerConfig::default()).and_then(|mut sampler| {
-        let trace = sampler.sample_until(&mut sim, end);
-        sampler.close(sim.device());
-        trace
-    });
-    match trace {
-        Ok(trace) => {
-            let (deltas, resets) = extract_deltas_with_resets(&trace);
+    let mut sampler = Sampler::open(sim.device(), SamplerConfig::default())?;
+    let trace = sampler.sample_until(&mut sim, end);
+    let report = sampler.report();
+    sampler.close(sim.device());
+    Ok((trace?, report))
+}
+
+/// Digest of the deltas and resets extracted from a tap (or of the
+/// sampler's error).
+fn tap_digest(tapped: &Result<(Trace, SamplerReport), Errno>) -> u64 {
+    match tapped {
+        Ok((trace, _)) => {
+            let (deltas, resets) = extract_deltas_with_resets(trace);
             let mut digest = FNV_BASIS;
             for d in &deltas {
                 digest = fnv1a(digest, &d.at.as_nanos().to_le_bytes());
@@ -236,18 +245,22 @@ fn decisions_digest(result: &Result<SessionResult, ServiceError>) -> u64 {
 /// The pinned digests of one case: its result, its decisions and its tap.
 type Pinned = (Case, u64, u64, u64);
 
-/// Runs every case, checks its three digests against their pinned values
-/// and returns the session results in case order. All mismatches are
-/// reported at once, with the digests this tree computed.
+/// Runs every case, checks its three digests against their pinned values,
+/// checks that its tap streamed in bursts of 1, 7 and 64 samples returns
+/// the same result, and returns the session results in case order. All
+/// mismatches are reported at once, with the digests this tree computed.
 fn replay(pinned: &[Pinned]) -> Vec<Result<SessionResult, ServiceError>> {
     let mut results = Vec::with_capacity(pinned.len());
     let mut mismatches = Vec::new();
     for &(case, result_pin, decisions_pin, tap_pin) in pinned {
-        let result = eavesdrop(case);
+        let service = AttackService::new(store().clone(), config(case));
+        let (mut sim, end) = case.victim.build();
+        let result = service.eavesdrop(&mut sim, end);
+        let tapped = tap(case.victim);
         let digests = (
             fnv1a(FNV_BASIS, format!("{result:?}").as_bytes()),
             decisions_digest(&result),
-            tap_digest(case.victim),
+            tap_digest(&tapped),
         );
         if digests != (result_pin, decisions_pin, tap_pin) {
             let (result_digest, decisions, tap) = digests;
@@ -255,6 +268,15 @@ fn replay(pinned: &[Pinned]) -> Vec<Result<SessionResult, ServiceError>> {
                 "{case:?}: result {result_digest:#018x}, decisions {decisions:#018x}, \
                  tap {tap:#018x}"
             ));
+        }
+        if let Ok((trace, report)) = &tapped {
+            for burst in [1, 7, 64] {
+                let mut session = service.streaming_session();
+                trace.samples().chunks(burst).for_each(|samples| session.push_samples(samples));
+                if session.finish(report) != result {
+                    mismatches.push(format!("{case:?}: bursts of {burst} changed the result"));
+                }
+            }
         }
         results.push(result);
     }

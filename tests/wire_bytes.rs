@@ -160,7 +160,7 @@ fn frame_boundaries_do_not_depend_on_burst_slicing() {
     let whole = datagrams_sent(&report, |client| client.push_samples(&samples));
     assert_eq!(whole, expected, "one slice: one frame per {BATCH} samples, then the Fin");
     let one_at_a_time =
-        datagrams_sent(&report, |client| samples.iter().for_each(|&s| client.push_sample(s)));
+        datagrams_sent(&report, |client| samples.chunks(1).for_each(|s| client.push_samples(s)));
     assert_eq!(one_at_a_time, expected, "one sample at a time changed the datagrams");
     for size in [7, 31, 33, 100] {
         let sliced = datagrams_sent(&report, |client| {
