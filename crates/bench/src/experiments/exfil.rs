@@ -5,13 +5,13 @@
 //! counter stream crosses a lossy network to an offsite classifier:
 //!
 //! 1. **Wire cost** — payload bytes per typed keystroke under a fault-free
-//!    link (the delta-of-delta batch codec's compression floor), after
-//!    asserting the split session reproduces the in-process pipeline
-//!    byte for byte.
+//!    link (the client ships only the reads whose counters changed, one
+//!    frame each), after asserting the split session reproduces the
+//!    in-process pipeline byte for byte.
 //! 2. **Wire latency** — press-to-inference latency as seen *at the
-//!    client*, i.e. including batching delay and the transport round trip,
-//!    against the in-process `decided_at` baseline the `latency` experiment
-//!    measures.
+//!    client*, i.e. including the transport round trip and the wait for
+//!    the next read slot's pump, against the in-process `decided_at`
+//!    baseline the `latency` experiment measures.
 //! 3. **Loss sweep** — accuracy as a function of datagram loss rate. The
 //!    retransmit/resequence/reconnect machinery should hold accuracy flat
 //!    while retransmissions (the price paid) climb.
@@ -193,8 +193,8 @@ pub fn exfil(ctx: &Ctx) {
     );
     report::kv("fault-free split == in-process", format!("ok ({:?})", inproc.recovered_text));
 
-    // Wire cost: acked payload bytes per typed keystroke (the batch codec's
-    // compression floor), plus total wire bytes including framing and acks.
+    // Wire cost: acked payload bytes per typed keystroke (one read message
+    // per changed read), plus total wire bytes including framing and acks.
     let keys = text.chars().count() as u64;
     let bytes_per_key = outcome.result.link.bytes_acked as f64 / keys as f64;
     report::kv(
@@ -206,8 +206,9 @@ pub fn exfil(ctx: &Ctx) {
     );
     spansight::count("bench.exfil.payload_bytes_per_key", bytes_per_key.round() as u64);
 
-    // 2. Wire latency: press → key streamed back to the client. Includes
-    // batching (up to one 32-sample batch, ~256 ms) and the round trip.
+    // 2. Wire latency: press → key streamed back to the client. A changed
+    // read leaves in its own slot; the round trip and the pumps, which run
+    // only at read slots, add the rest.
     let mut lat = press_latencies_ms(&truth, outcome.key_arrivals.iter().copied());
     lat.sort_unstable();
     for &ms in &lat {

@@ -53,16 +53,17 @@ pub fn fig25(ctx: &Ctx) {
     times_us.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let p = |q: f64| times_us[((times_us.len() - 1) as f64 * q) as usize];
     let under_100us = times_us.iter().filter(|t| **t < 100.0).count();
-    let buckets: Vec<(String, usize)> = (0..8)
-        .map(|b| {
-            let lo = b as f64 * 12.5;
-            let hi = lo + 12.5;
-            (
-                format!("{lo:>5.1}-{hi:<5.1}us"),
-                times_us.iter().filter(|t| **t >= lo && **t < hi).count(),
-            )
-        })
+    // Doubling edges from 0.125 us to 16 us, with a bucket below the first
+    // and one above the last, so the sub-microsecond presses spread.
+    let edges: Vec<f64> = (0..8).map(|k| 0.125 * f64::from(1u32 << k)).collect();
+    let mut buckets: Vec<(String, usize)> = std::iter::once(format!("< {} us", edges[0]))
+        .chain(edges.windows(2).map(|w| format!("{}-{} us", w[0], w[1])))
+        .chain(std::iter::once(format!(">= {} us", edges[edges.len() - 1])))
+        .map(|label| (label, 0))
         .collect();
+    for t in &times_us {
+        buckets[edges.partition_point(|e| e <= t)].1 += 1;
+    }
     report::histogram(&buckets);
     report::kv("median / p95 / p99", format!("{:.2} / {:.2} / {:.2} us", p(0.5), p(0.95), p(0.99)));
     report::kv(

@@ -290,9 +290,9 @@ struct PostRecognition<'s> {
     switch: SwitchStage,
     infer: InferStage<'s>,
     correction: CorrectionStage,
-    /// Accepted presses not yet drained by a streaming consumer (the wire
-    /// layer's classifier server streams these back as they commit).
-    fresh_keys: Vec<InferredKey>,
+    /// The presses the latest push committed (see
+    /// [`StreamingSession::new_keys`]); each push replaces them.
+    new_keys: Vec<InferredKey>,
 }
 
 impl<'s> PostRecognition<'s> {
@@ -316,7 +316,7 @@ impl<'s> PostRecognition<'s> {
                 model.ambient_signatures().to_vec(),
                 config.echo_corroboration,
             ),
-            fresh_keys: Vec::new(),
+            new_keys: Vec::new(),
         }
     }
 
@@ -331,7 +331,7 @@ impl<'s> PostRecognition<'s> {
         let Some(typing) = typing else { return };
         for event in self.infer.push(typing) {
             if let InferEvent::Key(key) = event {
-                self.fresh_keys.push(key);
+                self.new_keys.push(key);
             }
             self.correction.push(event);
         }
@@ -489,8 +489,8 @@ impl<'s> LocalDriver<'s> {
 /// extraction and device recognition to everything model-dependent behind
 /// it.
 ///
-/// Push samples in timestamp order, drain freshly committed presses at any
-/// point (the wire layer streams them back to the sampler side for latency
+/// Push samples in timestamp order, read the presses each push committed
+/// (the wire layer streams them back to the sampler side for latency
 /// measurement), and finish with the sampler's report to assemble the
 /// [`SessionResult`].
 pub struct StreamingSession<'s> {
@@ -523,8 +523,11 @@ impl<'s> StreamingSession<'s> {
     /// Feeds a burst of samples (in timestamp order) through the pipeline.
     /// Any split of a sample sequence into bursts gives the same result;
     /// delta extraction runs once per burst. The wire layer's classifier
-    /// server uses this to process each received exfiltration batch whole.
+    /// server pushes each read it receives.
     pub fn push_samples(&mut self, samples: &[Sample]) {
+        if let Some(post) = &mut self.post {
+            post.new_keys.clear();
+        }
         self.delta.push_samples(samples, &mut self.deltas);
         for delta in self.deltas.drain(..) {
             self.recognize.push(delta, &mut self.recognized);
@@ -537,13 +540,12 @@ impl<'s> StreamingSession<'s> {
         }
     }
 
-    /// Moves presses committed since the last drain into `out`. The full
-    /// per-session sequence equals `keys_before_corrections` of the final
-    /// result (corrections are only applied at session end).
-    pub fn drain_new_keys(&mut self, out: &mut Vec<InferredKey>) {
-        if let Some(post) = &mut self.post {
-            out.append(&mut post.fresh_keys);
-        }
+    /// The presses the latest [`StreamingSession::push_samples`] committed,
+    /// in commit order. Concatenated over every push they equal
+    /// `keys_before_corrections` of the final result (corrections are only
+    /// applied at session end).
+    pub fn new_keys(&self) -> &[InferredKey] {
+        self.post.as_ref().map_or(&[], |post| &post.new_keys)
     }
 
     /// Flushes every stage and assembles the session result. The switch
@@ -611,6 +613,42 @@ mod tests {
         sim.device().set_policy(kgsl::AccessPolicy::DenyAll);
         let err = service.eavesdrop(&mut sim, SimInstant::from_millis(500)).unwrap_err();
         assert_eq!(err, ServiceError::Device(Errno::Eacces));
+    }
+
+    #[test]
+    fn a_push_holds_only_the_presses_it_committed() {
+        use crate::offline::{Trainer, TrainerConfig};
+        use adreno_sim::time::SimDuration;
+        use rand::SeedableRng;
+
+        let cfg = android_ui::SimConfig::paper_default(3);
+        let mut store = ModelStore::new();
+        store.add(Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app));
+        let service = AttackService::new(store, ServiceConfig::default());
+        let mut sim = UiSimulation::new(cfg);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let typed = input_bot::script::Typist::new(input_bot::timing::VOLUNTEERS[0]).type_text(
+            "correcthorsebatterystaple",
+            SimInstant::from_millis(900),
+            &mut rng,
+        );
+        sim.queue_all(typed.events);
+        let end = typed.end + SimDuration::from_millis(800);
+        let mut sampler = Sampler::open(sim.device(), SamplerConfig::default()).expect("opens");
+        let trace = sampler.sample_until(&mut sim, end).expect("a stock device reads");
+
+        // One read per push, as the wire server pushes them: had the
+        // session kept earlier pushes' presses, a press would be streamed
+        // again at every later push.
+        let mut session = service.streaming_session();
+        let mut streamed = Vec::new();
+        for read in trace.samples() {
+            session.push_samples(std::slice::from_ref(read));
+            streamed.extend_from_slice(session.new_keys());
+        }
+        let result = session.finish(&sampler.report()).expect("the session analyses");
+        assert!(result.keys_before_corrections.len() >= 20, "test premise: a long session");
+        assert_eq!(streamed, result.keys_before_corrections, "each press streams once");
     }
 
     #[test]

@@ -484,11 +484,12 @@ proptest! {
         full_trace in any::<bool>(),
         require_launch in any::<bool>(),
     ) {
-        // Pushing a session's samples one per call must produce the same
-        // SessionResult — or the same error — as pushing them in bursts, for
-        // any trace, in both inference modes, with launch gating on or off.
-        // The burst sizes cover an odd size, the split server's 32-sample
-        // batch and the in-process driver's 64-sample burst.
+        // Pushing a session's samples one per call, as the split server
+        // does, must produce the same SessionResult — or the same error —
+        // as pushing them in bursts, for any trace, in both inference modes,
+        // with launch gating on or off. The burst sizes cover an odd size,
+        // the split driver's 32-slot quantum and the in-process driver's
+        // 64-sample burst.
         let kb = *model.kb_signature();
         let launch = *model.launch_signature();
         let presses: Vec<CounterSet> =

@@ -24,7 +24,9 @@ use crate::varint;
 
 /// Protocol revision; bump on any incompatible layout change.
 /// v2: `Hello` carries the 32-byte model digest (content address).
-pub const WIRE_VERSION: u8 = 2;
+/// v3: one self-contained `Read` per changed counter read replaces the
+/// columnar sample batch.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Two fixed bytes opening every frame ("GW": GPU wire).
 pub const MAGIC: [u8; 2] = [0x47, 0x57];

@@ -11,9 +11,10 @@
 //!   integrity, and the versioned length-prefixed [`Frame`] envelope every
 //!   datagram travels in.
 //! * [`message`] — the protocol: a versioned [`Message`] enum whose
-//!   [`SampleBatch`] holds counter samples as rows in memory and puts them
-//!   on the wire columnar, as delta-of-delta varints (about one byte per
-//!   column entry on the steady 8 ms grid).
+//!   [`Message::Read`] carries one counter read, its instant and its
+//!   eleven cumulative counters as varints. The client ships only the
+//!   reads the analysis can use: the first, then each that differs from
+//!   the read before it.
 //! * [`transport`] — [`SimTransport`], a seeded hostile link driven by a
 //!   [`LinkPlan`] in the same deterministic-plan idiom as
 //!   [`kgsl::FaultPlan`].
@@ -44,7 +45,7 @@ pub use gpu_sc_attack::varint;
 
 pub use error::{WireError, WireResult};
 pub use frame::{Frame, MAGIC, WIRE_VERSION};
-pub use message::{Message, SampleBatch};
+pub use message::Message;
 pub use session::{
     run_split_session, ClassifierServer, ExfilClient, ExfilConfig, ResequenceStage, SplitDriver,
     SplitOutcome, SplitSessionOutcome, SplitSessionTask, CONTROL_SEQ,

@@ -1,25 +1,23 @@
 //! The versioned message set and its compact binary codec.
 //!
 //! Client → server: [`Message::Hello`] (session open / reconnect-resume),
-//! [`Message::SampleBatch`] (the counter data itself), [`Message::Fin`]
-//! (end of sampling, carrying the sampler's degradation report).
+//! [`Message::Read`] (one counter read that differs from the read before
+//! it), [`Message::Fin`] (end of sampling, carrying the sampler's
+//! degradation report).
 //! Server → client: [`Message::Ack`] (cumulative), [`Message::InferredKeys`]
 //! (presses streamed back as they commit), [`Message::FinAck`] (the
 //! recovered credential).
 //!
-//! # Batch encoding
+//! # Read encoding
 //!
-//! A sample batch holds its samples as rows, the form the sampler reads
-//! them in and the analysis pipeline consumes them in, and goes on the wire
-//! *columnar*: the timestamp column followed by one column per tracked
-//! counter, each as `first value` + zigzagged delta-of-delta varints.
-//! Counters are cumulative and near-linear in time, and read timestamps sit
-//! on a jittered 8 ms grid — second differences of both are tiny, so almost
-//! every residual fits in one byte. The encoder walks the rows once per
-//! column and the decoder fills one pre-sized row buffer column by column.
-//! The `exfil` experiment reports the resulting bytes-per-keystroke.
+//! A read is self-contained: its instant in nanoseconds, then each tracked
+//! counter's cumulative value, all as varints. The analysis consumes only
+//! counter *changes*, so the client ships the session's first read and
+//! then only reads that differ from their predecessor; about one read in
+//! twenty. The `exfil` experiment reports the resulting bytes per
+//! keystroke.
 
-use adreno_sim::counters::{CounterSet, ALL_TRACKED, NUM_TRACKED};
+use adreno_sim::counters::{CounterSet, NUM_TRACKED};
 use adreno_sim::time::SimInstant;
 use gpu_sc_attack::online::InferredKey;
 use gpu_sc_attack::registry::ModelDigest;
@@ -29,79 +27,8 @@ use gpu_sc_attack::trace::Sample;
 use crate::error::{WireError, WireResult};
 use crate::varint;
 
-/// Columns of a batch on the wire: the timestamp, then each tracked counter.
-const COLUMNS: usize = 1 + NUM_TRACKED;
-
 /// Bytes in the longest `u64` varint.
 const MAX_VARINT: usize = 10;
-
-/// A batch of counter samples: rows in memory, columns on the wire.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SampleBatch {
-    samples: Vec<Sample>,
-}
-
-impl SampleBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        SampleBatch::default()
-    }
-
-    /// Builds a batch from row-form samples.
-    pub fn from_samples(samples: &[Sample]) -> Self {
-        SampleBatch { samples: samples.to_vec() }
-    }
-
-    /// Number of samples in the batch.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the batch holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The samples, in order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> WireResult<Self> {
-        let count = varint::read_u64(buf, pos)?;
-        // Each sample costs at least one byte in every column; reject counts
-        // the buffer cannot possibly back before allocating anything.
-        if u128::from(count) * COLUMNS as u128 > (buf.len() - *pos) as u128 {
-            return Err(WireError::LengthMismatch);
-        }
-        let blank = Sample { at: SimInstant::ZERO, values: CounterSet::ZERO };
-        let mut samples = vec![blank; count as usize];
-        decode_column(buf, pos, &mut samples, |s, v| s.at = SimInstant::from_nanos(v))?;
-        for c in ALL_TRACKED {
-            decode_column(buf, pos, &mut samples, |s, v| s.values[c] = v)?;
-        }
-        Ok(SampleBatch { samples })
-    }
-}
-
-/// A batch payload's usual size: the tag, the count, and per column a full
-/// first value plus two bytes for each residual. Steady-state batches fit;
-/// a burst of large residuals grows the buffer once.
-fn batch_len_hint(samples: usize) -> usize {
-    1 + MAX_VARINT + COLUMNS * (MAX_VARINT + 2 * samples.saturating_sub(1))
-}
-
-/// Appends the payload of `Message::SampleBatch(SampleBatch::from_samples(samples))`
-/// to `buf`, byte for byte, encoded straight from the caller's rows: the
-/// tag, the sample count, then each column in turn.
-pub(crate) fn encode_batch(buf: &mut Vec<u8>, samples: &[Sample]) {
-    buf.push(TAG_SAMPLE_BATCH);
-    varint::write_u64(buf, samples.len() as u64);
-    encode_column(buf, samples.iter().map(|s| s.at.as_nanos()));
-    for c in ALL_TRACKED {
-        encode_column(buf, samples.iter().map(|s| s.values[c]));
-    }
-}
 
 /// Zigzag-maps a signed value to unsigned, so that small magnitudes of
 /// either sign encode in few varint bytes: one byte for `[-64, 63]`.
@@ -112,43 +39,6 @@ fn zigzag(v: i64) -> u64 {
 /// Inverse of [`zigzag`].
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// One column as `first` + zigzagged delta-of-delta residuals. Wrapping
-/// arithmetic throughout: the codec is an exact bijection on any `u64`
-/// sequence, monotone or not.
-fn encode_column(buf: &mut Vec<u8>, mut col: impl Iterator<Item = u64>) {
-    let Some(first) = col.next() else { return };
-    varint::write_u64(buf, first);
-    let mut prev = first;
-    let mut prev_delta = 0i64;
-    for v in col {
-        let delta = v.wrapping_sub(prev) as i64;
-        varint::write_u64(buf, zigzag(delta.wrapping_sub(prev_delta)));
-        prev = v;
-        prev_delta = delta;
-    }
-}
-
-/// Decodes one column into `rows`, storing each value with `set`.
-fn decode_column(
-    buf: &[u8],
-    pos: &mut usize,
-    rows: &mut [Sample],
-    set: impl Fn(&mut Sample, u64),
-) -> WireResult<()> {
-    let Some((first_row, rest)) = rows.split_first_mut() else { return Ok(()) };
-    let first = varint::read_u64(buf, pos)?;
-    set(first_row, first);
-    let mut prev = first;
-    let mut prev_delta = 0i64;
-    for row in rest {
-        let delta = prev_delta.wrapping_add(unzigzag(varint::read_u64(buf, pos)?));
-        prev = prev.wrapping_add(delta as u64);
-        set(row, prev);
-        prev_delta = delta;
-    }
-    Ok(())
 }
 
 /// Everything that can cross the link, under one version tag (see
@@ -169,8 +59,9 @@ pub enum Message {
         /// [`ModelDigest::ZERO`] requests legacy device recognition.
         model_digest: ModelDigest,
     },
-    /// A batch of counter samples.
-    SampleBatch(SampleBatch),
+    /// One counter read, shipped because it differs from the read before
+    /// it (or is the session's first).
+    Read(Sample),
     /// End of sampling; carries the sampler's own degradation report so
     /// the classifier side can assemble the full session result.
     Fin {
@@ -196,7 +87,7 @@ pub enum Message {
 }
 
 const TAG_HELLO: u8 = 0x01;
-const TAG_SAMPLE_BATCH: u8 = 0x02;
+const TAG_READ: u8 = 0x02;
 const TAG_FIN: u8 = 0x03;
 const TAG_ACK: u8 = 0x04;
 const TAG_INFERRED_KEYS: u8 = 0x05;
@@ -298,7 +189,13 @@ impl Message {
                 varint::write_u64(buf, *resume_from);
                 buf.extend_from_slice(model_digest.as_bytes());
             }
-            Message::SampleBatch(batch) => encode_batch(buf, &batch.samples),
+            Message::Read(read) => {
+                buf.push(TAG_READ);
+                varint::write_u64(buf, read.at.as_nanos());
+                for &value in read.values.as_array() {
+                    varint::write_u64(buf, value);
+                }
+            }
             Message::Fin { report } => {
                 buf.push(TAG_FIN);
                 for field in report_fields(report) {
@@ -318,12 +215,11 @@ impl Message {
         }
     }
 
-    /// A buffer size that holds the encoding: exact upper bounds, except for
-    /// a batch (see [`batch_len_hint`]).
+    /// An upper bound on the encoding's length.
     fn len_hint(&self) -> usize {
         match self {
             Message::Hello { .. } => 1 + 2 * MAX_VARINT + 32,
-            Message::SampleBatch(batch) => batch_len_hint(batch.len()),
+            Message::Read(_) => 1 + (1 + NUM_TRACKED) * MAX_VARINT,
             Message::Fin { .. } => 1 + 11 * MAX_VARINT,
             Message::Ack { .. } => 1 + MAX_VARINT,
             // Per key: two u64 varints, a code point in at most 3 bytes, a flag.
@@ -360,7 +256,14 @@ impl Message {
                     model_digest: ModelDigest::from_bytes(digest),
                 }
             }
-            TAG_SAMPLE_BATCH => Message::SampleBatch(SampleBatch::decode_from(buf, &mut pos)?),
+            TAG_READ => {
+                let at = SimInstant::from_nanos(varint::read_u64(buf, &mut pos)?);
+                let mut values = [0u64; NUM_TRACKED];
+                for value in &mut values {
+                    *value = varint::read_u64(buf, &mut pos)?;
+                }
+                Message::Read(Sample { at, values: CounterSet::from_array(values) })
+            }
             TAG_FIN => {
                 let mut fields = [0u64; 11];
                 for field in &mut fields {
@@ -406,14 +309,6 @@ impl Message {
 mod tests {
     use super::*;
 
-    fn sample(at_ms: u64, base: u64) -> Sample {
-        let mut values = [0u64; NUM_TRACKED];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = base + i as u64 * 17;
-        }
-        Sample { at: SimInstant::from_millis(at_ms), values: CounterSet::from_array(values) }
-    }
-
     #[test]
     fn zigzag_round_trips_and_keeps_small_magnitudes_short() {
         let mut buf = Vec::new();
@@ -427,37 +322,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_round_trips_columnar() {
-        let samples = vec![sample(0, 5), sample(8, 5), sample(16, 900), sample(24, 901)];
-        let batch = SampleBatch::from_samples(&samples);
-        let payload = Message::SampleBatch(batch.clone()).encode();
-        match Message::decode(&payload) {
-            Ok(Message::SampleBatch(decoded)) => {
-                assert_eq!(decoded, batch);
-                assert_eq!(decoded.samples(), samples);
-            }
-            other => panic!("unexpected decode {other:?}"),
+    fn read_round_trips_and_every_truncation_is_typed() {
+        let mut values = [0u64; NUM_TRACKED];
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = (1 << (6 * i)) + i as u64;
         }
-    }
-
-    #[test]
-    fn steady_grid_costs_about_a_byte_per_column_entry() {
-        // 32 samples on a clean 8 ms grid with idle counters: after the
-        // batch header every timestamp and value residual is zero → 1 byte.
-        let samples: Vec<Sample> = (0..32).map(|i| sample(i * 8, 1000)).collect();
-        let payload = Message::SampleBatch(SampleBatch::from_samples(&samples)).encode();
-        // Header + 12 columns × (first value + 31 one-byte residuals).
-        assert!(
-            payload.len() < 12 * 40 + 16,
-            "steady-state batch blew up to {} bytes",
-            payload.len()
-        );
-    }
-
-    #[test]
-    fn empty_batch_is_valid() {
-        let payload = Message::SampleBatch(SampleBatch::new()).encode();
-        assert_eq!(Message::decode(&payload), Ok(Message::SampleBatch(SampleBatch::new())));
+        values[NUM_TRACKED - 1] = u64::MAX;
+        let read =
+            Sample { at: SimInstant::from_millis(4_321), values: CounterSet::from_array(values) };
+        let payload = Message::Read(read).encode();
+        assert!(payload.len() <= Message::Read(read).len_hint(), "the hint bounds the encoding");
+        assert_eq!(Message::decode(&payload), Ok(Message::Read(read)));
+        for cut in 0..payload.len() {
+            assert_eq!(Message::decode(&payload[..cut]), Err(WireError::Truncated), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -489,13 +367,6 @@ mod tests {
         // An InferredKeys message claiming u64::MAX keys in 3 bytes.
         let mut payload = vec![TAG_INFERRED_KEYS];
         varint::write_u64(&mut payload, u64::MAX);
-        assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
-        let mut payload = vec![TAG_SAMPLE_BATCH];
-        varint::write_u64(&mut payload, u64::MAX);
-        assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
-        // Two samples take at least one byte per column entry, 24 in all.
-        let mut payload = vec![TAG_SAMPLE_BATCH, 2];
-        payload.extend([0; 2 * COLUMNS - 1]);
         assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
     }
 }

@@ -5,17 +5,19 @@
 //! # Reliability model
 //!
 //! The client owns a reliable byte-free *frame* stream: every data frame
-//! ([`Message::SampleBatch`], [`Message::Fin`]) carries a dense sequence
-//! number starting at 0. The server acknowledges cumulatively
-//! ([`Message::Ack`] carries the next sequence number it is missing) and
-//! resequences out-of-order arrivals in a bounded buffer. The client
-//! retransmits unacked frames on a capped exponential backoff and, when the
-//! oldest unacked frame has been retransmitted [`ExfilConfig::reconnect_after`]
+//! ([`Message::Read`], [`Message::Fin`]) carries a dense sequence number
+//! starting at 0. The server acknowledges cumulatively ([`Message::Ack`]
+//! carries the next sequence number it is missing) and resequences
+//! out-of-order arrivals in a bounded buffer. The client retransmits unacked
+//! frames on a capped exponential backoff (30 ms doubling to at most
+//! 500 ms) and, when the oldest unacked frame has been retransmitted four
 //! times without progress (the signature of a link outage rather than
 //! sporadic loss), performs a reconnect: a fresh [`Message::Hello`] carrying
 //! `resume_from` — the oldest unacked sequence number — which the server
 //! answers with its actual `next_expected`, snapping both ends back into
-//! agreement.
+//! agreement. The server opens the session only at a Hello and leaves data
+//! that reaches it first unacknowledged, so until the first Ack arrives the
+//! client re-sends its Hello with every retransmit round.
 //!
 //! Control frames (Hello, Ack) travel *outside* the data sequence space
 //! under [`CONTROL_SEQ`]: they are idempotent and applied on arrival, so a
@@ -31,6 +33,7 @@
 //! — until its `FinAck` lands, so a lost `FinAck` is always asked for again
 //! and the handshake terminates whenever the link does.
 
+use adreno_sim::counters::CounterSet;
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::UiSimulation;
 use gpu_sc_attack::online::InferredKey;
@@ -43,7 +46,7 @@ use gpu_sc_attack::trace::Sample;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::frame;
-use crate::message::{encode_batch, encode_inferred_keys, Message};
+use crate::message::{encode_inferred_keys, Message};
 use crate::transport::{Direction, LinkPlan, SimTransport, TransportStats};
 
 /// The sequence number reserved for control frames (Hello, Ack), which live
@@ -53,21 +56,26 @@ pub const CONTROL_SEQ: u64 = u64::MAX;
 /// A wake instant no pump reaches: nothing is waiting on a timer.
 const NEVER: SimInstant = SimInstant::from_nanos(u64::MAX);
 
+/// Read slots per quantum of a streaming [`SplitDriver`]. Both ends pump
+/// at every slot; the quantum only sets how often the driver yields.
+const READS_PER_QUANTUM: usize = 32;
+
+/// First retransmit timeout; doubles per retransmit of the same frame.
+const RETRANSMIT_AFTER: SimDuration = SimDuration::from_millis(30);
+
+/// Ceiling on the per-frame retransmit backoff.
+const MAX_RETRANSMIT_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
+/// Retransmits of the *oldest* unacked frame before the client declares
+/// the link down and reconnects.
+const RECONNECT_AFTER: u32 = 4;
+
 /// Tuning for the client side of the split session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExfilConfig {
-    /// Samples per [`Message::SampleBatch`] frame.
-    pub batch_samples: usize,
     /// Maximum unacknowledged data frames in flight; further frames queue
     /// locally (backpressure) until acks open the window.
     pub window: usize,
-    /// First retransmit timeout; doubles per retransmit of the same frame.
-    pub retransmit_after: SimDuration,
-    /// Ceiling on the per-frame retransmit backoff.
-    pub max_retransmit_backoff: SimDuration,
-    /// Retransmits of the *oldest* unacked frame before the client declares
-    /// the link down and reconnects.
-    pub reconnect_after: u32,
     /// How long past the end of sampling the driver keeps pumping the link
     /// waiting for the final handshake.
     pub drain_timeout: SimDuration,
@@ -75,14 +83,7 @@ pub struct ExfilConfig {
 
 impl Default for ExfilConfig {
     fn default() -> Self {
-        ExfilConfig {
-            batch_samples: 32,
-            window: 8,
-            retransmit_after: SimDuration::from_millis(30),
-            max_retransmit_backoff: SimDuration::from_millis(500),
-            reconnect_after: 4,
-            drain_timeout: SimDuration::from_secs(30),
-        }
+        ExfilConfig { window: 8, drain_timeout: SimDuration::from_secs(30) }
     }
 }
 
@@ -143,8 +144,9 @@ struct PendingFrame {
     retransmits: u32,
 }
 
-/// The on-device half: packs samples into frames, keeps the reliable
-/// stream's send window, retransmits, and reconnects through outages.
+/// The on-device half: frames every changed counter read, keeps the
+/// reliable stream's send window, retransmits, and reconnects through
+/// outages.
 #[derive(Debug)]
 pub struct ExfilClient {
     config: ExfilConfig,
@@ -152,9 +154,8 @@ pub struct ExfilClient {
     /// Content address of the model this sampler expects the server to
     /// classify with; [`ModelDigest::ZERO`] requests device recognition.
     model_digest: ModelDigest,
-    /// Samples short of a full batch, waiting for the next burst. Empty
-    /// whenever bursts come in whole batches, as [`SplitDriver`]'s do.
-    tail: Vec<Sample>,
+    /// Counter values of the last read pushed; `None` before the first.
+    last_values: Option<CounterSet>,
     /// The payload being framed, reused by every frame the client sends.
     payload: Vec<u8>,
     /// Datagrams received and not yet absorbed, reused by every pump.
@@ -167,6 +168,10 @@ pub struct ExfilClient {
     next_seq: u64,
     /// Lowest data seq not yet acknowledged by the server.
     acked_to: u64,
+    /// Whether an Ack has arrived, so the server holds a session opened by
+    /// a Hello. Until then each retransmit round re-sends the Hello: the
+    /// server leaves data that reaches it first unacknowledged.
+    answered: bool,
     finished: bool,
     done: bool,
     recovered: Option<String>,
@@ -190,13 +195,14 @@ impl ExfilClient {
             config,
             session_id,
             model_digest,
-            tail: Vec::new(),
+            last_values: None,
             payload: Vec::new(),
             inbox: Vec::new(),
             pending: VecDeque::new(),
             wake: SimInstant::ZERO,
             next_seq: 0,
             acked_to: 0,
+            answered: false,
             finished: false,
             done: false,
             recovered: None,
@@ -219,41 +225,29 @@ impl ExfilClient {
         );
     }
 
-    /// Stages a burst of counter samples for exfiltration: every full
-    /// [`ExfilConfig::batch_samples`] batch is encoded straight from the
-    /// burst into its frame, and only a partial tail waits for the next
-    /// burst. Frame boundaries depend only on the cumulative sample count,
-    /// so any split of a sample sequence into bursts, down to one sample
-    /// each, produces the same frames. [`run_split_session`] hands over
-    /// each wire batch of reads through this.
-    pub fn push_samples(&mut self, mut samples: &[Sample]) {
-        let batch = self.config.batch_samples.max(1);
-        if !self.tail.is_empty() {
-            let (head, rest) = samples.split_at((batch - self.tail.len()).min(samples.len()));
-            self.tail.extend_from_slice(head);
-            samples = rest;
-            if self.tail.len() < batch {
-                return;
+    /// Stages a burst of counter reads for exfiltration. The session's first
+    /// read and every read whose counters differ from the read before it
+    /// (a counter reset included) each become one [`Message::Read`] frame;
+    /// an unchanged read, which the analysis would skip, ships nothing. The
+    /// comparison carries across calls, so any split of a read sequence
+    /// into bursts, down to one read each, produces the same frames.
+    /// [`SplitDriver`] hands over each read as it lands.
+    pub fn push_samples(&mut self, samples: &[Sample]) {
+        for read in samples {
+            if self.last_values == Some(read.values) {
+                continue;
             }
-            self.enqueue_tail();
-        }
-        let mut chunks = samples.chunks_exact(batch);
-        for chunk in &mut chunks {
+            self.last_values = Some(read.values);
             self.payload.clear();
-            encode_batch(&mut self.payload, chunk);
+            Message::Read(*read).encode_into(&mut self.payload);
             self.enqueue(false);
         }
-        self.tail.extend_from_slice(chunks.remainder());
     }
 
-    /// Ends sampling: flushes the tail batch and queues the Fin frame
-    /// carrying the sampler's report.
+    /// Ends sampling: queues the Fin frame carrying the sampler's report.
     pub fn finish_sampling(&mut self, report: &SamplerReport) {
         assert!(!self.finished, "finish_sampling called twice");
         self.finished = true;
-        if !self.tail.is_empty() {
-            self.enqueue_tail();
-        }
         self.payload.clear();
         Message::Fin { report: *report }.encode_into(&mut self.payload);
         self.enqueue(true);
@@ -281,14 +275,6 @@ impl ExfilClient {
         self.link
     }
 
-    /// Queues the tail's samples as one batch frame and empties the tail.
-    fn enqueue_tail(&mut self) {
-        self.payload.clear();
-        encode_batch(&mut self.payload, &self.tail);
-        self.tail.clear();
-        self.enqueue(false);
-    }
-
     /// Frames the payload under the next data sequence number and queues
     /// the datagram behind the ones already pending.
     fn enqueue(&mut self, fin: bool) {
@@ -300,7 +286,7 @@ impl ExfilClient {
             payload_len: self.payload.len() as u64,
             fin,
             last_sent: None,
-            backoff: self.config.retransmit_after,
+            backoff: RETRANSMIT_AFTER,
             retransmits: 0,
         });
         // The next pump transmits it.
@@ -354,21 +340,22 @@ impl ExfilClient {
             }
         }
         // Retransmissions on capped exponential backoff.
+        let mut retransmitted = false;
         let mut reconnect = false;
-        let max_backoff = self.config.max_retransmit_backoff;
         let mut wake = NEVER;
         for (i, p) in self.pending.iter_mut().enumerate() {
             let Some(mut sent_at) = p.last_sent else { continue };
             if now.saturating_since(sent_at) >= p.backoff {
                 sent_at = now;
                 p.last_sent = Some(now);
-                p.backoff = (p.backoff * 2).min(max_backoff);
+                p.backoff = (p.backoff * 2).min(MAX_RETRANSMIT_BACKOFF);
                 p.retransmits += 1;
+                retransmitted = true;
                 self.link.frames_sent += 1;
                 self.link.retransmits += 1;
                 self.link.bytes_sent += p.datagram.len() as u64;
                 transport.send(Direction::ToServer, now, p.datagram.clone());
-                if i == 0 && p.retransmits >= self.config.reconnect_after {
+                if i == 0 && p.retransmits >= RECONNECT_AFTER {
                     reconnect = true;
                     p.retransmits = 0;
                 }
@@ -382,6 +369,8 @@ impl ExfilClient {
             // the session from our low-water mark. The server's Ack reply
             // restores a shared view of `next_expected`.
             self.link.reconnects += 1;
+        }
+        if reconnect || (retransmitted && !self.answered) {
             self.send_control(
                 transport,
                 now,
@@ -410,6 +399,7 @@ impl ExfilClient {
         }
         match msg {
             Message::Ack { next_expected } => {
+                self.answered = true;
                 if next_expected > self.acked_to {
                     self.acked_to = next_expected;
                 }
@@ -441,12 +431,12 @@ impl ExfilClient {
             }
             // Client-bound messages only; anything else is a peer bug, not
             // link damage — drop it.
-            Message::Hello { .. } | Message::SampleBatch(_) | Message::Fin { .. } => {}
+            Message::Hello { .. } | Message::Read(_) | Message::Fin { .. } => {}
         }
     }
 }
 
-/// The offsite half: reassembles the sample stream off the wire, feeds the
+/// The offsite half: applies each read off the wire, in sequence, to the
 /// incremental pipeline, streams presses back as they commit, and finishes
 /// the session when Fin arrives.
 pub struct ClassifierServer<'s> {
@@ -461,7 +451,6 @@ pub struct ClassifierServer<'s> {
     /// The payload being framed, reused by every frame the server sends.
     payload: Vec<u8>,
     inbox: Vec<Message>,
-    fresh_keys: Vec<InferredKey>,
     next_out_seq: u64,
     finack: Option<Vec<u8>>,
     result: Option<Result<SessionResult, ServiceError>>,
@@ -479,7 +468,6 @@ impl<'s> ClassifierServer<'s> {
             datagrams: Vec::new(),
             payload: Vec::new(),
             inbox: Vec::new(),
-            fresh_keys: Vec::new(),
             next_out_seq: 0,
             finack: None,
             result: None,
@@ -548,12 +536,19 @@ impl<'s> ClassifierServer<'s> {
         if seq == CONTROL_SEQ {
             if let Message::Hello { model_digest, .. } = msg {
                 // Initial open or reconnect-resume: both are answered with
-                // where the data stream actually stands. The session itself
-                // is created lazily on first data.
+                // where the data stream actually stands. The first Hello
+                // opens the session on the model it names.
                 self.requested_digest = Some(model_digest);
                 self.ensure_session();
                 self.send_ack(transport, now);
             }
+            return;
+        }
+        if self.requested_digest.is_none() {
+            // Data that overtook a delayed or lost Hello has no session
+            // yet: opening one would ignore the model the Hello pins. Left
+            // unacknowledged, it is retransmitted, and the client re-sends
+            // its Hello with every retransmit round until an Ack answers.
             return;
         }
         let before = self.resequencer.next_expected();
@@ -592,28 +587,25 @@ impl<'s> ClassifierServer<'s> {
                     }
                 }
             }
-            // Zero digest (or no Hello seen yet): legacy device recognition.
+            // Zero digest: legacy device recognition.
             _ => self.session = Some(self.service.streaming_session()),
         }
     }
 
     fn apply(&mut self, msg: Message, transport: &mut SimTransport, now: SimInstant) {
         match msg {
-            Message::SampleBatch(batch) => {
-                self.ensure_session();
+            Message::Read(read) => {
                 let Some(session) = self.session.as_mut() else { return };
-                session.push_samples(batch.samples());
-                session.drain_new_keys(&mut self.fresh_keys);
-                if !self.fresh_keys.is_empty() {
+                session.push_samples(std::slice::from_ref(&read));
+                let keys = session.new_keys();
+                if !keys.is_empty() {
                     self.payload.clear();
-                    encode_inferred_keys(&mut self.payload, &self.fresh_keys);
-                    self.fresh_keys.clear();
+                    encode_inferred_keys(&mut self.payload, keys);
                     let datagram = self.frame_data();
                     self.send(transport, now, datagram);
                 }
             }
             Message::Fin { report } => {
-                self.ensure_session();
                 let recovered = match self.session.take() {
                     Some(session) => {
                         let result = session.finish(&report);
@@ -684,7 +676,8 @@ fn fold_link(
 
 /// Where a [`SplitDriver`] stands in the session lifecycle.
 enum SplitPhase {
-    /// Counter sampling still running; each step reads one wire batch.
+    /// Counter sampling still running; each step runs up to
+    /// [`READS_PER_QUANTUM`] read slots.
     Streaming,
     /// Sampling is over; each step is one coarse drain tick until the final
     /// handshake lands or the deadline passes.
@@ -697,8 +690,8 @@ enum SplitPhase {
 }
 
 /// A split session as an incremental state machine: one [`SplitDriver::step`]
-/// call runs one *quantum* (a wire batch of reads while sampling, a 5 ms drain
-/// tick afterwards) and yields. [`run_split_session`] drives it in a tight
+/// call runs one *quantum* (32 read slots while sampling, a 5 ms drain tick
+/// afterwards) and yields. [`run_split_session`] drives it in a tight
 /// loop for the one-session case; the fleet orchestrator steps many drivers
 /// interleaved on the same workers via [`SplitSessionTask`].
 ///
@@ -717,8 +710,6 @@ pub struct SplitDriver<'s> {
     sampling: Option<(Sampler, gpu_sc_attack::sampler::SampleStream)>,
     /// What the sampler survived; final once streaming ends.
     report: SamplerReport,
-    /// One wire batch of samples, read before the client encodes it.
-    burst: Vec<Sample>,
     phase: SplitPhase,
     _span: spansight::Span,
 }
@@ -752,7 +743,6 @@ impl<'s> SplitDriver<'s> {
         let mut sampler = Sampler::open(sim.device(), service.config().sampler)?;
         let stream = sampler.start_stream(sim, until);
         client.connect(&mut transport, sim.now());
-        let burst = Vec::with_capacity(config.batch_samples);
         Ok(SplitDriver {
             service,
             config,
@@ -761,7 +751,6 @@ impl<'s> SplitDriver<'s> {
             server,
             sampling: Some((sampler, stream)),
             report: SamplerReport::default(),
-            burst,
             phase: SplitPhase::Streaming,
             _span: span,
         })
@@ -775,42 +764,17 @@ impl<'s> SplitDriver<'s> {
             SplitPhase::Streaming => {
                 let (sampler, stream) =
                     self.sampling.as_mut().expect("streaming phase owns the sampler");
-                // Read one wire batch, then hand it to the client, which
-                // encodes it as one SampleBatch frame. Both ends still pump
-                // at every read slot — the retransmit/ack clock needs the
-                // fine-grained ticks (its timeouts are shorter than a
-                // batch's worth of slots) — but those per-slot pumps carry
-                // no encoding work.
-                let batch = self.config.batch_samples.max(1);
-                self.burst.clear();
-                while self.burst.len() < batch {
-                    let Some(sample) = sampler.next_sample(stream, sim) else { break };
-                    self.burst.push(sample);
+                // Each read goes to the client as it lands, so a changed
+                // read is queued before its slot's pump and leaves in that
+                // slot. Both ends pump at every read slot: the
+                // retransmit/ack clock needs the fine-grained ticks.
+                for _ in 0..READS_PER_QUANTUM {
+                    let Some(read) = sampler.next_sample(stream, sim) else {
+                        return self.end_stream(sim);
+                    };
+                    self.client.push_samples(std::slice::from_ref(&read));
                     self.client.pump(&mut self.transport, sim.now());
                     self.server.pump(&mut self.transport, sim.now());
-                }
-                let stream_done = self.burst.len() < batch;
-                self.client.push_samples(&self.burst);
-                self.client.pump(&mut self.transport, sim.now());
-                self.server.pump(&mut self.transport, sim.now());
-                if stream_done {
-                    let (mut sampler, stream) =
-                        self.sampling.take().expect("streaming phase owns the sampler");
-                    let finished = sampler.finish_stream(stream);
-                    self.report = sampler.report();
-                    sampler.close(sim.device());
-                    if let Err(err) = finished {
-                        self.phase = SplitPhase::Done;
-                        return Some(Err(ServiceError::Device(err)));
-                    }
-                    self.client.finish_sampling(&self.report);
-                    // Drain: sampling is over, but frames are still in
-                    // flight. Keep pumping on a coarse tick until the final
-                    // handshake lands or the budget runs out (the
-                    // retransmit/reconnect machinery needs the clock to
-                    // advance).
-                    self.phase =
-                        SplitPhase::Draining { deadline: sim.now() + self.config.drain_timeout };
                 }
                 None
             }
@@ -827,6 +791,29 @@ impl<'s> SplitDriver<'s> {
             }
             SplitPhase::Done => unreachable!("a finished split driver must not be stepped"),
         }
+    }
+
+    /// Ends streaming once the sampler's stream has run out: both ends pump
+    /// at the stream's end, the sampler closes, and the client queues its
+    /// Fin. `Some` only when the session acquired nothing.
+    fn end_stream(&mut self, sim: &mut UiSimulation) -> Option<Result<SplitOutcome, ServiceError>> {
+        self.client.pump(&mut self.transport, sim.now());
+        self.server.pump(&mut self.transport, sim.now());
+        let (mut sampler, stream) = self.sampling.take().expect("streaming phase owns the sampler");
+        let finished = sampler.finish_stream(stream);
+        self.report = sampler.report();
+        sampler.close(sim.device());
+        if let Err(err) = finished {
+            self.phase = SplitPhase::Done;
+            return Some(Err(ServiceError::Device(err)));
+        }
+        self.client.finish_sampling(&self.report);
+        // Drain: sampling is over, but frames are still in flight. Keep
+        // pumping on a coarse tick until the final handshake lands or the
+        // budget runs out (the retransmit/reconnect machinery needs the
+        // clock to advance).
+        self.phase = SplitPhase::Draining { deadline: sim.now() + self.config.drain_timeout };
+        None
     }
 
     /// Assembles the outcome once draining ends (handshake done or budget
@@ -985,7 +972,8 @@ impl gpu_sc_attack::fleet::Session for SplitSessionTask<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adreno_sim::counters::CounterSet;
+    use gpu_sc_attack::offline::ModelStore;
+    use gpu_sc_attack::service::ServiceConfig;
 
     fn sample(ms: u64, base: u64) -> Sample {
         let mut values = [0u64; adreno_sim::counters::NUM_TRACKED];
@@ -1015,26 +1003,92 @@ mod tests {
         // A plan whose outage swallows the first transmissions.
         let plan = LinkPlan::new(5);
         let mut transport = SimTransport::new(&plan);
-        let config = ExfilConfig {
-            retransmit_after: SimDuration::from_millis(10),
-            reconnect_after: 2,
-            ..ExfilConfig::default()
-        };
-        let mut client = ExfilClient::new(config, 1);
-        let samples: Vec<Sample> =
-            (0..config.batch_samples).map(|i| sample(i as u64, 10)).collect();
-        client.push_samples(&samples);
+        let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+        client.push_samples(&[sample(0, 10)]);
         let t0 = SimInstant::from_millis(0);
         client.pump(&mut transport, t0);
         // Discard everything the transport carries so no acks ever return,
-        // then let the retransmit clock run.
-        for step in 1..20u64 {
-            let now = t0 + SimDuration::from_millis(step * 15);
+        // then let the retransmit clock run through the oldest frame's
+        // backoffs up to the reconnect, pumping twice per first timeout.
+        let silence = (0..RECONNECT_AFTER).fold(SimDuration::ZERO, |total, k| {
+            total + (RETRANSMIT_AFTER * (1 << k)).min(MAX_RETRANSMIT_BACKOFF)
+        });
+        let mut now = t0;
+        while now <= t0 + silence {
+            now += RETRANSMIT_AFTER / 2;
             transport.recv(Direction::ToServer, now).clear();
             client.pump(&mut transport, now);
         }
         let link = client.link_report();
         assert!(link.retransmits >= 2, "{link}");
         assert!(link.reconnects >= 1, "silence must trigger a reconnect: {link}");
+    }
+
+    #[test]
+    fn data_that_overtakes_its_hello_waits_for_the_pinned_model() {
+        // A read reaches the server before the Hello that pins a model the
+        // server lacks. Had the read opened a session, the pin would go
+        // unheeded and the mismatch unreported.
+        let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
+        let mut server = ClassifierServer::new(&service);
+        let mut transport = SimTransport::new(&LinkPlan::new(1));
+        let pinned = ModelDigest::of(b"a model the server does not hold");
+        let hello = Message::Hello { session_id: 1, resume_from: 0, model_digest: pinned };
+        let read = frame::encode(0, &Message::Read(sample(0, 10)).encode());
+        let fin = frame::encode(1, &Message::Fin { report: SamplerReport::default() }.encode());
+        let mut now = SimInstant::ZERO;
+        for datagram in [read.clone(), frame::encode(CONTROL_SEQ, &hello.encode()), read, fin] {
+            transport.send(Direction::ToServer, now, datagram);
+            now += SimDuration::from_millis(10);
+            server.pump(&mut transport, now);
+        }
+        let acks: Vec<u64> = transport
+            .recv(Direction::ToClient, now + SimDuration::from_secs(1))
+            .iter()
+            .filter_map(|datagram| {
+                match frame::decode_in_place(datagram).map(|(_, p)| Message::decode(p)) {
+                    Ok(Ok(Message::Ack { next_expected })) => Some(next_expected),
+                    _ => None,
+                }
+            })
+            .collect();
+        assert_eq!(acks, [0, 1, 2], "the read before the Hello is left unacknowledged");
+        assert!(
+            matches!(server.result(), Some(Err(ServiceError::ModelDigestMismatch(d))) if *d == pinned),
+            "{:?}",
+            server.result()
+        );
+    }
+
+    #[test]
+    fn a_hello_is_resent_with_each_retransmit_until_answered() {
+        let mut transport = SimTransport::new(&LinkPlan::new(6));
+        let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+        // Takes everything the client sent so far off the link, as a loss
+        // would, and counts the Hellos among it.
+        let hellos_lost = |transport: &mut SimTransport, now: SimInstant| {
+            let sent = transport.recv(Direction::ToServer, now + SimDuration::from_secs(1));
+            sent.iter()
+                .filter(|datagram| {
+                    let msg = frame::decode_in_place(datagram).map(|(_, p)| Message::decode(p));
+                    matches!(msg, Ok(Ok(Message::Hello { .. })))
+                })
+                .count()
+        };
+        let t0 = SimInstant::ZERO;
+        client.connect(&mut transport, t0);
+        client.push_samples(&[sample(0, 10)]);
+        client.pump(&mut transport, t0);
+        assert_eq!(hellos_lost(&mut transport, t0), 1, "the Hello is lost with the read");
+        let t1 = t0 + RETRANSMIT_AFTER;
+        client.pump(&mut transport, t1);
+        assert_eq!(hellos_lost(&mut transport, t1), 1, "the retransmit round re-sends the Hello");
+        let ack = Message::Ack { next_expected: 0 }.encode();
+        transport.send(Direction::ToClient, t1, frame::encode(CONTROL_SEQ, &ack));
+        let t2 = t1 + RETRANSMIT_AFTER * 2;
+        client.pump(&mut transport, t2);
+        assert_eq!(hellos_lost(&mut transport, t2), 0, "an answered client re-sends no Hello");
+        assert_eq!(client.link_report().retransmits, 2);
+        assert_eq!(client.link_report().reconnects, 0);
     }
 }

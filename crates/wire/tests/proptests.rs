@@ -10,7 +10,7 @@ use gpu_sc_attack::registry::ModelDigest;
 use gpu_sc_attack::sampler::SamplerReport;
 use gpu_sc_attack::trace::Sample;
 use proptest::prelude::*;
-use wire::{Frame, Message, SampleBatch, WireError, WIRE_VERSION};
+use wire::{Frame, Message, WireError, WIRE_VERSION};
 
 fn arb_sample() -> impl Strategy<Value = Sample> {
     (any::<u64>(), prop::collection::vec(any::<u64>(), NUM_TRACKED)).prop_map(|(at, values)| {
@@ -18,11 +18,6 @@ fn arb_sample() -> impl Strategy<Value = Sample> {
         array.copy_from_slice(&values);
         Sample { at: SimInstant::from_nanos(at), values: CounterSet::from_array(array) }
     })
-}
-
-fn arb_batch() -> impl Strategy<Value = SampleBatch> {
-    prop::collection::vec(arb_sample(), 0..48)
-        .prop_map(|samples| SampleBatch::from_samples(&samples))
 }
 
 fn arb_report() -> impl Strategy<Value = SamplerReport> {
@@ -68,7 +63,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 }
             }
         ),
-        arb_batch().prop_map(Message::SampleBatch),
+        arb_sample().prop_map(Message::Read),
         arb_report().prop_map(|report| Message::Fin { report }),
         any::<u64>().prop_map(|next_expected| Message::Ack { next_expected }),
         prop::collection::vec(arb_key(), 0..16).prop_map(|keys| Message::InferredKeys { keys }),

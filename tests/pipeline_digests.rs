@@ -18,7 +18,10 @@
 //! The same tap, pushed through a [`AttackService::streaming_session`] in
 //! bursts of 1, 7 and 64 samples and finished with the tap's sampler
 //! report, must return exactly what `eavesdrop` returned: how a sample
-//! stream is cut into bursts decides nothing.
+//! stream is cut into bursts decides nothing. And the same tap, pushed
+//! through an [`ExfilClient`] onto a perfect link and decoded back into
+//! reads from every data frame, must give the pinned tap digest: the split
+//! client ships every read the delta stream depends on.
 //!
 //! The result and tap constants were first computed on a tree that still
 //! carried a second, batch analysis driver and a second, columnar delta
@@ -51,6 +54,9 @@ use gpu_eaves::attack::trace::{extract_deltas_with_resets, Trace};
 use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::kgsl::{Errno, FaultPlan};
+use gpu_eaves::wire::{
+    Direction, ExfilClient, ExfilConfig, Frame, LinkPlan, Message, SimTransport,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -198,6 +204,29 @@ fn tap(victim: Victim) -> Result<(Trace, SamplerReport), Errno> {
     Ok((trace?, report))
 }
 
+/// The tap's reads as the split client ships them: pushed whole through an
+/// [`ExfilClient`] onto a perfect link with the send window open, then
+/// decoded back into reads from every data frame.
+fn over_the_wire(trace: &Trace, report: &SamplerReport) -> Trace {
+    let config = ExfilConfig { window: usize::MAX, ..ExfilConfig::default() };
+    let mut client = ExfilClient::new(config, 1);
+    client.push_samples(trace.samples());
+    client.finish_sampling(report);
+    let mut transport = SimTransport::new(&LinkPlan::new(1));
+    let now = SimInstant::from_millis(1);
+    client.pump(&mut transport, now);
+    let mut reads = Trace::new();
+    for datagram in transport.recv(Direction::ToServer, now + SimDuration::from_secs(1)) {
+        let frame = Frame::decode(&datagram).expect("a perfect link delivers whole frames");
+        match Message::decode(&frame.payload).expect("the client's frames decode") {
+            Message::Read(read) => reads.extend([read]),
+            Message::Fin { .. } => {}
+            other => panic!("the client sent {other:?} as data"),
+        }
+    }
+    reads
+}
+
 /// Digest of the deltas and resets extracted from a tap (or of the
 /// sampler's error).
 fn tap_digest(tapped: &Result<(Trace, SamplerReport), Errno>) -> u64 {
@@ -247,7 +276,8 @@ type Pinned = (Case, u64, u64, u64);
 
 /// Runs every case, checks its three digests against their pinned values,
 /// checks that its tap streamed in bursts of 1, 7 and 64 samples returns
-/// the same result, and returns the session results in case order. All
+/// the same result and that the reads its tap ships over the wire give the
+/// pinned tap digest, and returns the session results in case order. All
 /// mismatches are reported at once, with the digests this tree computed.
 fn replay(pinned: &[Pinned]) -> Vec<Result<SessionResult, ServiceError>> {
     let mut results = Vec::with_capacity(pinned.len());
@@ -270,6 +300,10 @@ fn replay(pinned: &[Pinned]) -> Vec<Result<SessionResult, ServiceError>> {
             ));
         }
         if let Ok((trace, report)) = &tapped {
+            let shipped = tap_digest(&Ok((over_the_wire(trace, report), *report)));
+            if shipped != tap_pin {
+                mismatches.push(format!("{case:?}: the reads shipped give tap {shipped:#018x}"));
+            }
             for burst in [1, 7, 64] {
                 let mut session = service.streaming_session();
                 trace.samples().chunks(burst).for_each(|samples| session.push_samples(samples));

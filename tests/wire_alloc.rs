@@ -3,10 +3,10 @@
 //! A split session pumps both ends of its link at every read slot, and
 //! almost every pump finds nothing due: such a pump must cost no heap
 //! allocation on either end. Beyond that, a clean split session moves each
-//! batch of samples through the wire as one framed datagram; what it
-//! allocates beyond the in-process session of the same victim must be at
-//! most half of what it allocated before datagrams were framed once, moved
-//! through the transport and decoded in place.
+//! changed read through the wire as one framed datagram; what it allocates
+//! beyond the in-process session of the same victim must be at most half of
+//! what it allocated when it shipped 32-read batches and every datagram was
+//! a fresh payload copied at each hop.
 //!
 //! Allocations are counted per thread, as in `crates/core/tests/alloc_free.rs`:
 //! the tests of this file run in parallel, and the harness allocates on its
@@ -71,9 +71,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const VICTIMS: usize = 12;
 
 /// Allocations the [`VICTIMS`] clean split sessions made beyond their
-/// in-process twins when every datagram was a fresh payload `Vec` framed
-/// into a second one, cloned into the transport's lane and copied out again
-/// by the frame decoder.
+/// in-process twins when the client shipped 32-read batches and every
+/// datagram was a fresh payload `Vec` framed into a second one, cloned into
+/// the transport's lane and copied out again by the frame decoder.
 const BEFORE_EXTRA: u64 = 4_289;
 
 /// One service for every session, its model trained once.
@@ -129,16 +129,14 @@ fn sample(ms: u64) -> Sample {
 #[test]
 fn idle_pumps_allocate_nothing() {
     let service = service();
-    let config = ExfilConfig::default();
     let mut transport = SimTransport::new(&LinkPlan::new(3));
-    let mut client = ExfilClient::new(config, 3);
+    let mut client = ExfilClient::new(ExfilConfig::default(), 3);
     let mut server = ClassifierServer::new(&service);
     let t0 = SimInstant::from_millis(100);
     client.connect(&mut transport, t0);
-    let samples: Vec<Sample> = (0..config.batch_samples as u64).map(|i| sample(8 * i)).collect();
-    client.push_samples(&samples);
+    client.push_samples(&[sample(0)]);
     client.pump(&mut transport, t0);
-    // The Hello and the batch arrive after the link's 2 ms latency; the
+    // The Hello and the read arrive after the link's 2 ms latency; the
     // server answers both, and its Acks reach the client 2 ms later.
     let mut now = t0;
     let mut pump_until =
@@ -160,13 +158,13 @@ fn idle_pumps_allocate_nothing() {
     );
     assert_eq!(allocations() - before, 0, "idle pumps before the first arrival allocated");
     // Let the server answer and the client absorb the Acks; then, with the
-    // batch acknowledged and nothing left to send, pumps are idle again.
+    // read acknowledged and nothing left to send, pumps are idle again.
     pump_until(t0 + SimDuration::from_millis(10), &mut client, &mut server);
     spansight::flush();
     let before = allocations();
     pump_until(t0 + SimDuration::from_millis(25), &mut client, &mut server);
     assert_eq!(allocations() - before, 0, "idle pumps after the Acks allocated");
-    assert!(client.link_report().bytes_acked > 0, "test premise: the batch was acked");
+    assert!(client.link_report().bytes_acked > 0, "test premise: the read was acked");
 }
 
 #[test]

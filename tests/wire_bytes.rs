@@ -5,9 +5,9 @@
 //! zeroes the link report, so a change to the bytes on the wire passes it
 //! unnoticed. This file pins them: every datagram of one recorded victim's
 //! session, and the traffic tallies of a lossy split session. It also
-//! checks that the client's frame boundaries do not depend on how the
-//! sampler's bursts are sliced, and that a declared payload length near
-//! `u64::MAX` is a typed error rather than an overflow.
+//! checks that the client frames the first read and each changed one,
+//! whatever the slicing of the sampler's bursts, and that a declared
+//! payload length near `u64::MAX` is a typed error rather than an overflow.
 
 mod common;
 
@@ -22,7 +22,7 @@ use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::wire::{
     run_split_session, varint, Direction, ExfilClient, ExfilConfig, Frame, LinkPlan, Message,
-    SampleBatch, SimTransport, WireError, CONTROL_SEQ, MAGIC, WIRE_VERSION,
+    SimTransport, WireError, CONTROL_SEQ, MAGIC, WIRE_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,8 +33,6 @@ use common::{fnv1a, FNV_BASIS};
 /// session.
 const SEED: u64 = 90;
 const CREDENTIAL: &str = "hunter2pass";
-/// Samples per batch frame at the default [`ExfilConfig`].
-const BATCH: usize = 32;
 
 fn service() -> AttackService {
     let cfg = SimConfig::paper_default(0);
@@ -66,16 +64,15 @@ fn record(seed: u64) -> (Vec<Sample>, SamplerReport) {
     (trace.iter().collect(), report)
 }
 
-/// `samples` framed as the client's data stream: one `SampleBatch` frame
-/// per [`BATCH`] samples, then the Fin carrying `report`.
+/// `samples` framed as the client's data stream: one `Read` frame for the
+/// first sample and for each whose counters differ from the sample before
+/// it, then the Fin carrying `report`.
 fn data_frames(samples: &[Sample], report: SamplerReport) -> Vec<Vec<u8>> {
-    let mut frames: Vec<Vec<u8>> = samples
-        .chunks(BATCH)
+    let changed =
+        samples.iter().enumerate().filter(|&(i, s)| i == 0 || s.values != samples[i - 1].values);
+    let mut frames: Vec<Vec<u8>> = changed
         .zip(0..)
-        .map(|(chunk, seq)| {
-            let payload = Message::SampleBatch(SampleBatch::from_samples(chunk)).encode();
-            Frame::new(seq, payload).encode()
-        })
+        .map(|((_, &read), seq)| Frame::new(seq, Message::Read(read).encode()).encode())
         .collect();
     let fin_seq = frames.len() as u64;
     frames.push(Frame::new(fin_seq, Message::Fin { report }.encode()).encode());
@@ -84,10 +81,10 @@ fn data_frames(samples: &[Sample], report: SamplerReport) -> Vec<Vec<u8>> {
 
 #[test]
 fn split_datagrams_replay_the_pinned_digest() {
-    // Computed by this test body before batches were encoded straight from
-    // the sampler's burst. A change here is a change to the wire format and
-    // must be explained, not re-pinned silently.
-    const PINNED: u64 = 0x1E4B_C6D7_8B17_E058;
+    // Computed by this test body under wire version 3, one `Read` frame per
+    // changed read. A change here is a change to the wire format and must
+    // be explained, not re-pinned silently.
+    const PINNED: u64 = 0xC81E_B938_F513_F66A;
 
     let service = service();
     let (samples, report) = record(SEED);
@@ -129,12 +126,12 @@ fn lossy_split_session_sends_the_pinned_traffic() {
     assert!(outcome.completed, "the everything-0.5 plan finishes its handshake");
     assert_eq!(outcome.result.recovered_text, CREDENTIAL);
     // Pinned with the digest above. The link plan draws each datagram's
-    // fate in send order, so a change to framing, batching or the
-    // retransmit clock moves these.
+    // fate in send order, so a change to framing, to which reads ship or
+    // to the retransmit clock moves these.
     let link = outcome.result.link;
     assert_eq!(
         (link.frames_sent, link.bytes_sent, link.bytes_acked),
-        (57, 12_484, 9_005),
+        (119, 3_705, 1_353),
         "frames_sent, bytes_sent, bytes_acked: {link}"
     );
 }
@@ -154,11 +151,10 @@ fn datagrams_sent(report: &SamplerReport, feed: impl FnOnce(&mut ExfilClient)) -
 
 #[test]
 fn frame_boundaries_do_not_depend_on_burst_slicing() {
-    assert_eq!(ExfilConfig::default().batch_samples, BATCH);
     let (samples, report) = record(SEED);
     let expected = data_frames(&samples, report);
     let whole = datagrams_sent(&report, |client| client.push_samples(&samples));
-    assert_eq!(whole, expected, "one slice: one frame per {BATCH} samples, then the Fin");
+    assert_eq!(whole, expected, "one slice: one frame per changed read, then the Fin");
     let one_at_a_time =
         datagrams_sent(&report, |client| samples.chunks(1).for_each(|s| client.push_samples(s)));
     assert_eq!(one_at_a_time, expected, "one sample at a time changed the datagrams");

@@ -50,48 +50,49 @@ const DRAW_SEED: u64 = 29;
 
 /// Per-session digests, victim-major, intensity-minor in [`LINK_MIX`]
 /// order. A change here means a datagram's fate changed: explain it, do not
-/// re-pin it silently.
+/// re-pin it silently. Pinned under wire version 3, one frame per changed
+/// read.
 const PINNED: [u64; VICTIMS * LINK_MIX.len()] = [
-    0x0849_83FD_740A_FD10,
-    0x2FF1_84C0_CA43_3E84,
-    0xD1A8_0431_AA32_E9F7,
-    0xF16A_4E9A_02AF_8567,
-    0x735E_6CD2_D364_79C5,
-    0xE790_C979_1A48_AD61,
-    0xBE6A_8D26_0423_E28F,
-    0x791B_85CF_54CC_F833,
-    0xB2FF_6F69_B5DA_8A0A,
-    0x00CF_8D4C_FD06_7C10,
-    0x392F_F7E5_112C_3654,
-    0x2513_2C75_C4D6_17AA,
-    0x47C2_0191_CEB9_00A0,
-    0xEC11_3A63_6259_241E,
-    0x0E3E_3213_3E1C_670B,
-    0xAEFD_6B69_9804_EDBF,
-    0xE479_D658_52B1_8ECE,
-    0x504F_7915_A2E7_F17A,
-    0x093D_676A_44DA_FCCE,
-    0x9A2D_5F2A_252C_27D8,
-    0xA864_C9A7_082A_890E,
-    0x7895_608F_A519_05E7,
-    0x8008_5805_3001_5E8F,
-    0xDE6B_4461_041A_78FE,
-    0xDADD_FEB9_185A_14CB,
-    0x09B7_81C7_E094_E5A5,
-    0x1F51_5FDA_9BA6_6502,
-    0x2928_D5F3_BE06_FC4F,
-    0x9A64_191D_03B8_F62D,
-    0xB3B0_FBA1_C11A_A5DA,
-    0xADE9_6317_59AC_5888,
-    0x8800_2422_0CA2_B2D4,
-    0x1EC7_4BB2_0C04_43AF,
-    0xE4BC_AE30_25E4_94AF,
-    0x87A2_6684_71C0_3039,
-    0xACC0_810D_A621_4DB6,
+    0xB6A5_A59C_AFDA_4726,
+    0x6302_F584_9C01_23AC,
+    0x21F8_2E32_47C4_7318,
+    0xED28_473C_0468_2ABA,
+    0x2936_8552_93B5_E00D,
+    0xBE5B_A3A1_EC90_3300,
+    0x691A_629F_E562_B468,
+    0x8073_260D_EEEE_08CE,
+    0x44D9_6E76_4880_9922,
+    0x5D6C_621E_78C7_ABFD,
+    0x2200_8CD3_D481_0AD7,
+    0xF485_D409_24A6_8379,
+    0x938D_7CD7_31F1_C1FF,
+    0x3970_7826_626B_84DE,
+    0x8E5F_F70B_4DB7_709F,
+    0x1CA0_EB37_E29C_50DD,
+    0x1E22_B6FE_0E66_2428,
+    0x93FB_7AE7_1D0F_C61B,
+    0x82D0_6224_6C11_E010,
+    0x8BCA_2237_55F9_1F0C,
+    0xBD6F_34CE_5F16_1066,
+    0x22F6_DF5B_EA09_F0C9,
+    0x5648_F7EF_F613_92A7,
+    0x5AC9_D8D8_6594_6724,
+    0xB829_3653_D44A_9AA8,
+    0x8B16_9EE5_47CD_75E0,
+    0xCAC8_4BA7_288D_5004,
+    0xBCDD_E168_DFBB_8576,
+    0xA21D_F25E_2B4A_4D75,
+    0xF80B_6D0F_6A66_1202,
+    0x963C_3E1D_DF3E_5C53,
+    0xA185_7044_7E9B_D821,
+    0x621A_538E_30AA_B7B2,
+    0x22EC_32EE_0466_0F27,
+    0x0C58_7DA2_3C8F_93BF,
+    0x39E7_1B75_4EA4_3286,
 ];
 
 /// The digest of the outage-heavy session.
-const PINNED_OUTAGES: u64 = 0xAF46_9050_E229_CD3A;
+const PINNED_OUTAGES: u64 = 0xFA47_4378_5637_DC5F;
 
 /// One service for every session, its model trained once.
 fn service() -> AttackService {
