@@ -9,17 +9,20 @@
 //!    frame each), after asserting the split session reproduces the
 //!    in-process pipeline byte for byte.
 //! 2. **Wire latency** — press-to-inference latency as seen *at the
-//!    client*, i.e. including the transport round trip and the wait for
-//!    the next read slot's pump, against the in-process `decided_at`
-//!    baseline the `latency` experiment measures.
+//!    client*, i.e. including the transport round trip, against the
+//!    in-process `decided_at` baseline the `latency` experiment measures.
+//!    Both ends pump the moment a datagram lands, so over a clean link
+//!    the wire adds exactly the round trip.
 //! 3. **Loss sweep** — accuracy as a function of datagram loss rate. The
 //!    retransmit/resequence/reconnect machinery should hold accuracy flat
-//!    while retransmissions (the price paid) climb.
+//!    while retransmissions (the price paid) climb, and so does the
+//!    drain: the median sim time from the Fin to its FinAck.
 //!
 //! Telemetry lands in `BENCH_experiments.json` as
 //! `bench.exfil.payload_bytes_per_key`,
 //! `bench.exfil.press_to_inference_wire_ms`, and
-//! `bench.exfil.worst_loss_key_acc_pct`.
+//! `bench.exfil.worst_loss_key_acc_pct`; every split session's drain also
+//! lands in the `wire.session.drain_ms` histogram.
 
 use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::sim::{SimConfig, UiSimulation};
@@ -108,6 +111,8 @@ struct LossCell {
     reconnects: u64,
     bytes_sent: u64,
     finacks: usize,
+    /// Each completed session's drain, ms.
+    drains_ms: Vec<u64>,
 }
 
 /// Runs `trials` split sessions at one loss rate; deterministic at any
@@ -147,6 +152,7 @@ fn loss_cell(
                 cell.reconnects += outcome.result.link.reconnects;
                 cell.bytes_sent += outcome.result.link.bytes_sent;
                 cell.finacks += usize::from(outcome.completed);
+                cell.drains_ms.push(outcome.drain.as_millis());
                 cell.agg.add(&score);
             }
             Err((lost_keys, _)) => {
@@ -207,8 +213,8 @@ pub fn exfil(ctx: &Ctx) {
     spansight::count("bench.exfil.payload_bytes_per_key", bytes_per_key.round() as u64);
 
     // 2. Wire latency: press → key streamed back to the client. A changed
-    // read leaves in its own slot; the round trip and the pumps, which run
-    // only at read slots, add the rest.
+    // read leaves at its own instant and each end pumps when a datagram
+    // lands, so the wire adds the round trip and nothing else.
     let mut lat = press_latencies_ms(&truth, outcome.key_arrivals.iter().copied());
     lat.sort_unstable();
     for &ms in &lat {
@@ -235,7 +241,7 @@ pub fn exfil(ctx: &Ctx) {
     let per_cell = ctx.trials(6);
     outln!();
     outln!(
-        "{:<7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>9} {:>7}",
+        "{:<7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>9} {:>9} {:>7}",
         "loss",
         "text-acc",
         "key-acc",
@@ -243,14 +249,17 @@ pub fn exfil(ctx: &Ctx) {
         "retx/s",
         "reconn/s",
         "KB/s(tx)",
+        "drain-ms",
         "failed"
     );
     let mut worst_key_acc = f64::INFINITY;
     for &loss in &[0.0, 0.1, 0.25, 0.5] {
-        let cell = loss_cell(ctx, &store, &base, loss, per_cell, 0xE8F11);
+        let mut cell = loss_cell(ctx, &store, &base, loss, per_cell, 0xE8F11);
         let sessions = (cell.completed + cell.failed).max(1) as f64;
+        cell.drains_ms.sort_unstable();
+        let drain_p50 = cell.drains_ms.get(cell.drains_ms.len().saturating_sub(1) / 2);
         outln!(
-            "{:<7.2} {:>11.1}% {:>11.1}% {:>5}/{:<2} {:>10.1} {:>10.2} {:>9.1} {:>4}/{:<2}",
+            "{:<7.2} {:>11.1}% {:>11.1}% {:>5}/{:<2} {:>10.1} {:>10.2} {:>9.1} {:>9} {:>4}/{:<2}",
             loss,
             cell.agg.text_accuracy() * 100.0,
             cell.agg.key_accuracy() * 100.0,
@@ -259,6 +268,7 @@ pub fn exfil(ctx: &Ctx) {
             cell.retransmits as f64 / sessions,
             cell.reconnects as f64 / sessions,
             cell.bytes_sent as f64 / sessions / 1024.0,
+            drain_p50.map_or("-".to_string(), u64::to_string),
             cell.failed,
             per_cell,
         );

@@ -56,9 +56,16 @@ pub const CONTROL_SEQ: u64 = u64::MAX;
 /// A wake instant no pump reaches: nothing is waiting on a timer.
 const NEVER: SimInstant = SimInstant::from_nanos(u64::MAX);
 
-/// Read slots per quantum of a streaming [`SplitDriver`]. Both ends pump
-/// at every slot; the quantum only sets how often the driver yields.
+/// Reads per quantum of a streaming [`SplitDriver`]. The quantum only sets
+/// how often the driver yields: both ends pump at the instants something
+/// is due for them, wherever those fall among the reads.
 const READS_PER_QUANTUM: usize = 32;
+
+/// Edges (ms) of the `wire.session.drain_ms` histogram: a clean link's
+/// drain is one round trip, a lossy one's runs through retransmit
+/// backoffs, and a salvaged one's is the whole `drain_timeout`.
+const DRAIN_EDGES_MS: &[u64] =
+    &[4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096, 8_192, 16_384];
 
 /// First retransmit timeout; doubles per retransmit of the same frame.
 const RETRANSMIT_AFTER: SimDuration = SimDuration::from_millis(30);
@@ -163,8 +170,11 @@ pub struct ExfilClient {
     pending: VecDeque<PendingFrame>,
     /// Before this instant no retransmit is due: the earliest
     /// `last_sent + backoff` over the transmitted pending frames, as of the
-    /// last full pump. Queuing a frame resets it to zero.
+    /// last full pump. Queuing a frame resets it to zero: the next pump
+    /// sends it, whatever its instant.
     wake: SimInstant,
+    /// The instant of the last pump; pumps run at non-decreasing instants.
+    last_pump: SimInstant,
     next_seq: u64,
     /// Lowest data seq not yet acknowledged by the server.
     acked_to: u64,
@@ -199,7 +209,8 @@ impl ExfilClient {
             payload: Vec::new(),
             inbox: Vec::new(),
             pending: VecDeque::new(),
-            wake: SimInstant::ZERO,
+            wake: NEVER,
+            last_pump: SimInstant::ZERO,
             next_seq: 0,
             acked_to: 0,
             answered: false,
@@ -304,14 +315,18 @@ impl ExfilClient {
 
     /// One scheduling round: absorb server traffic, transmit what the
     /// window allows, retransmit what timed out, reconnect if the link
-    /// looks dead. Call at every sample slot and on a coarse tick while
-    /// draining, at non-decreasing `now`.
+    /// looks dead. Call at non-decreasing `now`, whenever a datagram lands
+    /// on the client's lane, a frame was queued, or a retransmit falls due;
+    /// [`SplitDriver`] calls it at each instant something is due for either
+    /// end.
     ///
     /// A round that receives nothing, with no frame queued since the last
     /// full round and `now` before the earliest retransmit deadline, has
     /// nothing to do and returns at once: only an arrival can open the send
     /// window, and only a deadline can start a retransmit or a reconnect.
     pub fn pump(&mut self, transport: &mut SimTransport, now: SimInstant) {
+        debug_assert!(now >= self.last_pump, "client pumped at {now:?} after {:?}", self.last_pump);
+        self.last_pump = now;
         transport.recv_into(Direction::ToClient, now, &mut self.inbox);
         if self.inbox.is_empty() && now < self.wake {
             return;
@@ -455,6 +470,8 @@ pub struct ClassifierServer<'s> {
     finack: Option<Vec<u8>>,
     result: Option<Result<SessionResult, ServiceError>>,
     link: LinkDegradationReport,
+    /// The instant of the last pump; pumps run at non-decreasing instants.
+    last_pump: SimInstant,
 }
 
 impl<'s> ClassifierServer<'s> {
@@ -472,6 +489,7 @@ impl<'s> ClassifierServer<'s> {
             finack: None,
             result: None,
             link: LinkDegradationReport::default(),
+            last_pump: SimInstant::ZERO,
         }
     }
 
@@ -489,8 +507,10 @@ impl<'s> ClassifierServer<'s> {
     }
 
     /// Receives everything due on the transport and answers it. Returns at
-    /// once when nothing is due.
+    /// once when nothing is due. Call at non-decreasing `now`.
     pub fn pump(&mut self, transport: &mut SimTransport, now: SimInstant) {
+        debug_assert!(now >= self.last_pump, "server pumped at {now:?} after {:?}", self.last_pump);
+        self.last_pump = now;
         transport.recv_into(Direction::ToServer, now, &mut self.datagrams);
         if self.datagrams.is_empty() {
             return;
@@ -653,6 +673,9 @@ pub struct SplitOutcome {
     pub transport: TransportStats,
     /// Whether the client saw the FinAck before the drain deadline.
     pub completed: bool,
+    /// Sim time from the Fin being queued to the FinAck landing, or the
+    /// whole `drain_timeout` when it never did.
+    pub drain: SimDuration,
 }
 
 /// Folds the client, server, and transport tallies into one report.
@@ -676,35 +699,43 @@ fn fold_link(
 
 /// Where a [`SplitDriver`] stands in the session lifecycle.
 enum SplitPhase {
-    /// Counter sampling still running; each step runs up to
-    /// [`READS_PER_QUANTUM`] read slots.
+    /// Counter sampling still running; each step hands the client up to
+    /// [`READS_PER_QUANTUM`] reads.
     Streaming,
-    /// Sampling is over; each step is one coarse drain tick until the final
-    /// handshake lands or the deadline passes.
+    /// Sampling is over and the Fin is queued; the next step runs the link
+    /// from event to event until the final handshake lands or the deadline
+    /// passes.
     Draining {
-        /// The drain budget's hard stop.
-        deadline: SimInstant,
+        /// When the Fin was queued; the drain ends `drain_timeout` later
+        /// at the latest.
+        since: SimInstant,
     },
     /// Outcome already produced; the driver must not be stepped again.
     Done,
 }
 
 /// A split session as an incremental state machine: one [`SplitDriver::step`]
-/// call runs one *quantum* (32 read slots while sampling, a 5 ms drain tick
-/// afterwards) and yields. [`run_split_session`] drives it in a tight
-/// loop for the one-session case; the fleet orchestrator steps many drivers
-/// interleaved on the same workers via [`SplitSessionTask`].
+/// call runs one *quantum* (32 reads while sampling, then the whole drain)
+/// and yields. [`run_split_session`] drives it in a tight loop for the
+/// one-session case; the fleet orchestrator steps many drivers interleaved
+/// on the same workers via [`SplitSessionTask`].
 ///
-/// The step decomposition is exact: driving a `SplitDriver` to completion
-/// produces the same [`SplitOutcome`] the original monolithic loop did,
-/// quantum boundaries included — each quantum is one iteration of that
-/// loop.
+/// The link is event-driven: both ends pump at each instant something is
+/// due for either of them, a datagram's arrival on a lane or the client's
+/// retransmit deadline, in time order, and at no other instant. Before a
+/// read is handed to the client, every event before the read's instant
+/// runs, so a changed read's frame leaves at that instant and a press
+/// streams back one round trip after the server decides it. Where a
+/// quantum ends moves only the quanta count, never an outcome.
 pub struct SplitDriver<'s> {
     service: &'s AttackService,
     config: ExfilConfig,
     transport: SimTransport,
     client: ExfilClient,
     server: ClassifierServer<'s>,
+    /// The link's clock: the instant of the last pump, or of the last read
+    /// handed to the client if later. No pump runs before it.
+    clock: SimInstant,
     /// The sampler and its stream, `Some` while streaming; both end at the
     /// streaming → draining transition, where the sampler closes its fd.
     sampling: Option<(Sampler, gpu_sc_attack::sampler::SampleStream)>,
@@ -749,6 +780,7 @@ impl<'s> SplitDriver<'s> {
             transport,
             client,
             server,
+            clock: sim.now(),
             sampling: Some((sampler, stream)),
             report: SamplerReport::default(),
             phase: SplitPhase::Streaming,
@@ -762,43 +794,76 @@ impl<'s> SplitDriver<'s> {
     pub fn step(&mut self, sim: &mut UiSimulation) -> Option<Result<SplitOutcome, ServiceError>> {
         match self.phase {
             SplitPhase::Streaming => {
-                let (sampler, stream) =
-                    self.sampling.as_mut().expect("streaming phase owns the sampler");
-                // Each read goes to the client as it lands, so a changed
-                // read is queued before its slot's pump and leaves in that
-                // slot. Both ends pump at every read slot: the
-                // retransmit/ack clock needs the fine-grained ticks.
                 for _ in 0..READS_PER_QUANTUM {
+                    let (sampler, stream) =
+                        self.sampling.as_mut().expect("streaming phase owns the sampler");
                     let Some(read) = sampler.next_sample(stream, sim) else {
                         return self.end_stream(sim);
                     };
+                    self.run_until(read.at);
                     self.client.push_samples(std::slice::from_ref(&read));
-                    self.client.pump(&mut self.transport, sim.now());
-                    self.server.pump(&mut self.transport, sim.now());
                 }
                 None
             }
-            SplitPhase::Draining { deadline } => {
-                if !self.client.done() && sim.now() < deadline {
-                    let next = (sim.now() + SimDuration::from_millis(5)).min(deadline);
-                    sim.advance_to(next);
-                    self.client.pump(&mut self.transport, sim.now());
-                    self.server.pump(&mut self.transport, sim.now());
-                    return None;
+            SplitPhase::Draining { since } => {
+                // Nothing observes the victim once sampling is over, so it
+                // stays where sampling ended; only the link's clock moves.
+                let deadline = since + self.config.drain_timeout;
+                while !self.client.done() {
+                    let at = self.next_event();
+                    if at > deadline {
+                        break;
+                    }
+                    self.pump(at);
                 }
+                let drain = if self.client.done() {
+                    self.clock.saturating_since(since)
+                } else {
+                    self.config.drain_timeout
+                };
+                spansight::record("wire.session.drain_ms", DRAIN_EDGES_MS, drain.as_millis());
                 self.phase = SplitPhase::Done;
-                Some(self.finalise())
+                Some(self.finalise(drain))
             }
             SplitPhase::Done => unreachable!("a finished split driver must not be stepped"),
         }
     }
 
-    /// Ends streaming once the sampler's stream has run out: both ends pump
-    /// at the stream's end, the sampler closes, and the client queues its
-    /// Fin. `Some` only when the session acquired nothing.
+    /// The next instant something is due at either end: the first arrival
+    /// on either lane or the client's retransmit deadline. A wake before
+    /// the clock means a frame is queued, which is due at once.
+    fn next_event(&self) -> SimInstant {
+        [Direction::ToServer, Direction::ToClient]
+            .into_iter()
+            .filter_map(|dir| self.transport.next_arrival(dir))
+            .fold(self.client.wake.max(self.clock), SimInstant::min)
+    }
+
+    /// Pumps both ends at `at`; the end with nothing due returns at once.
+    fn pump(&mut self, at: SimInstant) {
+        self.clock = at;
+        self.client.pump(&mut self.transport, at);
+        self.server.pump(&mut self.transport, at);
+    }
+
+    /// Runs the link through every event before `until`, in time order,
+    /// then moves its clock to `until`.
+    fn run_until(&mut self, until: SimInstant) {
+        loop {
+            let at = self.next_event();
+            if at >= until {
+                break;
+            }
+            self.pump(at);
+        }
+        self.clock = self.clock.max(until);
+    }
+
+    /// Ends streaming once the sampler's stream has run out: the link runs
+    /// up to the stream's end, the sampler closes, and the client queues
+    /// its Fin. `Some` only when the session acquired nothing.
     fn end_stream(&mut self, sim: &mut UiSimulation) -> Option<Result<SplitOutcome, ServiceError>> {
-        self.client.pump(&mut self.transport, sim.now());
-        self.server.pump(&mut self.transport, sim.now());
+        self.run_until(sim.now());
         let (mut sampler, stream) = self.sampling.take().expect("streaming phase owns the sampler");
         let finished = sampler.finish_stream(stream);
         self.report = sampler.report();
@@ -808,17 +873,13 @@ impl<'s> SplitDriver<'s> {
             return Some(Err(ServiceError::Device(err)));
         }
         self.client.finish_sampling(&self.report);
-        // Drain: sampling is over, but frames are still in flight. Keep
-        // pumping on a coarse tick until the final handshake lands or the
-        // budget runs out (the retransmit/reconnect machinery needs the
-        // clock to advance).
-        self.phase = SplitPhase::Draining { deadline: sim.now() + self.config.drain_timeout };
+        self.phase = SplitPhase::Draining { since: self.clock };
         None
     }
 
     /// Assembles the outcome once draining ends (handshake done or budget
     /// exhausted), salvaging the server session if the Fin never arrived.
-    fn finalise(&mut self) -> Result<SplitOutcome, ServiceError> {
+    fn finalise(&mut self, drain: SimDuration) -> Result<SplitOutcome, ServiceError> {
         let completed = self.client.done();
         if !completed {
             spansight::count("wire.session.drain_timeouts", 1);
@@ -851,13 +912,14 @@ impl<'s> SplitDriver<'s> {
             key_arrivals: std::mem::take(&mut self.client.key_arrivals),
             transport: self.transport.stats(),
             completed,
+            drain,
         })
     }
 }
 
 /// Runs one eavesdropping session split across the wire: the sampler and
 /// [`ExfilClient`] on the device side, the [`ClassifierServer`] behind the
-/// transport, both pumped in lock-step with the simulation clock.
+/// transport, both pumped at each instant something is due for them.
 ///
 /// Under a fault-free [`LinkPlan`] the returned [`SessionResult`] is
 /// identical to [`AttackService::eavesdrop`] on the same seed, except for

@@ -322,6 +322,17 @@ impl SimTransport {
         delivered
     }
 
+    /// When the first datagram queued on `dir` arrives, or `None` when none
+    /// is in flight. A datagram held back by a reorder draw is not in
+    /// flight until the next send on its lane releases it.
+    pub(crate) fn next_arrival(&self, dir: Direction) -> Option<SimInstant> {
+        let lane = match dir {
+            Direction::ToServer => &self.to_server,
+            Direction::ToClient => &self.to_client,
+        };
+        lane.queue.first().map(|q| q.arrive)
+    }
+
     /// [`recv`](SimTransport::recv) into the caller's buffer: appends every
     /// datagram due at or before `now` on `dir` to `out`, in arrival order.
     /// Returns at once when none is due.
@@ -355,6 +366,20 @@ mod tests {
         assert_eq!(got, (0..10u8).map(|i| vec![i]).collect::<Vec<_>>());
         assert_eq!(t.stats().dropped, 0);
         assert_eq!(t.stats().delivered, 10);
+    }
+
+    #[test]
+    fn next_arrival_is_the_earliest_datagram_in_flight() {
+        let mut t = SimTransport::new(&LinkPlan::new(1));
+        assert_eq!(t.next_arrival(Direction::ToServer), None);
+        t.send(Direction::ToServer, ms(5), vec![1]);
+        t.send(Direction::ToServer, ms(3), vec![2]);
+        assert_eq!(t.next_arrival(Direction::ToServer), Some(ms(5)), "3 ms + 2 ms latency");
+        assert_eq!(t.next_arrival(Direction::ToClient), None, "lanes are apart");
+        assert_eq!(t.recv(Direction::ToServer, ms(5)), vec![vec![2]]);
+        assert_eq!(t.next_arrival(Direction::ToServer), Some(ms(7)));
+        t.recv(Direction::ToServer, ms(7));
+        assert_eq!(t.next_arrival(Direction::ToServer), None);
     }
 
     #[test]

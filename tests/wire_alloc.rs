@@ -1,12 +1,14 @@
 //! Where a split session allocates, counted per thread.
 //!
-//! A split session pumps both ends of its link at every read slot, and
-//! almost every pump finds nothing due: such a pump must cost no heap
-//! allocation on either end. Beyond that, a clean split session moves each
-//! changed read through the wire as one framed datagram; what it allocates
-//! beyond the in-process session of the same victim must be at most half of
-//! what it allocated when it shipped 32-read batches and every datagram was
-//! a fresh payload copied at each hop.
+//! A split session pumps both ends of its link at each instant something
+//! is due for either, so one end often finds nothing due, and a link
+//! driven by hand on a fixed tick finds nothing due at almost every pump:
+//! such a pump must cost no heap allocation on either end. Beyond that, a
+//! clean split session moves each changed read through the wire as one
+//! framed datagram; what it allocates beyond the in-process session of the
+//! same victim must be at most half of what it allocated when it shipped
+//! 32-read batches and every datagram was a fresh payload copied at each
+//! hop.
 //!
 //! Allocations are counted per thread, as in `crates/core/tests/alloc_free.rs`:
 //! the tests of this file run in parallel, and the harness allocates on its

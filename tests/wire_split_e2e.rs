@@ -7,9 +7,14 @@
 //! credential from a split session must match the in-process pipeline for
 //! every seeded loss/reorder/duplication/truncation/outage plan — link
 //! damage shows up in the [`LinkDegradationReport`], never in the result.
+//!
+//! Both ends pump the instant something is due for them, so a press
+//! streams back exactly one round trip after the server decides it over a
+//! clean link, and never sooner over a lossy one.
 
 use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
+use gpu_eaves::attack::fleet::Session;
 use gpu_eaves::attack::offline::ModelStore;
 use gpu_eaves::attack::registry::Registry;
 use gpu_eaves::attack::sampler::SamplerReport;
@@ -18,7 +23,7 @@ use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::wire::{
     run_split_session, ClassifierServer, Direction, ExfilClient, ExfilConfig, Frame, LinkPlan,
-    Message, SimTransport, SplitOutcome,
+    Message, SimTransport, SplitOutcome, SplitSessionOutcome, SplitSessionTask,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,15 +96,55 @@ fn fault_free_transport_is_byte_identical_to_in_process() {
     }
 }
 
-#[test]
-fn every_seeded_lossy_plan_completes_and_matches() {
-    let store = single_store();
-    let seed = 90u64;
-    let inproc = run_in_process(&store, seed);
-    assert!(!inproc.recovered_text.is_empty(), "baseline must recover text");
+/// How long after its `decided_at` each streamed-back press reached the
+/// client.
+fn arrival_lags(outcome: &SplitOutcome) -> Vec<SimDuration> {
+    outcome
+        .key_arrivals
+        .iter()
+        .map(|(key, arrived)| {
+            arrived.checked_since(key.decided_at).expect("a press arrives after its decision")
+        })
+        .collect()
+}
 
+#[test]
+fn a_clean_link_streams_each_press_back_one_round_trip_after_its_decision() {
+    let store = single_store();
+    for seed in [80u64, 81] {
+        let plan = LinkPlan::new(seed);
+        let outcome = run_split(&store, seed, &plan);
+        let lags = arrival_lags(&outcome);
+        assert!(!lags.is_empty(), "vacuous: no press streamed back (seed {seed})");
+        // The read leaves at its own instant, the server pumps when it
+        // lands and the client when the press does: two link latencies.
+        let round_trip = plan.latency * 2;
+        assert!(
+            lags.iter().all(|&lag| lag == round_trip),
+            "every press must land {round_trip:?} after its decision (seed {seed}): {lags:?}"
+        );
+    }
+}
+
+#[test]
+fn no_lossy_plan_streams_a_press_back_within_less_than_a_round_trip() {
+    let store = single_store();
+    for (name, plan) in lossy_matrix() {
+        let outcome = run_split(&store, 90, &plan);
+        let lags = arrival_lags(&outcome);
+        assert!(!lags.is_empty(), "vacuous: plan '{name}' streamed no press back");
+        let round_trip = plan.latency * 2;
+        assert!(
+            lags.iter().all(|&lag| lag >= round_trip),
+            "plan '{name}' streamed a press back sooner than {round_trip:?}: {lags:?}"
+        );
+    }
+}
+
+/// The seeded damage plans every lossy test runs, by name.
+fn lossy_matrix() -> Vec<(&'static str, LinkPlan)> {
     let horizon = SimDuration::from_secs(8);
-    let matrix: Vec<(&str, LinkPlan)> = vec![
+    vec![
         ("loss", LinkPlan::new(7).with_loss(0.25)),
         ("reorder", LinkPlan::new(8).with_reorder(0.4)),
         ("duplication", LinkPlan::new(9).with_duplication(0.3)),
@@ -111,9 +156,17 @@ fn every_seeded_lossy_plan_completes_and_matches() {
         ),
         ("everything-0.5", LinkPlan::with_intensity(12, 0.5, horizon)),
         ("everything-0.9", LinkPlan::with_intensity(13, 0.9, horizon)),
-    ];
+    ]
+}
 
-    for (name, plan) in &matrix {
+#[test]
+fn every_seeded_lossy_plan_completes_and_matches() {
+    let store = single_store();
+    let seed = 90u64;
+    let inproc = run_in_process(&store, seed);
+    assert!(!inproc.recovered_text.is_empty(), "baseline must recover text");
+
+    for (name, plan) in &lossy_matrix() {
         let outcome = run_split(&store, seed, plan);
         // Exactly-once in-order delivery: the analysis half must be
         // oblivious to the link, so the whole result matches modulo the
@@ -187,9 +240,28 @@ fn a_lost_finack_is_asked_for_again() {
     assert_eq!(link.bytes_acked, fin_payload, "the acked Fin must count once: {link}");
 }
 
+/// Steps a split session of victim `seed` over `plan` to its end as the
+/// fleet scheduler does, one quantum per step.
+fn run_task(
+    store: &ModelStore,
+    seed: u64,
+    plan: &LinkPlan,
+    config: ExfilConfig,
+) -> SplitSessionOutcome {
+    let (sim, end) = victim(seed);
+    let service = AttackService::new(store.clone(), ServiceConfig::default());
+    let mut task = SplitSessionTask::new(0, &service, sim, end, plan, config);
+    loop {
+        if let Some(outcome) = task.step() {
+            return outcome;
+        }
+    }
+}
+
 /// A link that goes down mid-session and stays down past the drain
 /// deadline: the handshake never completes, and the server session is
-/// salvaged from what did arrive.
+/// salvaged from what did arrive. The drain runs from event to event in
+/// one quantum, however long the deadline.
 #[test]
 fn a_link_that_never_comes_back_is_salvaged() {
     let store = single_store();
@@ -206,12 +278,13 @@ fn a_link_that_never_comes_back_is_salvaged() {
     );
 
     let track = spansight::register_track("wire-split-salvage");
-    let outcome = {
+    let task = {
         let _track = spansight::enter_track(track);
-        run_split_with(&store, 92, &plan, config)
+        run_task(&store, 92, &plan, config)
     };
     let drain_timeouts =
         spansight::snapshot().for_track(track).counter("wire.session.drain_timeouts");
+    let outcome = task.outcome.as_ref().expect("link damage never fails a session");
 
     assert!(!outcome.completed, "no FinAck can cross a dead link");
     assert_eq!(outcome.recovered_over_wire, None);
@@ -222,6 +295,19 @@ fn a_link_that_never_comes_back_is_salvaged() {
         outcome.transport
     );
     assert_eq!(drain_timeouts, 1, "the salvaged session must be counted");
+    assert_eq!(outcome.drain, config.drain_timeout, "the drain runs to its deadline");
+    // The same victim over a clean link samples the same reads, so it
+    // takes the same streaming quanta, and its drain is one round trip in
+    // one quantum. A second of retransmits into the void costs no more.
+    let clean = run_task(&store, 92, &LinkPlan::new(5), config);
+    let clean_drain = clean.outcome.as_ref().expect("a clean link completes").drain;
+    assert_eq!(clean_drain, LinkPlan::new(5).latency * 2, "a clean drain is one round trip");
+    assert!(
+        task.quanta <= clean.quanta,
+        "a dead link's drain took {} quanta beyond the clean twin's {}",
+        task.quanta - clean.quanta,
+        clean.quanta
+    );
 }
 
 #[test]

@@ -7,9 +7,10 @@
 //! link of intensity 0, 0.4 or 0.8 on the 8 s horizon, plus one plan whose
 //! outages force a reconnect. For each session one FNV digest covers the
 //! folded `LinkDegradationReport`, the `TransportStats`, every streamed-back
-//! press with its arrival instant, whether the handshake completed, and the
-//! quanta the session took. A change to how either end pumps the link that
-//! moves a single datagram's fate moves a digest.
+//! press with its arrival instant, whether the handshake completed, how
+//! long its drain took in sim time, and the quanta the session took. A
+//! change to how either end pumps the link that moves a single datagram's
+//! fate moves a digest.
 //!
 //! Every session must also complete its handshake, so the run counts no
 //! `wire.session.drain_timeouts` on its spansight track.
@@ -51,48 +52,48 @@ const DRAW_SEED: u64 = 29;
 /// Per-session digests, victim-major, intensity-minor in [`LINK_MIX`]
 /// order. A change here means a datagram's fate changed: explain it, do not
 /// re-pin it silently. Pinned under wire version 3, one frame per changed
-/// read.
+/// read, with both ends pumping at each instant something is due for them.
 const PINNED: [u64; VICTIMS * LINK_MIX.len()] = [
-    0xB6A5_A59C_AFDA_4726,
-    0x6302_F584_9C01_23AC,
-    0x21F8_2E32_47C4_7318,
-    0xED28_473C_0468_2ABA,
-    0x2936_8552_93B5_E00D,
-    0xBE5B_A3A1_EC90_3300,
-    0x691A_629F_E562_B468,
-    0x8073_260D_EEEE_08CE,
-    0x44D9_6E76_4880_9922,
-    0x5D6C_621E_78C7_ABFD,
-    0x2200_8CD3_D481_0AD7,
-    0xF485_D409_24A6_8379,
-    0x938D_7CD7_31F1_C1FF,
-    0x3970_7826_626B_84DE,
-    0x8E5F_F70B_4DB7_709F,
-    0x1CA0_EB37_E29C_50DD,
-    0x1E22_B6FE_0E66_2428,
-    0x93FB_7AE7_1D0F_C61B,
-    0x82D0_6224_6C11_E010,
-    0x8BCA_2237_55F9_1F0C,
-    0xBD6F_34CE_5F16_1066,
-    0x22F6_DF5B_EA09_F0C9,
-    0x5648_F7EF_F613_92A7,
-    0x5AC9_D8D8_6594_6724,
-    0xB829_3653_D44A_9AA8,
-    0x8B16_9EE5_47CD_75E0,
-    0xCAC8_4BA7_288D_5004,
-    0xBCDD_E168_DFBB_8576,
-    0xA21D_F25E_2B4A_4D75,
-    0xF80B_6D0F_6A66_1202,
-    0x963C_3E1D_DF3E_5C53,
-    0xA185_7044_7E9B_D821,
-    0x621A_538E_30AA_B7B2,
-    0x22EC_32EE_0466_0F27,
-    0x0C58_7DA2_3C8F_93BF,
-    0x39E7_1B75_4EA4_3286,
+    0x237A_0E89_9CD9_8BBA,
+    0x709D_0833_BF64_54B5,
+    0x0B52_BF6A_7F70_8D79,
+    0xD2EC_1936_3FE1_FE85,
+    0x9390_61A9_EB5F_DE4B,
+    0xAFFB_6A5F_4E9F_1784,
+    0x745C_4813_D223_0188,
+    0x3134_FB36_2DBD_C85A,
+    0x537B_9EAF_942F_BB23,
+    0x53A7_9CD1_61EA_2B45,
+    0x3C66_8CB4_DF90_51F1,
+    0xE851_F783_2D3A_DEE7,
+    0xE4AF_0F27_9917_8F3D,
+    0xA7F0_3663_FF1C_F1FC,
+    0x6D17_140D_7D31_9CF6,
+    0xCB08_0480_51A7_9428,
+    0x0A5E_C24F_A700_9169,
+    0x2959_B60D_3704_EE53,
+    0x2BDD_5DE8_FC36_E6E4,
+    0x8868_F783_1142_20B4,
+    0x5AFF_ACF0_2E43_1196,
+    0x6433_4BAF_BBCD_F305,
+    0x680A_55F1_1C00_6125,
+    0x6C43_6ECC_D2D7_72E6,
+    0x0E51_69A7_6AB4_BF27,
+    0x2B87_D16D_B502_731A,
+    0xC9E3_D750_07C9_7E2E,
+    0x494A_7432_0839_F170,
+    0x8DE3_CB22_74C7_CE04,
+    0x3A4C_B165_15E5_CDC9,
+    0x9F45_E228_81ED_CC15,
+    0x5588_F32D_2127_902F,
+    0x3A96_E2A5_8C5D_1CC0,
+    0x5EFC_9694_E793_6C13,
+    0xB28B_0F7E_C03B_39C1,
+    0xF4BA_DD75_D67A_DD6A,
 ];
 
 /// The digest of the outage-heavy session.
-const PINNED_OUTAGES: u64 = 0xFA47_4378_5637_DC5F;
+const PINNED_OUTAGES: u64 = 0x0AE0_B80C_0A38_0446;
 
 /// One service for every session, its model trained once.
 fn service() -> AttackService {
@@ -196,7 +197,7 @@ fn digest(outcome: &SplitSessionOutcome) -> u64 {
             arrived.as_nanos(),
         ]);
     }
-    words.extend([u64::from(split.completed), outcome.quanta]);
+    words.extend([u64::from(split.completed), split.drain.as_nanos(), outcome.quanta]);
     words.iter().fold(FNV_BASIS, |h, w| fnv1a(h, &w.to_le_bytes()))
 }
 
