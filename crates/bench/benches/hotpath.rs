@@ -18,8 +18,8 @@
 //! The references are compiled into this bench rather than compared against
 //! recorded numbers because the host measurably drifts between runs; only
 //! same-run ratios are trustworthy. Optimised/reference pairs are
-//! semantically equivalent (pinned by proptests in
-//! `crates/core/tests/proptests.rs`; the threshold-bounded scan is also
+//! semantically equivalent (pinned by proptests in the root package's
+//! `tests/core_proptests.rs`; the threshold-bounded scan is also
 //! asserted decision-equal to its reference right here).
 
 use std::time::{Duration, Instant};

@@ -16,8 +16,8 @@
 //! Nothing resets the caches, so "cold" is a frame no earlier frame shared
 //! a layer with. Each `render` output is asserted equal to
 //! `render_uncached` here before timing, cold and warm (and pinned at scale
-//! by the frame-sequence proptests in
-//! `crates/adreno-sim/tests/incremental_proptests.rs`).
+//! by the frame-sequence proptests in the root package's
+//! `tests/adreno_sim_incremental_proptests.rs`).
 
 use adreno_sim::geom::{Rect, Segment};
 use adreno_sim::model::{GpuModel, GpuParams};

@@ -2,40 +2,17 @@
 
 use std::collections::HashMap;
 
-use adreno_sim::time::{SimDuration, SimInstant};
 use android_ui::apps::FIG19_APPS;
 use android_ui::keyboard::ALL_KEYBOARDS;
-use android_ui::sim::{SimConfig, UiSimulation};
 use gpu_sc_attack::metrics::{per_char_tallies, Aggregate};
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::{AttackService, ServiceConfig};
 use input_bot::corpus::CredentialKind;
-use input_bot::script::Typist;
-use input_bot::timing::{VolunteerModel, VOLUNTEERS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::experiments::Ctx;
 use crate::outln;
 use crate::report;
-use crate::trials::{eval_credentials, run_credential_trial, TrialOptions};
-
-/// Draws the per-trial `(text, volunteer, seed)` plan the sequential loop
-/// would have produced, so parallel trials consume identical inputs.
-fn trial_plan(
-    root_seed: u64,
-    kind: CredentialKind,
-    len: usize,
-    trials: usize,
-) -> Vec<(String, VolunteerModel, u64)> {
-    let mut rng = StdRng::seed_from_u64(root_seed);
-    (0..trials)
-        .map(|t| {
-            let text = input_bot::corpus::generate(&mut rng, kind, len);
-            (text, VOLUNTEERS[t % VOLUNTEERS.len()], rng.gen::<u64>())
-        })
-        .collect()
-}
+use crate::trials::{eval_credentials, run_credential_trial, trial_plan, victim, TrialOptions};
 
 /// Fig 11 companion (§5.1): the duplication / split / noise census over
 /// many key presses (the paper found 633 / 316 / 21 in 3,485 presses).
@@ -157,12 +134,7 @@ pub fn fig18(ctx: &Ctx) {
     let per_trial = ctx.pool.par_map(plan, |_, (text, volunteer, seed)| {
         let mut o = opts.clone();
         o.volunteer = volunteer;
-        let mut sim = UiSimulation::new(SimConfig { seed, ..o.sim.clone() });
-        let mut trng = StdRng::seed_from_u64(seed ^ 0x7157);
-        let mut typist = Typist::new(o.volunteer);
-        let plan = typist.type_text(&text, SimInstant::from_millis(900), &mut trng);
-        let end = plan.end + SimDuration::from_millis(800);
-        sim.queue_all(plan.events);
+        let (mut sim, end) = victim(&o, &text, seed);
         let service = AttackService::new(store.clone(), ServiceConfig::default());
         service.eavesdrop(&mut sim, end).ok().map(|result| {
             per_char_tallies(&sim.truth().keystrokes(), &result.keys_before_corrections)

@@ -25,22 +25,19 @@
 //! lands in the `wire.session.drain_ms` histogram.
 
 use adreno_sim::time::{SimDuration, SimInstant};
-use android_ui::sim::{SimConfig, UiSimulation};
 use gpu_sc_attack::metrics::{press_latencies_ms, Aggregate};
 use gpu_sc_attack::offline::ModelStore;
-use gpu_sc_attack::service::{AttackService, ServiceError, SessionResult};
+use gpu_sc_attack::service::{AttackService, ServiceError};
 use gpu_sc_attack::SessionScore;
 use input_bot::corpus::{generate, CredentialKind};
-use input_bot::script::Typist;
-use input_bot::timing::VOLUNTEERS;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use wire::{run_split_session, ExfilConfig, LinkPlan, SplitOutcome};
 
 use crate::experiments::Ctx;
 use crate::outln;
 use crate::report;
-use crate::trials::TrialOptions;
+use crate::trials::{run_credential_trial, trial_plan, victim, TrialOptions};
 
 const CREDENTIAL_LEN: usize = 10;
 
@@ -59,9 +56,9 @@ type PressTruth = Vec<(SimInstant, char)>;
 /// Runs one credential session split across `plan`, returning the outcome
 /// plus the ground-truth press times (for wire-latency matching).
 ///
-/// The victim side is seeded exactly like
-/// [`crate::trials::run_credential_trial`], so an in-process run with the
-/// same `(text, seed)` observes the identical victim.
+/// The victim is [`victim`], as in [`run_credential_trial`], so an
+/// in-process run with the same `(text, seed)` observes the identical
+/// victim.
 fn split_trial(
     store: &ModelStore,
     opts: &TrialOptions,
@@ -70,35 +67,12 @@ fn split_trial(
     plan: &LinkPlan,
 ) -> Result<(SessionScore, SplitOutcome, PressTruth), ServiceError> {
     let _span = spansight::span("bench", "trial");
-    let mut sim = UiSimulation::new(SimConfig { seed, ..opts.sim.clone() });
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7157);
-    let mut typist = Typist::new(opts.volunteer);
-    let typed = typist.type_text(text, SimInstant::from_millis(900), &mut rng);
-    let end = typed.end + SimDuration::from_millis(800);
-    sim.queue_all(typed.events);
-
+    let (mut sim, end) = victim(opts, text, seed);
     let service = AttackService::new(store.clone(), opts.service.clone());
     let outcome = run_split_session(&service, &mut sim, end, plan, ExfilConfig::default())?;
     let score = outcome.result.score(&sim);
     let truth = sim.truth().keystrokes();
     Ok((score, outcome, truth))
-}
-
-/// The same session, in-process (the equivalence baseline).
-fn inproc_trial(
-    store: &ModelStore,
-    opts: &TrialOptions,
-    text: &str,
-    seed: u64,
-) -> Result<SessionResult, ServiceError> {
-    let _span = spansight::span("bench", "trial");
-    let mut sim = UiSimulation::new(SimConfig { seed, ..opts.sim.clone() });
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7157);
-    let mut typist = Typist::new(opts.volunteer);
-    let typed = typist.type_text(text, SimInstant::from_millis(900), &mut rng);
-    let end = typed.end + SimDuration::from_millis(800);
-    sim.queue_all(typed.events);
-    AttackService::new(store.clone(), opts.service.clone()).eavesdrop(&mut sim, end)
 }
 
 /// One loss-rate row of the sweep, folded in trial order.
@@ -116,7 +90,7 @@ struct LossCell {
 }
 
 /// Runs `trials` split sessions at one loss rate; deterministic at any
-/// worker count (inputs pre-drawn sequentially, folded in trial order).
+/// worker count (inputs are a [`trial_plan`], folded in trial order).
 fn loss_cell(
     ctx: &Ctx,
     store: &ModelStore,
@@ -125,13 +99,10 @@ fn loss_cell(
     trials: usize,
     seed: u64,
 ) -> LossCell {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(String, u64, usize)> = (0..trials)
-        .map(|t| (generate(&mut rng, CredentialKind::Password, CREDENTIAL_LEN), rng.gen(), t))
-        .collect();
-    let outcomes = ctx.pool.par_map(inputs, |_, (text, trial_seed, t)| {
+    let plan = trial_plan(seed, CredentialKind::Password, CREDENTIAL_LEN, trials);
+    let outcomes = ctx.pool.par_map(plan, |_, (text, volunteer, trial_seed)| {
         let mut opts = base.clone();
-        opts.volunteer = VOLUNTEERS[t % VOLUNTEERS.len()];
+        opts.volunteer = volunteer;
         let plan = LinkPlan::new(trial_seed ^ 0x11E7)
             .with_loss(loss)
             .with_reorder(loss / 2.0)
@@ -187,7 +158,8 @@ pub fn exfil(ctx: &Ctx) {
     let clean = LinkPlan::new(0xC1EA).with_horizon(HORIZON);
     let (_, outcome, truth) =
         split_trial(&store, &base, &text, 0xE8F1, &clean).expect("fault-free split session");
-    let inproc = inproc_trial(&store, &base, &text, 0xE8F1).expect("in-process baseline");
+    let (_, inproc) =
+        run_credential_trial(&store, &base, &text, 0xE8F1).expect("in-process baseline");
     let mut delinked = outcome.result.clone();
     delinked.link = Default::default();
     assert_eq!(delinked, inproc, "fault-free split must equal the in-process pipeline");

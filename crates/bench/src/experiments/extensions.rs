@@ -8,16 +8,13 @@
 //!   a target accuracy, and what does that cost in GPU time?
 
 use gpu_sc_attack::offline::ModelStore;
-use input_bot::corpus::{generate, CredentialKind};
-use input_bot::timing::{VolunteerModel, VOLUNTEERS};
+use input_bot::corpus::CredentialKind;
 use kgsl::ObfuscationConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::experiments::Ctx;
 use crate::outln;
 use crate::report;
-use crate::trials::{eval_credentials, run_credential_trial, TrialOptions};
+use crate::trials::{eval_credentials, run_credential_trial, trial_plan, TrialOptions};
 
 /// Exact and single-edit recovery over random credentials.
 pub fn guessing(ctx: &Ctx) {
@@ -28,14 +25,7 @@ pub fn guessing(ctx: &Ctx) {
         opts.sim.keyboard,
         opts.sim.app,
     ));
-    let trials = ctx.trials(60);
-    let mut rng = StdRng::seed_from_u64(0x63E5);
-    let plan: Vec<(String, VolunteerModel, u64)> = (0..trials)
-        .map(|t| {
-            let text = generate(&mut rng, CredentialKind::Username, 12);
-            (text, VOLUNTEERS[t % VOLUNTEERS.len()], rng.gen())
-        })
-        .collect();
+    let plan = trial_plan(0x63E5, CredentialKind::Username, 12, ctx.trials(60));
     let outcomes = ctx.pool.par_map(plan, |_, (text, volunteer, seed)| {
         let mut o = opts.clone();
         o.volunteer = volunteer;

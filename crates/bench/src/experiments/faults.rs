@@ -11,16 +11,15 @@ use adreno_sim::time::SimDuration;
 use gpu_sc_attack::metrics::Aggregate;
 use gpu_sc_attack::offline::ModelStore;
 use input_bot::corpus::{generate, CredentialKind};
-use input_bot::timing::VOLUNTEERS;
 use kgsl::FaultPlan;
 use minipool::Pool;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::experiments::Ctx;
 use crate::outln;
 use crate::report;
-use crate::trials::{run_credential_trial, TrialOptions};
+use crate::trials::{run_credential_trial, trial_plan, TrialOptions};
 
 /// Every session in the sweep fits comfortably inside this horizon (10-key
 /// credentials finish well before 8 s), so scheduled fault events can land
@@ -58,9 +57,9 @@ impl SweepCell {
 }
 
 /// Runs `trials` credential sessions under a per-trial fault plan of the
-/// given intensity and the given retry budget, fanned out on `pool`. Texts
-/// and seeds are pre-drawn in sequential order; per-trial results fold into
-/// the cell in trial order, so the cell is identical at any worker count.
+/// given intensity and the given retry budget, fanned out on `pool`. The
+/// inputs are a [`trial_plan`]; per-trial results fold into the cell in
+/// trial order, so the cell is identical at any worker count.
 fn sweep_cell(
     pool: &Pool,
     store: &ModelStore,
@@ -70,13 +69,10 @@ fn sweep_cell(
     trials: usize,
     seed: u64,
 ) -> SweepCell {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan: Vec<(String, u64, usize)> = (0..trials)
-        .map(|t| (generate(&mut rng, CredentialKind::Username, CREDENTIAL_LEN), rng.gen(), t))
-        .collect();
-    let outcomes = pool.par_map(plan, |_, (text, trial_seed, t)| {
+    let plan = trial_plan(seed, CredentialKind::Username, CREDENTIAL_LEN, trials);
+    let outcomes = pool.par_map(plan, |_, (text, volunteer, trial_seed)| {
         let mut opts = base.clone();
-        opts.volunteer = VOLUNTEERS[t % VOLUNTEERS.len()];
+        opts.volunteer = volunteer;
         opts.service.sampler.retry_budget = budget;
         opts.fault_plan = Some(FaultPlan::with_intensity(trial_seed ^ 0xFA, intensity, HORIZON));
         match run_credential_trial(store, &opts, &text, trial_seed) {

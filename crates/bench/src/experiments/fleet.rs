@@ -21,22 +21,17 @@
 //! keys/s) goes to stderr and to the `bench.fleet.*` telemetry counters in
 //! `BENCH_experiments.json`.
 
-use adreno_sim::time::{SimDuration, SimInstant};
-use android_ui::sim::{SimConfig, UiSimulation};
+use adreno_sim::time::SimDuration;
 use gpu_sc_attack::fleet::{run_sessions, FleetConfig, FleetSession, Session};
 use gpu_sc_attack::metrics::press_latencies_ms;
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::AttackService;
-use input_bot::corpus::{generate, CredentialKind};
-use input_bot::script::Typist;
-use input_bot::timing::VOLUNTEERS;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use input_bot::corpus::CredentialKind;
 use wire::{ExfilConfig, LinkPlan, SplitSessionTask};
 
 use crate::experiments::Ctx;
 use crate::report;
-use crate::trials::TrialOptions;
+use crate::trials::{trial_plan, victim, TrialOptions};
 
 /// Credential length per session — short enough that thousand-session rows
 /// stay affordable, long enough to score accuracy meaningfully.
@@ -194,30 +189,29 @@ fn run_row(ctx: &Ctx, shards: usize, sessions: usize, seed: u64) -> Vec<Done> {
         .map(|_| AttackService::new(ModelStore::from(handle.clone()), base.service.clone()))
         .collect();
 
-    // Pre-draw every session's input from the sequential RNG, in index
+    // Every session's input comes from the sequential trial plan, in index
     // order — the determinism idiom every experiment uses.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(String, usize, u64)> = (0..sessions)
-        .map(|i| {
-            let text = generate(&mut rng, CredentialKind::Password, CREDENTIAL_LEN);
-            (text, i % VOLUNTEERS.len(), rng.gen::<u64>())
-        })
-        .collect();
-
+    let plan = trial_plan(seed, CredentialKind::Password, CREDENTIAL_LEN, sessions);
     let fleet_config = FleetConfig { shards };
-    let tasks: Vec<(Task<'_>, &'static str)> = inputs
+    let tasks: Vec<(Task<'_>, &'static str)> = plan
         .into_iter()
         .enumerate()
         .map(|(i, (text, volunteer, session_seed))| {
             let shard = i % shards;
-            let mut sim = UiSimulation::new(SimConfig { seed: session_seed, ..base.sim.clone() });
-            let mut trial_rng = StdRng::seed_from_u64(session_seed ^ 0x7157);
-            let mut typist = Typist::new(VOLUNTEERS[volunteer]);
-            let plan = typist.type_text(&text, SimInstant::from_millis(900), &mut trial_rng);
-            let end = plan.end + SimDuration::from_millis(800);
-            sim.queue_all(plan.events);
+            let split = i % SPLIT_EVERY == SPLIT_EVERY - 1;
+            let mut opts = base.clone();
+            opts.volunteer = volunteer;
+            let fault_intensity = FAULT_MIX[local_ordinal(i) % FAULT_MIX.len()];
+            if !split && fault_intensity > 0.0 {
+                opts.fault_plan = Some(kgsl::FaultPlan::with_intensity(
+                    session_seed ^ 0xFA,
+                    fault_intensity,
+                    SimDuration::from_secs(8),
+                ));
+            }
+            let (sim, end) = victim(&opts, &text, session_seed);
             let band = band_of(i);
-            let task = if i % SPLIT_EVERY == SPLIT_EVERY - 1 {
+            let task = if split {
                 let intensity = LINK_MIX[(i / SPLIT_EVERY) % LINK_MIX.len()];
                 let link = if intensity > 0.0 {
                     LinkPlan::with_intensity(session_seed, intensity, SimDuration::from_secs(8))
@@ -233,14 +227,6 @@ fn run_row(ctx: &Ctx, shards: usize, sessions: usize, seed: u64) -> Vec<Done> {
                     ExfilConfig::default(),
                 )))
             } else {
-                let intensity = FAULT_MIX[local_ordinal(i) % FAULT_MIX.len()];
-                if intensity > 0.0 {
-                    sim.device().install_fault_plan(&kgsl::FaultPlan::with_intensity(
-                        session_seed ^ 0xFA,
-                        intensity,
-                        SimDuration::from_secs(8),
-                    ));
-                }
                 Task::Local(Box::new(FleetSession::new(
                     shard,
                     &services[shard],

@@ -9,22 +9,16 @@
 //! press; the lookahead variant holds each change until the next one
 //! arrives, buying its split-pairing accuracy with exactly that wait.
 
-use adreno_sim::time::SimDuration;
 use adreno_sim::SimInstant;
-use android_ui::sim::{SimConfig, UiSimulation};
 use gpu_sc_attack::metrics::press_latencies_ms;
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::service::AttackService;
 use gpu_sc_attack::InferredKey;
-use input_bot::corpus::{generate, CredentialKind};
-use input_bot::script::Typist;
-use input_bot::timing::{VolunteerModel, VOLUNTEERS};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use input_bot::corpus::CredentialKind;
 
 use crate::experiments::Ctx;
 use crate::report;
-use crate::trials::TrialOptions;
+use crate::trials::{trial_plan, victim, TrialOptions};
 
 const CREDENTIAL_LEN: usize = 10;
 
@@ -54,13 +48,7 @@ fn latency_trial(
     seed: u64,
 ) -> Option<(Vec<u64>, usize)> {
     let _span = spansight::span("bench", "trial");
-    let mut sim = UiSimulation::new(SimConfig { seed, ..opts.sim.clone() });
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7157);
-    let mut typist = Typist::new(opts.volunteer);
-    let plan = typist.type_text(text, SimInstant::from_millis(900), &mut rng);
-    let end = plan.end + SimDuration::from_millis(800);
-    sim.queue_all(plan.events);
-
+    let (mut sim, end) = victim(opts, text, seed);
     let service = AttackService::new(store.clone(), opts.service.clone());
     let result = service.eavesdrop(&mut sim, end).ok()?;
     // Pre-correction keys: a press later removed by a detected backspace
@@ -76,9 +64,8 @@ struct ConfigRow {
 }
 
 /// Runs `trials` sessions under `full_trace` and aggregates press-to-
-/// inference latencies. Inputs are pre-drawn in sequential order and
-/// results fold in trial order, so the row is identical at any worker
-/// count.
+/// inference latencies. Inputs are a [`trial_plan`] and results fold in
+/// trial order, so the row is identical at any worker count.
 fn run_config(
     ctx: &Ctx,
     store: &ModelStore,
@@ -87,14 +74,8 @@ fn run_config(
     trials: usize,
     seed: u64,
 ) -> ConfigRow {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(String, VolunteerModel, u64)> = (0..trials)
-        .map(|t| {
-            let text = generate(&mut rng, CredentialKind::Password, CREDENTIAL_LEN);
-            (text, VOLUNTEERS[t % VOLUNTEERS.len()], rng.gen::<u64>())
-        })
-        .collect();
-    let outcomes = ctx.pool.par_map(inputs, |_, (text, volunteer, trial_seed)| {
+    let plan = trial_plan(seed, CredentialKind::Password, CREDENTIAL_LEN, trials);
+    let outcomes = ctx.pool.par_map(plan, |_, (text, volunteer, trial_seed)| {
         let mut opts = TrialOptions::paper_default(0);
         opts.volunteer = volunteer;
         opts.service.full_trace = full_trace;

@@ -3,14 +3,16 @@
 //! Everything the `experiments` binary needs to regenerate the paper's
 //! tables and figures:
 //!
-//! * [`trials`] — end-to-end trial runners ([`run_credential_trial`],
-//!   [`eval_credentials`]);
+//! * [`trials`] — the trial plan and the victim every experiment draws
+//!   ([`trials::trial_plan`], [`trials::victim`]) and end-to-end trial
+//!   runners ([`run_credential_trial`], [`eval_credentials`]);
 //! * [`experiments`] — one module per paper table/figure plus the
 //!   beyond-the-paper extensions and ablations;
 //! * [`power`] — the Fig 26 battery model;
 //! * [`report`] — ASCII tables/plots routed through a thread-local sink so
 //!   parallel experiment fan-out can capture its output (the stdout
-//!   byte-identity contract of `tests/determinism.rs`).
+//!   byte-identity contract of the root package's
+//!   `tests/bench_determinism.rs`).
 //!
 //! Trial runners are instrumented with `spansight` spans/counters; see
 //! ARCHITECTURE.md for the observability layer and EXPERIMENTS.md for how

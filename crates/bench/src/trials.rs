@@ -23,7 +23,7 @@ pub struct TrialOptions {
     /// Optional speed-class constraint (§7.2).
     pub speed: Option<SpeedClass>,
     /// Optional device fault plan, installed before the attack starts (the
-    /// robustness sweeps in `experiments::faults`).
+    /// robustness sweeps in `experiments::faults`, the `fleet` fault mix).
     pub fault_plan: Option<kgsl::FaultPlan>,
 }
 
@@ -40,8 +40,46 @@ impl TrialOptions {
     }
 }
 
+/// Draws `trials` `(text, volunteer, seed)` inputs from `root_seed`, in
+/// trial order: each trial's text, then its seed. Volunteers rotate by
+/// trial index. Drawn up front, the plan gives trials that fan out on a
+/// pool identical inputs at any worker count.
+pub fn trial_plan(
+    root_seed: u64,
+    kind: CredentialKind,
+    len: usize,
+    trials: usize,
+) -> Vec<(String, VolunteerModel, u64)> {
+    let mut rng = StdRng::seed_from_u64(root_seed);
+    (0..trials)
+        .map(|t| {
+            let text = generate(&mut rng, kind, len);
+            (text, VOLUNTEERS[t % VOLUNTEERS.len()], rng.gen::<u64>())
+        })
+        .collect()
+}
+
+/// One trial's victim: a simulation seeded with `seed` whose volunteer
+/// types `text` from t = 900 ms, with `opts`'s fault plan installed.
+/// Returns it with the instant sampling stops, 800 ms after the typing
+/// ends.
+pub fn victim(opts: &TrialOptions, text: &str, seed: u64) -> (UiSimulation, SimInstant) {
+    let mut sim = UiSimulation::new(SimConfig { seed, ..opts.sim.clone() });
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7157);
+    let mut typist = match opts.speed {
+        Some(class) => Typist::with_speed(opts.volunteer, class),
+        None => Typist::new(opts.volunteer),
+    };
+    let plan = typist.type_text(text, SimInstant::from_millis(900), &mut rng);
+    sim.queue_all(plan.events);
+    if let Some(faults) = &opts.fault_plan {
+        sim.device().install_fault_plan(faults);
+    }
+    (sim, plan.end + SimDuration::from_millis(800))
+}
+
 /// Runs one credential-typing session through the full attack and scores
-/// it. `text` is typed starting at t = 900 ms.
+/// it. The victim is [`victim`].
 ///
 /// # Errors
 ///
@@ -53,19 +91,7 @@ pub fn run_credential_trial(
     seed: u64,
 ) -> Result<(SessionScore, SessionResult), ServiceError> {
     let _span = spansight::span("bench", "trial");
-    let mut sim = UiSimulation::new(SimConfig { seed, ..opts.sim.clone() });
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7157);
-    let mut typist = match opts.speed {
-        Some(class) => Typist::with_speed(opts.volunteer, class),
-        None => Typist::new(opts.volunteer),
-    };
-    let plan = typist.type_text(text, SimInstant::from_millis(900), &mut rng);
-    let end = plan.end + SimDuration::from_millis(800);
-    sim.queue_all(plan.events);
-    if let Some(faults) = &opts.fault_plan {
-        sim.device().install_fault_plan(faults);
-    }
-
+    let (mut sim, end) = victim(opts, text, seed);
     let service = AttackService::new(store.clone(), opts.service.clone());
     let result = service.eavesdrop(&mut sim, end)?;
     let score = result.score(&sim);
@@ -76,10 +102,8 @@ pub fn run_credential_trial(
 /// aggregating the paper's accuracy metrics. Volunteer models rotate across
 /// trials; trials fan out across `pool`'s workers.
 ///
-/// Deterministic at any worker count: every trial's text and seed are drawn
-/// up front from the sequential RNG (in the exact order the sequential loop
-/// drew them), each trial consumes only its own seed, and scores are folded
-/// in trial order.
+/// Deterministic at any worker count: the inputs are a [`trial_plan`], each
+/// trial consumes only its own seed, and scores are folded in trial order.
 pub fn eval_credentials(
     pool: &Pool,
     store: &ModelStore,
@@ -89,14 +113,8 @@ pub fn eval_credentials(
     trials: usize,
     seed: u64,
 ) -> Aggregate {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let inputs: Vec<(String, VolunteerModel, u64)> = (0..trials)
-        .map(|t| {
-            let text = generate(&mut rng, kind, len);
-            (text, VOLUNTEERS[t % VOLUNTEERS.len()], rng.gen::<u64>())
-        })
-        .collect();
-    let scores = pool.par_map(inputs, |_, (text, volunteer, trial_seed)| {
+    let plan = trial_plan(seed, kind, len, trials);
+    let scores = pool.par_map(plan, |_, (text, volunteer, trial_seed)| {
         let mut o = opts.clone();
         o.volunteer = volunteer;
         score_or_miss(store, &o, &text, trial_seed)

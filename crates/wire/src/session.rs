@@ -636,11 +636,11 @@ impl<'s> ClassifierServer<'s> {
                         self.result = Some(result);
                         recovered
                     }
-                    // No session: the result was already decided (e.g. a
-                    // model-digest mismatch). Still FinAck — the client's
-                    // handshake must terminate either way.
-                    None if self.result.is_some() => String::new(),
-                    None => return,
+                    // No session: the Hello's digest mismatch already
+                    // decided the result (data reaches here only after a
+                    // Hello). Still FinAck — the client's handshake must
+                    // terminate either way.
+                    None => String::new(),
                 };
                 self.payload.clear();
                 Message::FinAck { recovered }.encode_into(&mut self.payload);
@@ -888,16 +888,12 @@ impl<'s> SplitDriver<'s> {
             Some(result) => result,
             // The Fin never got through even after the drain budget — the
             // link was effectively one-way-dead. Salvage the session from
-            // whatever samples did arrive rather than erroring out.
+            // whatever samples did arrive rather than erroring out. Each
+            // Hello leaves a session or a result behind, so neither means no
+            // Hello got through, and the salvage recognises the device.
             None => match self.server.session.take() {
                 Some(session) => session.finish(&self.report),
-                None => match self.server.requested_digest.filter(|d| !d.is_zero()) {
-                    Some(digest) => self
-                        .service
-                        .streaming_session_for(&digest)
-                        .and_then(|session| session.finish(&self.report)),
-                    None => self.service.streaming_session().finish(&self.report),
-                },
+                None => self.service.streaming_session().finish(&self.report),
             },
         };
         let mut result = result?;

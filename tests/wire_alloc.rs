@@ -10,12 +10,12 @@
 //! 32-read batches and every datagram was a fresh payload copied at each
 //! hop.
 //!
-//! Allocations are counted per thread, as in `crates/core/tests/alloc_free.rs`:
-//! the tests of this file run in parallel, and the harness allocates on its
-//! own thread when one of them finishes.
+//! Allocations are counted per thread, by `counting_alloc`: the tests of
+//! this file run in parallel, and the harness allocates on its own thread
+//! when one of them finishes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
+
 use std::sync::OnceLock;
 
 use adreno_sim::counters::{CounterSet, NUM_TRACKED};
@@ -34,40 +34,7 @@ use gpu_eaves::wire::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made on this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-}
-
-/// Allocations the calling thread has made so far.
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 /// Victims in the clean-session comparison.
 const VICTIMS: usize = 12;
