@@ -15,8 +15,11 @@
 //!    the wire adds exactly the round trip.
 //! 3. **Loss sweep** — accuracy as a function of datagram loss rate. The
 //!    retransmit/resequence/reconnect machinery should hold accuracy flat
-//!    while retransmissions (the price paid) climb, and so does the
-//!    drain: the median sim time from the Fin to its FinAck.
+//!    while retransmissions, reconnects and bytes per session (the price
+//!    paid) climb, and so do the drain (the median sim time from the Fin
+//!    to its FinAck) and the wire latency (median and max over the
+//!    matched presses; a lost `InferredKeys` frame is never re-sent, so
+//!    its presses drop out of the count).
 //!
 //! Telemetry lands in `BENCH_experiments.json` as
 //! `bench.exfil.payload_bytes_per_key`,
@@ -87,6 +90,9 @@ struct LossCell {
     finacks: usize,
     /// Each completed session's drain, ms.
     drains_ms: Vec<u64>,
+    /// Press-to-inference latency over the wire (ms) of every matched
+    /// press the client received.
+    lags_ms: Vec<u64>,
 }
 
 /// Runs `trials` split sessions at one loss rate; deterministic at any
@@ -109,21 +115,19 @@ fn loss_cell(
             .with_duplication(loss / 4.0)
             .with_horizon(HORIZON);
         let truth_len = text.chars().count();
-        match split_trial(store, &opts, &text, trial_seed, &plan) {
-            Ok((score, outcome, _)) => Ok((score, outcome)),
-            Err(e) => Err((truth_len, e)),
-        }
+        split_trial(store, &opts, &text, trial_seed, &plan).map_err(|e| (truth_len, e))
     });
     let mut cell = LossCell::default();
     for outcome in outcomes {
         match outcome {
-            Ok((score, outcome)) => {
+            Ok((score, outcome, truth)) => {
                 cell.completed += 1;
                 cell.retransmits += outcome.result.link.retransmits;
                 cell.reconnects += outcome.result.link.reconnects;
                 cell.bytes_sent += outcome.result.link.bytes_sent;
                 cell.finacks += usize::from(outcome.completed);
                 cell.drains_ms.push(outcome.drain.as_millis());
+                cell.lags_ms.extend(press_latencies_ms(&truth, outcome.key_arrivals));
                 cell.agg.add(&score);
             }
             Err((lost_keys, _)) => {
@@ -208,20 +212,22 @@ pub fn exfil(ctx: &Ctx) {
         );
     }
 
-    // 3. Loss sweep: accuracy should hold as loss climbs; retransmits and
-    // reconnects are what it costs.
+    // 3. Loss sweep: accuracy should hold as loss climbs; retransmits,
+    // reconnects, bytes and latency are what it costs. Costs are per
+    // session.
     let per_cell = ctx.trials(6);
     outln!();
     outln!(
-        "{:<7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>9} {:>9} {:>7}",
+        "{:<7} {:>12} {:>12} {:>8} {:>10} {:>11} {:>11} {:>9} {:>18} {:>7}",
         "loss",
         "text-acc",
         "key-acc",
         "finack",
-        "retx/s",
-        "reconn/s",
-        "KB/s(tx)",
+        "retx/sess",
+        "reconn/sess",
+        "KB(tx)/sess",
         "drain-ms",
+        "lag-ms p50/max (n)",
         "failed"
     );
     let mut worst_key_acc = f64::INFINITY;
@@ -230,8 +236,16 @@ pub fn exfil(ctx: &Ctx) {
         let sessions = (cell.completed + cell.failed).max(1) as f64;
         cell.drains_ms.sort_unstable();
         let drain_p50 = cell.drains_ms.get(cell.drains_ms.len().saturating_sub(1) / 2);
+        cell.lags_ms.sort_unstable();
+        let lag = match cell.lags_ms.last() {
+            Some(max) => {
+                let p50 = cell.lags_ms[(cell.lags_ms.len() - 1) / 2];
+                format!("{p50}/{max} ({})", cell.lags_ms.len())
+            }
+            None => "-".to_string(),
+        };
         outln!(
-            "{:<7.2} {:>11.1}% {:>11.1}% {:>5}/{:<2} {:>10.1} {:>10.2} {:>9.1} {:>9} {:>4}/{:<2}",
+            "{:<7.2} {:>11.1}% {:>11.1}% {:>5}/{:<2} {:>10.1} {:>11.2} {:>11.1} {:>9} {:>18} {:>4}/{:<2}",
             loss,
             cell.agg.text_accuracy() * 100.0,
             cell.agg.key_accuracy() * 100.0,
@@ -241,6 +255,7 @@ pub fn exfil(ctx: &Ctx) {
             cell.reconnects as f64 / sessions,
             cell.bytes_sent as f64 / sessions / 1024.0,
             drain_p50.map_or("-".to_string(), u64::to_string),
+            lag,
             cell.failed,
             per_cell,
         );

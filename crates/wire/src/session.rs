@@ -8,16 +8,26 @@
 //! ([`Message::Read`], [`Message::Fin`]) carries a dense sequence number
 //! starting at 0. The server acknowledges cumulatively ([`Message::Ack`]
 //! carries the next sequence number it is missing) and resequences
-//! out-of-order arrivals in a bounded buffer. The client retransmits unacked
-//! frames on a capped exponential backoff (30 ms doubling to at most
-//! 500 ms) and, when the oldest unacked frame has been retransmitted four
-//! times without progress (the signature of a link outage rather than
-//! sporadic loss), performs a reconnect: a fresh [`Message::Hello`] carrying
-//! `resume_from` — the oldest unacked sequence number — which the server
-//! answers with its actual `next_expected`, snapping both ends back into
-//! agreement. The server opens the session only at a Hello and leaves data
-//! that reaches it first unacknowledged, so until the first Ack arrives the
-//! client re-sends its Hello with every retransmit round.
+//! out-of-order arrivals in a bounded buffer.
+//!
+//! The client retransmits the way TCP does. It measures the link's round
+//! trip from its Acks, as RFC 6298 does: a smoothed round trip (SRTT) and
+//! its variation (RTTVAR), sampled only from Acks that retire no
+//! retransmitted frame (Karn's rule). Each frame's first retransmit
+//! timeout is SRTT + max(1 ms, 4·RTTVAR) at its first transmission (30 ms
+//! before the first sample), doubling per timed retransmit to at most
+//! 500 ms. A duplicate Ack, one that retires nothing, shows that the
+//! server answered something sent after the oldest unacked frame without
+//! holding it: if that frame was last sent at least one SRTT ago, the Ack
+//! retransmits it at once (RFC 5681's fast retransmit), without doubling
+//! its backoff. When the oldest unacked frame has had four timed
+//! retransmits without progress (the signature of a link outage rather
+//! than sporadic loss), the client reconnects: a fresh [`Message::Hello`]
+//! carrying `resume_from` — the oldest unacked sequence number — which the
+//! server answers with its actual `next_expected`, snapping both ends back
+//! into agreement. The server opens the session only at a Hello and leaves
+//! data that reaches it first unacknowledged, so until the first Ack
+//! arrives the client re-sends its Hello with every retransmit round.
 //!
 //! Control frames (Hello, Ack) travel *outside* the data sequence space
 //! under [`CONTROL_SEQ`]: they are idempotent and applied on arrival, so a
@@ -67,14 +77,20 @@ const READS_PER_QUANTUM: usize = 32;
 const DRAIN_EDGES_MS: &[u64] =
     &[4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096, 8_192, 16_384];
 
-/// First retransmit timeout; doubles per retransmit of the same frame.
-const RETRANSMIT_AFTER: SimDuration = SimDuration::from_millis(30);
+/// A frame's first retransmit timeout until the client has measured the
+/// link's round trip; each timed retransmit of the frame doubles it.
+const INITIAL_RETRANSMIT_TIMEOUT: SimDuration = SimDuration::from_millis(30);
 
-/// Ceiling on the per-frame retransmit backoff.
+/// Floor on a measured timeout's variation term (RFC 6298's clock
+/// granularity G): a link whose round trip never varies still gets a
+/// margin.
+const MIN_RTT_VARIATION_TERM: SimDuration = SimDuration::from_millis(1);
+
+/// Ceiling on the per-frame retransmit backoff, and on a measured timeout.
 const MAX_RETRANSMIT_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
-/// Retransmits of the *oldest* unacked frame before the client declares
-/// the link down and reconnects.
+/// Timed retransmits of the *oldest* unacked frame before the client
+/// declares the link down and reconnects.
 const RECONNECT_AFTER: u32 = 4;
 
 /// Tuning for the client side of the split session.
@@ -138,6 +154,40 @@ impl ResequenceStage {
     }
 }
 
+/// The link's round trip as RFC 6298 smooths it, in integer ns: SRTT with
+/// gain 1/8 and RTTVAR with gain 1/4.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RttEstimate {
+    srtt: u64,
+    rttvar: u64,
+}
+
+impl RttEstimate {
+    /// `estimate` with one more round-trip sample folded in. The first
+    /// sample sets SRTT to itself and RTTVAR to half of it.
+    fn fold(estimate: Option<RttEstimate>, sample: SimDuration) -> RttEstimate {
+        let r = sample.as_nanos();
+        match estimate {
+            None => RttEstimate { srtt: r, rttvar: r / 2 },
+            Some(RttEstimate { srtt, rttvar }) => RttEstimate {
+                srtt: (7 * srtt + r) / 8,
+                rttvar: (3 * rttvar + srtt.abs_diff(r)) / 4,
+            },
+        }
+    }
+
+    fn srtt(self) -> SimDuration {
+        SimDuration::from_nanos(self.srtt)
+    }
+
+    /// The retransmit timeout, SRTT + max(G, K·RTTVAR) with K = 4, capped
+    /// at [`MAX_RETRANSMIT_BACKOFF`].
+    fn rto(self) -> SimDuration {
+        let variation = SimDuration::from_nanos(4 * self.rttvar).max(MIN_RTT_VARIATION_TERM);
+        (self.srtt() + variation).min(MAX_RETRANSMIT_BACKOFF)
+    }
+}
+
 #[derive(Debug)]
 struct PendingFrame {
     seq: u64,
@@ -147,8 +197,41 @@ struct PendingFrame {
     fin: bool,
     /// `None` until first transmission (backpressure keeps it queued).
     last_sent: Option<SimInstant>,
+    /// The current transmission's timeout: the client's retransmit timeout
+    /// at the first, doubled by each timed retransmit.
     backoff: SimDuration,
+    /// Timed retransmits toward [`RECONNECT_AFTER`]; a reconnect zeroes it.
     retransmits: u32,
+    /// Whether the frame was ever retransmitted, so that an Ack retiring
+    /// it times no round trip (Karn's rule).
+    resent: bool,
+}
+
+impl PendingFrame {
+    /// Puts the frame on the link at `now`, counting it in `link`.
+    fn transmit(
+        &mut self,
+        transport: &mut SimTransport,
+        link: &mut LinkDegradationReport,
+        now: SimInstant,
+    ) {
+        self.last_sent = Some(now);
+        link.frames_sent += 1;
+        link.bytes_sent += self.datagram.len() as u64;
+        transport.send(Direction::ToServer, now, self.datagram.clone());
+    }
+
+    /// Puts the frame on the link again at `now`, restarting its timer.
+    fn retransmit(
+        &mut self,
+        transport: &mut SimTransport,
+        link: &mut LinkDegradationReport,
+        now: SimInstant,
+    ) {
+        self.resent = true;
+        link.retransmits += 1;
+        self.transmit(transport, link, now);
+    }
 }
 
 /// The on-device half: frames every changed counter read, keeps the
@@ -173,6 +256,10 @@ pub struct ExfilClient {
     /// last full pump. Queuing a frame resets it to zero: the next pump
     /// sends it, whatever its instant.
     wake: SimInstant,
+    /// The link's measured round trip; `None` until the first sample, and
+    /// with it no fast retransmit: the first Ack answers the Hello and can
+    /// land before frame 0 does.
+    rtt: Option<RttEstimate>,
     /// The instant of the last pump; pumps run at non-decreasing instants.
     last_pump: SimInstant,
     next_seq: u64,
@@ -210,6 +297,7 @@ impl ExfilClient {
             inbox: Vec::new(),
             pending: VecDeque::new(),
             wake: NEVER,
+            rtt: None,
             last_pump: SimInstant::ZERO,
             next_seq: 0,
             acked_to: 0,
@@ -297,8 +385,9 @@ impl ExfilClient {
             payload_len: self.payload.len() as u64,
             fin,
             last_sent: None,
-            backoff: RETRANSMIT_AFTER,
+            backoff: SimDuration::ZERO,
             retransmits: 0,
+            resent: false,
         });
         // The next pump transmits it.
         self.wake = SimInstant::ZERO;
@@ -323,7 +412,8 @@ impl ExfilClient {
     /// A round that receives nothing, with no frame queued since the last
     /// full round and `now` before the earliest retransmit deadline, has
     /// nothing to do and returns at once: only an arrival can open the send
-    /// window, and only a deadline can start a retransmit or a reconnect.
+    /// window or start a fast retransmit, and only a deadline can start a
+    /// timed retransmit or a reconnect.
     pub fn pump(&mut self, transport: &mut SimTransport, now: SimInstant) {
         debug_assert!(now >= self.last_pump, "client pumped at {now:?} after {:?}", self.last_pump);
         self.last_pump = now;
@@ -333,13 +423,14 @@ impl ExfilClient {
         }
         let mut inbox = std::mem::take(&mut self.inbox);
         for datagram in inbox.drain(..) {
-            self.absorb(&datagram, now);
+            self.absorb(transport, &datagram, now);
         }
         self.inbox = inbox;
         if self.done {
             return;
         }
         // First transmissions, bounded by the send window.
+        let rto = self.rtt.map_or(INITIAL_RETRANSMIT_TIMEOUT, RttEstimate::rto);
         let in_flight = self.pending.iter().filter(|p| p.last_sent.is_some()).count();
         let mut budget = self.config.window.saturating_sub(in_flight);
         for p in self.pending.iter_mut() {
@@ -347,14 +438,12 @@ impl ExfilClient {
                 break;
             }
             if p.last_sent.is_none() {
-                p.last_sent = Some(now);
-                self.link.frames_sent += 1;
-                self.link.bytes_sent += p.datagram.len() as u64;
-                transport.send(Direction::ToServer, now, p.datagram.clone());
+                p.backoff = rto;
+                p.transmit(transport, &mut self.link, now);
                 budget -= 1;
             }
         }
-        // Retransmissions on capped exponential backoff.
+        // Timed retransmissions on capped exponential backoff.
         let mut retransmitted = false;
         let mut reconnect = false;
         let mut wake = NEVER;
@@ -362,14 +451,10 @@ impl ExfilClient {
             let Some(mut sent_at) = p.last_sent else { continue };
             if now.saturating_since(sent_at) >= p.backoff {
                 sent_at = now;
-                p.last_sent = Some(now);
                 p.backoff = (p.backoff * 2).min(MAX_RETRANSMIT_BACKOFF);
                 p.retransmits += 1;
                 retransmitted = true;
-                self.link.frames_sent += 1;
-                self.link.retransmits += 1;
-                self.link.bytes_sent += p.datagram.len() as u64;
-                transport.send(Direction::ToServer, now, p.datagram.clone());
+                p.retransmit(transport, &mut self.link, now);
                 if i == 0 && p.retransmits >= RECONNECT_AFTER {
                     reconnect = true;
                     p.retransmits = 0;
@@ -398,7 +483,19 @@ impl ExfilClient {
         }
     }
 
-    fn absorb(&mut self, datagram: &[u8], now: SimInstant) {
+    /// Answers a duplicate Ack, one that retires nothing. If the oldest
+    /// pending frame was last sent at least one SRTT ago, the Ack answers a
+    /// datagram sent after it, so the frame is taken as lost and goes again
+    /// now. A fast retransmit restarts the frame's timer but keeps its
+    /// backoff, and does not count toward a reconnect: Acks are arriving.
+    fn fast_retransmit(&mut self, transport: &mut SimTransport, now: SimInstant) {
+        let (Some(rtt), Some(p)) = (self.rtt, self.pending.front_mut()) else { return };
+        if p.last_sent.is_some_and(|sent| now.saturating_since(sent) >= rtt.srtt()) {
+            p.retransmit(transport, &mut self.link, now);
+        }
+    }
+
+    fn absorb(&mut self, transport: &mut SimTransport, datagram: &[u8], now: SimInstant) {
         let decoded = frame::decode_in_place(datagram)
             .and_then(|(seq, payload)| Message::decode(payload).map(|msg| (seq, msg)));
         let Ok((seq, msg)) = decoded else {
@@ -421,9 +518,23 @@ impl ExfilClient {
                 // The Fin outlives the Ack that covers it: should the FinAck
                 // ahead of this Ack have been lost, the Fin's retransmit is
                 // what asks the server for it again.
+                let (mut retired, mut resent, mut newest_sent) = (false, false, None);
                 while self.pending.front().is_some_and(|p| p.seq < self.acked_to && !p.fin) {
                     let p = self.pending.pop_front().expect("checked front");
                     self.link.bytes_acked += p.payload_len;
+                    retired = true;
+                    resent |= p.resent;
+                    if p.seq + 1 == next_expected {
+                        newest_sent = p.last_sent;
+                    }
+                }
+                if !retired {
+                    self.fast_retransmit(transport, now);
+                } else if let (false, Some(sent)) = (resent, newest_sent) {
+                    // The Ack answers frame `next_expected - 1`, and no frame
+                    // it retires was sent twice (Karn's rule): it times one
+                    // round trip.
+                    self.rtt = Some(RttEstimate::fold(self.rtt, now.saturating_since(sent)));
                 }
             }
             Message::InferredKeys { keys } => {
@@ -432,14 +543,11 @@ impl ExfilClient {
                 }
             }
             Message::FinAck { recovered } => {
-                // Only a Fin an Ack already covered can be acked and still
-                // pending; its payload counts now, once.
-                self.link.bytes_acked += self
-                    .pending
-                    .iter()
-                    .filter(|p| p.seq < self.acked_to)
-                    .map(|p| p.payload_len)
-                    .sum::<u64>();
+                // The server releases frames strictly in order, so its
+                // FinAck proves it holds every frame up to the Fin, whether
+                // or not the Acks that cover them arrived: each pending
+                // frame's payload counts now, once.
+                self.link.bytes_acked += self.pending.iter().map(|p| p.payload_len).sum::<u64>();
                 self.recovered = Some(recovered);
                 self.done = true;
                 self.pending.clear();
@@ -1069,11 +1177,11 @@ mod tests {
         // then let the retransmit clock run through the oldest frame's
         // backoffs up to the reconnect, pumping twice per first timeout.
         let silence = (0..RECONNECT_AFTER).fold(SimDuration::ZERO, |total, k| {
-            total + (RETRANSMIT_AFTER * (1 << k)).min(MAX_RETRANSMIT_BACKOFF)
+            total + (INITIAL_RETRANSMIT_TIMEOUT * (1 << k)).min(MAX_RETRANSMIT_BACKOFF)
         });
         let mut now = t0;
         while now <= t0 + silence {
-            now += RETRANSMIT_AFTER / 2;
+            now += INITIAL_RETRANSMIT_TIMEOUT / 2;
             transport.recv(Direction::ToServer, now).clear();
             client.pump(&mut transport, now);
         }
@@ -1119,6 +1227,136 @@ mod tests {
     }
 
     #[test]
+    fn the_estimator_gives_rfc_6298_timeouts() {
+        let ms = SimDuration::from_millis;
+        let mut estimate = None;
+        let mut rtos = Vec::new();
+        for sample in [ms(4), ms(4), ms(8), ms(2)] {
+            estimate = Some(RttEstimate::fold(estimate, sample));
+            rtos.push(estimate.expect("folded").rto());
+        }
+        // SRTT 4 / 4 / 4.5 / 4.1875 ms and RTTVAR 2 / 1.5 / 2.125 /
+        // 2.21875 ms: RTO = SRTT + 4·RTTVAR.
+        assert_eq!(rtos, [ms(12), ms(10), ms(13), SimDuration::from_nanos(13_062_500)]);
+        // A steady round trip leaves SRTT plus the 1 ms floor.
+        let steady = (0..20).fold(None, |estimate, _| Some(RttEstimate::fold(estimate, ms(4))));
+        assert_eq!(steady.expect("folded").rto(), ms(5));
+        // A slow first sample is capped with the backoff.
+        assert_eq!(RttEstimate::fold(None, ms(400)).rto(), MAX_RETRANSMIT_BACKOFF);
+    }
+
+    /// An Ack frame as the server sends it.
+    fn ack(next_expected: u64) -> Vec<u8> {
+        frame::encode(CONTROL_SEQ, &Message::Ack { next_expected }.encode())
+    }
+
+    /// The sequence numbers of the data frames the client put on the link
+    /// since the last call, taking them off it as a loss would.
+    fn data_sent(transport: &mut SimTransport) -> Vec<u64> {
+        let sent = transport.recv(Direction::ToServer, SimInstant::from_millis(3_600_000));
+        sent.iter()
+            .filter_map(|datagram| frame::decode_in_place(datagram).ok())
+            .map(|(seq, _)| seq)
+            .filter(|&seq| seq != CONTROL_SEQ)
+            .collect()
+    }
+
+    /// A client whose Hello and frame 0 left at t = 0 over `transport` and
+    /// were acked one 4 ms round trip later: SRTT 4 ms, RTTVAR 2 ms.
+    /// Returns it with the instant the Acks landed.
+    fn measured_client(transport: &mut SimTransport) -> (ExfilClient, SimInstant) {
+        let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+        let t0 = SimInstant::ZERO;
+        client.connect(transport, t0);
+        client.push_samples(&[sample(0, 10)]);
+        client.pump(transport, t0);
+        assert_eq!(data_sent(transport), [0]);
+        // The Hello's Ack and frame 0's, from the server 2 ms away.
+        let at = t0 + SimDuration::from_millis(2);
+        transport.send(Direction::ToClient, at, ack(0));
+        transport.send(Direction::ToClient, at, ack(1));
+        let now = at + SimDuration::from_millis(2);
+        client.pump(transport, now);
+        assert_eq!(client.rtt, Some(RttEstimate { srtt: 4_000_000, rttvar: 2_000_000 }));
+        (client, now)
+    }
+
+    #[test]
+    fn the_hellos_ack_fast_retransmits_nothing() {
+        let mut transport = SimTransport::new(&LinkPlan::new(3));
+        let (client, _) = measured_client(&mut transport);
+        // The Hello's Ack landed 4 ms after frame 0 left and retired
+        // nothing, before any round trip was measured.
+        assert_eq!(data_sent(&mut transport), [] as [u64; 0]);
+        assert_eq!(client.link_report().retransmits, 0);
+    }
+
+    #[test]
+    fn a_retransmitted_frame_times_no_round_trip() {
+        let mut transport = SimTransport::new(&LinkPlan::new(4));
+        let (mut client, t1) = measured_client(&mut transport);
+        let before = client.rtt;
+        client.push_samples(&[sample(10, 20)]);
+        client.pump(&mut transport, t1);
+        // Frame 1 is lost; its timer fires after the measured 12 ms RTO and
+        // the retransmit gets through.
+        assert_eq!(data_sent(&mut transport), [1]);
+        let t2 = t1 + SimDuration::from_millis(12);
+        client.pump(&mut transport, t2);
+        assert_eq!(data_sent(&mut transport), [1]);
+        // Its Ack lands a fast 1 ms later: had it been taken as a sample of
+        // the retransmit, or of the first send, the estimate would move.
+        transport.send(Direction::ToClient, t2 - SimDuration::from_millis(1), ack(2));
+        client.pump(&mut transport, t2 + SimDuration::from_millis(1));
+        assert!(client.pending.is_empty(), "the Ack retires frame 1");
+        assert_eq!(client.rtt, before, "Karn's rule: no sample from a retransmitted frame");
+    }
+
+    #[test]
+    fn a_duplicate_ack_retransmits_the_lost_head_at_once() {
+        let mut transport = SimTransport::new(&LinkPlan::new(5));
+        let (mut client, t1) = measured_client(&mut transport);
+        client.push_samples(&[sample(10, 20)]);
+        client.push_samples(&[sample(11, 30)]);
+        client.pump(&mut transport, t1);
+        // Frame 1 is lost and frame 2 arrives: the server answers Ack(1).
+        assert_eq!(data_sent(&mut transport), [1, 2]);
+        let ms = SimDuration::from_millis;
+        transport.send(Direction::ToClient, t1 + ms(2), ack(1));
+        client.pump(&mut transport, t1 + ms(4));
+        // The Ack lands one SRTT after frame 1 left, 8 ms before its timer.
+        assert_eq!(data_sent(&mut transport), [1], "the duplicate Ack resends the head");
+        let head = client.pending.front().expect("frame 1 is pending");
+        assert_eq!((head.seq, head.last_sent), (1, Some(t1 + ms(4))), "the timer restarts");
+        assert_eq!(head.backoff, ms(12), "a fast retransmit keeps the backoff");
+        assert_eq!(head.retransmits, 0, "a fast retransmit does not count toward a reconnect");
+        assert_eq!(client.link_report().retransmits, 1);
+        // Frame 2's timer, still running from t1, fires at its own instant.
+        client.pump(&mut transport, t1 + ms(12));
+        assert_eq!(data_sent(&mut transport), [2]);
+    }
+
+    #[test]
+    fn a_duplicate_ack_within_one_srtt_of_the_heads_send_waits() {
+        let mut transport = SimTransport::new(&LinkPlan::new(6));
+        let (mut client, t1) = measured_client(&mut transport);
+        client.push_samples(&[sample(10, 20)]);
+        client.push_samples(&[sample(11, 30)]);
+        client.pump(&mut transport, t1);
+        assert_eq!(data_sent(&mut transport), [1, 2]);
+        let ms = SimDuration::from_millis;
+        // A duplicate Ack 3 ms after frame 1 left can answer something
+        // sent before it: no retransmit.
+        transport.send(Direction::ToClient, t1 + ms(1), ack(1));
+        client.pump(&mut transport, t1 + ms(3));
+        assert_eq!(data_sent(&mut transport), [] as [u64; 0]);
+        // The next, a full SRTT after, cannot.
+        transport.send(Direction::ToClient, t1 + ms(2), ack(1));
+        client.pump(&mut transport, t1 + ms(4));
+        assert_eq!(data_sent(&mut transport), [1]);
+    }
+
+    #[test]
     fn a_hello_is_resent_with_each_retransmit_until_answered() {
         let mut transport = SimTransport::new(&LinkPlan::new(6));
         let mut client = ExfilClient::new(ExfilConfig::default(), 1);
@@ -1138,12 +1376,12 @@ mod tests {
         client.push_samples(&[sample(0, 10)]);
         client.pump(&mut transport, t0);
         assert_eq!(hellos_lost(&mut transport, t0), 1, "the Hello is lost with the read");
-        let t1 = t0 + RETRANSMIT_AFTER;
+        let t1 = t0 + INITIAL_RETRANSMIT_TIMEOUT;
         client.pump(&mut transport, t1);
         assert_eq!(hellos_lost(&mut transport, t1), 1, "the retransmit round re-sends the Hello");
         let ack = Message::Ack { next_expected: 0 }.encode();
         transport.send(Direction::ToClient, t1, frame::encode(CONTROL_SEQ, &ack));
-        let t2 = t1 + RETRANSMIT_AFTER * 2;
+        let t2 = t1 + INITIAL_RETRANSMIT_TIMEOUT * 2;
         client.pump(&mut transport, t2);
         assert_eq!(hellos_lost(&mut transport, t2), 0, "an answered client re-sends no Hello");
         assert_eq!(client.link_report().retransmits, 2);

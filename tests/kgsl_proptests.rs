@@ -92,74 +92,108 @@ fn entry(counter: usize) -> (u32, u32) {
     (id.group.kgsl_id(), id.countable)
 }
 
+/// Runs `ops` on a fresh device: nothing panics, and once a `DenyAll`
+/// policy is set every get and read is refused.
+fn run_ioctls(ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let device = device();
+    let mut fds: Vec<KgslFd> = Vec::new();
+    let mut denied_everything = false;
+
+    for op in ops {
+        match op {
+            Op::Open(domain) => {
+                fds.push(device.open(1000 + fds.len() as u32, domain).expect("open never fails"));
+            }
+            Op::Close(i) => {
+                if let Some(fd) = fds.get(i).copied() {
+                    let _ = device.close(fd);
+                    fds.remove(i);
+                }
+            }
+            Op::Get { fd, group, countable } => {
+                if let Some(fd) = fds.get(fd).copied() {
+                    let mut get =
+                        KgslPerfcounterGet { groupid: group, countable, ..Default::default() };
+                    let r = device.ioctl(
+                        fd,
+                        IOCTL_KGSL_PERFCOUNTER_GET,
+                        IoctlRequest::PerfcounterGet(&mut get),
+                    );
+                    if denied_everything {
+                        // Target validation precedes the policy check,
+                        // so invalid targets still fail with EINVAL.
+                        prop_assert!(
+                            matches!(r, Err(Errno::Eacces) | Err(Errno::Einval)),
+                            "DenyAll must deny gets, got {r:?}"
+                        );
+                    }
+                }
+            }
+            Op::Put { fd, group, countable } => {
+                if let Some(fd) = fds.get(fd).copied() {
+                    let put = KgslPerfcounterPut { groupid: group, countable };
+                    let _ = device.ioctl(
+                        fd,
+                        IOCTL_KGSL_PERFCOUNTER_PUT,
+                        IoctlRequest::PerfcounterPut(put),
+                    );
+                }
+            }
+            Op::Read { fd, group, countable } => {
+                if let Some(fd) = fds.get(fd).copied() {
+                    let mut reads = [KgslPerfcounterReadGroup::new(group, countable)];
+                    let r = device.ioctl(
+                        fd,
+                        IOCTL_KGSL_PERFCOUNTER_READ,
+                        IoctlRequest::PerfcounterRead(&mut reads),
+                    );
+                    if denied_everything {
+                        prop_assert!(
+                            matches!(r, Err(Errno::Eacces) | Err(Errno::Einval)),
+                            "DenyAll must deny reads, got {r:?}"
+                        );
+                    }
+                    if r.is_ok() {
+                        // Nothing ever renders in this test, so every
+                        // successful read observes a quiescent counter.
+                        prop_assert_eq!(reads[0].value, 0);
+                    }
+                }
+            }
+            Op::SetPolicy(which) => {
+                let policy = match which {
+                    0 => AccessPolicy::Unrestricted,
+                    1 => AccessPolicy::DenyAll,
+                    _ => AccessPolicy::role_based([SelinuxDomain::GpuProfiler]),
+                };
+                denied_everything = matches!(policy, AccessPolicy::DenyAll);
+                device.set_policy(policy);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A case `arbitrary_ioctl_sequences_never_panic` once failed on: three
+/// opens, `DenyAll`, then a get on group 8, which no tracked counter uses.
+#[test]
+fn a_get_on_an_untracked_group_under_deny_all_is_refused() {
+    let ops = vec![
+        Op::Open(SelinuxDomain::UntrustedApp),
+        Op::Open(SelinuxDomain::UntrustedApp),
+        Op::Open(SelinuxDomain::UntrustedApp),
+        Op::SetPolicy(1),
+        Op::Get { fd: 0, group: 8, countable: 0 },
+    ];
+    run_ioctls(ops).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn arbitrary_ioctl_sequences_never_panic(ops in prop::collection::vec(arb_op(), 0..60)) {
-        let device = device();
-        let mut fds: Vec<KgslFd> = Vec::new();
-        let mut denied_everything = false;
-
-        for op in ops {
-            match op {
-                Op::Open(domain) => {
-                    fds.push(device.open(1000 + fds.len() as u32, domain).expect("open never fails"));
-                }
-                Op::Close(i) => {
-                    if let Some(fd) = fds.get(i).copied() {
-                        let _ = device.close(fd);
-                        fds.remove(i);
-                    }
-                }
-                Op::Get { fd, group, countable } => {
-                    if let Some(fd) = fds.get(fd).copied() {
-                        let mut get = KgslPerfcounterGet { groupid: group, countable, ..Default::default() };
-                        let r = device.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_GET, IoctlRequest::PerfcounterGet(&mut get));
-                        if denied_everything {
-                            // Target validation precedes the policy check,
-                            // so invalid targets still fail with EINVAL.
-                            prop_assert!(
-                                matches!(r, Err(Errno::Eacces) | Err(Errno::Einval)),
-                                "DenyAll must deny gets, got {r:?}"
-                            );
-                        }
-                    }
-                }
-                Op::Put { fd, group, countable } => {
-                    if let Some(fd) = fds.get(fd).copied() {
-                        let put = KgslPerfcounterPut { groupid: group, countable };
-                        let _ = device.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_PUT, IoctlRequest::PerfcounterPut(put));
-                    }
-                }
-                Op::Read { fd, group, countable } => {
-                    if let Some(fd) = fds.get(fd).copied() {
-                        let mut reads = [KgslPerfcounterReadGroup::new(group, countable)];
-                        let r = device.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, IoctlRequest::PerfcounterRead(&mut reads));
-                        if denied_everything {
-                            prop_assert!(
-                                matches!(r, Err(Errno::Eacces) | Err(Errno::Einval)),
-                                "DenyAll must deny reads, got {r:?}"
-                            );
-                        }
-                        if r.is_ok() {
-                            // Nothing ever renders in this test, so every
-                            // successful read observes a quiescent counter.
-                            prop_assert_eq!(reads[0].value, 0);
-                        }
-                    }
-                }
-                Op::SetPolicy(which) => {
-                    let policy = match which {
-                        0 => AccessPolicy::Unrestricted,
-                        1 => AccessPolicy::DenyAll,
-                        _ => AccessPolicy::role_based([SelinuxDomain::GpuProfiler]),
-                    };
-                    denied_everything = matches!(policy, AccessPolicy::DenyAll);
-                    device.set_policy(policy);
-                }
-            }
-        }
+        run_ioctls(ops)?;
     }
 
     #[test]

@@ -20,19 +20,18 @@ use std::sync::OnceLock;
 
 use adreno_sim::counters::{CounterSet, NUM_TRACKED};
 use adreno_sim::time::{SimDuration, SimInstant};
+use bench::trials::{self, trial_plan};
+use bench::TrialOptions;
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
 use gpu_eaves::attack::offline::ModelStore;
 use gpu_eaves::attack::registry::Registry;
 use gpu_eaves::attack::service::{AttackService, ServiceConfig};
 use gpu_eaves::attack::trace::Sample;
-use gpu_eaves::input_bot::corpus::{generate, CredentialKind};
-use gpu_eaves::input_bot::script::Typist;
-use gpu_eaves::input_bot::timing::VOLUNTEERS;
+use gpu_eaves::input_bot::corpus::CredentialKind;
+use gpu_eaves::input_bot::timing::VolunteerModel;
 use gpu_eaves::wire::{
     run_split_session, ClassifierServer, ExfilClient, ExfilConfig, LinkPlan, SimTransport,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use counting_alloc::allocations;
 
@@ -58,33 +57,14 @@ fn service() -> AttackService {
 }
 
 /// A 6-character victim drawn as the `fleet` workload draws one: its
-/// credential, its seed and its typist.
-struct Victim {
-    text: String,
-    seed: u64,
-    volunteer: usize,
-}
+/// credential, its typist and its seed.
+type Victim = (String, VolunteerModel, u64);
 
-impl Victim {
-    fn draw(rng: &mut StdRng, i: usize) -> Victim {
-        let text = generate(rng, CredentialKind::Password, 6);
-        Victim { text, seed: rng.gen(), volunteer: i % VOLUNTEERS.len() }
-    }
-
-    /// A fresh simulation of the victim with its typing queued, and when
-    /// sampling stops.
-    fn sim(&self) -> (UiSimulation, SimInstant) {
-        let mut sim =
-            UiSimulation::new(SimConfig { seed: self.seed, ..SimConfig::paper_default(0) });
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7157);
-        let plan = Typist::new(VOLUNTEERS[self.volunteer]).type_text(
-            &self.text,
-            SimInstant::from_millis(900),
-            &mut rng,
-        );
-        sim.queue_all(plan.events);
-        (sim, plan.end + SimDuration::from_millis(800))
-    }
+/// A fresh simulation of the victim with its typing queued, and when
+/// sampling stops.
+fn sim((text, volunteer, seed): &Victim) -> (UiSimulation, SimInstant) {
+    let opts = TrialOptions { volunteer: *volunteer, ..TrialOptions::paper_default(0) };
+    trials::victim(&opts, text, *seed)
 }
 
 fn sample(ms: u64) -> Sample {
@@ -139,16 +119,15 @@ fn idle_pumps_allocate_nothing() {
 #[test]
 fn a_clean_split_session_allocates_little_beyond_its_in_process_twin() {
     let service = service();
-    let mut rng = StdRng::seed_from_u64(29);
-    let victims: Vec<Victim> = (0..VICTIMS).map(|i| Victim::draw(&mut rng, i)).collect();
+    let victims = trial_plan(29, CredentialKind::Password, 6, VICTIMS);
     // Warm both paths up, so lazily built state is not counted.
-    let ((mut a, end), (mut b, _)) = (victims[0].sim(), victims[0].sim());
+    let ((mut a, end), (mut b, _)) = (sim(&victims[0]), sim(&victims[0]));
     service.eavesdrop(&mut a, end).expect("the victim is eavesdropped");
     run_split_session(&service, &mut b, end, &LinkPlan::new(1), ExfilConfig::default())
         .expect("a clean link completes the session");
     let (mut in_process, mut split) = (0u64, 0u64);
     for (i, victim) in victims.iter().enumerate() {
-        let ((mut a, end), (mut b, _)) = (victim.sim(), victim.sim());
+        let ((mut a, end), (mut b, _)) = (sim(victim), sim(victim));
         spansight::flush();
         let before = allocations();
         let local = service.eavesdrop(&mut a, end).expect("the victim is eavesdropped");

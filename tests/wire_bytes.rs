@@ -131,7 +131,7 @@ fn lossy_split_session_sends_the_pinned_traffic() {
     let link = outcome.result.link;
     assert_eq!(
         (link.frames_sent, link.bytes_sent, link.bytes_acked),
-        (163, 5_185, 1_353),
+        (129, 4_185, 1_353),
         "frames_sent, bytes_sent, bytes_acked: {link}"
     );
 }

@@ -141,6 +141,25 @@ fn no_lossy_plan_streams_a_press_back_within_less_than_a_round_trip() {
     }
 }
 
+/// The everything-0.5 plan loses frames at the head of the send window
+/// while the frames behind them get through: the duplicate Acks those
+/// draw retransmit the lost frame within about a round trip, so no press
+/// waits out a retransmit backoff of hundreds of ms behind it.
+#[test]
+fn a_lost_frame_holds_the_presses_behind_it_back_by_little() {
+    let store = single_store();
+    let plan = LinkPlan::with_intensity(12, 0.5, SimDuration::from_secs(8));
+    let outcome = run_split(&store, 90, &plan);
+    assert!(outcome.result.link.retransmits > 0, "test premise: loss: {}", outcome.result.link);
+    let lags = arrival_lags(&outcome);
+    assert!(!lags.is_empty(), "vacuous: no press streamed back");
+    let bound = SimDuration::from_millis(150);
+    assert!(
+        lags.iter().all(|&lag| lag <= bound),
+        "every press must land within {bound:?} of its decision: {lags:?}"
+    );
+}
+
 /// The seeded damage plans every lossy test runs, by name.
 fn lossy_matrix() -> Vec<(&'static str, LinkPlan)> {
     let horizon = SimDuration::from_secs(8);
@@ -238,6 +257,51 @@ fn a_lost_finack_is_asked_for_again() {
     assert!(link.retransmits > 0, "only the Fin's retransmit can re-request the FinAck: {link}");
     let fin_payload = Message::Fin { report }.encode().len() as u64;
     assert_eq!(link.bytes_acked, fin_payload, "the acked Fin must count once: {link}");
+}
+
+/// A FinAck that lands while the Ack sent behind it is lost: the server
+/// releases frames strictly in order, so the FinAck alone proves the Fin
+/// arrived, and the Fin's payload counts as acked.
+#[test]
+fn a_finack_without_its_ack_acks_the_fin() {
+    let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
+    // Two perfect links joined by a relay that drops the Ack sent right
+    // behind the first FinAck and forwards every other datagram.
+    let mut client_side = SimTransport::new(&LinkPlan::new(1));
+    let mut server_side = SimTransport::new(&LinkPlan::new(2));
+    let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+    let mut server = ClassifierServer::new(&service);
+    let report = SamplerReport::default();
+
+    let mut now = SimInstant::ZERO;
+    client.connect(&mut client_side, now);
+    client.finish_sampling(&report);
+    let (mut finacks, mut acks_dropped) = (0, 0);
+    while !client.done() && now < SimInstant::from_millis(10_000) {
+        now += SimDuration::from_millis(1);
+        client.pump(&mut client_side, now);
+        for datagram in client_side.recv(Direction::ToServer, now) {
+            server_side.send(Direction::ToServer, now, datagram);
+        }
+        server.pump(&mut server_side, now);
+        for datagram in server_side.recv(Direction::ToClient, now) {
+            match Frame::decode(&datagram).map(|f| Message::decode(&f.payload)) {
+                Ok(Ok(Message::FinAck { .. })) => finacks += 1,
+                Ok(Ok(Message::Ack { .. })) if finacks == 1 && acks_dropped == 0 => {
+                    acks_dropped += 1;
+                    continue;
+                }
+                _ => {}
+            }
+            client_side.send(Direction::ToClient, now, datagram);
+        }
+    }
+
+    assert_eq!(acks_dropped, 1, "test premise: the Ack behind the FinAck was dropped");
+    assert!(client.done(), "the FinAck completes the handshake");
+    let link = client.link_report();
+    let fin_payload = Message::Fin { report }.encode().len() as u64;
+    assert_eq!(link.bytes_acked, fin_payload, "the FinAck acks the Fin: {link}");
 }
 
 /// Steps a split session of victim `seed` over `plan` to its end as the

@@ -19,18 +19,17 @@ mod common;
 
 use std::sync::OnceLock;
 
-use adreno_sim::time::{SimDuration, SimInstant};
-use gpu_eaves::android_ui::{SimConfig, UiSimulation};
+use adreno_sim::time::SimDuration;
+use bench::trials::{trial_plan, victim};
+use bench::TrialOptions;
+use gpu_eaves::android_ui::SimConfig;
 use gpu_eaves::attack::fleet::Session;
 use gpu_eaves::attack::offline::ModelStore;
 use gpu_eaves::attack::registry::Registry;
 use gpu_eaves::attack::service::{AttackService, ServiceConfig};
-use gpu_eaves::input_bot::corpus::{generate, CredentialKind};
-use gpu_eaves::input_bot::script::Typist;
-use gpu_eaves::input_bot::timing::VOLUNTEERS;
+use gpu_eaves::input_bot::corpus::CredentialKind;
+use gpu_eaves::input_bot::timing::VolunteerModel;
 use gpu_eaves::wire::{ExfilConfig, LinkPlan, SplitSessionOutcome, SplitSessionTask};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use common::{fnv1a, FNV_BASIS};
 
@@ -52,48 +51,50 @@ const DRAW_SEED: u64 = 29;
 /// Per-session digests, victim-major, intensity-minor in [`LINK_MIX`]
 /// order. A change here means a datagram's fate changed: explain it, do not
 /// re-pin it silently. Pinned under wire version 3, one frame per changed
-/// read, with both ends pumping at each instant something is due for them.
+/// read, with both ends pumping at each instant something is due for them,
+/// a measured retransmit timeout and fast retransmit on duplicate Acks,
+/// and a FinAck that counts the Fin's payload as acked.
 const PINNED: [u64; VICTIMS * LINK_MIX.len()] = [
-    0x237A_0E89_9CD9_8BBA,
-    0x709D_0833_BF64_54B5,
-    0x0B52_BF6A_7F70_8D79,
-    0xD2EC_1936_3FE1_FE85,
-    0x9390_61A9_EB5F_DE4B,
-    0xAFFB_6A5F_4E9F_1784,
-    0x745C_4813_D223_0188,
-    0x3134_FB36_2DBD_C85A,
-    0x537B_9EAF_942F_BB23,
-    0x53A7_9CD1_61EA_2B45,
-    0x3C66_8CB4_DF90_51F1,
-    0xE851_F783_2D3A_DEE7,
-    0xE4AF_0F27_9917_8F3D,
-    0xA7F0_3663_FF1C_F1FC,
-    0x6D17_140D_7D31_9CF6,
-    0xCB08_0480_51A7_9428,
-    0x0A5E_C24F_A700_9169,
-    0x2959_B60D_3704_EE53,
-    0x2BDD_5DE8_FC36_E6E4,
-    0x8868_F783_1142_20B4,
-    0x5AFF_ACF0_2E43_1196,
-    0x6433_4BAF_BBCD_F305,
-    0x680A_55F1_1C00_6125,
-    0x6C43_6ECC_D2D7_72E6,
-    0x0E51_69A7_6AB4_BF27,
-    0x2B87_D16D_B502_731A,
-    0xC9E3_D750_07C9_7E2E,
-    0x494A_7432_0839_F170,
-    0x8DE3_CB22_74C7_CE04,
-    0x3A4C_B165_15E5_CDC9,
-    0x9F45_E228_81ED_CC15,
-    0x5588_F32D_2127_902F,
-    0x3A96_E2A5_8C5D_1CC0,
-    0x5EFC_9694_E793_6C13,
-    0xB28B_0F7E_C03B_39C1,
-    0xF4BA_DD75_D67A_DD6A,
+    0x29F5_03E8_79E4_C3DC,
+    0xD4CE_7C1B_16A3_AFEC,
+    0xBD2D_0924_5397_4CFE,
+    0x5CA9_04ED_D71E_CEF7,
+    0x251C_1F8F_9364_9DD2,
+    0xB57B_6779_577F_899C,
+    0x11F3_E398_93B3_25D6,
+    0xBA55_846F_98B9_D953,
+    0x1CF1_A136_1149_0783,
+    0xC8BF_0A4B_09BA_9803,
+    0xB603_1A83_A2F2_AEAB,
+    0x81F1_F102_C26E_9DA9,
+    0x2087_BCBC_7D92_D45F,
+    0x54BF_D968_0E97_AC0C,
+    0x3168_A70B_0718_F5A6,
+    0x3C41_F82F_7B6B_4596,
+    0x8092_BB4D_1581_6916,
+    0xB66E_D743_FA83_1E46,
+    0x3099_6B49_1AC2_939E,
+    0x1957_FE75_6B65_CF3D,
+    0x6266_A40A_C141_F629,
+    0x46B9_887A_5915_F83B,
+    0x8AFC_CFEE_EC49_94EF,
+    0xECF6_6317_98C4_55AF,
+    0x22F3_F059_9D9A_BBE1,
+    0x3E18_8392_C684_C2E1,
+    0x0A45_F071_475B_E261,
+    0x03FF_ED22_DA76_8C86,
+    0xB046_3D63_E1E2_EA6E,
+    0xCF02_715E_CC14_D5E6,
+    0xEE8C_B3B6_057A_F456,
+    0x4B08_4759_81AA_D6AA,
+    0xEE57_D9FA_232F_D3FF,
+    0xA23E_47A4_B29D_AAAD,
+    0x4D18_821A_6D32_441F,
+    0x9677_F82D_DE25_3770,
 ];
 
 /// The digest of the outage-heavy session.
-const PINNED_OUTAGES: u64 = 0x0AE0_B80C_0A38_0446;
+const PINNED_OUTAGES: u64 = 0xB2F0_CBB9_3939_204D;
 
 /// One service for every session, its model trained once.
 fn service() -> AttackService {
@@ -107,39 +108,12 @@ fn service() -> AttackService {
     AttackService::new(store.clone(), ServiceConfig::default())
 }
 
-/// A victim as the `fleet` experiment draws one: its credential and seed
-/// from the sequential RNG, its typist by index.
-struct Victim {
-    seed: u64,
-    text: String,
-    volunteer: usize,
-}
+/// A victim as the `fleet` experiment draws one: its credential, its typist
+/// and its seed, from the sequential RNG in trial order.
+type Victim = (String, VolunteerModel, u64);
 
 fn victims() -> Vec<Victim> {
-    let mut rng = StdRng::seed_from_u64(DRAW_SEED);
-    (0..VICTIMS)
-        .map(|i| {
-            let text = generate(&mut rng, CredentialKind::Password, CREDENTIAL_LEN);
-            Victim { seed: rng.gen(), text, volunteer: i % VOLUNTEERS.len() }
-        })
-        .collect()
-}
-
-impl Victim {
-    /// The victim's simulation with its typing queued, and when sampling
-    /// stops.
-    fn sim(&self) -> (UiSimulation, SimInstant) {
-        let mut sim =
-            UiSimulation::new(SimConfig { seed: self.seed, ..SimConfig::paper_default(0) });
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7157);
-        let plan = Typist::new(VOLUNTEERS[self.volunteer]).type_text(
-            &self.text,
-            SimInstant::from_millis(900),
-            &mut rng,
-        );
-        sim.queue_all(plan.events);
-        (sim, plan.end + SimDuration::from_millis(800))
-    }
+    trial_plan(DRAW_SEED, CredentialKind::Password, CREDENTIAL_LEN, VICTIMS)
 }
 
 /// The link a `fleet` split session of intensity `link` runs over.
@@ -153,8 +127,13 @@ fn link_plan(seed: u64, link: f64) -> LinkPlan {
 
 /// Steps one split session to its end, one quantum per step, as the fleet
 /// scheduler does.
-fn run(service: &AttackService, victim: &Victim, plan: &LinkPlan) -> SplitSessionOutcome {
-    let (sim, end) = victim.sim();
+fn run(
+    service: &AttackService,
+    (text, volunteer, seed): &Victim,
+    plan: &LinkPlan,
+) -> SplitSessionOutcome {
+    let opts = TrialOptions { volunteer: *volunteer, ..TrialOptions::paper_default(0) };
+    let (sim, end) = victim(&opts, text, *seed);
     let mut task = SplitSessionTask::new(0, service, sim, end, plan, ExfilConfig::default());
     loop {
         if let Some(outcome) = task.step() {
@@ -211,7 +190,10 @@ fn fleet_mix_split_sessions_replay_their_pinned_traffic() {
         victims
             .iter()
             .flat_map(|v| LINK_MIX.map(|link| (v, link)))
-            .map(|(v, link)| digest(&run(&service, v, &link_plan(v.seed, link))))
+            .map(|(v, link)| {
+                let (_, _, seed) = v;
+                digest(&run(&service, v, &link_plan(*seed, link)))
+            })
             .collect()
     };
     let timeouts = spansight::snapshot().for_track(track).counter("wire.session.drain_timeouts");
@@ -223,17 +205,19 @@ fn fleet_mix_split_sessions_replay_their_pinned_traffic() {
 #[test]
 fn an_outage_heavy_link_reconnects_and_replays_its_pinned_traffic() {
     let service = service();
-    let victim = &victims()[0];
-    // Outages of 700 ms, about one every 1.5 s: longer than the 450 ms the
-    // oldest unacked frame's four retransmits take, so the client
+    let first = &victims()[0];
+    let (_, _, seed) = first;
+    // Outages of 700 ms, about one every 1.5 s: longer than the oldest
+    // unacked frame's four timed retransmits take (about 180 ms from a
+    // measured 12 ms timeout, 450 ms from the initial 30 ms), so the client
     // reconnects.
-    let plan = LinkPlan::new(victim.seed)
+    let plan = LinkPlan::new(*seed)
         .with_outages(SimDuration::from_millis(1_500), SimDuration::from_millis(700))
         .with_horizon(HORIZON);
     let track = spansight::register_track("wire-traffic-outages");
     let outcome = {
         let _track = spansight::enter_track(track);
-        run(&service, victim, &plan)
+        run(&service, first, &plan)
     };
     let timeouts = spansight::snapshot().for_track(track).counter("wire.session.drain_timeouts");
     assert_eq!(timeouts, 0, "the session completes, so it is not salvaged");
