@@ -15,7 +15,7 @@ use bench::{eval_credentials, TrialOptions};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_sc_attack::offline::ModelStore;
 use gpu_sc_attack::online::infer_stream;
-use gpu_sc_attack::registry::{decode_model, encode_model, Quantization, Registry};
+use gpu_sc_attack::registry::{encode_model, Quantization, Registry};
 use gpu_sc_attack::trace::Delta;
 use gpu_sc_attack::ClassifierModel;
 use input_bot::corpus::CredentialKind;
@@ -77,13 +77,11 @@ fn bench_render_fullscreen(c: &mut Criterion) {
     c.bench_function("render_fullscreen_app_frame", |b| b.iter(|| render(black_box(&dl), &params)));
 }
 
-fn bench_model_serde(c: &mut Criterion) {
+fn bench_model_encode(c: &mut Criterion) {
     let model = trained_model();
     c.bench_function("model_encode_gpmr", |b| {
         b.iter(|| encode_model(black_box(&model), Quantization::F64))
     });
-    let blob = encode_model(&model, Quantization::F64);
-    c.bench_function("model_decode_gpmr", |b| b.iter(|| decode_model(black_box(&blob)).unwrap()));
 }
 
 fn bench_ioctl_read(c: &mut Criterion) {
@@ -120,7 +118,7 @@ criterion_group!(
     bench_render_keyboard_frame,
     bench_render_fullscreen,
     bench_eval_parallelism,
-    bench_model_serde,
+    bench_model_encode,
     bench_ioctl_read
 );
 criterion_main!(benches);

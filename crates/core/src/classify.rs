@@ -11,9 +11,7 @@
 //! primitive counts are not drowned out by pixel counts.
 
 use adreno_sim::counters::{CounterSet, NUM_TRACKED};
-use android_ui::{
-    AndroidVersion, DeviceConfig, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
-};
+use android_ui::{AndroidVersion, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp};
 use std::fmt;
 
 /// One key's trained centroid.
@@ -40,18 +38,6 @@ pub struct ModelMeta {
     pub keyboard: KeyboardKind,
     /// Target app whose text field receives the input.
     pub app: TargetApp,
-}
-
-impl ModelMeta {
-    /// The device configuration part of the metadata.
-    pub fn device_config(&self) -> DeviceConfig {
-        DeviceConfig {
-            phone: self.phone,
-            android: self.android,
-            resolution: self.resolution,
-            refresh: self.refresh,
-        }
-    }
 }
 
 impl fmt::Display for ModelMeta {
@@ -97,7 +83,7 @@ impl Classification {
 }
 
 /// Hot-path lookup data derived from the centroids at construction time.
-/// Never serialised — [`crate::registry::decode_model`] rebuilds it.
+/// Never serialised — [`ClassifierModel::new`] builds it.
 #[derive(Debug, Clone, PartialEq)]
 struct PreparedCentroids {
     /// One fixed-length *pre-whitened* `f64` row per centroid

@@ -79,9 +79,7 @@ pub use fleet::{FleetConfig, FleetSession, Session, SessionOutcome, SessionStats
 pub use metrics::{Aggregate, SessionScore};
 pub use offline::{ModelStore, Trainer, TrainerConfig};
 pub use online::{InferenceStats, InferredKey};
-pub use registry::{
-    ModelDecodeError, ModelDigest, ModelHandle, Quantization, Registry, RegistryStats,
-};
+pub use registry::{ModelDigest, ModelHandle, Quantization, Registry, RegistryStats};
 pub use sampler::{Sampler, SamplerConfig, SamplerReport};
 pub use service::{
     AttackService, DegradationReport, LinkDegradationReport, ServiceConfig, ServiceError,

@@ -7,9 +7,10 @@
 //! accordingly to eliminate any false positives", §5.1).
 //!
 //! One [`ClassifierModel`] is trained per `(phone, OS, resolution, refresh,
-//! keyboard)` configuration; the [`ModelStore`] ships them all inside the
-//! attacking app (§7.6: ≈3.6 kB each) and recognises which one matches the
-//! victim device at run time from the keyboard's base-redraw fingerprint.
+//! keyboard)` configuration; the [`ModelStore`] holds them all, as the
+//! paper's attacking app ships them (§7.6: ≈3.6 kB each), and recognises
+//! which one matches the victim device at run time from the keyboard's
+//! base-redraw fingerprint.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +25,7 @@ use android_ui::sim::{SimConfig, UiSimulation};
 use android_ui::{DeviceConfig, KeyboardKind, TargetApp};
 
 use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
-use crate::registry::{take, ModelDecodeError, ModelDigest, ModelHandle};
+use crate::registry::{ModelDigest, ModelHandle};
 use crate::sampler::{Sampler, SamplerConfig};
 use crate::trace::{extract_deltas, Delta};
 
@@ -286,11 +287,11 @@ fn whitening_weights(centroids: &[KeyCentroid]) -> [f64; NUM_TRACKED] {
 /// The preloaded collection of per-configuration models (§7.6 discusses
 /// shipping thousands of them in a 13 MB app).
 ///
-/// The store is a list of [`ModelHandle`]s: each entry carries its
-/// canonical GPMR encoding, its content digest and the model. Cloning a
-/// store (e.g. to hand one to each of many concurrent attack services)
-/// shares both blobs and models instead of copying them. Equality is digest
-/// equality (handles compare by content address).
+/// The store is a list of [`ModelHandle`]s: each entry carries its content
+/// digest, its encoded length and the model. Cloning a store (e.g. to hand
+/// one to each of many concurrent attack services) shares the models
+/// instead of copying them. Equality is digest equality (handles compare by
+/// content address).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelStore {
     models: Vec<ModelHandle>,
@@ -304,17 +305,11 @@ impl ModelStore {
 
     /// Adds a trained model, wrapping it in a bit-exact (`f64`) handle.
     pub fn add(&mut self, model: ClassifierModel) {
-        self.add_shared(Arc::new(model));
-    }
-
-    /// Adds an already-shared model without copying it.
-    pub fn add_shared(&mut self, model: Arc<ClassifierModel>) {
-        self.models.push(ModelHandle::from_arc(model));
+        self.models.push(ModelHandle::from_arc(Arc::new(model)));
     }
 
     /// Adds a registry handle directly — the fleet path: hub and shards
-    /// share one handle (one blob, one decoded `Arc`) instead of cloning
-    /// models.
+    /// share one handle, and so one model `Arc`, instead of cloning models.
     pub fn add_handle(&mut self, handle: ModelHandle) {
         self.models.push(handle);
     }
@@ -334,52 +329,10 @@ impl ModelStore {
         self.models.is_empty()
     }
 
-    /// Total serialized size of all models, in bytes. Encoded sizes are
-    /// cached on the handles at insert time, so this is a sum over integers
-    /// — the old implementation re-serialised every model per call.
+    /// Total GPMR-encoded size of all models, in bytes, summed from the
+    /// lengths the handles record at insert time.
     pub fn total_wire_bytes(&self) -> usize {
         self.models.iter().map(ModelHandle::encoded_len).sum()
-    }
-
-    /// Serialises the whole store (length-prefixed GPMR blobs). The blobs
-    /// are re-served straight from the handles — nothing is re-encoded.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = (self.models.len() as u32).to_be_bytes().to_vec();
-        for h in &self.models {
-            b.extend_from_slice(&(h.encoded_len() as u32).to_be_bytes());
-            b.extend_from_slice(h.blob());
-        }
-        b
-    }
-
-    /// Deserialises a store, validating every blob (eager decode — this is
-    /// the untrusted path).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first model's decode error, or `Truncated` on framing
-    /// problems.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, ModelDecodeError> {
-        if data.len() < 4 {
-            return Err(ModelDecodeError::Truncated);
-        }
-        let mut pos = 0;
-        let n = u32::from_be_bytes(take(data, &mut pos)) as usize;
-        // Each model costs at least its 4-byte length: a declared count the
-        // buffer cannot back must not size the allocation.
-        let mut models = Vec::with_capacity(n.min(data.len() / 4));
-        for _ in 0..n {
-            if data.len() - pos < 4 {
-                return Err(ModelDecodeError::Truncated);
-            }
-            let len = u32::from_be_bytes(take(data, &mut pos)) as usize;
-            if data.len() - pos < len {
-                return Err(ModelDecodeError::Truncated);
-            }
-            models.push(ModelHandle::from_blob(data[pos..pos + len].to_vec())?);
-            pos += len;
-        }
-        Ok(ModelStore { models })
     }
 
     /// Scores one observed change against every model's keyboard-redraw
@@ -402,14 +355,6 @@ impl ModelStore {
         best
     }
 
-    /// Finds the model trained for an exact configuration.
-    pub fn find(&self, device: &DeviceConfig, keyboard: KeyboardKind) -> Option<&ClassifierModel> {
-        self.models
-            .iter()
-            .map(ModelHandle::model)
-            .find(|m| m.meta().device_config() == *device && m.meta().keyboard == keyboard)
-    }
-
     /// Finds the handle whose content digest matches — how the wire server
     /// resolves a `Hello`-pinned model. `None` is a digest mismatch, which
     /// surfaces as a typed error rather than a misclassification.
@@ -419,7 +364,7 @@ impl ModelStore {
 }
 
 impl From<ModelHandle> for ModelStore {
-    /// A one-model store sharing the handle's blob and model.
+    /// A one-model store sharing the handle's model.
     fn from(handle: ModelHandle) -> Self {
         ModelStore { models: vec![handle] }
     }
@@ -490,7 +435,7 @@ mod tests {
     use adreno_sim::counters::TrackedCounter;
 
     // Full training runs live in the integration tests (they are slower);
-    // unit tests cover the pure helpers and the store.
+    // unit tests cover the pure helpers and an empty store.
 
     fn set(v: u64) -> CounterSet {
         let mut c = CounterSet::ZERO;
@@ -554,38 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn store_round_trips() {
-        use crate::classify::{KeyCentroid, ModelMeta};
-        use android_ui::{AndroidVersion, PhoneModel, RefreshRate, Resolution};
-        let meta = ModelMeta {
-            phone: PhoneModel::OnePlus8Pro,
-            android: AndroidVersion::V11,
-            resolution: Resolution::Fhd,
-            refresh: RefreshRate::Hz60,
-            keyboard: KeyboardKind::Gboard,
-            app: TargetApp::Chase,
-        };
-        let m = ClassifierModel::new(
-            meta,
-            vec![KeyCentroid { ch: 'x', values: set(42) }],
-            [1.0; NUM_TRACKED],
-            5.0,
-            set(17),
-            set(1000),
-            vec![set(20), set(24)],
-            set(5000),
-            10_000,
-        );
-        let mut store = ModelStore::new();
-        store.add(m.clone());
-        store.add(m);
-        let back = ModelStore::from_bytes(&store.to_bytes()).unwrap();
-        assert_eq!(back, store);
-        assert_eq!(back.len(), 2);
-        assert!(store.total_wire_bytes() > 0);
-    }
-
-    #[test]
     fn empty_store_recognizes_nothing() {
         let store = ModelStore::new();
         assert!(store.is_empty());
@@ -594,15 +507,5 @@ mod tests {
         stage.push(Delta { at: SimInstant::ZERO, values: set(7) }, &mut out);
         assert!(out.is_empty());
         assert!(stage.model().is_none());
-    }
-
-    #[test]
-    fn from_bytes_rejects_truncation() {
-        assert_eq!(ModelStore::from_bytes(b"\x00"), Err(ModelDecodeError::Truncated));
-        assert_eq!(
-            ModelStore::from_bytes(b"\x00\x00\x00\x02\x00\x00\x00\x10"),
-            Err(ModelDecodeError::Truncated)
-        );
-        assert_eq!(ModelStore::from_bytes(b"\xff\xff\xff\xff"), Err(ModelDecodeError::Truncated));
     }
 }

@@ -3,20 +3,20 @@
 //!
 //! The paper's attacker preloads one compact model per phone × keyboard
 //! configuration and picks it by device recognition (§3.2, §7.6). This
-//! module provides what that needs:
+//! reproduction trains each model in-process instead, and only ever
+//! writes the format:
 //!
 //! * **GPMR format** — the one binary encoding of a [`ClassifierModel`]
-//!   ([`encode_model`] / [`decode_model`]), with centroid rows stored at a
-//!   [`Quantization`] tier: `f64` (bit-exact) or `f32`. Whitening weights
-//!   and the acceptance threshold are always kept exact (full `f64` bits) —
-//!   they define the distance space, and perturbing them would shift every
-//!   decision boundary at once.
+//!   ([`encode_model`]), with centroid rows stored at a [`Quantization`]
+//!   tier: `f64` (bit-exact) or `f32`. Whitening weights and the
+//!   acceptance threshold are always kept exact (full `f64` bits) — they
+//!   define the distance space, and perturbing them would shift every
+//!   decision boundary at once. §7.6's model sizes are encoded lengths.
 //! * **Content addressing** — a [`ModelDigest`] (SHA-256 over the GPMR
 //!   blob) names each model; wire v2's `Hello` pins a model by it.
 //! * **[`ModelHandle`]** — a cheaply clonable handle owning the digest, the
-//!   encoded blob (the wire sends bytes, not structs) and the model.
-//! * **[`Registry`]** — train-once-per-key cells plus a map of blobs
-//!   deduplicated by digest.
+//!   encoded length and the model.
+//! * **[`Registry`]** — train-once-per-key cells.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -27,9 +27,9 @@ use android_ui::{
     AndroidVersion, DeviceConfig, KeyboardKind, PhoneModel, RefreshRate, Resolution, TargetApp,
 };
 
-use crate::classify::{ClassifierModel, KeyCentroid, ModelMeta};
+use crate::classify::ClassifierModel;
 use crate::offline::{Trainer, TrainerConfig};
-use crate::varint::{self, VarintError};
+use crate::varint;
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), self-contained. The registry is content-addressed
@@ -108,8 +108,7 @@ mod sha256 {
 // Digest
 
 /// Content address of an encoded model: SHA-256 over the canonical GPMR
-/// blob. Two models with the same digest are byte-identical on the wire and
-/// share one blob and one decoded `Arc` in the registry.
+/// blob. Two models with the same digest encode to the same bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModelDigest([u8; 32]);
 
@@ -169,20 +168,11 @@ impl fmt::Debug for ModelDigest {
 /// the recognition/launch/ambient signatures stay exact: the signatures are
 /// matched with *relative* tolerances against raw traffic and the weights
 /// define the whitened distance space itself.
-///
-/// Decoded-value error bounds (per counter value `v`):
-///
-/// * [`Quantization::F64`] — exact for `v < 2⁵³` (every realistic counter;
-///   the paper's counters are tile/primitive/pixel counts ≤ 2²⁵ per frame).
-/// * [`Quantization::F32`] — `|dec − v| ≤ v / 2²³ + 1` (one f32 rounding,
-///   then rounding back to an integer).
-///
-/// Both tiers' decode→re-encode is **idempotent**: re-encoding a decoded
-/// model reproduces the blob byte-for-byte, so the digest is stable across
-/// a decode/encode round trip (pinned by proptest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Quantization {
-    /// Centroid rows as full `f64` bits — bit-exact round trip.
+    /// Centroid rows as full `f64` bits — exact for every counter below
+    /// 2⁵³ (the paper's counters are tile/primitive/pixel counts ≤ 2²⁵
+    /// per frame).
     F64,
     /// Centroid rows as `f32` bits — 4 bytes per value, ~2⁻²³ relative error.
     F32,
@@ -206,167 +196,77 @@ impl Quantization {
             Quantization::F32 => 1,
         }
     }
-
-    /// The tier a header byte names. Code 2 (a retired `i16` tier) and
-    /// anything above it are rejected.
-    fn from_code(code: u8) -> Option<Quantization> {
-        match code {
-            0 => Some(Quantization::F64),
-            1 => Some(Quantization::F32),
-            _ => None,
-        }
-    }
-}
-
-/// Errors from [`decode_model`], [`ModelHandle::from_blob`] and
-/// [`crate::offline::ModelStore::from_bytes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelDecodeError {
-    /// The byte slice ended before the encoded model did.
-    Truncated,
-    /// The leading magic bytes did not match.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u8),
-    /// A field decoded to an out-of-range value.
-    BadField(&'static str),
-}
-
-impl fmt::Display for ModelDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelDecodeError::Truncated => write!(f, "model bytes truncated"),
-            ModelDecodeError::BadMagic => write!(f, "not a GPMR model"),
-            ModelDecodeError::BadVersion(v) => write!(f, "unsupported model version {v}"),
-            ModelDecodeError::BadField(name) => write!(f, "invalid field: {name}"),
-        }
-    }
-}
-
-impl std::error::Error for ModelDecodeError {}
-
-impl From<VarintError> for ModelDecodeError {
-    fn from(e: VarintError) -> Self {
-        match e {
-            VarintError::Truncated => ModelDecodeError::Truncated,
-            VarintError::Overflow => ModelDecodeError::BadField("varint overflow"),
-        }
-    }
-}
-
-/// The `N` bytes at `*pos`, advancing it. The decoders check lengths up
-/// front, so a short buffer is a typed `Truncated` error, never a panic.
-pub(crate) fn take<const N: usize>(data: &[u8], pos: &mut usize) -> [u8; N] {
-    let bytes = data[*pos..*pos + N].try_into().expect("length checked up front");
-    *pos += N;
-    bytes
 }
 
 // The one-byte codes GPMR stores each configuration enum as.
-macro_rules! enum_codes {
-    ($to:ident, $from:ident, $ty:ty, [$(($variant:path, $code:expr)),+ $(,)?]) => {
-        fn $to(v: $ty) -> u8 {
-            match v {
-                $($variant => $code),+
-            }
-        }
-        fn $from(code: u8) -> Option<$ty> {
-            match code {
-                $($code => Some($variant)),+,
-                _ => None,
-            }
-        }
-    };
+
+fn phone_code(phone: PhoneModel) -> u8 {
+    match phone {
+        PhoneModel::LgV30Plus => 0,
+        PhoneModel::GooglePixel2 => 1,
+        PhoneModel::OnePlus7Pro => 2,
+        PhoneModel::OnePlus8Pro => 3,
+        PhoneModel::OnePlus9 => 4,
+        PhoneModel::GalaxyS21 => 5,
+    }
 }
 
-enum_codes!(
-    phone_code,
-    phone_from,
-    PhoneModel,
-    [
-        (PhoneModel::LgV30Plus, 0),
-        (PhoneModel::GooglePixel2, 1),
-        (PhoneModel::OnePlus7Pro, 2),
-        (PhoneModel::OnePlus8Pro, 3),
-        (PhoneModel::OnePlus9, 4),
-        (PhoneModel::GalaxyS21, 5),
-    ]
-);
-enum_codes!(
-    android_code,
-    android_from,
-    AndroidVersion,
-    [
-        (AndroidVersion::V8_1, 0),
-        (AndroidVersion::V9, 1),
-        (AndroidVersion::V10, 2),
-        (AndroidVersion::V11, 3),
-    ]
-);
-enum_codes!(
-    resolution_code,
-    resolution_from,
-    Resolution,
-    [(Resolution::Fhd, 0), (Resolution::Qhd, 1),]
-);
-enum_codes!(
-    refresh_code,
-    refresh_from,
-    RefreshRate,
-    [(RefreshRate::Hz60, 0), (RefreshRate::Hz120, 1),]
-);
-enum_codes!(
-    keyboard_code,
-    keyboard_from,
-    KeyboardKind,
-    [
-        (KeyboardKind::Gboard, 0),
-        (KeyboardKind::Swift, 1),
-        (KeyboardKind::Sogou, 2),
-        (KeyboardKind::GooglePinyin, 3),
-        (KeyboardKind::Go, 4),
-        (KeyboardKind::Grammarly, 5),
-    ]
-);
-enum_codes!(
-    app_code,
-    app_from,
-    TargetApp,
-    [
-        (TargetApp::Chase, 0),
-        (TargetApp::Amex, 1),
-        (TargetApp::Fidelity, 2),
-        (TargetApp::Schwab, 3),
-        (TargetApp::MyFico, 4),
-        (TargetApp::Experian, 5),
-        (TargetApp::ChromeChase, 6),
-        (TargetApp::ChromeSchwab, 7),
-        (TargetApp::ChromeExperian, 8),
-        (TargetApp::Pnc, 9),
-        (TargetApp::Gedit, 10),
-        (TargetApp::GmailWeb, 11),
-        (TargetApp::DropboxClient, 12),
-    ]
-);
+fn android_code(android: AndroidVersion) -> u8 {
+    match android {
+        AndroidVersion::V8_1 => 0,
+        AndroidVersion::V9 => 1,
+        AndroidVersion::V10 => 2,
+        AndroidVersion::V11 => 3,
+    }
+}
+
+fn resolution_code(resolution: Resolution) -> u8 {
+    match resolution {
+        Resolution::Fhd => 0,
+        Resolution::Qhd => 1,
+    }
+}
+
+fn refresh_code(refresh: RefreshRate) -> u8 {
+    match refresh {
+        RefreshRate::Hz60 => 0,
+        RefreshRate::Hz120 => 1,
+    }
+}
+
+fn keyboard_code(keyboard: KeyboardKind) -> u8 {
+    match keyboard {
+        KeyboardKind::Gboard => 0,
+        KeyboardKind::Swift => 1,
+        KeyboardKind::Sogou => 2,
+        KeyboardKind::GooglePinyin => 3,
+        KeyboardKind::Go => 4,
+        KeyboardKind::Grammarly => 5,
+    }
+}
+
+fn app_code(app: TargetApp) -> u8 {
+    match app {
+        TargetApp::Chase => 0,
+        TargetApp::Amex => 1,
+        TargetApp::Fidelity => 2,
+        TargetApp::Schwab => 3,
+        TargetApp::MyFico => 4,
+        TargetApp::Experian => 5,
+        TargetApp::ChromeChase => 6,
+        TargetApp::ChromeSchwab => 7,
+        TargetApp::ChromeExperian => 8,
+        TargetApp::Pnc => 9,
+        TargetApp::Gedit => 10,
+        TargetApp::GmailWeb => 11,
+        TargetApp::DropboxClient => 12,
+    }
+}
 
 fn put_set_varint(b: &mut Vec<u8>, set: &CounterSet) {
     for &v in set.as_array() {
         varint::write_u64(b, v);
     }
-}
-
-fn get_set_varint(data: &[u8], pos: &mut usize) -> Result<CounterSet, ModelDecodeError> {
-    let mut a = [0u64; NUM_TRACKED];
-    for v in &mut a {
-        *v = varint::read_u64(data, pos)?;
-    }
-    Ok(CounterSet::from_array(a))
-}
-
-/// Rounds a non-negative float back to a counter value, saturating at
-/// `u64::MAX` (Rust float→int casts saturate, so huge inputs cannot wrap).
-fn to_counter(f: f64) -> u64 {
-    f.round() as u64
 }
 
 fn encode_row(b: &mut Vec<u8>, row: &CounterSet, q: Quantization) {
@@ -382,41 +282,6 @@ fn encode_row(b: &mut Vec<u8>, row: &CounterSet, q: Quantization) {
             }
         }
     }
-}
-
-fn decode_row(
-    data: &[u8],
-    pos: &mut usize,
-    q: Quantization,
-) -> Result<CounterSet, ModelDecodeError> {
-    let mut a = [0u64; NUM_TRACKED];
-    match q {
-        Quantization::F64 => {
-            if data.len() - *pos < NUM_TRACKED * 8 {
-                return Err(ModelDecodeError::Truncated);
-            }
-            for v in &mut a {
-                let f = f64::from_be_bytes(take(data, pos));
-                if !f.is_finite() || f < 0.0 {
-                    return Err(ModelDecodeError::BadField("centroid value"));
-                }
-                *v = to_counter(f);
-            }
-        }
-        Quantization::F32 => {
-            if data.len() - *pos < NUM_TRACKED * 4 {
-                return Err(ModelDecodeError::Truncated);
-            }
-            for v in &mut a {
-                let f = f32::from_be_bytes(take(data, pos));
-                if !f.is_finite() || f < 0.0 {
-                    return Err(ModelDecodeError::BadField("centroid value"));
-                }
-                *v = to_counter(f as f64);
-            }
-        }
-    }
-    Ok(CounterSet::from_array(a))
 }
 
 /// Serialises a model into the registry's canonical GPMR format at the
@@ -468,110 +333,17 @@ pub fn encode_model(model: &ClassifierModel, q: Quantization) -> Vec<u8> {
     b
 }
 
-/// Reads the fixed 12-byte GPMR header: magic, version, tier, meta.
-fn parse_header(data: &[u8]) -> Result<(Quantization, ModelMeta), ModelDecodeError> {
-    use ModelDecodeError::*;
-    let Some(&[g, p, m, r, version, tier, phone, android, resolution, refresh, keyboard, app]) =
-        data.first_chunk()
-    else {
-        return Err(Truncated);
-    };
-    if [g, p, m, r] != *b"GPMR" {
-        return Err(BadMagic);
-    }
-    if version != 1 {
-        return Err(BadVersion(version));
-    }
-    let quantization = Quantization::from_code(tier).ok_or(BadField("quantization"))?;
-    let meta = ModelMeta {
-        phone: phone_from(phone).ok_or(BadField("phone"))?,
-        android: android_from(android).ok_or(BadField("android"))?,
-        resolution: resolution_from(resolution).ok_or(BadField("resolution"))?,
-        refresh: refresh_from(refresh).ok_or(BadField("refresh"))?,
-        keyboard: keyboard_from(keyboard).ok_or(BadField("keyboard"))?,
-        app: app_from(app).ok_or(BadField("app"))?,
-    };
-    Ok((quantization, meta))
-}
-
-/// Decodes a GPMR blob produced by [`encode_model`] at either tier,
-/// rebuilding the classifier's prepared hot-path data.
-///
-/// # Errors
-///
-/// A typed [`ModelDecodeError`] for truncated or corrupt input; never
-/// panics, whatever the bytes.
-pub fn decode_model(data: &[u8]) -> Result<ClassifierModel, ModelDecodeError> {
-    use ModelDecodeError::*;
-    let (quantization, meta) = parse_header(data)?;
-    let mut pos = 12; // past the header
-    if data.len() - pos < 8 + NUM_TRACKED * 8 {
-        return Err(Truncated);
-    }
-    let threshold = f64::from_be_bytes(take(data, &mut pos));
-    let mut weights = [0.0; NUM_TRACKED];
-    for w in &mut weights {
-        *w = f64::from_be_bytes(take(data, &mut pos));
-        if !w.is_finite() {
-            return Err(BadField("weight"));
-        }
-    }
-    let kb_signature = get_set_varint(data, &mut pos)?;
-    let app_signature = get_set_varint(data, &mut pos)?;
-    let n_sigs = varint::read_u64(data, &mut pos)?;
-    // Each signature costs ≥ NUM_TRACKED bytes; reject absurd counts before
-    // allocating.
-    if n_sigs as u128 * NUM_TRACKED as u128 > (data.len() - pos) as u128 {
-        return Err(Truncated);
-    }
-    let mut field_signatures = Vec::with_capacity(n_sigs as usize);
-    for _ in 0..n_sigs {
-        field_signatures.push(get_set_varint(data, &mut pos)?);
-    }
-    let launch_signature = get_set_varint(data, &mut pos)?;
-    let switch_threshold = varint::read_u64(data, &mut pos)?;
-    if data.len() - pos < 2 {
-        return Err(Truncated);
-    }
-    let n = u16::from_be_bytes(take(data, &mut pos)) as usize;
-    let mut centroids = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ch = varint::read_u64(data, &mut pos)?;
-        let ch = u32::try_from(ch).ok().and_then(char::from_u32).ok_or(BadField("char"))?;
-        let values = decode_row(data, &mut pos, quantization)?;
-        centroids.push(KeyCentroid { ch, values });
-    }
-    if pos != data.len() {
-        return Err(BadField("trailing bytes"));
-    }
-    if centroids.is_empty() || threshold <= 0.0 || !threshold.is_finite() {
-        return Err(BadField("body"));
-    }
-    Ok(ClassifierModel::new(
-        meta,
-        centroids,
-        weights,
-        threshold,
-        kb_signature,
-        app_signature,
-        field_signatures,
-        launch_signature,
-        switch_threshold,
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // ModelHandle
 
 struct HandleInner {
     digest: ModelDigest,
-    blob: Vec<u8>,
+    encoded_len: usize,
     model: Arc<ClassifierModel>,
 }
 
-/// A cheaply clonable handle to one model: its content digest, its encoded
-/// GPMR blob (retained for re-serving) and the model itself, shared by
-/// every clone.
+/// A cheaply clonable handle to one model: its content digest, the length
+/// of its GPMR encoding and the model itself, shared by every clone.
 #[derive(Clone)]
 pub struct ModelHandle {
     inner: Arc<HandleInner>,
@@ -579,23 +351,12 @@ pub struct ModelHandle {
 
 impl ModelHandle {
     /// Wraps an already-trained model: encodes it at the bit-exact `f64`
-    /// tier and digests the encoding. Clones share the given `Arc`.
+    /// tier, digests the encoding and keeps its length. Clones share the
+    /// given `Arc`.
     pub fn from_arc(model: Arc<ClassifierModel>) -> ModelHandle {
         let blob = encode_model(&model, Quantization::F64);
         let digest = ModelDigest::of(&blob);
-        ModelHandle { inner: Arc::new(HandleInner { digest, blob, model }) }
-    }
-
-    /// Wraps an untrusted encoded blob of either tier, validating it by a
-    /// full decode.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ModelDecodeError`] the blob fails validation with.
-    pub fn from_blob(blob: Vec<u8>) -> Result<ModelHandle, ModelDecodeError> {
-        let model = Arc::new(decode_model(&blob)?);
-        let digest = ModelDigest::of(&blob);
-        Ok(ModelHandle { inner: Arc::new(HandleInner { digest, blob, model }) })
+        ModelHandle { inner: Arc::new(HandleInner { digest, encoded_len: blob.len(), model }) }
     }
 
     /// The model's content address.
@@ -603,14 +364,9 @@ impl ModelHandle {
         self.inner.digest
     }
 
-    /// The encoded GPMR blob.
-    pub fn blob(&self) -> &[u8] {
-        &self.inner.blob
-    }
-
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.inner.blob.len()
+        self.inner.encoded_len
     }
 
     /// The model.
@@ -628,7 +384,7 @@ impl fmt::Debug for ModelHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ModelHandle")
             .field("digest", &self.inner.digest)
-            .field("encoded_len", &self.inner.blob.len())
+            .field("encoded_len", &self.inner.encoded_len)
             .finish()
     }
 }
@@ -645,11 +401,12 @@ impl Eq for ModelHandle {}
 // Registry
 
 /// The configuration a model is trained for: the victim device, keyboard
-/// and target app.
+/// and target app. A key holds exactly the model's `ModelMeta`, which GPMR
+/// writes into its header, so distinct keys give distinct blobs.
 type ModelKey = (DeviceConfig, KeyboardKind, TargetApp);
 
-/// Neither registry lock is held across anything that can panic (training
-/// runs with both released), so a poisoned lock is a bug.
+/// The registry lock is never held across anything that can panic
+/// (training runs with it released), so a poisoned lock is a bug.
 const POISONED: &str = "registry lock poisoned";
 
 /// Counters snapshot from [`Registry::stats`].
@@ -657,27 +414,20 @@ const POISONED: &str = "registry lock poisoned";
 pub struct RegistryStats {
     /// Models trained by `get_or_train` misses.
     pub trainings: u64,
-    /// Distinct models (digests) held.
+    /// Distinct models (digests) held: one per trained key.
     pub models: usize,
     /// Total encoded bytes of those models.
     pub total_bytes: usize,
 }
 
-#[derive(Default)]
-struct Blobs {
-    by_digest: HashMap<ModelDigest, ModelHandle>,
-    trainings: u64,
-}
-
 /// The content-addressed model registry: each configuration's model is
-/// trained once, and every model is held once under its digest.
+/// trained once and held once.
 #[derive(Default)]
 pub struct Registry {
     /// Train-once-per-key cells: concurrent `get_or_train` calls for one
     /// key block on one `OnceLock` and share the single trained model.
-    /// Training runs with neither lock held.
+    /// Training runs with the lock released.
     cells: Mutex<HashMap<ModelKey, Arc<OnceLock<ModelHandle>>>>,
-    blobs: Mutex<Blobs>,
 }
 
 impl fmt::Debug for Registry {
@@ -689,8 +439,7 @@ impl fmt::Debug for Registry {
 impl Registry {
     /// Returns the configuration's model, training it with the default
     /// [`TrainerConfig`] exactly once on first miss. Concurrent callers for
-    /// one configuration share a single training run; a trained model
-    /// whose digest is already held shares that handle.
+    /// one configuration share a single training run.
     pub fn get_or_train(
         &self,
         device: DeviceConfig,
@@ -705,22 +454,22 @@ impl Registry {
         cell.get_or_init(|| {
             spansight::count("core.registry.trainings", 1);
             let model = Trainer::new(TrainerConfig::default()).train(device, keyboard, app);
-            let handle = ModelHandle::from_arc(Arc::new(model));
-            let mut blobs = self.blobs.lock().expect(POISONED);
-            blobs.trainings += 1;
-            blobs.by_digest.entry(handle.digest()).or_insert(handle).clone()
+            ModelHandle::from_arc(Arc::new(model))
         })
         .clone()
     }
 
-    /// Snapshot of the registry's counters and occupancy.
+    /// Snapshot of the registry's counters and occupancy. Each filled cell
+    /// is one training and one distinct model.
     pub fn stats(&self) -> RegistryStats {
-        let blobs = self.blobs.lock().expect(POISONED);
-        RegistryStats {
-            trainings: blobs.trainings,
-            models: blobs.by_digest.len(),
-            total_bytes: blobs.by_digest.values().map(ModelHandle::encoded_len).sum(),
+        let cells = self.cells.lock().expect(POISONED);
+        let mut stats = RegistryStats::default();
+        for handle in cells.values().filter_map(|cell| cell.get()) {
+            stats.trainings += 1;
+            stats.models += 1;
+            stats.total_bytes += handle.encoded_len();
         }
+        stats
     }
 }
 
@@ -728,54 +477,6 @@ impl Registry {
 mod tests {
     use super::*;
     use android_ui::SimConfig;
-
-    fn trained_model() -> ClassifierModel {
-        let cfg = SimConfig::paper_default(11);
-        Trainer::new(TrainerConfig::default()).train(cfg.device, cfg.keyboard, cfg.app)
-    }
-
-    #[test]
-    fn f64_round_trip_is_bit_exact() {
-        let model = trained_model();
-        let blob = encode_model(&model, Quantization::F64);
-        let back = decode_model(&blob).expect("decodes");
-        assert_eq!(back, model);
-    }
-
-    #[test]
-    fn digest_stable_across_reencode_at_every_tier() {
-        let model = trained_model();
-        for q in Quantization::ALL {
-            let blob = encode_model(&model, q);
-            let decoded = decode_model(&blob).expect("decodes");
-            let reencoded = encode_model(&decoded, q);
-            assert_eq!(blob, reencoded, "tier {} re-encode changed bytes", q.name());
-            assert_eq!(ModelDigest::of(&blob), ModelDigest::of(&reencoded));
-        }
-    }
-
-    #[test]
-    fn f32_stays_within_documented_bound() {
-        let model = trained_model();
-        let decoded = decode_model(&encode_model(&model, Quantization::F32)).expect("decodes");
-        for (orig, dec) in model.centroids().iter().zip(decoded.centroids()) {
-            for (&v, &d) in orig.values.as_array().iter().zip(dec.values.as_array()) {
-                let bound = v as f64 / (1u64 << 23) as f64 + 1.0;
-                assert!(v.abs_diff(d) as f64 <= bound, "f32 err > bound {bound}");
-            }
-        }
-        // Weights and threshold are never quantized.
-        assert_eq!(decoded.weights(), model.weights());
-        assert_eq!(decoded.threshold(), model.threshold());
-    }
-
-    #[test]
-    fn truncated_blobs_never_panic() {
-        let blob = encode_model(&trained_model(), Quantization::F32);
-        for len in 0..blob.len() {
-            assert!(decode_model(&blob[..len]).is_err(), "truncation at {len} accepted");
-        }
-    }
 
     #[test]
     fn train_once_per_key() {
@@ -801,30 +502,6 @@ mod tests {
         });
         assert!(handles.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(registry.stats().trainings, 1);
-    }
-
-    #[test]
-    fn from_blob_validates() {
-        let model = trained_model();
-        let blob = encode_model(&model, Quantization::F32);
-        let h = ModelHandle::from_blob(blob.clone()).expect("valid blob");
-        assert_eq!(h.digest(), ModelDigest::of(&blob));
-        assert_eq!(h.model().meta(), model.meta());
-
-        let mut corrupt = b"GPXX".to_vec();
-        corrupt.extend_from_slice(&[1; 8]);
-        assert_eq!(ModelHandle::from_blob(corrupt), Err(ModelDecodeError::BadMagic));
-    }
-
-    #[test]
-    fn decode_errors_name_the_gpmr_format() {
-        assert_eq!(ModelDecodeError::BadMagic.to_string(), "not a GPMR model");
-        assert_eq!(ModelDecodeError::Truncated.to_string(), "model bytes truncated");
-        assert_eq!(ModelDecodeError::BadVersion(7).to_string(), "unsupported model version 7");
-        assert_eq!(
-            ModelDecodeError::BadField("quantization").to_string(),
-            "invalid field: quantization"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use adreno_sim::counters::TrackedCounter;
 use gpu_eaves::android_ui::SimConfig;
 use gpu_eaves::attack::offline::ModelStore;
-use gpu_eaves::attack::registry::{decode_model, encode_model, Quantization, Registry};
+use gpu_eaves::attack::registry::{encode_model, Quantization, Registry};
 
 fn main() {
     let cfg = SimConfig::paper_default(0);
@@ -52,8 +52,8 @@ fn main() {
         println!("  {a:?} vs {b:?}  distance {d:.3}");
     }
 
-    // The content-addressed GPMR wire format, per quantization tier: f64
-    // round-trips bit-exactly, f32 keeps every centroid within 2^-23.
+    // The content-addressed GPMR format, per quantization tier: f64 keeps
+    // every value exact, f32 rounds each centroid value to within 2^-23.
     println!("\nGPMR encoding — digest {}:", handle.digest().short());
     for q in Quantization::ALL {
         let blob = encode_model(model, q);
@@ -64,8 +64,6 @@ fn main() {
             blob.len() as f64 / 1024.0
         );
     }
-    let restored = decode_model(handle.blob()).expect("round trip");
-    assert_eq!(&restored, model);
 
     let mut store = ModelStore::new();
     store.add_handle(handle.clone());

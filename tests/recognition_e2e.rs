@@ -56,30 +56,6 @@ fn recognizes_each_configuration_and_recovers_the_text() {
 }
 
 #[test]
-fn store_survives_serialisation_and_still_recognizes() {
-    let store = multi_store();
-    let bytes = store.to_bytes();
-    let store = ModelStore::from_bytes(&bytes).expect("round trip");
-
-    let cfg = SimConfig {
-        device: DeviceConfig::for_phone(PhoneModel::GalaxyS21),
-        system_noise_hz: 0.0,
-        ..SimConfig::paper_default(50)
-    };
-    let mut sim = UiSimulation::new(cfg);
-    let mut rng = StdRng::seed_from_u64(50);
-    let mut typist = Typist::new(VOLUNTEERS[0]);
-    let plan = typist.type_text("abcd", SimInstant::from_millis(900), &mut rng);
-    let end = plan.end + SimDuration::from_millis(800);
-    sim.queue_all(plan.events);
-
-    let service = AttackService::new(store, ServiceConfig::default());
-    let result = service.eavesdrop(&mut sim, end).expect("stock policy");
-    assert_eq!(result.model.phone, PhoneModel::GalaxyS21);
-    assert_eq!(result.recovered_text, "abcd");
-}
-
-#[test]
 fn per_model_wire_size_is_paper_scale() {
     use gpu_eaves::attack::registry::{encode_model, Quantization};
 
