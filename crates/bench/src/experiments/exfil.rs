@@ -14,12 +14,12 @@
 //!    Both ends pump the moment a datagram lands, so over a clean link
 //!    the wire adds exactly the round trip.
 //! 3. **Loss sweep** — accuracy as a function of datagram loss rate. The
-//!    retransmit/resequence/reconnect machinery should hold accuracy flat
-//!    while retransmissions, reconnects and bytes per session (the price
-//!    paid) climb, and so do the drain (the median sim time from the Fin
-//!    to its FinAck) and the wire latency (median and max over the
-//!    matched presses; a lost `InferredKeys` frame is never re-sent, so
-//!    its presses drop out of the count).
+//!    retransmit/resequence machinery should hold accuracy flat while
+//!    retransmissions and bytes per session (the price paid) climb, and
+//!    so do the drain (the median sim time from the Fin to its FinAck)
+//!    and the wire latency (median and max over the matched presses; a
+//!    lost `InferredKeys` frame is never re-sent, so its presses drop out
+//!    of the count).
 //!
 //! Telemetry lands in `BENCH_experiments.json` as
 //! `bench.exfil.payload_bytes_per_key`,
@@ -85,7 +85,6 @@ struct LossCell {
     completed: usize,
     failed: usize,
     retransmits: u64,
-    reconnects: u64,
     bytes_sent: u64,
     finacks: usize,
     /// Each completed session's drain, ms.
@@ -123,7 +122,6 @@ fn loss_cell(
             Ok((score, outcome, truth)) => {
                 cell.completed += 1;
                 cell.retransmits += outcome.result.link.retransmits;
-                cell.reconnects += outcome.result.link.reconnects;
                 cell.bytes_sent += outcome.result.link.bytes_sent;
                 cell.finacks += usize::from(outcome.completed);
                 cell.drains_ms.push(outcome.drain.as_millis());
@@ -213,18 +211,16 @@ pub fn exfil(ctx: &Ctx) {
     }
 
     // 3. Loss sweep: accuracy should hold as loss climbs; retransmits,
-    // reconnects, bytes and latency are what it costs. Costs are per
-    // session.
+    // bytes and latency are what it costs. Costs are per session.
     let per_cell = ctx.trials(6);
     outln!();
     outln!(
-        "{:<7} {:>12} {:>12} {:>8} {:>10} {:>11} {:>11} {:>9} {:>18} {:>7}",
+        "{:<7} {:>12} {:>12} {:>8} {:>10} {:>11} {:>9} {:>18} {:>7}",
         "loss",
         "text-acc",
         "key-acc",
         "finack",
         "retx/sess",
-        "reconn/sess",
         "KB(tx)/sess",
         "drain-ms",
         "lag-ms p50/max (n)",
@@ -245,14 +241,13 @@ pub fn exfil(ctx: &Ctx) {
             None => "-".to_string(),
         };
         outln!(
-            "{:<7.2} {:>11.1}% {:>11.1}% {:>5}/{:<2} {:>10.1} {:>11.2} {:>11.1} {:>9} {:>18} {:>4}/{:<2}",
+            "{:<7.2} {:>11.1}% {:>11.1}% {:>5}/{:<2} {:>10.1} {:>11.1} {:>9} {:>18} {:>4}/{:<2}",
             loss,
             cell.agg.text_accuracy() * 100.0,
             cell.agg.key_accuracy() * 100.0,
             cell.finacks,
             per_cell,
             cell.retransmits as f64 / sessions,
-            cell.reconnects as f64 / sessions,
             cell.bytes_sent as f64 / sessions / 1024.0,
             drain_p50.map_or("-".to_string(), u64::to_string),
             lag,

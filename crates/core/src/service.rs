@@ -192,8 +192,6 @@ pub struct LinkDegradationReport {
     /// Frames that arrived out of sequence order and were buffered or
     /// dropped for resequencing.
     pub reorders_observed: u64,
-    /// Reconnect-and-resume cycles after the link went down.
-    pub reconnects: u64,
     /// Payload bytes handed to the transport, including retransmissions.
     pub bytes_sent: u64,
     /// Payload bytes the peer cumulatively acknowledged.
@@ -202,14 +200,13 @@ pub struct LinkDegradationReport {
 
 impl LinkDegradationReport {
     /// Whether the link delivered everything first try: nothing dropped,
-    /// corrupted, duplicated, reordered, retransmitted, or reconnected.
+    /// corrupted, duplicated, reordered, or retransmitted.
     pub fn is_clean(&self) -> bool {
         self.retransmits == 0
             && self.frames_dropped == 0
             && self.frames_corrupt == 0
             && self.duplicates_discarded == 0
             && self.reorders_observed == 0
-            && self.reconnects == 0
     }
 }
 
@@ -217,7 +214,7 @@ impl fmt::Display for LinkDegradationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "sent={} retx={} dropped={} corrupt={} dups={} reorders={} reconnects={} \
+            "sent={} retx={} dropped={} corrupt={} dups={} reorders={} \
              bytes={}/{} acked",
             self.frames_sent,
             self.retransmits,
@@ -225,7 +222,6 @@ impl fmt::Display for LinkDegradationReport {
             self.frames_corrupt,
             self.duplicates_discarded,
             self.reorders_observed,
-            self.reconnects,
             self.bytes_acked,
             self.bytes_sent,
         )

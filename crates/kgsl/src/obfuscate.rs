@@ -17,22 +17,26 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Smallest decoy magnitude, in "popup equivalents" (1.0 ≈ the GPU cost of
+/// one key-press popup frame).
+const MIN_MAGNITUDE: f64 = 0.6;
+
+/// Largest decoy magnitude: with [`MIN_MAGNITUDE`], the size range of real
+/// popup frames.
+const MAX_MAGNITUDE: f64 = 1.4;
+
 /// Configuration of the decoy-injection mitigation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObfuscationConfig {
     /// Mean decoy injections per second. Zero disables the mitigation.
     pub rate_hz: f64,
-    /// Minimum decoy magnitude, in "popup equivalents" (1.0 ≈ the GPU cost
-    /// of one key-press popup frame).
-    pub min_magnitude: f64,
-    /// Maximum decoy magnitude.
-    pub max_magnitude: f64,
 }
 
 impl ObfuscationConfig {
-    /// A decoy profile spanning the size range of real popup frames.
+    /// Decoys at `rate_hz` per second, each drawn uniformly from the size
+    /// range of real popup frames.
     pub fn popup_sized(rate_hz: f64) -> Self {
-        ObfuscationConfig { rate_hz, min_magnitude: 0.6, max_magnitude: 1.4 }
+        ObfuscationConfig { rate_hz }
     }
 }
 
@@ -128,8 +132,7 @@ impl Obfuscator {
             if due > until {
                 break;
             }
-            let magnitude =
-                self.rng.gen_range(self.config.min_magnitude..=self.config.max_magnitude);
+            let magnitude = self.rng.gen_range(MIN_MAGNITUDE..=MAX_MAGNITUDE);
             let (counters, cycles) = decoy_counters(magnitude);
             gpu.submit_workload(counters, cycles, due);
             injected += 1;

@@ -26,7 +26,8 @@ use crate::varint;
 /// v2: `Hello` carries the 32-byte model digest (content address).
 /// v3: one self-contained `Read` per changed counter read replaces the
 /// columnar sample batch.
-pub const WIRE_VERSION: u8 = 3;
+/// v4: `Hello` carries the model digest alone.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Two fixed bytes opening every frame ("GW": GPU wire).
 pub const MAGIC: [u8; 2] = [0x47, 0x57];

@@ -19,7 +19,8 @@
 //!   [`LinkPlan`] in the same deterministic-plan idiom as
 //!   [`kgsl::FaultPlan`].
 //! * [`session`] — the resilience: [`ExfilClient`] (send window,
-//!   ack/retransmit with capped backoff, reconnect-and-resume) and
+//!   ack/retransmit with capped backoff, fast retransmit on duplicate
+//!   Acks) and
 //!   [`ClassifierServer`] (resequencing, dedup, incremental inference,
 //!   streamed-back presses), plus [`run_split_session`] which runs a whole
 //!   eavesdropping session split across the wire and folds a

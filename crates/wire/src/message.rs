@@ -1,6 +1,6 @@
 //! The versioned message set and its compact binary codec.
 //!
-//! Client → server: [`Message::Hello`] (session open / reconnect-resume),
+//! Client → server: [`Message::Hello`] (session open, naming the model),
 //! [`Message::Read`] (one counter read that differs from the read before
 //! it), [`Message::Fin`] (end of sampling, carrying the sampler's
 //! degradation report).
@@ -45,13 +45,9 @@ fn unzigzag(v: u64) -> i64 {
 /// [`crate::frame::WIRE_VERSION`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Opens a session, or re-opens it after a reconnect.
+    /// Opens the session. The client re-sends it with each retransmit
+    /// round until the first [`Message::Ack`] answers it.
     Hello {
-        /// Random id binding both directions of the conversation.
-        session_id: u64,
-        /// The lowest client frame not yet acknowledged — where the
-        /// retransmit window restarts after a reconnect.
-        resume_from: u64,
         /// Content address of the classifier model the sampler was trained
         /// against. The server resolves it in its own registry-backed
         /// store; a non-zero digest it does not hold is a typed error
@@ -183,10 +179,8 @@ impl Message {
     /// Appends the message's payload to `buf`.
     pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Message::Hello { session_id, resume_from, model_digest } => {
+            Message::Hello { model_digest } => {
                 buf.push(TAG_HELLO);
-                varint::write_u64(buf, *session_id);
-                varint::write_u64(buf, *resume_from);
                 buf.extend_from_slice(model_digest.as_bytes());
             }
             Message::Read(read) => {
@@ -218,7 +212,7 @@ impl Message {
     /// An upper bound on the encoding's length.
     fn len_hint(&self) -> usize {
         match self {
-            Message::Hello { .. } => 1 + 2 * MAX_VARINT + 32,
+            Message::Hello { .. } => 1 + 32,
             Message::Read(_) => 1 + (1 + NUM_TRACKED) * MAX_VARINT,
             Message::Fin { .. } => 1 + 11 * MAX_VARINT,
             Message::Ack { .. } => 1 + MAX_VARINT,
@@ -241,20 +235,12 @@ impl Message {
         pos += 1;
         let message = match tag {
             TAG_HELLO => {
-                let session_id = varint::read_u64(buf, &mut pos)?;
-                let resume_from = varint::read_u64(buf, &mut pos)?;
-                let end = pos.checked_add(32).ok_or(WireError::Truncated)?;
-                if end > buf.len() {
-                    return Err(WireError::Truncated);
-                }
-                let mut digest = [0u8; 32];
-                digest.copy_from_slice(&buf[pos..end]);
-                pos = end;
-                Message::Hello {
-                    session_id,
-                    resume_from,
-                    model_digest: ModelDigest::from_bytes(digest),
-                }
+                let digest: [u8; 32] = buf
+                    .get(pos..pos + 32)
+                    .and_then(|bytes| bytes.try_into().ok())
+                    .ok_or(WireError::Truncated)?;
+                pos += 32;
+                Message::Hello { model_digest: ModelDigest::from_bytes(digest) }
             }
             TAG_READ => {
                 let at = SimInstant::from_nanos(varint::read_u64(buf, &mut pos)?);
@@ -341,7 +327,7 @@ mod tests {
     #[test]
     fn hello_round_trips_model_digest() {
         let digest = ModelDigest::of(b"some model blob");
-        let hello = Message::Hello { session_id: 77, resume_from: 3, model_digest: digest };
+        let hello = Message::Hello { model_digest: digest };
         let payload = hello.encode();
         assert_eq!(Message::decode(&payload), Ok(hello));
     }
@@ -349,8 +335,7 @@ mod tests {
     #[test]
     fn hello_with_truncated_digest_rejected() {
         let digest = ModelDigest::of(b"some model blob");
-        let mut payload =
-            Message::Hello { session_id: 77, resume_from: 3, model_digest: digest }.encode();
+        let mut payload = Message::Hello { model_digest: digest }.encode();
         payload.truncate(payload.len() - 5);
         assert_eq!(Message::decode(&payload), Err(WireError::Truncated));
     }

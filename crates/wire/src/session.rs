@@ -20,14 +20,16 @@
 //! server answered something sent after the oldest unacked frame without
 //! holding it: if that frame was last sent at least one SRTT ago, the Ack
 //! retransmits it at once (RFC 5681's fast retransmit), without doubling
-//! its backoff. When the oldest unacked frame has had four timed
-//! retransmits without progress (the signature of a link outage rather
-//! than sporadic loss), the client reconnects: a fresh [`Message::Hello`]
-//! carrying `resume_from` — the oldest unacked sequence number — which the
-//! server answers with its actual `next_expected`, snapping both ends back
-//! into agreement. The server opens the session only at a Hello and leaves
-//! data that reaches it first unacknowledged, so until the first Ack
-//! arrives the client re-sends its Hello with every retransmit round.
+//! its backoff. Through an outage the oldest frame keeps retransmitting,
+//! its backoff doubling up to the cap, and the first copy to get through
+//! draws the server's cumulative Ack like any other arrival.
+//!
+//! A session opens one way: the client's [`Message::Hello`], carrying the
+//! model digest. Each [`ClassifierServer`] lives exactly as long as its
+//! session, so there is no session to re-open. The server opens the
+//! session only at a Hello and leaves data that reaches it first
+//! unacknowledged, so until the first Ack arrives the client re-sends its
+//! Hello with every retransmit round.
 //!
 //! Control frames (Hello, Ack) travel *outside* the data sequence space
 //! under [`CONTROL_SEQ`]: they are idempotent and applied on arrival, so a
@@ -88,10 +90,6 @@ const MIN_RTT_VARIATION_TERM: SimDuration = SimDuration::from_millis(1);
 
 /// Ceiling on the per-frame retransmit backoff, and on a measured timeout.
 const MAX_RETRANSMIT_BACKOFF: SimDuration = SimDuration::from_millis(500);
-
-/// Timed retransmits of the *oldest* unacked frame before the client
-/// declares the link down and reconnects.
-const RECONNECT_AFTER: u32 = 4;
 
 /// Tuning for the client side of the split session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,8 +198,6 @@ struct PendingFrame {
     /// The current transmission's timeout: the client's retransmit timeout
     /// at the first, doubled by each timed retransmit.
     backoff: SimDuration,
-    /// Timed retransmits toward [`RECONNECT_AFTER`]; a reconnect zeroes it.
-    retransmits: u32,
     /// Whether the frame was ever retransmitted, so that an Ack retiring
     /// it times no round trip (Karn's rule).
     resent: bool,
@@ -235,12 +231,10 @@ impl PendingFrame {
 }
 
 /// The on-device half: frames every changed counter read, keeps the
-/// reliable stream's send window, retransmits, and reconnects through
-/// outages.
+/// reliable stream's send window, and retransmits what the link loses.
 #[derive(Debug)]
 pub struct ExfilClient {
     config: ExfilConfig,
-    session_id: u64,
     /// Content address of the model this sampler expects the server to
     /// classify with; [`ModelDigest::ZERO`] requests device recognition.
     model_digest: ModelDigest,
@@ -278,19 +272,18 @@ pub struct ExfilClient {
 }
 
 impl ExfilClient {
-    /// A client for one session. `session_id` only needs to be unique per
-    /// transport. The Hello carries [`ModelDigest::ZERO`]: the server falls
-    /// back to device recognition. Use [`ExfilClient::with_model`] to pin a
-    /// registry model by content address.
-    pub fn new(config: ExfilConfig, session_id: u64) -> Self {
-        ExfilClient::with_model(config, session_id, ModelDigest::ZERO)
+    /// A client for one session. The Hello carries [`ModelDigest::ZERO`]:
+    /// the server falls back to device recognition. Use
+    /// [`ExfilClient::with_model`] to pin a registry model by content
+    /// address.
+    pub fn new(config: ExfilConfig) -> Self {
+        ExfilClient::with_model(config, ModelDigest::ZERO)
     }
 
     /// A client whose Hello pins the server-side model by content address.
-    pub fn with_model(config: ExfilConfig, session_id: u64, model_digest: ModelDigest) -> Self {
+    pub fn with_model(config: ExfilConfig, model_digest: ModelDigest) -> Self {
         ExfilClient {
             config,
-            session_id,
             model_digest,
             last_values: None,
             payload: Vec::new(),
@@ -311,17 +304,16 @@ impl ExfilClient {
         }
     }
 
-    /// Opens the session: sends the initial Hello control frame.
+    /// Opens the session: sends the Hello control frame. Until an Ack
+    /// answers it, each retransmit round of [`ExfilClient::pump`] sends it
+    /// again.
     pub fn connect(&mut self, transport: &mut SimTransport, now: SimInstant) {
-        self.send_control(
-            transport,
-            now,
-            Message::Hello {
-                session_id: self.session_id,
-                resume_from: 0,
-                model_digest: self.model_digest,
-            },
-        );
+        self.payload.clear();
+        Message::Hello { model_digest: self.model_digest }.encode_into(&mut self.payload);
+        let datagram = frame::encode(CONTROL_SEQ, &self.payload);
+        self.link.frames_sent += 1;
+        self.link.bytes_sent += datagram.len() as u64;
+        transport.send(Direction::ToServer, now, datagram);
     }
 
     /// Stages a burst of counter reads for exfiltration. The session's first
@@ -386,34 +378,24 @@ impl ExfilClient {
             fin,
             last_sent: None,
             backoff: SimDuration::ZERO,
-            retransmits: 0,
             resent: false,
         });
         // The next pump transmits it.
         self.wake = SimInstant::ZERO;
     }
 
-    fn send_control(&mut self, transport: &mut SimTransport, now: SimInstant, msg: Message) {
-        self.payload.clear();
-        msg.encode_into(&mut self.payload);
-        let datagram = frame::encode(CONTROL_SEQ, &self.payload);
-        self.link.frames_sent += 1;
-        self.link.bytes_sent += datagram.len() as u64;
-        transport.send(Direction::ToServer, now, datagram);
-    }
-
     /// One scheduling round: absorb server traffic, transmit what the
-    /// window allows, retransmit what timed out, reconnect if the link
-    /// looks dead. Call at non-decreasing `now`, whenever a datagram lands
-    /// on the client's lane, a frame was queued, or a retransmit falls due;
-    /// [`SplitDriver`] calls it at each instant something is due for either
-    /// end.
+    /// window allows, retransmit what timed out, and re-send the Hello with
+    /// a retransmit round until an Ack answers it. Call at non-decreasing
+    /// `now`, whenever a datagram lands on the client's lane, a frame was
+    /// queued, or a retransmit falls due; [`SplitDriver`] calls it at each
+    /// instant something is due for either end.
     ///
     /// A round that receives nothing, with no frame queued since the last
     /// full round and `now` before the earliest retransmit deadline, has
     /// nothing to do and returns at once: only an arrival can open the send
     /// window or start a fast retransmit, and only a deadline can start a
-    /// timed retransmit or a reconnect.
+    /// timed retransmit.
     pub fn pump(&mut self, transport: &mut SimTransport, now: SimInstant) {
         debug_assert!(now >= self.last_pump, "client pumped at {now:?} after {:?}", self.last_pump);
         self.last_pump = now;
@@ -445,41 +427,20 @@ impl ExfilClient {
         }
         // Timed retransmissions on capped exponential backoff.
         let mut retransmitted = false;
-        let mut reconnect = false;
         let mut wake = NEVER;
-        for (i, p) in self.pending.iter_mut().enumerate() {
+        for p in self.pending.iter_mut() {
             let Some(mut sent_at) = p.last_sent else { continue };
             if now.saturating_since(sent_at) >= p.backoff {
                 sent_at = now;
                 p.backoff = (p.backoff * 2).min(MAX_RETRANSMIT_BACKOFF);
-                p.retransmits += 1;
                 retransmitted = true;
                 p.retransmit(transport, &mut self.link, now);
-                if i == 0 && p.retransmits >= RECONNECT_AFTER {
-                    reconnect = true;
-                    p.retransmits = 0;
-                }
             }
             wake = wake.min(sent_at + p.backoff);
         }
         self.wake = wake;
-        if reconnect {
-            // The oldest unacked frame has been retransmitted into the void
-            // repeatedly: assume an outage ended state agreement and re-open
-            // the session from our low-water mark. The server's Ack reply
-            // restores a shared view of `next_expected`.
-            self.link.reconnects += 1;
-        }
-        if reconnect || (retransmitted && !self.answered) {
-            self.send_control(
-                transport,
-                now,
-                Message::Hello {
-                    session_id: self.session_id,
-                    resume_from: self.acked_to,
-                    model_digest: self.model_digest,
-                },
-            );
+        if retransmitted && !self.answered {
+            self.connect(transport, now);
         }
     }
 
@@ -487,7 +448,7 @@ impl ExfilClient {
     /// pending frame was last sent at least one SRTT ago, the Ack answers a
     /// datagram sent after it, so the frame is taken as lost and goes again
     /// now. A fast retransmit restarts the frame's timer but keeps its
-    /// backoff, and does not count toward a reconnect: Acks are arriving.
+    /// backoff: Acks are arriving.
     fn fast_retransmit(&mut self, transport: &mut SimTransport, now: SimInstant) {
         let (Some(rtt), Some(p)) = (self.rtt, self.pending.front_mut()) else { return };
         if p.last_sent.is_some_and(|sent| now.saturating_since(sent) >= rtt.srtt()) {
@@ -662,10 +623,10 @@ impl<'s> ClassifierServer<'s> {
             return;
         };
         if seq == CONTROL_SEQ {
-            if let Message::Hello { model_digest, .. } = msg {
-                // Initial open or reconnect-resume: both are answered with
-                // where the data stream actually stands. The first Hello
-                // opens the session on the model it names.
+            if let Message::Hello { model_digest } = msg {
+                // Answered with where the data stream stands. The first
+                // Hello to arrive opens the session on the model it names;
+                // a re-sent copy only draws another Ack.
                 self.requested_digest = Some(model_digest);
                 self.ensure_session();
                 self.send_ack(transport, now);
@@ -799,7 +760,6 @@ fn fold_link(
         frames_corrupt: client.frames_corrupt + server.frames_corrupt,
         duplicates_discarded: client.duplicates_discarded + server.duplicates_discarded,
         reorders_observed: client.reorders_observed + server.reorders_observed,
-        reconnects: client.reconnects,
         bytes_sent: client.bytes_sent + server.bytes_sent,
         bytes_acked: client.bytes_acked,
     }
@@ -877,7 +837,7 @@ impl<'s> SplitDriver<'s> {
             [only] => only.digest(),
             _ => ModelDigest::ZERO,
         };
-        let mut client = ExfilClient::with_model(config, plan.seed, digest);
+        let mut client = ExfilClient::with_model(config, digest);
         let server = ClassifierServer::new(service);
         let mut sampler = Sampler::open(sim.device(), service.config().sampler)?;
         let stream = sampler.start_stream(sim, until);
@@ -1009,7 +969,6 @@ impl<'s> SplitDriver<'s> {
             fold_link(self.client.link_report(), self.server.link_report(), self.transport.stats());
         spansight::count("wire.session.frames_sent", result.link.frames_sent);
         spansight::count("wire.session.retransmits", result.link.retransmits);
-        spansight::count("wire.session.reconnects", result.link.reconnects);
         Ok(SplitOutcome {
             result,
             recovered_over_wire: self.client.recovered.clone(),
@@ -1028,7 +987,7 @@ impl<'s> SplitDriver<'s> {
 /// Under a fault-free [`LinkPlan`] the returned [`SessionResult`] is
 /// identical to [`AttackService::eavesdrop`] on the same seed, except for
 /// the populated `link` field. Under a lossy plan the session still
-/// completes — retransmits, resequencing, and reconnects absorb the damage
+/// completes — retransmits and resequencing absorb the damage
 /// and the `link` report says how much there was.
 ///
 /// This is [`SplitDriver`] driven to completion in a tight loop; fleets
@@ -1165,18 +1124,18 @@ mod tests {
     }
 
     #[test]
-    fn client_retransmits_then_reconnects() {
+    fn client_retransmits_on_backoff_through_silence() {
         // A plan whose outage swallows the first transmissions.
         let plan = LinkPlan::new(5);
         let mut transport = SimTransport::new(&plan);
-        let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+        let mut client = ExfilClient::new(ExfilConfig::default());
         client.push_samples(&[sample(0, 10)]);
         let t0 = SimInstant::from_millis(0);
         client.pump(&mut transport, t0);
         // Discard everything the transport carries so no acks ever return,
-        // then let the retransmit clock run through the oldest frame's
-        // backoffs up to the reconnect, pumping twice per first timeout.
-        let silence = (0..RECONNECT_AFTER).fold(SimDuration::ZERO, |total, k| {
+        // then let the retransmit clock run through the frame's first four
+        // backoffs, pumping twice per first timeout.
+        let silence = (0..4).fold(SimDuration::ZERO, |total, k| {
             total + (INITIAL_RETRANSMIT_TIMEOUT * (1 << k)).min(MAX_RETRANSMIT_BACKOFF)
         });
         let mut now = t0;
@@ -1187,7 +1146,6 @@ mod tests {
         }
         let link = client.link_report();
         assert!(link.retransmits >= 2, "{link}");
-        assert!(link.reconnects >= 1, "silence must trigger a reconnect: {link}");
     }
 
     #[test]
@@ -1199,7 +1157,7 @@ mod tests {
         let mut server = ClassifierServer::new(&service);
         let mut transport = SimTransport::new(&LinkPlan::new(1));
         let pinned = ModelDigest::of(b"a model the server does not hold");
-        let hello = Message::Hello { session_id: 1, resume_from: 0, model_digest: pinned };
+        let hello = Message::Hello { model_digest: pinned };
         let read = frame::encode(0, &Message::Read(sample(0, 10)).encode());
         let fin = frame::encode(1, &Message::Fin { report: SamplerReport::default() }.encode());
         let mut now = SimInstant::ZERO;
@@ -1265,7 +1223,7 @@ mod tests {
     /// were acked one 4 ms round trip later: SRTT 4 ms, RTTVAR 2 ms.
     /// Returns it with the instant the Acks landed.
     fn measured_client(transport: &mut SimTransport) -> (ExfilClient, SimInstant) {
-        let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+        let mut client = ExfilClient::new(ExfilConfig::default());
         let t0 = SimInstant::ZERO;
         client.connect(transport, t0);
         client.push_samples(&[sample(0, 10)]);
@@ -1329,7 +1287,6 @@ mod tests {
         let head = client.pending.front().expect("frame 1 is pending");
         assert_eq!((head.seq, head.last_sent), (1, Some(t1 + ms(4))), "the timer restarts");
         assert_eq!(head.backoff, ms(12), "a fast retransmit keeps the backoff");
-        assert_eq!(head.retransmits, 0, "a fast retransmit does not count toward a reconnect");
         assert_eq!(client.link_report().retransmits, 1);
         // Frame 2's timer, still running from t1, fires at its own instant.
         client.pump(&mut transport, t1 + ms(12));
@@ -1359,7 +1316,7 @@ mod tests {
     #[test]
     fn a_hello_is_resent_with_each_retransmit_until_answered() {
         let mut transport = SimTransport::new(&LinkPlan::new(6));
-        let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+        let mut client = ExfilClient::new(ExfilConfig::default());
         // Takes everything the client sent so far off the link, as a loss
         // would, and counts the Hellos among it.
         let hellos_lost = |transport: &mut SimTransport, now: SimInstant| {
@@ -1385,6 +1342,14 @@ mod tests {
         client.pump(&mut transport, t2);
         assert_eq!(hellos_lost(&mut transport, t2), 0, "an answered client re-sends no Hello");
         assert_eq!(client.link_report().retransmits, 2);
-        assert_eq!(client.link_report().reconnects, 0);
+        // The Hello opened a session that lasts as long as the server
+        // does: however long the frame then stays lost, no timed
+        // retransmit sends another.
+        while client.link_report().retransmits < 10 {
+            let now = client.wake;
+            client.pump(&mut transport, now);
+            let retransmits = client.link_report().retransmits;
+            assert_eq!(hellos_lost(&mut transport, now), 0, "timed retransmit {retransmits}");
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! is held back and released just after the next send in its direction),
 //! truncation (a prefix survives — the frame CRC catches it downstream),
 //! and uniform latency jitter. Scheduled outages drop everything sent
-//! while the link is down, which is what forces the client's
-//! reconnect-and-resume path.
+//! while the link is down; the client's oldest unacked frame keeps
+//! retransmitting at its capped backoff until a copy gets through.
 
 use adreno_sim::time::{SimDuration, SimInstant};
 use rand::rngs::StdRng;

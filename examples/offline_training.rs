@@ -7,7 +7,6 @@
 
 use adreno_sim::counters::TrackedCounter;
 use gpu_eaves::android_ui::SimConfig;
-use gpu_eaves::attack::offline::ModelStore;
 use gpu_eaves::attack::registry::{encode_model, Quantization, Registry};
 
 fn main() {
@@ -65,10 +64,11 @@ fn main() {
         );
     }
 
-    let mut store = ModelStore::new();
-    store.add_handle(handle.clone());
+    // The app ships its models at f32, as the `modelsize` experiment
+    // projects.
+    let projected = encode_model(model, Quantization::F32).len() * 3_000;
     println!(
-        "a 3,000-model store would be {:.1} MB (paper: <=13.40 MB)",
-        store.total_wire_bytes() as f64 * 3_000.0 / store.len() as f64 / (1024.0 * 1024.0)
+        "a 3,000-model store would be {:.2} MB at f32 (paper: <=13.40 MB)",
+        projected as f64 / (1024.0 * 1024.0)
     );
 }

@@ -35,9 +35,12 @@
 //! more when the echo decoder learned that a visible-prim count of 2 is the
 //! empty field with its cursor hidden: every session gained or lost
 //! correction events, and each new text was checked to equal the old one
-//! outside its `corrections: [...]` field. A change here is a change to
-//! what the pipeline decides or reports, and must be explained rather than
-//! re-pinned silently.
+//! outside its `corrections: [...]` field. They moved again when the link
+//! degradation report lost its count of re-sent session openings, which
+//! every in-process session reports as 0: each new constant was checked to
+//! equal what the old tree computes with only that field deleted. A change
+//! here is a change to what the pipeline decides or reports, and must be
+//! explained rather than re-pinned silently.
 
 mod common;
 
@@ -209,7 +212,7 @@ fn tap(victim: Victim) -> Result<(Trace, SamplerReport), Errno> {
 /// decoded back into reads from every data frame.
 fn over_the_wire(trace: &Trace, report: &SamplerReport) -> Trace {
     let config = ExfilConfig { window: usize::MAX, ..ExfilConfig::default() };
-    let mut client = ExfilClient::new(config, 1);
+    let mut client = ExfilClient::new(config);
     client.push_samples(trace.samples());
     client.finish_sampling(report);
     let mut transport = SimTransport::new(&LinkPlan::new(1));
@@ -323,37 +326,37 @@ fn clean_sessions_replay_their_pinned_digests() {
     let pinned = [
         (
             Case::credential(60, None, false),
-            0xCAA2_3D4E_E618_9E8D,
+            0x3535_334B_ABA9_DB01,
             0x96CF_6C49_3418_C854,
             0x3941_20F1_16B9_1267,
         ),
         (
             Case::credential(61, None, false),
-            0x0FED_D388_7169_94CB,
+            0xD73C_51B4_C955_8D7B,
             0xE191_F1B0_6683_0500,
             0xB225_8904_392C_96E4,
         ),
         (
             Case::credential(62, None, false),
-            0x2839_8407_62E7_F093,
+            0x8DEE_A71F_B4D9_6443,
             0x614F_F561_9162_F6A0,
             0x3849_8162_F240_DB0D,
         ),
         (
             Case::credential(60, None, true),
-            0xFA10_2242_44C7_0A41,
+            0x2795_C359_3E2E_7415,
             0xC5C6_32EC_D4C2_3EBA,
             0x3941_20F1_16B9_1267,
         ),
         (
             Case::credential(61, None, true),
-            0x033D_8D7D_7196_466D,
+            0xACA0_2BE4_4693_33E1,
             0x3851_64B8_B825_9AAE,
             0xB225_8904_392C_96E4,
         ),
         (
             Case::credential(62, None, true),
-            0x7DD7_D810_82FC_5ECF,
+            0x3E55_21F5_9DB6_C5BF,
             0x8CB0_07F9_12C8_BF8A,
             0x3849_8162_F240_DB0D,
         ),
@@ -371,25 +374,25 @@ fn faulted_sessions_replay_their_pinned_digests() {
     let pinned = [
         (
             Case::credential(70, Some(0.3), false),
-            0xE655_432F_F7E2_1926,
+            0xF3DA_F987_983A_68A8,
             0x09CD_E680_C177_6179,
             0xA134_0B1C_E87C_2D3E,
         ),
         (
             Case::credential(71, Some(0.6), false),
-            0xD1BC_6540_1E89_A544,
+            0xAE96_B7BA_CBF8_6F52,
             0xD2DF_879A_A34E_FE1B,
             0xD5A1_7773_E0B0_E06D,
         ),
         (
             Case::credential(70, Some(0.3), true),
-            0x6EA9_D575_5BDA_F488,
+            0x0968_15D4_B896_4876,
             0xF938_D341_89B9_4C81,
             0xA134_0B1C_E87C_2D3E,
         ),
         (
             Case::credential(71, Some(0.6), true),
-            0x10DB_5B6A_4147_CA84,
+            0xFE6B_16DD_F943_8B12,
             0x9BA6_8A88_9E93_ED2A,
             0xD5A1_7773_E0B0_E06D,
         ),
@@ -409,7 +412,7 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
                 full_trace: false,
                 require_launch: true,
             },
-            0x3089_9B83_6867_DE96,
+            0x3789_9DCA_6F35_3718,
             0xA0B6_25B7_6E6A_969D,
             0x9E73_F427_F211_C071,
         ),
@@ -419,7 +422,7 @@ fn launch_gated_and_practical_sessions_replay_their_pinned_digests() {
                 full_trace: false,
                 require_launch: false,
             },
-            0x29C1_6950_DAAE_AD2C,
+            0x5614_3938_BAB8_C5FA,
             0xF619_F978_21A2_1D3B,
             0xD88E_B12E_5675_1B4D,
         ),

@@ -79,7 +79,7 @@ fn sample(ms: u64) -> Sample {
 fn idle_pumps_allocate_nothing() {
     let service = service();
     let mut transport = SimTransport::new(&LinkPlan::new(3));
-    let mut client = ExfilClient::new(ExfilConfig::default(), 3);
+    let mut client = ExfilClient::new(ExfilConfig::default());
     let mut server = ClassifierServer::new(&service);
     let t0 = SimInstant::from_millis(100);
     client.connect(&mut transport, t0);

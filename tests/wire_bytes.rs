@@ -81,10 +81,11 @@ fn data_frames(samples: &[Sample], report: SamplerReport) -> Vec<Vec<u8>> {
 
 #[test]
 fn split_datagrams_replay_the_pinned_digest() {
-    // Computed by this test body under wire version 3, one `Read` frame per
-    // changed read. A change here is a change to the wire format and must
-    // be explained, not re-pinned silently.
-    const PINNED: u64 = 0xC81E_B938_F513_F66A;
+    // Computed by this test body under wire version 4, one `Read` frame per
+    // changed read and a `Hello` that carries only the model digest. A
+    // change here is a change to the wire format and must be explained,
+    // not re-pinned silently.
+    const PINNED: u64 = 0xC05B_6BE7_5DBB_2698;
 
     let service = service();
     let (samples, report) = record(SEED);
@@ -94,8 +95,6 @@ fn split_datagrams_replay_the_pinned_digest() {
     assert_eq!(result.recovered_text, CREDENTIAL, "vacuous pin: the credential was not recovered");
 
     let hello = Message::Hello {
-        session_id: SEED,
-        resume_from: 0,
         model_digest: ModelDigest::from_bytes(*b"pinned wire digest, 32 bytes ..."),
     };
     let mut datagrams = vec![Frame::new(CONTROL_SEQ, hello.encode()).encode()];
@@ -131,7 +130,7 @@ fn lossy_split_session_sends_the_pinned_traffic() {
     let link = outcome.result.link;
     assert_eq!(
         (link.frames_sent, link.bytes_sent, link.bytes_acked),
-        (129, 4_185, 1_353),
+        (127, 4_077, 1_353),
         "frames_sent, bytes_sent, bytes_acked: {link}"
     );
 }
@@ -140,7 +139,7 @@ fn lossy_split_session_sends_the_pinned_traffic() {
 /// once sampling ends, with a send window wide enough for all of them.
 fn datagrams_sent(report: &SamplerReport, feed: impl FnOnce(&mut ExfilClient)) -> Vec<Vec<u8>> {
     let config = ExfilConfig { window: usize::MAX, ..ExfilConfig::default() };
-    let mut client = ExfilClient::new(config, 1);
+    let mut client = ExfilClient::new(config);
     feed(&mut client);
     client.finish_sampling(report);
     let mut transport = SimTransport::new(&LinkPlan::new(1));

@@ -50,19 +50,13 @@ fn arb_key() -> impl Strategy<Value = InferredKey> {
 /// Every variant of the protocol, with arbitrary payloads.
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (any::<u64>(), any::<u64>(), prop::collection::vec(any::<u64>(), 4)).prop_map(
-            |(session_id, resume_from, words)| {
-                let mut digest = [0u8; 32];
-                for (chunk, word) in digest.chunks_exact_mut(8).zip(&words) {
-                    chunk.copy_from_slice(&word.to_le_bytes());
-                }
-                Message::Hello {
-                    session_id,
-                    resume_from,
-                    model_digest: ModelDigest::from_bytes(digest),
-                }
+        prop::collection::vec(any::<u64>(), 4).prop_map(|words| {
+            let mut digest = [0u8; 32];
+            for (chunk, word) in digest.chunks_exact_mut(8).zip(&words) {
+                chunk.copy_from_slice(&word.to_le_bytes());
             }
-        ),
+            Message::Hello { model_digest: ModelDigest::from_bytes(digest) }
+        }),
         arb_sample().prop_map(Message::Read),
         arb_report().prop_map(|report| Message::Fin { report }),
         any::<u64>().prop_map(|next_expected| Message::Ack { next_expected }),

@@ -220,7 +220,7 @@ fn a_lost_finack_is_asked_for_again() {
     // forwards every other datagram.
     let mut client_side = SimTransport::new(&LinkPlan::new(1));
     let mut server_side = SimTransport::new(&LinkPlan::new(2));
-    let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+    let mut client = ExfilClient::new(ExfilConfig::default());
     let mut server = ClassifierServer::new(&service);
     let report = SamplerReport::default();
 
@@ -269,7 +269,7 @@ fn a_finack_without_its_ack_acks_the_fin() {
     // behind the first FinAck and forwards every other datagram.
     let mut client_side = SimTransport::new(&LinkPlan::new(1));
     let mut server_side = SimTransport::new(&LinkPlan::new(2));
-    let mut client = ExfilClient::new(ExfilConfig::default(), 1);
+    let mut client = ExfilClient::new(ExfilConfig::default());
     let mut server = ClassifierServer::new(&service);
     let report = SamplerReport::default();
 
@@ -393,7 +393,7 @@ fn pinning_a_digest_the_server_lacks_is_a_typed_error() {
 
     let plan = LinkPlan::new(99);
     let mut transport = SimTransport::new(&plan);
-    let mut client = ExfilClient::with_model(ExfilConfig::default(), 99, foreign.digest());
+    let mut client = ExfilClient::with_model(ExfilConfig::default(), foreign.digest());
     let mut server = ClassifierServer::new(&service);
 
     let mut now = SimInstant::from_millis(1);
