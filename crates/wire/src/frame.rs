@@ -14,9 +14,9 @@
 //! checksummed payload semantics on purpose: a peer speaking a different
 //! protocol revision is rejected before any payload is interpreted.
 //!
-//! The session frames each payload once, into a datagram allocated at its
-//! exact size, and decodes each datagram in place, reading the payload as
-//! a slice of it; [`Frame`] is the owning form of the same codec.
+//! [`encode`] frames each payload once, into a datagram allocated at its
+//! exact size, and [`decode_in_place`] decodes each datagram in place,
+//! reading the payload as a slice of it.
 
 use crate::crc::crc32;
 use crate::error::{WireError, WireResult};
@@ -27,45 +27,13 @@ use crate::varint;
 /// v3: one self-contained `Read` per changed counter read replaces the
 /// columnar sample batch.
 /// v4: `Hello` carries the model digest alone.
-pub const WIRE_VERSION: u8 = 4;
+/// v5: the `Hello` is frame 0 of the client's data stream, and only the
+/// server's `Ack` rides [`CONTROL_SEQ`](crate::CONTROL_SEQ). The codec is
+/// v4's, but a v4 server would never open a v5 session.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Two fixed bytes opening every frame ("GW": GPU wire).
 pub const MAGIC: [u8; 2] = [0x47, 0x57];
-
-/// One decoded frame: a sequence number and an opaque payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Position of this frame in its sender's reliable stream. Acks are
-    /// cumulative over these; the receiver applies frames in `seq` order.
-    pub seq: u64,
-    /// The encoded [`Message`](crate::message::Message) bytes.
-    pub payload: Vec<u8>,
-}
-
-impl Frame {
-    /// Wraps a payload under a sequence number.
-    pub fn new(seq: u64, payload: Vec<u8>) -> Self {
-        Frame { seq, payload }
-    }
-
-    /// Encodes the frame into one datagram.
-    pub fn encode(&self) -> Vec<u8> {
-        encode(self.seq, &self.payload)
-    }
-
-    /// Decodes one datagram into a frame, copying its payload out. The
-    /// session's pumps use the borrowing decoder this wraps, which reads
-    /// the payload in place.
-    ///
-    /// # Errors
-    ///
-    /// Every malformation maps to a typed [`WireError`]: wrong magic,
-    /// foreign version, truncation anywhere, checksum mismatch, or bytes
-    /// past the end.
-    pub fn decode(bytes: &[u8]) -> WireResult<Frame> {
-        decode_in_place(bytes).map(|(seq, payload)| Frame { seq, payload: payload.to_vec() })
-    }
-}
 
 /// Bytes in the LEB128 encoding of `v`.
 fn varint_len(v: u64) -> usize {
@@ -73,8 +41,10 @@ fn varint_len(v: u64) -> usize {
 }
 
 /// The datagram of the frame carrying `payload` under `seq`, allocated once
-/// at its exact size.
-pub(crate) fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
+/// at its exact size. `seq` is the frame's position in its sender's
+/// reliable stream, over which Acks are cumulative, and `payload` an
+/// encoded [`Message`](crate::message::Message).
+pub fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
     let len = payload.len() as u64;
     let mut buf =
         Vec::with_capacity(MAGIC.len() + 1 + varint_len(seq) + varint_len(len) + payload.len() + 4);
@@ -96,8 +66,9 @@ pub(crate) fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// As [`Frame::decode`].
-pub(crate) fn decode_in_place(bytes: &[u8]) -> WireResult<(u64, &[u8])> {
+/// Every malformation maps to a typed [`WireError`]: wrong magic, foreign
+/// version, truncation anywhere, checksum mismatch, or bytes past the end.
+pub fn decode_in_place(bytes: &[u8]) -> WireResult<(u64, &[u8])> {
     let mut pos = 0;
     if bytes.len() < MAGIC.len() + 1 {
         return Err(WireError::Truncated);
@@ -138,8 +109,7 @@ mod tests {
     #[test]
     fn round_trip() {
         for (seq, payload) in [(0u64, vec![]), (7, vec![1, 2, 3]), (u64::MAX, vec![0xff; 300])] {
-            let frame = Frame::new(seq, payload);
-            assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
+            assert_eq!(decode_in_place(&encode(seq, &payload)), Ok((seq, &payload[..])));
         }
     }
 
@@ -151,16 +121,16 @@ mod tests {
             assert_eq!(varint_len(v), buf.len(), "{v:#x}");
         }
         for (seq, len) in [(0u64, 0usize), (CONTROL, 5), (300, 200)] {
-            let datagram = Frame::new(seq, vec![9; len]).encode();
+            let datagram = encode(seq, &vec![9; len]);
             assert_eq!(datagram.capacity(), datagram.len());
         }
     }
 
     #[test]
     fn any_truncation_fails_closed() {
-        let encoded = Frame::new(42, (0..64).collect()).encode();
+        let encoded = encode(42, &(0..64).collect::<Vec<u8>>());
         for cut in 0..encoded.len() {
-            let err = Frame::decode(&encoded[..cut]).unwrap_err();
+            let err = decode_in_place(&encoded[..cut]).unwrap_err();
             assert!(
                 matches!(err, WireError::Truncated | WireError::LengthMismatch),
                 "cut at {cut} gave {err:?}"
@@ -170,30 +140,30 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let encoded = Frame::new(9, vec![5; 32]).encode();
+        let encoded = encode(9, &[5; 32]);
         // Flip one bit in every byte position past the version tag and
         // demand a typed error every time.
         for i in 3..encoded.len() {
             let mut bad = encoded.clone();
             bad[i] ^= 0x40;
-            assert!(Frame::decode(&bad).is_err(), "flip at {i} went unnoticed");
+            assert!(decode_in_place(&bad).is_err(), "flip at {i} went unnoticed");
         }
     }
 
     #[test]
     fn foreign_version_is_rejected_before_payload() {
-        let mut encoded = Frame::new(1, vec![1, 2]).encode();
+        let mut encoded = encode(1, &[1, 2]);
         encoded[2] = WIRE_VERSION + 1;
         assert_eq!(
-            Frame::decode(&encoded),
+            decode_in_place(&encoded),
             Err(WireError::VersionMismatch { got: WIRE_VERSION + 1 })
         );
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut encoded = Frame::new(3, vec![8, 8]).encode();
+        let mut encoded = encode(3, &[8, 8]);
         encoded.push(0);
-        assert_eq!(Frame::decode(&encoded), Err(WireError::TrailingBytes));
+        assert_eq!(decode_in_place(&encoded), Err(WireError::TrailingBytes));
     }
 }

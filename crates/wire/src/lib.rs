@@ -8,8 +8,8 @@
 //!
 //! * [`varint`] / [`crc`] / [`frame`] — the encoding floor: LEB128 varints
 //!   (the codec GPMR uses too, re-exported from `gpu_sc_attack`), CRC-32
-//!   integrity, and the versioned length-prefixed [`Frame`] envelope every
-//!   datagram travels in.
+//!   integrity, and the versioned length-prefixed frame envelope every
+//!   datagram travels in ([`frame::encode`], [`frame::decode_in_place`]).
 //! * [`message`] — the protocol: a versioned [`Message`] enum whose
 //!   [`Message::Read`] carries one counter read, its instant and its
 //!   eleven cumulative counters as varints. The client ships only the
@@ -45,7 +45,7 @@ pub mod transport;
 pub use gpu_sc_attack::varint;
 
 pub use error::{WireError, WireResult};
-pub use frame::{Frame, MAGIC, WIRE_VERSION};
+pub use frame::{MAGIC, WIRE_VERSION};
 pub use message::Message;
 pub use session::{
     run_split_session, ClassifierServer, ExfilClient, ExfilConfig, ResequenceStage, SplitDriver,

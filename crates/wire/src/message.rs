@@ -1,12 +1,13 @@
 //! The versioned message set and its compact binary codec.
 //!
-//! Client → server: [`Message::Hello`] (session open, naming the model),
+//! Client → server, every message a data frame of one sequenced stream:
+//! [`Message::Hello`] (frame 0, opening the session and naming the model),
 //! [`Message::Read`] (one counter read that differs from the read before
 //! it), [`Message::Fin`] (end of sampling, carrying the sampler's
 //! degradation report).
-//! Server → client: [`Message::Ack`] (cumulative), [`Message::InferredKeys`]
-//! (presses streamed back as they commit), [`Message::FinAck`] (the
-//! recovered credential).
+//! Server → client: [`Message::Ack`] (cumulative, the only control
+//! frame), [`Message::InferredKeys`] (presses streamed back as they
+//! commit), [`Message::FinAck`] (the recovered credential).
 //!
 //! # Read encoding
 //!
@@ -45,8 +46,9 @@ fn unzigzag(v: u64) -> i64 {
 /// [`crate::frame::WIRE_VERSION`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Opens the session. The client re-sends it with each retransmit
-    /// round until the first [`Message::Ack`] answers it.
+    /// Opens the session. It is frame 0 of the client's stream, sent,
+    /// acknowledged and retransmitted like any other data frame, and the
+    /// server applies it before any read.
     Hello {
         /// Content address of the classifier model the sampler was trained
         /// against. The server resolves it in its own registry-backed
@@ -168,8 +170,8 @@ pub(crate) fn encode_inferred_keys(buf: &mut Vec<u8>, keys: &[InferredKey]) {
 }
 
 impl Message {
-    /// Encodes the message into a payload (to be wrapped in a
-    /// [`Frame`](crate::frame::Frame)).
+    /// Encodes the message into a payload (to be framed by
+    /// [`frame::encode`](crate::frame::encode)).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.len_hint());
         self.encode_into(&mut buf);

@@ -4,11 +4,12 @@
 //!
 //! # Reliability model
 //!
-//! The client owns a reliable byte-free *frame* stream: every data frame
-//! ([`Message::Read`], [`Message::Fin`]) carries a dense sequence number
-//! starting at 0. The server acknowledges cumulatively ([`Message::Ack`]
-//! carries the next sequence number it is missing) and resequences
-//! out-of-order arrivals in a bounded buffer.
+//! The client owns a reliable byte-free *frame* stream: every frame it
+//! sends ([`Message::Hello`], [`Message::Read`], [`Message::Fin`]) carries
+//! a dense sequence number starting at 0. The server acknowledges
+//! cumulatively ([`Message::Ack`] carries the next sequence number it is
+//! missing) and resequences out-of-order arrivals in a buffer bounded by
+//! the client's send window.
 //!
 //! The client retransmits the way TCP does. It measures the link's round
 //! trip from its Acks, as RFC 6298 does: a smoothed round trip (SRTT) and
@@ -17,23 +18,23 @@
 //! timeout is SRTT + max(1 ms, 4·RTTVAR) at its first transmission (30 ms
 //! before the first sample), doubling per timed retransmit to at most
 //! 500 ms. A duplicate Ack, one that retires nothing, shows that the
-//! server answered something sent after the oldest unacked frame without
-//! holding it: if that frame was last sent at least one SRTT ago, the Ack
-//! retransmits it at once (RFC 5681's fast retransmit), without doubling
-//! its backoff. Through an outage the oldest frame keeps retransmitting,
-//! its backoff doubling up to the cap, and the first copy to get through
-//! draws the server's cumulative Ack like any other arrival.
+//! server acknowledged something sent after the oldest unacked frame
+//! without holding it: if that frame was last sent at least one SRTT ago,
+//! the Ack retransmits it at once (RFC 5681's fast retransmit), without
+//! doubling its backoff. Through an outage the oldest frame keeps
+//! retransmitting, its backoff doubling up to the cap, and the first copy
+//! to get through draws the server's cumulative Ack like any other
+//! arrival.
 //!
-//! A session opens one way: the client's [`Message::Hello`], carrying the
-//! model digest. Each [`ClassifierServer`] lives exactly as long as its
-//! session, so there is no session to re-open. The server opens the
-//! session only at a Hello and leaves data that reaches it first
-//! unacknowledged, so until the first Ack arrives the client re-sends its
-//! Hello with every retransmit round.
+//! A session opens one way, as TCP's does with the SYN: the client's
+//! [`Message::Hello`], carrying the model digest, is frame 0. The server
+//! opens the session when the resequencer releases it, which is always
+//! first and exactly once, so data that overtakes a delayed or lost Hello
+//! waits in the buffer for it. Each [`ClassifierServer`] lives exactly as
+//! long as its session, so there is no session to re-open.
 //!
-//! Control frames (Hello, Ack) travel *outside* the data sequence space
-//! under [`CONTROL_SEQ`]: they are idempotent and applied on arrival, so a
-//! duplicated or reordered Hello can never wedge the resequencer.
+//! Only the server's Acks travel *outside* the data sequence space, under
+//! [`CONTROL_SEQ`]: they are idempotent and applied on arrival.
 //!
 //! Server → client traffic ([`Message::InferredKeys`] as presses commit,
 //! [`Message::FinAck`] with the recovered credential) uses the server's own
@@ -61,8 +62,8 @@ use crate::frame;
 use crate::message::{encode_inferred_keys, Message};
 use crate::transport::{Direction, LinkPlan, SimTransport, TransportStats};
 
-/// The sequence number reserved for control frames (Hello, Ack), which live
-/// outside the resequenced data stream.
+/// The sequence number reserved for the server's Acks, which live outside
+/// the resequenced data stream.
 pub const CONTROL_SEQ: u64 = u64::MAX;
 
 /// A wake instant no pump reaches: nothing is waiting on a timer.
@@ -110,10 +111,13 @@ impl Default for ExfilConfig {
 
 /// Restores sequence order over a lossy arrival stream of decoded
 /// `(seq, message)` data frames: messages are released strictly in
-/// sequence, duplicates are discarded, and early arrivals wait in a bounded
-/// buffer. Feeds the receive side of [`ClassifierServer`]. Frames still
-/// gapped when the session ends are lost for good: the buffer is never
-/// flushed out of order.
+/// sequence, duplicates are discarded, and early arrivals wait in a
+/// buffer. The client's send window bounds it: no frame more than
+/// [`ExfilConfig::window`] past the oldest unacknowledged one is ever
+/// sent, whether that one is a lost read or the Hello at frame 0. Feeds
+/// the receive side of [`ClassifierServer`]. Frames still gapped when the
+/// session ends are lost for good: the buffer is never flushed out of
+/// order.
 #[derive(Debug, Default)]
 pub struct ResequenceStage {
     next_expected: u64,
@@ -235,9 +239,6 @@ impl PendingFrame {
 #[derive(Debug)]
 pub struct ExfilClient {
     config: ExfilConfig,
-    /// Content address of the model this sampler expects the server to
-    /// classify with; [`ModelDigest::ZERO`] requests device recognition.
-    model_digest: ModelDigest,
     /// Counter values of the last read pushed; `None` before the first.
     last_values: Option<CounterSet>,
     /// The payload being framed, reused by every frame the client sends.
@@ -251,18 +252,14 @@ pub struct ExfilClient {
     /// sends it, whatever its instant.
     wake: SimInstant,
     /// The link's measured round trip; `None` until the first sample, and
-    /// with it no fast retransmit: the first Ack answers the Hello and can
-    /// land before frame 0 does.
+    /// with it no fast retransmit: without a round trip, a duplicate Ack
+    /// cannot show that it answers a datagram sent after the oldest frame.
     rtt: Option<RttEstimate>,
     /// The instant of the last pump; pumps run at non-decreasing instants.
     last_pump: SimInstant,
     next_seq: u64,
     /// Lowest data seq not yet acknowledged by the server.
     acked_to: u64,
-    /// Whether an Ack has arrived, so the server holds a session opened by
-    /// a Hello. Until then each retransmit round re-sends the Hello: the
-    /// server leaves data that reaches it first unacknowledged.
-    answered: bool,
     finished: bool,
     done: bool,
     recovered: Option<String>,
@@ -272,7 +269,7 @@ pub struct ExfilClient {
 }
 
 impl ExfilClient {
-    /// A client for one session. The Hello carries [`ModelDigest::ZERO`]:
+    /// A client for one session. Its Hello carries [`ModelDigest::ZERO`]:
     /// the server falls back to device recognition. Use
     /// [`ExfilClient::with_model`] to pin a registry model by content
     /// address.
@@ -281,10 +278,11 @@ impl ExfilClient {
     }
 
     /// A client whose Hello pins the server-side model by content address.
+    /// The Hello is queued as frame 0, so the first pump sends it and reads
+    /// start at frame 1.
     pub fn with_model(config: ExfilConfig, model_digest: ModelDigest) -> Self {
-        ExfilClient {
+        let mut client = ExfilClient {
             config,
-            model_digest,
             last_values: None,
             payload: Vec::new(),
             inbox: Vec::new(),
@@ -294,26 +292,16 @@ impl ExfilClient {
             last_pump: SimInstant::ZERO,
             next_seq: 0,
             acked_to: 0,
-            answered: false,
             finished: false,
             done: false,
             recovered: None,
             server_seen: BTreeSet::new(),
             key_arrivals: Vec::new(),
             link: LinkDegradationReport::default(),
-        }
-    }
-
-    /// Opens the session: sends the Hello control frame. Until an Ack
-    /// answers it, each retransmit round of [`ExfilClient::pump`] sends it
-    /// again.
-    pub fn connect(&mut self, transport: &mut SimTransport, now: SimInstant) {
-        self.payload.clear();
-        Message::Hello { model_digest: self.model_digest }.encode_into(&mut self.payload);
-        let datagram = frame::encode(CONTROL_SEQ, &self.payload);
-        self.link.frames_sent += 1;
-        self.link.bytes_sent += datagram.len() as u64;
-        transport.send(Direction::ToServer, now, datagram);
+        };
+        Message::Hello { model_digest }.encode_into(&mut client.payload);
+        client.enqueue(false);
+        client
     }
 
     /// Stages a burst of counter reads for exfiltration. The session's first
@@ -385,8 +373,7 @@ impl ExfilClient {
     }
 
     /// One scheduling round: absorb server traffic, transmit what the
-    /// window allows, retransmit what timed out, and re-send the Hello with
-    /// a retransmit round until an Ack answers it. Call at non-decreasing
+    /// window allows, and retransmit what timed out. Call at non-decreasing
     /// `now`, whenever a datagram lands on the client's lane, a frame was
     /// queued, or a retransmit falls due; [`SplitDriver`] calls it at each
     /// instant something is due for either end.
@@ -426,22 +413,17 @@ impl ExfilClient {
             }
         }
         // Timed retransmissions on capped exponential backoff.
-        let mut retransmitted = false;
         let mut wake = NEVER;
         for p in self.pending.iter_mut() {
             let Some(mut sent_at) = p.last_sent else { continue };
             if now.saturating_since(sent_at) >= p.backoff {
                 sent_at = now;
                 p.backoff = (p.backoff * 2).min(MAX_RETRANSMIT_BACKOFF);
-                retransmitted = true;
                 p.retransmit(transport, &mut self.link, now);
             }
             wake = wake.min(sent_at + p.backoff);
         }
         self.wake = wake;
-        if retransmitted && !self.answered {
-            self.connect(transport, now);
-        }
     }
 
     /// Answers a duplicate Ack, one that retires nothing. If the oldest
@@ -472,7 +454,6 @@ impl ExfilClient {
         }
         match msg {
             Message::Ack { next_expected } => {
-                self.answered = true;
                 if next_expected > self.acked_to {
                     self.acked_to = next_expected;
                 }
@@ -526,9 +507,6 @@ impl ExfilClient {
 pub struct ClassifierServer<'s> {
     service: &'s AttackService,
     session: Option<StreamingSession<'s>>,
-    /// The model digest the client's Hello asked for (`None` until a Hello
-    /// arrives; a zero digest means device recognition).
-    requested_digest: Option<ModelDigest>,
     resequencer: ResequenceStage,
     /// Datagrams received and not yet handled, reused by every pump.
     datagrams: Vec<Vec<u8>>,
@@ -549,7 +527,6 @@ impl<'s> ClassifierServer<'s> {
         ClassifierServer {
             service,
             session: None,
-            requested_digest: None,
             resequencer: ResequenceStage::default(),
             datagrams: Vec::new(),
             payload: Vec::new(),
@@ -623,21 +600,8 @@ impl<'s> ClassifierServer<'s> {
             return;
         };
         if seq == CONTROL_SEQ {
-            if let Message::Hello { model_digest } = msg {
-                // Answered with where the data stream stands. The first
-                // Hello to arrive opens the session on the model it names;
-                // a re-sent copy only draws another Ack.
-                self.requested_digest = Some(model_digest);
-                self.ensure_session();
-                self.send_ack(transport, now);
-            }
-            return;
-        }
-        if self.requested_digest.is_none() {
-            // Data that overtook a delayed or lost Hello has no session
-            // yet: opening one would ignore the model the Hello pins. Left
-            // unacknowledged, it is retransmitted, and the client re-sends
-            // its Hello with every retransmit round until an Ack answers.
+            // Only the server sends control frames; one from the client is
+            // a peer bug, not link damage — drop it.
             return;
         }
         let before = self.resequencer.next_expected();
@@ -658,17 +622,21 @@ impl<'s> ClassifierServer<'s> {
         }
     }
 
-    fn ensure_session(&mut self) {
-        if self.session.is_some() || self.result.is_some() {
-            return;
-        }
-        match self.requested_digest {
-            // A pinned model: resolve it in the service's store. A digest
+    fn apply(&mut self, msg: Message, transport: &mut SimTransport, now: SimInstant) {
+        match msg {
+            // Frame 0: the resequencer releases it first and exactly once,
+            // so the session opens on the model it names before any read.
+            // A zero digest requests device recognition. A pinned digest
             // the store does not hold is this session's final (typed)
-            // result — samples are dropped and Fin is answered with an
-            // empty FinAck so the client's handshake still terminates.
-            Some(digest) if !digest.is_zero() => {
-                match self.service.streaming_session_for(&digest) {
+            // result: reads are dropped and the Fin still draws an empty
+            // FinAck, so the client's handshake terminates.
+            Message::Hello { model_digest } if self.session.is_none() && self.result.is_none() => {
+                let opened = if model_digest.is_zero() {
+                    Ok(self.service.streaming_session())
+                } else {
+                    self.service.streaming_session_for(&model_digest)
+                };
+                match opened {
                     Ok(session) => self.session = Some(session),
                     Err(err) => {
                         spansight::count("wire.session.digest_mismatches", 1);
@@ -676,13 +644,6 @@ impl<'s> ClassifierServer<'s> {
                     }
                 }
             }
-            // Zero digest: legacy device recognition.
-            _ => self.session = Some(self.service.streaming_session()),
-        }
-    }
-
-    fn apply(&mut self, msg: Message, transport: &mut SimTransport, now: SimInstant) {
-        match msg {
             Message::Read(read) => {
                 let Some(session) = self.session.as_mut() else { return };
                 session.push_samples(std::slice::from_ref(&read));
@@ -706,7 +667,7 @@ impl<'s> ClassifierServer<'s> {
                         recovered
                     }
                     // No session: the Hello's digest mismatch already
-                    // decided the result (data reaches here only after a
+                    // decided the result (data reaches here only after the
                     // Hello). Still FinAck — the client's handshake must
                     // terminate either way.
                     None => String::new(),
@@ -717,8 +678,8 @@ impl<'s> ClassifierServer<'s> {
                 self.finack = Some(datagram.clone());
                 self.send(transport, now, datagram);
             }
-            // Server-bound messages only; Hello is handled before
-            // resequencing and the rest are peer bugs — drop them.
+            // Server-bound messages only, and one Hello per session; the
+            // rest are peer bugs — drop them.
             Message::Hello { .. }
             | Message::Ack { .. }
             | Message::InferredKeys { .. }
@@ -829,7 +790,7 @@ impl<'s> SplitDriver<'s> {
     ) -> Result<Self, ServiceError> {
         let mut span = spansight::span("wire", "session.split");
         span.sim_range(sim.now().as_nanos(), until.as_nanos());
-        let mut transport = SimTransport::new(plan);
+        let transport = SimTransport::new(plan);
         // When the service carries exactly one model, pin it by digest: the
         // server resolves the content address instead of re-running device
         // recognition, and a store mismatch becomes a typed error.
@@ -837,11 +798,10 @@ impl<'s> SplitDriver<'s> {
             [only] => only.digest(),
             _ => ModelDigest::ZERO,
         };
-        let mut client = ExfilClient::with_model(config, digest);
+        let client = ExfilClient::with_model(config, digest);
         let server = ClassifierServer::new(service);
         let mut sampler = Sampler::open(sim.device(), service.config().sampler)?;
         let stream = sampler.start_stream(sim, until);
-        client.connect(&mut transport, sim.now());
         Ok(SplitDriver {
             service,
             config,
@@ -956,9 +916,9 @@ impl<'s> SplitDriver<'s> {
             Some(result) => result,
             // The Fin never got through even after the drain budget — the
             // link was effectively one-way-dead. Salvage the session from
-            // whatever samples did arrive rather than erroring out. Each
-            // Hello leaves a session or a result behind, so neither means no
-            // Hello got through, and the salvage recognises the device.
+            // whatever samples did arrive rather than erroring out. The
+            // Hello leaves a session or a result behind, so neither means it
+            // never got through, and the salvage recognises the device.
             None => match self.server.session.take() {
                 Some(session) => session.finish(&self.report),
                 None => self.service.streaming_session().finish(&self.report),
@@ -1148,26 +1108,11 @@ mod tests {
         assert!(link.retransmits >= 2, "{link}");
     }
 
-    #[test]
-    fn data_that_overtakes_its_hello_waits_for_the_pinned_model() {
-        // A read reaches the server before the Hello that pins a model the
-        // server lacks. Had the read opened a session, the pin would go
-        // unheeded and the mismatch unreported.
-        let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
-        let mut server = ClassifierServer::new(&service);
-        let mut transport = SimTransport::new(&LinkPlan::new(1));
-        let pinned = ModelDigest::of(b"a model the server does not hold");
-        let hello = Message::Hello { model_digest: pinned };
-        let read = frame::encode(0, &Message::Read(sample(0, 10)).encode());
-        let fin = frame::encode(1, &Message::Fin { report: SamplerReport::default() }.encode());
-        let mut now = SimInstant::ZERO;
-        for datagram in [read.clone(), frame::encode(CONTROL_SEQ, &hello.encode()), read, fin] {
-            transport.send(Direction::ToServer, now, datagram);
-            now += SimDuration::from_millis(10);
-            server.pump(&mut transport, now);
-        }
-        let acks: Vec<u64> = transport
-            .recv(Direction::ToClient, now + SimDuration::from_secs(1))
+    /// The `next_expected` of every Ack due on the client's lane by `now`,
+    /// in arrival order.
+    fn acks_received(transport: &mut SimTransport, now: SimInstant) -> Vec<u64> {
+        transport
+            .recv(Direction::ToClient, now)
             .iter()
             .filter_map(|datagram| {
                 match frame::decode_in_place(datagram).map(|(_, p)| Message::decode(p)) {
@@ -1175,8 +1120,34 @@ mod tests {
                     _ => None,
                 }
             })
-            .collect();
-        assert_eq!(acks, [0, 1, 2], "the read before the Hello is left unacknowledged");
+            .collect()
+    }
+
+    #[test]
+    fn data_that_overtakes_its_hello_waits_for_the_pinned_model() {
+        // A read at frame 1 reaches the server before the Hello at frame 0
+        // that pins a model the server lacks. Had the read opened a
+        // session, the pin would go unheeded and the mismatch unreported.
+        let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
+        let mut server = ClassifierServer::new(&service);
+        let mut transport = SimTransport::new(&LinkPlan::new(1));
+        let pinned = ModelDigest::of(b"a model the server does not hold");
+        let hello = frame::encode(0, &Message::Hello { model_digest: pinned }.encode());
+        let read = frame::encode(1, &Message::Read(sample(0, 10)).encode());
+        let fin = frame::encode(2, &Message::Fin { report: SamplerReport::default() }.encode());
+        let mut now = SimInstant::ZERO;
+        let mut acks = Vec::new();
+        for datagram in [read, hello, fin] {
+            transport.send(Direction::ToServer, now, datagram);
+            now += SimDuration::from_millis(10);
+            server.pump(&mut transport, now);
+            acks.push(acks_received(&mut transport, now + SimDuration::from_secs(1)));
+        }
+        assert_eq!(
+            acks,
+            [[0], [2], [3]],
+            "the read waits for its Hello, and both are acked once the Hello lands"
+        );
         assert!(
             matches!(server.result(), Some(Err(ServiceError::ModelDigestMismatch(d))) if *d == pinned),
             "{:?}",
@@ -1208,31 +1179,28 @@ mod tests {
         frame::encode(CONTROL_SEQ, &Message::Ack { next_expected }.encode())
     }
 
-    /// The sequence numbers of the data frames the client put on the link
-    /// since the last call, taking them off it as a loss would.
+    /// The sequence numbers of the frames the client put on the link since
+    /// the last call, taking them off it as a loss would.
     fn data_sent(transport: &mut SimTransport) -> Vec<u64> {
         let sent = transport.recv(Direction::ToServer, SimInstant::from_millis(3_600_000));
         sent.iter()
             .filter_map(|datagram| frame::decode_in_place(datagram).ok())
             .map(|(seq, _)| seq)
-            .filter(|&seq| seq != CONTROL_SEQ)
             .collect()
     }
 
-    /// A client whose Hello and frame 0 left at t = 0 over `transport` and
-    /// were acked one 4 ms round trip later: SRTT 4 ms, RTTVAR 2 ms.
-    /// Returns it with the instant the Acks landed.
+    /// A client whose Hello and first read, frames 0 and 1, left at t = 0
+    /// over `transport` and were acked one 4 ms round trip later: SRTT
+    /// 4 ms, RTTVAR 2 ms. Returns it with the instant the Ack landed.
     fn measured_client(transport: &mut SimTransport) -> (ExfilClient, SimInstant) {
         let mut client = ExfilClient::new(ExfilConfig::default());
         let t0 = SimInstant::ZERO;
-        client.connect(transport, t0);
         client.push_samples(&[sample(0, 10)]);
         client.pump(transport, t0);
-        assert_eq!(data_sent(transport), [0]);
-        // The Hello's Ack and frame 0's, from the server 2 ms away.
+        assert_eq!(data_sent(transport), [0, 1]);
+        // Their Ack, from the server 2 ms away.
         let at = t0 + SimDuration::from_millis(2);
-        transport.send(Direction::ToClient, at, ack(0));
-        transport.send(Direction::ToClient, at, ack(1));
+        transport.send(Direction::ToClient, at, ack(2));
         let now = at + SimDuration::from_millis(2);
         client.pump(transport, now);
         assert_eq!(client.rtt, Some(RttEstimate { srtt: 4_000_000, rttvar: 2_000_000 }));
@@ -1240,11 +1208,20 @@ mod tests {
     }
 
     #[test]
-    fn the_hellos_ack_fast_retransmits_nothing() {
+    fn a_duplicate_ack_before_any_round_trip_retransmits_nothing() {
         let mut transport = SimTransport::new(&LinkPlan::new(3));
-        let (client, _) = measured_client(&mut transport);
-        // The Hello's Ack landed 4 ms after frame 0 left and retired
-        // nothing, before any round trip was measured.
+        let mut client = ExfilClient::new(ExfilConfig::default());
+        let ms = SimDuration::from_millis;
+        client.push_samples(&[sample(0, 10)]);
+        client.pump(&mut transport, SimInstant::ZERO);
+        // Frame 0, the Hello, is lost and frame 1 is delivered: the server
+        // holds the read and answers Ack(0).
+        assert_eq!(data_sent(&mut transport), [0, 1]);
+        transport.send(Direction::ToClient, SimInstant::ZERO + ms(2), ack(0));
+        client.pump(&mut transport, SimInstant::ZERO + ms(4));
+        // The Ack retires nothing, and with no round trip measured it
+        // cannot show that it answers something sent after the Hello.
+        assert_eq!(client.rtt, None);
         assert_eq!(data_sent(&mut transport), [] as [u64; 0]);
         assert_eq!(client.link_report().retransmits, 0);
     }
@@ -1256,17 +1233,17 @@ mod tests {
         let before = client.rtt;
         client.push_samples(&[sample(10, 20)]);
         client.pump(&mut transport, t1);
-        // Frame 1 is lost; its timer fires after the measured 12 ms RTO and
+        // Frame 2 is lost; its timer fires after the measured 12 ms RTO and
         // the retransmit gets through.
-        assert_eq!(data_sent(&mut transport), [1]);
+        assert_eq!(data_sent(&mut transport), [2]);
         let t2 = t1 + SimDuration::from_millis(12);
         client.pump(&mut transport, t2);
-        assert_eq!(data_sent(&mut transport), [1]);
+        assert_eq!(data_sent(&mut transport), [2]);
         // Its Ack lands a fast 1 ms later: had it been taken as a sample of
         // the retransmit, or of the first send, the estimate would move.
-        transport.send(Direction::ToClient, t2 - SimDuration::from_millis(1), ack(2));
+        transport.send(Direction::ToClient, t2 - SimDuration::from_millis(1), ack(3));
         client.pump(&mut transport, t2 + SimDuration::from_millis(1));
-        assert!(client.pending.is_empty(), "the Ack retires frame 1");
+        assert!(client.pending.is_empty(), "the Ack retires frame 2");
         assert_eq!(client.rtt, before, "Karn's rule: no sample from a retransmitted frame");
     }
 
@@ -1277,20 +1254,20 @@ mod tests {
         client.push_samples(&[sample(10, 20)]);
         client.push_samples(&[sample(11, 30)]);
         client.pump(&mut transport, t1);
-        // Frame 1 is lost and frame 2 arrives: the server answers Ack(1).
-        assert_eq!(data_sent(&mut transport), [1, 2]);
+        // Frame 2 is lost and frame 3 arrives: the server answers Ack(2).
+        assert_eq!(data_sent(&mut transport), [2, 3]);
         let ms = SimDuration::from_millis;
-        transport.send(Direction::ToClient, t1 + ms(2), ack(1));
+        transport.send(Direction::ToClient, t1 + ms(2), ack(2));
         client.pump(&mut transport, t1 + ms(4));
-        // The Ack lands one SRTT after frame 1 left, 8 ms before its timer.
-        assert_eq!(data_sent(&mut transport), [1], "the duplicate Ack resends the head");
-        let head = client.pending.front().expect("frame 1 is pending");
-        assert_eq!((head.seq, head.last_sent), (1, Some(t1 + ms(4))), "the timer restarts");
+        // The Ack lands one SRTT after frame 2 left, 8 ms before its timer.
+        assert_eq!(data_sent(&mut transport), [2], "the duplicate Ack resends the head");
+        let head = client.pending.front().expect("frame 2 is pending");
+        assert_eq!((head.seq, head.last_sent), (2, Some(t1 + ms(4))), "the timer restarts");
         assert_eq!(head.backoff, ms(12), "a fast retransmit keeps the backoff");
         assert_eq!(client.link_report().retransmits, 1);
-        // Frame 2's timer, still running from t1, fires at its own instant.
+        // Frame 3's timer, still running from t1, fires at its own instant.
         client.pump(&mut transport, t1 + ms(12));
-        assert_eq!(data_sent(&mut transport), [2]);
+        assert_eq!(data_sent(&mut transport), [3]);
     }
 
     #[test]
@@ -1300,56 +1277,57 @@ mod tests {
         client.push_samples(&[sample(10, 20)]);
         client.push_samples(&[sample(11, 30)]);
         client.pump(&mut transport, t1);
-        assert_eq!(data_sent(&mut transport), [1, 2]);
+        assert_eq!(data_sent(&mut transport), [2, 3]);
         let ms = SimDuration::from_millis;
-        // A duplicate Ack 3 ms after frame 1 left can answer something
+        // A duplicate Ack 3 ms after frame 2 left can answer something
         // sent before it: no retransmit.
-        transport.send(Direction::ToClient, t1 + ms(1), ack(1));
+        transport.send(Direction::ToClient, t1 + ms(1), ack(2));
         client.pump(&mut transport, t1 + ms(3));
         assert_eq!(data_sent(&mut transport), [] as [u64; 0]);
         // The next, a full SRTT after, cannot.
-        transport.send(Direction::ToClient, t1 + ms(2), ack(1));
+        transport.send(Direction::ToClient, t1 + ms(2), ack(2));
         client.pump(&mut transport, t1 + ms(4));
-        assert_eq!(data_sent(&mut transport), [1]);
+        assert_eq!(data_sent(&mut transport), [2]);
     }
 
     #[test]
-    fn a_hello_is_resent_with_each_retransmit_until_answered() {
-        let mut transport = SimTransport::new(&LinkPlan::new(6));
+    fn a_lost_hello_is_retransmitted_on_its_own_timer() {
+        // Two perfect links joined by a relay that drops the first Hello
+        // and forwards every other datagram. The read is queued 20 ms
+        // after the Hello left, so its own timer would fire 20 ms after
+        // the Hello's.
+        let service = AttackService::new(ModelStore::new(), ServiceConfig::default());
+        let mut server = ClassifierServer::new(&service);
+        let mut client_side = SimTransport::new(&LinkPlan::new(1));
+        let mut server_side = SimTransport::new(&LinkPlan::new(2));
         let mut client = ExfilClient::new(ExfilConfig::default());
-        // Takes everything the client sent so far off the link, as a loss
-        // would, and counts the Hellos among it.
-        let hellos_lost = |transport: &mut SimTransport, now: SimInstant| {
-            let sent = transport.recv(Direction::ToServer, now + SimDuration::from_secs(1));
-            sent.iter()
-                .filter(|datagram| {
-                    let msg = frame::decode_in_place(datagram).map(|(_, p)| Message::decode(p));
-                    matches!(msg, Ok(Ok(Message::Hello { .. })))
-                })
-                .count()
-        };
-        let t0 = SimInstant::ZERO;
-        client.connect(&mut transport, t0);
-        client.push_samples(&[sample(0, 10)]);
-        client.pump(&mut transport, t0);
-        assert_eq!(hellos_lost(&mut transport, t0), 1, "the Hello is lost with the read");
-        let t1 = t0 + INITIAL_RETRANSMIT_TIMEOUT;
-        client.pump(&mut transport, t1);
-        assert_eq!(hellos_lost(&mut transport, t1), 1, "the retransmit round re-sends the Hello");
-        let ack = Message::Ack { next_expected: 0 }.encode();
-        transport.send(Direction::ToClient, t1, frame::encode(CONTROL_SEQ, &ack));
-        let t2 = t1 + INITIAL_RETRANSMIT_TIMEOUT * 2;
-        client.pump(&mut transport, t2);
-        assert_eq!(hellos_lost(&mut transport, t2), 0, "an answered client re-sends no Hello");
-        assert_eq!(client.link_report().retransmits, 2);
-        // The Hello opened a session that lasts as long as the server
-        // does: however long the frame then stays lost, no timed
-        // retransmit sends another.
-        while client.link_report().retransmits < 10 {
-            let now = client.wake;
-            client.pump(&mut transport, now);
-            let retransmits = client.link_report().retransmits;
-            assert_eq!(hellos_lost(&mut transport, now), 0, "timed retransmit {retransmits}");
+        let read_at = SimInstant::from_millis(20);
+        let mut relayed = Vec::new();
+        let mut now = SimInstant::ZERO;
+        while now <= SimInstant::from_millis(200) {
+            if now == read_at {
+                client.push_samples(&[sample(20, 10)]);
+            }
+            client.pump(&mut client_side, now);
+            for datagram in client_side.recv(Direction::ToServer, now) {
+                let (seq, _) = frame::decode_in_place(&datagram).expect("a perfect link");
+                relayed.push(seq);
+                if relayed != [0] {
+                    server_side.send(Direction::ToServer, now, datagram);
+                }
+            }
+            server.pump(&mut server_side, now);
+            for datagram in server_side.recv(Direction::ToClient, now) {
+                client_side.send(Direction::ToClient, now, datagram);
+            }
+            now += SimDuration::from_millis(1);
         }
+        // The server holds the read and answers it with a duplicate Ack(0),
+        // which retransmits nothing before a round trip is measured. The
+        // Hello's timer fires at 30 ms, and the Ack its copy draws covers
+        // the read too.
+        assert_eq!(relayed, [0, 1, 0], "only the Hello goes twice");
+        assert_eq!(client.link_report().retransmits, 1);
+        assert!(client.pending.is_empty(), "the Hello's Ack retires the read");
     }
 }

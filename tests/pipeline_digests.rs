@@ -58,7 +58,7 @@ use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::kgsl::{Errno, FaultPlan};
 use gpu_eaves::wire::{
-    Direction, ExfilClient, ExfilConfig, Frame, LinkPlan, Message, SimTransport,
+    frame, Direction, ExfilClient, ExfilConfig, LinkPlan, Message, SimTransport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,7 +209,7 @@ fn tap(victim: Victim) -> Result<(Trace, SamplerReport), Errno> {
 
 /// The tap's reads as the split client ships them: pushed whole through an
 /// [`ExfilClient`] onto a perfect link with the send window open, then
-/// decoded back into reads from every data frame.
+/// decoded back into reads from every frame between the Hello and the Fin.
 fn over_the_wire(trace: &Trace, report: &SamplerReport) -> Trace {
     let config = ExfilConfig { window: usize::MAX, ..ExfilConfig::default() };
     let mut client = ExfilClient::new(config);
@@ -220,10 +220,11 @@ fn over_the_wire(trace: &Trace, report: &SamplerReport) -> Trace {
     client.pump(&mut transport, now);
     let mut reads = Trace::new();
     for datagram in transport.recv(Direction::ToServer, now + SimDuration::from_secs(1)) {
-        let frame = Frame::decode(&datagram).expect("a perfect link delivers whole frames");
-        match Message::decode(&frame.payload).expect("the client's frames decode") {
+        let (_, payload) =
+            frame::decode_in_place(&datagram).expect("a perfect link delivers whole frames");
+        match Message::decode(payload).expect("the client's frames decode") {
             Message::Read(read) => reads.extend([read]),
-            Message::Fin { .. } => {}
+            Message::Hello { .. } | Message::Fin { .. } => {}
             other => panic!("the client sent {other:?} as data"),
         }
     }

@@ -82,11 +82,10 @@ fn idle_pumps_allocate_nothing() {
     let mut client = ExfilClient::new(ExfilConfig::default());
     let mut server = ClassifierServer::new(&service);
     let t0 = SimInstant::from_millis(100);
-    client.connect(&mut transport, t0);
     client.push_samples(&[sample(0)]);
     client.pump(&mut transport, t0);
     // The Hello and the read arrive after the link's 2 ms latency; the
-    // server answers both, and its Acks reach the client 2 ms later.
+    // server answers each, and its Acks reach the client 2 ms later.
     let mut now = t0;
     let mut pump_until =
         |until: SimInstant, client: &mut ExfilClient, server: &mut ClassifierServer| {

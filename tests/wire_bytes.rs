@@ -21,7 +21,7 @@ use gpu_eaves::attack::trace::Sample;
 use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::wire::{
-    run_split_session, varint, Direction, ExfilClient, ExfilConfig, Frame, LinkPlan, Message,
+    frame, run_split_session, varint, Direction, ExfilClient, ExfilConfig, LinkPlan, Message,
     SimTransport, WireError, CONTROL_SEQ, MAGIC, WIRE_VERSION,
 };
 use rand::rngs::StdRng;
@@ -64,28 +64,33 @@ fn record(seed: u64) -> (Vec<Sample>, SamplerReport) {
     (trace.iter().collect(), report)
 }
 
-/// `samples` framed as the client's data stream: one `Read` frame for the
-/// first sample and for each whose counters differ from the sample before
-/// it, then the Fin carrying `report`.
-fn data_frames(samples: &[Sample], report: SamplerReport) -> Vec<Vec<u8>> {
+/// `samples` framed as the client's data stream: the Hello naming
+/// `model_digest` at frame 0, one `Read` frame for the first sample and for
+/// each whose counters differ from the sample before it, then the Fin
+/// carrying `report`.
+fn data_frames(
+    model_digest: ModelDigest,
+    samples: &[Sample],
+    report: SamplerReport,
+) -> Vec<Vec<u8>> {
     let changed =
         samples.iter().enumerate().filter(|&(i, s)| i == 0 || s.values != samples[i - 1].values);
-    let mut frames: Vec<Vec<u8>> = changed
-        .zip(0..)
-        .map(|((_, &read), seq)| Frame::new(seq, Message::Read(read).encode()).encode())
-        .collect();
+    let mut frames = vec![frame::encode(0, &Message::Hello { model_digest }.encode())];
+    frames.extend(
+        changed.zip(1..).map(|((_, &read), seq)| frame::encode(seq, &Message::Read(read).encode())),
+    );
     let fin_seq = frames.len() as u64;
-    frames.push(Frame::new(fin_seq, Message::Fin { report }.encode()).encode());
+    frames.push(frame::encode(fin_seq, &Message::Fin { report }.encode()));
     frames
 }
 
 #[test]
 fn split_datagrams_replay_the_pinned_digest() {
-    // Computed by this test body under wire version 4, one `Read` frame per
-    // changed read and a `Hello` that carries only the model digest. A
-    // change here is a change to the wire format and must be explained,
-    // not re-pinned silently.
-    const PINNED: u64 = 0xC05B_6BE7_5DBB_2698;
+    // Computed by this test body under wire version 5: the `Hello`, which
+    // carries only the model digest, at frame 0 and one `Read` frame per
+    // changed read from frame 1. A change here is a change to the wire
+    // format and must be explained, not re-pinned silently.
+    const PINNED: u64 = 0x8A22_751E_EF3F_C8B0;
 
     let service = service();
     let (samples, report) = record(SEED);
@@ -94,18 +99,14 @@ fn split_datagrams_replay_the_pinned_digest() {
     let result = session.finish(&report).expect("the recorded session analyses");
     assert_eq!(result.recovered_text, CREDENTIAL, "vacuous pin: the credential was not recovered");
 
-    let hello = Message::Hello {
-        model_digest: ModelDigest::from_bytes(*b"pinned wire digest, 32 bytes ..."),
-    };
-    let mut datagrams = vec![Frame::new(CONTROL_SEQ, hello.encode()).encode()];
-    let data = data_frames(&samples, report);
-    let ack = Message::Ack { next_expected: data.len() as u64 };
-    datagrams.extend(data);
-    datagrams.push(Frame::new(CONTROL_SEQ, ack.encode()).encode());
+    let pinned = ModelDigest::from_bytes(*b"pinned wire digest, 32 bytes ...");
+    let mut datagrams = data_frames(pinned, &samples, report);
+    let ack = Message::Ack { next_expected: datagrams.len() as u64 };
+    datagrams.push(frame::encode(CONTROL_SEQ, &ack.encode()));
     let keys = Message::InferredKeys { keys: result.keys.clone() };
-    datagrams.push(Frame::new(0, keys.encode()).encode());
+    datagrams.push(frame::encode(0, &keys.encode()));
     let finack = Message::FinAck { recovered: result.recovered_text.clone() };
-    datagrams.push(Frame::new(1, finack.encode()).encode());
+    datagrams.push(frame::encode(1, &finack.encode()));
 
     let mut digest = FNV_BASIS;
     for datagram in &datagrams {
@@ -130,7 +131,7 @@ fn lossy_split_session_sends_the_pinned_traffic() {
     let link = outcome.result.link;
     assert_eq!(
         (link.frames_sent, link.bytes_sent, link.bytes_acked),
-        (127, 4_077, 1_353),
+        (127, 4_068, 1_386),
         "frames_sent, bytes_sent, bytes_acked: {link}"
     );
 }
@@ -151,9 +152,9 @@ fn datagrams_sent(report: &SamplerReport, feed: impl FnOnce(&mut ExfilClient)) -
 #[test]
 fn frame_boundaries_do_not_depend_on_burst_slicing() {
     let (samples, report) = record(SEED);
-    let expected = data_frames(&samples, report);
+    let expected = data_frames(ModelDigest::ZERO, &samples, report);
     let whole = datagrams_sent(&report, |client| client.push_samples(&samples));
-    assert_eq!(whole, expected, "one slice: one frame per changed read, then the Fin");
+    assert_eq!(whole, expected, "one slice: the Hello, one frame per changed read, then the Fin");
     let one_at_a_time =
         datagrams_sent(&report, |client| samples.chunks(1).for_each(|s| client.push_samples(s)));
     assert_eq!(one_at_a_time, expected, "one sample at a time changed the datagrams");
@@ -177,6 +178,6 @@ fn frame_decoder_rejects_lengths_that_overflow_the_crc_offset() {
         let end = datagram.len() as u128 + u128::from(len) + 4;
         let expected =
             if end > usize::MAX as u128 { WireError::LengthMismatch } else { WireError::Truncated };
-        assert_eq!(Frame::decode(&datagram), Err(expected), "declared length {len:#x}");
+        assert_eq!(frame::decode_in_place(&datagram), Err(expected), "declared length {len:#x}");
     }
 }

@@ -10,7 +10,7 @@ use gpu_sc_attack::registry::ModelDigest;
 use gpu_sc_attack::sampler::SamplerReport;
 use gpu_sc_attack::trace::Sample;
 use proptest::prelude::*;
-use wire::{Frame, Message, WireError, WIRE_VERSION};
+use wire::{frame, Message, WireError, WIRE_VERSION};
 
 fn arb_sample() -> impl Strategy<Value = Sample> {
     (any::<u64>(), prop::collection::vec(any::<u64>(), NUM_TRACKED)).prop_map(|(at, values)| {
@@ -98,10 +98,10 @@ proptest! {
     /// The same identity through the full frame envelope (seq + CRC).
     #[test]
     fn every_message_round_trips_framed(msg in arb_message(), seq in any::<u64>()) {
-        let frame = Frame::new(seq, msg.encode());
-        let decoded = Frame::decode(&frame.encode()).expect("own encoding must decode");
-        prop_assert_eq!(decoded.seq, seq);
-        prop_assert_eq!(Message::decode(&decoded.payload), Ok(msg));
+        let datagram = frame::encode(seq, &msg.encode());
+        let (decoded_seq, payload) = frame::decode_in_place(&datagram).expect("own encoding must decode");
+        prop_assert_eq!(decoded_seq, seq);
+        prop_assert_eq!(Message::decode(payload), Ok(msg));
     }
 
     /// A frame stamped with any version other than ours is rejected before
@@ -111,20 +111,20 @@ proptest! {
         // Map the one colliding draw onto a neighbouring foreign version
         // rather than discarding the case.
         let version = if raw_version == WIRE_VERSION { raw_version.wrapping_add(1) } else { raw_version };
-        let mut encoded = Frame::new(seq, msg.encode()).encode();
+        let mut encoded = frame::encode(seq, &msg.encode());
         encoded[2] = version;
-        prop_assert_eq!(Frame::decode(&encoded), Err(WireError::VersionMismatch { got: version }));
+        prop_assert_eq!(frame::decode_in_place(&encoded), Err(WireError::VersionMismatch { got: version }));
     }
 
     /// Frame-decoding arbitrary bytes never panics: every outcome is either
     /// a valid frame or a typed [`WireError`].
     #[test]
     fn frame_decoder_never_panics_on_fuzz(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        match Frame::decode(&bytes) {
-            Ok(frame) => {
+        match frame::decode_in_place(&bytes) {
+            Ok((seq, payload)) => {
                 // Anything that decodes must re-encode to the same bytes
                 // (the envelope has exactly one encoding per frame).
-                prop_assert_eq!(frame.encode(), bytes);
+                prop_assert_eq!(frame::encode(seq, payload), bytes);
             }
             Err(
                 WireError::Truncated
@@ -153,18 +153,18 @@ proptest! {
     /// yields a different message.
     #[test]
     fn single_byte_corruption_is_never_silent(msg in arb_message(), flip_at in any::<usize>(), flip_bit in 0u32..8) {
-        let encoded = Frame::new(3, msg.encode()).encode();
+        let encoded = frame::encode(3, &msg.encode());
         let mut bad = encoded.clone();
         let i = flip_at % bad.len();
         bad[i] ^= 1 << flip_bit;
-        match Frame::decode(&bad) {
+        match frame::decode_in_place(&bad) {
             Err(_) => {}
-            Ok(frame) => {
+            Ok((seq, _)) => {
                 // CRC-32 catches every single-bit flip over its span; the
                 // only way decode can still succeed is if it did not
                 // actually change the bytes (impossible here) — so any Ok
                 // is a hard failure.
-                prop_assert!(false, "flip at byte {} bit {} went unnoticed: {:?}", i, flip_bit, frame.seq);
+                prop_assert!(false, "flip at byte {} bit {} went unnoticed: {:?}", i, flip_bit, seq);
             }
         }
     }

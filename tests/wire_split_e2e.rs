@@ -16,13 +16,13 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
 use gpu_eaves::attack::fleet::Session;
 use gpu_eaves::attack::offline::ModelStore;
-use gpu_eaves::attack::registry::Registry;
+use gpu_eaves::attack::registry::{ModelDigest, Registry};
 use gpu_eaves::attack::sampler::SamplerReport;
 use gpu_eaves::attack::service::{AttackService, ServiceConfig, ServiceError, SessionResult};
 use gpu_eaves::input_bot::script::Typist;
 use gpu_eaves::input_bot::timing::VOLUNTEERS;
 use gpu_eaves::wire::{
-    run_split_session, ClassifierServer, Direction, ExfilClient, ExfilConfig, Frame, LinkPlan,
+    frame, run_split_session, ClassifierServer, Direction, ExfilClient, ExfilConfig, LinkPlan,
     Message, SimTransport, SplitOutcome, SplitSessionOutcome, SplitSessionTask,
 };
 use rand::rngs::StdRng;
@@ -210,6 +210,13 @@ fn every_seeded_lossy_plan_completes_and_matches() {
     }
 }
 
+/// The payload bytes of a session that sends nothing but its Hello and its
+/// Fin: all that an `ExfilClient::new` client has to get acked.
+fn hello_and_fin_payload(report: SamplerReport) -> u64 {
+    let hello = Message::Hello { model_digest: ModelDigest::ZERO }.encode();
+    (hello.len() + Message::Fin { report }.encode().len()) as u64
+}
+
 /// A FinAck lost on its way back while the Ack sent behind it arrives:
 /// the Ack covers the Fin, but the Fin stays pending, and its retransmit
 /// asks the server for the FinAck again.
@@ -225,7 +232,6 @@ fn a_lost_finack_is_asked_for_again() {
     let report = SamplerReport::default();
 
     let mut now = SimInstant::ZERO;
-    client.connect(&mut client_side, now);
     client.finish_sampling(&report);
     let (mut finacks_dropped, mut acks_after_drop) = (0, 0);
     while !client.done() && now < SimInstant::from_millis(10_000) {
@@ -236,7 +242,8 @@ fn a_lost_finack_is_asked_for_again() {
         }
         server.pump(&mut server_side, now);
         for datagram in server_side.recv(Direction::ToClient, now) {
-            let msg = Frame::decode(&datagram).map(|f| Message::decode(&f.payload));
+            let msg =
+                frame::decode_in_place(&datagram).map(|(_, payload)| Message::decode(payload));
             match msg {
                 Ok(Ok(Message::FinAck { .. })) if finacks_dropped == 0 => {
                     finacks_dropped += 1;
@@ -255,8 +262,11 @@ fn a_lost_finack_is_asked_for_again() {
     assert_eq!(client.recovered(), Some(""), "an empty store recovers nothing");
     let link = client.link_report();
     assert!(link.retransmits > 0, "only the Fin's retransmit can re-request the FinAck: {link}");
-    let fin_payload = Message::Fin { report }.encode().len() as u64;
-    assert_eq!(link.bytes_acked, fin_payload, "the acked Fin must count once: {link}");
+    assert_eq!(
+        link.bytes_acked,
+        hello_and_fin_payload(report),
+        "the Hello and the acked Fin must count once each: {link}"
+    );
 }
 
 /// A FinAck that lands while the Ack sent behind it is lost: the server
@@ -274,7 +284,6 @@ fn a_finack_without_its_ack_acks_the_fin() {
     let report = SamplerReport::default();
 
     let mut now = SimInstant::ZERO;
-    client.connect(&mut client_side, now);
     client.finish_sampling(&report);
     let (mut finacks, mut acks_dropped) = (0, 0);
     while !client.done() && now < SimInstant::from_millis(10_000) {
@@ -285,7 +294,7 @@ fn a_finack_without_its_ack_acks_the_fin() {
         }
         server.pump(&mut server_side, now);
         for datagram in server_side.recv(Direction::ToClient, now) {
-            match Frame::decode(&datagram).map(|f| Message::decode(&f.payload)) {
+            match frame::decode_in_place(&datagram).map(|(_, payload)| Message::decode(payload)) {
                 Ok(Ok(Message::FinAck { .. })) => finacks += 1,
                 Ok(Ok(Message::Ack { .. })) if finacks == 1 && acks_dropped == 0 => {
                     acks_dropped += 1;
@@ -300,8 +309,7 @@ fn a_finack_without_its_ack_acks_the_fin() {
     assert_eq!(acks_dropped, 1, "test premise: the Ack behind the FinAck was dropped");
     assert!(client.done(), "the FinAck completes the handshake");
     let link = client.link_report();
-    let fin_payload = Message::Fin { report }.encode().len() as u64;
-    assert_eq!(link.bytes_acked, fin_payload, "the FinAck acks the Fin: {link}");
+    assert_eq!(link.bytes_acked, hello_and_fin_payload(report), "the FinAck acks the Fin: {link}");
 }
 
 /// Steps a split session of victim `seed` over `plan` to its end as the
@@ -397,7 +405,6 @@ fn pinning_a_digest_the_server_lacks_is_a_typed_error() {
     let mut server = ClassifierServer::new(&service);
 
     let mut now = SimInstant::from_millis(1);
-    client.connect(&mut transport, now);
     client.finish_sampling(&SamplerReport::default());
     for _ in 0..200 {
         if client.done() {

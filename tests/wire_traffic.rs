@@ -50,52 +50,52 @@ const DRAW_SEED: u64 = 29;
 
 /// Per-session digests, victim-major, intensity-minor in [`LINK_MIX`]
 /// order. A change here means a datagram's fate changed: explain it, do not
-/// re-pin it silently. Pinned under wire version 4, one frame per changed
+/// re-pin it silently. Pinned under wire version 5, one frame per changed
 /// read, with both ends pumping at each instant something is due for them,
 /// a measured retransmit timeout and fast retransmit on duplicate Acks, a
 /// FinAck that counts the Fin's payload as acked, and a Hello that carries
-/// only the model digest and is re-sent only until the first Ack.
+/// only the model digest and rides the data stream as frame 0.
 const PINNED: [u64; VICTIMS * LINK_MIX.len()] = [
-    0xEC58_8827_A3AE_4C76,
-    0xA07E_2643_2465_092E,
-    0xB2BF_0C04_1C12_8D44,
-    0x8DB4_5005_2D66_BC85,
-    0x5FB4_F5D3_A88C_5038,
-    0xFF94_8594_79B6_DA2F,
-    0x842A_3FF2_C061_3CE8,
-    0xFC9A_0C57_3FA5_72C1,
-    0xAFB7_7848_A478_7AD9,
-    0x4F46_4D49_8204_0688,
-    0x4A55_D21F_DDEE_7D42,
-    0x17FA_5D29_DF4D_8E5A,
-    0xD4CE_0891_CF25_667A,
-    0x56CC_E902_56A9_C221,
-    0xBB48_32A1_B085_D081,
-    0xC671_012C_654F_A1ED,
-    0x8273_F2CE_459C_FB23,
-    0x4B3D_0A9A_02AD_D284,
-    0x631D_531D_9AB6_F827,
-    0xB016_DE70_1301_7492,
-    0xDCF2_ACF1_A2EE_00D3,
-    0xFF3E_119C_4293_19EC,
-    0x14C3_7521_2411_57F9,
-    0x9E57_CA1F_81EF_B793,
-    0x70AA_92A3_FE07_6607,
-    0xF0A1_F4D8_4856_01C3,
-    0x614C_A4B7_67EC_B0CF,
-    0xF804_4684_0C64_F108,
-    0xD271_0935_7CB1_BF58,
-    0x89B5_3C0B_88BD_2D75,
-    0xC879_8C96_69D3_195D,
-    0xC6E5_2C4D_DBFC_5E6D,
-    0xE088_96E4_10F7_C959,
-    0x6594_0A68_C39E_1D5C,
-    0xAA3C_6C16_D2D0_E339,
-    0x90E6_7048_2903_D0CA,
+    0xEAC8_3E9B_F6AB_F23E,
+    0xDC9B_F679_FCCF_5C02,
+    0x711A_C586_7F83_B1A6,
+    0x7EBA_9180_C439_8243,
+    0x8571_D147_E974_CC8C,
+    0x6B41_4E4E_60FB_0961,
+    0x996D_DEF3_F3F8_C890,
+    0xB8EF_F413_28BA_7224,
+    0x8B93_63A5_EFB4_D2C6,
+    0xBCB7_092C_B91C_D18C,
+    0x6BDD_4CB1_2891_BB36,
+    0x5A69_CED1_1CAF_2781,
+    0x787C_B461_BDA0_7B6E,
+    0xF839_7300_7951_AE32,
+    0x1CDB_BAF2_5541_8C95,
+    0x70A4_71F5_37DC_C419,
+    0xFD9E_4E0E_33A0_CDBC,
+    0x3BD6_DB68_EDF0_9A2C,
+    0x379D_336F_1267_2345,
+    0x72F5_2DAE_9160_1BB6,
+    0xEED9_B306_6AA5_81AE,
+    0x4548_D8A6_73A6_9EBE,
+    0x3EA0_3773_6CB2_6D57,
+    0x7F19_0877_BBF0_2AE9,
+    0x21CE_7844_7BAD_36C9,
+    0x0602_B4D7_BC30_4ADA,
+    0xDD57_673F_2957_1612,
+    0x05D6_F58D_5524_DCA0,
+    0x1E46_2941_D91E_A266,
+    0xB591_1341_A55E_543E,
+    0x3277_3B66_35BC_0315,
+    0x84CE_C879_4AD7_5049,
+    0x7211_9878_9196_30FE,
+    0x528D_47DB_3597_5906,
+    0x6E34_73FF_F113_BB85,
+    0x938A_4CAE_DDAD_02C5,
 ];
 
 /// The digest of the outage-heavy session.
-const PINNED_OUTAGES: u64 = 0x9B34_FE0B_9F58_F55A;
+const PINNED_OUTAGES: u64 = 0x3690_89EA_4564_52A8;
 
 /// One service for every session, its model trained once.
 fn service() -> AttackService {
