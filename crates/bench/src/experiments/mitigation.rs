@@ -90,7 +90,7 @@ pub fn mitigation(ctx: &Ctx) {
         let trace = sampler.sample_until(&mut sim, end).expect("stock policy");
         sampler.close(sim.device());
         let mut detector =
-            gpu_sc_attack::correction::CorrectionDetector::new(model.ambient_signatures().to_vec());
+            gpu_sc_attack::correction::CorrectionDetector::new(model.ambient_signatures());
         for d in gpu_sc_attack::extract_deltas(&trace) {
             detector.observe(&d);
         }

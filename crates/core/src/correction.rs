@@ -46,9 +46,10 @@ pub enum CorrectionEvent {
 /// Streaming correction detector over the changes the popup classifier
 /// rejected as "noise".
 #[derive(Debug)]
-pub struct CorrectionDetector {
-    /// The trained field-redraw signatures (all lengths, cursor on/off).
-    signatures: Vec<CounterSet>,
+pub struct CorrectionDetector<'m> {
+    /// The trained field-redraw signatures (all lengths, cursor on/off),
+    /// borrowed from the model.
+    signatures: &'m [CounterSet],
     last_visible_prims: Option<i64>,
     /// Estimated cursor visibility (restored to `true` by every text
     /// change; toggled by blinks).
@@ -90,10 +91,10 @@ fn on_blink_grid(anchor: SimInstant, at: SimInstant) -> bool {
     phase <= tol || phase >= period - tol
 }
 
-impl CorrectionDetector {
+impl<'m> CorrectionDetector<'m> {
     /// Creates a detector over a model's field-redraw signatures (see
     /// [`crate::ClassifierModel::ambient_signatures`]).
-    pub fn new(signatures: Vec<CounterSet>) -> Self {
+    pub fn new(signatures: &'m [CounterSet]) -> Self {
         CorrectionDetector {
             signatures,
             last_visible_prims: None,
@@ -332,16 +333,16 @@ pub struct CorrectedKeys {
 /// still queued when the stream ends never re-anchor (there is no later
 /// echo they could disambiguate).
 #[derive(Debug)]
-pub struct CorrectionStage {
-    detector: CorrectionDetector,
+pub struct CorrectionStage<'m> {
+    detector: CorrectionDetector<'m>,
     echo_corroboration: bool,
     returns: VecDeque<SimInstant>,
     keys: Vec<InferredKey>,
 }
 
-impl CorrectionStage {
+impl<'m> CorrectionStage<'m> {
     /// A fresh stage over a model's field-redraw signatures.
-    pub fn new(signatures: Vec<CounterSet>, echo_corroboration: bool) -> Self {
+    pub fn new(signatures: &'m [CounterSet], echo_corroboration: bool) -> Self {
         CorrectionStage {
             detector: CorrectionDetector::new(signatures),
             echo_corroboration,
@@ -460,14 +461,16 @@ mod tests {
 
     #[test]
     fn ignores_non_echo_changes() {
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         assert_eq!(det.observe(&popup(123)), None);
         assert!(det.events().is_empty());
     }
 
     #[test]
     fn detects_additions_and_deletions_off_grid() {
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         assert_eq!(det.observe(&echo(130, 40)), None, "first echo is the baseline");
         // Fig 14: 3 letters in, 2 deleted — all off the 0.5 s blink grid.
         assert_eq!(
@@ -498,7 +501,8 @@ mod tests {
         // The blink timer restarts at each text change, so blinks land at
         // anchor + k·500 ms (± tolerance for render/read latency). An
         // on-grid −2 is ambiguous and resolves at the next echo.
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         det.observe(&echo(130, 42)); // baseline → anchor at 130 ms
         assert_eq!(det.observe(&echo(640, 40)), None, "on-grid −2 defers");
         assert_eq!(
@@ -520,7 +524,8 @@ mod tests {
         // A backspace landing exactly on the grid looks like a blink-off —
         // until the *restarted* timer fires a −2 one period after it, which
         // a genuine blink-off could never do (its successor is +2).
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         det.observe(&echo(130, 42));
         assert_eq!(det.observe(&echo(630, 40)), None, "ambiguous: deferred");
         det.observe(&echo(1_133, 38));
@@ -538,7 +543,8 @@ mod tests {
     fn unresolvable_pending_flushes_as_blink() {
         // With no successor, the conservative reading (blink) wins — the
         // detector never fabricates a deletion from silence.
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         det.observe(&echo(130, 42));
         assert_eq!(det.observe(&echo(2_135, 40)), None);
         det.flush();
@@ -552,10 +558,11 @@ mod tests {
         // A session's first echo is often the empty field's blink-off. As
         // the baseline it hides the cursor, so the first commit reads as one
         // character, and a blink-on before it reads as a blink.
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         assert_eq!(det.observe(&echo(520, 2)), None);
         assert_eq!(det.observe(&echo(968, 6)), added(968));
-        let mut det = CorrectionDetector::new(sigs());
+        let mut det = CorrectionDetector::new(&sigs);
         det.observe(&echo(520, 2));
         assert_eq!(
             det.observe(&echo(1_020, 4)),
@@ -564,7 +571,7 @@ mod tests {
 
         // Later, a count-2 echo that is not a blink is no text change (a
         // text change shows the cursor): it only hides the cursor.
-        let mut det = CorrectionDetector::new(sigs());
+        let mut det = CorrectionDetector::new(&sigs);
         det.observe(&echo(17, 2));
         assert_eq!(det.observe(&echo(520, 2)), None, "an empty field loses no character");
         assert_eq!(det.observe(&echo(900, 6)), added(900));
@@ -575,7 +582,8 @@ mod tests {
     fn change_too_soon_after_activity_is_not_a_blink() {
         // Less than half a period after a commit, a −2 must be a deletion:
         // the restarted blink timer cannot have fired yet.
-        let mut det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let mut det = CorrectionDetector::new(&sigs);
         det.observe(&echo(130, 40));
         assert_eq!(
             det.observe(&echo(330, 42)),
@@ -589,7 +597,8 @@ mod tests {
 
     #[test]
     fn echo_match_respects_tolerance() {
-        let det = CorrectionDetector::new(sigs());
+        let sigs = sigs();
+        let det = CorrectionDetector::new(&sigs);
         let mut near = sig();
         near[TrackedCounter::LrzVisiblePixelAfterLrz] = 101_000; // +1%
         assert!(det.is_echo_like(&near));

@@ -17,7 +17,11 @@
 //!   most one worker while every other session keeps flowing.
 //! * [`FleetSession`] — the in-process implementation: it owns its victim
 //!   [`UiSimulation`] and steps the same burst loop that
-//!   [`AttackService::eavesdrop`] runs, one 64-sample burst per quantum.
+//!   [`AttackService::eavesdrop`] runs, up to 64 reads per quantum, each
+//!   pushed through the pipeline as it lands. Between two quanta a
+//!   resident session holds its simulation and its pipeline's own state,
+//!   and nothing it read or extracted (`tests/wire_alloc.rs` bounds the
+//!   bytes).
 //!
 //! Sessions are fully independent (each owns its simulation and its
 //! sampler), so outcomes are byte-identical at any worker count; the
@@ -133,9 +137,9 @@ pub struct SessionOutcome {
 /// Owns its victim [`UiSimulation`] end to end. Each [`Session::step`]
 /// runs one quantum: one step of the burst loop behind
 /// [`AttackService::eavesdrop`], which reads up to 64 samples and pushes
-/// them through the stage pipeline. The outcome is identical to running
-/// [`AttackService::eavesdrop`] on the same seeded simulation; only the
-/// interleaving with other sessions differs.
+/// each through the stage pipeline as it lands. The outcome is identical
+/// to running [`AttackService::eavesdrop`] on the same seeded simulation;
+/// only the interleaving with other sessions differs.
 ///
 /// Because the session owns its simulation — and the simulation owns its
 /// GPU — each session also owns its GPU's frame tally, while the layers its

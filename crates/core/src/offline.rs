@@ -370,62 +370,37 @@ impl From<ModelHandle> for ModelStore {
     }
 }
 
-/// Streaming device recognition (§3.2): buffers the warm-up
-/// prefix of the change stream until some change lands within the
-/// recognition threshold of a model's keyboard-redraw fingerprint, then
-/// flushes the whole buffered prefix downstream (recognition only *names*
-/// the configuration — the prefix still carries the launch burst and any
-/// early presses) and passes everything through from then on.
+/// Streaming device recognition (§3.2): buffers the warm-up prefix of the
+/// change stream until some change lands within the recognition threshold
+/// of a model's keyboard-redraw fingerprint, then hands the whole prefix
+/// back with the model it named (recognition only *names* the
+/// configuration — the prefix still carries the launch burst and any early
+/// presses). The stage's work ends there: every later change goes straight
+/// to the stages the model configures.
 ///
-/// Until recognition succeeds nothing leaves the stage; a session that ends
-/// unrecognised leaves [`RecognizeStage::model`] as `None` and the driver
-/// reports [`crate::service::ServiceError::UnrecognisedDevice`].
+/// A session that ends before any change matched is
+/// [`crate::service::ServiceError::UnrecognisedDevice`].
 #[derive(Debug)]
 pub struct RecognizeStage<'s> {
     store: &'s ModelStore,
     warmup: Vec<Delta>,
-    chosen: Option<&'s ClassifierModel>,
 }
 
 impl<'s> RecognizeStage<'s> {
     /// A fresh recognizer over a preloaded store.
     pub fn new(store: &'s ModelStore) -> Self {
-        RecognizeStage { store, warmup: Vec::new(), chosen: None }
+        RecognizeStage { store, warmup: Vec::new() }
     }
 
-    /// A recognizer pre-committed to `model` — the digest-pinned wire path,
-    /// where the client's `Hello` already named the model by content
-    /// address. Every change passes straight through. Output is identical
-    /// to the recognition path: recognition buffers the warm-up prefix only
-    /// to flush all of it downstream on the first match, so the delta
-    /// sequence the downstream stages see is the same either way.
-    pub fn pinned(store: &'s ModelStore, model: &'s ClassifierModel) -> Self {
-        RecognizeStage { store, warmup: Vec::new(), chosen: Some(model) }
-    }
-
-    /// The recognised model, once some change matched a fingerprint.
-    pub fn model(&self) -> Option<&'s ClassifierModel> {
-        self.chosen
-    }
-
-    /// Pushes one change, appending what the stage releases to `out`:
-    /// nothing while the warm-up prefix is buffered, the whole prefix and
-    /// then `input` on the change that matches a fingerprint, and `input`
-    /// alone from then on.
-    pub fn push(&mut self, input: Delta, out: &mut Vec<Delta>) {
-        if self.chosen.is_some() {
-            out.push(input);
-            return;
-        }
-        if let Some((m, score)) = self.store.score_change(&input) {
-            if score < RECOGNITION_THRESHOLD {
-                self.chosen = Some(m);
-                out.append(&mut self.warmup);
-                out.push(input);
-                return;
-            }
-        }
+    /// Pushes one change. Returns nothing while the warm-up prefix is
+    /// buffered; on the change that matches a fingerprint, the model and
+    /// the whole prefix ending with that change, which frees the buffer.
+    pub fn push(&mut self, input: Delta) -> Option<(&'s ClassifierModel, Vec<Delta>)> {
+        let matched =
+            self.store.score_change(&input).filter(|&(_, score)| score < RECOGNITION_THRESHOLD);
         self.warmup.push(input);
+        let (model, _) = matched?;
+        Some((model, std::mem::take(&mut self.warmup)))
     }
 }
 
@@ -503,9 +478,6 @@ mod tests {
         let store = ModelStore::new();
         assert!(store.is_empty());
         let mut stage = RecognizeStage::new(&store);
-        let mut out = Vec::new();
-        stage.push(Delta { at: SimInstant::ZERO, values: set(7) }, &mut out);
-        assert!(out.is_empty());
-        assert!(stage.model().is_none());
+        assert!(stage.push(Delta { at: SimInstant::ZERO, values: set(7) }).is_none());
     }
 }

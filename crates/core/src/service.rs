@@ -1,20 +1,19 @@
 //! The attacking application's background service (§3.2 "Online Phase").
 //!
 //! Runs the full pipeline end to end. Its one driver,
-//! [`AttackService::eavesdrop`], is *streaming*: it interleaves bursts of
-//! counter reads with pushes through the pipeline, so no full session
-//! trace is ever materialised and every key press is committed the moment
-//! the evidence suffices (see each [`InferredKey::decided_at`]). The
-//! pipeline is a [`StreamingSession`], and each step is a plain call on
-//! what the step before it emitted:
+//! [`AttackService::eavesdrop`], is *streaming*: each counter read goes
+//! through the pipeline as it lands, so no full session trace is ever
+//! materialised and every key press is committed the moment the evidence
+//! suffices (see each [`InferredKey::decided_at`]). The pipeline is a
+//! [`StreamingSession`], and each step is a plain call on what the step
+//! before it emitted:
 //!
-//! 1. [`Sampler::next_sample`] — one counter read at a time, handed on in
-//!    bursts;
-//! 2. [`DeltaStage::push_samples`] — a burst of reads → its counter
-//!    changes, re-anchoring resets;
+//! 1. [`Sampler::next_sample`] — one counter read at a time;
+//! 2. [`DeltaStage::push`] — a read → the counter change it shows, if
+//!    any, re-anchoring resets;
 //! 3. [`RecognizeStage::push`] — holds the warm-up prefix until a change
-//!    matches a preloaded model's fingerprint, then releases the prefix
-//!    and every later change (§3.2);
+//!    matches a preloaded model's fingerprint, then hands the prefix back
+//!    with the model; every later change bypasses it (§3.2);
 //! 4. [`LaunchGate::push`] — passes a change on or swallows it: optionally
 //!    everything up to the target app's cold-launch burst (§3.2);
 //! 5. [`SwitchStage::push`] — drops changes produced outside the target
@@ -28,6 +27,11 @@
 //! When the stream ends, the switch filter, inference and correction flush
 //! in that order.
 //!
+//! Between two reads a session holds only its own state: each stage's
+//! bounded state, the warm-up prefix until recognition matches, and a
+//! borrow of its model. No read, change or signature is staged or copied
+//! on its way through.
+//!
 //! [`AttackService::streaming_session`] is the same pipeline without the
 //! sampler, for a remote process (the wire layer's classifier server) that
 //! receives its samples off a transport. `tests/pipeline_digests.rs` pins
@@ -36,6 +40,7 @@
 use adreno_sim::time::SimInstant;
 use android_ui::UiSimulation;
 use kgsl::Errno;
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::appswitch::SwitchStage;
@@ -48,11 +53,11 @@ use crate::online::{InferEvent, InferStage, InferenceStats, InferredKey};
 use crate::sampler::{SampleStream, Sampler, SamplerConfig, SamplerReport};
 use crate::trace::{Delta, DeltaStage, Sample};
 
-/// Samples per burst between the sampling loop and the pipeline in the
-/// in-process burst loop ([`AttackService::eavesdrop`] and every fleet
-/// session): big enough to amortise the per-burst calls, small enough (~6
-/// read intervals per keystroke at the paper's 5 ms cadence) that decision
-/// latency stays bounded.
+/// Reads per step of the in-process loop ([`AttackService::eavesdrop`]),
+/// which is one scheduler quantum of a fleet session: ~0.5 s of sim time at
+/// the 8 ms read interval. Each read goes through the pipeline as it lands,
+/// so a burst is never held anywhere; its length sets only how often a
+/// fleet session yields, and so its `quanta` count, never an outcome.
 const SAMPLE_BURST: usize = 64;
 
 /// Service configuration.
@@ -277,15 +282,14 @@ impl SessionResult {
     }
 }
 
-/// Everything downstream of device recognition, constructed once
-/// [`RecognizeStage`] picks a model (the stages need its signatures and
-/// centroids).
+/// Everything downstream of device recognition, constructed once the
+/// session knows its model (the stages need its signatures and centroids).
 struct PostRecognition<'s> {
     model: &'s ClassifierModel,
     launch: LaunchGate,
     switch: SwitchStage,
     infer: InferStage<'s>,
-    correction: CorrectionStage,
+    correction: CorrectionStage<'s>,
     /// The presses the latest push committed (see
     /// [`StreamingSession::new_keys`]); each push replaces them.
     new_keys: Vec<InferredKey>,
@@ -308,10 +312,7 @@ impl<'s> PostRecognition<'s> {
             launch,
             switch: SwitchStage::new(model.switch_threshold()),
             infer,
-            correction: CorrectionStage::new(
-                model.ambient_signatures().to_vec(),
-                config.echo_corroboration,
-            ),
+            correction: CorrectionStage::new(model.ambient_signatures(), config.echo_corroboration),
             new_keys: Vec::new(),
         }
     }
@@ -395,7 +396,7 @@ impl AttackService {
     /// process (the wire layer's classifier server) can feed it samples as
     /// they arrive off a transport.
     pub fn streaming_session(&self) -> StreamingSession<'_> {
-        StreamingSession::new(&self.config, RecognizeStage::new(&self.store), None)
+        StreamingSession::new(&self.config, Phase::Recognizing(RecognizeStage::new(&self.store)))
     }
 
     /// Begins an incremental session pinned to the model with the given
@@ -417,27 +418,23 @@ impl AttackService {
             .ok_or(ServiceError::ModelDigestMismatch(*digest))?
             .model();
         // Nothing is left to recognise, so the stages behind recognition
-        // start now.
+        // start now. Recognition would hand them its whole warm-up prefix
+        // on the first match, so they see the same changes either way.
         let post = PostRecognition::new(model, &self.config);
-        Ok(StreamingSession::new(
-            &self.config,
-            RecognizeStage::pinned(&self.store, model),
-            Some(post),
-        ))
+        Ok(StreamingSession::new(&self.config, Phase::Recognized(Box::new(post))))
     }
 }
 
 /// The in-process burst loop, one step at a time: the sampler, its stream
-/// and the pipeline of one session. [`AttackService::eavesdrop`]
-/// steps it until the stream ends; a [`crate::fleet::FleetSession`] steps
-/// it once per scheduler quantum. The wire layer's `SplitDriver` is the
-/// same loop with a transport between sampler and pipeline.
+/// and the pipeline of one session, which takes each read as it lands.
+/// [`AttackService::eavesdrop`] steps it until the stream ends; a
+/// [`crate::fleet::FleetSession`] steps it once per scheduler quantum. The
+/// wire layer's `SplitDriver` is the same loop with a transport between
+/// sampler and pipeline.
 pub(crate) struct LocalDriver<'s> {
     sampler: Sampler,
     stream: SampleStream,
     session: StreamingSession<'s>,
-    /// One burst of samples, read before the pipeline takes it whole.
-    burst: Vec<Sample>,
 }
 
 impl<'s> LocalDriver<'s> {
@@ -450,28 +447,23 @@ impl<'s> LocalDriver<'s> {
     ) -> Result<Self, ServiceError> {
         let mut sampler = Sampler::open(sim.device(), service.config.sampler)?;
         let stream = sampler.start_stream(sim, until);
-        Ok(LocalDriver {
-            sampler,
-            stream,
-            session: service.streaming_session(),
-            burst: Vec::with_capacity(SAMPLE_BURST),
-        })
+        Ok(LocalDriver { sampler, stream, session: service.streaming_session() })
     }
 
-    /// Reads one burst of up to [`SAMPLE_BURST`] samples and pushes it
-    /// through the pipeline at once. Returns true once a short burst has
-    /// ended the stream.
+    /// Reads a burst of up to [`SAMPLE_BURST`] samples, each pushed through
+    /// the pipeline as it lands. Returns true once a short burst has ended
+    /// the stream.
     pub(crate) fn step(&mut self, sim: &mut UiSimulation) -> bool {
-        let LocalDriver { sampler, stream, burst, .. } = self;
-        burst.clear();
-        burst.extend(std::iter::from_fn(|| sampler.next_sample(stream, sim)).take(SAMPLE_BURST));
-        self.session.push_samples(&self.burst);
-        self.burst.len() < SAMPLE_BURST
+        let LocalDriver { sampler, stream, session } = self;
+        let mut read = 0;
+        let burst = std::iter::from_fn(|| sampler.next_sample(stream, sim)).take(SAMPLE_BURST);
+        session.push_samples(burst.inspect(|_| read += 1));
+        read < SAMPLE_BURST
     }
 
     /// Closes the sampler and assembles the session result.
     pub(crate) fn finish(self, sim: &UiSimulation) -> Result<SessionResult, ServiceError> {
-        let LocalDriver { mut sampler, stream, session, .. } = self;
+        let LocalDriver { mut sampler, stream, session } = self;
         let finished = sampler.finish_stream(stream);
         let report = sampler.report();
         sampler.close(sim.device());
@@ -492,47 +484,51 @@ impl<'s> LocalDriver<'s> {
 pub struct StreamingSession<'s> {
     config: &'s ServiceConfig,
     delta: DeltaStage,
-    recognize: RecognizeStage<'s>,
-    post: Option<PostRecognition<'s>>,
-    /// The changes extracted from the burst being pushed.
-    deltas: Vec<Delta>,
-    /// The changes recognition released for the burst being pushed.
-    recognized: Vec<Delta>,
+    phase: Phase<'s>,
+}
+
+/// Where a session's changes go after extraction: into recognition until a
+/// model is known, then through the stages that model configures.
+enum Phase<'s> {
+    Recognizing(RecognizeStage<'s>),
+    Recognized(Box<PostRecognition<'s>>),
 }
 
 impl<'s> StreamingSession<'s> {
-    fn new(
-        config: &'s ServiceConfig,
-        recognize: RecognizeStage<'s>,
-        post: Option<PostRecognition<'s>>,
-    ) -> Self {
-        StreamingSession {
-            config,
-            delta: DeltaStage::new(),
-            recognize,
-            post,
-            deltas: Vec::new(),
-            recognized: Vec::new(),
+    fn new(config: &'s ServiceConfig, phase: Phase<'s>) -> Self {
+        StreamingSession { config, delta: DeltaStage::new(), phase }
+    }
+
+    /// Feeds samples (in timestamp order) through the pipeline, each change
+    /// as soon as it is extracted: a slice of reads, or the reads of a
+    /// sampler as they land. Any split of a sample sequence into pushes
+    /// gives the same result. The wire layer's classifier server pushes
+    /// each read it receives.
+    pub fn push_samples<S: Borrow<Sample>>(&mut self, samples: impl IntoIterator<Item = S>) {
+        if let Phase::Recognized(post) = &mut self.phase {
+            post.new_keys.clear();
+        }
+        for sample in samples {
+            if let Some(delta) = self.delta.push(sample.borrow()) {
+                self.push_change(delta);
+            }
         }
     }
 
-    /// Feeds a burst of samples (in timestamp order) through the pipeline.
-    /// Any split of a sample sequence into bursts gives the same result;
-    /// delta extraction runs once per burst. The wire layer's classifier
-    /// server pushes each read it receives.
-    pub fn push_samples(&mut self, samples: &[Sample]) {
-        if let Some(post) = &mut self.post {
-            post.new_keys.clear();
-        }
-        self.delta.push_samples(samples, &mut self.deltas);
-        for delta in self.deltas.drain(..) {
-            self.recognize.push(delta, &mut self.recognized);
-        }
-        // Until a model matches, recognition holds every change itself.
-        let Some(model) = self.recognize.model() else { return };
-        let post = self.post.get_or_insert_with(|| PostRecognition::new(model, self.config));
-        for delta in self.recognized.drain(..) {
-            post.push_change(delta);
+    /// Moves one change on: straight through the model's stages once it is
+    /// known, into recognition's warm-up buffer until then, and on the
+    /// match through the new stages with the whole prefix it ends.
+    fn push_change(&mut self, delta: Delta) {
+        match &mut self.phase {
+            Phase::Recognized(post) => post.push_change(delta),
+            Phase::Recognizing(recognize) => {
+                let Some((model, prefix)) = recognize.push(delta) else { return };
+                let mut post = Box::new(PostRecognition::new(model, self.config));
+                for delta in prefix {
+                    post.push_change(delta);
+                }
+                self.phase = Phase::Recognized(post);
+            }
         }
     }
 
@@ -541,7 +537,10 @@ impl<'s> StreamingSession<'s> {
     /// `keys_before_corrections` of the final result (corrections are only
     /// applied at session end).
     pub fn new_keys(&self) -> &[InferredKey] {
-        self.post.as_ref().map_or(&[], |post| &post.new_keys)
+        match &self.phase {
+            Phase::Recognized(post) => &post.new_keys,
+            Phase::Recognizing(_) => &[],
+        }
     }
 
     /// Flushes every stage and assembles the session result. The switch
@@ -555,8 +554,10 @@ impl<'s> StreamingSession<'s> {
     /// device is out of the picture by now).
     pub fn finish(self, report: &SamplerReport) -> Result<SessionResult, ServiceError> {
         self.delta.finish();
-        let PostRecognition { model, launch, mut switch, mut infer, mut correction, .. } =
-            self.post.ok_or(ServiceError::UnrecognisedDevice)?;
+        let Phase::Recognized(post) = self.phase else {
+            return Err(ServiceError::UnrecognisedDevice);
+        };
+        let PostRecognition { model, launch, mut switch, mut infer, mut correction, .. } = *post;
         if let Some(at) = switch.finish() {
             correction.push_return(at);
         }

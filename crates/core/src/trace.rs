@@ -130,15 +130,14 @@ pub fn extract_deltas(trace: &Trace) -> Vec<Delta> {
 /// and the published telemetry are exactly a live session's.
 pub fn extract_deltas_with_resets(trace: &Trace) -> (Vec<Delta>, usize) {
     let mut stage = DeltaStage::new();
-    let mut out = Vec::new();
-    stage.push_samples(trace.samples(), &mut out);
+    let out = trace.samples().iter().filter_map(|sample| stage.push(sample)).collect();
     stage.finish();
     (out, stage.resets())
 }
 
-/// Incremental delta extraction: consumes bursts of [`Sample`]s and emits
-/// the nonzero [`Delta`]s. Holds only the previous read's counter values,
-/// so a live session never materializes the raw trace.
+/// Incremental delta extraction: consumes [`Sample`]s one read at a time
+/// and emits the nonzero [`Delta`]s. Holds only the previous read's counter
+/// values, so a live session never materializes the raw trace.
 ///
 /// Counter-reset windows (any counter moving backwards — GPU slumber) emit
 /// nothing; extraction re-anchors at the later sample. The reset count is
@@ -163,27 +162,29 @@ impl DeltaStage {
         self.resets
     }
 
-    /// Pushes a burst of reads in order. Each read is compared against the
-    /// anchor and re-anchors it in place, so an unchanged read (~95 % of a
-    /// login session's) copies nothing.
-    pub fn push_samples(&mut self, samples: &[Sample], out: &mut Vec<Delta>) {
-        for input in samples {
-            let Some(prev) = &mut self.prev else {
-                self.prev = Some(input.values);
-                continue;
-            };
-            if *prev == input.values {
-                continue;
+    /// Pushes the next read and returns the change it shows, if any. The
+    /// read is compared against the anchor and re-anchors it in place, so
+    /// an unchanged read (~95 % of a login session's) copies nothing.
+    pub fn push(&mut self, input: &Sample) -> Option<Delta> {
+        let Some(prev) = &mut self.prev else {
+            self.prev = Some(input.values);
+            return None;
+        };
+        if *prev == input.values {
+            return None;
+        }
+        let delta = input.values.checked_sub(prev);
+        *prev = input.values;
+        match delta {
+            // Unequal and nothing moved backwards, so the delta is nonzero.
+            Some(values) => {
+                self.emitted += 1;
+                Some(Delta { at: input.at, values })
             }
-            match input.values.checked_sub(prev) {
-                // Unequal and nothing moved backwards, so the delta is nonzero.
-                Some(d) => {
-                    out.push(Delta { at: input.at, values: d });
-                    self.emitted += 1;
-                }
-                None => self.resets += 1,
+            None => {
+                self.resets += 1;
+                None
             }
-            *prev = input.values;
         }
     }
 

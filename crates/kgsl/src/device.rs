@@ -430,6 +430,9 @@ impl KgslDevice {
         }
         let fd = st.next_fd;
         st.next_fd += 1;
+        // A handle's state is 432 B, and a first push would reserve room
+        // for four: the table grows by the one handle a session opens.
+        st.handles.reserve_exact(1);
         st.handles.push(HandleState { fd, domain, reservations: ResvTable::EMPTY });
         Ok(KgslFd(fd))
     }

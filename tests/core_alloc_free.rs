@@ -2,8 +2,9 @@
 //! accepted key costs Algorithm 1 and the correction stage no allocation.
 //!
 //! The hot loop of the attack — jitter, advance, block-read ioctl, sample
-//! assembly — runs ~113k times per session, so a single heap allocation per
-//! slot costs real throughput. The sampler's scratch read buffer and the
+//! assembly — runs ~1,185 times per `login` session and 4.1 million times
+//! over the experiment suite, so a single heap allocation per slot costs
+//! real throughput. The sampler's scratch read buffer and the
 //! trace's pre-reserved sample buffer are supposed to eliminate them all;
 //! this test pins that with a counting global allocator. An accepted key is
 //! one `InferredKey` value from the inference stage to the correction
@@ -89,7 +90,7 @@ fn accepted_keys_allocate_only_for_list_growth() {
             })
             .collect();
         let mut infer = InferStage::greedy(&model);
-        let mut correction = CorrectionStage::new(model.ambient_signatures().to_vec(), false);
+        let mut correction = CorrectionStage::new(model.ambient_signatures(), false);
         spansight::flush();
 
         let before = allocations();

@@ -98,7 +98,7 @@ fn reweighted(model: &ClassifierModel, weights: [f64; NUM_TRACKED]) -> Classifie
         model.threshold(),
         *model.kb_signature(),
         *model.app_signature(),
-        model.ambient_signatures().to_vec(),
+        model.ambient_signatures().into(),
         *model.launch_signature(),
         model.switch_threshold(),
     )
@@ -722,7 +722,7 @@ proptest! {
                 threshold,
                 *model.kb_signature(),
                 *model.app_signature(),
-                model.ambient_signatures().to_vec(),
+                model.ambient_signatures().into(),
                 *model.launch_signature(),
                 model.switch_threshold(),
             );

@@ -101,7 +101,7 @@ impl Parts {
             threshold: m.threshold(),
             kb_signature: *m.kb_signature(),
             app_signature: *m.app_signature(),
-            field_signatures: m.ambient_signatures().to_vec(),
+            field_signatures: m.ambient_signatures().into(),
             launch_signature: *m.launch_signature(),
             switch_threshold: m.switch_threshold(),
         }

@@ -1,4 +1,4 @@
-//! Where a split session allocates, counted per thread.
+//! Where a session allocates and what it holds, counted per thread.
 //!
 //! A split session pumps both ends of its link at each instant something
 //! is due for either, so one end often finds nothing due, and a link
@@ -8,11 +8,13 @@
 //! framed datagram; what it allocates beyond the in-process session of the
 //! same victim must be at most half of what it allocated when it shipped
 //! 32-read batches and every datagram was a fresh payload copied at each
-//! hop.
+//! hop. And a session resident between two quanta, as ~3,000 of them are
+//! in a fleet, holds only its own state: no burst of reads, no staged
+//! changes, no copy of its model's signatures.
 //!
-//! Allocations are counted per thread, by `counting_alloc`: the tests of
-//! this file run in parallel, and the harness allocates on its own thread
-//! when one of them finishes.
+//! Allocations and live bytes are counted per thread, by `counting_alloc`:
+//! the tests of this file run in parallel, and the harness allocates on its
+//! own thread when one of them finishes.
 
 mod counting_alloc;
 
@@ -23,6 +25,7 @@ use adreno_sim::time::{SimDuration, SimInstant};
 use bench::trials::{self, trial_plan};
 use bench::TrialOptions;
 use gpu_eaves::android_ui::{SimConfig, UiSimulation};
+use gpu_eaves::attack::fleet::{FleetConfig, FleetSession, Session};
 use gpu_eaves::attack::offline::ModelStore;
 use gpu_eaves::attack::registry::Registry;
 use gpu_eaves::attack::service::{AttackService, ServiceConfig};
@@ -31,9 +34,10 @@ use gpu_eaves::input_bot::corpus::CredentialKind;
 use gpu_eaves::input_bot::timing::VolunteerModel;
 use gpu_eaves::wire::{
     run_split_session, ClassifierServer, ExfilClient, ExfilConfig, LinkPlan, SimTransport,
+    SplitSessionTask,
 };
 
-use counting_alloc::allocations;
+use counting_alloc::{allocations, live_bytes};
 
 /// Victims in the clean-session comparison.
 const VICTIMS: usize = 12;
@@ -43,6 +47,23 @@ const VICTIMS: usize = 12;
 /// datagram was a fresh payload `Vec` framed into a second one, cloned into
 /// the transport's lane and copied out again by the frame decoder.
 const BEFORE_EXTRA: u64 = 4_289;
+
+/// The most heap bytes a resident session may hold between two quanta: an
+/// in-process [`FleetSession`], boxed as a fleet keeps it, so the victim
+/// simulation it owns counts too, with whatever its heap grows by.
+///
+/// The [`VICTIMS`] sessions held at most 6,176 B. The bound leaves about
+/// 3 KiB of margin (half the figure again), and fails a session that keeps
+/// a 64-read burst (6,144 B) or its own copy of its model's 42 field
+/// signatures (3,696 B). With both, a four-handle kgsl table and two
+/// staging vectors, a session held 22,520 B.
+const IN_PROCESS_RESIDENT_BOUND: isize = 9 * 1024;
+
+/// [`IN_PROCESS_RESIDENT_BOUND`] for a clean-link [`SplitSessionTask`]:
+/// client, link and server together. The sessions held at most 9,290 B,
+/// so the margin is about 3 KiB (a third of the figure), and 15,114 B when
+/// the server copied the signatures and the session staged its changes.
+const SPLIT_RESIDENT_BOUND: isize = 12 * 1024;
 
 /// One service for every session, its model trained once.
 fn service() -> AttackService {
@@ -146,4 +167,44 @@ fn a_clean_split_session_allocates_little_beyond_its_in_process_twin() {
          (before: {BEFORE_EXTRA})"
     );
     assert!(2 * extra <= BEFORE_EXTRA, "{extra} allocations beyond the in-process twins");
+}
+
+/// Steps a session to its end and returns the most heap bytes it held
+/// between two quanta, beyond what the thread held before `make` built it.
+/// The session is boxed, as a fleet keeps it, so its own size counts too.
+fn most_held<S: Session>(make: impl FnOnce() -> S) -> isize {
+    spansight::flush();
+    let base = live_bytes();
+    let mut session = Box::new(make());
+    let mut most = live_bytes() - base;
+    while session.step().is_none() {
+        most = most.max(live_bytes() - base);
+    }
+    most
+}
+
+#[test]
+fn a_resident_session_holds_only_its_own_state() {
+    let service = service();
+    let victims = trial_plan(29, CredentialKind::Password, 6, VICTIMS);
+    let local = |(sim, end): (UiSimulation, SimInstant)| {
+        most_held(|| FleetSession::new(0, &service, sim, end, &FleetConfig::default()))
+    };
+    let split = |(sim, end): (UiSimulation, SimInstant), seed: u64| {
+        most_held(|| {
+            let plan = LinkPlan::new(seed);
+            SplitSessionTask::new(0, &service, sim, end, &plan, ExfilConfig::default())
+        })
+    };
+    // Warm both paths up, so lazily built state is not counted.
+    local(sim(&victims[0]));
+    split(sim(&victims[0]), 0);
+    let (mut in_process, mut split_most) = (0, 0);
+    for (i, victim) in victims.iter().enumerate() {
+        in_process = in_process.max(local(sim(victim)));
+        split_most = split_most.max(split(sim(victim), i as u64));
+    }
+    println!("{VICTIMS} victims hold at most {in_process} B in process, {split_most} B split");
+    assert!(in_process <= IN_PROCESS_RESIDENT_BOUND, "{in_process} B held between quanta");
+    assert!(split_most <= SPLIT_RESIDENT_BOUND, "{split_most} B held between quanta");
 }
